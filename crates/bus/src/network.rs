@@ -4,6 +4,11 @@
 //! attachment and acceptance-filter subscriptions, interned into dense slots)
 //! from its fast signal plane (arbitration, error model and delivery, which
 //! walk flat `Vec`-indexed mailboxes and per-frame subscriber lists).
+//!
+//! ECUs are attached in id order under a contiguous run of ids in every
+//! vehicle, so an ECU's slot is predictable from its id: the per-tick
+//! [`Bus::send`] and [`Bus::receive_into`] check that predicted slot against
+//! the interner's dense key table and hash the id only when it misses.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -78,6 +83,9 @@ pub struct Bus {
     config: BusConfig,
     /// ECU id -> dense slot; slots index `mailboxes` and `subscriptions`.
     ecu_slots: Interner<EcuId>,
+    /// Id index of the first attached ECU: `id - first_ecu` predicts an
+    /// ECU's slot (see [`Bus::ecu_slot`]).
+    first_ecu: u16,
     /// Frame id -> dense slot; slots index `subscribers`.
     frame_slots: Interner<CanId>,
     /// ecu slot -> acceptance-filter membership (bitset over frame slots).
@@ -106,6 +114,7 @@ impl Bus {
         Bus {
             config,
             ecu_slots: Interner::new(),
+            first_ecu: 0,
             frame_slots: Interner::new(),
             subscriptions: Vec::new(),
             subscribers: Vec::new(),
@@ -131,6 +140,9 @@ impl Bus {
 
     /// Attaches an ECU to the bus, creating its receive mailbox.
     pub fn attach(&mut self, ecu: EcuId) -> Slot {
+        if self.ecu_slots.is_empty() {
+            self.first_ecu = ecu.index();
+        }
         let slot = self.ecu_slots.intern(ecu);
         if slot.index() >= self.mailboxes.len() {
             self.mailboxes.resize_with(slot.index() + 1, VecDeque::new);
@@ -142,7 +154,14 @@ impl Bus {
 
     /// Returns `true` if the ECU is attached.
     pub fn is_attached(&self, ecu: EcuId) -> bool {
-        self.ecu_slots.get(&ecu).is_some()
+        self.ecu_slot(ecu).is_some()
+    }
+
+    /// The slot of an attached ECU, predicted from its id and checked
+    /// against the dense key table before falling back to the hash lookup.
+    fn ecu_slot(&self, ecu: EcuId) -> Option<Slot> {
+        let hint = Slot::from_raw(u32::from(ecu.index().wrapping_sub(self.first_ecu)));
+        self.ecu_slots.get_hinted(&ecu, hint)
     }
 
     /// Subscribes an attached ECU to frames with the given identifier
@@ -243,7 +262,7 @@ impl Bus {
             if latency > self.stats.worst_latency {
                 self.stats.worst_latency = latency;
             }
-            let sender_slot = self.ecu_slots.get(&pending.sender);
+            let sender_slot = self.ecu_slot(pending.sender);
             let receivers = self
                 .frame_slots
                 .get(&pending.frame.id())
@@ -267,24 +286,22 @@ impl Bus {
 
     /// Drains and returns every frame delivered to `ecu` so far.
     pub fn receive(&mut self, ecu: EcuId) -> Vec<Frame> {
-        self.ecu_slots
-            .get(&ecu)
-            .map(|slot| self.mailboxes[slot.index()].drain(..).collect())
-            .unwrap_or_default()
+        let mut frames = Vec::new();
+        self.receive_into(ecu, &mut frames);
+        frames
     }
 
     /// Drains every frame delivered to `ecu` into a caller-owned buffer —
     /// the allocation-free variant of [`Bus::receive`] for per-tick callers.
     pub fn receive_into(&mut self, ecu: EcuId, into: &mut Vec<Frame>) {
-        if let Some(slot) = self.ecu_slots.get(&ecu) {
+        if let Some(slot) = self.ecu_slot(ecu) {
             into.extend(self.mailboxes[slot.index()].drain(..));
         }
     }
 
     /// Number of frames waiting in `ecu`'s mailbox.
     pub fn pending_for(&self, ecu: EcuId) -> usize {
-        self.ecu_slots
-            .get(&ecu)
+        self.ecu_slot(ecu)
             .map(|slot| self.mailboxes[slot.index()].len())
             .unwrap_or(0)
     }
@@ -306,6 +323,40 @@ mod tests {
         bus.attach(a);
         bus.attach(b);
         (bus, a, b)
+    }
+
+    #[test]
+    fn ecus_outside_the_contiguous_id_run_use_the_fallback_lookup() {
+        // Attached out of order and with a gap: ids 7, 3 and 40 do not
+        // predict their slots from the first id, so every lookup but the
+        // first ECU's takes the hash fallback — and must still deliver.
+        let mut bus = Bus::new(BusConfig::default());
+        let ids = [EcuId::new(7), EcuId::new(3), EcuId::new(40)];
+        for id in ids {
+            bus.attach(id);
+        }
+        let frame_id = CanId::new(0x21).unwrap();
+        for id in &ids[1..] {
+            bus.subscribe(*id, frame_id);
+        }
+        bus.send(ids[0], Frame::new(frame_id, vec![9]).unwrap(), Tick::ZERO)
+            .unwrap();
+        bus.step(Tick::new(1));
+        bus.step(Tick::new(2));
+        for id in &ids[1..] {
+            assert_eq!(bus.pending_for(*id), 1);
+            let mut frames = Vec::new();
+            bus.receive_into(*id, &mut frames);
+            assert_eq!(frames.len(), 1);
+        }
+        assert!(bus
+            .send(
+                EcuId::new(8),
+                Frame::new(frame_id, vec![1]).unwrap(),
+                Tick::ZERO
+            )
+            .is_err());
+        assert_eq!(bus.stats().delivered, 2);
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! their virtual machines under best-effort budgets and translates every
 //! signal that crosses the plug-in boundary.
 //!
-//! Signal translation runs on compiled route tables (interned virtual-port
-//! and plug-in-port slots indexing flat `Vec`s): plug-in installation and
-//! uninstallation are the *only* operations that invalidate and rebuild them;
-//! per-signal dispatch never hashes over the plug-in list.
+//! Signal translation runs on compiled route tables indexed by dense
+//! positions: virtual ports by their declaration position in the static
+//! configuration, SW-C inputs by a [`SwcInput`] handle, SW-C outputs by a
+//! [`SwcOutput`] index, and every plug-in port's write route resolved to its
+//! virtual port.  Plug-in installation and uninstallation are the *only*
+//! operations that invalidate and rebuild the plug-in tables; per-signal
+//! dispatch never hashes.  The name- and id-keyed calls
+//! ([`Pirte::dispatch_swc_input`], [`Pirte::virtual_port`]) resolve onto the
+//! same tables.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,6 +44,60 @@ use crate::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 /// installation package carrying a huge id cannot make the table allocation
 /// explode.
 const DIRECT_PORT_OWNER_LIMIT: usize = 4096;
+
+/// A SW-C input port of the hosting plug-in SW-C, resolved once against the
+/// static configuration (see [`Pirte::input_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SwcInput {
+    /// The type I inbound management port.
+    Management,
+    /// The SW-C port bound to the virtual port at this declaration position.
+    Virtual(u16),
+}
+
+/// A SW-C port the PIRTE writes through its outbox: a dense index into the
+/// static configuration (one per virtual port in declaration order, then the
+/// type I outbound port).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SwcOutput(u16);
+
+impl SwcOutput {
+    /// The output at a dense index (`0..`[`Pirte::output_count`]).
+    pub(crate) fn from_index(index: usize) -> Self {
+        SwcOutput(position_index(index))
+    }
+
+    /// The dense index, for tables the embedder keeps per output.
+    pub(crate) fn index(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
+/// A virtual-port declaration position (or outbox index) as stored in the
+/// compiled tables.  Virtual ports carry unique `u16` ids, so a validated
+/// configuration never declares more than the type can number.
+fn position_index(position: usize) -> u16 {
+    u16::try_from(position).expect("virtual-port positions fit the u16 id space")
+}
+
+/// Where a write on one plug-in port goes, resolved from its PLC link when
+/// the plug-in is installed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PortRoute {
+    /// PLC `{Px-}`: surfaced to the embedder as a direct output.
+    Direct,
+    /// Through the to-system virtual port at this position.
+    System(u16),
+    /// Linked to a virtual port whose data flows towards the plug-ins:
+    /// writes are rejected.
+    NotToSystem(u16),
+    /// Wrapped with the remote recipient's id through the virtual port at
+    /// this position.
+    Remote(u16, PluginPortId),
+    /// The linked virtual port is not declared (installation rejects such
+    /// links, so this only guards the invariant).
+    Missing(VirtualPortId),
+}
 
 /// Counters describing one PIRTE instance's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,21 +131,16 @@ pub struct PirteStats {
 pub struct Pirte {
     ecu: EcuId,
     config: PluginSwcConfig,
-    virtual_ports: HashMap<VirtualPortId, VirtualPortSpec>,
-    /// Virtual port -> shared SW-C port name, so every outbox entry is an
-    /// `Arc<str>` clone instead of a fresh `String` per routed signal.
-    swc_port_shared: HashMap<VirtualPortId, Arc<str>>,
-    /// The type I outbound port as a shared name (management ack path).
-    type_i_out_shared: Option<Arc<str>>,
-    swc_port_to_virtual: HashMap<String, VirtualPortId>,
     plugins: Vec<Plugin>,
     plugin_index: HashMap<PluginId, usize>,
     used_port_ids: HashSet<PluginPortId>,
-    /// Virtual-port id -> dense slot (static; interned at construction).
-    virtual_slots: Interner<VirtualPortId>,
-    /// virtual slot -> `(plugin index, port index)` of every required plug-in
-    /// port linked to that virtual port (compiled on (un)install).
+    /// virtual port position -> `(plugin index, port index)` of every
+    /// required plug-in port linked to that virtual port (compiled on
+    /// (un)install).
     virtual_fanout: Vec<Vec<(usize, usize)>>,
+    /// plugin index -> the write route of each of its ports, in port order
+    /// (compiled on (un)install).
+    port_routes: Vec<Vec<PortRoute>>,
     /// Plug-in port id -> dense slot (freed on uninstall, reused on install).
     plugin_port_slots: Interner<PluginPortId>,
     /// plug-in-port slot -> `(plugin index, port index)` of the owning port
@@ -100,9 +153,9 @@ pub struct Pirte {
     /// width is capped at [`DIRECT_PORT_OWNER_LIMIT`] (larger ids use the
     /// interner fallback).
     port_owner_by_id: Vec<Option<(usize, usize)>>,
-    /// Values to be written on SW-C ports by the hosting component behaviour
-    /// (`Arc<str>` port names shared with the static configuration).
-    outbox: Vec<(Arc<str>, Value)>,
+    /// Values to be written on SW-C ports by the hosting component
+    /// behaviour, addressed by output index.
+    outbox: Vec<(SwcOutput, Value)>,
     /// Values written by plug-ins on direct-linked (PLC `{Px-}`) ports,
     /// consumed by the embedding SW-C (the ECM uses this for outbound
     /// external data).
@@ -115,30 +168,15 @@ pub struct Pirte {
 impl Pirte {
     /// Creates a PIRTE from the OEM-provided static configuration.
     pub fn new(ecu: EcuId, config: PluginSwcConfig) -> Self {
-        let mut virtual_ports = HashMap::new();
-        let mut swc_port_shared = HashMap::new();
-        let mut swc_port_to_virtual = HashMap::new();
-        let mut virtual_slots = Interner::new();
-        for spec in config.virtual_ports() {
-            swc_port_to_virtual.insert(spec.swc_port().to_owned(), spec.id());
-            swc_port_shared.insert(spec.id(), Arc::<str>::from(spec.swc_port()));
-            virtual_ports.insert(spec.id(), spec.clone());
-            virtual_slots.intern(spec.id());
-        }
-        let type_i_out_shared = config.type_i_out().map(Arc::<str>::from);
-        let virtual_fanout = vec![Vec::new(); virtual_slots.capacity()];
+        let virtual_fanout = vec![Vec::new(); config.virtual_ports().len()];
         Pirte {
             ecu,
             config,
-            virtual_ports,
-            swc_port_shared,
-            type_i_out_shared,
-            swc_port_to_virtual,
             plugins: Vec::new(),
             plugin_index: HashMap::new(),
             used_port_ids: HashSet::new(),
-            virtual_slots,
             virtual_fanout,
+            port_routes: Vec::new(),
             plugin_port_slots: Interner::new(),
             port_owner: Vec::new(),
             port_owner_by_id: Vec::new(),
@@ -178,7 +216,65 @@ impl Pirte {
 
     /// The virtual-port declaration with the given id.
     pub fn virtual_port(&self, id: VirtualPortId) -> Option<&VirtualPortSpec> {
-        self.virtual_ports.get(&id)
+        self.virtual_position(id)
+            .map(|position| &self.config.virtual_ports()[position])
+    }
+
+    /// Declaration position of a virtual port (the index of every
+    /// virtual-port table).  Static configurations declare a handful of
+    /// virtual ports, and only installation and wiring resolve ids.
+    fn virtual_position(&self, id: VirtualPortId) -> Option<usize> {
+        self.config
+            .virtual_ports()
+            .iter()
+            .position(|spec| spec.id() == id)
+    }
+
+    /// Resolves a SW-C input port name to the handle
+    /// [`Pirte::dispatch_input`] takes, or `None` if the name is neither the
+    /// type I inbound port nor bound to a virtual port.
+    pub(crate) fn input_of(&self, swc_port: &str) -> Option<SwcInput> {
+        if self.config.is_type_i_in(swc_port) {
+            return Some(SwcInput::Management);
+        }
+        self.config
+            .virtual_ports()
+            .iter()
+            .position(|spec| spec.swc_port() == swc_port)
+            .map(|position| SwcInput::Virtual(position_index(position)))
+    }
+
+    /// The SW-C port name behind an input handle.
+    pub(crate) fn input_name(&self, input: SwcInput) -> &str {
+        match input {
+            SwcInput::Management => self.config.type_i_in().unwrap_or_default(),
+            SwcInput::Virtual(position) => {
+                self.config.virtual_ports()[usize::from(position)].swc_port()
+            }
+        }
+    }
+
+    /// Number of outbox targets: one per virtual port, plus the type I
+    /// outbound port when declared.
+    pub(crate) fn output_count(&self) -> usize {
+        self.config.virtual_ports().len() + usize::from(self.config.type_i_out().is_some())
+    }
+
+    /// The SW-C port name an outbox index writes to.
+    pub(crate) fn output_port(&self, output: SwcOutput) -> Option<&str> {
+        let virtual_ports = self.config.virtual_ports();
+        match virtual_ports.get(output.index()) {
+            Some(spec) => Some(spec.swc_port()),
+            None if output.index() == virtual_ports.len() => self.config.type_i_out(),
+            None => None,
+        }
+    }
+
+    /// The outbox index of the type I outbound port, if declared.
+    fn type_i_output(&self) -> Option<SwcOutput> {
+        self.config
+            .type_i_out()
+            .map(|_| SwcOutput::from_index(self.config.virtual_ports().len()))
     }
 
     /// Identifiers and states of every installed plug-in.
@@ -252,7 +348,7 @@ impl Pirte {
                 LinkTarget::Direct => None,
             };
             if let Some(v) = referenced {
-                if !self.virtual_ports.contains_key(&v) {
+                if self.virtual_position(v).is_none() {
                     self.stats.rejected_operations += 1;
                     return Err(DynarError::not_found("virtual port", v));
                 }
@@ -485,7 +581,8 @@ impl Pirte {
     // ------------------------------------------------------------------
 
     /// Dispatches a value that arrived on one of the hosting SW-C's required
-    /// ports, according to the port's type.
+    /// ports, according to the port's type (the name-keyed form of the
+    /// per-tick dispatch, which takes pre-resolved input handles).
     ///
     /// # Errors
     ///
@@ -493,39 +590,32 @@ impl Pirte {
     /// virtual port, and [`DynarError::ProtocolViolation`] for malformed
     /// type I or type II payloads.
     pub fn dispatch_swc_input(&mut self, swc_port: &str, value: Value) -> Result<()> {
-        if self.config.is_type_i_in(swc_port) {
-            let message = ManagementMessage::from_value(&value)?;
-            let responses = self.handle_management(message);
-            if let Some(out_port) = self.type_i_out_shared.clone() {
-                for response in responses {
-                    self.outbox
-                        .push((Arc::clone(&out_port), response.to_value()));
-                }
-            }
-            return Ok(());
-        }
-        let virtual_id = *self
-            .swc_port_to_virtual
-            .get(swc_port)
+        let input = self
+            .input_of(swc_port)
             .ok_or_else(|| DynarError::not_found("virtual port for SW-C port", swc_port))?;
+        self.dispatch_input(input, value)
+    }
+
+    /// Dispatches a value that arrived on a resolved SW-C input port (see
+    /// [`Pirte::input_of`]), according to the port's type.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for malformed type I or
+    /// type II payloads.
+    pub(crate) fn dispatch_input(&mut self, input: SwcInput, value: Value) -> Result<()> {
+        let position = match input {
+            SwcInput::Management => return self.dispatch_management(&value),
+            SwcInput::Virtual(position) => usize::from(position),
+        };
         // Kind and transform are `Copy`; extracting them up front keeps the
         // hot paths below free of per-signal spec clones.
         let (kind, transform) = {
-            let spec = &self.virtual_ports[&virtual_id];
+            let spec = &self.config.virtual_ports()[position];
             (spec.kind(), spec.transform())
         };
         match kind {
-            PortKind::TypeI => {
-                let message = ManagementMessage::from_value(&value)?;
-                let responses = self.handle_management(message);
-                if let Some(out_port) = self.type_i_out_shared.clone() {
-                    for response in responses {
-                        self.outbox
-                            .push((Arc::clone(&out_port), response.to_value()));
-                    }
-                }
-                Ok(())
-            }
+            PortKind::TypeI => self.dispatch_management(&value),
             PortKind::TypeII => {
                 // Take the payload out of the envelope by value: the hot
                 // multiplexing path never clones the carried signal.
@@ -553,14 +643,10 @@ impl Pirte {
             }
             PortKind::TypeIII => {
                 let transformed = transform.apply(value);
-                let Some(virtual_slot) = self.virtual_slots.get(&virtual_id) else {
-                    return Ok(());
-                };
                 let mut delivered = 0;
-                let receivers = self.virtual_fanout[virtual_slot.index()].len();
+                let receivers = self.virtual_fanout[position].len();
                 for index in 0..receivers {
-                    let (plugin_index, port_index) =
-                        self.virtual_fanout[virtual_slot.index()][index];
+                    let (plugin_index, port_index) = self.virtual_fanout[position][index];
                     if let Some(port) = self.plugins[plugin_index].port_at_mut(port_index) {
                         if index + 1 == receivers {
                             port.push(transformed);
@@ -576,6 +662,19 @@ impl Pirte {
                 Ok(())
             }
         }
+    }
+
+    /// Decodes and applies a management message arriving on a type I port,
+    /// queueing the responses on the type I outbound port.
+    fn dispatch_management(&mut self, value: &Value) -> Result<()> {
+        let message = ManagementMessage::from_value(value)?;
+        let responses = self.handle_management(message);
+        if let Some(out_port) = self.type_i_output() {
+            for response in responses {
+                self.outbox.push((out_port, response.to_value()));
+            }
+        }
+        Ok(())
     }
 
     /// Delivers a value directly into a plug-in port (used for external data
@@ -643,7 +742,6 @@ impl Pirte {
             .unwrap_or(0);
         self.port_owner = vec![None; self.plugin_port_slots.capacity()];
         self.port_owner_by_id = vec![None; id_width];
-        self.virtual_fanout = vec![Vec::new(); self.virtual_slots.capacity()];
         for (plugin_index, plugin) in self.plugins.iter().enumerate() {
             for (port_index, port) in plugin.ports().iter().enumerate() {
                 let slot = self
@@ -654,16 +752,54 @@ impl Pirte {
                 if let Some(entry) = self.port_owner_by_id.get_mut(port.id.index() as usize) {
                     *entry = Some((plugin_index, port_index));
                 }
+            }
+        }
+        self.virtual_fanout = self.compile_fanout();
+        self.port_routes = self.compile_port_routes();
+    }
+
+    /// virtual port position -> linked required plug-in ports.
+    fn compile_fanout(&self) -> Vec<Vec<(usize, usize)>> {
+        let mut fanout = vec![Vec::new(); self.config.virtual_ports().len()];
+        for (plugin_index, plugin) in self.plugins.iter().enumerate() {
+            for (port_index, port) in plugin.ports().iter().enumerate() {
                 if port.direction == PluginPortDirection::Required {
                     if let LinkTarget::VirtualPort(virtual_id) = port.link {
-                        if let Some(virtual_slot) = self.virtual_slots.get(&virtual_id) {
-                            self.virtual_fanout[virtual_slot.index()]
-                                .push((plugin_index, port_index));
+                        if let Some(position) = self.virtual_position(virtual_id) {
+                            fanout[position].push((plugin_index, port_index));
                         }
                     }
                 }
             }
         }
+        fanout
+    }
+
+    /// plugin index -> the write route of each port, resolved from its link.
+    fn compile_port_routes(&self) -> Vec<Vec<PortRoute>> {
+        let route_of = |port: &PluginPort| match port.link {
+            LinkTarget::Direct => PortRoute::Direct,
+            LinkTarget::VirtualPort(id) => match self.virtual_position(id) {
+                Some(position) => {
+                    if self.config.virtual_ports()[position].direction()
+                        == PortDataDirection::ToSystem
+                    {
+                        PortRoute::System(position_index(position))
+                    } else {
+                        PortRoute::NotToSystem(position_index(position))
+                    }
+                }
+                None => PortRoute::Missing(id),
+            },
+            LinkTarget::RemotePluginPort { via, remote } => match self.virtual_position(via) {
+                Some(position) => PortRoute::Remote(position_index(position), remote),
+                None => PortRoute::Missing(via),
+            },
+        };
+        self.plugins
+            .iter()
+            .map(|plugin| plugin.ports().iter().map(route_of).collect())
+            .collect()
     }
 
     /// Checks that the compiled route tables exactly match a fresh compile of
@@ -721,20 +857,9 @@ impl Pirte {
                 return false;
             }
         }
-        // The fan-out tables match a fresh compile.
-        let mut expected = vec![Vec::new(); self.virtual_slots.capacity()];
-        for (plugin_index, plugin) in self.plugins.iter().enumerate() {
-            for (port_index, port) in plugin.ports().iter().enumerate() {
-                if port.direction == PluginPortDirection::Required {
-                    if let LinkTarget::VirtualPort(virtual_id) = port.link {
-                        if let Some(virtual_slot) = self.virtual_slots.get(&virtual_id) {
-                            expected[virtual_slot.index()].push((plugin_index, port_index));
-                        }
-                    }
-                }
-            }
-        }
-        expected == self.virtual_fanout
+        // The fan-out and write-route tables match a fresh compile.
+        self.compile_fanout() == self.virtual_fanout
+            && self.compile_port_routes() == self.port_routes
     }
 
     /// Width of the dense plug-in-port slot table: bounded by the high-water
@@ -760,20 +885,26 @@ impl Pirte {
     }
 
     /// Drains the SW-C port writes produced by plug-ins (and management
-    /// acknowledgements) since the last call.  Allocates a `String` per
-    /// entry for convenience; the per-tick management pass uses
-    /// [`Pirte::drain_outbox_into`] instead.
+    /// acknowledgements) since the last call, by SW-C port name.  Allocates
+    /// a `String` per entry for convenience; the per-tick management pass
+    /// uses [`Pirte::drain_outbox_into`] instead.
     pub fn drain_outbox(&mut self) -> Vec<(String, Value)> {
-        self.outbox
-            .drain(..)
-            .map(|(port, value)| (port.as_ref().to_owned(), value))
+        let outbox = std::mem::take(&mut self.outbox);
+        outbox
+            .into_iter()
+            .map(|(output, value)| {
+                let port = self
+                    .output_port(output)
+                    .expect("outbox targets are declared");
+                (port.to_owned(), value)
+            })
             .collect()
     }
 
     /// Drains the outbox into a caller-owned buffer (swap when empty, append
     /// otherwise) — the allocation-free variant of [`Pirte::drain_outbox`]
-    /// for the per-tick management pass.
-    pub fn drain_outbox_into(&mut self, into: &mut Vec<(Arc<str>, Value)>) {
+    /// for the per-tick management pass, addressed by output index.
+    pub fn drain_outbox_into(&mut self, into: &mut Vec<(SwcOutput, Value)>) {
         dynar_foundation::buffers::drain_swap(&mut self.outbox, into);
     }
 
@@ -802,8 +933,8 @@ impl Pirte {
                 let mut host = PirteHost {
                     plugin: plugin_id,
                     ports,
-                    virtual_ports: &self.virtual_ports,
-                    swc_ports: &self.swc_port_shared,
+                    routes: &self.port_routes[index],
+                    virtual_ports: self.config.virtual_ports(),
                     outbox: &mut self.outbox,
                     direct_outputs: &mut self.direct_outputs,
                     log: &mut self.log,
@@ -862,9 +993,12 @@ impl Pirte {
 struct PirteHost<'a> {
     plugin: &'a PluginId,
     ports: &'a mut [PluginPort],
-    virtual_ports: &'a HashMap<VirtualPortId, VirtualPortSpec>,
-    swc_ports: &'a HashMap<VirtualPortId, Arc<str>>,
-    outbox: &'a mut Vec<(Arc<str>, Value)>,
+    /// The write route of each port, indexed like `ports`.
+    routes: &'a [PortRoute],
+    /// The static virtual ports, indexed by declaration position (which is
+    /// also the outbox index of their SW-C port).
+    virtual_ports: &'a [VirtualPortSpec],
+    outbox: &'a mut Vec<(SwcOutput, Value)>,
     direct_outputs: &'a mut Vec<(PluginId, PluginPortId, Value)>,
     log: &'a mut EventLog,
     stats: &'a mut PirteStats,
@@ -896,7 +1030,7 @@ impl PortHost for PirteHost<'_> {
     }
 
     fn write_port(&mut self, slot: u32, value: Value) -> Result<()> {
-        let (port_id, link) = {
+        let port_id = {
             let port = self.port_mut(slot)?;
             if port.direction != PluginPortDirection::Provided {
                 return Err(DynarError::PortDirection {
@@ -905,40 +1039,34 @@ impl PortHost for PirteHost<'_> {
                 });
             }
             port.record_output(value.clone());
-            (port.id, port.link)
+            port.id
         };
         self.stats.signals_out += 1;
-        match link {
-            LinkTarget::Direct => {
+        match self.routes[slot as usize] {
+            PortRoute::Direct => {
                 self.direct_outputs
                     .push((self.plugin.clone(), port_id, value));
             }
-            LinkTarget::VirtualPort(virtual_id) => {
-                let spec = self
-                    .virtual_ports
-                    .get(&virtual_id)
-                    .ok_or_else(|| DynarError::not_found("virtual port", virtual_id))?;
-                if spec.direction() != PortDataDirection::ToSystem {
-                    return Err(DynarError::PortDirection {
-                        port: spec.name().to_owned(),
-                        expected: "to-system",
-                    });
-                }
-                let port = Arc::clone(&self.swc_ports[&virtual_id]);
-                self.outbox.push((port, spec.transform().apply(value)));
+            PortRoute::System(position) => {
+                let spec = &self.virtual_ports[usize::from(position)];
+                self.outbox
+                    .push((SwcOutput(position), spec.transform().apply(value)));
             }
-            LinkTarget::RemotePluginPort { via, remote } => {
-                let spec = self
-                    .virtual_ports
-                    .get(&via)
-                    .ok_or_else(|| DynarError::not_found("virtual port", via))?;
+            PortRoute::NotToSystem(position) => {
+                return Err(DynarError::PortDirection {
+                    port: self.virtual_ports[usize::from(position)].name().to_owned(),
+                    expected: "to-system",
+                });
+            }
+            PortRoute::Remote(position, remote) => {
+                let spec = &self.virtual_ports[usize::from(position)];
                 let wrapped = Value::List(vec![
                     Value::I64(i64::from(remote.index())),
                     spec.transform().apply(value),
                 ]);
-                self.outbox
-                    .push((Arc::clone(&self.swc_ports[&via]), wrapped));
+                self.outbox.push((SwcOutput(position), wrapped));
             }
+            PortRoute::Missing(id) => return Err(DynarError::not_found("virtual port", id)),
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ use dynar_rte::port::{PortDirection, PortSpec};
 use dynar_vm::budget::Budget;
 use dynar_vm::engine::ExecMode;
 
-use crate::pirte::Pirte;
+use crate::pirte::{Pirte, SwcInput, SwcOutput};
 use crate::virtual_port::{PortDataDirection, VirtualPortSpec};
 
 /// Name of the management runnable of every plug-in SW-C.
@@ -233,16 +233,57 @@ impl PluginSwcConfig {
     }
 }
 
+/// A plug-in SW-C's ports resolved once against the RTE and the PIRTE, so
+/// the per-tick [`PluginSwc::pirte_pass`] indexes ids instead of looking up
+/// names.
+#[derive(Debug, Clone, Default)]
+pub struct ResolvedPorts {
+    /// Input SW-C ports: the PIRTE input each feeds and its RTE port id.
+    inputs: Vec<(SwcInput, PortId)>,
+    /// RTE port id per PIRTE outbox index (`None` where the RTE has no such
+    /// port; writes there are reported like any failed port write).
+    outputs: Vec<Option<PortId>>,
+}
+
+impl ResolvedPorts {
+    /// Resolves the named input ports and every PIRTE outbox target against
+    /// the RTE context of the hosting SW-C.  Called once per behaviour
+    /// instance (the wiring never changes after registration).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::NotFound`] if an input port is unknown to the
+    /// RTE or to the PIRTE's static configuration.
+    pub fn resolve(pirte: &Pirte, input_ports: &[String], ctx: &RteContext<'_>) -> Result<Self> {
+        let inputs = input_ports
+            .iter()
+            .map(|name| {
+                let input = pirte.input_of(name).ok_or_else(|| {
+                    DynarError::not_found("virtual port for SW-C port", name.as_str())
+                })?;
+                Ok((input, ctx.port_id(name)?))
+            })
+            .collect::<Result<_>>()?;
+        let outputs = (0..pirte.output_count())
+            .map(|index| {
+                pirte
+                    .output_port(SwcOutput::from_index(index))
+                    .and_then(|name| ctx.port_id(name).ok())
+            })
+            .collect();
+        Ok(ResolvedPorts { inputs, outputs })
+    }
+}
+
 /// The component behaviour of a plug-in SW-C.
 #[derive(Debug)]
 pub struct PluginSwc {
     pirte: SharedPirte,
     input_ports: Vec<String>,
-    /// Input ports resolved to their RTE ids on the first runnable pass, so
-    /// the per-tick drain skips the name lookup.
-    resolved_inputs: Option<Vec<(String, PortId)>>,
+    /// Ports resolved on the first runnable pass.
+    resolved: Option<ResolvedPorts>,
     /// Reused outbox drain buffer (ping-pongs with the PIRTE's outbox).
-    outbox_scratch: Vec<(Arc<str>, Value)>,
+    outbox_scratch: Vec<(SwcOutput, Value)>,
 }
 
 impl PluginSwc {
@@ -255,7 +296,7 @@ impl PluginSwc {
             PluginSwc {
                 pirte: Arc::clone(&pirte),
                 input_ports,
-                resolved_inputs: None,
+                resolved: None,
                 outbox_scratch: Vec::new(),
             },
             pirte,
@@ -267,46 +308,45 @@ impl PluginSwc {
         Arc::clone(&self.pirte)
     }
 
-    /// Resolves input port names to their RTE port ids, for the id-based
-    /// [`PluginSwc::pirte_pass`].  Called once per behaviour instance (the
-    /// wiring never changes after registration).
-    pub fn resolve_inputs(
-        input_ports: &[String],
-        ctx: &RteContext<'_>,
-    ) -> Result<Vec<(String, PortId)>> {
-        input_ports
-            .iter()
-            .map(|name| Ok((name.clone(), ctx.port_id(name)?)))
-            .collect()
-    }
-
-    /// One management pass: feed inputs to the PIRTE, grant execution slots,
-    /// flush outputs.  Exposed for reuse by the ECM behaviour.
+    /// One management pass over an already locked PIRTE: feed inputs to it,
+    /// grant execution slots, flush outputs.  Exposed for reuse by the ECM
+    /// behaviour, which keeps the same lock for the rest of its pass.
     ///
-    /// `input_ports` carries pre-resolved port ids (see
-    /// [`PluginSwc::resolve_inputs`]) and `outbox_scratch` a reusable drain
+    /// `ports` carries the pre-resolved port ids (see
+    /// [`ResolvedPorts::resolve`]) and `outbox_scratch` a reusable drain
     /// buffer, keeping the steady-state pass free of allocations and name
     /// lookups.
+    ///
+    /// # Errors
+    ///
+    /// Propagates RTE errors on the input ports.
     pub fn pirte_pass(
-        pirte: &SharedPirte,
-        input_ports: &[(String, PortId)],
-        outbox_scratch: &mut Vec<(Arc<str>, Value)>,
+        pirte: &mut Pirte,
+        ports: &ResolvedPorts,
+        outbox_scratch: &mut Vec<(SwcOutput, Value)>,
         ctx: &mut RteContext<'_>,
     ) -> Result<()> {
-        let mut pirte = pirte.lock();
-        for (name, port_id) in input_ports {
-            while let Some(value) = ctx.receive_by_id(*port_id)? {
-                if let Err(err) = pirte.dispatch_swc_input(name, value) {
-                    pirte.log_warning(format!("dropped input on {name}: {err}"));
+        for &(input, port_id) in &ports.inputs {
+            while let Some(value) = ctx.receive_by_id(port_id)? {
+                if let Err(err) = pirte.dispatch_input(input, value) {
+                    let message = format!("dropped input on {}: {err}", pirte.input_name(input));
+                    pirte.log_warning(message);
                 }
             }
         }
         pirte.run_plugins();
         debug_assert!(outbox_scratch.is_empty());
         pirte.drain_outbox_into(outbox_scratch);
-        for (port, value) in outbox_scratch.drain(..) {
-            if let Err(err) = ctx.write(&port, value) {
-                pirte.log_warning(format!("failed to write SW-C port {port}: {err}"));
+        for (output, value) in outbox_scratch.drain(..) {
+            let port = pirte.output_port(output).unwrap_or_default();
+            let written = match ports.outputs.get(output.index()).copied().flatten() {
+                Some(port_id) => ctx.write_by_id(port_id, value),
+                // Unresolved: the name-keyed write reports why.
+                None => ctx.write(port, value),
+            };
+            if let Err(err) = written {
+                let message = format!("failed to write SW-C port {port}: {err}");
+                pirte.log_warning(message);
             }
         }
         Ok(())
@@ -315,13 +355,12 @@ impl PluginSwc {
 
 impl ComponentBehavior for PluginSwc {
     fn on_runnable(&mut self, _runnable: &str, ctx: &mut RteContext<'_>) -> Result<()> {
-        if self.resolved_inputs.is_none() {
-            self.resolved_inputs = Some(Self::resolve_inputs(&self.input_ports, ctx)?);
+        let mut pirte = self.pirte.lock();
+        if self.resolved.is_none() {
+            self.resolved = Some(ResolvedPorts::resolve(&pirte, &self.input_ports, ctx)?);
         }
-        let resolved = self.resolved_inputs.take().expect("resolved above");
-        let result = Self::pirte_pass(&self.pirte, &resolved, &mut self.outbox_scratch, ctx);
-        self.resolved_inputs = Some(resolved);
-        result
+        let resolved = self.resolved.as_ref().expect("resolved above");
+        Self::pirte_pass(&mut pirte, resolved, &mut self.outbox_scratch, ctx)
     }
 }
 

@@ -42,6 +42,12 @@
 //! ack is byte-identical to the original by construction.  The per-tick poll
 //! paths drain the transport through a reused buffer and read SW-C ports by
 //! pre-resolved ids, so a quiescent gateway pass allocates nothing.
+//!
+//! A quiescent pass also hashes nothing: the gateway drains its own mailbox
+//! through an [`EndpointHandle`] resolved once (and re-resolved by name only
+//! when the transport reports it stale after an unregister/re-register), and
+//! it locks its PIRTE once for the pass — the plug-in pass and the direct
+//! outputs share one lock.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -50,10 +56,10 @@ use parking_lot::Mutex;
 
 use dynar_core::context::ExternalRoute;
 use dynar_core::message::ManagementMessage;
-use dynar_core::pirte::Pirte;
-use dynar_core::swc::{PluginSwc, PluginSwcConfig, SharedPirte};
+use dynar_core::pirte::{Pirte, SwcOutput};
+use dynar_core::swc::{PluginSwc, PluginSwcConfig, ResolvedPorts, SharedPirte};
 use dynar_fes::device::{decode_device_message, encode_device_message};
-use dynar_fes::transport::{EndpointName, SharedTransport};
+use dynar_fes::transport::{EndpointHandle, EndpointName, SharedTransport};
 use dynar_foundation::error::Result;
 use dynar_foundation::ids::{AppId, EcuId, PluginId, PluginPortId, PortId};
 use dynar_foundation::payload::Payload;
@@ -183,15 +189,18 @@ pub struct EcmSwc {
     pirte: SharedPirte,
     hub: SharedHub,
     pirte_inputs: Vec<String>,
-    /// `pirte_inputs` resolved to RTE port ids on the first runnable pass.
-    resolved_inputs: Option<Vec<(String, PortId)>>,
+    /// The PIRTE's SW-C ports resolved on the first runnable pass.
+    resolved_ports: Option<ResolvedPorts>,
     /// `EcmConfig::type_i_in` resolved to `(config index, port id)` pairs on
     /// the first pass (unresolvable ports are warned about and skipped).
     resolved_type_i_in: Option<Vec<(usize, PortId)>>,
+    /// The gateway's own mailbox, resolved on the first drain and again
+    /// whenever the transport reports the handle stale.
+    rx_handle: Option<EndpointHandle>,
     /// Reused drain buffer for the external transport mailbox.
     rx_scratch: Vec<(EndpointName, Payload)>,
     /// Reused drain buffer for the PIRTE outbox.
-    outbox_scratch: Vec<(std::sync::Arc<str>, Value)>,
+    outbox_scratch: Vec<(SwcOutput, Value)>,
     /// External routes learned from the ECCs of installed plug-ins.
     ecc_routes: Vec<ExternalRoute>,
     /// Encoded uplink messages waiting for the next runnable pass.
@@ -238,8 +247,9 @@ impl EcmSwc {
                 pirte: Arc::clone(&pirte),
                 hub,
                 pirte_inputs,
-                resolved_inputs: None,
+                resolved_ports: None,
                 resolved_type_i_in: None,
+                rx_handle: None,
                 rx_scratch: Vec::new(),
                 outbox_scratch: Vec::new(),
                 ecc_routes: Vec::new(),
@@ -473,10 +483,7 @@ impl EcmSwc {
         // allocator, a busy one reuses last tick's capacity.
         let mut messages = std::mem::take(&mut self.rx_scratch);
         debug_assert!(messages.is_empty());
-        {
-            let mut hub = self.hub.lock();
-            hub.drain_into(&self.config.own_endpoint, &mut messages);
-        }
+        self.drain_own_mailbox(&mut messages);
         for (from, payload) in messages.drain(..) {
             if *from == *self.config.server_endpoint {
                 match crate::protocol::decode_downlink(&payload) {
@@ -606,6 +613,25 @@ impl EcmSwc {
         self.rx_scratch = messages;
     }
 
+    /// Drains the gateway's own mailbox through its cached handle.  A stale
+    /// or missing handle is re-resolved by name; backends without handles
+    /// are drained by name.
+    fn drain_own_mailbox(&mut self, into: &mut Vec<(EndpointName, Payload)>) {
+        let mut hub = self.hub.lock();
+        if let Some(handle) = self.rx_handle {
+            if hub.drain_handle_into(handle, into) {
+                return;
+            }
+        }
+        self.rx_handle = hub.endpoint_handle(&self.config.own_endpoint);
+        match self.rx_handle {
+            Some(handle) => {
+                hub.drain_handle_into(handle, into);
+            }
+            None => hub.drain_into(&self.config.own_endpoint, into),
+        }
+    }
+
     fn poll_remote_swcs(&mut self, ctx: &mut RteContext<'_>) {
         if self.resolved_type_i_in.is_none() {
             // Resolve once, keeping the configuration index alongside each
@@ -685,10 +711,11 @@ impl EcmSwc {
         );
     }
 
-    fn flush_local_direct_outputs(&mut self) {
-        let outputs = self.pirte.lock().take_direct_outputs();
+    /// Sends the values local plug-ins wrote on directly linked ports to the
+    /// external devices their ECC routes name.
+    fn flush_local_direct_outputs(&self, outputs: Vec<(PluginId, PluginPortId, Value)>) {
         for (_plugin, port, value) in outputs {
-            if let Some(route) = self.route_for_port(self.ecu, port).cloned() {
+            if let Some(route) = self.route_for_port(self.ecu, port) {
                 let mut hub = self.hub.lock();
                 let _ = hub.send(
                     &self.config.own_endpoint,
@@ -714,16 +741,20 @@ impl ComponentBehavior for EcmSwc {
         self.poll_external(ctx);
         // 2. Acks and outbound data from remote plug-in SW-Cs.
         self.poll_remote_swcs(ctx);
-        // 3. The ECM's own plug-ins (it is a plug-in SW-C itself).
-        if self.resolved_inputs.is_none() {
-            self.resolved_inputs = Some(PluginSwc::resolve_inputs(&self.pirte_inputs, ctx)?);
-        }
-        let resolved = self.resolved_inputs.take().expect("resolved above");
-        let result = PluginSwc::pirte_pass(&self.pirte, &resolved, &mut self.outbox_scratch, ctx);
-        self.resolved_inputs = Some(resolved);
-        result?;
+        // 3. The ECM's own plug-ins (it is a plug-in SW-C itself), and the
+        //    values they wrote on directly linked ports — under one lock.
+        let direct_outputs = {
+            let mut pirte = self.pirte.lock();
+            if self.resolved_ports.is_none() {
+                self.resolved_ports =
+                    Some(ResolvedPorts::resolve(&pirte, &self.pirte_inputs, ctx)?);
+            }
+            let resolved = self.resolved_ports.as_ref().expect("resolved above");
+            PluginSwc::pirte_pass(&mut pirte, resolved, &mut self.outbox_scratch, ctx)?;
+            pirte.take_direct_outputs()
+        };
         // 4. Outbound external data produced by local plug-ins.
-        self.flush_local_direct_outputs();
+        self.flush_local_direct_outputs(direct_outputs);
         Ok(())
     }
 }

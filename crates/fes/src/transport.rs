@@ -20,6 +20,13 @@
 //!   `(Slot, Slot)` link pairs, and payloads are shared [`Payload`]
 //!   buffers.  A steady-state `send`/`step`/[`TransportHub::drain_into`]
 //!   round allocates nothing.
+//! * A consumer that drains the same mailbox every tick resolves its name
+//!   once into an [`EndpointHandle`] — the slot plus the slot's generation —
+//!   and drains through [`Transport::drain_handle_into`], which indexes the
+//!   mailbox table without hashing.  Unregistering the endpoint bumps the
+//!   generation, so an old handle reports itself stale (and drains nothing)
+//!   instead of reaching a later tenant of the slot; the consumer then
+//!   re-resolves by name.
 //!
 //! # Fault injection
 //!
@@ -60,6 +67,15 @@ use dynar_foundation::time::Tick;
 /// The shared endpoint name attached to delivered messages (an `Arc<str>`
 /// clone of the name captured at send time — no allocation per message).
 pub type EndpointName = Arc<str>;
+
+/// A resolved endpoint: its dense slot and the slot's generation when it was
+/// resolved (see [`Transport::endpoint_handle`]).  Handles are plain values;
+/// a stale one is detected by the backend, never dereferenced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EndpointHandle {
+    slot: Slot,
+    generation: u32,
+}
 
 /// A shared, lockable handle to any [`Transport`] backend — what the trusted
 /// server, every ECM gateway and external devices clone.  The deterministic
@@ -127,6 +143,29 @@ pub trait Transport: std::fmt::Debug + Send {
 
     /// Number of messages waiting for `endpoint`.
     fn pending_for(&self, endpoint: &str) -> usize;
+
+    /// Resolves a registered endpoint to a handle for
+    /// [`Transport::drain_handle_into`], so a consumer draining every tick
+    /// looks its name up once.  Returns `None` for an unregistered endpoint,
+    /// and always on backends without handles (the default) — callers then
+    /// drain by name.
+    fn endpoint_handle(&self, endpoint: &str) -> Option<EndpointHandle> {
+        let _ = endpoint;
+        None
+    }
+
+    /// Drains the mailbox behind `handle` like [`Transport::drain_into`].
+    /// Returns `false`, draining nothing, when the handle is stale — the
+    /// endpoint unregistered after the handle was resolved, whether or not
+    /// the name registered again since — and the caller must re-resolve.
+    fn drain_handle_into(
+        &mut self,
+        handle: EndpointHandle,
+        into: &mut Vec<(EndpointName, Payload)>,
+    ) -> bool {
+        let _ = (handle, into);
+        false
+    }
 
     /// Traffic statistics accumulated so far.
     fn stats(&self) -> TransportStats;
@@ -773,12 +812,36 @@ impl TransportHub {
     /// callers reuse their buffer across ticks.  An empty mailbox leaves
     /// `into` untouched.
     pub fn drain_into(&mut self, endpoint: &str, into: &mut Vec<(EndpointName, Payload)>) {
-        let Some(slot) = self.endpoints.get(endpoint) else {
-            return;
-        };
-        if let Some(mailbox) = self.mailboxes[slot.index()].as_mut() {
+        if let Some(handle) = self.endpoint_handle(endpoint) {
+            self.drain_handle_into(handle, into);
+        }
+    }
+
+    /// Resolves a registered endpoint to its slot and current generation.
+    pub fn endpoint_handle(&self, endpoint: &str) -> Option<EndpointHandle> {
+        let slot = self.endpoints.get(endpoint)?;
+        Some(EndpointHandle {
+            slot,
+            generation: self.endpoints.generation(slot),
+        })
+    }
+
+    /// Drains the mailbox behind `handle` into `into`; `false` (nothing
+    /// drained) when the handle is stale.  See
+    /// [`Transport::drain_handle_into`].
+    pub fn drain_handle_into(
+        &mut self,
+        handle: EndpointHandle,
+        into: &mut Vec<(EndpointName, Payload)>,
+    ) -> bool {
+        let index = handle.slot.index();
+        if self.endpoints.generations.get(index) != Some(&handle.generation) {
+            return false;
+        }
+        if let Some(mailbox) = self.mailboxes[index].as_mut() {
             into.extend(mailbox.drain(..));
         }
+        true
     }
 
     /// Number of messages waiting for `endpoint`.
@@ -843,6 +906,18 @@ impl Transport for TransportHub {
         TransportHub::pending_for(self, endpoint)
     }
 
+    fn endpoint_handle(&self, endpoint: &str) -> Option<EndpointHandle> {
+        TransportHub::endpoint_handle(self, endpoint)
+    }
+
+    fn drain_handle_into(
+        &mut self,
+        handle: EndpointHandle,
+        into: &mut Vec<(EndpointName, Payload)>,
+    ) -> bool {
+        TransportHub::drain_handle_into(self, handle, into)
+    }
+
     fn stats(&self) -> TransportStats {
         TransportHub::stats(self)
     }
@@ -899,6 +974,54 @@ mod tests {
             .into_iter()
             .map(|(from, payload)| (from.as_ref().to_owned(), payload.as_slice().to_vec()))
             .collect()
+    }
+
+    #[test]
+    fn stale_handles_drain_nothing_and_re_resolve_after_re_registration() {
+        let mut hub = hub();
+        let handle = hub.endpoint_handle("b").expect("registered");
+        hub.send("a", "b", vec![1]).unwrap();
+        hub.step(Tick::new(1));
+        let mut inbox = Vec::new();
+        assert!(hub.drain_handle_into(handle, &mut inbox), "live handle");
+        assert_eq!(inbox.len(), 1);
+        inbox.clear();
+
+        // Unregister "b" and let another endpoint take its freed slot: the
+        // old handle must neither drain the newcomer's mailbox nor pass as
+        // live.
+        assert!(hub.unregister("b"));
+        hub.register("c");
+        hub.send("a", "c", vec![2]).unwrap();
+        hub.step(Tick::new(2));
+        assert!(
+            !hub.drain_handle_into(handle, &mut inbox),
+            "stale after unregister"
+        );
+        assert!(inbox.is_empty(), "a stale handle drains nothing");
+        assert_eq!(
+            hub.pending_for("c"),
+            1,
+            "the slot's new tenant keeps its mail"
+        );
+        assert_eq!(
+            hub.endpoint_handle("b"),
+            None,
+            "unregistered names do not resolve"
+        );
+
+        // Re-registering the same name does not revive the old handle;
+        // re-resolving by name does reach the new mailbox.
+        hub.register("b");
+        hub.send("a", "b", vec![3]).unwrap();
+        hub.step(Tick::new(3));
+        assert!(!hub.drain_handle_into(handle, &mut inbox), "still stale");
+        assert!(inbox.is_empty());
+        let fresh = hub.endpoint_handle("b").expect("registered again");
+        assert_ne!(fresh, handle);
+        assert!(hub.drain_handle_into(fresh, &mut inbox));
+        assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox[0].1.as_slice(), &[3]);
     }
 
     #[test]

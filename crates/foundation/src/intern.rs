@@ -119,6 +119,18 @@ impl<K: Eq + Hash + Clone> Interner<K> {
         self.slots.get(key).copied()
     }
 
+    /// The slot of `key`, checking `hint` first: a caller that can predict
+    /// slots (keys interned in a known order) resolves with one comparison
+    /// against the dense key table and no hashing; a wrong or out-of-range
+    /// hint costs the normal lookup.
+    pub fn get_hinted(&self, key: &K, hint: Slot) -> Option<Slot> {
+        if self.key_of(hint) == Some(key) {
+            Some(hint)
+        } else {
+            self.get(key)
+        }
+    }
+
     /// The key occupying `slot`, if the slot is live.
     pub fn key_of(&self, slot: Slot) -> Option<&K> {
         self.keys.get(slot.index()).and_then(Option::as_ref)
@@ -237,6 +249,31 @@ impl SlotSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hinted_lookup_checks_the_hint_then_falls_back() {
+        let mut interner = Interner::new();
+        let a = interner.intern("a");
+        let b = interner.intern("b");
+        assert_eq!(interner.get_hinted(&"b", b), Some(b), "right hint");
+        assert_eq!(
+            interner.get_hinted(&"b", a),
+            Some(b),
+            "wrong hint falls back"
+        );
+        assert_eq!(
+            interner.get_hinted(&"b", Slot::from_raw(99)),
+            Some(b),
+            "out-of-range hint falls back"
+        );
+        assert_eq!(interner.get_hinted(&"z", a), None);
+        interner.remove(&"a");
+        assert_eq!(
+            interner.get_hinted(&"a", a),
+            None,
+            "freed slots never match"
+        );
+    }
 
     #[test]
     fn interning_is_idempotent_and_dense() {

@@ -1,18 +1,26 @@
 //! One simulated electronic control unit: kernel, RTE and trigger wiring.
 //!
-//! The trigger/dispatch plane is wired for a steady state that allocates
-//! nothing: runnable names are shared `Arc<str>`s (activating a periodic
-//! runnable is a refcount bump, not a `String` clone), pending runnables
-//! live in per-component vectors indexed by component slot, and the
-//! data-received scan reuses scratch buffers instead of collecting fresh
-//! ones every tick.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+//! The trigger/dispatch plane is resolved once, when a component is added,
+//! so a tick indexes dense tables and hashes nothing:
+//!
+//! * the component owning a task is found by indexing a table with the
+//!   [`TaskId`] (kernel task ids are dense);
+//! * a runnable activation is a `u16` index into its component's runnable
+//!   names, pushed onto a per-component pending vector;
+//! * data-received triggers are a list sorted by the RTE's dense port slot,
+//!   which is what the RTE reports for every delivery.
+//!
+//! The pending vectors and the trigger scan reuse scratch buffers, so a
+//! steady tick allocates nothing.  Name- and id-keyed calls
+//! ([`Ecu::component_by_name`], [`Ecu::call_operation`],
+//! [`Ecu::trigger_runnable`]) resolve through the same component table.
+//! [`Ecu::verify_dispatch_tables`] checks the compiled tables against a
+//! fresh compile of the registered descriptors.
 
 use dynar_bus::frame::CanId;
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{EcuId, PortId, SwcId};
+use dynar_foundation::ids::{EcuId, SwcId};
+use dynar_foundation::intern::Slot;
 use dynar_foundation::log::{EventLog, Severity};
 use dynar_foundation::time::{Clock, Tick};
 use dynar_foundation::value::Value;
@@ -26,10 +34,16 @@ use crate::rte::Rte;
 /// simulation against components that endlessly re-trigger each other.
 const MAX_DISPATCH_ROUNDS: usize = 64;
 
+/// `component_of_task` entry of a task no component owns.
+const NO_COMPONENT: u32 = u32::MAX;
+
 struct ComponentEntry {
     swc: SwcId,
     name: String,
     task: TaskId,
+    /// Runnable names in descriptor order; activations carry indices into
+    /// this list.
+    runnables: Vec<Box<str>>,
     behavior: Box<dyn ComponentBehavior>,
 }
 
@@ -39,17 +53,28 @@ impl std::fmt::Debug for ComponentEntry {
             .field("swc", &self.swc)
             .field("name", &self.name)
             .field("task", &self.task)
+            .field("runnables", &self.runnables)
             .finish_non_exhaustive()
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PeriodicRunnable {
     /// Index into `components` (and `pending_runnables`).
-    component: usize,
-    runnable: Arc<str>,
+    component: u32,
+    /// Index into the component's runnable names.
+    runnable: u16,
     period: u64,
     next_due: Tick,
+}
+
+/// One data-received trigger: the port slot that fires it and the
+/// `(component, runnable)` it activates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DataTrigger {
+    slot: Slot,
+    component: u32,
+    runnable: u16,
 }
 
 /// One simulated ECU: an OSEK kernel, an RTE instance, the components mapped
@@ -62,19 +87,20 @@ pub struct Ecu {
     kernel: Kernel,
     rte: Rte,
     components: Vec<ComponentEntry>,
-    component_of_task: HashMap<TaskId, usize>,
-    component_of_swc: HashMap<SwcId, usize>,
-    component_by_name: HashMap<String, SwcId>,
+    /// Task index -> index into `components` ([`NO_COMPONENT`] for tasks no
+    /// component owns).
+    component_of_task: Vec<u32>,
     periodic: Vec<PeriodicRunnable>,
-    /// Port -> runnables it triggers, as `(component index, runnable name)`.
-    data_triggers: HashMap<PortId, Vec<(usize, Arc<str>)>>,
+    /// Every data-received trigger, sorted by port slot (registration order
+    /// within a slot).
+    data_triggers: Vec<DataTrigger>,
     /// Pending runnable activations per component (indexed like
     /// `components`); drained through `dispatch_scratch` so the buffers
     /// ping-pong instead of reallocating.
-    pending_runnables: Vec<Vec<Arc<str>>>,
-    dispatch_scratch: Vec<Arc<str>>,
-    /// Reused buffer for the data-received port scan.
-    ports_scratch: Vec<PortId>,
+    pending_runnables: Vec<Vec<u16>>,
+    dispatch_scratch: Vec<u16>,
+    /// Reused buffer for the data-received slot scan.
+    slots_scratch: Vec<Slot>,
     clock: Clock,
     started: bool,
     next_local: u16,
@@ -90,14 +116,12 @@ impl Ecu {
             kernel: Kernel::new(),
             rte: Rte::new(),
             components: Vec::new(),
-            component_of_task: HashMap::new(),
-            component_of_swc: HashMap::new(),
-            component_by_name: HashMap::new(),
+            component_of_task: Vec::new(),
             periodic: Vec::new(),
-            data_triggers: HashMap::new(),
+            data_triggers: Vec::new(),
             pending_runnables: Vec::new(),
             dispatch_scratch: Vec::new(),
-            ports_scratch: Vec::new(),
+            slots_scratch: Vec::new(),
             clock: Clock::new(),
             started: false,
             next_local: 0,
@@ -151,11 +175,17 @@ impl Ecu {
         descriptor: SwcDescriptor,
         behavior: Box<dyn ComponentBehavior>,
     ) -> Result<SwcId> {
-        if self.component_by_name.contains_key(descriptor.name()) {
+        if self.component_by_name(descriptor.name()).is_some() {
             return Err(DynarError::duplicate(
                 "component instance",
                 descriptor.name(),
             ));
+        }
+        if descriptor.runnables().len() > usize::from(u16::MAX) {
+            return Err(DynarError::invalid_config(format!(
+                "component {} declares more runnables than an activation can index",
+                descriptor.name()
+            )));
         }
         let swc = SwcId::new(self.id, self.next_local);
         self.rte.register_component(swc, &descriptor)?;
@@ -171,52 +201,73 @@ impl Ecu {
 
         // Stage the trigger wiring first: `component` indices must only be
         // committed once the whole descriptor resolved.
-        let index = self.components.len();
+        let index = u32::try_from(self.components.len()).expect("component table overflow");
         let mut staged_periodic = Vec::new();
         let mut staged_data = Vec::new();
-        for runnable in descriptor.runnables() {
-            match runnable.trigger() {
+        for (runnable, spec) in descriptor.runnables().iter().enumerate() {
+            let runnable = runnable as u16;
+            match spec.trigger() {
                 Trigger::Periodic(period) => {
                     let period = (*period).max(1);
                     staged_periodic.push(PeriodicRunnable {
                         component: index,
-                        runnable: Arc::from(runnable.name()),
+                        runnable,
                         period,
                         next_due: self.clock.now().advance(period),
                     });
                 }
                 Trigger::DataReceived(port) => {
-                    let port_id = self.rte.port_id(swc, port)?;
-                    staged_data.push((port_id, Arc::<str>::from(runnable.name())));
+                    let slot = self.rte.port_slot(self.rte.port_id(swc, port)?)?;
+                    staged_data.push(DataTrigger {
+                        slot,
+                        component: index,
+                        runnable,
+                    });
                 }
                 Trigger::OnDemand => {}
             }
         }
         self.periodic.append(&mut staged_periodic);
-        for (port_id, runnable) in staged_data {
-            self.data_triggers
-                .entry(port_id)
-                .or_default()
-                .push((index, runnable));
-        }
+        self.data_triggers.append(&mut staged_data);
+        self.data_triggers.sort_by_key(|trigger| trigger.slot);
 
-        self.component_of_task.insert(task, index);
-        self.component_of_swc.insert(swc, index);
-        self.component_by_name
-            .insert(descriptor.name().to_owned(), swc);
+        let task_index = usize::from(task.index());
+        if task_index >= self.component_of_task.len() {
+            self.component_of_task.resize(task_index + 1, NO_COMPONENT);
+        }
+        self.component_of_task[task_index] = index;
         self.pending_runnables.push(Vec::new());
         self.components.push(ComponentEntry {
             swc,
             name: descriptor.name().to_owned(),
             task,
+            runnables: descriptor
+                .runnables()
+                .iter()
+                .map(|spec| Box::from(spec.name()))
+                .collect(),
             behavior,
         });
         Ok(swc)
     }
 
+    /// Index into `components` of a SW-C instance: an indexed check on the
+    /// local index (how [`Ecu::add_component`] numbers them), a scan
+    /// otherwise.
+    fn position_of(&self, swc: SwcId) -> Option<usize> {
+        let guess = usize::from(swc.local_index());
+        match self.components.get(guess) {
+            Some(entry) if entry.swc == swc => Some(guess),
+            _ => self.components.iter().position(|entry| entry.swc == swc),
+        }
+    }
+
     /// Looks up a component instance by name.
     pub fn component_by_name(&self, name: &str) -> Option<SwcId> {
-        self.component_by_name.get(name).copied()
+        self.components
+            .iter()
+            .find(|entry| entry.name == name)
+            .map(|entry| entry.swc)
     }
 
     /// Connects a provided port of one local component to a required port of
@@ -271,9 +322,8 @@ impl Ecu {
         operation: &str,
         argument: Value,
     ) -> Result<Value> {
-        let index = *self
-            .component_of_swc
-            .get(&server)
+        let index = self
+            .position_of(server)
             .ok_or_else(|| DynarError::not_found("software component", server))?;
         let entry = &mut self.components[index];
         let mut ctx = RteContext::new(&mut self.rte, server);
@@ -289,9 +339,8 @@ impl Ecu {
     /// Returns [`DynarError::NotFound`] for unknown components and propagates
     /// the behaviour's own error.
     pub fn trigger_runnable(&mut self, swc: SwcId, runnable: &str) -> Result<()> {
-        let index = *self
-            .component_of_swc
-            .get(&swc)
+        let index = self
+            .position_of(swc)
             .ok_or_else(|| DynarError::not_found("software component", swc))?;
         let entry = &mut self.components[index];
         let mut ctx = RteContext::new(&mut self.rte, swc);
@@ -350,15 +399,14 @@ impl Ecu {
         let now = self.clock.step();
         self.kernel.advance(now);
 
-        // Periodic triggers: activating a runnable clones an `Arc<str>` into
-        // the component's pending vector — no `String` allocation per tick.
+        // Periodic triggers: an activation is a runnable index pushed onto
+        // the component's pending vector.
         for periodic in &mut self.periodic {
             if periodic.next_due <= now {
                 periodic.next_due = periodic.next_due.advance(periodic.period);
-                self.pending_runnables[periodic.component].push(Arc::clone(&periodic.runnable));
-                let _ = self
-                    .kernel
-                    .activate(self.components[periodic.component].task);
+                let component = periodic.component as usize;
+                self.pending_runnables[component].push(periodic.runnable);
+                let _ = self.kernel.activate(self.components[component].task);
             }
         }
 
@@ -369,11 +417,17 @@ impl Ecu {
             let Some(task) = self.kernel.schedule() else {
                 break;
             };
-            let Some(&index) = self.component_of_task.get(&task) else {
+            let index = self
+                .component_of_task
+                .get(usize::from(task.index()))
+                .copied()
+                .unwrap_or(NO_COMPONENT);
+            if index == NO_COMPONENT {
                 // A task not owned by any component (user-created); nothing to run.
                 self.kernel.terminate(task)?;
                 continue;
-            };
+            }
+            let index = index as usize;
             let swc = self.components[index].swc;
             // Drain the component's pending runnables through the scratch
             // buffer: the two vectors ping-pong, so neither reallocates in
@@ -384,23 +438,22 @@ impl Ecu {
             debug_assert!(scratch.is_empty());
             std::mem::swap(&mut scratch, &mut self.pending_runnables[index]);
             for runnable in scratch.drain(..) {
+                let entry = &mut self.components[index];
                 let result = {
-                    let entry = &mut self.components[index];
                     let mut ctx = RteContext::new(&mut self.rte, swc);
-                    entry.behavior.on_runnable(&runnable, &mut ctx)
+                    entry
+                        .behavior
+                        .on_runnable(&entry.runnables[usize::from(runnable)], &mut ctx)
                 };
                 if let Err(err) = result {
+                    let name = &entry.runnables[usize::from(runnable)];
                     self.log.record(
                         now,
                         Severity::Error,
                         "ecu",
-                        format!(
-                            "runnable {runnable} of {} failed: {err}",
-                            self.components[index].name
-                        ),
+                        format!("runnable {name} of {} failed: {err}", entry.name),
                     );
-                    self.behaviour_errors
-                        .push((swc, runnable.as_ref().to_owned(), err));
+                    self.behaviour_errors.push((swc, name.to_string(), err));
                 }
             }
             self.dispatch_scratch = scratch;
@@ -424,22 +477,106 @@ impl Ecu {
     }
 
     fn collect_data_triggers(&mut self) {
-        debug_assert!(self.ports_scratch.is_empty());
-        self.rte.drain_data_received_into(&mut self.ports_scratch);
-        for i in 0..self.ports_scratch.len() {
-            let port = self.ports_scratch[i];
-            let Some(triggers) = self.data_triggers.get(&port) else {
-                continue;
-            };
-            for (component, runnable) in triggers {
-                let pending = &mut self.pending_runnables[*component];
-                if !pending.iter().any(|r| **r == **runnable) {
-                    pending.push(Arc::clone(runnable));
+        debug_assert!(self.slots_scratch.is_empty());
+        self.rte
+            .drain_data_received_slots_into(&mut self.slots_scratch);
+        for &slot in &self.slots_scratch {
+            let start = self
+                .data_triggers
+                .partition_point(|trigger| trigger.slot < slot);
+            let triggers = self.data_triggers[start..]
+                .iter()
+                .take_while(|trigger| trigger.slot == slot);
+            for trigger in triggers {
+                let component = trigger.component as usize;
+                let pending = &mut self.pending_runnables[component];
+                if !pending.contains(&trigger.runnable) {
+                    pending.push(trigger.runnable);
                 }
-                let _ = self.kernel.activate(self.components[*component].task);
+                let _ = self.kernel.activate(self.components[component].task);
             }
         }
-        self.ports_scratch.clear();
+        self.slots_scratch.clear();
+    }
+
+    /// Checks the compiled dispatch tables against a fresh compile of the
+    /// registered descriptors: the task table, every component's position
+    /// and runnable names, the periodic list and the slot-sorted
+    /// data-received triggers (used by the equivalence suites; always `true`
+    /// unless the wiring discipline is broken).
+    pub fn verify_dispatch_tables(&self) -> bool {
+        if self.component_of_task.len() > self.kernel.task_count()
+            || self.pending_runnables.len() != self.components.len()
+        {
+            return false;
+        }
+        for task in 0..self.kernel.task_count() {
+            let expected = self
+                .components
+                .iter()
+                .position(|entry| usize::from(entry.task.index()) == task)
+                .map_or(NO_COMPONENT, |index| index as u32);
+            if self
+                .component_of_task
+                .get(task)
+                .copied()
+                .unwrap_or(NO_COMPONENT)
+                != expected
+            {
+                return false;
+            }
+        }
+        let mut periodic = Vec::new();
+        let mut triggers = Vec::new();
+        for (index, entry) in self.components.iter().enumerate() {
+            let Ok(descriptor) = self.rte.descriptor(entry.swc) else {
+                return false;
+            };
+            let names_match = descriptor.runnables().len() == entry.runnables.len()
+                && descriptor
+                    .runnables()
+                    .iter()
+                    .zip(&entry.runnables)
+                    .all(|(spec, name)| spec.name() == name.as_ref());
+            if !names_match
+                || self.position_of(entry.swc) != Some(index)
+                || self.component_by_name(&entry.name) != Some(entry.swc)
+                || self.pending_runnables[index]
+                    .iter()
+                    .any(|&runnable| usize::from(runnable) >= entry.runnables.len())
+            {
+                return false;
+            }
+            for (runnable, spec) in descriptor.runnables().iter().enumerate() {
+                match spec.trigger() {
+                    Trigger::Periodic(period) => {
+                        periodic.push((index as u32, runnable as u16, (*period).max(1)));
+                    }
+                    Trigger::DataReceived(port) => {
+                        let Ok(slot) = self
+                            .rte
+                            .port_id(entry.swc, port)
+                            .and_then(|port| self.rte.port_slot(port))
+                        else {
+                            return false;
+                        };
+                        triggers.push(DataTrigger {
+                            slot,
+                            component: index as u32,
+                            runnable: runnable as u16,
+                        });
+                    }
+                    Trigger::OnDemand => {}
+                }
+            }
+        }
+        let compiled_periodic: Vec<(u32, u16, u64)> = self
+            .periodic
+            .iter()
+            .map(|p| (p.component, p.runnable, p.period))
+            .collect();
+        triggers.sort_by_key(|trigger| trigger.slot);
+        compiled_periodic == periodic && triggers == self.data_triggers
     }
 }
 

@@ -8,10 +8,24 @@
 //!   declarative source of truth, keyed by the strongly typed [`PortId`] /
 //!   [`CanId`] spaces.  It changes only on reconfiguration: component
 //!   registration, (dis)connect and (un)mapping calls.
-//! * The **fast plane** — flat `Vec`s indexed by dense [`Slot`]s handed out by
-//!   [`Interner`]s — is compiled from the slow plane whenever it changes.
-//!   Every per-signal operation (`write_port`, `deliver_inbound`, `take_port`)
-//!   resolves its port id to a slot once and then walks plain vectors.
+//! * The **fast plane** — flat `Vec`s indexed by dense port [`Slot`]s — is
+//!   compiled from the slow plane whenever it changes.  Every per-signal
+//!   operation (`write_port`, `deliver_inbound`, `take_port`) resolves its
+//!   port to a slot without hashing and then walks plain vectors.
+//!
+//! # Dense port slots
+//!
+//! Ports are never removed and one component's ports are registered
+//! together, so each component owns the contiguous slot range
+//! `base..base + count` of the port table.  Components live in a `Vec` in
+//! registration order; a [`PortId`] resolves by indexing that `Vec` with its
+//! SW-C's local index, checking the entry's id, and adding the port index to
+//! the entry's base.  Every ECU built through `Ecu::add_component` numbers
+//! its components in registration order, so this is the only path the
+//! per-tick traffic takes.  Components registered under an id that does not
+//! match their position (a foreign ECU id, a sparse local index) are listed
+//! in a small side map consulted only when the indexed check misses.
+//! Inbound frame ids resolve by binary search over the sorted mapped ids.
 //!
 //! Values are delivered by reference and cloned exactly once, at the receiving
 //! buffer boundary; the last receiver of a write takes the value by move.
@@ -23,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use dynar_bus::frame::CanId;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{PortId, SwcId};
-use dynar_foundation::intern::{Interner, Slot};
+use dynar_foundation::intern::Slot;
 use dynar_foundation::value::Value;
 
 use crate::component::SwcDescriptor;
@@ -49,8 +63,18 @@ pub struct RteStats {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct PortRuntime {
     id: PortId,
-    spec: PortSpec,
+    direction: PortDirection,
     buffer: PortBuffer,
+}
+
+/// One registered SW-C and its slice of the dense port table.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct ComponentPorts {
+    swc: SwcId,
+    /// Slot of the component's first port; its ports occupy
+    /// `base..base + descriptor.ports().len()`.
+    base: u32,
+    descriptor: SwcDescriptor,
 }
 
 /// The RTE instance of one ECU.
@@ -61,11 +85,12 @@ struct PortRuntime {
 /// communication stack to pick up.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct Rte {
-    components: HashMap<SwcId, SwcDescriptor>,
-    /// SW-C -> port name -> port id.  Nested (rather than keyed by a
-    /// `(SwcId, String)` pair) so name-based lookups on the signal path
-    /// borrow the query string instead of allocating a key per call.
-    port_names: HashMap<SwcId, HashMap<String, PortId>>,
+    /// Registered components in registration order (see the module docs).
+    components: Vec<ComponentPorts>,
+    /// Components whose local index is not their position in `components`
+    /// (foreign ECU ids, sparse local indices) -> their position.  Empty on
+    /// every ECU that numbers its components in registration order.
+    misplaced: HashMap<SwcId, u32>,
     // --- Slow plane: the declarative wiring -----------------------------
     /// provided port -> locally connected required ports.
     connections: HashMap<PortId, Vec<PortId>>,
@@ -74,23 +99,23 @@ pub struct Rte {
     /// frame id -> required ports fed by that signal on this ECU.
     rx_mapping: HashMap<CanId, Vec<PortId>>,
     // --- Fast plane: compiled, densely indexed route tables -------------
-    /// Port id -> dense slot; slots index `ports`, `local_routes`, `tx_routes`.
-    port_slots: Interner<PortId>,
     /// Port runtimes, indexed by port slot.
     ports: Vec<PortRuntime>,
     /// provider slot -> requirer slots (compiled from `connections`).
     local_routes: Vec<Vec<Slot>>,
     /// provider slot -> outbound frame (compiled from `tx_mapping`).
     tx_routes: Vec<Option<CanId>>,
-    /// Frame id -> dense slot; slots index `rx_routes`.
-    frame_slots: Interner<CanId>,
-    /// frame slot -> requirer slots (compiled from `rx_mapping`).
+    /// Mapped inbound frame ids, sorted; a frame's position indexes
+    /// `rx_routes`.
+    rx_frames: Vec<CanId>,
+    /// frame position -> requirer slots (compiled from `rx_mapping`).
     rx_routes: Vec<Vec<Slot>>,
     // --- Runtime queues --------------------------------------------------
     /// values queued for the communication stack.
     outbound: Vec<(CanId, Value)>,
-    /// required ports that received new data since the last drain.
-    data_received: Vec<PortId>,
+    /// slots of the required ports that received new data since the last
+    /// drain.
+    data_received: Vec<Slot>,
     stats: RteStats,
 }
 
@@ -113,28 +138,52 @@ impl Rte {
     /// registered and [`DynarError::InvalidConfiguration`] if the descriptor
     /// fails validation.
     pub fn register_component(&mut self, swc: SwcId, descriptor: &SwcDescriptor) -> Result<()> {
-        if self.components.contains_key(&swc) {
+        if self.position_of(swc).is_some() {
             return Err(DynarError::duplicate("software component", swc));
         }
         descriptor.validate()?;
+        if descriptor.ports().len() > usize::from(u16::MAX) {
+            return Err(DynarError::invalid_config(format!(
+                "component {} declares more ports than a port id can number",
+                descriptor.name()
+            )));
+        }
+        let position = self.components.len();
+        if usize::from(swc.local_index()) != position {
+            let position = u32::try_from(position).expect("component table overflow");
+            self.misplaced.insert(swc, position);
+        }
+        let base = u32::try_from(self.ports.len()).expect("port table overflow");
         for (index, spec) in descriptor.ports().iter().enumerate() {
-            let port_id = PortId::new(swc, index as u16);
-            let slot = self.port_slots.intern(port_id);
-            debug_assert_eq!(slot.index(), self.ports.len(), "ports are never removed");
             self.ports.push(PortRuntime {
-                id: port_id,
-                spec: spec.clone(),
+                id: PortId::new(swc, index as u16),
+                direction: spec.direction(),
                 buffer: PortBuffer::for_interface(spec.interface()),
             });
             self.local_routes.push(Vec::new());
             self.tx_routes.push(None);
-            self.port_names
-                .entry(swc)
-                .or_default()
-                .insert(spec.name().to_owned(), port_id);
         }
-        self.components.insert(swc, descriptor.clone());
+        self.components.push(ComponentPorts {
+            swc,
+            base,
+            descriptor: descriptor.clone(),
+        });
         Ok(())
+    }
+
+    /// Position of a component in `components`: an indexed check on the
+    /// SW-C's local index, the side map only for misplaced ids.
+    fn position_of(&self, swc: SwcId) -> Option<usize> {
+        let guess = usize::from(swc.local_index());
+        match self.components.get(guess) {
+            Some(entry) if entry.swc == swc => Some(guess),
+            _ => self.misplaced.get(&swc).map(|&position| position as usize),
+        }
+    }
+
+    fn component(&self, swc: SwcId) -> Option<&ComponentPorts> {
+        self.position_of(swc)
+            .map(|position| &self.components[position])
     }
 
     /// The descriptor a SW-C instance was registered with.
@@ -143,14 +192,14 @@ impl Rte {
     ///
     /// Returns [`DynarError::NotFound`] for an unknown instance.
     pub fn descriptor(&self, swc: SwcId) -> Result<&SwcDescriptor> {
-        self.components
-            .get(&swc)
+        self.component(swc)
+            .map(|entry| &entry.descriptor)
             .ok_or_else(|| DynarError::not_found("software component", swc))
     }
 
     /// All SW-C instances registered on this RTE.
     pub fn component_ids(&self) -> Vec<SwcId> {
-        let mut ids: Vec<SwcId> = self.components.keys().copied().collect();
+        let mut ids: Vec<SwcId> = self.components.iter().map(|entry| entry.swc).collect();
         ids.sort();
         ids
     }
@@ -161,22 +210,30 @@ impl Rte {
     ///
     /// Returns [`DynarError::NotFound`] if the SW-C or port is unknown.
     pub fn port_id(&self, swc: SwcId, name: &str) -> Result<PortId> {
-        self.port_names
-            .get(&swc)
-            .and_then(|ports| ports.get(name))
-            .copied()
+        self.component(swc)
+            .and_then(|entry| {
+                entry
+                    .descriptor
+                    .ports()
+                    .iter()
+                    .position(|spec| spec.name() == name)
+            })
+            .map(|index| PortId::new(swc, index as u16))
             .ok_or_else(|| DynarError::not_found("port", format!("{swc}:{name}")))
     }
 
-    /// The dense slot the fast plane assigned to a port.
+    /// The dense slot of a port: its component's base plus the port index.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::NotFound`] for an unknown port.
     pub fn port_slot(&self, port: PortId) -> Result<Slot> {
-        self.port_slots
-            .get(&port)
-            .ok_or_else(|| DynarError::not_found("port", port))
+        match self.component(port.swc()) {
+            Some(entry) if usize::from(port.index()) < entry.descriptor.ports().len() => {
+                Ok(Slot::from_raw(entry.base + u32::from(port.index())))
+            }
+            _ => Err(DynarError::not_found("port", port)),
+        }
     }
 
     /// The static spec of a port.
@@ -185,7 +242,9 @@ impl Rte {
     ///
     /// Returns [`DynarError::NotFound`] for an unknown port.
     pub fn port_spec(&self, port: PortId) -> Result<&PortSpec> {
-        Ok(&self.ports[self.port_slot(port)?.index()].spec)
+        self.component(port.swc())
+            .and_then(|entry| entry.descriptor.ports().get(usize::from(port.index())))
+            .ok_or_else(|| DynarError::not_found("port", port))
     }
 
     /// Connects a provided port to a required port on the same ECU
@@ -310,7 +369,7 @@ impl Rte {
     pub fn write_port(&mut self, provider: PortId, value: Value) -> Result<()> {
         let slot = self.port_slot(provider)?;
         let runtime = &mut self.ports[slot.index()];
-        if runtime.spec.direction() != PortDirection::Provided {
+        if runtime.direction != PortDirection::Provided {
             return Err(DynarError::PortDirection {
                 port: provider.to_string(),
                 expected: "provided",
@@ -331,6 +390,7 @@ impl Rte {
                 // The final receiver takes the value by move.
                 Self::deliver_into(
                     &mut self.ports[requirer.index()],
+                    requirer,
                     &mut self.data_received,
                     &mut self.stats,
                     value,
@@ -340,6 +400,7 @@ impl Rte {
             }
             Self::deliver_into(
                 &mut self.ports[requirer.index()],
+                requirer,
                 &mut self.data_received,
                 &mut self.stats,
                 value.clone(),
@@ -384,7 +445,7 @@ impl Rte {
     pub fn take_port(&mut self, port: PortId) -> Result<Option<Value>> {
         let slot = self.port_slot(port)?;
         let runtime = &mut self.ports[slot.index()];
-        if runtime.spec.direction() != PortDirection::Required {
+        if runtime.direction != PortDirection::Required {
             return Err(DynarError::PortDirection {
                 port: port.to_string(),
                 expected: "required",
@@ -407,15 +468,16 @@ impl Rte {
     /// Unknown frame ids are silently ignored, mirroring a CAN controller
     /// whose acceptance filter admitted a frame no PDU is mapped to.
     pub fn deliver_inbound(&mut self, frame: CanId, value: Value) {
-        let Some(slot) = self.frame_slots.get(&frame) else {
+        let Ok(position) = self.rx_frames.binary_search(&frame) else {
             return;
         };
-        let receivers = self.rx_routes[slot.index()].len();
+        let receivers = self.rx_routes[position].len();
         for index in 0..receivers {
-            let requirer = self.rx_routes[slot.index()][index];
+            let requirer = self.rx_routes[position][index];
             if index + 1 == receivers {
                 Self::deliver_into(
                     &mut self.ports[requirer.index()],
+                    requirer,
                     &mut self.data_received,
                     &mut self.stats,
                     value,
@@ -425,6 +487,7 @@ impl Rte {
             }
             Self::deliver_into(
                 &mut self.ports[requirer.index()],
+                requirer,
                 &mut self.data_received,
                 &mut self.stats,
                 value.clone(),
@@ -449,67 +512,115 @@ impl Rte {
     /// Drains the list of required ports that received data since the last
     /// call (used by the ECU to fire data-received triggers).
     pub fn drain_data_received(&mut self) -> Vec<PortId> {
-        std::mem::take(&mut self.data_received)
+        let mut ports = Vec::with_capacity(self.data_received.len());
+        self.drain_data_received_into(&mut ports);
+        ports
     }
 
-    /// Drains the data-received port list into a caller-owned buffer (swap
-    /// when empty, append otherwise) — the allocation-free variant of
+    /// Drains the data-received port list into a caller-owned buffer,
+    /// appending in notification order — the reusable-buffer variant of
     /// [`Rte::drain_data_received`].
     pub fn drain_data_received_into(&mut self, into: &mut Vec<PortId>) {
+        let ports = &self.ports;
+        into.extend(
+            self.data_received
+                .drain(..)
+                .map(|slot| ports[slot.index()].id),
+        );
+    }
+
+    /// Drains the dense slots of the ports that received data (swap when
+    /// `into` is empty, append otherwise) — what the ECU's trigger table is
+    /// indexed by, so the per-tick trigger scan resolves nothing.
+    pub(crate) fn drain_data_received_slots_into(&mut self, into: &mut Vec<Slot>) {
         dynar_foundation::buffers::drain_swap(&mut self.data_received, into);
     }
 
     /// Recompiles the fast plane from the slow plane.  Called on every
     /// reconfiguration; signal traffic never triggers it.
     fn rebuild_routes(&mut self) {
-        let width = self.port_slots.capacity();
-        self.local_routes = vec![Vec::new(); width];
-        self.tx_routes = vec![None; width];
-        // Free the slots of frames no longer mapped so (un)map churn reuses
-        // them instead of growing the dense tables.
-        let stale: Vec<CanId> = self
-            .frame_slots
-            .iter()
-            .map(|(_, frame)| *frame)
-            .filter(|frame| !self.rx_mapping.contains_key(frame))
-            .collect();
-        for frame in &stale {
-            self.frame_slots.remove(frame);
-        }
-        for frame in self.rx_mapping.keys() {
-            self.frame_slots.intern(*frame);
-        }
-        self.rx_routes = vec![Vec::new(); self.frame_slots.capacity()];
-
+        let width = self.ports.len();
+        let mut local_routes = vec![Vec::new(); width];
+        let mut tx_routes = vec![None; width];
+        let mut rx_frames: Vec<CanId> = self.rx_mapping.keys().copied().collect();
+        rx_frames.sort_unstable();
+        let slots_of = |requirers: &[PortId]| -> Vec<Slot> {
+            requirers
+                .iter()
+                .filter_map(|r| self.port_slot(*r).ok())
+                .collect()
+        };
         for (provider, requirers) in &self.connections {
-            if let Some(provider_slot) = self.port_slots.get(provider) {
-                let routes = &mut self.local_routes[provider_slot.index()];
-                routes.extend(requirers.iter().filter_map(|r| self.port_slots.get(r)));
+            if let Ok(provider_slot) = self.port_slot(*provider) {
+                local_routes[provider_slot.index()] = slots_of(requirers);
             }
         }
         for (provider, frame) in &self.tx_mapping {
-            if let Some(provider_slot) = self.port_slots.get(provider) {
-                self.tx_routes[provider_slot.index()] = Some(*frame);
+            if let Ok(provider_slot) = self.port_slot(*provider) {
+                tx_routes[provider_slot.index()] = Some(*frame);
             }
         }
-        for (frame, requirers) in &self.rx_mapping {
-            let frame_slot = self.frame_slots.get(frame).expect("interned above");
-            let routes = &mut self.rx_routes[frame_slot.index()];
-            routes.extend(requirers.iter().filter_map(|r| self.port_slots.get(r)));
-        }
+        let rx_routes = rx_frames
+            .iter()
+            .map(|frame| slots_of(&self.rx_mapping[frame]))
+            .collect();
+        self.local_routes = local_routes;
+        self.tx_routes = tx_routes;
+        self.rx_frames = rx_frames;
+        self.rx_routes = rx_routes;
     }
 
     /// Checks that the compiled fast plane matches what a fresh compile of
-    /// the slow plane would produce (used by the equivalence and property
+    /// the slow plane would produce, and that the dense port table agrees
+    /// with the registered components (used by the equivalence and property
     /// test suites; always `true` unless the rebuild discipline is broken).
     pub fn verify_compiled_routes(&self) -> bool {
+        self.verify_port_table()
+            && self.verify_local_routes()
+            && self.verify_tx_routes()
+            && self.verify_rx_routes()
+    }
+
+    /// Every registered component resolves to its own entry, its ports
+    /// occupy exactly `base..base + count` in order, and the side map lists
+    /// exactly the components whose local index is not their position.
+    fn verify_port_table(&self) -> bool {
+        let mut next_base = 0u32;
+        for (position, entry) in self.components.iter().enumerate() {
+            if self.position_of(entry.swc) != Some(position) || entry.base != next_base {
+                return false;
+            }
+            let misplaced = usize::from(entry.swc.local_index()) != position;
+            if self.misplaced.contains_key(&entry.swc) != misplaced {
+                return false;
+            }
+            for (index, spec) in entry.descriptor.ports().iter().enumerate() {
+                let id = PortId::new(entry.swc, index as u16);
+                let slot = Slot::from_raw(entry.base + index as u32);
+                let runtime = &self.ports[slot.index()];
+                if self.port_slot(id).ok() != Some(slot)
+                    || runtime.id != id
+                    || runtime.direction != spec.direction()
+                    || self.port_id(entry.swc, spec.name()).ok() != Some(id)
+                {
+                    return false;
+                }
+            }
+            next_base += entry.descriptor.ports().len() as u32;
+        }
+        next_base as usize == self.ports.len()
+            && self.local_routes.len() == self.ports.len()
+            && self.tx_routes.len() == self.ports.len()
+    }
+
+    fn verify_local_routes(&self) -> bool {
         for (provider, requirers) in &self.connections {
-            let Some(provider_slot) = self.port_slots.get(provider) else {
+            let Ok(provider_slot) = self.port_slot(*provider) else {
                 return false;
             };
             let expected: Vec<Slot> = requirers
                 .iter()
-                .filter_map(|r| self.port_slots.get(r))
+                .filter_map(|r| self.port_slot(*r).ok())
                 .collect();
             if self.local_routes[provider_slot.index()] != expected {
                 return false;
@@ -517,36 +628,41 @@ impl Rte {
         }
         let live_local: usize = self.local_routes.iter().map(Vec::len).sum();
         let declared_local: usize = self.connections.values().map(Vec::len).sum();
-        if live_local != declared_local {
-            return false;
-        }
+        live_local == declared_local
+    }
+
+    fn verify_tx_routes(&self) -> bool {
         for (provider, frame) in &self.tx_mapping {
-            let Some(provider_slot) = self.port_slots.get(provider) else {
+            let Ok(provider_slot) = self.port_slot(*provider) else {
                 return false;
             };
             if self.tx_routes[provider_slot.index()] != Some(*frame) {
                 return false;
             }
         }
-        if self.tx_routes.iter().flatten().count() != self.tx_mapping.len() {
+        self.tx_routes.iter().flatten().count() == self.tx_mapping.len()
+    }
+
+    fn verify_rx_routes(&self) -> bool {
+        // No stale frame entries: exactly the mapped frames, sorted.
+        if self.rx_frames.len() != self.rx_mapping.len()
+            || !self.rx_frames.windows(2).all(|pair| pair[0] < pair[1])
+        {
             return false;
         }
         for (frame, requirers) in &self.rx_mapping {
-            let Some(frame_slot) = self.frame_slots.get(frame) else {
+            let Ok(position) = self.rx_frames.binary_search(frame) else {
                 return false;
             };
             let expected: Vec<Slot> = requirers
                 .iter()
-                .filter_map(|r| self.port_slots.get(r))
+                .filter_map(|r| self.port_slot(*r).ok())
                 .collect();
-            if self.rx_routes[frame_slot.index()] != expected {
+            if self.rx_routes[position] != expected {
                 return false;
             }
         }
-        let live_rx: usize = self.rx_routes.iter().map(Vec::len).sum();
-        let declared_rx: usize = self.rx_mapping.values().map(Vec::len).sum();
-        // No stale frame slots: every interned frame is still mapped.
-        live_rx == declared_rx && self.frame_slots.len() == self.rx_mapping.len()
+        self.rx_routes.len() == self.rx_frames.len()
     }
 
     /// Pushes `value` into a receiving port's buffer: the single clone of the
@@ -554,7 +670,8 @@ impl Rte {
     /// moves the value in).
     fn deliver_into(
         runtime: &mut PortRuntime,
-        data_received: &mut Vec<PortId>,
+        slot: Slot,
+        data_received: &mut Vec<Slot>,
         stats: &mut RteStats,
         value: Value,
     ) {
@@ -563,7 +680,7 @@ impl Rte {
         if runtime.buffer.overflows() > before {
             stats.queue_overflows += 1;
         }
-        data_received.push(runtime.id);
+        data_received.push(slot);
     }
 }
 
@@ -791,10 +908,9 @@ mod tests {
             rte.unmap_signal_in(frame, inp).unwrap();
             assert!(rte.verify_compiled_routes());
         }
-        assert_eq!(
-            rte.frame_slots.capacity(),
-            1,
-            "100 map/unmap cycles reuse a single frame slot"
+        assert!(
+            rte.rx_frames.is_empty() && rte.rx_routes.is_empty(),
+            "100 map/unmap cycles leave no frame entry behind"
         );
     }
 

@@ -94,6 +94,9 @@ pub struct FleetStats {
     pub downlink_messages: u64,
     /// Uplink payloads the server received back from vehicles.
     pub uplink_messages: u64,
+    /// Uplink payloads the server rejected (undecodable, or inconsistent
+    /// with its state); counted on every path, never silently dropped.
+    pub rejected_uplinks: u64,
     /// Operations the server's reliability plane escalated after exhausting
     /// their retransmission budget.
     pub retry_failures: u64,
@@ -154,6 +157,7 @@ struct ShardOutcome {
     shard: FleetShard,
     downlink_messages: u64,
     uplink_messages: u64,
+    rejected_uplinks: u64,
     downlink_polls: u64,
     retry_failures: Vec<RetryFailure>,
     error: Option<DynarError>,
@@ -597,7 +601,12 @@ impl Fleet {
         for (from, payload) in uplinks.drain(..) {
             if let Some(&index) = shard.by_endpoint.get(from.as_ref()) {
                 stats.uplink_messages += 1;
-                let _ = server.process_uplink(&shard.entries[index].id, &payload);
+                if server
+                    .process_uplink(&shard.entries[index].id, &payload)
+                    .is_err()
+                {
+                    stats.rejected_uplinks += 1;
+                }
             }
         }
         shard.uplink_scratch = uplinks;
@@ -637,6 +646,7 @@ impl Fleet {
             self.shards[index] = outcome.shard;
             self.stats.downlink_messages += outcome.downlink_messages;
             self.stats.uplink_messages += outcome.uplink_messages;
+            self.stats.rejected_uplinks += outcome.rejected_uplinks;
             self.stats.downlink_polls += outcome.downlink_polls;
             failures.extend(outcome.retry_failures);
             if first_error.is_none() {
@@ -793,6 +803,7 @@ fn step_shard(
 ) -> ShardOutcome {
     let mut downlink_messages = 0;
     let mut uplink_messages = 0;
+    let mut rejected_uplinks = 0;
     let mut retry_failures = Vec::new();
     handle.tick(now, &mut retry_failures);
 
@@ -844,7 +855,12 @@ fn step_shard(
         for (from, payload) in uplinks.drain(..) {
             if let Some(&index) = shard.by_endpoint.get(from.as_ref()) {
                 uplink_messages += 1;
-                let _ = handle.process_uplink(&shard.entries[index].id, &payload);
+                if handle
+                    .process_uplink(&shard.entries[index].id, &payload)
+                    .is_err()
+                {
+                    rejected_uplinks += 1;
+                }
             }
         }
         shard.uplink_scratch = uplinks;
@@ -854,6 +870,7 @@ fn step_shard(
         shard,
         downlink_messages,
         uplink_messages,
+        rejected_uplinks,
         downlink_polls,
         retry_failures,
         error,

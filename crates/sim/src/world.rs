@@ -30,6 +30,9 @@ pub struct Vehicle {
     /// a steady-state vehicle tick does not allocate on the comms path.
     outbound_scratch: Vec<(dynar_bus::frame::CanId, dynar_foundation::value::Value)>,
     frames_scratch: Vec<dynar_bus::frame::Frame>,
+    /// Received frames the comstack rejected: malformed segments and
+    /// payloads the value codec could not decode.
+    comstack_errors: u64,
     clock: Clock,
 }
 
@@ -54,6 +57,7 @@ impl Vehicle {
             reassemblers,
             outbound_scratch: Vec::new(),
             frames_scratch: Vec::new(),
+            comstack_errors: 0,
             clock: Clock::new(),
         }
     }
@@ -78,6 +82,19 @@ impl Vehicle {
     /// The in-vehicle bus.
     pub fn bus(&self) -> &Bus {
         &self.bus
+    }
+
+    /// Mutable access to the in-vehicle bus (fault injection: frames sent
+    /// here bypass the ECUs' comstack).
+    pub fn bus_mut(&mut self) -> &mut Bus {
+        &mut self.bus
+    }
+
+    /// Received frames the comstack rejected so far: segments with a
+    /// malformed segmentation header and reassembled payloads the value
+    /// codec could not decode.  Each is dropped and counted here.
+    pub fn comstack_errors(&self) -> u64 {
+        self.comstack_errors
     }
 
     /// Subscribes every ECU except the sender to the frame ids it transmits,
@@ -132,10 +149,19 @@ impl Vehicle {
             self.bus.receive_into(receiver, &mut self.frames_scratch);
             let reassembler = &mut self.reassemblers[index];
             for frame in self.frames_scratch.drain(..) {
-                if let Ok(Some((frame_id, payload))) = reassembler.accept(&frame) {
-                    if let Ok(value) = codec::decode_value(&payload) {
+                let decoded = match reassembler.accept(&frame) {
+                    Ok(Some((frame_id, payload))) => {
+                        codec::decode_value(&payload).map(|value| Some((frame_id, value)))
+                    }
+                    Ok(None) => Ok(None),
+                    Err(err) => Err(err),
+                };
+                match decoded {
+                    Ok(Some((frame_id, value))) => {
                         self.ecus[index].deliver_inbound(frame_id, value);
                     }
+                    Ok(None) => {}
+                    Err(_) => self.comstack_errors += 1,
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! PR 4 made the steady-state transport and tick paths allocation-free:
 //! interned endpoint slots, shared [`Payload`] buffers, swap-drained scratch
-//! queues and `Arc<str>` runnable activations.  This test pins that down
+//! queues and index-based runnable activations.  This test pins that down
 //! with a counting global allocator, so a stray `clone()`/`collect()` on the
 //! hot path fails CI instead of silently re-inflating the tick.
 //!

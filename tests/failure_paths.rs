@@ -2,6 +2,8 @@
 //! programs and rejected deployments must surface as typed [`DynarError`]
 //! variants (and fault-isolated plug-in states), never as panics.
 
+use dynar::bus::frame::{CanId, Frame};
+use dynar::bus::network::BusConfig;
 use dynar::core::context::{InstallationContext, LinkTarget, PortInitContext, PortLinkContext};
 use dynar::core::lifecycle::PluginState;
 use dynar::core::message::InstallationPackage;
@@ -9,15 +11,26 @@ use dynar::core::pirte::Pirte;
 use dynar::core::plugin::PluginPortDirection;
 use dynar::core::swc::PluginSwcConfig;
 use dynar::core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
+use dynar::foundation::codec::encode_value;
 use dynar::foundation::error::DynarError;
 use dynar::foundation::ids::{
     AppId, EcuId, PluginId, PluginPortId, UserId, VehicleId, VirtualPortId,
 };
+use dynar::foundation::payload::Payload;
+use dynar::foundation::time::Tick;
+use dynar::foundation::value::Value;
+use dynar::rte::com_mapping::Segmenter;
+use dynar::rte::component::{ComponentBehavior, RteContext, SwcDescriptor};
+use dynar::rte::ecu::Ecu;
+use dynar::rte::port::{PortDirection, PortSpec};
 use dynar::server::model::{
     HwConf, PluginSwcDecl, SystemSwConf, VirtualPortDecl, VirtualPortKindDecl,
 };
 use dynar::server::server::TrustedServer;
+use dynar::sim::fleet::FleetStats;
+use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig};
 use dynar::sim::scenario::remote_car::remote_control_app;
+use dynar::sim::world::Vehicle;
 use dynar::vm::assembler::assemble;
 use dynar::vm::budget::Budget;
 
@@ -401,4 +414,117 @@ fn server_rejects_deployments_by_non_owners() {
         matches!(err, DynarError::NotFound { .. }),
         "a non-owner must not learn more than 'not found', got {err:?}"
     );
+}
+
+/// A behaviour that never runs anything (the receiving side of the comstack
+/// test only needs its port).
+struct Passive;
+
+impl ComponentBehavior for Passive {
+    fn on_runnable(
+        &mut self,
+        _runnable: &str,
+        _ctx: &mut RteContext<'_>,
+    ) -> dynar::foundation::error::Result<()> {
+        Ok(())
+    }
+}
+
+/// Malformed frames reaching a vehicle's comstack — a segment too short for
+/// the segmentation header, a chunk index past its count, a complete
+/// segment whose payload the value codec rejects — are counted by
+/// `Vehicle::comstack_errors`, and a well-formed signal still arrives.
+#[test]
+fn malformed_segmented_frames_are_counted_not_silently_dropped() {
+    let frame = CanId::new(0x123).unwrap();
+    let sender = Ecu::new(EcuId::new(1));
+    let mut receiver = Ecu::new(EcuId::new(2));
+    let swc = receiver
+        .add_component(
+            SwcDescriptor::new("sink").with_port(PortSpec::queued(
+                "in",
+                PortDirection::Required,
+                8,
+            )),
+            Box::new(Passive),
+        )
+        .unwrap();
+    receiver.map_signal_in(frame, swc, "in").unwrap();
+    let mut vehicle = Vehicle::new(vec![sender, receiver], BusConfig::default());
+    vehicle.open_acceptance_filters(&[frame]);
+
+    let malformed = [
+        vec![1, 2, 3],                      // shorter than the header
+        vec![0, 0, 5, 0, 2, 0, 1],          // chunk 5 of 2
+        vec![0, 0, 0, 0, 1, 0, 0xFF, 0xFF], // one chunk, undecodable value
+    ];
+    for bytes in malformed {
+        vehicle
+            .bus_mut()
+            .send(EcuId::new(1), Frame::new(frame, bytes).unwrap(), Tick::ZERO)
+            .unwrap();
+    }
+    for _ in 0..3 {
+        vehicle.step().unwrap();
+    }
+    assert_eq!(vehicle.comstack_errors(), 3);
+
+    let now = vehicle.now();
+    let mut segmenter = Segmenter::new();
+    for segment in segmenter
+        .segment(frame, &encode_value(&Value::I64(5)))
+        .unwrap()
+    {
+        vehicle.bus_mut().send(EcuId::new(1), segment, now).unwrap();
+    }
+    for _ in 0..3 {
+        vehicle.step().unwrap();
+    }
+    let ecu = vehicle.ecu(EcuId::new(2)).unwrap();
+    assert_eq!(
+        ecu.rte().read_port_by_name(swc, "in").unwrap(),
+        Value::I64(5)
+    );
+    assert_eq!(
+        vehicle.comstack_errors(),
+        3,
+        "the good frame is not an error"
+    );
+}
+
+/// Injects garbled uplinks from three vehicles' endpoints through the hub
+/// and returns the fleet statistics afterwards.
+fn garbled_uplink_stats(shards: usize) -> FleetStats {
+    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
+        vehicles: 8,
+        shards,
+        ..FleetScenarioConfig::default()
+    })
+    .unwrap();
+    scenario.fleet.run(2).unwrap();
+    let server = scenario.fleet.server_endpoint().to_owned();
+    for handles in &scenario.handles()[..3] {
+        let endpoint = scenario.fleet.endpoint_of(&handles.id).unwrap().to_owned();
+        scenario
+            .fleet
+            .hub_for(&handles.id)
+            .lock()
+            .send(&endpoint, &server, Payload::from(vec![0xFF, 0xEE, 0x01]))
+            .unwrap();
+    }
+    scenario.fleet.run(3).unwrap();
+    scenario.fleet.stats().clone()
+}
+
+/// A rejected uplink is counted in `FleetStats::rejected_uplinks` on the
+/// serial and the sharded round alike, and the statistics stay identical
+/// at every shard count.
+#[test]
+fn rejected_uplinks_are_counted_at_every_shard_count() {
+    let serial = garbled_uplink_stats(1);
+    assert_eq!(serial.rejected_uplinks, 3);
+    assert_eq!(serial.uplink_messages, 3);
+    for shards in [2, 8] {
+        assert_eq!(garbled_uplink_stats(shards), serial, "shards = {shards}");
+    }
 }

@@ -29,12 +29,15 @@ use dynar::core::plugin::PluginPortDirection;
 use dynar::core::swc::PluginSwcConfig;
 use dynar::core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 use dynar::foundation::codec::encode_value;
+use dynar::foundation::error::Result;
 use dynar::foundation::ids::{AppId, EcuId, PluginId, PluginPortId, PortId, SwcId, VirtualPortId};
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
-use dynar::rte::component::SwcDescriptor;
+use dynar::rte::component::{ComponentBehavior, RteContext, RunnableSpec, SwcDescriptor, Trigger};
+use dynar::rte::ecu::Ecu;
 use dynar::rte::port::{PortDirection, PortSpec};
 use dynar::rte::rte::Rte;
+use dynar::sim::scenario::fleet::FleetScenario;
 use dynar::sim::scenario::quickstart::Quickstart;
 use dynar::sim::scenario::remote_car::RemoteCarScenario;
 use dynar::vm::assembler::assemble;
@@ -170,12 +173,38 @@ impl ShadowRte {
 /// sequence — including mid-run reconfiguration — comparing every observable.
 #[test]
 fn compiled_rte_matches_the_seed_hashmap_router_on_random_programs() {
+    let dense: Vec<SwcId> = (0..=6)
+        .map(|local| SwcId::new(EcuId::new(0), local))
+        .collect();
+    run_shadow_program(&dense);
+}
+
+/// The same program over a layout the dense port table cannot predict:
+/// sparse local indices and components of a foreign ECU id, registered out
+/// of order, so most port lookups take the side-map fallback.
+#[test]
+fn compiled_rte_matches_the_seed_router_with_foreign_and_sparse_components() {
+    let layout = [
+        SwcId::new(EcuId::new(0), 0),
+        SwcId::new(EcuId::new(0), 9),
+        SwcId::new(EcuId::new(7), 2),
+        SwcId::new(EcuId::new(0), 1),
+        SwcId::new(EcuId::new(0), 4),
+        SwcId::new(EcuId::new(3), 5),
+        SwcId::new(EcuId::new(0), 40_000),
+    ];
+    run_shadow_program(&layout);
+}
+
+/// Registers a producer (three provided ports) on `layout[0]` and six
+/// consumers on `layout[1..=6]`, then runs the fixed-seed program.
+fn run_shadow_program(layout: &[SwcId]) {
     let mut rte = Rte::new();
     let mut shadow = ShadowRte::default();
 
-    let swc = |local| SwcId::new(EcuId::new(0), local);
+    let swc = |index: u16| layout[usize::from(index)];
 
-    // Three providers on SWC0.
+    // Three providers on the first component.
     let producer = SwcDescriptor::new("producer")
         .with_port(PortSpec::sender_receiver("p0", PortDirection::Provided))
         .with_port(PortSpec::sender_receiver("p1", PortDirection::Provided))
@@ -291,7 +320,130 @@ fn compiled_rte_matches_the_seed_hashmap_router_on_random_programs() {
             .collect();
         assert_eq!(real_outbound, shadow_outbound, "op {op}: outbound frames");
     }
+    // Also checks that every registered port's id, name and dense slot
+    // resolve onto each other.
     assert!(rte.verify_compiled_routes());
+}
+
+/// The ECU's compiled dispatch tables (task → component, runnable indices,
+/// periodic list, slot-indexed data-received triggers) agree with a fresh
+/// compile of the registered descriptors on every ECU of every scenario —
+/// and on an ECU whose RTE also hosts a component registered directly under
+/// a foreign id, which shifts every later component off its predicted
+/// position.
+#[test]
+fn ecu_dispatch_tables_match_a_fresh_compile_everywhere() {
+    let mut quickstart = Quickstart::build().unwrap();
+    quickstart.feed_sensor(3).unwrap();
+    assert!(quickstart.ecu.verify_dispatch_tables());
+    assert!(quickstart.ecu.rte().verify_compiled_routes());
+
+    let mut car = RemoteCarScenario::build().unwrap();
+    car.install_app().unwrap();
+    car.drive(40).unwrap();
+    for ecu in car.world_mut().vehicle.ecus() {
+        assert!(ecu.verify_dispatch_tables(), "remote car ECU {}", ecu.id());
+        assert!(
+            ecu.rte().verify_compiled_routes(),
+            "remote car ECU {}",
+            ecu.id()
+        );
+    }
+
+    let mut fleet = FleetScenario::build(3).unwrap();
+    fleet.install_telemetry(3).unwrap();
+    fleet.fleet.run(10).unwrap();
+    for id in fleet.fleet.vehicle_ids().to_vec() {
+        for ecu in fleet.fleet.vehicle(&id).unwrap().ecus() {
+            assert!(ecu.verify_dispatch_tables(), "fleet ECU {}", ecu.id());
+            assert!(ecu.rte().verify_compiled_routes(), "fleet ECU {}", ecu.id());
+        }
+    }
+
+    // A foreign component registered straight on the RTE takes position 0,
+    // so the ECU's own components sit one position past their local index.
+    let mut ecu = Ecu::new(EcuId::new(5));
+    ecu.rte_mut()
+        .register_component(
+            SwcId::new(EcuId::new(9), 0),
+            &SwcDescriptor::new("foreign")
+                .with_port(PortSpec::sender_receiver("x", PortDirection::Provided)),
+        )
+        .unwrap();
+    let producer = ecu
+        .add_component(
+            SwcDescriptor::new("producer")
+                .with_port(PortSpec::sender_receiver("out", PortDirection::Provided))
+                .with_runnable(RunnableSpec::new("tick", Trigger::Periodic(2)))
+                .with_runnable(RunnableSpec::new("manual", Trigger::OnDemand)),
+            Box::new(Counter { count: 0 }),
+        )
+        .unwrap();
+    let relay = ecu
+        .add_component(
+            SwcDescriptor::new("relay")
+                .with_port(PortSpec::queued("in", PortDirection::Required, 4))
+                .with_port(PortSpec::sender_receiver("out", PortDirection::Provided))
+                .with_runnable(RunnableSpec::new("idle", Trigger::OnDemand))
+                .with_runnable(RunnableSpec::new("fwd", Trigger::DataReceived("in".into()))),
+            Box::new(Relay),
+        )
+        .unwrap();
+    let sink = ecu
+        .add_component(
+            SwcDescriptor::new("sink")
+                .with_port(PortSpec::queued("in", PortDirection::Required, 8))
+                .with_runnable(RunnableSpec::new("a", Trigger::DataReceived("in".into())))
+                .with_runnable(RunnableSpec::new("b", Trigger::DataReceived("in".into()))),
+            Box::new(Relay),
+        )
+        .unwrap();
+    ecu.connect_local(producer, "out", relay, "in").unwrap();
+    ecu.connect_local(relay, "out", sink, "in").unwrap();
+    assert!(ecu.verify_dispatch_tables());
+    assert!(ecu.rte().verify_compiled_routes());
+    ecu.run(9).unwrap();
+    assert!(ecu.take_behaviour_errors().is_empty());
+    assert!(ecu.verify_dispatch_tables());
+    assert_eq!(
+        ecu.rte().read_port_by_name(relay, "out").unwrap(),
+        Value::I64(4),
+        "four periodic writes relayed through the data-received trigger"
+    );
+    assert_eq!(
+        ecu.rte()
+            .pending_on(ecu.rte().port_id(sink, "in").unwrap())
+            .unwrap(),
+        0
+    );
+    ecu.trigger_runnable(producer, "manual").unwrap();
+    assert_eq!(ecu.component_by_name("relay"), Some(relay));
+}
+
+/// Counts its activations onto `out`.
+struct Counter {
+    count: i64,
+}
+
+impl ComponentBehavior for Counter {
+    fn on_runnable(&mut self, _runnable: &str, ctx: &mut RteContext<'_>) -> Result<()> {
+        self.count += 1;
+        ctx.write("out", Value::I64(self.count))
+    }
+}
+
+/// Forwards everything waiting on `in` to `out` (when it has one).
+struct Relay;
+
+impl ComponentBehavior for Relay {
+    fn on_runnable(&mut self, _runnable: &str, ctx: &mut RteContext<'_>) -> Result<()> {
+        while let Some(value) = ctx.receive("in")? {
+            if ctx.pending("in").is_ok() && ctx.port_id("out").is_ok() {
+                ctx.write("out", value)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 fn random_value(rng: &mut StdRng, op: u64) -> Value {
