@@ -2038,17 +2038,25 @@ impl TrustedServer {
     /// journal records in their shards; nothing touches the journal itself,
     /// so the borrow of `self` ends before the fan-out.
     pub fn shard_handles(&self) -> Vec<ShardHandle> {
-        let journaling = self.journal.is_some();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| ShardHandle {
-                index,
-                shard: Arc::clone(shard),
-                shared: Arc::clone(&self.shared),
-                journaling,
-            })
+        (0..self.shards.len())
+            .map(|index| self.shard_handle(index))
             .collect()
+    }
+
+    /// The [`ShardHandle`] of one shard — what [`TrustedServer::shard_handles`]
+    /// hands out, without collecting a `Vec` (a single-shard driver takes its
+    /// one handle allocation-free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`TrustedServer::shard_count`].
+    pub fn shard_handle(&self, index: usize) -> ShardHandle {
+        ShardHandle {
+            index,
+            shard: Arc::clone(&self.shards[index]),
+            shared: Arc::clone(&self.shared),
+            journaling: self.journal.is_some(),
+        }
     }
 
     /// Drains every shard's buffered journal records into the journal, in

@@ -19,11 +19,19 @@
 //!    says a retransmission deadline actually lapsed (the deadline timer) or
 //!    a rollout campaign is active — campaign health gates sample on the tick
 //!    cadence, so [`TrustedServer::step_campaigns`] runs right after,
-//! 2. pumps the transport once — queued downlinks out, arrived uplinks in —
-//!    exactly the sequence `Fleet::step` runs, minus the vehicle stepping,
+//! 2. runs the federation round `Fleet::step` runs — the same function —
+//!    with a no-op vehicle step (the vehicles step on their own threads):
+//!    queued downlinks out, the transport stepped, arrived uplinks in; the
+//!    journal records the round buffered are merged right after, and its
+//!    counts land in the [`FleetStats`] that [`ActorFederation::stats`]
+//!    reports,
 //! 3. sleeps on its command channel until the next deadline or quantum,
 //!    whichever is sooner, handling [`ActorFederation::with_server`]
 //!    closures as they arrive.
+//!
+//! The actor server drives one transport, so it serves a single-shard
+//! server; a sharded federation needs a hub per shard, which is
+//! [`crate::fleet::Fleet::new`]'s job.
 //!
 //! Protocol time stays tick-denominated: a [`WallClock`] maps elapsed real
 //! time onto the same [`Tick`] axis the retry budgets and announce periods
@@ -33,11 +41,10 @@
 //! # Lock order and the determinism boundary
 //!
 //! Every thread that takes both locks takes **the transport lock first,
-//! then server shard/ledger locks** (the server pump holds the transport
-//! lock across `poll_downlink_dirty`, whose shard locking nests inside —
-//! the same order `Fleet::step` established).  Vehicle threads only ever
-//! take the transport lock (through their ECM gateways), so they can never
-//! invert the order.
+//! then server shard/ledger locks** (the round holds the transport lock
+//! across the downlink drain, whose shard locking nests inside).  Vehicle
+//! threads only ever take the transport lock (through their ECM gateways),
+//! so they can never invert the order.
 //!
 //! Runs through this module are **not** reproducible: thread interleaving
 //! and wall-clock timing are real.  Determinism lives below the
@@ -48,20 +55,21 @@
 //!
 //! [`Transport`]: dynar_fes::transport::Transport
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use parking_lot::Mutex;
+
 use dynar_ecm::gateway::SharedHub;
-use dynar_fes::transport::{EndpointName, Payload};
 use dynar_foundation::error::DynarError;
 use dynar_foundation::ids::VehicleId;
 use dynar_foundation::time::{Tick, WallClock};
 use dynar_server::server::TrustedServer;
 
+use crate::fleet::{step_shard, EndpointTable, FleetStats, RoundScratch};
 use crate::world::Vehicle;
 
 /// A command for the server actor.
@@ -74,13 +82,14 @@ enum ServerCommand {
     /// Stop routing for `id` (the endpoint stays registered on the
     /// transport until its ECM goes away).
     Deregister { id: VehicleId },
-    /// Final pump, then exit with the server state.
+    /// Final round, then exit with the server state.
     Shutdown,
 }
 
 /// One vehicle actor: its thread and the flag that stops it.
 struct VehicleActor {
     id: VehicleId,
+    endpoint: String,
     stop: Arc<AtomicBool>,
     thread: JoinHandle<(Vehicle, Option<DynarError>)>,
 }
@@ -93,6 +102,8 @@ pub struct FederationOutcome {
     pub server: TrustedServer,
     /// Every vehicle in spawn order, with its first step error if it died.
     pub vehicles: Vec<(VehicleId, Vehicle, Option<DynarError>)>,
+    /// The server actor's round counters, final round included.
+    pub stats: FleetStats,
 }
 
 /// A running actor federation: one server thread, one thread per vehicle,
@@ -126,7 +137,7 @@ pub struct ActorFederation {
     vehicles: Vec<VehicleActor>,
     transport: SharedHub,
     clock: WallClock,
-    retry_failures: Arc<AtomicU64>,
+    stats: Arc<Mutex<FleetStats>>,
 }
 
 impl std::fmt::Debug for VehicleActor {
@@ -150,30 +161,33 @@ impl ActorFederation {
     /// Spawns the server actor.  `quantum` is the real-time span of one
     /// protocol [`Tick`] — retry deadlines, announce periods and partition
     /// heal times all scale with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `server` has more than one shard: the actor server drives
+    /// one transport, and a sharded federation needs one per shard.
     pub fn launch(
         server: TrustedServer,
         server_endpoint: impl Into<String>,
         transport: SharedHub,
         quantum: Duration,
     ) -> Self {
+        assert_eq!(
+            server.shard_count(),
+            1,
+            "ActorFederation::launch takes a single-shard server; use Fleet::new for sharded fleets"
+        );
         let server_endpoint = server_endpoint.into();
         transport.lock().register(&server_endpoint);
         let clock = WallClock::new(quantum);
-        let retry_failures = Arc::new(AtomicU64::new(0));
+        let stats = Arc::new(Mutex::new(FleetStats::default()));
         let (commands, inbox) = mpsc::channel();
         let thread = {
             let transport = Arc::clone(&transport);
             let clock = clock.clone();
-            let retry_failures = Arc::clone(&retry_failures);
+            let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
-                server_actor(
-                    server,
-                    server_endpoint,
-                    transport,
-                    clock,
-                    inbox,
-                    retry_failures,
-                )
+                server_actor(server, &server_endpoint, &transport, &clock, &inbox, &stats)
             })
         };
         ActorFederation {
@@ -182,7 +196,7 @@ impl ActorFederation {
             vehicles: Vec::new(),
             transport,
             clock,
-            retry_failures,
+            stats,
         }
     }
 
@@ -196,22 +210,34 @@ impl ActorFederation {
         &self.clock
     }
 
-    /// Retry escalations the server actor's deadline timer has surfaced so
-    /// far.
-    pub fn retry_failures(&self) -> u64 {
-        self.retry_failures.load(Ordering::Relaxed)
+    /// The server actor's round counters so far: the same [`FleetStats`] a
+    /// [`crate::fleet::Fleet`] keeps, one tick per round (retry escalations
+    /// come from the deadline timer).
+    pub fn stats(&self) -> FleetStats {
+        self.stats.lock().clone()
     }
 
     /// Spawns one vehicle actor.  The vehicle's ECM must already be wired to
     /// this federation's transport under `endpoint` (its `EcmSwc::create`
     /// registered it); the server actor routes `id`'s downlinks there from
     /// now on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` or `endpoint` belongs to a running vehicle actor.
     pub fn spawn_vehicle(&mut self, id: VehicleId, endpoint: impl Into<String>, vehicle: Vehicle) {
         let endpoint = endpoint.into();
+        assert!(
+            !self
+                .vehicles
+                .iter()
+                .any(|actor| actor.id == id || actor.endpoint == endpoint),
+            "vehicle {id} or endpoint {endpoint} is already running"
+        );
         self.commands
             .send(ServerCommand::Register {
                 id: id.clone(),
-                endpoint,
+                endpoint: endpoint.clone(),
             })
             .expect("server actor is running");
         let stop = Arc::new(AtomicBool::new(false));
@@ -220,7 +246,12 @@ impl ActorFederation {
             let pace = self.clock.quantum();
             std::thread::spawn(move || vehicle_actor(vehicle, stop, pace))
         };
-        self.vehicles.push(VehicleActor { id, stop, thread });
+        self.vehicles.push(VehicleActor {
+            id,
+            endpoint,
+            stop,
+            thread,
+        });
     }
 
     /// Runs a closure against the live server and returns its result (the
@@ -258,7 +289,7 @@ impl ActorFederation {
     }
 
     /// Stops every actor — vehicles first (so the wire quiesces), then the
-    /// server after a final pump — and returns the federation's state.
+    /// server after a final round — and returns the federation's state.
     pub fn shutdown(mut self) -> FederationOutcome {
         for actor in &self.vehicles {
             actor.stop.store(true, Ordering::Relaxed);
@@ -280,7 +311,11 @@ impl ActorFederation {
             .expect("shutdown runs once")
             .join()
             .expect("server actor never panics");
-        FederationOutcome { server, vehicles }
+        FederationOutcome {
+            server,
+            vehicles,
+            stats: self.stats(),
+        }
     }
 }
 
@@ -305,19 +340,18 @@ fn vehicle_actor(
 /// three phases and the lock order.
 fn server_actor(
     mut server: TrustedServer,
-    server_endpoint: String,
-    transport: SharedHub,
-    clock: WallClock,
-    inbox: mpsc::Receiver<ServerCommand>,
-    retry_failures: Arc<AtomicU64>,
+    server_endpoint: &str,
+    transport: &SharedHub,
+    clock: &WallClock,
+    inbox: &mpsc::Receiver<ServerCommand>,
+    stats: &Mutex<FleetStats>,
 ) -> TrustedServer {
-    let mut by_endpoint: HashMap<String, VehicleId> = HashMap::new();
-    let mut endpoints: HashMap<VehicleId, String> = HashMap::new();
-    let mut uplinks: Vec<(EndpointName, Payload)> = Vec::new();
-    let mut offline: Vec<VehicleId> = Vec::new();
+    let mut table = EndpointTable::default();
+    let mut scratch = RoundScratch::default();
     // Wall-clock ticks are monotonic, but protocol time must also never
-    // repeat a smaller value after a long pump: clamp below.
+    // repeat a smaller value after a long round: clamp below.
     let mut last_now = Tick::ZERO;
+    let mut stopping = false;
     loop {
         let now = clock.now().max(last_now);
         last_now = now;
@@ -327,23 +361,37 @@ fn server_actor(
         //    campaign is running, whose health gates are sampled on the same
         //    tick cadence (the wall-clock quantum stands in for the fleet
         //    round).
-        if server.next_deadline().is_some_and(|due| due <= now) || server.has_active_campaigns() {
-            let failures = server.tick(now).len() as u64;
-            retry_failures.fetch_add(failures, Ordering::Relaxed);
+        let due = server.next_deadline().is_some_and(|due| due <= now);
+        if !stopping && (due || server.has_active_campaigns()) {
+            let failures = server.tick(now);
+            stats.lock().record_failures(failures);
             let _ = server.step_campaigns();
         }
 
-        // 2. Transport pump (transport lock held, shard locks nest inside).
-        pump(
-            &mut server,
-            &server_endpoint,
-            &transport,
+        // 2. The federation round with a no-op vehicle step (transport lock
+        //    held, shard locks nest inside), then the journal merge.  After
+        //    a shutdown this is the final round: it consumes whatever the
+        //    stopped vehicles left on the wire, so the transport ledger can
+        //    settle for post-run conservation checks.
+        let handle = server.shard_handle(0);
+        let (counts, ()) = step_shard(
+            &handle,
+            transport,
+            server_endpoint,
+            &table,
+            &mut scratch,
             now,
-            &by_endpoint,
-            &endpoints,
-            &mut uplinks,
-            &mut offline,
+            || (),
         );
+        server.merge_shard_journals();
+        {
+            let mut stats = stats.lock();
+            stats.add_round(counts);
+            stats.ticks += 1;
+        }
+        if stopping {
+            return server;
+        }
 
         // 3. Sleep until the next deadline or one quantum, whichever is
         //    sooner, handling commands as they arrive.
@@ -353,80 +401,14 @@ fn server_actor(
         };
         match inbox.recv_timeout(wait.max(Duration::from_micros(50))) {
             Ok(ServerCommand::With(f)) => f(&mut server),
-            Ok(ServerCommand::Register { id, endpoint }) => {
-                by_endpoint.insert(endpoint.clone(), id.clone());
-                endpoints.insert(id, endpoint);
-            }
+            Ok(ServerCommand::Register { id, endpoint }) => table
+                .insert(id, endpoint)
+                .expect("spawn_vehicle admits no duplicate vehicle or endpoint"),
             Ok(ServerCommand::Deregister { id }) => {
-                if let Some(endpoint) = endpoints.remove(&id) {
-                    by_endpoint.remove(&endpoint);
-                }
+                table.swap_remove(&id);
             }
-            Ok(ServerCommand::Shutdown) => break,
+            Ok(ServerCommand::Shutdown) | Err(RecvTimeoutError::Disconnected) => stopping = true,
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Final pump: consume whatever the stopped vehicles left on the wire, so
-    // the transport ledger can settle for post-run conservation checks.
-    let now = clock.now().max(last_now);
-    pump(
-        &mut server,
-        &server_endpoint,
-        &transport,
-        now,
-        &by_endpoint,
-        &endpoints,
-        &mut uplinks,
-        &mut offline,
-    );
-    server
-}
-
-/// One transport pump: downlinks out, transport stepped, dropped-destination
-/// feedback applied, uplinks in.  The mirror of the transport phases of
-/// `Fleet::step`, under one transport lock.
-#[allow(clippy::too_many_arguments)]
-fn pump(
-    server: &mut TrustedServer,
-    server_endpoint: &str,
-    transport: &SharedHub,
-    now: Tick,
-    by_endpoint: &HashMap<String, VehicleId>,
-    endpoints: &HashMap<VehicleId, String>,
-    uplinks: &mut Vec<(EndpointName, Payload)>,
-    offline: &mut Vec<VehicleId>,
-) {
-    {
-        let mut transport = transport.lock();
-        server.poll_downlink_dirty(|vehicle, payload| {
-            let Some(endpoint) = endpoints.get(vehicle) else {
-                return;
-            };
-            if transport.send(server_endpoint, endpoint, payload).is_err() {
-                offline.push(vehicle.clone());
-            }
-        });
-        for vehicle in offline.drain(..) {
-            server.mark_offline(&vehicle);
-        }
-        transport.step(now);
-        for endpoint in transport.take_dropped_destinations() {
-            // Stale traffic towards a re-registered endpoint is not a dead
-            // link (same contract as Fleet::step).
-            if transport.is_registered(endpoint.as_ref()) {
-                continue;
-            }
-            if let Some(vehicle) = by_endpoint.get(endpoint.as_ref()) {
-                server.mark_offline(vehicle);
-            }
-        }
-        debug_assert!(uplinks.is_empty());
-        transport.drain_into(server_endpoint, uplinks);
-    }
-    for (from, payload) in uplinks.drain(..) {
-        if let Some(vehicle) = by_endpoint.get(from.as_ref()) {
-            let _ = server.process_uplink(vehicle, &payload);
         }
     }
 }

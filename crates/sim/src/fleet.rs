@@ -1,38 +1,44 @@
 //! The fleet scheduler: many vehicles driven through one trusted server in
 //! batched simulation rounds.
 //!
-//! [`crate::world::World`] couples exactly one [`Vehicle`] to the server —
-//! enough for the paper's demonstrators, useless for federated-scale
-//! questions ("what happens when an install wave hits 50 vehicles whose
-//! signal chains are live?").  [`Fleet`] lifts the same pusher/uplink loop to
-//! N vehicles: one shared [`TrustedServer`], an external transport hub with a
-//! per-vehicle ECM endpoint, per-vehicle clocks (each [`Vehicle`] keeps its
-//! own), and a batched round that moves every vehicle one tick forward per
-//! [`Fleet::step`].
+//! [`Fleet`] couples N [`Vehicle`]s to one shared [`TrustedServer`]: an
+//! external transport hub per server shard carrying each vehicle's ECM
+//! endpoint, per-vehicle clocks (each [`Vehicle`] keeps its own), and a
+//! batched round that moves every vehicle one tick forward per
+//! [`Fleet::step`].  The Figure 3 demonstrator is a one-vehicle fleet over a
+//! hub it shares with the phone ([`Fleet::with_hub`]).
 //!
 //! Deployments can be staged in **install waves** ([`Fleet::deploy_wave`],
 //! [`Fleet::install_in_waves`]) so reconfiguration load is spread over the
 //! fleet instead of arriving everywhere at once.
 //!
-//! # Sharded parallel rounds
+//! # The round
 //!
-//! The fleet is partitioned exactly like its server: each vehicle hashes to
-//! the server shard given by [`TrustedServer::shard_index`], and the fleet
-//! keeps one [`FleetShard`] — entries, endpoint indexes, scratch buffers —
-//! plus one **private transport hub** per server shard, so parallel workers
-//! never serialize on a single hub lock.  With more than one shard,
-//! [`Fleet::step`] fans the per-vehicle phase (reliability tick, downlink
-//! push, transport step, vehicle step, uplink processing) out over a fixed
-//! [`ThreadPool`] via [`dynar_server::server::ShardHandle`]s; the journal
-//! records each shard buffered are then merged in deterministic shard order
-//! ([`TrustedServer::merge_shard_journals`]), so a journaled parallel run
-//! replays byte-identically.  A single-shard fleet takes a dedicated serial
-//! path that preserves the allocation-free steady state pinned by
-//! `tests/alloc_regression.rs`.
+//! One function, `step_shard`, holds the transport phases of the Figure 2
+//! loop for one server shard: drain the dirty downlinks, send them, park the
+//! vehicles whose send failed, step the transport, park the vehicles whose
+//! endpoint vanished (dropped-destination feedback), step the vehicles (a
+//! caller-supplied callback), drain the uplinks and process them.  It routes
+//! through an `EndpointTable` (vehicle id ↔ ECM endpoint) and a
+//! [`ShardHandle`], and has three callers:
 //!
-//! Both paths drain downlinks through the server's **dirty set**
-//! ([`TrustedServer::poll_downlink_dirty`]): a management-quiescent tick
-//! visits zero vehicles instead of polling all N.
+//! * [`Fleet::step`], at every shard count: the tick is journaled up front
+//!   ([`TrustedServer::begin_tick`]), each shard runs its reliability sweep
+//!   ([`ShardHandle::tick`]) and its round — inline with one shard, on a
+//!   fixed [`ThreadPool`] otherwise — and the journal records the shards
+//!   buffered are merged in shard order
+//!   ([`TrustedServer::merge_shard_journals`]) before the campaign gates run.
+//!   The effects and the statistics are the same at every shard count, the
+//!   merged journal replays to the same state, and a one-shard round
+//!   allocates nothing when the fleet is quiet (`tests/alloc_regression.rs`).
+//! * The actor server ([`crate::actors`]), with a no-op vehicle step: its
+//!   vehicles run on their own threads.
+//! * [`crate::scenario::remote_car`], the Figure 3 demonstrator, through a
+//!   one-vehicle [`Fleet`].
+//!
+//! Downlinks are drained through the server's **dirty set**
+//! ([`ShardHandle::poll_downlink_dirty`]): a management-quiescent tick visits
+//! zero vehicles instead of polling all N.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,7 +90,8 @@ impl From<RetryFailure> for RetryFailureEvent {
     }
 }
 
-/// Counters describing fleet-level activity.
+/// Counters describing federation activity, kept by [`Fleet`] and by the
+/// actor server ([`crate::actors::ActorFederation::stats`]) alike.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Batched rounds executed so far.
@@ -94,8 +101,9 @@ pub struct FleetStats {
     pub downlink_messages: u64,
     /// Uplink payloads the server received back from vehicles.
     pub uplink_messages: u64,
-    /// Uplink payloads the server rejected (undecodable, or inconsistent
-    /// with its state); counted on every path, never silently dropped.
+    /// Uplink payloads rejected: those the server refused (undecodable, or
+    /// inconsistent with its state) and those sent from an endpoint no
+    /// vehicle owns.  Counted on every path, never silently dropped.
     pub rejected_uplinks: u64,
     /// Operations the server's reliability plane escalated after exhausting
     /// their retransmission budget.
@@ -116,7 +124,7 @@ pub struct FleetStats {
 impl FleetStats {
     /// Counts a batch of escalated failures and retains their details up to
     /// [`MAX_FAILURE_EVENTS`].
-    fn record_failures(&mut self, batch: Vec<RetryFailure>) {
+    pub(crate) fn record_failures(&mut self, batch: Vec<RetryFailure>) {
         if batch.is_empty() {
             return;
         }
@@ -128,39 +136,119 @@ impl FleetStats {
         events.truncate(room);
         self.failure_events.append(&mut events);
     }
+
+    /// Adds one shard's round counts.
+    pub(crate) fn add_round(&mut self, counts: RoundCounts) {
+        self.downlink_messages += counts.downlink_messages;
+        self.uplink_messages += counts.uplink_messages;
+        self.rejected_uplinks += counts.rejected_uplinks;
+        self.downlink_polls += counts.downlink_polls;
+    }
 }
 
-#[derive(Debug)]
-struct FleetEntry {
-    id: VehicleId,
-    endpoint: String,
-    vehicle: Vehicle,
-}
-
-/// The vehicles of one server shard, with the per-shard lookup tables and
-/// scratch buffers the shard's worker needs to run its slice of a round
-/// without touching any other shard.
+/// The vehicle id ↔ ECM endpoint table a round routes through.  Row `i`
+/// pairs one vehicle with its endpoint; both directions are indexed, so a
+/// downlink finds its endpoint and an uplink its sender in O(1).  Rows are
+/// swap-removed, so a caller keeping per-vehicle data in a row-aligned `Vec`
+/// swap-removes at the same index.
 #[derive(Debug, Default)]
-struct FleetShard {
-    entries: Vec<FleetEntry>,
+pub(crate) struct EndpointTable {
+    rows: Vec<(VehicleId, String)>,
     by_id: HashMap<VehicleId, usize>,
     by_endpoint: HashMap<String, usize>,
-    /// Reused drain buffer for this shard's server-endpoint mailbox.
-    uplink_scratch: Vec<(EndpointName, Payload)>,
-    /// Reused buffer for vehicles whose downlink send failed (parked after
-    /// the hub guard is released).
-    offline_scratch: Vec<VehicleId>,
 }
 
-/// What one shard's worker hands back from its slice of a parallel round.
-struct ShardOutcome {
-    shard: FleetShard,
+impl EndpointTable {
+    /// Appends a row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::Duplicate`] if the id or the endpoint is taken.
+    pub(crate) fn insert(&mut self, id: VehicleId, endpoint: String) -> Result<()> {
+        if self.by_id.contains_key(&id) {
+            return Err(DynarError::duplicate("fleet vehicle", id));
+        }
+        if self.by_endpoint.contains_key(&endpoint) {
+            return Err(DynarError::duplicate("fleet endpoint", endpoint));
+        }
+        let row = self.rows.len();
+        self.by_id.insert(id.clone(), row);
+        self.by_endpoint.insert(endpoint.clone(), row);
+        self.rows.push((id, endpoint));
+        Ok(())
+    }
+
+    /// Swap-removes the row of `id`, returning its index and endpoint.
+    pub(crate) fn swap_remove(&mut self, id: &VehicleId) -> Option<(usize, String)> {
+        let row = self.by_id.remove(id)?;
+        let (_, endpoint) = self.rows.swap_remove(row);
+        self.by_endpoint.remove(&endpoint);
+        if let Some((moved_id, moved_endpoint)) = self.rows.get(row) {
+            self.by_id.insert(moved_id.clone(), row);
+            self.by_endpoint.insert(moved_endpoint.clone(), row);
+        }
+        Some((row, endpoint))
+    }
+
+    /// The row of a vehicle.
+    pub(crate) fn row_of(&self, id: &VehicleId) -> Option<usize> {
+        self.by_id.get(id).copied()
+    }
+
+    /// The vehicle id of a row.
+    pub(crate) fn id(&self, row: usize) -> &VehicleId {
+        &self.rows[row].0
+    }
+
+    /// The endpoint of a vehicle.
+    pub(crate) fn endpoint_of(&self, id: &VehicleId) -> Option<&str> {
+        self.row_of(id).map(|row| self.rows[row].1.as_str())
+    }
+
+    /// The vehicle owning an endpoint.
+    pub(crate) fn vehicle_at(&self, endpoint: &str) -> Option<&VehicleId> {
+        self.by_endpoint.get(endpoint).map(|&row| &self.rows[row].0)
+    }
+}
+
+/// Buffers a round reuses from one call to the next, so a quiet round
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct RoundScratch {
+    /// Drain buffer for the server endpoint's mailbox.
+    uplinks: Vec<(EndpointName, Payload)>,
+    /// Vehicles whose downlink send failed (parked once the sweep is done).
+    offline: Vec<VehicleId>,
+}
+
+/// What one shard's round counted.
+#[derive(Debug, Default)]
+pub(crate) struct RoundCounts {
     downlink_messages: u64,
     uplink_messages: u64,
     rejected_uplinks: u64,
     downlink_polls: u64,
+}
+
+/// A vehicle step error, tagged with its vehicle so a round can report the
+/// failure of the lowest id — the same one at every shard count.
+type VehicleFailure = (VehicleId, DynarError);
+
+/// The vehicles of one server shard: the endpoint table, the vehicles in
+/// table-row order and the round's scratch buffers — everything the shard's
+/// worker needs to run its slice of a round without touching another shard.
+#[derive(Debug, Default)]
+struct FleetShard {
+    table: EndpointTable,
+    vehicles: Vec<Vehicle>,
+    scratch: RoundScratch,
+}
+
+/// What one shard hands back from its slice of a fleet round.
+struct ShardOutcome {
+    counts: RoundCounts,
     retry_failures: Vec<RetryFailure>,
-    error: Option<DynarError>,
+    failure: Option<VehicleFailure>,
 }
 
 /// A fleet of vehicles federated through one trusted server.
@@ -178,8 +266,8 @@ pub struct Fleet {
     ids: Vec<VehicleId>,
     /// Position of each vehicle in `ids` (kept in sync across swap-removes).
     ids_at: HashMap<VehicleId, usize>,
-    /// Fixed worker pool driving parallel rounds; absent for single-shard
-    /// fleets, which take the serial path.
+    /// Fixed worker pool driving multi-shard rounds; absent for single-shard
+    /// fleets, which run their one round inline.
     pool: Option<ThreadPool>,
     clock: Clock,
     stats: FleetStats,
@@ -256,13 +344,10 @@ impl Fleet {
         TrustedServer::shard_index(id, self.shards.len())
     }
 
-    /// `(shard, entry)` coordinates of a vehicle, if it is in the fleet.
+    /// `(shard, row)` coordinates of a vehicle, if it is in the fleet.
     fn slot_of(&self, id: &VehicleId) -> Option<(usize, usize)> {
         let shard = self.shard_index_of(id);
-        self.shards[shard]
-            .by_id
-            .get(id)
-            .map(|&entry| (shard, entry))
+        self.shards[shard].table.row_of(id).map(|row| (shard, row))
     }
 
     /// The transport hub a vehicle's ECM must register on — determined by
@@ -344,7 +429,10 @@ impl Fleet {
 
     /// Adds a wired vehicle under its server-side id and ECM transport
     /// endpoint.  The vehicle's ECM must have registered on the hub of the
-    /// vehicle's shard ([`Fleet::hub_for`]).
+    /// vehicle's shard ([`Fleet::hub_for`]).  Joining a running fleet is
+    /// safe: the hub's slot generations guarantee that traffic in flight
+    /// towards a previous tenant of a reused slot is dropped, never delivered
+    /// to the newcomer.
     ///
     /// # Errors
     ///
@@ -362,42 +450,17 @@ impl Fleet {
         if self
             .shards
             .iter()
-            .any(|shard| shard.by_endpoint.contains_key(&endpoint))
+            .any(|shard| shard.table.vehicle_at(&endpoint).is_some())
         {
             return Err(DynarError::duplicate("fleet endpoint", endpoint));
         }
-        self.ids_at.insert(id.clone(), self.ids.len());
-        self.ids.push(id.clone());
-        let shard_index = TrustedServer::shard_index(&id, self.shards.len());
+        let shard_index = self.shard_index_of(&id);
         let shard = &mut self.shards[shard_index];
-        let index = shard.entries.len();
-        shard.by_id.insert(id.clone(), index);
-        shard.by_endpoint.insert(endpoint.clone(), index);
-        shard.entries.push(FleetEntry {
-            id,
-            endpoint,
-            vehicle,
-        });
+        shard.table.insert(id.clone(), endpoint)?;
+        shard.vehicles.push(vehicle);
+        self.ids_at.insert(id.clone(), self.ids.len());
+        self.ids.push(id);
         Ok(())
-    }
-
-    /// Adds a vehicle while the fleet is running.  Identical to
-    /// [`Fleet::add_vehicle`] — named separately to document that joining
-    /// mid-run is safe: the vehicle's ECM already registered its endpoint on
-    /// its shard's hub, whose slot generations guarantee that traffic in
-    /// flight towards a previous tenant of a reused slot is dropped, never
-    /// delivered to the newcomer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::Duplicate`] if the id or endpoint is taken.
-    pub fn add_vehicle_during_run(
-        &mut self,
-        id: VehicleId,
-        ecm_endpoint: impl Into<String>,
-        vehicle: Vehicle,
-    ) -> Result<()> {
-        self.add_vehicle(id, ecm_endpoint, vehicle)
     }
 
     /// Removes a vehicle for good: its endpoint is unregistered from its
@@ -412,31 +475,23 @@ impl Fleet {
     pub fn remove_vehicle(&mut self, id: &VehicleId) -> Result<Vehicle> {
         let shard_index = self.shard_index_of(id);
         let shard = &mut self.shards[shard_index];
-        let index = *shard
-            .by_id
-            .get(id)
+        let (row, endpoint) = shard
+            .table
+            .swap_remove(id)
             .ok_or_else(|| DynarError::not_found("fleet vehicle", id))?;
-        // Swap-remove the entry, then repoint whatever moved into the hole.
-        let entry = shard.entries.swap_remove(index);
-        shard.by_id.remove(&entry.id);
-        shard.by_endpoint.remove(&entry.endpoint);
-        if index < shard.entries.len() {
-            let moved = &shard.entries[index];
-            shard.by_id.insert(moved.id.clone(), index);
-            shard.by_endpoint.insert(moved.endpoint.clone(), index);
-        }
-        // Same dance for the registration-order list.
+        let vehicle = shard.vehicles.swap_remove(row);
+        // Same swap-remove for the registration-order list.
         let at = self
             .ids_at
-            .remove(&entry.id)
+            .remove(id)
             .expect("ids index mirrors the shard tables");
         self.ids.swap_remove(at);
         if at < self.ids.len() {
             self.ids_at.insert(self.ids[at].clone(), at);
         }
-        self.hubs[shard_index].lock().unregister(&entry.endpoint);
+        self.hubs[shard_index].lock().unregister(&endpoint);
         self.stats.record_failures(self.server.mark_unreachable(id));
-        Ok(entry.vehicle)
+        Ok(vehicle)
     }
 
     /// Swaps in a freshly built incarnation of a vehicle (same id, same
@@ -450,13 +505,10 @@ impl Fleet {
     ///
     /// Returns [`DynarError::NotFound`] for unknown vehicles.
     pub fn replace_vehicle(&mut self, id: &VehicleId, vehicle: Vehicle) -> Result<Vehicle> {
-        let (shard, index) = self
-            .slot_of(id)
+        let slot = self
+            .vehicle_mut(id)
             .ok_or_else(|| DynarError::not_found("fleet vehicle", id))?;
-        Ok(std::mem::replace(
-            &mut self.shards[shard].entries[index].vehicle,
-            vehicle,
-        ))
+        Ok(std::mem::replace(slot, vehicle))
     }
 
     /// Number of vehicles in the fleet.
@@ -478,13 +530,12 @@ impl Fleet {
     /// Read access to a vehicle by id.
     pub fn vehicle(&self, id: &VehicleId) -> Option<&Vehicle> {
         self.slot_of(id)
-            .map(|(shard, index)| &self.shards[shard].entries[index].vehicle)
+            .map(|(shard, row)| &self.shards[shard].vehicles[row])
     }
 
     /// The ECM transport endpoint of a vehicle.
     pub fn endpoint_of(&self, id: &VehicleId) -> Option<&str> {
-        self.slot_of(id)
-            .map(|(shard, index)| self.shards[shard].entries[index].endpoint.as_str())
+        self.shards[self.shard_index_of(id)].table.endpoint_of(id)
     }
 
     /// The trusted server's transport endpoint.
@@ -495,7 +546,7 @@ impl Fleet {
     /// Mutable access to a vehicle by id.
     pub fn vehicle_mut(&mut self, id: &VehicleId) -> Option<&mut Vehicle> {
         self.slot_of(id)
-            .map(|(shard, index)| &mut self.shards[shard].entries[index].vehicle)
+            .map(|(shard, row)| &mut self.shards[shard].vehicles[row])
     }
 
     /// Current simulated fleet time.
@@ -510,161 +561,68 @@ impl Fleet {
 
     /// Advances the whole fleet by one batched round: server downlinks reach
     /// every vehicle's ECM endpoint, the transport delivers, every vehicle
-    /// runs one tick, and uplink acknowledgements flow back into the server.
-    /// With more than one shard the round runs shard-parallel on the worker
-    /// pool; the effects (and the journal) are the same either way.
+    /// runs one tick, uplink acknowledgements flow back into the server and
+    /// the campaign gates run.  With more than one shard the shards' rounds
+    /// run in parallel on the worker pool; the effects, the journal and the
+    /// statistics are the same at every shard count.
+    ///
+    /// A vehicle step error does not cut the round short: every vehicle is
+    /// stepped and the round runs to the end before the error is returned.
     ///
     /// # Errors
     ///
-    /// Propagates the first vehicle step error.
+    /// Returns the step error of the lowest vehicle id that failed.
     pub fn step(&mut self) -> Result<()> {
         let now = self.clock.step();
-        if self.shards.len() > 1 {
-            self.step_parallel(now)?;
-        } else {
-            self.step_serial(now)?;
-        }
-        self.stats.ticks += 1;
-        Ok(())
-    }
-
-    /// The single-shard round: the original serial pusher/uplink loop with
-    /// dirty-set downlink polling.  Steady-state ticks stay allocation-free.
-    fn step_serial(&mut self, now: Tick) -> Result<()> {
-        let Fleet {
-            server,
-            hubs,
-            shards,
-            server_endpoint,
-            stats,
-            ..
-        } = self;
-        let shard = &mut shards[0];
-
-        // Reliability plane: requeue overdue packages, escalate dead ones.
-        stats.record_failures(server.tick(now));
-
-        // Pusher: queued downlink messages leave the server, batched under a
-        // single hub lock.  Destination feedback flows straight back into the
-        // server's lifecycle plane: a send into an unregistered endpoint, or
-        // an in-flight message dropped because the endpoint unregistered
-        // mid-flight, parks the vehicle (mark_offline) instead of letting the
-        // retry budget burn against a dead link.
-        let mut offline = std::mem::take(&mut shard.offline_scratch);
-        {
-            let mut hub = hubs[0].lock();
-            let entries = &shard.entries;
-            let by_id = &shard.by_id;
-            let polls = server.poll_downlink_dirty(|vehicle, payload| {
-                stats.downlink_messages += 1;
-                let Some(&index) = by_id.get(vehicle) else {
-                    return;
-                };
-                if hub
-                    .send(server_endpoint.as_str(), &entries[index].endpoint, payload)
-                    .is_err()
-                {
-                    offline.push(vehicle.clone());
-                }
-            });
-            stats.downlink_polls += polls;
-            for vehicle in offline.drain(..) {
-                server.mark_offline(&vehicle);
-            }
-            hub.step(now);
-            for endpoint in hub.take_dropped_destinations() {
-                // A drop towards a *currently registered* endpoint is stale
-                // traffic from before a reboot (the slot generation voided
-                // it) — the new incarnation's link is alive, so parking the
-                // vehicle would strand it.  Only an endpoint that is really
-                // gone parks its vehicle.
-                if hub.is_registered(endpoint.as_ref()) {
-                    continue;
-                }
-                if let Some(&index) = shard.by_endpoint.get(endpoint.as_ref()) {
-                    server.mark_offline(&shard.entries[index].id);
-                }
-            }
-        }
-        shard.offline_scratch = offline;
-
-        for entry in &mut shard.entries {
-            entry.vehicle.step()?;
-        }
-
-        // Uplink: acknowledgements back into the server, attributed to the
-        // sending vehicle through its ECM endpoint.  The mailbox drains into
-        // a reused buffer — a quiet tick allocates nothing.
-        let mut uplinks = std::mem::take(&mut shard.uplink_scratch);
-        debug_assert!(uplinks.is_empty());
-        hubs[0].lock().drain_into(server_endpoint, &mut uplinks);
-        for (from, payload) in uplinks.drain(..) {
-            if let Some(&index) = shard.by_endpoint.get(from.as_ref()) {
-                stats.uplink_messages += 1;
-                if server
-                    .process_uplink(&shard.entries[index].id, &payload)
-                    .is_err()
-                {
-                    stats.rejected_uplinks += 1;
-                }
-            }
-        }
-        shard.uplink_scratch = uplinks;
-
-        // Campaign plane: health gates evaluate against the state this round
-        // settled into (acknowledgements processed above), and the decisions
-        // are journaled at this same point in the record stream.
-        let _ = server.step_campaigns();
-        Ok(())
-    }
-
-    /// The sharded round: the tick is journaled up front, every shard's
-    /// slice runs on the worker pool through its [`ShardHandle`] and private
-    /// hub, and the per-shard journal buffers are merged in shard order
-    /// afterwards — the same record sequence a serial run would have written.
-    fn step_parallel(&mut self, now: Tick) -> Result<()> {
         self.server.begin_tick(now);
-        let mut tasks: Vec<Box<dyn FnOnce() -> ShardOutcome + Send>> =
-            Vec::with_capacity(self.shards.len());
-        for handle in self.server.shard_handles() {
-            let shard = std::mem::take(&mut self.shards[handle.index()]);
-            let hub = Arc::clone(&self.hubs[handle.index()]);
-            let server_endpoint = self.server_endpoint.clone();
-            tasks.push(Box::new(move || {
-                step_shard(&handle, shard, &hub, &server_endpoint, now)
-            }));
-        }
-        let outcomes = self
-            .pool
-            .as_ref()
-            .expect("multi-shard fleet has a worker pool")
-            .run(tasks);
-
-        let mut first_error = None;
         let mut failures = Vec::new();
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            self.shards[index] = outcome.shard;
-            self.stats.downlink_messages += outcome.downlink_messages;
-            self.stats.uplink_messages += outcome.uplink_messages;
-            self.stats.rejected_uplinks += outcome.rejected_uplinks;
-            self.stats.downlink_polls += outcome.downlink_polls;
-            failures.extend(outcome.retry_failures);
-            if first_error.is_none() {
-                first_error = outcome.error;
+        let mut failure = None;
+        let mut absorb = |mut outcome: ShardOutcome| {
+            self.stats.add_round(outcome.counts);
+            failures.append(&mut outcome.retry_failures);
+            failure = (failure.take().into_iter())
+                .chain(outcome.failure)
+                .min_by(|a, b| a.0.cmp(&b.0));
+        };
+        if let [shard] = self.shards.as_mut_slice() {
+            let handle = self.server.shard_handle(0);
+            absorb(fleet_round(
+                &handle,
+                shard,
+                &self.hubs[0],
+                &self.server_endpoint,
+                now,
+            ));
+        } else {
+            let mut tasks: Vec<Box<dyn FnOnce() -> (FleetShard, ShardOutcome) + Send>> =
+                Vec::with_capacity(self.shards.len());
+            for handle in self.server.shard_handles() {
+                let mut shard = std::mem::take(&mut self.shards[handle.index()]);
+                let hub = Arc::clone(&self.hubs[handle.index()]);
+                let server_endpoint = self.server_endpoint.clone();
+                tasks.push(Box::new(move || {
+                    let outcome = fleet_round(&handle, &mut shard, &hub, &server_endpoint, now);
+                    (shard, outcome)
+                }));
+            }
+            let pool = self
+                .pool
+                .as_ref()
+                .expect("multi-shard fleet has a worker pool");
+            for (index, (shard, outcome)) in pool.run(tasks).into_iter().enumerate() {
+                self.shards[index] = shard;
+                absorb(outcome);
             }
         }
-        // One batch per round, like the serial path: `record_failures` sorts
-        // it, so the retained events match the serial run's exactly.
+        // One batch per round: `record_failures` sorts it, so the retained
+        // events are the same at every shard count.
         self.stats.record_failures(failures);
         self.server.merge_shard_journals();
         // Campaign decisions run (and journal) strictly after the shard
-        // merge — the serial point of the round, on converged state, exactly
-        // where the serial path evaluates them.
+        // merge, on the state this round's acknowledgements settled into.
         let _ = self.server.step_campaigns();
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
+        self.stats.ticks += 1;
+        failure.map_or(Ok(()), |(_, error)| Err(error))
     }
 
     /// Runs [`Fleet::step`] `ticks` times.
@@ -788,91 +746,106 @@ impl Fleet {
     }
 }
 
-/// One shard's slice of a parallel round: reliability tick, dirty downlink
-/// push onto the shard's private hub, transport step with dropped-destination
-/// feedback, vehicle steps, uplink processing.  Mirrors
-/// [`Fleet::step_serial`] exactly — per vehicle, the effect (and journal
-/// record) order is identical, which is what keeps a parallel journaled run
-/// replayable.
-fn step_shard(
+/// One shard's slice of a fleet round: the reliability sweep, then the
+/// round with every vehicle of the shard stepped in the middle.
+fn fleet_round(
     handle: &ShardHandle,
-    mut shard: FleetShard,
+    shard: &mut FleetShard,
     hub: &SharedHub,
     server_endpoint: &str,
     now: Tick,
 ) -> ShardOutcome {
-    let mut downlink_messages = 0;
-    let mut uplink_messages = 0;
-    let mut rejected_uplinks = 0;
     let mut retry_failures = Vec::new();
     handle.tick(now, &mut retry_failures);
+    let FleetShard {
+        table,
+        vehicles,
+        scratch,
+    } = shard;
+    // `min_by` consumes the whole iterator: every vehicle steps.
+    let (counts, failure) = step_shard(handle, hub, server_endpoint, table, scratch, now, || {
+        (vehicles.iter_mut().enumerate())
+            .filter_map(|(row, vehicle)| {
+                let error = vehicle.step().err()?;
+                Some((table.id(row).clone(), error))
+            })
+            .min_by(|a, b| a.0.cmp(&b.0))
+    });
+    ShardOutcome {
+        counts,
+        retry_failures,
+        failure,
+    }
+}
 
-    let mut offline = std::mem::take(&mut shard.offline_scratch);
-    let downlink_polls;
+/// One shard's part of the federation round — the one implementation of
+/// the Figure 2 loop's transport phases.  Downlinks the shard's dirty set
+/// holds are sent to their vehicles' endpoints, a vehicle whose send fails is
+/// parked, the transport steps, and a vehicle whose endpoint vanished with
+/// traffic in flight is parked too.  Then `step_vehicles` runs, and finally
+/// the server endpoint's mailbox is drained and every uplink processed,
+/// attributed to its sender through `table`; an uplink from an endpoint no
+/// vehicle owns is counted as rejected.
+///
+/// Per vehicle, the order of effects (and of journal records, buffered in
+/// the shard) is the same whichever caller runs the round and however many
+/// shards the server has.  The reliability sweep ([`ShardHandle::tick`]) is
+/// the caller's, as are the journal merge and the campaign gates.
+pub(crate) fn step_shard<R>(
+    handle: &ShardHandle,
+    hub: &SharedHub,
+    server_endpoint: &str,
+    table: &EndpointTable,
+    scratch: &mut RoundScratch,
+    now: Tick,
+    step_vehicles: impl FnOnce() -> R,
+) -> (RoundCounts, R) {
+    let mut counts = RoundCounts::default();
     {
-        let mut hub_guard = hub.lock();
-        let entries = &shard.entries;
-        let by_id = &shard.by_id;
-        downlink_polls = handle.poll_downlink_dirty(|vehicle, payload| {
-            downlink_messages += 1;
-            let Some(&index) = by_id.get(vehicle) else {
+        let mut hub = hub.lock();
+        let offline = &mut scratch.offline;
+        counts.downlink_polls = handle.poll_downlink_dirty(|vehicle, payload| {
+            counts.downlink_messages += 1;
+            let Some(endpoint) = table.endpoint_of(vehicle) else {
                 return;
             };
-            if hub_guard
-                .send(server_endpoint, &entries[index].endpoint, payload)
-                .is_err()
-            {
+            if hub.send(server_endpoint, endpoint, payload).is_err() {
                 offline.push(vehicle.clone());
             }
         });
         for vehicle in offline.drain(..) {
             handle.mark_offline(&vehicle);
         }
-        hub_guard.step(now);
-        for endpoint in hub_guard.take_dropped_destinations() {
-            if hub_guard.is_registered(endpoint.as_ref()) {
+        hub.step(now);
+        for endpoint in hub.take_dropped_destinations() {
+            // A drop towards a *currently registered* endpoint is stale
+            // traffic from before a reboot (the slot generation voided it) —
+            // the new incarnation's link is alive, so parking the vehicle
+            // would strand it.  Only an endpoint that is really gone parks
+            // its vehicle.
+            if hub.is_registered(endpoint.as_ref()) {
                 continue;
             }
-            if let Some(&index) = shard.by_endpoint.get(endpoint.as_ref()) {
-                handle.mark_offline(&shard.entries[index].id);
+            if let Some(vehicle) = table.vehicle_at(endpoint.as_ref()) {
+                handle.mark_offline(vehicle);
             }
         }
     }
-    shard.offline_scratch = offline;
 
-    let mut error = None;
-    for entry in &mut shard.entries {
-        if let Err(step_error) = entry.vehicle.step() {
-            error = Some(step_error);
-            break;
+    let stepped = step_vehicles();
+
+    let uplinks = &mut scratch.uplinks;
+    debug_assert!(uplinks.is_empty());
+    hub.lock().drain_into(server_endpoint, uplinks);
+    for (from, payload) in uplinks.drain(..) {
+        let Some(vehicle) = table.vehicle_at(from.as_ref()) else {
+            counts.rejected_uplinks += 1;
+            continue;
+        };
+        counts.uplink_messages += 1;
+        if handle.process_uplink(vehicle, &payload).is_err() {
+            counts.rejected_uplinks += 1;
         }
     }
-
-    if error.is_none() {
-        let mut uplinks = std::mem::take(&mut shard.uplink_scratch);
-        debug_assert!(uplinks.is_empty());
-        hub.lock().drain_into(server_endpoint, &mut uplinks);
-        for (from, payload) in uplinks.drain(..) {
-            if let Some(&index) = shard.by_endpoint.get(from.as_ref()) {
-                uplink_messages += 1;
-                if handle
-                    .process_uplink(&shard.entries[index].id, &payload)
-                    .is_err()
-                {
-                    rejected_uplinks += 1;
-                }
-            }
-        }
-        shard.uplink_scratch = uplinks;
-    }
-
-    ShardOutcome {
-        shard,
-        downlink_messages,
-        uplink_messages,
-        rejected_uplinks,
-        downlink_polls,
-        retry_failures,
-        error,
-    }
+    (counts, stepped)
 }

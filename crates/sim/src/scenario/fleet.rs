@@ -409,7 +409,7 @@ impl FleetScenario {
         let (vehicle, worker_handles) =
             build_vehicle(&endpoint, workers, self.bus.clone(), &hub, 0)?;
         self.fleet
-            .add_vehicle_during_run(vehicle_id.clone(), endpoint, vehicle)?;
+            .add_vehicle(vehicle_id.clone(), endpoint, vehicle)?;
         self.handles.push(VehicleHandles {
             id: vehicle_id.clone(),
             workers: worker_handles,

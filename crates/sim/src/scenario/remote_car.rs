@@ -19,10 +19,10 @@ use dynar_bus::network::BusConfig;
 use dynar_core::plugin::PluginPortDirection;
 use dynar_core::swc::{PluginSwc, PluginSwcConfig, SharedPirte};
 use dynar_core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
-use dynar_ecm::gateway::{EcmConfig, EcmSwc};
+use dynar_ecm::gateway::{EcmConfig, EcmSwc, SharedHub};
 use dynar_fes::device::SmartPhone;
-use dynar_fes::transport::TransportConfig;
-use dynar_foundation::error::{DynarError, Result};
+use dynar_fes::transport::{shared_transport, TransportConfig, TransportHub};
+use dynar_foundation::error::Result;
 use dynar_foundation::ids::{AppId, EcuId, PluginId, UserId, VehicleId, VirtualPortId};
 use dynar_rte::ecu::Ecu;
 use dynar_server::model::{
@@ -32,8 +32,9 @@ use dynar_server::model::{
 use dynar_server::server::{DeploymentStatus, TrustedServer};
 use dynar_vm::assembler::assemble;
 
+use crate::fleet::Fleet;
 use crate::plant::{CarPlant, SharedPlantState};
-use crate::world::{Vehicle, World};
+use crate::world::Vehicle;
 
 /// Frame carrying multiplexed plug-in data from ECU1 to ECU2 (S0 → S3).
 pub const FRAME_PLUGIN_DATA: u32 = 0x210;
@@ -60,10 +61,13 @@ pub struct DriveReport {
     pub odometer: f64,
 }
 
-/// The assembled Figure 3 system.
+/// The assembled Figure 3 system: a one-vehicle [`Fleet`] whose transport
+/// hub the phone shares.
 #[derive(Debug)]
 pub struct RemoteCarScenario {
-    world: World,
+    fleet: Fleet,
+    hub: SharedHub,
+    vehicle_id: VehicleId,
     phone: SmartPhone,
     ecm_pirte: SharedPirte,
     pirte2: SharedPirte,
@@ -153,11 +157,9 @@ impl RemoteCarScenario {
         let mut ecu1 = Ecu::new(ecu1_id);
         let mut ecu2 = Ecu::new(ecu2_id);
 
-        // The external transport hub is shared between the world, the ECM and
-        // the phone.
-        let hub: dynar_ecm::gateway::SharedHub = std::sync::Arc::new(parking_lot::Mutex::new(
-            dynar_fes::transport::TransportHub::new(transport),
-        ));
+        // The external transport hub is shared between the server, the ECM
+        // and the phone.
+        let hub = shared_transport(TransportHub::new(transport));
 
         let ecm_descriptor = ecm_config.descriptor()?;
         let (ecm_behavior, ecm_pirte) = EcmSwc::create(ecu1_id, ecm_config, hub.clone());
@@ -189,20 +191,16 @@ impl RemoteCarScenario {
         let mut vehicle = Vehicle::new(vec![ecu1, ecu2], bus);
         vehicle.open_acceptance_filters(&[plugin_data, mgmt_down, mgmt_up]);
 
-        let world = World::new(
-            server,
-            vehicle,
-            vehicle_id.clone(),
-            "server",
-            "vehicle-1",
-            hub,
-        );
+        let mut fleet = Fleet::with_hub(server, "server", hub.clone());
+        fleet.add_vehicle(vehicle_id.clone(), "vehicle-1", vehicle)?;
 
         let phone = SmartPhone::new("phone", "vehicle-1");
-        phone.attach(&mut *world.hub.lock());
+        phone.attach(&mut *hub.lock());
 
         Ok(RemoteCarScenario {
-            world,
+            fleet,
+            hub,
+            vehicle_id,
             phone,
             ecm_pirte,
             pirte2,
@@ -227,9 +225,16 @@ impl RemoteCarScenario {
         self.plant.clone()
     }
 
-    /// Mutable access to the world (server, hub, vehicle).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
+    /// Mutable access to the one-vehicle fleet (server, hub, vehicle).
+    pub fn fleet_mut(&mut self) -> &mut Fleet {
+        &mut self.fleet
+    }
+
+    /// Mutable access to the car.
+    pub fn vehicle_mut(&mut self) -> &mut Vehicle {
+        self.fleet
+            .vehicle_mut(&self.vehicle_id)
+            .expect("the car is the fleet's one vehicle")
     }
 
     /// Deploys the `remote-control` application through the trusted server
@@ -238,25 +243,13 @@ impl RemoteCarScenario {
     /// # Errors
     ///
     /// Returns the server's deployment rejection, or
-    /// [`DynarError::ProtocolViolation`] if the installation did not complete
-    /// within a generous time budget.
+    /// [`dynar_foundation::error::DynarError::ProtocolViolation`] if the
+    /// installation did not complete within a generous time budget.
     pub fn install_app(&mut self) -> Result<()> {
-        let vehicle_id = self.world.vehicle_id().clone();
-        self.world
-            .server
-            .deploy(&self.user, &vehicle_id, &self.app)?;
-        for _ in 0..400 {
-            self.world.step()?;
-            if self.world.server.deployment_status(&vehicle_id, &self.app)
-                == DeploymentStatus::Installed
-            {
-                return Ok(());
-            }
-        }
-        Err(DynarError::ProtocolViolation(format!(
-            "installation did not complete: {:?}",
-            self.world.server.deployment_status(&vehicle_id, &self.app)
-        )))
+        let targets = [self.vehicle_id.clone()];
+        self.fleet.deploy_wave(&self.user, &self.app, &targets)?;
+        self.fleet
+            .await_deployment(&self.app, &targets, &DeploymentStatus::Installed, 400)
     }
 
     /// Drives the car for `ticks` ticks: the phone sends a steering and a
@@ -265,7 +258,7 @@ impl RemoteCarScenario {
     ///
     /// # Errors
     ///
-    /// Propagates world step errors.
+    /// Propagates fleet step errors.
     pub fn drive(&mut self, ticks: u64) -> Result<DriveReport> {
         let mut sent = 0;
         for tick in 0..ticks {
@@ -273,13 +266,13 @@ impl RemoteCarScenario {
                 let angle = ((tick / 10) % 60) as f64 - 30.0;
                 let speed = 5.0 + ((tick / 10) % 10) as f64;
                 {
-                    let mut hub = self.world.hub.lock();
+                    let mut hub = self.hub.lock();
                     self.phone.steer(&mut *hub, angle)?;
                     self.phone.set_speed(&mut *hub, speed)?;
                 }
                 sent += 2;
             }
-            self.world.step()?;
+            self.fleet.step()?;
         }
         let plant = *self.plant.lock();
         Ok(DriveReport {

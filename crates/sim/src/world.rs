@@ -1,20 +1,15 @@
-//! Vehicles (ECUs on a bus) and the world (vehicle + server + devices).
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+//! Vehicles: ECUs on an in-vehicle bus, with the communication stack
+//! between them.  A vehicle federates with the trusted server as a member
+//! of a [`crate::fleet::Fleet`].
 
 use dynar_bus::network::{Bus, BusConfig};
-use dynar_ecm::gateway::SharedHub;
-use dynar_fes::transport::{TransportConfig, TransportHub};
 use dynar_foundation::codec;
 use dynar_foundation::error::Result;
-use dynar_foundation::ids::{EcuId, VehicleId};
+use dynar_foundation::ids::EcuId;
 use dynar_foundation::intern::Interner;
 use dynar_foundation::time::{Clock, Tick};
 use dynar_rte::com_mapping::{Reassembler, Segmenter};
 use dynar_rte::ecu::Ecu;
-use dynar_server::server::TrustedServer;
 
 /// One vehicle: a set of ECUs connected by an in-vehicle bus, with the
 /// communication stack (codec + segmentation) between them.
@@ -168,137 +163,6 @@ impl Vehicle {
 
         for ecu in &mut self.ecus {
             ecu.step()?;
-        }
-        Ok(())
-    }
-}
-
-/// The full federated system: one vehicle, the trusted server, the external
-/// transport and whatever devices are registered on it.
-#[derive(Debug)]
-pub struct World {
-    /// The trusted server.
-    pub server: TrustedServer,
-    /// The external transport hub shared with the vehicle's ECM and devices.
-    pub hub: SharedHub,
-    /// The vehicle.
-    pub vehicle: Vehicle,
-    vehicle_id: VehicleId,
-    server_endpoint: String,
-    ecm_endpoint: String,
-    /// Reused drain buffer for the server-endpoint mailbox.
-    uplink_scratch: Vec<(
-        dynar_fes::transport::EndpointName,
-        dynar_foundation::payload::Payload,
-    )>,
-    clock: Clock,
-}
-
-impl World {
-    /// Creates a world around an already-wired vehicle and an external
-    /// transport hub (the same hub handed to the vehicle's ECM and to any
-    /// external devices).
-    pub fn new(
-        server: TrustedServer,
-        vehicle: Vehicle,
-        vehicle_id: VehicleId,
-        server_endpoint: impl Into<String>,
-        ecm_endpoint: impl Into<String>,
-        hub: SharedHub,
-    ) -> Self {
-        let server_endpoint = server_endpoint.into();
-        hub.lock().register(&server_endpoint);
-        World {
-            server,
-            hub,
-            vehicle,
-            vehicle_id,
-            server_endpoint,
-            ecm_endpoint: ecm_endpoint.into(),
-            uplink_scratch: Vec::new(),
-            clock: Clock::new(),
-        }
-    }
-
-    /// Convenience constructor creating a fresh hub from a transport
-    /// configuration.
-    pub fn with_transport(
-        server: TrustedServer,
-        vehicle: Vehicle,
-        vehicle_id: VehicleId,
-        server_endpoint: impl Into<String>,
-        ecm_endpoint: impl Into<String>,
-        transport: TransportConfig,
-    ) -> Self {
-        let hub = Arc::new(Mutex::new(TransportHub::new(transport)));
-        Self::new(
-            server,
-            vehicle,
-            vehicle_id,
-            server_endpoint,
-            ecm_endpoint,
-            hub,
-        )
-    }
-
-    /// The identifier of the world's vehicle.
-    pub fn vehicle_id(&self) -> &VehicleId {
-        &self.vehicle_id
-    }
-
-    /// Current simulated time of the world.
-    pub fn now(&self) -> Tick {
-        self.clock.now()
-    }
-
-    /// Advances the whole federated system by one tick: the server's
-    /// reliability plane retransmits overdue packages, queued pushes reach
-    /// the transport, the transport delivers, the vehicle runs, and uplink
-    /// acknowledgements flow back into the server.
-    ///
-    /// # Errors
-    ///
-    /// Propagates vehicle step errors.
-    pub fn step(&mut self) -> Result<()> {
-        let now = self.clock.step();
-
-        // Reliability plane: requeue overdue packages, escalate dead ones.
-        let _ = self.server.tick(now);
-
-        // Pusher: queued downlink messages leave the server.
-        let downlinks = self.server.poll_downlink(&self.vehicle_id);
-        {
-            let mut hub = self.hub.lock();
-            for payload in downlinks {
-                let _ = hub.send(&self.server_endpoint, &self.ecm_endpoint, payload);
-            }
-            hub.step(now);
-        }
-
-        self.vehicle.step()?;
-
-        // Uplink: acknowledgements back into the server (drained through a
-        // reused buffer — a quiet tick allocates nothing).
-        let mut uplinks = std::mem::take(&mut self.uplink_scratch);
-        debug_assert!(uplinks.is_empty());
-        self.hub
-            .lock()
-            .drain_into(&self.server_endpoint, &mut uplinks);
-        for (_, payload) in uplinks.drain(..) {
-            let _ = self.server.process_uplink(&self.vehicle_id, &payload);
-        }
-        self.uplink_scratch = uplinks;
-        Ok(())
-    }
-
-    /// Runs [`World::step`] `ticks` times.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first step error.
-    pub fn run(&mut self, ticks: u64) -> Result<()> {
-        for _ in 0..ticks {
-            self.step()?;
         }
         Ok(())
     }

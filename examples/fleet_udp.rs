@@ -135,8 +135,10 @@ fn main() -> Result<(), DynarError> {
     let stats = transport.lock().stats();
     println!("wire ledger: {stats:?}");
     println!(
-        "  conserved: {} | retry escalations: {}",
+        "  conserved: {} | retry escalations: {} | rejected uplinks: {} | vehicle errors: {}",
         stats.is_conserved(),
+        outcome.stats.retry_failures,
+        outcome.stats.rejected_uplinks,
         outcome
             .vehicles
             .iter()

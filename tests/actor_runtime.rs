@@ -14,6 +14,7 @@
 //!   (a duplicate apply of a retransmitted package would show up here),
 //! * the transport ledger stays conserved — retries may lose messages, but
 //!   none may vanish unaccounted,
+//! * the server actor's round rejects no uplink (`FleetStats::rejected_uplinks`),
 //! * every vehicle thread exits cleanly.
 //!
 //! The hub backend keeps this in tier-1 (no sockets); the same protocol over
@@ -135,6 +136,10 @@ fn threaded_federation_converges_under_loss() {
             "{vehicle_id}: vehicle thread died: {error:?}"
         );
     }
+    // The server actor's round counts every uplink: none came from an
+    // unknown endpoint or was refused by the server.
+    assert!(outcome.stats.uplink_messages > 0, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.rejected_uplinks, 0, "{:?}", outcome.stats);
     assert_eq!(outcome.vehicles.len(), VEHICLES);
 
     // Exactly-once install on every worker, despite retransmissions.
@@ -298,6 +303,10 @@ fn threaded_federation_completes_a_staged_campaign() {
             "{vehicle_id}: vehicle thread died: {error:?}"
         );
     }
+    // The server actor's round counts every uplink: none came from an
+    // unknown endpoint or was refused by the server.
+    assert!(outcome.stats.uplink_messages > 0, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.rejected_uplinks, 0, "{:?}", outcome.stats);
 
     // Every worker ended on exactly the v2 plug-in, installed exactly once.
     for (vehicle_id, workers) in vehicle_ids.iter().zip(&handles) {

@@ -11,6 +11,7 @@ use dynar::core::pirte::Pirte;
 use dynar::core::plugin::PluginPortDirection;
 use dynar::core::swc::PluginSwcConfig;
 use dynar::core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
+use dynar::fes::transport::TransportStats;
 use dynar::foundation::codec::encode_value;
 use dynar::foundation::error::DynarError;
 use dynar::foundation::ids::{
@@ -20,7 +21,7 @@ use dynar::foundation::payload::Payload;
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
 use dynar::rte::com_mapping::Segmenter;
-use dynar::rte::component::{ComponentBehavior, RteContext, SwcDescriptor};
+use dynar::rte::component::{ComponentBehavior, RteContext, RunnableSpec, SwcDescriptor, Trigger};
 use dynar::rte::ecu::Ecu;
 use dynar::rte::port::{PortDirection, PortSpec};
 use dynar::server::model::{
@@ -28,7 +29,7 @@ use dynar::server::model::{
 };
 use dynar::server::server::TrustedServer;
 use dynar::sim::fleet::FleetStats;
-use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig};
+use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY};
 use dynar::sim::scenario::remote_car::remote_control_app;
 use dynar::sim::world::Vehicle;
 use dynar::vm::assembler::assemble;
@@ -492,8 +493,9 @@ fn malformed_segmented_frames_are_counted_not_silently_dropped() {
     );
 }
 
-/// Injects garbled uplinks from three vehicles' endpoints through the hub
-/// and returns the fleet statistics afterwards.
+/// Injects garbled uplinks from three vehicles' endpoints, and one uplink
+/// from a registered endpoint no vehicle owns, through the hubs and returns
+/// the fleet statistics afterwards.
 fn garbled_uplink_stats(shards: usize) -> FleetStats {
     let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
         vehicles: 8,
@@ -512,19 +514,125 @@ fn garbled_uplink_stats(shards: usize) -> FleetStats {
             .send(&endpoint, &server, Payload::from(vec![0xFF, 0xEE, 0x01]))
             .unwrap();
     }
+    {
+        let mut hub = scenario.fleet.hubs()[0].lock();
+        hub.register("rogue");
+        hub.send("rogue", &server, Payload::from(vec![0x01]))
+            .unwrap();
+    }
     scenario.fleet.run(3).unwrap();
     scenario.fleet.stats().clone()
 }
 
-/// A rejected uplink is counted in `FleetStats::rejected_uplinks` on the
-/// serial and the sharded round alike, and the statistics stay identical
-/// at every shard count.
+/// A rejected uplink — refused by the server, or sent from an endpoint no
+/// vehicle owns — is counted in `FleetStats::rejected_uplinks` at every
+/// shard count, and the statistics stay identical across shard counts.
 #[test]
 fn rejected_uplinks_are_counted_at_every_shard_count() {
     let serial = garbled_uplink_stats(1);
-    assert_eq!(serial.rejected_uplinks, 3);
+    assert_eq!(serial.rejected_uplinks, 4);
     assert_eq!(serial.uplink_messages, 3);
     for shards in [2, 8] {
         assert_eq!(garbled_uplink_stats(shards), serial, "shards = {shards}");
+    }
+}
+
+/// A component that writes a signal too large for the comstack: its payload
+/// needs more segments than `Segmenter::segment` can number.
+struct Bloater {
+    bytes: usize,
+}
+
+impl ComponentBehavior for Bloater {
+    fn on_runnable(
+        &mut self,
+        _runnable: &str,
+        ctx: &mut RteContext<'_>,
+    ) -> dynar::foundation::error::Result<()> {
+        ctx.write("blob", Value::Bytes(vec![0; self.bytes]))
+    }
+}
+
+/// (vehicle index, signal size) of the two oversized signals.  Vehicle 1 has
+/// the lower VIN, and its signal size differs, so the reported error tells
+/// which vehicle it came from.
+const BLOATED: [(usize, usize); 2] = [(1, 4_100_000), (4, 4_000_000)];
+
+fn blob_frame() -> CanId {
+    CanId::new(0x600).unwrap()
+}
+
+/// Deploys the telemetry app to a fleet in which two vehicles' ECM ECUs
+/// also run a [`Bloater`], steps it for 60 rounds and returns every round's
+/// error with the end state.
+fn oversized_signal_run(shards: usize) -> (Vec<String>, Vec<u8>, FleetStats, TransportStats) {
+    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
+        vehicles: 6,
+        shards,
+        ..FleetScenarioConfig::default()
+    })
+    .unwrap();
+    let ids = scenario.fleet.vehicle_ids().to_vec();
+    for (index, bytes) in BLOATED {
+        let ecu = scenario
+            .fleet
+            .vehicle_mut(&ids[index])
+            .unwrap()
+            .ecu_mut(EcuId::new(1))
+            .unwrap();
+        let descriptor = SwcDescriptor::new("bloater")
+            .with_port(PortSpec::sender_receiver("blob", PortDirection::Provided))
+            .with_runnable(RunnableSpec::new("bloat", Trigger::Periodic(7)));
+        let swc = ecu
+            .add_component(descriptor, Box::new(Bloater { bytes }))
+            .unwrap();
+        ecu.map_signal_out(swc, "blob", blob_frame()).unwrap();
+    }
+    let user = scenario.user.clone();
+    scenario
+        .fleet
+        .deploy_wave(&user, &AppId::new(APP_TELEMETRY), &ids)
+        .unwrap();
+    let errors = (0..60)
+        .filter_map(|_| scenario.fleet.step().err())
+        .map(|error| error.to_string())
+        .collect();
+    let fleet = &scenario.fleet;
+    (
+        errors,
+        fleet.server.snapshot_bytes(),
+        fleet.stats().clone(),
+        fleet.transport_stats(),
+    )
+}
+
+/// A vehicle step error does not cut the round short: every vehicle is
+/// stepped, the round runs to the end (uplinks, journal merge, campaign
+/// gates) and the error of the lowest failing vehicle id is returned — so
+/// the errors and the end state are the same at every shard count.
+#[test]
+fn vehicle_step_errors_are_the_same_at_every_shard_count() {
+    let serial = oversized_signal_run(1);
+    let (errors, _, stats, _) = &serial;
+    let expected = Segmenter::new()
+        .segment(
+            blob_frame(),
+            &encode_value(&Value::Bytes(vec![0; BLOATED[0].1])),
+        )
+        .unwrap_err()
+        .to_string();
+    assert!(!errors.is_empty(), "the oversized signals must fail steps");
+    assert!(
+        errors.iter().all(|error| *error == expected),
+        "every failed round reports the lowest vehicle id's error: {errors:?}"
+    );
+    assert_eq!(stats.ticks, 60, "a failed round still counts: {stats:?}");
+    assert!(stats.uplink_messages > 0, "{stats:?}");
+    for shards in [2, 8] {
+        // Errors, snapshot bytes, fleet and transport statistics.
+        assert!(
+            oversized_signal_run(shards) == serial,
+            "the run diverged at {shards} shards"
+        );
     }
 }

@@ -25,7 +25,7 @@ use dynar::server::model::{
 use dynar::server::server::{DeploymentStatus, TrustedServer};
 use dynar::sim::scenario::quickstart::Quickstart;
 use dynar::sim::scenario::remote_car::RemoteCarScenario;
-use dynar::sim::world::{Vehicle, World};
+use dynar::sim::world::Vehicle;
 use dynar::vm::assembler::assemble;
 
 mod lossy {
@@ -174,8 +174,8 @@ fn remote_car_survives_a_long_drive() {
 
     // Bus invariants: the default error model drops nothing, everything that
     // finished transmission found a subscriber, and the backlog drains.
-    let world = scenario.world_mut();
-    let bus = world.vehicle.bus().stats();
+    let vehicle = scenario.vehicle_mut();
+    let bus = vehicle.bus().stats();
     assert!(bus.sent > 0 && bus.delivered > 0);
     assert_eq!(bus.dropped, 0, "default bus config is lossless");
     assert!(bus.payload_bytes > 0);
@@ -186,7 +186,7 @@ fn remote_car_survives_a_long_drive() {
 
     // Kernel invariants and behaviour errors on every ECU.
     for id in [EcuId::new(1), EcuId::new(2)] {
-        let ecu = world.vehicle.ecu_mut(id).unwrap();
+        let ecu = vehicle.ecu_mut(id).unwrap();
         let kernel = ecu.kernel().stats();
         assert!(
             kernel.dispatches >= 2500,
@@ -386,7 +386,8 @@ fn fleet_app(app: &str, suffix: &str, message_prefix: &str, gain: i64) -> AppDef
 }
 
 struct Fleet {
-    world: World,
+    federation: dynar::sim::Fleet,
+    vehicle_id: VehicleId,
     console: SmartPhone,
     ecm_pirte: SharedPirte,
     workers: Vec<(EcuId, SwcId, SharedPirte)>,
@@ -503,12 +504,16 @@ impl Fleet {
         );
         vehicle.open_acceptance_filters(&frames);
 
-        let world = World::new(server, vehicle, vehicle_id, "server", "vehicle-1", hub);
         let console = SmartPhone::new("console", "vehicle-1");
-        console.attach(&mut *world.hub.lock());
+        console.attach(&mut *hub.lock());
+        let mut federation = dynar::sim::Fleet::with_hub(server, "server", hub);
+        federation
+            .add_vehicle(vehicle_id.clone(), "vehicle-1", vehicle)
+            .unwrap();
 
         Fleet {
-            world,
+            federation,
+            vehicle_id,
             console,
             ecm_pirte,
             workers,
@@ -516,37 +521,31 @@ impl Fleet {
         }
     }
 
+    fn vehicle(&self) -> &Vehicle {
+        self.federation.vehicle(&self.vehicle_id).unwrap()
+    }
+
     fn deploy(&mut self, app: &str) {
-        let vehicle_id = self.world.vehicle_id().clone();
-        self.world
+        self.federation
             .server
-            .deploy(&self.user, &vehicle_id, &AppId::new(app))
+            .deploy(&self.user, &self.vehicle_id, &AppId::new(app))
             .unwrap();
         self.wait_for_status(app, &DeploymentStatus::Installed);
     }
 
     fn uninstall(&mut self, app: &str) {
-        let vehicle_id = self.world.vehicle_id().clone();
-        self.world
+        self.federation
             .server
-            .uninstall(&self.user, &vehicle_id, &AppId::new(app))
+            .uninstall(&self.user, &self.vehicle_id, &AppId::new(app))
             .unwrap();
         self.wait_for_status(app, &DeploymentStatus::NotInstalled);
     }
 
     fn wait_for_status(&mut self, app: &str, wanted: &DeploymentStatus) {
-        let vehicle_id = self.world.vehicle_id().clone();
-        let app = AppId::new(app);
-        for _ in 0..800 {
-            self.world.step().unwrap();
-            if self.world.server.deployment_status(&vehicle_id, &app) == *wanted {
-                return;
-            }
-        }
-        panic!(
-            "deployment of {app} never reached {wanted:?}: {:?}",
-            self.world.server.deployment_status(&vehicle_id, &app)
-        );
+        let targets = [self.vehicle_id.clone()];
+        self.federation
+            .await_deployment(&AppId::new(app), &targets, wanted, 800)
+            .unwrap();
     }
 
     /// Runs `ticks` ticks; every third tick the console commands the next
@@ -558,7 +557,7 @@ impl Fleet {
             if tick % 3 == 0 {
                 let worker = targets[next % targets.len()];
                 next += 1;
-                let mut hub = self.world.hub.lock();
+                let mut hub = self.federation.hubs()[0].lock();
                 self.console
                     .send(
                         &mut *hub,
@@ -567,17 +566,16 @@ impl Fleet {
                     )
                     .unwrap();
             }
-            self.world.step().unwrap();
+            self.federation.step().unwrap();
         }
         // Quiet period: let in-flight frames and VM queues drain.
         for _ in 0..120 {
-            self.world.step().unwrap();
+            self.federation.step().unwrap();
         }
     }
 
     fn actuator_value(&self, worker: EcuId, swc: SwcId) -> Value {
-        self.world
-            .vehicle
+        self.vehicle()
             .ecu(worker)
             .unwrap()
             .rte()
@@ -586,18 +584,23 @@ impl Fleet {
     }
 
     fn assert_healthy(&mut self, ticks_so_far: u64) {
-        let bus = self.world.vehicle.bus().stats();
+        let bus = self.vehicle().bus().stats();
         assert!(bus.sent > 0 && bus.delivered > 0);
         assert_eq!(bus.dropped, 0, "lossless bus must not drop frames");
         assert!(
-            self.world.vehicle.bus().backlog() <= 16,
+            self.vehicle().bus().backlog() <= 16,
             "bus backlog must stay bounded, got {}",
-            self.world.vehicle.bus().backlog()
+            self.vehicle().bus().backlog()
         );
 
         let ecu_ids: Vec<EcuId> = std::iter::once(EcuId::new(1)).chain(worker_ids()).collect();
         for id in ecu_ids {
-            let ecu = self.world.vehicle.ecu_mut(id).unwrap();
+            let ecu = self
+                .federation
+                .vehicle_mut(&self.vehicle_id)
+                .unwrap()
+                .ecu_mut(id)
+                .unwrap();
             let kernel = ecu.kernel().stats();
             assert!(
                 kernel.dispatches >= ticks_so_far,
@@ -674,7 +677,7 @@ fn ten_ecu_fleet_install_update_uninstall_cycle() {
         assert_eq!(pirte.lock().stats().uninstalls, 1);
     }
     let installed = fleet
-        .world
+        .federation
         .server
         .installed_apps(&VehicleId::new(FLEET_VIN));
     assert!(

@@ -341,7 +341,7 @@ fn ecu_dispatch_tables_match_a_fresh_compile_everywhere() {
     let mut car = RemoteCarScenario::build().unwrap();
     car.install_app().unwrap();
     car.drive(40).unwrap();
-    for ecu in car.world_mut().vehicle.ecus() {
+    for ecu in car.vehicle_mut().ecus() {
         assert!(ecu.verify_dispatch_tables(), "remote car ECU {}", ecu.id());
         assert!(
             ecu.rte().verify_compiled_routes(),
@@ -500,7 +500,7 @@ fn remote_car_drive_matches_the_seed_observables() {
     assert_eq!(report.odometer, 5.699999999999999);
 
     // Bus statistics recorded from the seed implementation.
-    let bus = scenario.world_mut().vehicle.bus().stats();
+    let bus = scenario.vehicle_mut().bus().stats();
     assert_eq!(
         bus,
         BusStats {
