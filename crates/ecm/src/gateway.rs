@@ -50,6 +50,7 @@
 //! outputs share one lock.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -89,6 +90,59 @@ pub const DEDUP_WINDOW: u64 = 1024;
 /// new boot epoch with a downlink.  The announcement travels over the lossy
 /// uplink, so a single shot could strand the vehicle offline forever.
 pub const ANNOUNCE_PERIOD_TICKS: u64 = 25;
+
+/// Sends the gateway could not make, counted by reason.  The gateway is
+/// boxed into its ECU once wired, so harnesses read the counts through the
+/// shared handle [`EcmSwc::send_failures`] returns.
+#[derive(Debug, Default)]
+pub struct SendFailures {
+    uplink: AtomicU64,
+    device: AtomicU64,
+    remote_forward: AtomicU64,
+}
+
+/// A reading of [`SendFailures`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SendFailureCounts {
+    /// Uplinks to the trusted server the transport refused (for instance
+    /// because the gateway's own endpoint is not registered on its hub).
+    pub uplink: u64,
+    /// Messages to external devices the transport refused.
+    pub device: u64,
+    /// External data that could not be relayed to a remote ECU's plug-in
+    /// SW-C over its type I port.
+    pub remote_forward: u64,
+}
+
+impl SendFailureCounts {
+    /// Failures of every reason.
+    pub fn total(&self) -> u64 {
+        self.uplink + self.device + self.remote_forward
+    }
+}
+
+impl std::ops::AddAssign for SendFailureCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.uplink += other.uplink;
+        self.device += other.device;
+        self.remote_forward += other.remote_forward;
+    }
+}
+
+impl SendFailures {
+    /// The counts so far.
+    pub fn counts(&self) -> SendFailureCounts {
+        SendFailureCounts {
+            uplink: self.uplink.load(Ordering::Relaxed),
+            device: self.device.load(Ordering::Relaxed),
+            remote_forward: self.remote_forward.load(Ordering::Relaxed),
+        }
+    }
+
+    fn note(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 /// Bookkeeping for one downlink sequence id the gateway has applied.
 #[derive(Debug, Clone)]
@@ -228,6 +282,8 @@ pub struct EcmSwc {
     server_incarnation: u32,
     /// Runnable passes executed (drives the announce retransmission period).
     passes: u64,
+    /// Sends that failed, by reason.
+    send_failures: Arc<SendFailures>,
 }
 
 impl EcmSwc {
@@ -263,6 +319,7 @@ impl EcmSwc {
                 epoch_confirmed: boot_epoch == 0,
                 server_incarnation: 0,
                 passes: 0,
+                send_failures: Arc::default(),
             },
             pirte,
         )
@@ -288,6 +345,11 @@ impl EcmSwc {
     /// The shared handle to the ECM's own PIRTE.
     pub fn pirte(&self) -> SharedPirte {
         Arc::clone(&self.pirte)
+    }
+
+    /// The shared counters of the sends this gateway could not make.
+    pub fn send_failures(&self) -> Arc<SendFailures> {
+        Arc::clone(&self.send_failures)
     }
 
     /// The external routes currently known to the ECM.
@@ -327,12 +389,14 @@ impl EcmSwc {
 
     /// Sends an already-encoded uplink payload (a refcount bump, no copy).
     fn send_uplink_payload(&self, payload: &Payload) {
-        let mut hub = self.hub.lock();
-        let _ = hub.send(
+        let sent = self.hub.lock().send(
             &self.config.own_endpoint,
             &self.config.server_endpoint,
             payload.clone(),
         );
+        if sent.is_err() {
+            SendFailures::note(&self.send_failures.uplink);
+        }
     }
 
     /// The plug-in a management message addresses, if any.
@@ -599,8 +663,13 @@ impl EcmSwc {
                             self.handle_local_management(data);
                         } else {
                             // External data is fire-and-forget: no seq, no
-                            // retransmission, so a failed relay just drops.
-                            let _ = self.forward_to_remote(ctx, route.ecu, &data);
+                            // retransmission, so a relay that fails, or has
+                            // no type I port to go out on, is only counted.
+                            let routed = self.config.type_i_out.contains_key(&route.ecu);
+                            let relayed = self.forward_to_remote(ctx, route.ecu, &data);
+                            if !routed || relayed.is_none() {
+                                SendFailures::note(&self.send_failures.remote_forward);
+                            }
                         }
                     }
                     Err(err) => self
@@ -703,12 +772,14 @@ impl EcmSwc {
                 .log_warning(format!("no ECC route for outbound message id {message_id}"));
             return;
         };
-        let mut hub = self.hub.lock();
-        let _ = hub.send(
+        let sent = self.hub.lock().send(
             &self.config.own_endpoint,
             &route.endpoint,
             encode_device_message(message_id, payload).into(),
         );
+        if sent.is_err() {
+            SendFailures::note(&self.send_failures.device);
+        }
     }
 
     /// Sends the values local plug-ins wrote on directly linked ports to the
@@ -716,12 +787,14 @@ impl EcmSwc {
     fn flush_local_direct_outputs(&self, outputs: Vec<(PluginId, PluginPortId, Value)>) {
         for (_plugin, port, value) in outputs {
             if let Some(route) = self.route_for_port(self.ecu, port) {
-                let mut hub = self.hub.lock();
-                let _ = hub.send(
+                let sent = self.hub.lock().send(
                     &self.config.own_endpoint,
                     &route.endpoint,
                     encode_device_message(&route.message_id, &value).into(),
                 );
+                if sent.is_err() {
+                    SendFailures::note(&self.send_failures.device);
+                }
             }
         }
     }
@@ -1181,6 +1254,93 @@ mod tests {
         hub.lock().step(Tick::new(3));
         ecu.run(2).unwrap();
         assert_eq!(pirte.lock().plugin_count(), 1);
+    }
+
+    /// A send the transport refuses is counted by reason, not dropped
+    /// without a trace.
+    #[test]
+    fn refused_uplinks_are_counted_not_dropped_silently() {
+        let hub = hub();
+        let mut ecu = Ecu::new(EcuId::new(1));
+        let config = EcmConfig::new(ecm_swc_config(), "vehicle-1", "server").with_boot_epoch(1);
+        let descriptor = config.descriptor().unwrap();
+        let (behavior, _pirte) = EcmSwc::create(EcuId::new(1), config, Arc::clone(&hub));
+        let failures = behavior.send_failures();
+        ecu.add_component(descriptor, Box::new(behavior)).unwrap();
+
+        // A rebooted gateway announces itself on its first pass; with its
+        // own endpoint gone, the transport refuses the uplink.
+        assert!(hub.lock().unregister("vehicle-1"));
+        ecu.run(1).unwrap();
+        assert_eq!(
+            failures.counts(),
+            SendFailureCounts {
+                uplink: 1,
+                ..SendFailureCounts::default()
+            }
+        );
+
+        // Registered again, the next announcement goes through.
+        hub.lock().register("vehicle-1");
+        ecu.run(ANNOUNCE_PERIOD_TICKS).unwrap();
+        hub.lock().step(Tick::new(1));
+        assert_eq!(uplinks(&hub).len(), 1);
+        assert_eq!(failures.counts().total(), 1);
+    }
+
+    /// External data for a remote ECU the gateway has no type I port
+    /// towards cannot be relayed, and is counted like a refused send.
+    #[test]
+    fn unroutable_external_data_is_counted() {
+        let hub = hub();
+        let mut ecu = Ecu::new(EcuId::new(1));
+        let config = EcmConfig::new(ecm_swc_config(), "vehicle-1", "server").with_remote_swc(
+            EcuId::new(2),
+            "to_ecu2",
+            "from_ecu2",
+        );
+        let descriptor = config.descriptor().unwrap();
+        let (behavior, _pirte) = EcmSwc::create(EcuId::new(1), config, Arc::clone(&hub));
+        let failures = behavior.send_failures();
+        ecu.add_component(descriptor, Box::new(behavior)).unwrap();
+
+        // A package for ECU 2 whose ECC routes one message to ECU 2 (reached
+        // over the type I port) and one to ECU 9 (no port towards it).
+        let mut package = com_package();
+        package.context.ecc = Some(
+            ExternalConnectionContext::new()
+                .with_route("phone", "Wheels", EcuId::new(2), PluginPortId::new(0))
+                .with_route("phone", "Horn", EcuId::new(9), PluginPortId::new(0)),
+        );
+        hub.lock()
+            .send(
+                "server",
+                "vehicle-1",
+                encode_downlink(EcuId::new(2), 0, 0, 0, &ManagementMessage::Install(package)),
+            )
+            .unwrap();
+        hub.lock().step(Tick::new(1));
+        ecu.run(2).unwrap();
+        assert_eq!(failures.counts().total(), 0);
+
+        for message_id in ["Wheels", "Horn"] {
+            hub.lock()
+                .send(
+                    "phone",
+                    "vehicle-1",
+                    encode_device_message(message_id, &Value::F64(1.0)).into(),
+                )
+                .unwrap();
+        }
+        hub.lock().step(Tick::new(2));
+        ecu.run(3).unwrap();
+        assert_eq!(
+            failures.counts(),
+            SendFailureCounts {
+                remote_forward: 1,
+                ..SendFailureCounts::default()
+            }
+        );
     }
 
     /// A rebooted gateway (epoch > 0) announces its state report and keeps

@@ -22,5 +22,5 @@
 pub mod gateway;
 pub mod protocol;
 
-pub use gateway::{EcmConfig, EcmSwc, SharedHub};
+pub use gateway::{EcmConfig, EcmSwc, SendFailureCounts, SendFailures, SharedHub};
 pub use protocol::{decode_downlink, decode_uplink, encode_downlink, encode_uplink};

@@ -64,13 +64,20 @@ pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
             out.extend_from_slice(t.as_bytes());
         }
         Value::List(items) => {
-            out.push(TAG_LIST);
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            encode_list_header(items.len(), out);
             for item in items {
                 encode_into(item, out);
             }
         }
     }
+}
+
+/// Appends the header of a list of `len` items to `out`.  Followed by the
+/// encodings of the items, it encodes the same bytes as the
+/// [`Value::List`] of them, without the list having to exist.
+pub fn encode_list_header(len: usize, out: &mut Vec<u8>) {
+    out.push(TAG_LIST);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Decodes a byte sequence produced by [`encode_value`].

@@ -6,6 +6,7 @@
 //! system-level behaviour, and the bench harness uses it to count events
 //! without perturbing the measured code paths.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -63,7 +64,9 @@ impl fmt::Display for Event {
 /// An append-only, bounded, in-memory event log.
 ///
 /// The log keeps at most `capacity` events; older events are discarded first,
-/// mirroring the bounded diagnostic buffers of a real ECU.
+/// mirroring the bounded diagnostic buffers of a real ECU.  It is a ring
+/// buffer, so recording into a full log costs O(1), not a shift of every
+/// retained event.
 ///
 /// # Example
 /// ```
@@ -79,7 +82,7 @@ impl fmt::Display for Event {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EventLog {
     capacity: usize,
-    events: Vec<Event>,
+    events: VecDeque<Event>,
     dropped: u64,
 }
 
@@ -96,7 +99,7 @@ impl EventLog {
     pub fn with_capacity(capacity: usize) -> Self {
         EventLog {
             capacity: capacity.max(1),
-            events: Vec::new(),
+            events: VecDeque::new(),
             dropped: 0,
         }
     }
@@ -110,10 +113,10 @@ impl EventLog {
         message: impl Into<String>,
     ) {
         if self.events.len() == self.capacity {
-            self.events.remove(0);
+            self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push(Event {
+        self.events.push_back(Event {
             at,
             severity,
             source: source.into(),
@@ -137,7 +140,7 @@ impl EventLog {
     }
 
     /// Iterates over retained events in chronological order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Event> {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Event> + ExactSizeIterator + '_ {
         self.events.iter()
     }
 
@@ -159,7 +162,7 @@ impl EventLog {
 
 impl<'a> IntoIterator for &'a EventLog {
     type Item = &'a Event;
-    type IntoIter = std::slice::Iter<'a, Event>;
+    type IntoIter = std::collections::vec_deque::Iter<'a, Event>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.events.iter()
@@ -196,6 +199,21 @@ mod tests {
         assert_eq!(log.len(), 4);
         assert_eq!(log.dropped(), 6);
         assert_eq!(log.iter().next().unwrap().message, "event 6");
+    }
+
+    #[test]
+    fn recording_past_capacity_keeps_the_newest_in_order() {
+        // Wrap the ring several times over: the retained window, its order
+        // and the drop count must match a log that shifted on every evict.
+        let log = filled(4 * 7 + 3, 7);
+        let times: Vec<u64> = log.iter().map(|e| e.at.as_u64()).collect();
+        assert_eq!(times, (24..31).collect::<Vec<u64>>());
+        assert_eq!(log.dropped(), 24);
+        assert_eq!(log.len(), 7);
+        let by_ref: Vec<u64> = (&log).into_iter().map(|e| e.at.as_u64()).collect();
+        assert_eq!(by_ref, times);
+        assert_eq!(log.from_source("test").count(), 7);
+        assert_eq!(log.count_at_least(Severity::Info), 7);
     }
 
     #[test]

@@ -526,10 +526,16 @@ impl Journal {
         self.records_since_snapshot >= self.compaction_interval
     }
 
-    /// Replaces the whole buffer with a single snapshot frame of `state`.
-    pub(crate) fn compact(&mut self, state: Value) {
+    /// Replaces the whole buffer with a single snapshot frame of `state`,
+    /// an encoded snapshot (`TrustedServer::snapshot_bytes`).  The frame
+    /// holds the encoding of [`JournalRecord::Snapshot`], written around the
+    /// encoded state rather than through a copy of its [`Value`] tree.
+    pub(crate) fn compact(&mut self, state: &[u8]) {
+        let mut payload = Vec::with_capacity(state.len() + 16);
+        codec::encode_list_header(2, &mut payload);
+        codec::encode_into(&Value::I64(TAG_SNAPSHOT), &mut payload);
+        payload.extend_from_slice(state);
         self.buffer.clear();
-        let payload = codec::encode_value(&JournalRecord::Snapshot(state).to_value());
         append_frame(&mut self.buffer, &payload);
         self.records_since_snapshot = 0;
         if let Some(sink) = &mut self.sink {
@@ -642,8 +648,16 @@ mod tests {
         journal.append(&JournalRecord::Reconcile(VehicleId::new("vin-1")));
         assert!(journal.due_for_compaction());
         let before = journal.bytes().len();
-        journal.compact(Value::List(vec![]));
+        let state = Value::List(vec![Value::I64(7), Value::Text("vin-1".into())]);
+        journal.compact(&codec::encode_value(&state));
         assert!(journal.bytes().len() < before + 32);
         assert!(!journal.due_for_compaction());
+        // The frame is the record's own encoding, state decoded intact.
+        let mut expected = Vec::new();
+        append_frame(
+            &mut expected,
+            &codec::encode_value(&JournalRecord::Snapshot(state).to_value()),
+        );
+        assert_eq!(journal.bytes(), expected.as_slice());
     }
 }

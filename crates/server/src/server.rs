@@ -1978,7 +1978,7 @@ impl TrustedServer {
     /// [`TrustedServer::replay`] works no matter when journaling began.
     pub fn enable_journal(&mut self, compaction_interval: u32) {
         let mut journal = Journal::new(compaction_interval);
-        journal.compact(self.snapshot_value());
+        journal.compact(&self.snapshot_bytes());
         self.journal = Some(journal);
     }
 
@@ -2000,7 +2000,7 @@ impl TrustedServer {
         fsync_interval: u32,
     ) -> Result<()> {
         let mut journal = Journal::new(compaction_interval);
-        journal.compact(self.snapshot_value());
+        journal.compact(&self.snapshot_bytes());
         journal.attach_file_sink(path, fsync_interval)?;
         self.journal = Some(journal);
         Ok(())
@@ -2025,8 +2025,8 @@ impl TrustedServer {
             return;
         }
         if self.journal.as_ref().expect("checked").due_for_compaction() {
-            let snapshot = self.snapshot_value();
-            self.journal.as_mut().expect("checked").compact(snapshot);
+            let snapshot = self.snapshot_bytes();
+            self.journal.as_mut().expect("checked").compact(&snapshot);
         }
         let record = record();
         self.journal.as_mut().expect("checked").append(&record);
@@ -2083,8 +2083,8 @@ impl TrustedServer {
         // Compact only after the whole merge: a mid-merge snapshot would
         // capture later shards' effects ahead of their records.
         if self.journal.as_ref().expect("checked").due_for_compaction() {
-            let snapshot = self.snapshot_value();
-            self.journal.as_mut().expect("checked").compact(snapshot);
+            let snapshot = self.snapshot_bytes();
+            self.journal.as_mut().expect("checked").compact(&snapshot);
         }
     }
 
@@ -2284,15 +2284,20 @@ impl TrustedServer {
         envelope.to_bytes().into()
     }
 
-    /// The canonical full-state snapshot as a [`Value`]: every map and set
-    /// is emitted in sorted order, so two servers in the same logical state
-    /// encode identically — [`TrustedServer::snapshot_bytes`] equality *is*
-    /// the state-equality check the restart scenario asserts.  The shard
-    /// count is deliberately absent (it is a runtime layout choice, so
+    /// The canonical full-state snapshot, encoded with the shared codec:
+    /// every map and set is emitted in sorted order, so two servers in the
+    /// same logical state encode identically — `snapshot_bytes` equality
+    /// *is* the state-equality check the restart scenario asserts.  The
+    /// shard count is deliberately absent (it is a runtime layout choice, so
     /// differently sharded servers in the same state compare equal), and the
     /// deadline heaps and dirty flags are not part of the snapshot: both are
     /// rebuildable views over the outstanding entries and downlink queues.
-    pub fn snapshot_value(&self) -> Value {
+    ///
+    /// The bytes encode one [`Value::List`] of eight parts, but the vehicle
+    /// records — nearly all of a fleet's snapshot — are converted and
+    /// encoded one at a time, so the state never exists as a [`Value`] tree
+    /// beside the server.
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut users: Vec<&UserId> = self.users.iter().collect();
         users.sort();
         let apps_guard = self.shared.apps.read();
@@ -2306,7 +2311,9 @@ impl TrustedServer {
             .collect();
         vehicles.sort_by(|a, b| a.0.cmp(b.0));
         let policy = self.shared.policy.read();
-        Value::List(vec![
+        let mut out = Vec::new();
+        codec::encode_list_header(8, &mut out);
+        for part in [
             Value::I64(i64::from(self.shared.incarnation())),
             Value::I64(self.shared.now().as_u64() as i64),
             Value::List(vec![
@@ -2320,22 +2327,20 @@ impl TrustedServer {
                     .collect(),
             ),
             Value::List(apps.iter().map(|a| apps_guard[*a].to_value()).collect()),
-            Value::List(
-                vehicles
-                    .iter()
-                    .map(|(vin, record)| {
-                        Value::List(vec![Value::Text(vin.vin().to_owned()), record.to_value()])
-                    })
-                    .collect(),
-            ),
-            self.shared.ledger.lock().to_value(),
-            Value::List(self.campaigns.values().map(Campaign::to_value).collect()),
-        ])
-    }
-
-    /// [`TrustedServer::snapshot_value`] encoded with the shared codec.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        codec::encode_value(&self.snapshot_value())
+        ] {
+            codec::encode_into(&part, &mut out);
+        }
+        codec::encode_list_header(vehicles.len(), &mut out);
+        for (vin, record) in vehicles {
+            let entry = Value::List(vec![Value::Text(vin.vin().to_owned()), record.to_value()]);
+            codec::encode_into(&entry, &mut out);
+        }
+        codec::encode_into(&self.shared.ledger.lock().to_value(), &mut out);
+        codec::encode_into(
+            &Value::List(self.campaigns.values().map(Campaign::to_value).collect()),
+            &mut out,
+        );
+        out
     }
 
     /// Decodes a server from a snapshot value into a `shards`-way layout.

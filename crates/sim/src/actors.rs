@@ -69,7 +69,7 @@ use dynar_foundation::ids::VehicleId;
 use dynar_foundation::time::{Tick, WallClock};
 use dynar_server::server::TrustedServer;
 
-use crate::fleet::{step_shard, EndpointTable, FleetStats, RoundScratch};
+use crate::fleet::{step_shard, FleetStats, LaneRoute, RoundScratch};
 use crate::world::Vehicle;
 
 /// A command for the server actor.
@@ -346,7 +346,8 @@ fn server_actor(
     inbox: &mpsc::Receiver<ServerCommand>,
     stats: &Mutex<FleetStats>,
 ) -> TrustedServer {
-    let mut table = EndpointTable::default();
+    // One lane: the actor's vehicles all talk over the one transport.
+    let mut route = LaneRoute::new(Arc::clone(transport));
     let mut scratch = RoundScratch::default();
     // Wall-clock ticks are monotonic, but protocol time must also never
     // repeat a smaller value after a long round: clamp below.
@@ -364,8 +365,10 @@ fn server_actor(
         let due = server.next_deadline().is_some_and(|due| due <= now);
         if !stopping && (due || server.has_active_campaigns()) {
             let failures = server.tick(now);
-            stats.lock().record_failures(failures);
-            let _ = server.step_campaigns();
+            let campaign_events = server.step_campaigns().len() as u64;
+            let mut stats = stats.lock();
+            stats.record_failures(failures);
+            stats.campaign_events += campaign_events;
         }
 
         // 2. The federation round with a no-op vehicle step (transport lock
@@ -376,9 +379,8 @@ fn server_actor(
         let handle = server.shard_handle(0);
         let (counts, ()) = step_shard(
             &handle,
-            transport,
+            std::slice::from_ref(&route),
             server_endpoint,
-            &table,
             &mut scratch,
             now,
             || (),
@@ -401,11 +403,12 @@ fn server_actor(
         };
         match inbox.recv_timeout(wait.max(Duration::from_micros(50))) {
             Ok(ServerCommand::With(f)) => f(&mut server),
-            Ok(ServerCommand::Register { id, endpoint }) => table
+            Ok(ServerCommand::Register { id, endpoint }) => route
+                .table
                 .insert(id, endpoint)
                 .expect("spawn_vehicle admits no duplicate vehicle or endpoint"),
             Ok(ServerCommand::Deregister { id }) => {
-                table.swap_remove(&id);
+                route.table.swap_remove(&id);
             }
             Ok(ServerCommand::Shutdown) | Err(RecvTimeoutError::Disconnected) => stopping = true,
             Err(RecvTimeoutError::Timeout) => {}

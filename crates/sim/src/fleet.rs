@@ -1,26 +1,41 @@
 //! The fleet scheduler: many vehicles driven through one trusted server in
 //! batched simulation rounds.
 //!
-//! [`Fleet`] couples N [`Vehicle`]s to one shared [`TrustedServer`]: an
-//! external transport hub per server shard carrying each vehicle's ECM
-//! endpoint, per-vehicle clocks (each [`Vehicle`] keeps its own), and a
-//! batched round that moves every vehicle one tick forward per
-//! [`Fleet::step`].  The Figure 3 demonstrator is a one-vehicle fleet over a
-//! hub it shares with the phone ([`Fleet::with_hub`]).
+//! [`Fleet`] couples N [`Vehicle`]s to one shared [`TrustedServer`]: external
+//! transport hubs carrying each vehicle's ECM endpoint, per-vehicle clocks
+//! (each [`Vehicle`] keeps its own), and a batched round that moves every
+//! vehicle one tick forward per [`Fleet::step`].  The Figure 3 demonstrator
+//! is a one-vehicle fleet over a hub it shares with the phone
+//! ([`Fleet::with_hub`]).
 //!
 //! Deployments can be staged in **install waves** ([`Fleet::deploy_wave`],
 //! [`Fleet::install_in_waves`]) so reconfiguration load is spread over the
 //! fleet instead of arriving everywhere at once.
 //!
+//! # Vehicle lanes
+//!
+//! A **lane** is one transport hub plus the vehicles whose ECMs are
+//! registered on it; the server endpoint is registered on every lane hub.
+//! A one-shard [`Fleet::new`] fleet has [`LANES`] lanes, and a vehicle's lane
+//! follows from its VIN hash, like its server shard, so [`Fleet::hub_for`]
+//! answers before the vehicle is added.  A vehicle's ECM locks only its own
+//! lane's hub, so lanes share nothing while the vehicles step, and the
+//! vehicle phase of a round runs the lanes on a [`LanePool`]: up to
+//! `min(cores, LANES)` threads, the caller included, claiming lanes as they
+//! go.  A round of fewer than [`POOLED_MIN_VEHICLES`] vehicles steps its
+//! lanes inline.  A sharded fleet has one lane (one hub) per shard, and a
+//! [`Fleet::with_hub`] fleet a single lane on the shared hub.
+//!
 //! # The round
 //!
 //! One function, `step_shard`, holds the transport phases of the Figure 2
-//! loop for one server shard: drain the dirty downlinks, send them, park the
-//! vehicles whose send failed, step the transport, park the vehicles whose
-//! endpoint vanished (dropped-destination feedback), step the vehicles (a
-//! caller-supplied callback), drain the uplinks and process them.  It routes
-//! through an `EndpointTable` (vehicle id ↔ ECM endpoint) and a
-//! [`ShardHandle`], and has three callers:
+//! loop for one server shard: drain the dirty downlinks, send each to its
+//! vehicle's lane hub, park the vehicles whose send failed, step every lane
+//! hub, park the vehicles whose endpoint vanished (dropped-destination
+//! feedback), step the vehicles (a caller-supplied callback), then drain
+//! each lane hub's server mailbox in lane order and process the uplinks.  It
+//! routes through each lane's `EndpointTable` (vehicle id ↔ ECM endpoint)
+//! and a [`ShardHandle`], and has three callers:
 //!
 //! * [`Fleet::step`], at every shard count: the tick is journaled up front
 //!   ([`TrustedServer::begin_tick`]), each shard runs its reliability sweep
@@ -28,9 +43,10 @@
 //!   fixed [`ThreadPool`] otherwise — and the journal records the shards
 //!   buffered are merged in shard order
 //!   ([`TrustedServer::merge_shard_journals`]) before the campaign gates run.
-//!   The effects and the statistics are the same at every shard count, the
-//!   merged journal replays to the same state, and a one-shard round
-//!   allocates nothing when the fleet is quiet (`tests/alloc_regression.rs`).
+//!   The effects and the statistics are the same at every shard count and
+//!   lane layout, the merged journal replays to the same state, and a
+//!   one-shard round allocates nothing when the fleet is quiet, whether its
+//!   lanes run inline or on the pool (`tests/alloc_regression.rs`).
 //! * The actor server ([`crate::actors`]), with a no-op vehicle step: its
 //!   vehicles run on their own threads.
 //! * [`crate::scenario::remote_car`], the Figure 3 demonstrator, through a
@@ -43,20 +59,39 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use dynar_ecm::gateway::SharedHub;
 use dynar_fes::transport::{
-    EndpointName, LinkFault, TransportConfig, TransportHub, TransportStats,
+    EndpointName, LinkFault, Transport, TransportConfig, TransportHub, TransportStats,
 };
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, PluginId, UserId, VehicleId};
 use dynar_foundation::payload::Payload;
-use dynar_foundation::pool::ThreadPool;
+use dynar_foundation::pool::{LanePool, ThreadPool};
 use dynar_foundation::time::{Clock, Tick};
 use dynar_server::server::{DeploymentStatus, RetryFailure, ShardHandle, TrustedServer};
 
 use crate::world::Vehicle;
+
+/// The vehicle lanes of a one-shard [`Fleet::new`] fleet.  A constant, so
+/// the layout — which hub a vehicle's ECM registers on, and with it the
+/// order in which the server processes uplinks and journals them — is the
+/// same on every machine.
+pub const LANES: usize = 8;
+
+/// The smallest fleet whose rounds hand their lanes to the worker pool.  A
+/// smaller round steps its lanes inline: at that size the hand-off (waking
+/// a worker, moving lanes between cores) costs more than the second core
+/// saves.  Either way the round's results are the same.
+///
+/// The value is the measured crossover.  Quiet rounds of `FleetScenario`
+/// fleets with telemetry installed were timed pooled against inline, in
+/// interleaved blocks, on a 2-vCPU VM (four sweeps).  A pooled round took
+/// 1.39–2.08 times as long as an inline one at 8 vehicles, 1.07–1.45 times
+/// at 16–44 and 0.82–1.46 times at 48–56.  From 64 vehicles on, pooling won
+/// every sweep: 0.70–0.97 times at 64, 0.50–0.62 times at 96–128.
+pub const POOLED_MIN_VEHICLES: usize = 64;
 
 /// Upper bound on the escalated-failure events [`FleetStats`] retains.  The
 /// counter keeps counting past the cap; only the per-event detail is bounded,
@@ -108,6 +143,9 @@ pub struct FleetStats {
     /// Operations the server's reliability plane escalated after exhausting
     /// their retransmission budget.
     pub retry_failures: u64,
+    /// Events the campaign gates emitted (wave advances, pauses, aborts,
+    /// completions).
+    pub campaign_events: u64,
     /// Vehicles visited by the dirty-set downlink sweep.  A management-
     /// quiescent tick visits none — the sweep is O(active vehicles), not
     /// O(fleet size) — which `tests/alloc_regression.rs` pins down.
@@ -234,14 +272,73 @@ pub(crate) struct RoundCounts {
 /// failure of the lowest id — the same one at every shard count.
 type VehicleFailure = (VehicleId, DynarError);
 
-/// The vehicles of one server shard: the endpoint table, the vehicles in
-/// table-row order and the round's scratch buffers — everything the shard's
-/// worker needs to run its slice of a round without touching another shard.
+/// The routing half of a vehicle lane: its transport hub and the table of
+/// the vehicles whose ECMs are registered on it.
+#[derive(Debug)]
+pub(crate) struct LaneRoute {
+    pub(crate) hub: SharedHub,
+    pub(crate) table: EndpointTable,
+}
+
+impl LaneRoute {
+    /// A lane on `hub` with no vehicles yet.
+    pub(crate) fn new(hub: SharedHub) -> Self {
+        LaneRoute {
+            hub,
+            table: EndpointTable::default(),
+        }
+    }
+}
+
+/// The lane of a vehicle among `lanes`, by VIN hash: known before the
+/// vehicle is added, and the same on every machine.
+fn lane_index(id: &VehicleId, lanes: usize) -> usize {
+    TrustedServer::shard_index(id, lanes)
+}
+
+/// The vehicle half of a lane, in table-row order: what a lane's thread
+/// steps, and the step errors it hands back by row.
+#[derive(Debug, Default)]
+struct LaneVehicles {
+    vehicles: Vec<Vehicle>,
+    failures: Vec<(usize, DynarError)>,
+}
+
+impl LaneVehicles {
+    /// Steps every vehicle of the lane; a failing vehicle does not stop the
+    /// others.
+    fn step(&mut self) {
+        for (row, vehicle) in self.vehicles.iter_mut().enumerate() {
+            if let Err(error) = vehicle.step() {
+                self.failures.push((row, error));
+            }
+        }
+    }
+}
+
+/// The vehicles of one server shard, lane by lane (`routes[i]` routes the
+/// vehicles of `lanes[i]`), and the round's scratch buffers — everything
+/// the shard's worker needs to run its slice of a round without touching
+/// another shard.
 #[derive(Debug, Default)]
 struct FleetShard {
-    table: EndpointTable,
-    vehicles: Vec<Vehicle>,
+    routes: Vec<LaneRoute>,
+    lanes: Vec<LaneVehicles>,
     scratch: RoundScratch,
+}
+
+impl FleetShard {
+    /// A shard with one lane per hub.
+    fn new(hubs: &[SharedHub]) -> Self {
+        FleetShard {
+            routes: hubs
+                .iter()
+                .map(|hub| LaneRoute::new(Arc::clone(hub)))
+                .collect(),
+            lanes: hubs.iter().map(|_| LaneVehicles::default()).collect(),
+            scratch: RoundScratch::default(),
+        }
+    }
 }
 
 /// What one shard hands back from its slice of a fleet round.
@@ -256,8 +353,8 @@ struct ShardOutcome {
 pub struct Fleet {
     /// The shared trusted server.
     pub server: TrustedServer,
-    /// One transport hub per server shard (each carries the server endpoint
-    /// plus the ECM endpoints of that shard's vehicles).
+    /// Every lane hub, shard by shard (each carries the server endpoint plus
+    /// the ECM endpoints of its lane's vehicles).
     hubs: Vec<SharedHub>,
     server_endpoint: String,
     shards: Vec<FleetShard>,
@@ -269,22 +366,30 @@ pub struct Fleet {
     /// Fixed worker pool driving multi-shard rounds; absent for single-shard
     /// fleets, which run their one round inline.
     pool: Option<ThreadPool>,
+    /// The lane pool of a multi-lane one-shard fleet, started by the first
+    /// round with at least [`POOLED_MIN_VEHICLES`] vehicles.
+    lane_pool: Option<LanePool<LaneVehicles>>,
+    /// Rounds whose vehicle phase ran on the lane pool.
+    pooled_rounds: u64,
     clock: Clock,
     stats: FleetStats,
 }
 
 impl Fleet {
-    /// Creates a fleet around a trusted server, with one fresh transport hub
-    /// per server shard built from `transport`.  Per-link fault and jitter
-    /// streams are keyed by endpoint *names* (not hub identity), so the same
-    /// seed produces the same per-link behaviour at any shard count.
+    /// Creates a fleet around a trusted server, with fresh transport hubs
+    /// built from `transport`: [`LANES`] lane hubs for a one-shard server,
+    /// one hub per shard otherwise.  Per-link fault and jitter streams are
+    /// keyed by endpoint *names* (not hub identity), so the same seed
+    /// produces the same per-link behaviour at any shard count and lane
+    /// layout.
     pub fn new(
         server: TrustedServer,
         server_endpoint: impl Into<String>,
         transport: TransportConfig,
     ) -> Self {
         let server_endpoint = server_endpoint.into();
-        let hubs: Vec<SharedHub> = (0..server.shard_count())
+        let lanes = if server.shard_count() == 1 { LANES } else { 1 };
+        let hubs: Vec<SharedHub> = (0..server.shard_count() * lanes)
             .map(|_| {
                 let mut hub = TransportHub::new(transport.clone());
                 hub.register(&server_endpoint);
@@ -292,11 +397,12 @@ impl Fleet {
                 shared
             })
             .collect();
-        Self::assemble(server, server_endpoint, hubs)
+        Self::assemble(server, server_endpoint, hubs, lanes)
     }
 
-    /// Creates a single-shard fleet sharing an existing transport hub (the
-    /// same hub handed to every vehicle's ECM and to external devices).
+    /// Creates a single-shard, single-lane fleet sharing an existing
+    /// transport hub (the same hub handed to every vehicle's ECM and to
+    /// external devices).
     ///
     /// # Panics
     ///
@@ -314,17 +420,23 @@ impl Fleet {
         );
         let server_endpoint = server_endpoint.into();
         hub.lock().register(&server_endpoint);
-        Self::assemble(server, server_endpoint, vec![hub])
+        Self::assemble(server, server_endpoint, vec![hub], 1)
     }
 
-    fn assemble(server: TrustedServer, server_endpoint: String, hubs: Vec<SharedHub>) -> Self {
-        let shards = (0..hubs.len()).map(|_| FleetShard::default()).collect();
-        let pool = (hubs.len() > 1).then(|| {
+    /// Builds the fleet over `hubs`, `lanes` consecutive hubs per shard.
+    fn assemble(
+        server: TrustedServer,
+        server_endpoint: String,
+        hubs: Vec<SharedHub>,
+        lanes: usize,
+    ) -> Self {
+        let shards: Vec<FleetShard> = hubs.chunks(lanes).map(FleetShard::new).collect();
+        let pool = (shards.len() > 1).then(|| {
             let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
             // Floor of two workers: even on a single-core host a sharded
             // fleet must cross real thread boundaries, so the Send/locking
             // story is exercised everywhere, not just on big runners.
-            ThreadPool::new(hubs.len().min(cores.max(2)))
+            ThreadPool::new(shards.len().min(cores.max(2)))
         });
         Fleet {
             server,
@@ -334,36 +446,51 @@ impl Fleet {
             ids: Vec::new(),
             ids_at: HashMap::new(),
             pool,
+            lane_pool: None,
+            pooled_rounds: 0,
             clock: Clock::new(),
             stats: FleetStats::default(),
         }
     }
 
-    /// The server shard (and therefore fleet shard and hub) of a vehicle.
+    /// The server shard (and therefore fleet shard) of a vehicle.
     fn shard_index_of(&self, id: &VehicleId) -> usize {
         TrustedServer::shard_index(id, self.shards.len())
     }
 
-    /// `(shard, row)` coordinates of a vehicle, if it is in the fleet.
-    fn slot_of(&self, id: &VehicleId) -> Option<(usize, usize)> {
+    /// The `(shard, lane)` of a vehicle, in the fleet or not.
+    fn lane_of(&self, id: &VehicleId) -> (usize, usize) {
         let shard = self.shard_index_of(id);
-        self.shards[shard].table.row_of(id).map(|row| (shard, row))
+        (shard, lane_index(id, self.shards[shard].routes.len()))
     }
 
-    /// The transport hub a vehicle's ECM must register on — determined by
-    /// the vehicle's shard, so it can be asked *before* the vehicle is built
-    /// or added.
+    /// The routing half of a vehicle's lane.
+    fn route_of(&self, id: &VehicleId) -> &LaneRoute {
+        let (shard, lane) = self.lane_of(id);
+        &self.shards[shard].routes[lane]
+    }
+
+    /// `(shard, lane, row)` coordinates of a vehicle, if it is in the fleet.
+    fn slot_of(&self, id: &VehicleId) -> Option<(usize, usize, usize)> {
+        let (shard, lane) = self.lane_of(id);
+        let row = self.shards[shard].routes[lane].table.row_of(id)?;
+        Some((shard, lane, row))
+    }
+
+    /// The transport hub a vehicle's ECM must register on — its lane's hub,
+    /// determined by the vehicle id, so it can be asked *before* the vehicle
+    /// is built or added.
     pub fn hub_for(&self, id: &VehicleId) -> SharedHub {
-        Arc::clone(&self.hubs[self.shard_index_of(id)])
+        Arc::clone(&self.route_of(id).hub)
     }
 
-    /// The per-shard transport hubs, in shard order.
+    /// Every lane hub, shard by shard and lane by lane within a shard.
     pub fn hubs(&self) -> &[SharedHub] {
         &self.hubs
     }
 
-    /// Transport statistics aggregated over every shard hub.  Conservation
-    /// holds per hub, so it holds for the sums too.
+    /// Transport statistics aggregated over every hub.  Conservation holds
+    /// per hub, so it holds for the sums too.
     pub fn transport_stats(&self) -> TransportStats {
         let mut total = TransportStats::default();
         for hub in &self.hubs {
@@ -378,7 +505,7 @@ impl Fleet {
     }
 
     /// Installs a fault model on the directed link `from` → `to` of every
-    /// shard hub.  Faults are keyed by endpoint names, so the entry is inert
+    /// hub.  Faults are keyed by endpoint names, so the entry is inert
     /// on hubs that never carry that pair.
     ///
     /// # Panics
@@ -395,8 +522,8 @@ impl Fleet {
         }
     }
 
-    /// Partitions `a` ↔ `b` until `heal_at` on every shard hub (inert where
-    /// the pair never communicates).
+    /// Partitions `a` ↔ `b` until `heal_at` on every hub (inert where the
+    /// pair never communicates).
     ///
     /// # Panics
     ///
@@ -410,7 +537,7 @@ impl Fleet {
         }
     }
 
-    /// Unregisters an endpoint from whichever shard hub carries it.  Returns
+    /// Unregisters an endpoint from whichever hub carries it.  Returns
     /// `true` if any hub knew the endpoint.
     pub fn unregister_endpoint(&self, endpoint: &str) -> bool {
         let mut found = false;
@@ -420,7 +547,7 @@ impl Fleet {
         found
     }
 
-    /// Returns `true` if any shard hub currently carries `endpoint`.
+    /// Returns `true` if any hub currently carries `endpoint`.
     pub fn endpoint_registered(&self, endpoint: &str) -> bool {
         self.hubs
             .iter()
@@ -429,7 +556,7 @@ impl Fleet {
 
     /// Adds a wired vehicle under its server-side id and ECM transport
     /// endpoint.  The vehicle's ECM must have registered on the hub of the
-    /// vehicle's shard ([`Fleet::hub_for`]).  Joining a running fleet is
+    /// vehicle's lane ([`Fleet::hub_for`]).  Joining a running fleet is
     /// safe: the hub's slot generations guarantee that traffic in flight
     /// towards a previous tenant of a reused slot is dropped, never delivered
     /// to the newcomer.
@@ -447,24 +574,22 @@ impl Fleet {
         if self.ids_at.contains_key(&id) {
             return Err(DynarError::duplicate("fleet vehicle", id));
         }
-        if self
-            .shards
-            .iter()
-            .any(|shard| shard.table.vehicle_at(&endpoint).is_some())
+        if (self.shards.iter().flat_map(|shard| &shard.routes))
+            .any(|route| route.table.vehicle_at(&endpoint).is_some())
         {
             return Err(DynarError::duplicate("fleet endpoint", endpoint));
         }
-        let shard_index = self.shard_index_of(&id);
-        let shard = &mut self.shards[shard_index];
-        shard.table.insert(id.clone(), endpoint)?;
-        shard.vehicles.push(vehicle);
+        let (shard, lane) = self.lane_of(&id);
+        let shard = &mut self.shards[shard];
+        shard.routes[lane].table.insert(id.clone(), endpoint)?;
+        shard.lanes[lane].vehicles.push(vehicle);
         self.ids_at.insert(id.clone(), self.ids.len());
         self.ids.push(id);
         Ok(())
     }
 
     /// Removes a vehicle for good: its endpoint is unregistered from its
-    /// shard's hub (voiding traffic still in flight towards it) and the
+    /// lane's hub (voiding traffic still in flight towards it) and the
     /// server fails every outstanding operation fast with
     /// [`dynar_foundation::error::DynarError::VehicleUnreachable`].  Returns
     /// the detached [`Vehicle`].
@@ -473,13 +598,15 @@ impl Fleet {
     ///
     /// Returns [`DynarError::NotFound`] for unknown vehicles.
     pub fn remove_vehicle(&mut self, id: &VehicleId) -> Result<Vehicle> {
-        let shard_index = self.shard_index_of(id);
-        let shard = &mut self.shards[shard_index];
-        let (row, endpoint) = shard
+        let (shard, lane) = self.lane_of(id);
+        let shard = &mut self.shards[shard];
+        let route = &mut shard.routes[lane];
+        let (row, endpoint) = route
             .table
             .swap_remove(id)
             .ok_or_else(|| DynarError::not_found("fleet vehicle", id))?;
-        let vehicle = shard.vehicles.swap_remove(row);
+        let vehicle = shard.lanes[lane].vehicles.swap_remove(row);
+        route.hub.lock().unregister(&endpoint);
         // Same swap-remove for the registration-order list.
         let at = self
             .ids_at
@@ -489,7 +616,6 @@ impl Fleet {
         if at < self.ids.len() {
             self.ids_at.insert(self.ids[at].clone(), at);
         }
-        self.hubs[shard_index].lock().unregister(&endpoint);
         self.stats.record_failures(self.server.mark_unreachable(id));
         Ok(vehicle)
     }
@@ -530,12 +656,12 @@ impl Fleet {
     /// Read access to a vehicle by id.
     pub fn vehicle(&self, id: &VehicleId) -> Option<&Vehicle> {
         self.slot_of(id)
-            .map(|(shard, row)| &self.shards[shard].vehicles[row])
+            .map(|(shard, lane, row)| &self.shards[shard].lanes[lane].vehicles[row])
     }
 
     /// The ECM transport endpoint of a vehicle.
     pub fn endpoint_of(&self, id: &VehicleId) -> Option<&str> {
-        self.shards[self.shard_index_of(id)].table.endpoint_of(id)
+        self.route_of(id).table.endpoint_of(id)
     }
 
     /// The trusted server's transport endpoint.
@@ -546,7 +672,7 @@ impl Fleet {
     /// Mutable access to a vehicle by id.
     pub fn vehicle_mut(&mut self, id: &VehicleId) -> Option<&mut Vehicle> {
         self.slot_of(id)
-            .map(|(shard, row)| &mut self.shards[shard].vehicles[row])
+            .map(|(shard, lane, row)| &mut self.shards[shard].lanes[lane].vehicles[row])
     }
 
     /// Current simulated fleet time.
@@ -559,12 +685,21 @@ impl Fleet {
         &self.stats
     }
 
+    /// Rounds whose vehicle phase ran its lanes on the worker pool rather
+    /// than inline.  A diagnostic of the execution strategy, which depends
+    /// on the fleet's size and layout and changes nothing the round does —
+    /// so it is not part of [`FleetStats`].
+    pub fn pooled_rounds(&self) -> u64 {
+        self.pooled_rounds
+    }
+
     /// Advances the whole fleet by one batched round: server downlinks reach
     /// every vehicle's ECM endpoint, the transport delivers, every vehicle
     /// runs one tick, uplink acknowledgements flow back into the server and
     /// the campaign gates run.  With more than one shard the shards' rounds
-    /// run in parallel on the worker pool; the effects, the journal and the
-    /// statistics are the same at every shard count.
+    /// run in parallel on the worker pool, and with one shard a large enough
+    /// fleet steps its vehicle lanes in parallel; the effects, the journal
+    /// and the statistics are the same at every shard count and lane layout.
     ///
     /// A vehicle step error does not cut the round short: every vehicle is
     /// stepped and the round runs to the end before the error is returned.
@@ -586,22 +721,32 @@ impl Fleet {
         };
         if let [shard] = self.shards.as_mut_slice() {
             let handle = self.server.shard_handle(0);
+            let pooled = shard.lanes.len() > 1 && self.ids.len() >= POOLED_MIN_VEHICLES;
+            let lane_pool = pooled.then(|| {
+                &*self.lane_pool.get_or_insert_with(|| {
+                    let cores =
+                        std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+                    // At least one worker besides the caller, so the
+                    // hand-off runs (and is tested) on every host.
+                    LanePool::new(cores.clamp(2, LANES), LANES, LaneVehicles::step)
+                })
+            });
+            self.pooled_rounds += u64::from(pooled);
             absorb(fleet_round(
                 &handle,
                 shard,
-                &self.hubs[0],
                 &self.server_endpoint,
                 now,
+                lane_pool,
             ));
         } else {
             let mut tasks: Vec<Box<dyn FnOnce() -> (FleetShard, ShardOutcome) + Send>> =
                 Vec::with_capacity(self.shards.len());
             for handle in self.server.shard_handles() {
                 let mut shard = std::mem::take(&mut self.shards[handle.index()]);
-                let hub = Arc::clone(&self.hubs[handle.index()]);
                 let server_endpoint = self.server_endpoint.clone();
                 tasks.push(Box::new(move || {
-                    let outcome = fleet_round(&handle, &mut shard, &hub, &server_endpoint, now);
+                    let outcome = fleet_round(&handle, &mut shard, &server_endpoint, now, None);
                     (shard, outcome)
                 }));
             }
@@ -620,7 +765,7 @@ impl Fleet {
         self.server.merge_shard_journals();
         // Campaign decisions run (and journal) strictly after the shard
         // merge, on the state this round's acknowledgements settled into.
-        let _ = self.server.step_campaigns();
+        self.stats.campaign_events += self.server.step_campaigns().len() as u64;
         self.stats.ticks += 1;
         failure.map_or(Ok(()), |(_, error)| Err(error))
     }
@@ -747,27 +892,31 @@ impl Fleet {
 }
 
 /// One shard's slice of a fleet round: the reliability sweep, then the
-/// round with every vehicle of the shard stepped in the middle.
+/// round with every vehicle of the shard stepped in the middle — its lanes
+/// on `lane_pool` when one is given, inline otherwise.
 fn fleet_round(
     handle: &ShardHandle,
     shard: &mut FleetShard,
-    hub: &SharedHub,
     server_endpoint: &str,
     now: Tick,
+    lane_pool: Option<&LanePool<LaneVehicles>>,
 ) -> ShardOutcome {
     let mut retry_failures = Vec::new();
     handle.tick(now, &mut retry_failures);
     let FleetShard {
-        table,
-        vehicles,
+        routes,
+        lanes,
         scratch,
     } = shard;
-    // `min_by` consumes the whole iterator: every vehicle steps.
-    let (counts, failure) = step_shard(handle, hub, server_endpoint, table, scratch, now, || {
-        (vehicles.iter_mut().enumerate())
-            .filter_map(|(row, vehicle)| {
-                let error = vehicle.step().err()?;
-                Some((table.id(row).clone(), error))
+    let (counts, failure) = step_shard(handle, routes, server_endpoint, scratch, now, || {
+        match lane_pool {
+            Some(pool) => pool.run(lanes),
+            None => lanes.iter_mut().for_each(LaneVehicles::step),
+        }
+        // The lowest failing id, whichever lane and thread it ran on.
+        (lanes.iter_mut().zip(routes.iter()))
+            .flat_map(|(lane, route)| {
+                (lane.failures.drain(..)).map(|(row, error)| (route.table.id(row).clone(), error))
             })
             .min_by(|a, b| a.0.cmp(&b.0))
     });
@@ -780,35 +929,42 @@ fn fleet_round(
 
 /// One shard's part of the federation round — the one implementation of
 /// the Figure 2 loop's transport phases.  Downlinks the shard's dirty set
-/// holds are sent to their vehicles' endpoints, a vehicle whose send fails is
-/// parked, the transport steps, and a vehicle whose endpoint vanished with
-/// traffic in flight is parked too.  Then `step_vehicles` runs, and finally
-/// the server endpoint's mailbox is drained and every uplink processed,
-/// attributed to its sender through `table`; an uplink from an endpoint no
-/// vehicle owns is counted as rejected.
+/// holds are sent to their vehicles' endpoints on their lanes' hubs, a
+/// vehicle whose send fails is parked, every lane hub steps, and a vehicle
+/// whose endpoint vanished with traffic in flight is parked too.  Then
+/// `step_vehicles` runs, and finally each lane hub's server mailbox is
+/// drained, in lane order, and every uplink processed, attributed to its
+/// sender through the lane's table; an uplink from an endpoint no vehicle
+/// owns is counted as rejected.
 ///
 /// Per vehicle, the order of effects (and of journal records, buffered in
-/// the shard) is the same whichever caller runs the round and however many
-/// shards the server has.  The reliability sweep ([`ShardHandle::tick`]) is
-/// the caller's, as are the journal merge and the campaign gates.
+/// the shard) is the same whichever caller runs the round, however many
+/// shards the server has and however the shard's vehicles are split into
+/// lanes.  The reliability sweep ([`ShardHandle::tick`]) is the caller's, as
+/// are the journal merge and the campaign gates.
 pub(crate) fn step_shard<R>(
     handle: &ShardHandle,
-    hub: &SharedHub,
+    routes: &[LaneRoute],
     server_endpoint: &str,
-    table: &EndpointTable,
     scratch: &mut RoundScratch,
     now: Tick,
     step_vehicles: impl FnOnce() -> R,
 ) -> (RoundCounts, R) {
     let mut counts = RoundCounts::default();
     {
-        let mut hub = hub.lock();
+        // Transport locks first, lane by lane, then the server's (the lock
+        // order every thread keeps): the drain's shard locking nests inside.
+        assert!(routes.len() <= LANES, "a shard has at most LANES lanes");
+        let mut hubs: [Option<MutexGuard<'_, dyn Transport>>; LANES] =
+            std::array::from_fn(|lane| routes.get(lane).map(|route| route.hub.lock()));
         let offline = &mut scratch.offline;
         counts.downlink_polls = handle.poll_downlink_dirty(|vehicle, payload| {
             counts.downlink_messages += 1;
-            let Some(endpoint) = table.endpoint_of(vehicle) else {
+            let lane = lane_index(vehicle, routes.len());
+            let Some(endpoint) = routes[lane].table.endpoint_of(vehicle) else {
                 return;
             };
+            let hub = hubs[lane].as_mut().expect("every lane hub is locked");
             if hub.send(server_endpoint, endpoint, payload).is_err() {
                 offline.push(vehicle.clone());
             }
@@ -816,18 +972,20 @@ pub(crate) fn step_shard<R>(
         for vehicle in offline.drain(..) {
             handle.mark_offline(&vehicle);
         }
-        hub.step(now);
-        for endpoint in hub.take_dropped_destinations() {
-            // A drop towards a *currently registered* endpoint is stale
-            // traffic from before a reboot (the slot generation voided it) —
-            // the new incarnation's link is alive, so parking the vehicle
-            // would strand it.  Only an endpoint that is really gone parks
-            // its vehicle.
-            if hub.is_registered(endpoint.as_ref()) {
-                continue;
-            }
-            if let Some(vehicle) = table.vehicle_at(endpoint.as_ref()) {
-                handle.mark_offline(vehicle);
+        for (hub, LaneRoute { table, .. }) in hubs.iter_mut().flatten().zip(routes) {
+            hub.step(now);
+            for endpoint in hub.take_dropped_destinations() {
+                // A drop towards a *currently registered* endpoint is stale
+                // traffic from before a reboot (the slot generation voided
+                // it) — the new incarnation's link is alive, so parking the
+                // vehicle would strand it.  Only an endpoint that is really
+                // gone parks its vehicle.
+                if hub.is_registered(endpoint.as_ref()) {
+                    continue;
+                }
+                if let Some(vehicle) = table.vehicle_at(endpoint.as_ref()) {
+                    handle.mark_offline(vehicle);
+                }
             }
         }
     }
@@ -835,16 +993,18 @@ pub(crate) fn step_shard<R>(
     let stepped = step_vehicles();
 
     let uplinks = &mut scratch.uplinks;
-    debug_assert!(uplinks.is_empty());
-    hub.lock().drain_into(server_endpoint, uplinks);
-    for (from, payload) in uplinks.drain(..) {
-        let Some(vehicle) = table.vehicle_at(from.as_ref()) else {
-            counts.rejected_uplinks += 1;
-            continue;
-        };
-        counts.uplink_messages += 1;
-        if handle.process_uplink(vehicle, &payload).is_err() {
-            counts.rejected_uplinks += 1;
+    for LaneRoute { hub, table } in routes {
+        debug_assert!(uplinks.is_empty());
+        hub.lock().drain_into(server_endpoint, uplinks);
+        for (from, payload) in uplinks.drain(..) {
+            let Some(vehicle) = table.vehicle_at(from.as_ref()) else {
+                counts.rejected_uplinks += 1;
+                continue;
+            };
+            counts.uplink_messages += 1;
+            if handle.process_uplink(vehicle, &payload).is_err() {
+                counts.rejected_uplinks += 1;
+            }
         }
     }
     (counts, stepped)

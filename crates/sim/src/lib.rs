@@ -26,6 +26,8 @@ pub mod scenario;
 pub mod world;
 
 pub use actors::{ActorFederation, FederationOutcome};
-pub use fleet::{Fleet, FleetStats, RetryFailureEvent, MAX_FAILURE_EVENTS};
+pub use fleet::{
+    Fleet, FleetStats, RetryFailureEvent, LANES, MAX_FAILURE_EVENTS, POOLED_MIN_VEHICLES,
+};
 pub use plant::{CarPlant, PlantState, SharedPlantState};
 pub use world::Vehicle;

@@ -21,7 +21,9 @@ use dynar_bus::network::BusConfig;
 use dynar_core::plugin::PluginPortDirection;
 use dynar_core::swc::{PluginSwc, PluginSwcConfig, SharedPirte};
 use dynar_core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
-use dynar_ecm::gateway::{EcmConfig, EcmSwc, SharedHub};
+use std::sync::Arc;
+
+use dynar_ecm::gateway::{EcmConfig, EcmSwc, SendFailureCounts, SendFailures, SharedHub};
 use dynar_fes::transport::TransportConfig;
 use dynar_foundation::error::Result;
 use dynar_foundation::ids::{AppId, EcuId, PluginId, SwcId, UserId, VehicleId};
@@ -96,6 +98,8 @@ pub struct VehicleHandles {
     pub id: VehicleId,
     /// Per worker ECU: its id, the plug-in SW-C instance and its PIRTE.
     pub workers: Vec<WorkerHandle>,
+    /// The sends the current incarnation's ECM gateway could not make.
+    pub ecm_send_failures: Arc<SendFailures>,
 }
 
 /// The assembled fleet scenario.
@@ -292,12 +296,13 @@ impl FleetScenario {
 
             // Each vehicle's ECM registers on the hub of *its* shard.
             let hub = fleet.hub_for(&vehicle_id);
-            let (vehicle, worker_handles) =
+            let (vehicle, worker_handles, ecm_send_failures) =
                 build_vehicle(&endpoint, workers, config.bus.clone(), &hub, 0)?;
             fleet.add_vehicle(vehicle_id.clone(), endpoint, vehicle)?;
             handles.push(VehicleHandles {
                 id: vehicle_id,
                 workers: worker_handles,
+                ecm_send_failures,
             });
         }
 
@@ -315,6 +320,16 @@ impl FleetScenario {
     /// Per-vehicle handles (worker ECUs, SW-C instances, PIRTEs).
     pub fn handles(&self) -> &[VehicleHandles] {
         &self.handles
+    }
+
+    /// The sends the ECM gateways of the vehicles' current incarnations
+    /// could not make, summed over the fleet.
+    pub fn ecm_send_failures(&self) -> SendFailureCounts {
+        let mut total = SendFailureCounts::default();
+        for handle in &self.handles {
+            total += handle.ecm_send_failures.counts();
+        }
+        total
     }
 
     /// Worker ECUs per vehicle.
@@ -358,7 +373,7 @@ impl FleetScenario {
         self.fleet.unregister_endpoint(&endpoint);
 
         let hub = self.fleet.hub_for(vehicle);
-        let (fresh, worker_handles) = build_vehicle(
+        let (fresh, worker_handles, ecm_send_failures) = build_vehicle(
             &endpoint,
             self.workers_per_vehicle,
             self.bus.clone(),
@@ -368,6 +383,7 @@ impl FleetScenario {
         self.fleet.replace_vehicle(vehicle, fresh)?;
         if let Some(handle) = self.handles.iter_mut().find(|h| &h.id == vehicle) {
             handle.workers = worker_handles;
+            handle.ecm_send_failures = ecm_send_failures;
         }
         Ok(())
     }
@@ -406,13 +422,14 @@ impl FleetScenario {
         )?;
         self.fleet.server.bind_vehicle(&self.user, &vehicle_id)?;
         let hub = self.fleet.hub_for(&vehicle_id);
-        let (vehicle, worker_handles) =
+        let (vehicle, worker_handles, ecm_send_failures) =
             build_vehicle(&endpoint, workers, self.bus.clone(), &hub, 0)?;
         self.fleet
             .add_vehicle(vehicle_id.clone(), endpoint, vehicle)?;
         self.handles.push(VehicleHandles {
             id: vehicle_id.clone(),
             workers: worker_handles,
+            ecm_send_failures,
         });
         Ok(vehicle_id)
     }
@@ -471,6 +488,8 @@ impl FleetScenario {
 
 /// Wires one fleet vehicle: the ECM ECU (gateway + speed sensor) and
 /// `workers` worker ECUs with plug-in SW-Cs, at the given boot epoch.
+/// Returns the vehicle, its worker handles and its ECM gateway's
+/// send-failure counters.
 ///
 /// Public so other harnesses (the actor runtime, the UDP federation
 /// example) can build protocol-complete vehicles on any transport backend.
@@ -480,7 +499,7 @@ pub fn build_vehicle(
     bus: BusConfig,
     hub: &SharedHub,
     boot_epoch: u32,
-) -> Result<(Vehicle, Vec<WorkerHandle>)> {
+) -> Result<(Vehicle, Vec<WorkerHandle>, Arc<SendFailures>)> {
     let ecm_ecu_id = EcuId::new(1);
     let mut ecm_config = EcmConfig::new(PluginSwcConfig::new("ecm-swc"), endpoint, "server")
         .with_boot_epoch(boot_epoch);
@@ -492,6 +511,7 @@ pub fn build_vehicle(
     let mut ecm_ecu = Ecu::new(ecm_ecu_id);
     let ecm_descriptor = ecm_config.descriptor()?;
     let (ecm_behavior, _ecm_pirte) = EcmSwc::create(ecm_ecu_id, ecm_config, hub.clone());
+    let send_failures = ecm_behavior.send_failures();
     let ecm_swc = ecm_ecu.add_component(ecm_descriptor, Box::new(ecm_behavior))?;
 
     let sensor_descriptor = SwcDescriptor::new("speed-sensor")
@@ -548,7 +568,7 @@ pub fn build_vehicle(
     all_ecus.extend(ecus);
     let mut vehicle = Vehicle::new(all_ecus, bus);
     vehicle.open_acceptance_filters(&frames);
-    Ok((vehicle, worker_handles))
+    Ok((vehicle, worker_handles, send_failures))
 }
 
 #[cfg(test)]

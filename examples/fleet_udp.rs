@@ -93,7 +93,7 @@ fn main() -> Result<(), DynarError> {
     let mut federation = ActorFederation::launch(server, "server", transport, QUANTUM);
     for (index, vehicle_id) in vehicle_ids.iter().enumerate() {
         let endpoint = format!("vehicle-{index}");
-        let (vehicle, _workers) = build_vehicle(
+        let (vehicle, _workers, _) = build_vehicle(
             &endpoint,
             WORKERS,
             BusConfig::default(),

@@ -82,7 +82,7 @@ fn threaded_federation_converges_under_loss() {
     let mut handles = Vec::new();
     for (index, vehicle_id) in vehicle_ids.iter().enumerate() {
         let endpoint = format!("vehicle-{index}");
-        let (vehicle, workers) = build_vehicle(
+        let (vehicle, workers, _) = build_vehicle(
             &endpoint,
             WORKERS,
             BusConfig::default(),
@@ -207,7 +207,7 @@ fn threaded_federation_completes_a_staged_campaign() {
     let mut handles = Vec::new();
     for (index, vehicle_id) in vehicle_ids.iter().enumerate() {
         let endpoint = format!("campaign-vehicle-{index}");
-        let (vehicle, workers) = build_vehicle(
+        let (vehicle, workers, _) = build_vehicle(
             &endpoint,
             WORKERS,
             BusConfig::default(),

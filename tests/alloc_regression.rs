@@ -18,6 +18,10 @@
 //!   where its built-in periodic sensors are idle.  Sensor broadcast ticks
 //!   still allocate (value codec + frame segmentation), which bounds how
 //!   many of a window's ticks may touch the allocator at all.
+//! * **Pooled fleet tick** — the same claim for a fleet big enough that its
+//!   rounds hand their vehicle lanes to the lane pool's worker threads: the
+//!   hand-off (slots, wake-ups, completion tokens) allocates nothing, so the
+//!   same sensor-tick exemption bounds the window.
 //! * **Compiled VM slot** — a warm [`CompiledVm`] executing an arith-heavy
 //!   loop (fused superinstructions on the fast plane) runs whole slots
 //!   without allocating: pre-decoded ops, pre-resolved constants and a
@@ -28,6 +32,7 @@ use dynar::foundation::payload::Payload;
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
 use dynar::sim::scenario::fleet::{FleetScenario, SENSOR_PERIOD};
+use dynar::sim::POOLED_MIN_VEHICLES;
 use dynar::vm::{assemble, Budget, CompiledVm, VmStatus};
 use dynar_bench::CountingAllocator;
 
@@ -66,11 +71,31 @@ fn warm_transport_round_is_allocation_free() {
 
 fn quiescent_fleet_tick_is_allocation_free() {
     let mut scenario = FleetScenario::build(10).expect("fleet builds");
+    quiescent_ticks_allocate_only_for_sensors(&mut scenario, 5);
+    assert_eq!(scenario.fleet.pooled_rounds(), 0, "10 vehicles step inline");
+}
+
+fn quiescent_pooled_fleet_tick_is_allocation_free() {
+    let mut scenario = FleetScenario::build(POOLED_MIN_VEHICLES).expect("fleet builds");
+    let rounds_before = scenario.fleet.stats().ticks;
+    quiescent_ticks_allocate_only_for_sensors(&mut scenario, POOLED_MIN_VEHICLES / 2);
+    assert_eq!(
+        scenario.fleet.pooled_rounds(),
+        scenario.fleet.stats().ticks - rounds_before,
+        "every round of a {POOLED_MIN_VEHICLES}-vehicle fleet ran its lanes on the pool"
+    );
+}
+
+/// Installs telemetry in waves of `wave_size`, warms the fleet up, then
+/// asserts that a quiescent window allocates only on sensor ticks.
+fn quiescent_ticks_allocate_only_for_sensors(scenario: &mut FleetScenario, wave_size: usize) {
     // The strong version of the claim: even with the telemetry app live on
     // every worker ECU (plug-in VMs scheduled each tick), a management-
     // quiescent tick touches the allocator only where the built-in speed
     // sensor's broadcast crosses the value codec.
-    scenario.install_telemetry(5).expect("install waves");
+    scenario
+        .install_telemetry(wave_size)
+        .expect("install waves");
     // Warm every per-tick buffer: scratch queues, mailboxes, port buffers.
     scenario.fleet.run(256).expect("warm-up");
 
@@ -178,5 +203,6 @@ fn warm_compiled_slot_is_allocation_free() {
 fn steady_state_hot_paths_are_allocation_free() {
     warm_transport_round_is_allocation_free();
     quiescent_fleet_tick_is_allocation_free();
+    quiescent_pooled_fleet_tick_is_allocation_free();
     warm_compiled_slot_is_allocation_free();
 }

@@ -12,7 +12,7 @@ use dynar::bus::network::BusConfig;
 use dynar::core::plugin::PluginPortDirection;
 use dynar::core::swc::{PluginSwc, PluginSwcConfig, SharedPirte};
 use dynar::core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
-use dynar::ecm::gateway::{EcmConfig, EcmSwc, SharedHub};
+use dynar::ecm::gateway::{EcmConfig, EcmSwc, SendFailureCounts, SendFailures, SharedHub};
 use dynar::fes::device::SmartPhone;
 use dynar::fes::transport::{TransportConfig, TransportHub};
 use dynar::foundation::ids::{AppId, EcuId, PluginId, SwcId, UserId, VehicleId, VirtualPortId};
@@ -390,6 +390,7 @@ struct Fleet {
     vehicle_id: VehicleId,
     console: SmartPhone,
     ecm_pirte: SharedPirte,
+    ecm_send_failures: std::sync::Arc<SendFailures>,
     workers: Vec<(EcuId, SwcId, SharedPirte)>,
     user: UserId,
 }
@@ -438,6 +439,7 @@ impl Fleet {
         let mut ecm_ecu = Ecu::new(ecm_ecu_id);
         let ecm_descriptor = ecm_config.descriptor().unwrap();
         let (ecm_behavior, ecm_pirte) = EcmSwc::create(ecm_ecu_id, ecm_config, hub.clone());
+        let ecm_send_failures = ecm_behavior.send_failures();
         let ecm_swc = ecm_ecu
             .add_component(ecm_descriptor, Box::new(ecm_behavior))
             .unwrap();
@@ -516,6 +518,7 @@ impl Fleet {
             vehicle_id,
             console,
             ecm_pirte,
+            ecm_send_failures,
             workers,
             user,
         }
@@ -584,6 +587,11 @@ impl Fleet {
     }
 
     fn assert_healthy(&mut self, ticks_so_far: u64) {
+        assert_eq!(
+            self.ecm_send_failures.counts(),
+            SendFailureCounts::default(),
+            "every ECM uplink and console message was accepted by the transport"
+        );
         let bus = self.vehicle().bus().stats();
         assert!(bus.sent > 0 && bus.delivered > 0);
         assert_eq!(bus.dropped, 0, "lossless bus must not drop frames");

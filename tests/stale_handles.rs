@@ -46,7 +46,7 @@ fn reboot_path(shards: usize) {
     scenario.fleet.server.mark_offline(&id);
     assert!(scenario.fleet.unregister_endpoint(&endpoint));
     let hub = scenario.fleet.hub_for(&id);
-    let (fresh, new_workers) = build_vehicle(
+    let (fresh, new_workers, _) = build_vehicle(
         &endpoint,
         scenario.workers_per_vehicle(),
         dynar::bus::network::BusConfig {
@@ -102,8 +102,11 @@ fn reboot_path_downlinks_reach_the_new_ecm_two_shards() {
 /// An ECM that keeps running while its endpoint is unregistered and then
 /// registered again: its cached handle goes stale (another endpoint even
 /// takes over the freed slot meanwhile), and it must re-resolve by name and
-/// receive the next deployment — without ever draining the slot's new
-/// tenant's mailbox.
+/// receive the server's next downlink — without ever draining the slot's
+/// new tenant's mailbox.  The ECM is detached with a deployment in flight,
+/// so the acknowledgements it forwards meanwhile are refused by the
+/// transport: they are counted, and the retransmission that reaches the
+/// re-registered ECM settles the deployment from its replayed acks.
 fn ecm_survives_re_registration(shards: usize) {
     let mut scenario = scenario(3, shards);
     // A few rounds so every gateway has resolved and cached its handle.
@@ -111,6 +114,19 @@ fn ecm_survives_re_registration(shards: usize) {
     let id: VehicleId = scenario.handles()[0].id.clone();
     let endpoint = scenario.fleet.endpoint_of(&id).unwrap().to_owned();
     let hub = scenario.fleet.hub_for(&id);
+
+    // The deployment reaches the ECM, which relays it to its workers.
+    let app = AppId::new(APP_TELEMETRY);
+    let user = scenario.user.clone();
+    let delivered = hub.lock().stats().delivered;
+    scenario
+        .fleet
+        .deploy_wave(&user, &app, std::slice::from_ref(&id))
+        .unwrap();
+    while hub.lock().stats().delivered == delivered {
+        scenario.fleet.step().unwrap();
+    }
+    assert_eq!(scenario.ecm_send_failures().total(), 0);
 
     assert!(scenario.fleet.unregister_endpoint(&endpoint));
     hub.lock().register("intruder");
@@ -121,17 +137,19 @@ fn ecm_survives_re_registration(shards: usize) {
             Payload::from(vec![1, 2, 3]),
         )
         .unwrap();
-    // The ECM runs on with a stale handle and no registered endpoint.
-    scenario.fleet.run(3).unwrap();
+    // The ECM runs on with a stale handle and no registered endpoint, long
+    // enough for its workers to install and acknowledge (well inside the
+    // server's ack deadline): the acknowledgements it forwards cannot be
+    // sent.
+    scenario.fleet.run(8).unwrap();
+    let failures = scenario.ecm_send_failures();
+    assert!(
+        failures.uplink > 0,
+        "refused uplinks are counted: {failures:?}"
+    );
     hub.lock().register(&endpoint);
     scenario.fleet.run(2).unwrap();
 
-    let app = AppId::new(APP_TELEMETRY);
-    let user = scenario.user.clone();
-    scenario
-        .fleet
-        .deploy_wave(&user, &app, std::slice::from_ref(&id))
-        .unwrap();
     scenario
         .fleet
         .await_deployment(
@@ -148,6 +166,11 @@ fn ecm_survives_re_registration(shards: usize) {
         hub.lock().pending_for("intruder"),
         1,
         "the stale handle never drained the slot's new tenant"
+    );
+    assert_eq!(
+        scenario.ecm_send_failures(),
+        failures,
+        "no send fails once the endpoint is back"
     );
 }
 

@@ -102,7 +102,7 @@ fn udp_federation_installs_and_updates_under_reordering() {
     let mut handles = Vec::new();
     for (index, vehicle_id) in vehicle_ids.iter().enumerate() {
         let endpoint = format!("vehicle-{index}");
-        let (vehicle, workers) = build_vehicle(
+        let (vehicle, workers, _) = build_vehicle(
             &endpoint,
             WORKERS,
             BusConfig::default(),
