@@ -379,10 +379,12 @@ fn bench_fleet_tick(c: &mut Criterion) {
             });
         }
     }
-    // The sharded control plane: the same steady-state tick fanned out over
-    // 8 server shards on the worker pool.  Compared against `tick` at equal
-    // fleet size by scripts/bench_compare.sh (BENCH_PAR_SPEEDUP): near the
-    // core count speedup on a multi-core runner, pool overhead on one core.
+    // The sharded control plane: the same steady-state tick with the
+    // server's per-vehicle state split over 8 shards.  The round is the same
+    // one `tick` runs (8 vehicle lanes on the lane pool, server phases shard
+    // by shard on the caller's thread).  Compared against `tick` at equal
+    // fleet size by scripts/bench_compare.sh (BENCH_PAR_SPEEDUP): ~1x by
+    // design, so the ratio is what sharding the server state costs.
     {
         let par_sizes: &[usize] = if std::env::var_os("DYNAR_BENCH_100K").is_some() {
             &[500, 10_000, 100_000]

@@ -1,32 +1,14 @@
-//! Small fixed-worker thread pools for the simulation's parallel rounds.
+//! A small fixed-worker thread pool for the fleet round's vehicle lanes.
 //!
-//! Neither pool pulls a work-stealing runtime into the workspace, and
-//! neither lets the caller observe scheduling nondeterminism:
-//!
-//! * [`ThreadPool`] runs a batch of boxed tasks ([`ThreadPool::run`]) on a
-//!   fixed set of workers and returns their results **in task order**.  A
-//!   pool with zero or one worker (or a single-task batch) executes inline on
-//!   the caller's thread.  The sharded fleet round uses it, one task per
-//!   shard.
-//! * [`LanePool`] applies one fixed function to a fixed number of owned
-//!   items per batch ([`LanePool::run`]).  Items are claimed dynamically by
-//!   the workers *and* the caller, so a stalled worker never holds a batch
-//!   hostage, and the hand-off allocates nothing once warm: the items move
-//!   through preallocated slots, and the wake-up and completion signals
-//!   travel over bounded channels.  A one-shard fleet uses it to step its
-//!   vehicle lanes in parallel.
-//!
-//! # Example
-//!
-//! ```
-//! use dynar_foundation::pool::ThreadPool;
-//!
-//! let pool = ThreadPool::new(4);
-//! let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..8u64)
-//!     .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> u64 + Send>)
-//!     .collect();
-//! assert_eq!(pool.run(tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//! ```
+//! [`LanePool`] applies one fixed function to a fixed number of owned items
+//! per batch ([`LanePool::run`]), without pulling a work-stealing runtime
+//! into the workspace and without letting the caller observe scheduling
+//! nondeterminism.  Items are claimed dynamically by the workers *and* the
+//! caller, so a stalled worker never holds a batch hostage, and the
+//! hand-off allocates nothing once warm: the items move through
+//! preallocated slots, and the wake-up and completion signals travel over
+//! bounded channels.  A fleet uses it to step its vehicle lanes in
+//! parallel.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -34,133 +16,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed set of worker threads executing batches of boxed tasks.
-///
-/// Workers are spawned once at construction and live until the pool is
-/// dropped; each [`ThreadPool::run`] batch is queued onto the shared channel
-/// and drained by whichever workers are free.  Results always come back in
-/// task order.
-#[derive(Debug)]
-pub struct ThreadPool {
-    /// `None` for an inline pool (zero or one worker).
-    inner: Option<Inner>,
-    workers: usize,
-}
-
-#[derive(Debug)]
-struct Inner {
-    sender: mpsc::Sender<Job>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Creates a pool with `workers` threads.  `workers <= 1` builds an
-    /// inline pool that executes every batch on the caller's thread.
-    pub fn new(workers: usize) -> Self {
-        if workers <= 1 {
-            return ThreadPool {
-                inner: None,
-                workers: workers.max(1),
-            };
-        }
-        let (sender, receiver) = mpsc::channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let handles = (0..workers)
-            .map(|index| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("dynar-pool-{index}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let guard = receiver.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            // A panicking task must not take the worker with
-                            // it: the batch that submitted it surfaces the
-                            // panic (see `run`), later batches still have a
-                            // full complement of workers.
-                            Ok(job) => {
-                                let _ = catch_unwind(AssertUnwindSafe(job));
-                            }
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        ThreadPool {
-            inner: Some(Inner { sender, handles }),
-            workers,
-        }
-    }
-
-    /// Creates a pool sized to the machine: one worker per available core.
-    pub fn with_default_workers() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ThreadPool::new(workers)
-    }
-
-    /// The number of workers (1 for an inline pool).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Executes a batch of tasks and returns their results in task order.
-    ///
-    /// Inline pools — and single-task batches, where parallelism buys
-    /// nothing — run on the caller's thread.  Otherwise every task is queued
-    /// and the call blocks until all results arrived.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (as a panic in the caller) if any task panicked.
-    pub fn run<T: Send + 'static>(&self, tasks: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
-        let Some(inner) = &self.inner else {
-            return tasks.into_iter().map(|task| task()).collect();
-        };
-        if tasks.len() <= 1 {
-            return tasks.into_iter().map(|task| task()).collect();
-        }
-        let count = tasks.len();
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        for (index, task) in tasks.into_iter().enumerate() {
-            let tx = tx.clone();
-            let job: Job = Box::new(move || {
-                let result = task();
-                // The receiver only disappears if the caller panicked.
-                let _ = tx.send((index, result));
-            });
-            inner.sender.send(job).expect("pool workers alive");
-        }
-        drop(tx);
-        let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        for (index, value) in rx {
-            results[index] = Some(value);
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("pool task panicked"))
-            .collect()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            // Closing the channel ends every worker's recv loop.
-            drop(inner.sender);
-            for handle in inner.handles {
-                let _ = handle.join();
-            }
-        }
-    }
-}
 
 /// What [`LanePool`] workers share with the caller.
 struct LaneShared<T> {
@@ -345,53 +200,6 @@ impl<T> Drop for LanePool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inline_pool_runs_in_order() {
-        let pool = ThreadPool::new(1);
-        assert_eq!(pool.workers(), 1);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4usize)
-            .map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        assert_eq!(pool.run(tasks), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn threaded_pool_preserves_task_order() {
-        let pool = ThreadPool::new(4);
-        let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..32u64)
-            .map(|i| {
-                Box::new(move || {
-                    // Skew the finish order: higher indices finish first.
-                    std::thread::sleep(std::time::Duration::from_micros((32 - i) * 10));
-                    i * 3
-                }) as Box<dyn FnOnce() -> u64 + Send>
-            })
-            .collect();
-        let results = pool.run(tasks);
-        assert_eq!(results, (0..32u64).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_survives_consecutive_batches() {
-        let pool = ThreadPool::new(2);
-        for round in 0..8u64 {
-            let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..4u64)
-                .map(|i| Box::new(move || round * 100 + i) as Box<dyn FnOnce() -> u64 + Send>)
-                .collect();
-            assert_eq!(
-                pool.run(tasks),
-                (0..4u64).map(|i| round * 100 + i).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let pool = ThreadPool::new(2);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        assert_eq!(pool.run(tasks).len(), 0);
-    }
 
     #[test]
     fn lane_pool_works_every_lane_once_per_batch() {

@@ -38,13 +38,13 @@
 //! contend.  The catalogue, retry policy, ledger and clock form a shared
 //! read-mostly plane ([`parking_lot`] locks; the ledger is updated through
 //! commutative per-shard deltas).  The serial API (`&mut self`) is unchanged;
-//! a parallel driver instead calls [`TrustedServer::begin_tick`], fans
-//! per-shard work out through [`TrustedServer::shard_handles`] and joins with
-//! [`TrustedServer::merge_shard_journals`].  Journal records produced by
-//! concurrent shards are buffered per shard and merged in deterministic order
-//! (shard id, then per-shard sequence), so replay byte-identity survives
-//! parallelism: per-vehicle record order is preserved within its shard, and
-//! cross-vehicle operations commute.
+//! a round driver instead calls [`TrustedServer::begin_tick`], runs the
+//! per-shard work through each shard's [`TrustedServer::shard_handle`] and
+//! ends with [`TrustedServer::merge_shard_journals`].  Journal records
+//! produced through the handles are buffered per shard and merged in
+//! deterministic order (shard id, then per-shard sequence), so replay
+//! byte-identity holds at any shard count: per-vehicle record order is
+//! preserved within its shard, and cross-vehicle operations commute.
 //!
 //! Lock order everywhere: catalogue (`apps`) → shard → ledger.  The journal
 //! is only touched from `&mut self` methods, and always *before* any guard is
@@ -344,7 +344,7 @@ impl Default for TrustedServer {
     }
 }
 
-/// A per-shard capability handed out by [`TrustedServer::shard_handles`]: it
+/// A per-shard capability handed out by [`TrustedServer::shard_handle`]: it
 /// can run the per-vehicle phase (tick, downlink drain, uplink processing,
 /// offline parking) of its shard concurrently with the other shards'
 /// handles.  Journal records are buffered in the shard (merged
@@ -1272,7 +1272,13 @@ impl TrustedServer {
     /// still outstanding or observed under the old epoch is discarded and
     /// the reconciliation re-issues what the manifest still wants under the
     /// new epoch.
-    pub fn mark_online(&mut self, vehicle: &VehicleId, boot_epoch: u32) {
+    ///
+    /// Returns the number of packages the reconciliation pushed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::NotFound`] for unknown vehicles.
+    pub fn mark_online(&mut self, vehicle: &VehicleId, boot_epoch: u32) -> Result<usize> {
         self.journal_append(|| JournalRecord::MarkOnline(vehicle.clone(), boot_epoch));
         let apps = self.shared.apps.read();
         let ctx = self.shared.op_ctx(&apps);
@@ -1281,9 +1287,10 @@ impl TrustedServer {
         if let Some(record) = shard.vehicles.get_mut(vehicle) {
             Self::bring_online(record, &mut ledger, ctx.now, &ctx.policy, boot_epoch);
         }
-        let _ = Self::op_reconcile(&mut shard, &mut ledger, &ctx, vehicle);
+        let reconciled = Self::op_reconcile(&mut shard, &mut ledger, &ctx, vehicle);
         drop(ledger);
         shard.note_dirty(vehicle);
+        reconciled
     }
 
     /// Declares a vehicle permanently unreachable (its endpoint was removed,
@@ -1532,9 +1539,9 @@ impl TrustedServer {
     /// invalidation: a vehicle with nothing due costs a single peek, so a
     /// quiescent fleet tick is O(1) in the number of outstanding packages.
     ///
-    /// This is the serial form; a parallel driver calls
-    /// [`TrustedServer::begin_tick`] and fans out over
-    /// [`TrustedServer::shard_handles`] instead.
+    /// This is the serial form; a round driver calls
+    /// [`TrustedServer::begin_tick`] and sweeps each shard through its
+    /// [`TrustedServer::shard_handle`] instead.
     pub fn tick(&mut self, now: Tick) -> Vec<RetryFailure> {
         self.begin_tick(now);
         let policy = self.shared.policy.read().clone();
@@ -2032,20 +2039,12 @@ impl TrustedServer {
         self.journal.as_mut().expect("checked").append(&record);
     }
 
-    /// Hands out one concurrently usable [`ShardHandle`] per shard, for a
-    /// parallel per-vehicle phase between [`TrustedServer::begin_tick`] and
-    /// [`TrustedServer::merge_shard_journals`].  The handles buffer their
-    /// journal records in their shards; nothing touches the journal itself,
-    /// so the borrow of `self` ends before the fan-out.
-    pub fn shard_handles(&self) -> Vec<ShardHandle> {
-        (0..self.shards.len())
-            .map(|index| self.shard_handle(index))
-            .collect()
-    }
-
-    /// The [`ShardHandle`] of one shard — what [`TrustedServer::shard_handles`]
-    /// hands out, without collecting a `Vec` (a single-shard driver takes its
-    /// one handle allocation-free).
+    /// The [`ShardHandle`] of one shard, for a round's per-vehicle phase
+    /// between [`TrustedServer::begin_tick`] and
+    /// [`TrustedServer::merge_shard_journals`].  The handle buffers its
+    /// journal records in its shard; nothing touches the journal itself, so
+    /// the borrow of `self` ends when the handle is taken.  Taking one
+    /// allocates nothing.
     ///
     /// # Panics
     ///
@@ -2198,7 +2197,7 @@ impl TrustedServer {
             }
             JournalRecord::MarkOffline(vehicle) => self.mark_offline(&vehicle),
             JournalRecord::MarkOnline(vehicle, boot_epoch) => {
-                self.mark_online(&vehicle, boot_epoch);
+                let _ = self.mark_online(&vehicle, boot_epoch);
             }
             JournalRecord::MarkUnreachable(vehicle) => {
                 let _ = self.mark_unreachable(&vehicle);
@@ -4092,6 +4091,15 @@ mod tests {
         assert_eq!(server.outstanding_count(&vehicle), 0);
     }
 
+    #[test]
+    fn mark_online_reports_an_unknown_vehicle() {
+        let (mut server, _, _) = server_with_vehicle();
+        let error = server
+            .mark_online(&VehicleId::new("VIN-UNKNOWN"), 0)
+            .unwrap_err();
+        assert!(matches!(error, DynarError::NotFound { .. }), "{error}");
+    }
+
     /// Regression (satellite): with the vehicle's endpoint gone, the server
     /// used to keep retransmitting until the budget exhausted with a
     /// misleading "retry budget exhausted" reason.  Parking the vehicle
@@ -4120,7 +4128,7 @@ mod tests {
 
         // Back online (same epoch): deadlines re-arm relative to now and the
         // packages retransmit with their original sequence ids.
-        server.mark_online(&vehicle, 0);
+        server.mark_online(&vehicle, 0).unwrap();
         assert!(server.is_online(&vehicle));
         assert!(server.tick(tick(1_010)).is_empty());
         let retried = server.poll_downlink(&vehicle);
@@ -4418,7 +4426,7 @@ mod tests {
         let _ = server.tick(Tick::new(25));
         let _ = server.poll_downlink(vehicle);
         server.mark_offline(vehicle);
-        server.mark_online(vehicle, 0);
+        server.mark_online(vehicle, 0).unwrap();
         server
             .process_uplink(
                 vehicle,

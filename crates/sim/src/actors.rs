@@ -29,9 +29,8 @@
 //!    whichever is sooner, handling [`ActorFederation::with_server`]
 //!    closures as they arrive.
 //!
-//! The actor server drives one transport, so it serves a single-shard
-//! server; a sharded federation needs a hub per shard, which is
-//! [`crate::fleet::Fleet::new`]'s job.
+//! The actor server's round takes the one shard handle of a single-shard
+//! server; a sharded federation runs on [`crate::fleet::Fleet`].
 //!
 //! Protocol time stays tick-denominated: a [`WallClock`] maps elapsed real
 //! time onto the same [`Tick`] axis the retry budgets and announce periods
@@ -69,7 +68,7 @@ use dynar_foundation::ids::VehicleId;
 use dynar_foundation::time::{Tick, WallClock};
 use dynar_server::server::TrustedServer;
 
-use crate::fleet::{step_shard, FleetStats, LaneRoute, RoundScratch};
+use crate::fleet::{step_round, FleetStats, LaneRoute, RoundScratch};
 use crate::world::Vehicle;
 
 /// A command for the server actor.
@@ -164,8 +163,8 @@ impl ActorFederation {
     ///
     /// # Panics
     ///
-    /// Panics if `server` has more than one shard: the actor server drives
-    /// one transport, and a sharded federation needs one per shard.
+    /// Panics if `server` has more than one shard: the actor server's round
+    /// takes a single shard handle.
     pub fn launch(
         server: TrustedServer,
         server_endpoint: impl Into<String>,
@@ -377,8 +376,8 @@ fn server_actor(
         //    stopped vehicles left on the wire, so the transport ledger can
         //    settle for post-run conservation checks.
         let handle = server.shard_handle(0);
-        let (counts, ()) = step_shard(
-            &handle,
+        let (counts, ()) = step_round(
+            std::slice::from_ref(&handle),
             std::slice::from_ref(&route),
             server_endpoint,
             &mut scratch,

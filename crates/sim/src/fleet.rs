@@ -16,39 +16,40 @@
 //!
 //! A **lane** is one transport hub plus the vehicles whose ECMs are
 //! registered on it; the server endpoint is registered on every lane hub.
-//! A one-shard [`Fleet::new`] fleet has [`LANES`] lanes, and a vehicle's lane
-//! follows from its VIN hash, like its server shard, so [`Fleet::hub_for`]
+//! A [`Fleet::new`] fleet has [`LANES`] lanes at every shard count, and a
+//! vehicle's lane follows from its VIN hash alone, so [`Fleet::hub_for`]
 //! answers before the vehicle is added.  A vehicle's ECM locks only its own
 //! lane's hub, so lanes share nothing while the vehicles step, and the
 //! vehicle phase of a round runs the lanes on a [`LanePool`]: up to
 //! `min(cores, LANES)` threads, the caller included, claiming lanes as they
 //! go.  A round of fewer than [`POOLED_MIN_VEHICLES`] vehicles steps its
-//! lanes inline.  A sharded fleet has one lane (one hub) per shard, and a
-//! [`Fleet::with_hub`] fleet a single lane on the shared hub.
+//! lanes inline.  A [`Fleet::with_hub`] fleet has a single lane on the
+//! shared hub.
 //!
 //! # The round
 //!
-//! One function, `step_shard`, holds the transport phases of the Figure 2
-//! loop for one server shard: drain the dirty downlinks, send each to its
-//! vehicle's lane hub, park the vehicles whose send failed, step every lane
-//! hub, park the vehicles whose endpoint vanished (dropped-destination
+//! One function, `step_round`, holds the transport phases of the Figure 2
+//! loop: shard by shard, drain the dirty downlinks, send each to its
+//! vehicle's lane hub and park the vehicles whose send failed; step every
+//! lane hub, park the vehicles whose endpoint vanished (dropped-destination
 //! feedback), step the vehicles (a caller-supplied callback), then drain
-//! each lane hub's server mailbox in lane order and process the uplinks.  It
-//! routes through each lane's `EndpointTable` (vehicle id ↔ ECM endpoint)
-//! and a [`ShardHandle`], and has three callers:
+//! each lane hub's server mailbox in lane order and process each uplink in
+//! its sender's shard.  It routes through each lane's `EndpointTable`
+//! (vehicle id ↔ ECM endpoint) and the server's [`ShardHandle`]s, and has
+//! three callers:
 //!
 //! * [`Fleet::step`], at every shard count: the tick is journaled up front
 //!   ([`TrustedServer::begin_tick`]), each shard runs its reliability sweep
-//!   ([`ShardHandle::tick`]) and its round — inline with one shard, on a
-//!   fixed [`ThreadPool`] otherwise — and the journal records the shards
-//!   buffered are merged in shard order
+//!   ([`ShardHandle::tick`]), the round runs once over every shard and lane,
+//!   and the journal records the shards buffered are merged in shard order
 //!   ([`TrustedServer::merge_shard_journals`]) before the campaign gates run.
 //!   The effects and the statistics are the same at every shard count and
-//!   lane layout, the merged journal replays to the same state, and a
-//!   one-shard round allocates nothing when the fleet is quiet, whether its
-//!   lanes run inline or on the pool (`tests/alloc_regression.rs`).
-//! * The actor server ([`crate::actors`]), with a no-op vehicle step: its
-//!   vehicles run on their own threads.
+//!   lane layout, the merged journal replays to the same state, and a round
+//!   allocates nothing when the fleet is quiet, at any shard count and
+//!   whether its lanes run inline or on the pool
+//!   (`tests/alloc_regression.rs`).
+//! * The actor server ([`crate::actors`]), with its one shard handle and a
+//!   no-op vehicle step: its vehicles run on their own threads.
 //! * [`crate::scenario::remote_car`], the Figure 3 demonstrator, through a
 //!   one-vehicle [`Fleet`].
 //!
@@ -68,19 +69,19 @@ use dynar_fes::transport::{
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, PluginId, UserId, VehicleId};
 use dynar_foundation::payload::Payload;
-use dynar_foundation::pool::{LanePool, ThreadPool};
+use dynar_foundation::pool::LanePool;
 use dynar_foundation::time::{Clock, Tick};
 use dynar_server::server::{DeploymentStatus, RetryFailure, ShardHandle, TrustedServer};
 
 use crate::world::Vehicle;
 
-/// The vehicle lanes of a one-shard [`Fleet::new`] fleet.  A constant, so
-/// the layout — which hub a vehicle's ECM registers on, and with it the
-/// order in which the server processes uplinks and journals them — is the
-/// same on every machine.
+/// The vehicle lanes of a [`Fleet::new`] fleet, at every shard count.  A
+/// constant, so the layout — which hub a vehicle's ECM registers on, and
+/// with it the order in which the server processes uplinks and journals
+/// them — is the same on every machine.
 pub const LANES: usize = 8;
 
-/// The smallest fleet whose rounds hand their lanes to the worker pool.  A
+/// The smallest fleet whose rounds hand their lanes to the lane pool.  A
 /// smaller round steps its lanes inline: at that size the hand-off (waking
 /// a worker, moving lanes between cores) costs more than the second core
 /// saves.  Either way the round's results are the same.
@@ -175,7 +176,7 @@ impl FleetStats {
         self.failure_events.append(&mut events);
     }
 
-    /// Adds one shard's round counts.
+    /// Adds one round's counts.
     pub(crate) fn add_round(&mut self, counts: RoundCounts) {
         self.downlink_messages += counts.downlink_messages;
         self.uplink_messages += counts.uplink_messages;
@@ -259,7 +260,7 @@ pub(crate) struct RoundScratch {
     offline: Vec<VehicleId>,
 }
 
-/// What one shard's round counted.
+/// What one round counted.
 #[derive(Debug, Default)]
 pub(crate) struct RoundCounts {
     downlink_messages: u64,
@@ -267,10 +268,6 @@ pub(crate) struct RoundCounts {
     rejected_uplinks: u64,
     downlink_polls: u64,
 }
-
-/// A vehicle step error, tagged with its vehicle so a round can report the
-/// failure of the lowest id — the same one at every shard count.
-type VehicleFailure = (VehicleId, DynarError);
 
 /// The routing half of a vehicle lane: its transport hub and the table of
 /// the vehicles whose ECMs are registered on it.
@@ -316,58 +313,30 @@ impl LaneVehicles {
     }
 }
 
-/// The vehicles of one server shard, lane by lane (`routes[i]` routes the
-/// vehicles of `lanes[i]`), and the round's scratch buffers — everything
-/// the shard's worker needs to run its slice of a round without touching
-/// another shard.
-#[derive(Debug, Default)]
-struct FleetShard {
-    routes: Vec<LaneRoute>,
-    lanes: Vec<LaneVehicles>,
-    scratch: RoundScratch,
-}
-
-impl FleetShard {
-    /// A shard with one lane per hub.
-    fn new(hubs: &[SharedHub]) -> Self {
-        FleetShard {
-            routes: hubs
-                .iter()
-                .map(|hub| LaneRoute::new(Arc::clone(hub)))
-                .collect(),
-            lanes: hubs.iter().map(|_| LaneVehicles::default()).collect(),
-            scratch: RoundScratch::default(),
-        }
-    }
-}
-
-/// What one shard hands back from its slice of a fleet round.
-struct ShardOutcome {
-    counts: RoundCounts,
-    retry_failures: Vec<RetryFailure>,
-    failure: Option<VehicleFailure>,
-}
-
 /// A fleet of vehicles federated through one trusted server.
 #[derive(Debug)]
 pub struct Fleet {
     /// The shared trusted server.
     pub server: TrustedServer,
-    /// Every lane hub, shard by shard (each carries the server endpoint plus
+    /// Every lane hub, in lane order (each carries the server endpoint plus
     /// the ECM endpoints of its lane's vehicles).
     hubs: Vec<SharedHub>,
     server_endpoint: String,
-    shards: Vec<FleetShard>,
+    /// The routing half of every lane: `routes[i]` routes the vehicles of
+    /// `lanes[i]`.
+    routes: Vec<LaneRoute>,
+    lanes: Vec<LaneVehicles>,
+    scratch: RoundScratch,
+    /// The server's shard handles, taken afresh at the start of every round
+    /// into a reused buffer.
+    handles: Vec<ShardHandle>,
     /// Vehicle ids in registration order (what [`Fleet::vehicle_ids`]
     /// borrows, so callers do not clone the whole fleet's ids per call).
     ids: Vec<VehicleId>,
     /// Position of each vehicle in `ids` (kept in sync across swap-removes).
     ids_at: HashMap<VehicleId, usize>,
-    /// Fixed worker pool driving multi-shard rounds; absent for single-shard
-    /// fleets, which run their one round inline.
-    pool: Option<ThreadPool>,
-    /// The lane pool of a multi-lane one-shard fleet, started by the first
-    /// round with at least [`POOLED_MIN_VEHICLES`] vehicles.
+    /// The lane pool of a multi-lane fleet, started by the first round with
+    /// at least [`POOLED_MIN_VEHICLES`] vehicles.
     lane_pool: Option<LanePool<LaneVehicles>>,
     /// Rounds whose vehicle phase ran on the lane pool.
     pooled_rounds: u64,
@@ -376,20 +345,18 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Creates a fleet around a trusted server, with fresh transport hubs
-    /// built from `transport`: [`LANES`] lane hubs for a one-shard server,
-    /// one hub per shard otherwise.  Per-link fault and jitter streams are
-    /// keyed by endpoint *names* (not hub identity), so the same seed
-    /// produces the same per-link behaviour at any shard count and lane
-    /// layout.
+    /// Creates a fleet around a trusted server, with [`LANES`] fresh lane
+    /// hubs built from `transport`, whatever the server's shard count.
+    /// Per-link fault and jitter streams are keyed by endpoint *names* (not
+    /// hub identity), so the same seed produces the same per-link behaviour
+    /// at any shard count and lane layout.
     pub fn new(
         server: TrustedServer,
         server_endpoint: impl Into<String>,
         transport: TransportConfig,
     ) -> Self {
         let server_endpoint = server_endpoint.into();
-        let lanes = if server.shard_count() == 1 { LANES } else { 1 };
-        let hubs: Vec<SharedHub> = (0..server.shard_count() * lanes)
+        let hubs: Vec<SharedHub> = (0..LANES)
             .map(|_| {
                 let mut hub = TransportHub::new(transport.clone());
                 hub.register(&server_endpoint);
@@ -397,55 +364,35 @@ impl Fleet {
                 shared
             })
             .collect();
-        Self::assemble(server, server_endpoint, hubs, lanes)
+        Self::assemble(server, server_endpoint, hubs)
     }
 
-    /// Creates a single-shard, single-lane fleet sharing an existing
-    /// transport hub (the same hub handed to every vehicle's ECM and to
-    /// external devices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` has more than one shard — a sharded fleet needs one
-    /// hub per shard, which only [`Fleet::new`] can build.
+    /// Creates a single-lane fleet sharing an existing transport hub (the
+    /// same hub handed to every vehicle's ECM and to external devices).
     pub fn with_hub(
         server: TrustedServer,
         server_endpoint: impl Into<String>,
         hub: SharedHub,
     ) -> Self {
-        assert_eq!(
-            server.shard_count(),
-            1,
-            "Fleet::with_hub takes a single-shard server; use Fleet::new for sharded fleets"
-        );
         let server_endpoint = server_endpoint.into();
         hub.lock().register(&server_endpoint);
-        Self::assemble(server, server_endpoint, vec![hub], 1)
+        Self::assemble(server, server_endpoint, vec![hub])
     }
 
-    /// Builds the fleet over `hubs`, `lanes` consecutive hubs per shard.
-    fn assemble(
-        server: TrustedServer,
-        server_endpoint: String,
-        hubs: Vec<SharedHub>,
-        lanes: usize,
-    ) -> Self {
-        let shards: Vec<FleetShard> = hubs.chunks(lanes).map(FleetShard::new).collect();
-        let pool = (shards.len() > 1).then(|| {
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-            // Floor of two workers: even on a single-core host a sharded
-            // fleet must cross real thread boundaries, so the Send/locking
-            // story is exercised everywhere, not just on big runners.
-            ThreadPool::new(shards.len().min(cores.max(2)))
-        });
+    /// Builds the fleet over `hubs`, one lane per hub.
+    fn assemble(server: TrustedServer, server_endpoint: String, hubs: Vec<SharedHub>) -> Self {
         Fleet {
             server,
+            routes: (hubs.iter())
+                .map(|hub| LaneRoute::new(Arc::clone(hub)))
+                .collect(),
+            lanes: hubs.iter().map(|_| LaneVehicles::default()).collect(),
             hubs,
             server_endpoint,
-            shards,
+            scratch: RoundScratch::default(),
+            handles: Vec::new(),
             ids: Vec::new(),
             ids_at: HashMap::new(),
-            pool,
             lane_pool: None,
             pooled_rounds: 0,
             clock: Clock::new(),
@@ -453,28 +400,20 @@ impl Fleet {
         }
     }
 
-    /// The server shard (and therefore fleet shard) of a vehicle.
-    fn shard_index_of(&self, id: &VehicleId) -> usize {
-        TrustedServer::shard_index(id, self.shards.len())
-    }
-
-    /// The `(shard, lane)` of a vehicle, in the fleet or not.
-    fn lane_of(&self, id: &VehicleId) -> (usize, usize) {
-        let shard = self.shard_index_of(id);
-        (shard, lane_index(id, self.shards[shard].routes.len()))
+    /// The lane of a vehicle, in the fleet or not.
+    fn lane_of(&self, id: &VehicleId) -> usize {
+        lane_index(id, self.routes.len())
     }
 
     /// The routing half of a vehicle's lane.
     fn route_of(&self, id: &VehicleId) -> &LaneRoute {
-        let (shard, lane) = self.lane_of(id);
-        &self.shards[shard].routes[lane]
+        &self.routes[self.lane_of(id)]
     }
 
-    /// `(shard, lane, row)` coordinates of a vehicle, if it is in the fleet.
-    fn slot_of(&self, id: &VehicleId) -> Option<(usize, usize, usize)> {
-        let (shard, lane) = self.lane_of(id);
-        let row = self.shards[shard].routes[lane].table.row_of(id)?;
-        Some((shard, lane, row))
+    /// `(lane, row)` coordinates of a vehicle, if it is in the fleet.
+    fn slot_of(&self, id: &VehicleId) -> Option<(usize, usize)> {
+        let lane = self.lane_of(id);
+        Some((lane, self.routes[lane].table.row_of(id)?))
     }
 
     /// The transport hub a vehicle's ECM must register on — its lane's hub,
@@ -484,7 +423,7 @@ impl Fleet {
         Arc::clone(&self.route_of(id).hub)
     }
 
-    /// Every lane hub, shard by shard and lane by lane within a shard.
+    /// Every lane hub, in lane order.
     pub fn hubs(&self) -> &[SharedHub] {
         &self.hubs
     }
@@ -574,15 +513,12 @@ impl Fleet {
         if self.ids_at.contains_key(&id) {
             return Err(DynarError::duplicate("fleet vehicle", id));
         }
-        if (self.shards.iter().flat_map(|shard| &shard.routes))
-            .any(|route| route.table.vehicle_at(&endpoint).is_some())
-        {
+        if (self.routes.iter()).any(|route| route.table.vehicle_at(&endpoint).is_some()) {
             return Err(DynarError::duplicate("fleet endpoint", endpoint));
         }
-        let (shard, lane) = self.lane_of(&id);
-        let shard = &mut self.shards[shard];
-        shard.routes[lane].table.insert(id.clone(), endpoint)?;
-        shard.lanes[lane].vehicles.push(vehicle);
+        let lane = self.lane_of(&id);
+        self.routes[lane].table.insert(id.clone(), endpoint)?;
+        self.lanes[lane].vehicles.push(vehicle);
         self.ids_at.insert(id.clone(), self.ids.len());
         self.ids.push(id);
         Ok(())
@@ -598,20 +534,19 @@ impl Fleet {
     ///
     /// Returns [`DynarError::NotFound`] for unknown vehicles.
     pub fn remove_vehicle(&mut self, id: &VehicleId) -> Result<Vehicle> {
-        let (shard, lane) = self.lane_of(id);
-        let shard = &mut self.shards[shard];
-        let route = &mut shard.routes[lane];
+        let lane = self.lane_of(id);
+        let route = &mut self.routes[lane];
         let (row, endpoint) = route
             .table
             .swap_remove(id)
             .ok_or_else(|| DynarError::not_found("fleet vehicle", id))?;
-        let vehicle = shard.lanes[lane].vehicles.swap_remove(row);
+        let vehicle = self.lanes[lane].vehicles.swap_remove(row);
         route.hub.lock().unregister(&endpoint);
         // Same swap-remove for the registration-order list.
         let at = self
             .ids_at
             .remove(id)
-            .expect("ids index mirrors the shard tables");
+            .expect("ids index mirrors the lane tables");
         self.ids.swap_remove(at);
         if at < self.ids.len() {
             self.ids_at.insert(self.ids[at].clone(), at);
@@ -656,7 +591,7 @@ impl Fleet {
     /// Read access to a vehicle by id.
     pub fn vehicle(&self, id: &VehicleId) -> Option<&Vehicle> {
         self.slot_of(id)
-            .map(|(shard, lane, row)| &self.shards[shard].lanes[lane].vehicles[row])
+            .map(|(lane, row)| &self.lanes[lane].vehicles[row])
     }
 
     /// The ECM transport endpoint of a vehicle.
@@ -672,7 +607,7 @@ impl Fleet {
     /// Mutable access to a vehicle by id.
     pub fn vehicle_mut(&mut self, id: &VehicleId) -> Option<&mut Vehicle> {
         self.slot_of(id)
-            .map(|(shard, lane, row)| &mut self.shards[shard].lanes[lane].vehicles[row])
+            .map(|(lane, row)| &mut self.lanes[lane].vehicles[row])
     }
 
     /// Current simulated fleet time.
@@ -685,7 +620,7 @@ impl Fleet {
         &self.stats
     }
 
-    /// Rounds whose vehicle phase ran its lanes on the worker pool rather
+    /// Rounds whose vehicle phase ran its lanes on the lane pool rather
     /// than inline.  A diagnostic of the execution strategy, which depends
     /// on the fleet's size and layout and changes nothing the round does —
     /// so it is not part of [`FleetStats`].
@@ -696,10 +631,9 @@ impl Fleet {
     /// Advances the whole fleet by one batched round: server downlinks reach
     /// every vehicle's ECM endpoint, the transport delivers, every vehicle
     /// runs one tick, uplink acknowledgements flow back into the server and
-    /// the campaign gates run.  With more than one shard the shards' rounds
-    /// run in parallel on the worker pool, and with one shard a large enough
-    /// fleet steps its vehicle lanes in parallel; the effects, the journal
-    /// and the statistics are the same at every shard count and lane layout.
+    /// the campaign gates run.  A large enough multi-lane fleet steps its
+    /// lanes in parallel; the effects, the journal and the statistics are
+    /// the same at every shard count and lane layout.
     ///
     /// A vehicle step error does not cut the round short: every vehicle is
     /// stepped and the round runs to the end before the error is returned.
@@ -710,55 +644,46 @@ impl Fleet {
     pub fn step(&mut self) -> Result<()> {
         let now = self.clock.step();
         self.server.begin_tick(now);
+        let server = &self.server;
+        self.handles.clear();
+        self.handles
+            .extend((0..server.shard_count()).map(|index| server.shard_handle(index)));
         let mut failures = Vec::new();
-        let mut failure = None;
-        let mut absorb = |mut outcome: ShardOutcome| {
-            self.stats.add_round(outcome.counts);
-            failures.append(&mut outcome.retry_failures);
-            failure = (failure.take().into_iter())
-                .chain(outcome.failure)
-                .min_by(|a, b| a.0.cmp(&b.0));
-        };
-        if let [shard] = self.shards.as_mut_slice() {
-            let handle = self.server.shard_handle(0);
-            let pooled = shard.lanes.len() > 1 && self.ids.len() >= POOLED_MIN_VEHICLES;
-            let lane_pool = pooled.then(|| {
-                &*self.lane_pool.get_or_insert_with(|| {
-                    let cores =
-                        std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-                    // At least one worker besides the caller, so the
-                    // hand-off runs (and is tested) on every host.
-                    LanePool::new(cores.clamp(2, LANES), LANES, LaneVehicles::step)
-                })
-            });
-            self.pooled_rounds += u64::from(pooled);
-            absorb(fleet_round(
-                &handle,
-                shard,
-                &self.server_endpoint,
-                now,
-                lane_pool,
-            ));
-        } else {
-            let mut tasks: Vec<Box<dyn FnOnce() -> (FleetShard, ShardOutcome) + Send>> =
-                Vec::with_capacity(self.shards.len());
-            for handle in self.server.shard_handles() {
-                let mut shard = std::mem::take(&mut self.shards[handle.index()]);
-                let server_endpoint = self.server_endpoint.clone();
-                tasks.push(Box::new(move || {
-                    let outcome = fleet_round(&handle, &mut shard, &server_endpoint, now, None);
-                    (shard, outcome)
-                }));
-            }
-            let pool = self
-                .pool
-                .as_ref()
-                .expect("multi-shard fleet has a worker pool");
-            for (index, (shard, outcome)) in pool.run(tasks).into_iter().enumerate() {
-                self.shards[index] = shard;
-                absorb(outcome);
-            }
+        for handle in &self.handles {
+            handle.tick(now, &mut failures);
         }
+        let pooled = self.lanes.len() > 1 && self.ids.len() >= POOLED_MIN_VEHICLES;
+        let lane_pool = pooled.then(|| {
+            &*self.lane_pool.get_or_insert_with(|| {
+                let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+                // At least one worker besides the caller, so the hand-off
+                // runs (and is tested) on every host.
+                LanePool::new(cores.clamp(2, LANES), LANES, LaneVehicles::step)
+            })
+        });
+        self.pooled_rounds += u64::from(pooled);
+        let (lanes, routes) = (&mut self.lanes, &self.routes);
+        let (counts, failure) = step_round(
+            &self.handles,
+            routes,
+            &self.server_endpoint,
+            &mut self.scratch,
+            now,
+            || {
+                match lane_pool {
+                    Some(pool) => pool.run(lanes),
+                    None => lanes.iter_mut().for_each(LaneVehicles::step),
+                }
+                // The lowest failing id, whichever lane and thread it ran on.
+                (lanes.iter_mut().zip(routes))
+                    .flat_map(|(lane, route)| {
+                        (lane.failures.drain(..))
+                            .map(|(row, error)| (route.table.id(row).clone(), error))
+                    })
+                    .min_by(|a, b| a.0.cmp(&b.0))
+            },
+        );
+        self.stats.add_round(counts);
         // One batch per round: `record_failures` sorts it, so the retained
         // events are the same at every shard count.
         self.stats.record_failures(failures);
@@ -891,86 +816,56 @@ impl Fleet {
     }
 }
 
-/// One shard's slice of a fleet round: the reliability sweep, then the
-/// round with every vehicle of the shard stepped in the middle — its lanes
-/// on `lane_pool` when one is given, inline otherwise.
-fn fleet_round(
-    handle: &ShardHandle,
-    shard: &mut FleetShard,
-    server_endpoint: &str,
-    now: Tick,
-    lane_pool: Option<&LanePool<LaneVehicles>>,
-) -> ShardOutcome {
-    let mut retry_failures = Vec::new();
-    handle.tick(now, &mut retry_failures);
-    let FleetShard {
-        routes,
-        lanes,
-        scratch,
-    } = shard;
-    let (counts, failure) = step_shard(handle, routes, server_endpoint, scratch, now, || {
-        match lane_pool {
-            Some(pool) => pool.run(lanes),
-            None => lanes.iter_mut().for_each(LaneVehicles::step),
-        }
-        // The lowest failing id, whichever lane and thread it ran on.
-        (lanes.iter_mut().zip(routes.iter()))
-            .flat_map(|(lane, route)| {
-                (lane.failures.drain(..)).map(|(row, error)| (route.table.id(row).clone(), error))
-            })
-            .min_by(|a, b| a.0.cmp(&b.0))
-    });
-    ShardOutcome {
-        counts,
-        retry_failures,
-        failure,
-    }
-}
-
-/// One shard's part of the federation round — the one implementation of
-/// the Figure 2 loop's transport phases.  Downlinks the shard's dirty set
-/// holds are sent to their vehicles' endpoints on their lanes' hubs, a
-/// vehicle whose send fails is parked, every lane hub steps, and a vehicle
-/// whose endpoint vanished with traffic in flight is parked too.  Then
-/// `step_vehicles` runs, and finally each lane hub's server mailbox is
-/// drained, in lane order, and every uplink processed, attributed to its
-/// sender through the lane's table; an uplink from an endpoint no vehicle
+/// One federation round — the one implementation of the Figure 2 loop's
+/// transport phases — over every shard of the server (`handles`, one per
+/// shard, in shard order) and every lane (`routes`, in lane order).
+/// Shard by shard, the downlinks the dirty set holds are sent to their
+/// vehicles' endpoints on their lanes' hubs and a vehicle whose send fails
+/// is parked.  Then every lane hub steps, and a vehicle whose endpoint
+/// vanished with traffic in flight is parked too.  Then `step_vehicles`
+/// runs, and finally each lane hub's server mailbox is drained, in lane
+/// order, and every uplink processed by its sender's shard, the sender
+/// found through the lane's table; an uplink from an endpoint no vehicle
 /// owns is counted as rejected.
 ///
 /// Per vehicle, the order of effects (and of journal records, buffered in
-/// the shard) is the same whichever caller runs the round, however many
-/// shards the server has and however the shard's vehicles are split into
-/// lanes.  The reliability sweep ([`ShardHandle::tick`]) is the caller's, as
-/// are the journal merge and the campaign gates.
-pub(crate) fn step_shard<R>(
-    handle: &ShardHandle,
+/// its shard) is the same whichever caller runs the round, however many
+/// shards the server has and however the vehicles are split into lanes.
+/// The reliability sweep ([`ShardHandle::tick`]) is the caller's, as are the
+/// journal merge and the campaign gates.
+pub(crate) fn step_round<R>(
+    handles: &[ShardHandle],
     routes: &[LaneRoute],
     server_endpoint: &str,
     scratch: &mut RoundScratch,
     now: Tick,
     step_vehicles: impl FnOnce() -> R,
 ) -> (RoundCounts, R) {
+    let handle_of =
+        |vehicle: &VehicleId| &handles[TrustedServer::shard_index(vehicle, handles.len())];
     let mut counts = RoundCounts::default();
     {
         // Transport locks first, lane by lane, then the server's (the lock
         // order every thread keeps): the drain's shard locking nests inside.
-        assert!(routes.len() <= LANES, "a shard has at most LANES lanes");
+        assert!(routes.len() <= LANES, "a fleet has at most LANES lanes");
         let mut hubs: [Option<MutexGuard<'_, dyn Transport>>; LANES] =
             std::array::from_fn(|lane| routes.get(lane).map(|route| route.hub.lock()));
         let offline = &mut scratch.offline;
-        counts.downlink_polls = handle.poll_downlink_dirty(|vehicle, payload| {
-            counts.downlink_messages += 1;
-            let lane = lane_index(vehicle, routes.len());
-            let Some(endpoint) = routes[lane].table.endpoint_of(vehicle) else {
-                return;
-            };
-            let hub = hubs[lane].as_mut().expect("every lane hub is locked");
-            if hub.send(server_endpoint, endpoint, payload).is_err() {
-                offline.push(vehicle.clone());
+        for handle in handles {
+            counts.downlink_polls += handle.poll_downlink_dirty(|vehicle, payload| {
+                counts.downlink_messages += 1;
+                let lane = lane_index(vehicle, routes.len());
+                let Some(endpoint) = routes[lane].table.endpoint_of(vehicle) else {
+                    return;
+                };
+                let hub = hubs[lane].as_mut().expect("every lane hub is locked");
+                if hub.send(server_endpoint, endpoint, payload).is_err() {
+                    offline.push(vehicle.clone());
+                }
+            });
+            for vehicle in offline.drain(..) {
+                handle.mark_offline(&vehicle);
             }
-        });
-        for vehicle in offline.drain(..) {
-            handle.mark_offline(&vehicle);
         }
         for (hub, LaneRoute { table, .. }) in hubs.iter_mut().flatten().zip(routes) {
             hub.step(now);
@@ -984,7 +879,7 @@ pub(crate) fn step_shard<R>(
                     continue;
                 }
                 if let Some(vehicle) = table.vehicle_at(endpoint.as_ref()) {
-                    handle.mark_offline(vehicle);
+                    handle_of(vehicle).mark_offline(vehicle);
                 }
             }
         }
@@ -1002,7 +897,10 @@ pub(crate) fn step_shard<R>(
                 continue;
             };
             counts.uplink_messages += 1;
-            if handle.process_uplink(vehicle, &payload).is_err() {
+            if handle_of(vehicle)
+                .process_uplink(vehicle, &payload)
+                .is_err()
+            {
                 counts.rejected_uplinks += 1;
             }
         }

@@ -67,8 +67,9 @@ pub struct FleetScenarioConfig {
     pub bus: BusConfig,
     /// External transport configuration of the shared hub.
     pub transport: TransportConfig,
-    /// Server shard count (1 = the serial control plane; more shards run the
-    /// fleet tick shard-parallel on the worker pool).
+    /// Server shard count: a layout choice of the server's per-vehicle
+    /// state.  The fleet's vehicle lanes, and with them the round, are the
+    /// same at every shard count.
     pub shards: usize,
 }
 
@@ -294,7 +295,7 @@ impl FleetScenario {
             )?;
             fleet.server.bind_vehicle(&user, &vehicle_id)?;
 
-            // Each vehicle's ECM registers on the hub of *its* shard.
+            // Each vehicle's ECM registers on the hub of *its* lane.
             let hub = fleet.hub_for(&vehicle_id);
             let (vehicle, worker_handles, ecm_send_failures) =
                 build_vehicle(&endpoint, workers, config.bus.clone(), &hub, 0)?;

@@ -2,8 +2,8 @@
 //! trusted server, installed in staged waves, then updated in place while
 //! the rest of the fleet keeps driving.
 //!
-//! The server runs **sharded** (4 shards, one transport hub each), so the
-//! fleet tick fans out over the fixed worker pool — the same campaign at
+//! The server runs **sharded** (4 shards).  The fleet's vehicle lanes and
+//! its round do not depend on the shard count, and the same campaign at
 //! `shards: 1` produces byte-identical server state.
 //!
 //! ```console

@@ -21,7 +21,9 @@
 //! * **Pooled fleet tick** — the same claim for a fleet big enough that its
 //!   rounds hand their vehicle lanes to the lane pool's worker threads: the
 //!   hand-off (slots, wake-ups, completion tokens) allocates nothing, so the
-//!   same sensor-tick exemption bounds the window.
+//!   same sensor-tick exemption bounds the window.  It holds at one server
+//!   shard and at eight: the round walks the shard handles from a reused
+//!   buffer, so a sharded round allocates nothing either.
 //! * **Compiled VM slot** — a warm [`CompiledVm`] executing an arith-heavy
 //!   loop (fused superinstructions on the fast plane) runs whole slots
 //!   without allocating: pre-decoded ops, pre-resolved constants and a
@@ -31,7 +33,7 @@ use dynar::fes::transport::{TransportConfig, TransportHub};
 use dynar::foundation::payload::Payload;
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
-use dynar::sim::scenario::fleet::{FleetScenario, SENSOR_PERIOD};
+use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig, SENSOR_PERIOD};
 use dynar::sim::POOLED_MIN_VEHICLES;
 use dynar::vm::{assemble, Budget, CompiledVm, VmStatus};
 use dynar_bench::CountingAllocator;
@@ -75,14 +77,20 @@ fn quiescent_fleet_tick_is_allocation_free() {
     assert_eq!(scenario.fleet.pooled_rounds(), 0, "10 vehicles step inline");
 }
 
-fn quiescent_pooled_fleet_tick_is_allocation_free() {
-    let mut scenario = FleetScenario::build(POOLED_MIN_VEHICLES).expect("fleet builds");
+fn quiescent_pooled_fleet_tick_is_allocation_free(shards: usize) {
+    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
+        vehicles: POOLED_MIN_VEHICLES,
+        shards,
+        ..FleetScenarioConfig::default()
+    })
+    .expect("fleet builds");
     let rounds_before = scenario.fleet.stats().ticks;
     quiescent_ticks_allocate_only_for_sensors(&mut scenario, POOLED_MIN_VEHICLES / 2);
     assert_eq!(
         scenario.fleet.pooled_rounds(),
         scenario.fleet.stats().ticks - rounds_before,
-        "every round of a {POOLED_MIN_VEHICLES}-vehicle fleet ran its lanes on the pool"
+        "every round of a {POOLED_MIN_VEHICLES}-vehicle fleet at {shards} shard(s) ran its lanes \
+         on the pool"
     );
 }
 
@@ -203,6 +211,7 @@ fn warm_compiled_slot_is_allocation_free() {
 fn steady_state_hot_paths_are_allocation_free() {
     warm_transport_round_is_allocation_free();
     quiescent_fleet_tick_is_allocation_free();
-    quiescent_pooled_fleet_tick_is_allocation_free();
+    quiescent_pooled_fleet_tick_is_allocation_free(1);
+    quiescent_pooled_fleet_tick_is_allocation_free(8);
     warm_compiled_slot_is_allocation_free();
 }

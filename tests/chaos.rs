@@ -19,8 +19,8 @@ use dynar::sim::scenario::chaos::{ChaosConfig, ChaosScenario, PartitionPlan};
 
 /// The full pinned campaign at the given server shard count.  Shard count is
 /// an execution strategy, not a behaviour: every assertion below holds with
-/// the exact same numbers whether the tick is serial (1 shard) or fanned out
-/// over the worker pool (2/8 shards).
+/// the exact same numbers whether the server keeps its per-vehicle state in
+/// one shard or in 2/8.
 fn chaos_acceptance(shards: usize) {
     let config = ChaosConfig {
         shards,

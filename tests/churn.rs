@@ -28,7 +28,7 @@ use dynar::sim::scenario::fleet::{APP_TELEMETRY_V2, GAIN_V1, GAIN_V2};
 
 /// The full pinned campaign at the given server shard count.  Membership
 /// churn is the hard case for sharding — vehicles join, reboot and leave
-/// while the tick is fanned out — and every assertion holds with the same
+/// while the round walks the shards — and every assertion holds with the same
 /// numbers at any shard count.
 fn churn_acceptance(shards: usize) {
     let config = ChurnConfig {

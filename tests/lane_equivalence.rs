@@ -1,7 +1,8 @@
-//! Lane equivalence: a one-shard fleet whose vehicles are split into lanes
-//! (one transport hub per lane, stepped in parallel on the lane pool) must
-//! end a seeded scenario in exactly the state of a single-lane fleet that
-//! steps every vehicle on one thread over one shared hub.
+//! Lane equivalence: a fleet whose vehicles are split into lanes (one
+//! transport hub per lane, stepped in parallel on the lane pool) must end a
+//! seeded scenario in exactly the state of a one-shard, single-lane fleet
+//! that steps every vehicle on one thread over one shared hub — at one, two
+//! and eight server shards.
 //!
 //! The scenario is hostile on purpose: 5% loss on every link, a partition
 //! between the server and one vehicle, a vehicle reboot in the middle of an
@@ -81,9 +82,12 @@ struct Run {
 
 impl Run {
     /// Builds the fleet vehicle by vehicle: each ECM registers on the hub
-    /// `hub_for` names, before the vehicle joins.
-    fn build(laned: bool) -> Run {
-        let mut server = TrustedServer::with_shards(1);
+    /// `hub_for` names, before the vehicle joins.  `Some(shards)` builds a
+    /// laned fleet over a server of that many shards, `None` the one-shard,
+    /// single-lane reference.
+    fn build(laned_shards: Option<usize>) -> Run {
+        let laned = laned_shards.is_some();
+        let mut server = TrustedServer::with_shards(laned_shards.unwrap_or(1));
         server.create_user(operator()).unwrap();
         server
             .upload_app(telemetry_app(APP_TELEMETRY, "", GAIN_V1, WORKERS).unwrap())
@@ -231,50 +235,56 @@ impl Run {
 
 #[test]
 fn laned_fleet_matches_the_single_lane_reference() {
-    let mut reference = Run::build(false);
+    let mut reference = Run::build(None);
     reference.scenario();
-    let mut laned = Run::build(true);
-    laned.scenario();
-
     assert_eq!(reference.fleet.pooled_rounds(), 0, "one lane never pools");
-    assert_eq!(
-        laned.fleet.pooled_rounds(),
-        laned.fleet.stats().ticks,
-        "every laned round ran its lanes on the pool"
-    );
-
     let (snapshot, ledger, stats, transport) = reference.outcome();
-    let (laned_snapshot, laned_ledger, laned_stats, laned_transport) = laned.outcome();
-    assert!(
-        snapshot == laned_snapshot,
-        "durability snapshot diverged across lane layouts"
-    );
-    assert_eq!(ledger, laned_ledger, "ledger diverged");
-    assert_eq!(stats, laned_stats, "fleet counters diverged");
-    assert_eq!(
-        transport, laned_transport,
-        "summed transport counters diverged"
-    );
-    assert!(laned_transport.is_conserved(), "{laned_transport:?}");
-    assert!(
-        reference.vehicle_stats() == laned.vehicle_stats(),
-        "PIRTE, kernel or bus counters diverged"
-    );
+    let vehicle_stats = reference.vehicle_stats();
 
     // The scenario did what it says: lossy links, a campaign, acks.
     assert!(transport.lost > 0, "{transport:?}");
     assert!(stats.campaign_events > 0, "{stats:?}");
     assert!(stats.uplink_messages > 0, "{stats:?}");
-    // Every ECM registered on the hub its vehicle's lane names.
     assert_eq!(reference.send_failures(), SendFailureCounts::default());
-    assert_eq!(laned.send_failures(), SendFailureCounts::default());
 
-    // The laned journal (uplinks journaled in lane order) replays to the
-    // same bytes.
-    let journal = laned.fleet.server.journal_bytes().expect("journal on");
-    let replayed = TrustedServer::replay(journal).expect("journal replays");
-    assert!(
-        replayed.snapshot_bytes() == laned_snapshot,
-        "the laned journal replays to different bytes"
-    );
+    for shards in [1, 2, 8] {
+        let mut laned = Run::build(Some(shards));
+        laned.scenario();
+        assert_eq!(
+            laned.fleet.pooled_rounds(),
+            laned.fleet.stats().ticks,
+            "{shards} shards: every laned round ran its lanes on the pool"
+        );
+
+        let (laned_snapshot, laned_ledger, laned_stats, laned_transport) = laned.outcome();
+        assert!(
+            snapshot == laned_snapshot,
+            "{shards} shards: durability snapshot diverged across lane layouts"
+        );
+        assert_eq!(ledger, laned_ledger, "{shards} shards: ledger diverged");
+        assert_eq!(
+            stats, laned_stats,
+            "{shards} shards: fleet counters diverged"
+        );
+        assert_eq!(
+            transport, laned_transport,
+            "{shards} shards: summed transport counters diverged"
+        );
+        assert!(laned_transport.is_conserved(), "{laned_transport:?}");
+        assert!(
+            vehicle_stats == laned.vehicle_stats(),
+            "{shards} shards: PIRTE, kernel or bus counters diverged"
+        );
+        // Every ECM registered on the hub its vehicle's lane names.
+        assert_eq!(laned.send_failures(), SendFailureCounts::default());
+
+        // The laned journal (uplinks journaled in lane order, merged shard by
+        // shard) replays to the same bytes.
+        let journal = laned.fleet.server.journal_bytes().expect("journal on");
+        let replayed = TrustedServer::replay(journal).expect("journal replays");
+        assert!(
+            replayed.snapshot_bytes() == laned_snapshot,
+            "{shards} shards: the laned journal replays to different bytes"
+        );
+    }
 }

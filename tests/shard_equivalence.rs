@@ -2,10 +2,10 @@
 //! run with 1, 2 and 8 server shards must end in **byte-for-byte identical**
 //! server state.
 //!
-//! This is the contract that makes the parallel fleet tick trustworthy: the
-//! shard fan-out ([`dynar::server::server::ShardHandle`] + per-shard hubs +
-//! deterministic journal merge) is a pure execution strategy — it must never
-//! leak into observable state.  Three layers are compared against the serial
+//! This is the contract that makes the sharded fleet tick trustworthy: the
+//! shard layout ([`dynar::server::server::ShardHandle`]s walked by the one
+//! round + deterministic journal merge) is a pure execution strategy — it
+//! must never leak into observable state.  Three layers are compared against the serial
 //! baseline:
 //!
 //! * the durability snapshot (`snapshot_bytes`, globally sorted and

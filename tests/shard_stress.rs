@@ -1,14 +1,14 @@
-//! Stress loop for the parallel fleet tick, pinned for CI: the churn
+//! Stress loop for the sharded fleet round, pinned for CI: the churn
 //! campaign — reboots, a removal and a join landing mid-wave — repeated 50
 //! times at 8 shards with a different transport seed each iteration.
 //!
-//! The point is not any single assertion but the repetition: the shard
-//! fan-out crosses real thread boundaries every tick (the worker pool has a
-//! floor of two workers even on one core), so ordering assumptions that only
-//! break under a particular interleaving get 50 chances per CI run to
-//! surface.  Every 10th iteration additionally runs the same seed serially
-//! and requires the byte-identical server snapshot, so a flake shows up as a
-//! concrete state diff, not just a failed campaign.
+//! What it checks is reseeded determinism across shard layouts: every
+//! iteration must converge with the transport ledger conserved, and every
+//! 10th iteration additionally runs the same seed at one shard and requires
+//! the byte-identical server snapshot, so a layout dependence shows up as a
+//! concrete state diff, not just a failed campaign.  The churn fleets are
+//! small enough to step their lanes inline; interleavings of the lane pool's
+//! threads are covered by the pooled runs of `tests/lane_equivalence.rs`.
 
 use dynar::sim::scenario::churn::{ChurnConfig, ChurnScenario};
 
