@@ -9,6 +9,17 @@
 //! preallocated slots, and the wake-up and completion signals travel over
 //! bounded channels.  A fleet uses it to step its vehicle lanes in
 //! parallel.
+//!
+//! # Example
+//!
+//! ```
+//! use dynar_foundation::pool::LanePool;
+//!
+//! let pool = LanePool::new(4, 8, |item: &mut u64| *item *= *item);
+//! let mut items: Vec<u64> = (0..8).collect();
+//! pool.run(&mut items);
+//! assert_eq!(items, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+//! ```
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
