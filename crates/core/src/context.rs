@@ -348,6 +348,58 @@ impl InstallationContext {
         Value::List(vec![pic, plc, ecc])
     }
 
+    /// Appends the codec encoding of [`InstallationContext::to_value`] to
+    /// `out`, streamed field by field without building the [`Value`] tree
+    /// (installation packages ride in every server snapshot).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(3, out);
+        let ports = self.pic.ports();
+        codec::encode_list_header(ports.len(), out);
+        for p in ports {
+            codec::encode_list_header(3, out);
+            codec::encode_text(&p.name, out);
+            codec::encode_i64(i64::from(p.id.index()), out);
+            codec::encode_bool(p.direction == PluginPortDirection::Provided, out);
+        }
+        let links = self.plc.links();
+        codec::encode_list_header(links.len(), out);
+        for l in links {
+            codec::encode_list_header(2, out);
+            codec::encode_i64(i64::from(l.port.index()), out);
+            match l.target {
+                LinkTarget::Direct => {
+                    codec::encode_list_header(1, out);
+                    codec::encode_i64(0, out);
+                }
+                LinkTarget::VirtualPort(v) => {
+                    codec::encode_list_header(2, out);
+                    codec::encode_i64(1, out);
+                    codec::encode_i64(i64::from(v.index()), out);
+                }
+                LinkTarget::RemotePluginPort { via, remote } => {
+                    codec::encode_list_header(3, out);
+                    codec::encode_i64(2, out);
+                    codec::encode_i64(i64::from(via.index()), out);
+                    codec::encode_i64(i64::from(remote.index()), out);
+                }
+            }
+        }
+        match &self.ecc {
+            None => codec::encode_void(out),
+            Some(ecc) => {
+                let routes = ecc.routes();
+                codec::encode_list_header(routes.len(), out);
+                for r in routes {
+                    codec::encode_list_header(4, out);
+                    codec::encode_text(&r.endpoint, out);
+                    codec::encode_text(&r.message_id, out);
+                    codec::encode_i64(i64::from(r.ecu.index()), out);
+                    codec::encode_i64(i64::from(r.port.index()), out);
+                }
+            }
+        }
+    }
+
     /// Decodes a context encoded by [`InstallationContext::to_value`].
     ///
     /// # Errors
@@ -431,10 +483,13 @@ impl InstallationContext {
         Ok(InstallationContext { pic, plc, ecc })
     }
 
-    /// Encodes the context to bytes (a convenience over
-    /// [`InstallationContext::to_value`] plus the shared codec).
+    /// Encodes the context to bytes (the shared codec's encoding of
+    /// [`InstallationContext::to_value`], streamed by
+    /// [`InstallationContext::encode_into`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        codec::encode_value(&self.to_value())
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 
     /// Decodes a context from bytes produced by
@@ -614,6 +669,7 @@ mod tests {
             let encoded = context.to_value();
             assert_eq!(InstallationContext::from_value(&encoded).unwrap(), context);
             let bytes = context.to_bytes();
+            assert_eq!(bytes, codec::encode_value(&encoded), "streamed = tree");
             assert_eq!(InstallationContext::from_bytes(&bytes).unwrap(), context);
         }
     }

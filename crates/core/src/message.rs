@@ -17,6 +17,10 @@ use dynar_foundation::value::Value;
 
 use crate::context::InstallationContext;
 
+/// The wire message-type id of an installation package (0, as in the
+/// paper's example).
+const INSTALL_TYPE_ID: i64 = 0;
+
 /// The payload of an installation: the plug-in binary plus the vehicle-
 /// specific context generated by the trusted server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,6 +49,25 @@ impl InstallationPackage {
             binary,
             context,
         }
+    }
+
+    /// Appends the encoding of [`ManagementMessage::Install`] carrying this
+    /// package to `out` — the bytes of
+    /// `ManagementMessage::Install(package.clone()).to_bytes()`, without the
+    /// clone.
+    pub fn encode_install_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(2, out);
+        codec::encode_i64(INSTALL_TYPE_ID, out);
+        self.encode_body_into(out);
+    }
+
+    /// The install message's body: `[plugin, app, binary, context]`.
+    fn encode_body_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(4, out);
+        codec::encode_text(self.plugin.name(), out);
+        codec::encode_text(self.app.name(), out);
+        codec::encode_bytes(&self.binary, out);
+        self.context.encode_into(out);
     }
 
     /// Total size of the package payload in bytes (binary plus encoded
@@ -164,18 +187,20 @@ impl DownlinkEnvelope {
         }
     }
 
-    /// Encodes the envelope as a [`Value`].
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::I64(i64::from(self.target.index())),
-            Value::I64(self.seq as i64),
-            Value::I64(i64::from(self.boot_epoch)),
-            Value::I64(i64::from(self.incarnation)),
-            self.message.to_value(),
-        ])
+    /// Appends the envelope's codec encoding to `out`: the list `[target,
+    /// seq, boot epoch, incarnation, message]`, streamed without a
+    /// [`Value`] tree.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(5, out);
+        codec::encode_i64(i64::from(self.target.index()), out);
+        codec::encode_i64(self.seq as i64, out);
+        codec::encode_i64(i64::from(self.boot_epoch), out);
+        codec::encode_i64(i64::from(self.incarnation), out);
+        self.message.encode_into(out);
     }
 
-    /// Decodes an envelope encoded by [`DownlinkEnvelope::to_value`].
+    /// Decodes an envelope from the value form of its
+    /// [`DownlinkEnvelope::encode_into`] encoding.
     ///
     /// # Errors
     ///
@@ -225,7 +250,9 @@ impl DownlinkEnvelope {
 
     /// Encodes the envelope to bytes using the shared value codec.
     pub fn to_bytes(&self) -> Vec<u8> {
-        codec::encode_value(&self.to_value())
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 
     /// Decodes an envelope from bytes produced by
@@ -297,7 +324,7 @@ impl ManagementMessage {
     /// package, as in the paper's example).
     pub fn type_id(&self) -> i64 {
         match self {
-            ManagementMessage::Install(_) => 0,
+            ManagementMessage::Install(_) => INSTALL_TYPE_ID,
             ManagementMessage::Uninstall { .. } => 1,
             ManagementMessage::Stop { .. } => 2,
             ManagementMessage::Start { .. } => 3,
@@ -363,6 +390,66 @@ impl ManagementMessage {
         Value::List(vec![Value::I64(self.type_id()), body])
     }
 
+    /// Appends the codec encoding of [`ManagementMessage::to_value`] to
+    /// `out`, streamed without building the [`Value`] tree (downlink
+    /// envelopes and the server snapshot's installation packages are
+    /// encoded this way).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(2, out);
+        codec::encode_i64(self.type_id(), out);
+        match self {
+            ManagementMessage::Install(package) => package.encode_body_into(out),
+            ManagementMessage::Uninstall { plugin }
+            | ManagementMessage::Stop { plugin }
+            | ManagementMessage::Start { plugin } => {
+                codec::encode_list_header(1, out);
+                codec::encode_text(plugin.name(), out);
+            }
+            ManagementMessage::ExternalData { port, payload } => {
+                codec::encode_list_header(2, out);
+                codec::encode_i64(i64::from(port.index()), out);
+                codec::encode_into(payload, out);
+            }
+            ManagementMessage::OutboundData {
+                message_id,
+                payload,
+            } => {
+                codec::encode_list_header(2, out);
+                codec::encode_text(message_id, out);
+                codec::encode_into(payload, out);
+            }
+            ManagementMessage::Ack(ack) => {
+                codec::encode_list_header(5, out);
+                codec::encode_text(ack.plugin.name(), out);
+                codec::encode_text(ack.app.name(), out);
+                codec::encode_i64(i64::from(ack.ecu.index()), out);
+                codec::encode_i64(ack.status.tag(), out);
+                codec::encode_text(
+                    match &ack.status {
+                        AckStatus::Failed(reason) => reason,
+                        _ => "",
+                    },
+                    out,
+                );
+            }
+            ManagementMessage::StateReportRequest => codec::encode_list_header(0, out),
+            ManagementMessage::StateReport {
+                boot_epoch,
+                plugins,
+            } => {
+                codec::encode_list_header(2, out);
+                codec::encode_i64(i64::from(*boot_epoch), out);
+                codec::encode_list_header(plugins.len(), out);
+                for (plugin, app, ecu) in plugins {
+                    codec::encode_list_header(3, out);
+                    codec::encode_text(plugin.name(), out);
+                    codec::encode_text(app.name(), out);
+                    codec::encode_i64(i64::from(ecu.index()), out);
+                }
+            }
+        }
+    }
+
     /// Decodes a message encoded by [`ManagementMessage::to_value`].
     ///
     /// # Errors
@@ -378,7 +465,7 @@ impl ManagementMessage {
         };
         let body = body.as_list().ok_or_else(|| malformed("body"))?;
         let message = match type_id.expect_i64()? {
-            0 => {
+            INSTALL_TYPE_ID => {
                 let [plugin, app, binary, context] = body else {
                     return Err(malformed("install body"));
                 };
@@ -502,7 +589,9 @@ impl ManagementMessage {
 
     /// Encodes the message to bytes using the shared value codec.
     pub fn to_bytes(&self) -> Vec<u8> {
-        codec::encode_value(&self.to_value())
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 
     /// Decodes a message from bytes produced by
@@ -601,6 +690,7 @@ mod tests {
             let value = message.to_value();
             assert_eq!(ManagementMessage::from_value(&value).unwrap(), message);
             let bytes = message.to_bytes();
+            assert_eq!(bytes, codec::encode_value(&value), "streamed = tree");
             assert_eq!(ManagementMessage::from_bytes(&bytes).unwrap(), message);
         }
     }
@@ -608,6 +698,14 @@ mod tests {
     #[test]
     fn install_has_type_id_zero_like_the_paper() {
         assert_eq!(ManagementMessage::Install(sample_package()).type_id(), 0);
+    }
+
+    #[test]
+    fn package_encodes_as_its_install_message() {
+        let package = sample_package();
+        let mut bytes = Vec::new();
+        package.encode_install_into(&mut bytes);
+        assert_eq!(bytes, ManagementMessage::Install(package).to_bytes());
     }
 
     #[test]

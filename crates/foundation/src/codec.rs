@@ -40,29 +40,12 @@ pub fn encode_value(value: &Value) -> Vec<u8> {
 /// allocation when composing larger messages.
 pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
     match value {
-        Value::Void => out.push(TAG_VOID),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::I64(v) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::F64(v) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Bytes(b) => {
-            out.push(TAG_BYTES);
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-        Value::Text(t) => {
-            out.push(TAG_TEXT);
-            out.extend_from_slice(&(t.len() as u32).to_le_bytes());
-            out.extend_from_slice(t.as_bytes());
-        }
+        Value::Void => encode_void(out),
+        Value::Bool(b) => encode_bool(*b, out),
+        Value::I64(v) => encode_i64(*v, out),
+        Value::F64(v) => encode_f64(*v, out),
+        Value::Bytes(b) => encode_bytes(b, out),
+        Value::Text(t) => encode_text(t, out),
         Value::List(items) => {
             encode_list_header(items.len(), out);
             for item in items {
@@ -72,9 +55,63 @@ pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
     }
 }
 
+// The primitives below are the codec's one implementation of the wire
+// format: [`encode_into`] writes every [`Value`] through them, and a type
+// with a fixed schema can stream its encoding through them directly, with
+// the same bytes and no [`Value`] tree.
+
+/// Appends the encoding of [`Value::Void`] to `out`.
+pub fn encode_void(out: &mut Vec<u8>) {
+    out.push(TAG_VOID);
+}
+
+/// Appends the encoding of [`Value::Bool`]`(value)` to `out`.
+pub fn encode_bool(value: bool, out: &mut Vec<u8>) {
+    out.push(TAG_BOOL);
+    out.push(u8::from(value));
+}
+
+/// Appends the encoding of [`Value::I64`]`(value)` to `out`.
+pub fn encode_i64(value: i64, out: &mut Vec<u8>) {
+    out.push(TAG_I64);
+    out.extend_from_slice(&value.to_le_bytes());
+}
+
+/// Appends the encoding of [`Value::F64`]`(value)` to `out`.
+pub fn encode_f64(value: f64, out: &mut Vec<u8>) {
+    out.push(TAG_F64);
+    out.extend_from_slice(&value.to_le_bytes());
+}
+
+/// Appends the encoding of [`Value::Bytes`] holding `bytes` to `out`.
+pub fn encode_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    out.push(TAG_BYTES);
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Appends the encoding of [`Value::Text`] holding `text` to `out`.
+pub fn encode_text(text: &str, out: &mut Vec<u8>) {
+    out.push(TAG_TEXT);
+    out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    out.extend_from_slice(text.as_bytes());
+}
+
 /// Appends the header of a list of `len` items to `out`.  Followed by the
 /// encodings of the items, it encodes the same bytes as the
 /// [`Value::List`] of them, without the list having to exist.
+///
+/// ```
+/// use dynar_foundation::codec::{encode_i64, encode_list_header, encode_text, encode_value};
+/// use dynar_foundation::value::Value;
+///
+/// let mut streamed = Vec::new();
+/// encode_list_header(2, &mut streamed);
+/// encode_i64(-3, &mut streamed);
+/// encode_text("speed", &mut streamed);
+/// let tree = Value::List(vec![Value::I64(-3), Value::Text("speed".into())]);
+/// assert_eq!(streamed, encode_value(&tree));
+/// ```
 pub fn encode_list_header(len: usize, out: &mut Vec<u8>) {
     out.push(TAG_LIST);
     out.extend_from_slice(&(len as u32).to_le_bytes());

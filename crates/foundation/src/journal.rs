@@ -3,7 +3,10 @@
 //! The trusted server's durability plane (see `crates/server`) appends one
 //! frame per state transition; this module owns the *storage* layer only —
 //! the frame payloads themselves are [`crate::codec`]-encoded
-//! [`crate::value::Value`]s whose schema the journal's writer defines.
+//! [`crate::value::Value`]s whose schema the journal's writer defines.  A
+//! writer may stream a payload straight into the journal buffer between
+//! [`begin_frame`] and [`finish_frame`] instead of encoding it elsewhere
+//! first.
 //!
 //! # Frame format
 //!
@@ -38,10 +41,46 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
 
 /// Appends one frame carrying `payload` to `out`.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    let start = begin_frame(out);
     out.extend_from_slice(payload);
+    finish_frame(out, start);
+}
+
+/// Starts a frame at the end of `out`: reserves its header and returns the
+/// frame's start offset.  The caller writes the payload straight into
+/// `out` and closes the frame with [`finish_frame`], so a payload never
+/// needs a buffer of its own.
+///
+/// ```
+/// use dynar_foundation::journal::{append_frame, begin_frame, finish_frame};
+///
+/// let mut streamed = Vec::new();
+/// let start = begin_frame(&mut streamed);
+/// streamed.extend_from_slice(b"pay");
+/// streamed.extend_from_slice(b"load");
+/// finish_frame(&mut streamed, start);
+/// let mut copied = Vec::new();
+/// append_frame(&mut copied, b"payload");
+/// assert_eq!(streamed, copied);
+/// ```
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    start
+}
+
+/// Closes the frame that [`begin_frame`] started at `start`: every byte
+/// after its header is the payload, whose length and checksum are written
+/// into the reserved header.
+///
+/// # Panics
+///
+/// Panics if `start` is not followed by a reserved header in `out`.
+pub fn finish_frame(out: &mut [u8], start: usize) {
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER_LEN);
+    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
 }
 
 /// A cursor over a byte buffer of consecutive frames.

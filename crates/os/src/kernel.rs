@@ -25,6 +25,9 @@ pub struct KernelStats {
     pub alarm_expirations: u64,
     /// Activation requests rejected because the activation limit was reached.
     pub activation_overflows: u64,
+    /// Alarm `SetEvent` actions rejected by [`Kernel::set_event`] (the
+    /// alarm targets a basic task or an unknown task).
+    pub alarm_event_failures: u64,
 }
 
 /// The OSEK-like kernel of one ECU.
@@ -286,15 +289,20 @@ impl Kernel {
         for index in 0..self.alarms.len() {
             if let Some(action) = self.alarms[index].poll(now) {
                 self.stats.alarm_expirations += 1;
+                // A failed alarm action is counted in the stats and
+                // otherwise tolerated, so one misconfigured alarm cannot stop
+                // the others: an activation overflow (on a periodic alarm,
+                // the task missed its deadline) is counted by `activate`
+                // itself in `activation_overflows`, a rejected event in
+                // `alarm_event_failures`.
                 match action {
                     AlarmAction::ActivateTask(task) => {
-                        // An activation overflow on a periodic alarm means the
-                        // task missed its deadline; the error is counted in the
-                        // stats and the overflow is otherwise tolerated.
                         let _ = self.activate(task);
                     }
                     AlarmAction::SetEvent(task, events) => {
-                        let _ = self.set_event(task, events);
+                        if self.set_event(task, events).is_err() {
+                            self.stats.alarm_event_failures += 1;
+                        }
                     }
                 }
                 fired.push(action);
@@ -507,6 +515,24 @@ mod tests {
         kernel.activate(t).unwrap();
         assert!(kernel.activate(t).is_err());
         assert_eq!(kernel.stats().activation_overflows, 1);
+    }
+
+    #[test]
+    fn failed_alarm_set_event_is_counted() {
+        let (mut kernel, ids) = kernel_with(&[1]);
+        // `t0` is a basic task: it cannot receive events.
+        kernel.add_alarm(Alarm::relative(
+            2,
+            Some(2),
+            AlarmAction::SetEvent(ids[0], EventMask::bit(0)),
+            Tick::ZERO,
+        ));
+        kernel.advance(Tick::new(2));
+        assert_eq!(kernel.stats().alarm_event_failures, 1);
+        kernel.advance(Tick::new(4));
+        assert_eq!(kernel.stats().alarm_event_failures, 2);
+        assert_eq!(kernel.stats().alarm_expirations, 2);
+        assert_eq!(kernel.stats().activation_overflows, 0);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use dynar_foundation::codec;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, UserId, VehicleId};
 use dynar_foundation::time::Tick;
@@ -320,8 +321,10 @@ pub enum CampaignEvent {
 // ----------------------------------------------------------------------
 //
 // Campaigns ride in the canonical server snapshot and the create record of
-// the write-ahead journal; like every other decoder on the recovery path the
-// bytes are untrusted and must produce typed errors, never panics.
+// the write-ahead journal.  Each type streams its encoding with
+// `encode_into` and decodes the `Value` form of those bytes with
+// `from_value`; like every other decoder on the recovery path the bytes are
+// untrusted and must produce typed errors, never panics.
 
 fn malformed(what: &str) -> DynarError {
     DynarError::ProtocolViolation(format!("malformed campaign encoding: {what}"))
@@ -339,27 +342,43 @@ fn usize_of(value: &Value, what: &str) -> Result<usize> {
     usize::try_from(value.expect_i64()?).map_err(|_| malformed(what))
 }
 
+fn encode_vins(vehicles: &[VehicleId], out: &mut Vec<u8>) {
+    codec::encode_list_header(vehicles.len(), out);
+    for vehicle in vehicles {
+        codec::encode_text(vehicle.vin(), out);
+    }
+}
+
+/// An optional app id: its name, or void when absent.
+fn encode_optional_app(app: Option<&AppId>, out: &mut Vec<u8>) {
+    match app {
+        Some(app) => codec::encode_text(app.name(), out),
+        None => codec::encode_void(out),
+    }
+}
+
 impl VehicleSelector {
-    /// Encodes the selector as a [`Value`].
-    pub fn to_value(&self) -> Value {
+    /// Appends the selector's encoding, `[tag, argument?]`, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            VehicleSelector::All => Value::List(vec![Value::I64(0)]),
-            VehicleSelector::Model(model) => {
-                Value::List(vec![Value::I64(1), Value::Text(model.clone())])
+            VehicleSelector::All => {
+                codec::encode_list_header(1, out);
+                codec::encode_i64(0, out);
             }
-            VehicleSelector::Vehicles(vehicles) => Value::List(vec![
-                Value::I64(2),
-                Value::List(
-                    vehicles
-                        .iter()
-                        .map(|v| Value::Text(v.vin().to_owned()))
-                        .collect(),
-                ),
-            ]),
+            VehicleSelector::Model(model) => {
+                codec::encode_list_header(2, out);
+                codec::encode_i64(1, out);
+                codec::encode_text(model, out);
+            }
+            VehicleSelector::Vehicles(vehicles) => {
+                codec::encode_list_header(2, out);
+                codec::encode_i64(2, out);
+                encode_vins(vehicles, out);
+            }
         }
     }
 
-    /// Decodes a selector encoded by [`VehicleSelector::to_value`].
+    /// Decodes a selector encoded by [`VehicleSelector::encode_into`].
     ///
     /// # Errors
     ///
@@ -385,20 +404,17 @@ impl VehicleSelector {
 }
 
 impl WavePlan {
-    /// Encodes the wave plan as a [`Value`].
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::I64(self.canary as i64),
-            Value::List(
-                self.ramp_percent
-                    .iter()
-                    .map(|p| Value::I64(i64::from(*p)))
-                    .collect(),
-            ),
-        ])
+    /// Appends the plan's encoding, `[canary, ramp percentages]`, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(2, out);
+        codec::encode_i64(self.canary as i64, out);
+        codec::encode_list_header(self.ramp_percent.len(), out);
+        for percent in &self.ramp_percent {
+            codec::encode_i64(i64::from(*percent), out);
+        }
     }
 
-    /// Decodes a plan encoded by [`WavePlan::to_value`].
+    /// Decodes a plan encoded by [`WavePlan::encode_into`].
     ///
     /// # Errors
     ///
@@ -420,16 +436,15 @@ impl WavePlan {
 }
 
 impl HealthGate {
-    /// Encodes the gate as a [`Value`].
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::I64(self.min_soak_ticks as i64),
-            Value::I64(self.pause_failed as i64),
-            Value::I64(self.abort_failed as i64),
-        ])
+    /// Appends the gate's encoding, `[min soak, pause, abort]`, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(3, out);
+        codec::encode_i64(self.min_soak_ticks as i64, out);
+        codec::encode_i64(self.pause_failed as i64, out);
+        codec::encode_i64(self.abort_failed as i64, out);
     }
 
-    /// Decodes a gate encoded by [`HealthGate::to_value`].
+    /// Decodes a gate encoded by [`HealthGate::encode_into`].
     ///
     /// # Errors
     ///
@@ -447,13 +462,16 @@ impl HealthGate {
 }
 
 impl CampaignStatus {
-    fn to_value(self) -> Value {
-        Value::I64(match self {
-            CampaignStatus::Running => 0,
-            CampaignStatus::Paused => 1,
-            CampaignStatus::Aborted => 2,
-            CampaignStatus::Complete => 3,
-        })
+    fn encode_into(self, out: &mut Vec<u8>) {
+        codec::encode_i64(
+            match self {
+                CampaignStatus::Running => 0,
+                CampaignStatus::Paused => 1,
+                CampaignStatus::Aborted => 2,
+                CampaignStatus::Complete => 3,
+            },
+            out,
+        );
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -468,22 +486,18 @@ impl CampaignStatus {
 }
 
 impl CampaignSpec {
-    /// Encodes the spec as a [`Value`] (the create record's payload).
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(self.id.name().to_owned()),
-            Value::Text(self.app.name().to_owned()),
-            match &self.replaces {
-                Some(app) => Value::Text(app.name().to_owned()),
-                None => Value::Void,
-            },
-            self.selector.to_value(),
-            self.plan.to_value(),
-            self.gate.to_value(),
-        ])
+    /// Appends the spec's encoding (the create record's payload) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(6, out);
+        codec::encode_text(self.id.name(), out);
+        codec::encode_text(self.app.name(), out);
+        encode_optional_app(self.replaces.as_ref(), out);
+        self.selector.encode_into(out);
+        self.plan.encode_into(out);
+        self.gate.encode_into(out);
     }
 
-    /// Decodes a spec encoded by [`CampaignSpec::to_value`].
+    /// Decodes a spec encoded by [`CampaignSpec::encode_into`].
     ///
     /// # Errors
     ///
@@ -511,54 +525,38 @@ impl CampaignSpec {
 }
 
 impl Campaign {
-    /// Encodes the campaign as a [`Value`] (the snapshot form; every map is
-    /// a `BTreeMap`, so the encoding is canonical by construction).
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(self.id.name().to_owned()),
-            Value::Text(self.user.name().to_owned()),
-            Value::Text(self.app.name().to_owned()),
-            match &self.replaces {
-                Some(app) => Value::Text(app.name().to_owned()),
-                None => Value::Void,
-            },
-            self.selector.to_value(),
-            Value::List(
-                self.targets
-                    .iter()
-                    .map(|v| Value::Text(v.vin().to_owned()))
-                    .collect(),
-            ),
-            self.plan.to_value(),
-            self.gate.to_value(),
-            self.status.to_value(),
-            Value::I64(self.wave as i64),
-            Value::I64(self.wave_started.as_u64() as i64),
-            Value::List(
-                self.last_good
-                    .iter()
-                    .map(|(vehicle, apps)| {
-                        Value::List(vec![
-                            Value::Text(vehicle.vin().to_owned()),
-                            Value::List(
-                                apps.iter()
-                                    .map(|a| Value::Text(a.name().to_owned()))
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-            Value::List(vec![
-                Value::I64(self.counters.exposed as i64),
-                Value::I64(self.counters.succeeded as i64),
-                Value::I64(self.counters.failed as i64),
-                Value::I64(self.counters.rolled_back as i64),
-            ]),
-        ])
+    /// Appends the campaign's encoding (the snapshot form; every map is a
+    /// `BTreeMap`, so the encoding is canonical by construction) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(13, out);
+        codec::encode_text(self.id.name(), out);
+        codec::encode_text(self.user.name(), out);
+        codec::encode_text(self.app.name(), out);
+        encode_optional_app(self.replaces.as_ref(), out);
+        self.selector.encode_into(out);
+        encode_vins(&self.targets, out);
+        self.plan.encode_into(out);
+        self.gate.encode_into(out);
+        self.status.encode_into(out);
+        codec::encode_i64(self.wave as i64, out);
+        codec::encode_i64(self.wave_started.as_u64() as i64, out);
+        codec::encode_list_header(self.last_good.len(), out);
+        for (vehicle, apps) in &self.last_good {
+            codec::encode_list_header(2, out);
+            codec::encode_text(vehicle.vin(), out);
+            codec::encode_list_header(apps.len(), out);
+            for app in apps {
+                codec::encode_text(app.name(), out);
+            }
+        }
+        codec::encode_list_header(4, out);
+        codec::encode_i64(self.counters.exposed as i64, out);
+        codec::encode_i64(self.counters.succeeded as i64, out);
+        codec::encode_i64(self.counters.failed as i64, out);
+        codec::encode_i64(self.counters.rolled_back as i64, out);
     }
 
-    /// Decodes a campaign encoded by [`Campaign::to_value`].
+    /// Decodes a campaign encoded by [`Campaign::encode_into`].
     ///
     /// # Errors
     ///
@@ -705,11 +703,21 @@ mod tests {
         assert_eq!(flash.cumulative_target(1, 20), 20);
     }
 
+    /// Decodes the value form of `encode`'s bytes with `decode`.
+    fn round_trip<T>(
+        encode: impl FnOnce(&mut Vec<u8>),
+        decode: impl FnOnce(&Value) -> Result<T>,
+    ) -> T {
+        let mut bytes = Vec::new();
+        encode(&mut bytes);
+        decode(&codec::decode_value(&bytes).unwrap()).unwrap()
+    }
+
     #[test]
     fn campaign_value_codec_round_trips() {
         let campaign = sample_campaign();
         assert_eq!(
-            Campaign::from_value(&campaign.to_value()).unwrap(),
+            round_trip(|o| campaign.encode_into(o), Campaign::from_value),
             campaign
         );
         let spec = CampaignSpec {
@@ -720,9 +728,15 @@ mod tests {
             plan: WavePlan::default(),
             gate: HealthGate::default(),
         };
-        assert_eq!(CampaignSpec::from_value(&spec.to_value()).unwrap(), spec);
+        assert_eq!(
+            round_trip(|o| spec.encode_into(o), CampaignSpec::from_value),
+            spec
+        );
         let all = VehicleSelector::All;
-        assert_eq!(VehicleSelector::from_value(&all.to_value()).unwrap(), all);
+        assert_eq!(
+            round_trip(|o| all.encode_into(o), VehicleSelector::from_value),
+            all
+        );
     }
 
     #[test]

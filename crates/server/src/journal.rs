@@ -22,7 +22,7 @@
 use dynar_foundation::codec;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, UserId, VehicleId};
-use dynar_foundation::journal::append_frame;
+use dynar_foundation::journal::{begin_frame, finish_frame};
 use dynar_foundation::time::Tick;
 use dynar_foundation::value::Value;
 
@@ -132,104 +132,113 @@ fn text<'a>(value: &'a Value, what: &str) -> Result<&'a str> {
 }
 
 impl JournalRecord {
-    /// Encodes the record as a `[tag, ...fields]` list.
-    pub(crate) fn to_value(&self) -> Value {
-        let user_vehicle_app = |tag: i64, user: &UserId, vehicle: &VehicleId, app: &AppId| {
-            Value::List(vec![
-                Value::I64(tag),
-                Value::Text(user.name().to_owned()),
-                Value::Text(vehicle.vin().to_owned()),
-                Value::Text(app.name().to_owned()),
-            ])
+    /// Appends the record's encoding, a `[tag, ...fields]` list, to `out`
+    /// (streamed: no [`Value`] tree is built).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let header = |tag: i64, fields: usize, out: &mut Vec<u8>| {
+            codec::encode_list_header(1 + fields, out);
+            codec::encode_i64(tag, out);
         };
-        let vehicle_only = |tag: i64, vehicle: &VehicleId| {
-            Value::List(vec![Value::I64(tag), Value::Text(vehicle.vin().to_owned())])
+        let user_vehicle_app =
+            |tag: i64, user: &UserId, vehicle: &VehicleId, app: &AppId, out: &mut Vec<u8>| {
+                header(tag, 3, out);
+                codec::encode_text(user.name(), out);
+                codec::encode_text(vehicle.vin(), out);
+                codec::encode_text(app.name(), out);
+            };
+        let vehicle_only = |tag: i64, vehicle: &VehicleId, out: &mut Vec<u8>| {
+            header(tag, 1, out);
+            codec::encode_text(vehicle.vin(), out);
         };
-        let campaign_only = |tag: i64, campaign: &CampaignId| {
-            Value::List(vec![
-                Value::I64(tag),
-                Value::Text(campaign.name().to_owned()),
-            ])
+        let campaign_only = |tag: i64, campaign: &CampaignId, out: &mut Vec<u8>| {
+            header(tag, 1, out);
+            codec::encode_text(campaign.name(), out);
         };
         match self {
             JournalRecord::Snapshot(state) => {
-                Value::List(vec![Value::I64(TAG_SNAPSHOT), state.clone()])
+                header(TAG_SNAPSHOT, 1, out);
+                codec::encode_into(state, out);
             }
-            JournalRecord::CreateUser(user) => Value::List(vec![
-                Value::I64(TAG_CREATE_USER),
-                Value::Text(user.name().to_owned()),
-            ]),
-            JournalRecord::RegisterVehicle(vehicle, hw, system) => Value::List(vec![
-                Value::I64(TAG_REGISTER_VEHICLE),
-                Value::Text(vehicle.vin().to_owned()),
-                hw.to_value(),
-                system.to_value(),
-            ]),
-            JournalRecord::BindVehicle(user, vehicle) => Value::List(vec![
-                Value::I64(TAG_BIND_VEHICLE),
-                Value::Text(user.name().to_owned()),
-                Value::Text(vehicle.vin().to_owned()),
-            ]),
+            JournalRecord::CreateUser(user) => {
+                header(TAG_CREATE_USER, 1, out);
+                codec::encode_text(user.name(), out);
+            }
+            JournalRecord::RegisterVehicle(vehicle, hw, system) => {
+                header(TAG_REGISTER_VEHICLE, 3, out);
+                codec::encode_text(vehicle.vin(), out);
+                hw.encode_into(out);
+                system.encode_into(out);
+            }
+            JournalRecord::BindVehicle(user, vehicle) => {
+                header(TAG_BIND_VEHICLE, 2, out);
+                codec::encode_text(user.name(), out);
+                codec::encode_text(vehicle.vin(), out);
+            }
             JournalRecord::UploadApp(app) => {
-                Value::List(vec![Value::I64(TAG_UPLOAD_APP), app.to_value()])
+                header(TAG_UPLOAD_APP, 1, out);
+                app.encode_into(out);
             }
-            JournalRecord::SetRetryPolicy(policy) => Value::List(vec![
-                Value::I64(TAG_SET_RETRY_POLICY),
-                Value::I64(policy.ack_deadline_ticks as i64),
-                Value::I64(i64::from(policy.max_attempts)),
-            ]),
+            JournalRecord::SetRetryPolicy(policy) => {
+                header(TAG_SET_RETRY_POLICY, 2, out);
+                codec::encode_i64(policy.ack_deadline_ticks as i64, out);
+                codec::encode_i64(i64::from(policy.max_attempts), out);
+            }
             JournalRecord::Deploy(user, vehicle, app) => {
-                user_vehicle_app(TAG_DEPLOY, user, vehicle, app)
+                user_vehicle_app(TAG_DEPLOY, user, vehicle, app, out);
             }
             JournalRecord::Uninstall(user, vehicle, app) => {
-                user_vehicle_app(TAG_UNINSTALL, user, vehicle, app)
+                user_vehicle_app(TAG_UNINSTALL, user, vehicle, app, out);
             }
-            JournalRecord::Restore(vehicle, ecu) => Value::List(vec![
-                Value::I64(TAG_RESTORE),
-                Value::Text(vehicle.vin().to_owned()),
-                Value::I64(i64::from(ecu.index())),
-            ]),
+            JournalRecord::Restore(vehicle, ecu) => {
+                header(TAG_RESTORE, 2, out);
+                codec::encode_text(vehicle.vin(), out);
+                codec::encode_i64(i64::from(ecu.index()), out);
+            }
             JournalRecord::SetDesired(user, vehicle, app) => {
-                user_vehicle_app(TAG_SET_DESIRED, user, vehicle, app)
+                user_vehicle_app(TAG_SET_DESIRED, user, vehicle, app, out);
             }
             JournalRecord::ClearDesired(user, vehicle, app) => {
-                user_vehicle_app(TAG_CLEAR_DESIRED, user, vehicle, app)
+                user_vehicle_app(TAG_CLEAR_DESIRED, user, vehicle, app, out);
             }
-            JournalRecord::Reconcile(vehicle) => vehicle_only(TAG_RECONCILE, vehicle),
-            JournalRecord::MarkOffline(vehicle) => vehicle_only(TAG_MARK_OFFLINE, vehicle),
-            JournalRecord::MarkOnline(vehicle, boot_epoch) => Value::List(vec![
-                Value::I64(TAG_MARK_ONLINE),
-                Value::Text(vehicle.vin().to_owned()),
-                Value::I64(i64::from(*boot_epoch)),
-            ]),
-            JournalRecord::MarkUnreachable(vehicle) => vehicle_only(TAG_MARK_UNREACHABLE, vehicle),
+            JournalRecord::Reconcile(vehicle) => vehicle_only(TAG_RECONCILE, vehicle, out),
+            JournalRecord::MarkOffline(vehicle) => vehicle_only(TAG_MARK_OFFLINE, vehicle, out),
+            JournalRecord::MarkOnline(vehicle, boot_epoch) => {
+                header(TAG_MARK_ONLINE, 2, out);
+                codec::encode_text(vehicle.vin(), out);
+                codec::encode_i64(i64::from(*boot_epoch), out);
+            }
+            JournalRecord::MarkUnreachable(vehicle) => {
+                vehicle_only(TAG_MARK_UNREACHABLE, vehicle, out);
+            }
             JournalRecord::RequestStateReport(vehicle) => {
-                vehicle_only(TAG_REQUEST_STATE_REPORT, vehicle)
+                vehicle_only(TAG_REQUEST_STATE_REPORT, vehicle, out);
             }
             JournalRecord::Tick(now) => {
-                Value::List(vec![Value::I64(TAG_TICK), Value::I64(now.as_u64() as i64)])
+                header(TAG_TICK, 1, out);
+                codec::encode_i64(now.as_u64() as i64, out);
             }
-            JournalRecord::ProcessUplink(vehicle, payload) => Value::List(vec![
-                Value::I64(TAG_PROCESS_UPLINK),
-                Value::Text(vehicle.vin().to_owned()),
-                Value::Bytes(payload.clone()),
-            ]),
-            JournalRecord::PollDownlink(vehicle) => vehicle_only(TAG_POLL_DOWNLINK, vehicle),
-            JournalRecord::BeginIncarnation => Value::List(vec![Value::I64(TAG_BEGIN_INCARNATION)]),
-            JournalRecord::CampaignCreate(user, spec) => Value::List(vec![
-                Value::I64(TAG_CAMPAIGN_CREATE),
-                Value::Text(user.name().to_owned()),
-                spec.to_value(),
-            ]),
-            JournalRecord::CampaignAdvance(id) => campaign_only(TAG_CAMPAIGN_ADVANCE, id),
-            JournalRecord::CampaignPause(id) => campaign_only(TAG_CAMPAIGN_PAUSE, id),
-            JournalRecord::CampaignResume(id) => campaign_only(TAG_CAMPAIGN_RESUME, id),
-            JournalRecord::CampaignAbort(id) => campaign_only(TAG_CAMPAIGN_ABORT, id),
-            JournalRecord::CampaignComplete(id) => campaign_only(TAG_CAMPAIGN_COMPLETE, id),
+            JournalRecord::ProcessUplink(vehicle, payload) => {
+                header(TAG_PROCESS_UPLINK, 2, out);
+                codec::encode_text(vehicle.vin(), out);
+                codec::encode_bytes(payload, out);
+            }
+            JournalRecord::PollDownlink(vehicle) => vehicle_only(TAG_POLL_DOWNLINK, vehicle, out),
+            JournalRecord::BeginIncarnation => header(TAG_BEGIN_INCARNATION, 0, out),
+            JournalRecord::CampaignCreate(user, spec) => {
+                header(TAG_CAMPAIGN_CREATE, 2, out);
+                codec::encode_text(user.name(), out);
+                spec.encode_into(out);
+            }
+            JournalRecord::CampaignAdvance(id) => campaign_only(TAG_CAMPAIGN_ADVANCE, id, out),
+            JournalRecord::CampaignPause(id) => campaign_only(TAG_CAMPAIGN_PAUSE, id, out),
+            JournalRecord::CampaignResume(id) => campaign_only(TAG_CAMPAIGN_RESUME, id, out),
+            JournalRecord::CampaignAbort(id) => campaign_only(TAG_CAMPAIGN_ABORT, id, out),
+            JournalRecord::CampaignComplete(id) => campaign_only(TAG_CAMPAIGN_COMPLETE, id, out),
         }
     }
 
-    /// Decodes a record encoded by [`JournalRecord::to_value`].
+    /// Decodes the value form of a record encoded by
+    /// [`JournalRecord::encode_into`].
     ///
     /// # Errors
     ///
@@ -505,11 +514,12 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends one record frame.
+    /// Appends one record frame, encoding the record straight into the
+    /// buffer.
     pub(crate) fn append(&mut self, record: &JournalRecord) {
-        let payload = codec::encode_value(&record.to_value());
-        let frame_start = self.buffer.len();
-        append_frame(&mut self.buffer, &payload);
+        let frame_start = begin_frame(&mut self.buffer);
+        record.encode_into(&mut self.buffer);
+        finish_frame(&mut self.buffer, frame_start);
         self.records_since_snapshot += 1;
         if let Some(sink) = &mut self.sink {
             // A sink write failure must not desynchronise the in-memory
@@ -526,17 +536,20 @@ impl Journal {
         self.records_since_snapshot >= self.compaction_interval
     }
 
-    /// Replaces the whole buffer with a single snapshot frame of `state`,
-    /// an encoded snapshot (`TrustedServer::snapshot_bytes`).  The frame
-    /// holds the encoding of [`JournalRecord::Snapshot`], written around the
-    /// encoded state rather than through a copy of its [`Value`] tree.
-    pub(crate) fn compact(&mut self, state: &[u8]) {
-        let mut payload = Vec::with_capacity(state.len() + 16);
-        codec::encode_list_header(2, &mut payload);
-        codec::encode_into(&Value::I64(TAG_SNAPSHOT), &mut payload);
-        payload.extend_from_slice(state);
+    /// Replaces the whole buffer with a single snapshot frame: the encoding
+    /// of [`JournalRecord::Snapshot`] around the state that `write_state`
+    /// streams (`TrustedServer::write_snapshot`).  The frame is written in
+    /// place — its header is reserved, the payload is streamed after it, and
+    /// the length and checksum are patched in — so the buffer keeps its
+    /// capacity from one compaction to the next and the snapshot is never
+    /// copied.
+    pub(crate) fn compact(&mut self, write_state: impl FnOnce(&mut Vec<u8>)) {
         self.buffer.clear();
-        append_frame(&mut self.buffer, &payload);
+        let frame_start = begin_frame(&mut self.buffer);
+        codec::encode_list_header(2, &mut self.buffer);
+        codec::encode_i64(TAG_SNAPSHOT, &mut self.buffer);
+        write_state(&mut self.buffer);
+        finish_frame(&mut self.buffer, frame_start);
         self.records_since_snapshot = 0;
         if let Some(sink) = &mut self.sink {
             if sink.rewrite(&self.buffer).is_err() {
@@ -555,6 +568,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynar_foundation::journal::{append_frame, FrameReader};
 
     #[test]
     fn records_round_trip() {
@@ -627,8 +641,9 @@ mod tests {
             JournalRecord::CampaignComplete(CampaignId::new("rollout-1")),
         ];
         for record in records {
-            let decoded = JournalRecord::from_value(&record.to_value()).unwrap();
-            assert_eq!(decoded, record);
+            let mut bytes = Vec::new();
+            record.encode_into(&mut bytes);
+            assert_eq!(JournalRecord::from_bytes(&bytes).unwrap(), record);
         }
     }
 
@@ -649,15 +664,54 @@ mod tests {
         assert!(journal.due_for_compaction());
         let before = journal.bytes().len();
         let state = Value::List(vec![Value::I64(7), Value::Text("vin-1".into())]);
-        journal.compact(&codec::encode_value(&state));
+        journal.compact(|out| codec::encode_into(&state, out));
         assert!(journal.bytes().len() < before + 32);
         assert!(!journal.due_for_compaction());
-        // The frame is the record's own encoding, state decoded intact.
+        // The frame is the record's own encoding, `[TAG_SNAPSHOT, state]`,
+        // state decoded intact.
         let mut expected = Vec::new();
         append_frame(
             &mut expected,
-            &codec::encode_value(&JournalRecord::Snapshot(state).to_value()),
+            &codec::encode_value(&Value::List(vec![Value::I64(TAG_SNAPSHOT), state.clone()])),
         );
         assert_eq!(journal.bytes(), expected.as_slice());
+        let payload = &journal.bytes()[dynar_foundation::journal::FRAME_HEADER_LEN..];
+        assert_eq!(
+            JournalRecord::from_bytes(payload).unwrap(),
+            JournalRecord::Snapshot(state)
+        );
+    }
+
+    #[test]
+    fn appended_frames_match_the_framed_record_encoding() {
+        let mut journal = Journal::new(100);
+        let records = [
+            JournalRecord::BeginIncarnation,
+            JournalRecord::ProcessUplink(VehicleId::new("vin-1"), vec![9; 40]),
+            JournalRecord::Tick(Tick::new(3)),
+        ];
+        let mut expected = journal.bytes().to_vec();
+        for record in &records {
+            journal.append(record);
+            let mut payload = Vec::new();
+            record.encode_into(&mut payload);
+            append_frame(&mut expected, &payload);
+        }
+        assert_eq!(journal.bytes(), expected.as_slice());
+    }
+
+    #[test]
+    fn compaction_reuses_the_buffer() {
+        let mut journal = Journal::new(1);
+        let state = Value::Bytes(vec![1; 4096]);
+        journal.compact(|out| codec::encode_into(&state, out));
+        journal.append(&JournalRecord::BeginIncarnation);
+        let (capacity, start) = (journal.buffer.capacity(), journal.buffer.as_ptr());
+        journal.compact(|out| codec::encode_into(&state, out));
+        assert_eq!(journal.buffer.capacity(), capacity);
+        assert_eq!(journal.buffer.as_ptr(), start, "compaction reallocated");
+        let mut reader = FrameReader::new(journal.bytes());
+        assert!(reader.next_frame().unwrap().is_some());
+        assert_eq!(reader.next_frame().unwrap(), None);
     }
 }

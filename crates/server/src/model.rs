@@ -370,10 +370,14 @@ impl AppDefinition {
 //
 // The write-ahead journal and the state snapshots of `TrustedServer`
 // (`crate::journal`) persist whole model objects with the shared
-// `dynar_foundation::codec`.  Every decoder returns a typed
-// [`DynarError::ProtocolViolation`] on malformed input — journals are read
-// back on the recovery path, where the bytes are untrusted by definition.
+// `dynar_foundation::codec`.  Each type streams its encoding with
+// `encode_into` (no `Value` tree is built on the write path) and decodes the
+// `Value` form of those bytes with `from_value`.  Every decoder returns a
+// typed [`DynarError::ProtocolViolation`] on malformed input — journals are
+// read back on the recovery path, where the bytes are untrusted by
+// definition.
 
+use dynar_foundation::codec;
 use dynar_foundation::value::Value;
 
 fn malformed(what: &str) -> DynarError {
@@ -396,15 +400,14 @@ fn decode_text<'a>(value: &'a Value, what: &str) -> Result<&'a str> {
 }
 
 impl EcuHw {
-    /// Encodes the ECU description as a [`Value`].
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::I64(i64::from(self.ecu.index())),
-            Value::I64(i64::from(self.memory_kb)),
-        ])
+    /// Appends the ECU description's encoding, `[ecu, memory_kb]`, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(2, out);
+        codec::encode_i64(i64::from(self.ecu.index()), out);
+        codec::encode_i64(i64::from(self.memory_kb), out);
     }
 
-    /// Decodes an ECU description encoded by [`EcuHw::to_value`].
+    /// Decodes an ECU description encoded by [`EcuHw::encode_into`].
     ///
     /// # Errors
     ///
@@ -421,12 +424,16 @@ impl EcuHw {
 }
 
 impl HwConf {
-    /// Encodes the hardware configuration as a [`Value`].
-    pub fn to_value(&self) -> Value {
-        Value::List(self.ecus.iter().map(EcuHw::to_value).collect())
+    /// Appends the hardware configuration's encoding (the list of its ECUs)
+    /// to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(self.ecus.len(), out);
+        for ecu in &self.ecus {
+            ecu.encode_into(out);
+        }
     }
 
-    /// Decodes a configuration encoded by [`HwConf::to_value`].
+    /// Decodes a configuration encoded by [`HwConf::encode_into`].
     ///
     /// # Errors
     ///
@@ -443,13 +450,21 @@ impl HwConf {
 }
 
 impl VirtualPortKindDecl {
-    fn to_value(self) -> Value {
+    fn encode_into(self, out: &mut Vec<u8>) {
         match self {
-            VirtualPortKindDecl::TypeI => Value::List(vec![Value::I64(0)]),
-            VirtualPortKindDecl::TypeII { peer } => {
-                Value::List(vec![Value::I64(1), Value::I64(i64::from(peer.index()))])
+            VirtualPortKindDecl::TypeI => {
+                codec::encode_list_header(1, out);
+                codec::encode_i64(0, out);
             }
-            VirtualPortKindDecl::TypeIII => Value::List(vec![Value::I64(2)]),
+            VirtualPortKindDecl::TypeII { peer } => {
+                codec::encode_list_header(2, out);
+                codec::encode_i64(1, out);
+                codec::encode_i64(i64::from(peer.index()), out);
+            }
+            VirtualPortKindDecl::TypeIII => {
+                codec::encode_list_header(1, out);
+                codec::encode_i64(2, out);
+            }
         }
     }
 
@@ -467,12 +482,11 @@ impl VirtualPortKindDecl {
 }
 
 impl VirtualPortDecl {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::I64(i64::from(self.id.index())),
-            Value::Text(self.name.clone()),
-            self.kind.to_value(),
-        ])
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(3, out);
+        codec::encode_i64(i64::from(self.id.index()), out);
+        codec::encode_text(&self.name, out);
+        self.kind.encode_into(out);
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -490,13 +504,15 @@ impl VirtualPortDecl {
 }
 
 impl PluginSwcDecl {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::I64(i64::from(self.ecu.index())),
-            Value::Text(self.swc_name.clone()),
-            Value::Bool(self.is_ecm),
-            Value::List(self.virtual_ports.iter().map(|p| p.to_value()).collect()),
-        ])
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(4, out);
+        codec::encode_i64(i64::from(self.ecu.index()), out);
+        codec::encode_text(&self.swc_name, out);
+        codec::encode_bool(self.is_ecm, out);
+        codec::encode_list_header(self.virtual_ports.len(), out);
+        for port in &self.virtual_ports {
+            port.encode_into(out);
+        }
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -520,15 +536,18 @@ impl PluginSwcDecl {
 }
 
 impl SystemSwConf {
-    /// Encodes the system software configuration as a [`Value`].
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(self.model.clone()),
-            Value::List(self.swcs.iter().map(|s| s.to_value()).collect()),
-        ])
+    /// Appends the system software configuration's encoding, `[model,
+    /// SW-Cs]`, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(2, out);
+        codec::encode_text(&self.model, out);
+        codec::encode_list_header(self.swcs.len(), out);
+        for swc in &self.swcs {
+            swc.encode_into(out);
+        }
     }
 
-    /// Decodes a configuration encoded by [`SystemSwConf::to_value`].
+    /// Decodes a configuration encoded by [`SystemSwConf::encode_into`].
     ///
     /// # Errors
     ///
@@ -550,14 +569,16 @@ impl SystemSwConf {
 }
 
 impl PluginPortDecl {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(self.name.clone()),
-            Value::I64(match self.direction {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(2, out);
+        codec::encode_text(&self.name, out);
+        codec::encode_i64(
+            match self.direction {
                 PluginPortDirection::Provided => 0,
                 PluginPortDirection::Required => 1,
-            }),
-        ])
+            },
+            out,
+        );
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -577,12 +598,14 @@ impl PluginPortDecl {
 }
 
 impl PluginArtifact {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(self.id.name().to_owned()),
-            Value::Bytes(self.binary.clone()),
-            Value::List(self.ports.iter().map(|p| p.to_value()).collect()),
-        ])
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(3, out);
+        codec::encode_text(self.id.name(), out);
+        codec::encode_bytes(&self.binary, out);
+        codec::encode_list_header(self.ports.len(), out);
+        for port in &self.ports {
+            port.encode_into(out);
+        }
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -606,25 +629,32 @@ impl PluginArtifact {
 }
 
 impl ConnectionDecl {
-    fn to_value(&self) -> Value {
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            ConnectionDecl::Direct => Value::List(vec![Value::I64(0)]),
-            ConnectionDecl::VirtualPort { name } => {
-                Value::List(vec![Value::I64(1), Value::Text(name.clone())])
+            ConnectionDecl::Direct => {
+                codec::encode_list_header(1, out);
+                codec::encode_i64(0, out);
             }
-            ConnectionDecl::RemotePlugin { plugin, port } => Value::List(vec![
-                Value::I64(2),
-                Value::Text(plugin.name().to_owned()),
-                Value::Text(port.clone()),
-            ]),
+            ConnectionDecl::VirtualPort { name } => {
+                codec::encode_list_header(2, out);
+                codec::encode_i64(1, out);
+                codec::encode_text(name, out);
+            }
+            ConnectionDecl::RemotePlugin { plugin, port } => {
+                codec::encode_list_header(3, out);
+                codec::encode_i64(2, out);
+                codec::encode_text(plugin.name(), out);
+                codec::encode_text(port, out);
+            }
             ConnectionDecl::External {
                 endpoint,
                 message_id,
-            } => Value::List(vec![
-                Value::I64(3),
-                Value::Text(endpoint.clone()),
-                Value::Text(message_id.clone()),
-            ]),
+            } => {
+                codec::encode_list_header(3, out);
+                codec::encode_i64(3, out);
+                codec::encode_text(endpoint, out);
+                codec::encode_text(message_id, out);
+            }
         }
     }
 
@@ -649,12 +679,11 @@ impl ConnectionDecl {
 }
 
 impl PortConnection {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(self.plugin.name().to_owned()),
-            Value::Text(self.port.clone()),
-            self.target.to_value(),
-        ])
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(3, out);
+        codec::encode_text(self.plugin.name(), out);
+        codec::encode_text(&self.port, out);
+        self.target.encode_into(out);
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -673,23 +702,20 @@ impl PortConnection {
 }
 
 impl SwConf {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(self.model.clone()),
-            Value::I64(i64::from(self.min_memory_kb)),
-            Value::List(
-                self.placements
-                    .iter()
-                    .map(|p| {
-                        Value::List(vec![
-                            Value::Text(p.plugin.name().to_owned()),
-                            Value::I64(i64::from(p.ecu.index())),
-                        ])
-                    })
-                    .collect(),
-            ),
-            Value::List(self.connections.iter().map(|c| c.to_value()).collect()),
-        ])
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(4, out);
+        codec::encode_text(&self.model, out);
+        codec::encode_i64(i64::from(self.min_memory_kb), out);
+        codec::encode_list_header(self.placements.len(), out);
+        for p in &self.placements {
+            codec::encode_list_header(2, out);
+            codec::encode_text(p.plugin.name(), out);
+            codec::encode_i64(i64::from(p.ecu.index()), out);
+        }
+        codec::encode_list_header(self.connections.len(), out);
+        for connection in &self.connections {
+            connection.encode_into(out);
+        }
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -727,25 +753,30 @@ impl SwConf {
 }
 
 impl AppDefinition {
-    /// Encodes the application definition as a [`Value`].
-    pub fn to_value(&self) -> Value {
-        let ids = |apps: &[AppId]| {
-            Value::List(
-                apps.iter()
-                    .map(|a| Value::Text(a.name().to_owned()))
-                    .collect(),
-            )
+    /// Appends the application definition's encoding, `[id, plug-ins,
+    /// requires, conflicts, SW confs]`, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let ids = |apps: &[AppId], out: &mut Vec<u8>| {
+            codec::encode_list_header(apps.len(), out);
+            for app in apps {
+                codec::encode_text(app.name(), out);
+            }
         };
-        Value::List(vec![
-            Value::Text(self.id.name().to_owned()),
-            Value::List(self.plugins.iter().map(|p| p.to_value()).collect()),
-            ids(&self.requires),
-            ids(&self.conflicts),
-            Value::List(self.sw_confs.iter().map(|c| c.to_value()).collect()),
-        ])
+        codec::encode_list_header(5, out);
+        codec::encode_text(self.id.name(), out);
+        codec::encode_list_header(self.plugins.len(), out);
+        for plugin in &self.plugins {
+            plugin.encode_into(out);
+        }
+        ids(&self.requires, out);
+        ids(&self.conflicts, out);
+        codec::encode_list_header(self.sw_confs.len(), out);
+        for conf in &self.sw_confs {
+            conf.encode_into(out);
+        }
     }
 
-    /// Decodes a definition encoded by [`AppDefinition::to_value`].
+    /// Decodes a definition encoded by [`AppDefinition::encode_into`].
     ///
     /// # Errors
     ///
@@ -835,12 +866,22 @@ mod tests {
         assert!(conf.swc_on(EcuId::new(3)).is_none());
     }
 
+    /// Decodes the value form of `encode`'s bytes with `decode`.
+    fn round_trip<T>(
+        encode: impl FnOnce(&mut Vec<u8>),
+        decode: impl FnOnce(&Value) -> Result<T>,
+    ) -> T {
+        let mut bytes = Vec::new();
+        encode(&mut bytes);
+        decode(&codec::decode_value(&bytes).unwrap()).unwrap()
+    }
+
     #[test]
     fn model_value_codec_round_trips() {
         let hw = HwConf::new()
             .with_ecu(EcuId::new(1), 512)
             .with_ecu(EcuId::new(2), 256);
-        assert_eq!(HwConf::from_value(&hw.to_value()).unwrap(), hw);
+        assert_eq!(round_trip(|o| hw.encode_into(o), HwConf::from_value), hw);
 
         let system = SystemSwConf::new("model-car")
             .with_swc(PluginSwcDecl {
@@ -873,7 +914,7 @@ mod tests {
                 ],
             });
         assert_eq!(
-            SystemSwConf::from_value(&system.to_value()).unwrap(),
+            round_trip(|o| system.encode_into(o), SystemSwConf::from_value),
             system
         );
 
@@ -917,12 +958,14 @@ mod tests {
                         },
                     ),
             );
-        assert_eq!(AppDefinition::from_value(&app.to_value()).unwrap(), app);
+        assert_eq!(
+            round_trip(|o| app.encode_into(o), AppDefinition::from_value),
+            app
+        );
     }
 
     #[test]
     fn model_decoders_reject_malformed_values() {
-        use dynar_foundation::value::Value;
         for decoder in [
             |v: &Value| HwConf::from_value(v).map(|_| ()),
             |v: &Value| SystemSwConf::from_value(v).map(|_| ()),

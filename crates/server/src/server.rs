@@ -791,11 +791,11 @@ impl TrustedServer {
         let apps = self.shared.apps.read();
         let ctx = self.shared.op_ctx(&apps);
         let mut shard = self.shard_of(vehicle);
+        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
         let pushed = {
             let mut ledger = self.shared.ledger.lock();
-            Self::op_push_install(&mut shard, &mut ledger, &ctx, vehicle, app)?
+            Self::op_push_install(record, &mut ledger, &ctx, app)?
         };
-        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
         record.desired.insert(app.clone());
         shard.note_dirty(vehicle);
         Ok(pushed)
@@ -807,24 +807,12 @@ impl TrustedServer {
     /// because the operation was already authorised when the manifest was
     /// set).
     fn op_push_install(
-        shard: &mut Shard,
+        record: &mut VehicleRecord,
         ledger: &mut Ledger,
         ctx: &OpCtx<'_>,
-        vehicle: &VehicleId,
         app: &AppId,
     ) -> Result<usize> {
-        let packages = {
-            let record = shard
-                .vehicles
-                .get(vehicle)
-                .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
-            Self::plan_for_record(record, ctx.apps, app)?
-        };
-        let record = shard
-            .vehicles
-            .get_mut(vehicle)
-            .expect("vehicle checked by the plan");
-
+        let packages = Self::plan_for_record(record, ctx.apps, app)?;
         let mut installed = InstalledApp {
             plugins: Vec::new(),
             packages: packages.clone(),
@@ -888,53 +876,58 @@ impl TrustedServer {
         let apps = self.shared.apps.read();
         let ctx = self.shared.op_ctx(&apps);
         let mut shard = self.shard_of(vehicle);
+        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
         let pushed = {
             let mut ledger = self.shared.ledger.lock();
-            Self::op_push_uninstall(&mut shard, &mut ledger, &ctx, vehicle, app)?
+            Self::op_push_uninstall(record, &mut ledger, &ctx, app)?
         };
-        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
         record.desired.remove(app);
         shard.note_dirty(vehicle);
         Ok(pushed)
     }
 
-    /// Pushes the uninstallation messages of an installed `app` (the
-    /// imperative half of [`TrustedServer::uninstall`], shared with
-    /// [`TrustedServer::reconcile`]).
+    /// Checks that `app` is installed with no installed dependents, then
+    /// pushes its uninstallation messages (the imperative half of
+    /// [`TrustedServer::uninstall`]).
     fn op_push_uninstall(
-        shard: &mut Shard,
+        record: &mut VehicleRecord,
         ledger: &mut Ledger,
         ctx: &OpCtx<'_>,
-        vehicle: &VehicleId,
         app: &AppId,
     ) -> Result<usize> {
-        let dependents: Vec<String> = {
-            let record = shard
-                .vehicles
-                .get(vehicle)
-                .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
-            if !record.installed.contains_key(app) {
-                return Err(DynarError::not_found("installed app", app));
-            }
-            record
-                .installed
-                .keys()
-                .filter(|installed| {
-                    ctx.apps
-                        .get(*installed)
-                        .is_some_and(|d| d.requires.contains(app))
-                })
-                .map(|a| a.name().to_owned())
-                .collect()
-        };
+        if !record.installed.contains_key(app) {
+            return Err(DynarError::not_found("installed app", app));
+        }
+        let dependents: Vec<String> = record
+            .installed
+            .keys()
+            .filter(|installed| {
+                ctx.apps
+                    .get(*installed)
+                    .is_some_and(|d| d.requires.contains(app))
+            })
+            .map(|a| a.name().to_owned())
+            .collect();
         if !dependents.is_empty() {
             return Err(DynarError::DependentsExist {
                 plugin: app.name().to_owned(),
                 dependents,
             });
         }
-        let record = shard.vehicles.get_mut(vehicle).expect("checked above");
         let installed = record.installed.remove(app).expect("checked above");
+        Ok(Self::push_uninstall(record, ledger, ctx, app, installed))
+    }
+
+    /// Pushes the uninstallation messages of `installed`, already taken out
+    /// of the record's observed state, and tracks them as `app`'s pending
+    /// operation.  Returns the number of messages pushed.
+    fn push_uninstall(
+        record: &mut VehicleRecord,
+        ledger: &mut Ledger,
+        ctx: &OpCtx<'_>,
+        app: &AppId,
+        installed: InstalledApp,
+    ) -> usize {
         let mut awaiting = HashSet::new();
         for (plugin, ecu) in &installed.plugins {
             awaiting.insert(plugin.clone());
@@ -965,7 +958,7 @@ impl TrustedServer {
         // A fresh operation supersedes whatever failure the last one left.
         record.failed.remove(app);
         ledger.uninstalls_pushed += count as u64;
-        Ok(count)
+        count
     }
 
     /// Re-installs, on a replaced ECU, every plug-in that was previously
@@ -1182,59 +1175,67 @@ impl TrustedServer {
         ctx: &OpCtx<'_>,
         vehicle: &VehicleId,
     ) -> Result<usize> {
-        let (to_install, to_uninstall) = {
-            let record = shard
-                .vehicles
-                .get(vehicle)
-                .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
-            let to_install: Vec<AppId> = record
-                .desired
-                .iter()
-                .filter(|app| {
-                    !record.installed.contains_key(*app) && !record.pending.contains_key(*app)
+        let record = shard
+            .vehicles
+            .get_mut(vehicle)
+            .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
+        Ok(Self::reconcile_record(record, ledger, ctx))
+    }
+
+    /// Reconciles one already-found vehicle record: diffs its desired
+    /// manifest against the observed and pending state and pushes the
+    /// difference.  Cannot fail — an install that cannot be planned is
+    /// recorded in `failed` for the next reconciliation, and the planned
+    /// uninstalls are installed apps without installed dependents by
+    /// construction.  Returns the number of packages pushed.
+    fn reconcile_record(record: &mut VehicleRecord, ledger: &mut Ledger, ctx: &OpCtx<'_>) -> usize {
+        let to_install: Vec<AppId> = record
+            .desired
+            .iter()
+            .filter(|app| {
+                !record.installed.contains_key(*app) && !record.pending.contains_key(*app)
+            })
+            .cloned()
+            .collect();
+        let mut to_uninstall: Vec<AppId> = record
+            .installed
+            .keys()
+            .filter(|app| !record.desired.contains(*app) && !record.pending.contains_key(*app))
+            .filter(|app| {
+                // Keep dependency order: a still-depended-on app waits for
+                // the next round, after its dependents are removed.
+                !record.installed.keys().any(|other| {
+                    ctx.apps
+                        .get(other)
+                        .is_some_and(|d| d.requires.contains(*app))
                 })
-                .cloned()
-                .collect();
-            let mut to_uninstall: Vec<AppId> = record
-                .installed
-                .keys()
-                .filter(|app| !record.desired.contains(*app) && !record.pending.contains_key(*app))
-                .filter(|app| {
-                    // Keep dependency order: a still-depended-on app waits
-                    // for the next round, after its dependents are removed.
-                    !record.installed.keys().any(|other| {
-                        ctx.apps
-                            .get(other)
-                            .is_some_and(|d| d.requires.contains(*app))
-                    })
-                })
-                .cloned()
-                .collect();
-            // `installed` is a HashMap: sort so the push order (and thus
-            // sequence-id assignment) is deterministic for journal replay.
-            to_uninstall.sort();
-            (to_install, to_uninstall)
-        };
+            })
+            .cloned()
+            .collect();
+        // `installed` is a HashMap: sort so the push order (and thus
+        // sequence-id assignment) is deterministic for journal replay.
+        to_uninstall.sort();
         let mut pushed = 0;
         for app in &to_install {
-            if let Some(record) = shard.vehicles.get_mut(vehicle) {
-                record.failed.remove(app);
-            }
-            match Self::op_push_install(shard, ledger, ctx, vehicle, app) {
+            record.failed.remove(app);
+            match Self::op_push_install(record, ledger, ctx, app) {
                 Ok(count) => pushed += count,
                 Err(err) => {
                     // Not pushable right now (e.g. a dependency that has not
                     // converged yet): surface the reason and let the next
                     // reconciliation retry.
-                    let record = shard.vehicles.get_mut(vehicle).expect("checked above");
                     record.failed.insert(app.clone(), err.to_string());
                 }
             }
         }
         for app in &to_uninstall {
-            pushed += Self::op_push_uninstall(shard, ledger, ctx, vehicle, app)?;
+            // Uninstalling one app only removes dependents of the others,
+            // so every planned app is still installed and unrequired here.
+            if let Some(installed) = record.installed.remove(app) {
+                pushed += Self::push_uninstall(record, ledger, ctx, app, installed);
+            }
         }
-        Ok(pushed)
+        pushed
     }
 
     /// Parks a vehicle whose transport endpoint is known to be gone (reboot
@@ -1985,7 +1986,7 @@ impl TrustedServer {
     /// [`TrustedServer::replay`] works no matter when journaling began.
     pub fn enable_journal(&mut self, compaction_interval: u32) {
         let mut journal = Journal::new(compaction_interval);
-        journal.compact(&self.snapshot_bytes());
+        journal.compact(|out| self.write_snapshot(out));
         self.journal = Some(journal);
     }
 
@@ -2007,7 +2008,7 @@ impl TrustedServer {
         fsync_interval: u32,
     ) -> Result<()> {
         let mut journal = Journal::new(compaction_interval);
-        journal.compact(&self.snapshot_bytes());
+        journal.compact(|out| self.write_snapshot(out));
         journal.attach_file_sink(path, fsync_interval)?;
         self.journal = Some(journal);
         Ok(())
@@ -2031,10 +2032,7 @@ impl TrustedServer {
         if self.journal.is_none() {
             return;
         }
-        if self.journal.as_ref().expect("checked").due_for_compaction() {
-            let snapshot = self.snapshot_bytes();
-            self.journal.as_mut().expect("checked").compact(&snapshot);
-        }
+        self.compact_journal_if_due();
         let record = record();
         self.journal.as_mut().expect("checked").append(&record);
     }
@@ -2081,10 +2079,19 @@ impl TrustedServer {
         }
         // Compact only after the whole merge: a mid-merge snapshot would
         // capture later shards' effects ahead of their records.
-        if self.journal.as_ref().expect("checked").due_for_compaction() {
-            let snapshot = self.snapshot_bytes();
-            self.journal.as_mut().expect("checked").compact(&snapshot);
-        }
+        self.compact_journal_if_due();
+    }
+
+    /// Compacts the journal when its interval lapsed, streaming the
+    /// snapshot straight into the journal buffer.  The journal is taken out
+    /// of `self` for the duration, so the snapshot can read the rest of the
+    /// server while the journal's buffer is written.
+    fn compact_journal_if_due(&mut self) {
+        let Some(mut journal) = self.journal.take_if(|j| j.due_for_compaction()) else {
+            return;
+        };
+        journal.compact(|out| self.write_snapshot(out));
+        self.journal = Some(journal);
     }
 
     /// Rebuilds a single-shard server from journal bytes: decodes each frame
@@ -2292,54 +2299,63 @@ impl TrustedServer {
     /// deadline heaps and dirty flags are not part of the snapshot: both are
     /// rebuildable views over the outstanding entries and downlink queues.
     ///
-    /// The bytes encode one [`Value::List`] of eight parts, but the vehicle
-    /// records — nearly all of a fleet's snapshot — are converted and
-    /// encoded one at a time, so the state never exists as a [`Value`] tree
-    /// beside the server.
+    /// The bytes encode one [`Value::List`] of eight parts, streamed by
+    /// [`TrustedServer::write_snapshot`]: the state never exists as a
+    /// [`Value`] tree beside the server.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_snapshot(&mut out);
+        out
+    }
+
+    /// Appends the canonical snapshot ([`TrustedServer::snapshot_bytes`]) to
+    /// `out`.  Every part is streamed straight into `out` — journal
+    /// compaction passes the journal's own buffer — and the hash maps of the
+    /// vehicle records are sorted in one reused [`SortScratch`], so the
+    /// number of allocations does not grow with the fleet.  Only the ledger,
+    /// twelve counters, goes through its [`Value`] form.
+    fn write_snapshot(&self, out: &mut Vec<u8>) {
+        // Unstable sorts (the keys are unique, so the order is the same):
+        // a stable sort takes a heap buffer once the list outgrows its stack
+        // buffer, an allocation that would depend on the fleet size.
         let mut users: Vec<&UserId> = self.users.iter().collect();
-        users.sort();
+        users.sort_unstable();
         let apps_guard = self.shared.apps.read();
-        let mut apps: Vec<&AppId> = apps_guard.keys().collect();
-        apps.sort();
+        let mut apps: Vec<(&AppId, &AppDefinition)> = apps_guard.iter().collect();
+        apps.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let guards: Vec<MutexGuard<'_, Shard>> =
             self.shards.iter().map(|shard| shard.lock()).collect();
-        let mut vehicles: Vec<(&VehicleId, &VehicleRecord)> = guards
-            .iter()
-            .flat_map(|guard| guard.vehicles.iter())
-            .collect();
-        vehicles.sort_by(|a, b| a.0.cmp(b.0));
+        let mut vehicles: Vec<(&VehicleId, &VehicleRecord)> =
+            Vec::with_capacity(guards.iter().map(|guard| guard.vehicles.len()).sum());
+        vehicles.extend(guards.iter().flat_map(|guard| guard.vehicles.iter()));
+        vehicles.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let policy = self.shared.policy.read();
-        let mut out = Vec::new();
-        codec::encode_list_header(8, &mut out);
-        for part in [
-            Value::I64(i64::from(self.shared.incarnation())),
-            Value::I64(self.shared.now().as_u64() as i64),
-            Value::List(vec![
-                Value::I64(policy.ack_deadline_ticks as i64),
-                Value::I64(i64::from(policy.max_attempts)),
-            ]),
-            Value::List(
-                users
-                    .iter()
-                    .map(|u| Value::Text(u.name().to_owned()))
-                    .collect(),
-            ),
-            Value::List(apps.iter().map(|a| apps_guard[*a].to_value()).collect()),
-        ] {
-            codec::encode_into(&part, &mut out);
+        codec::encode_list_header(8, out);
+        codec::encode_i64(i64::from(self.shared.incarnation()), out);
+        codec::encode_i64(self.shared.now().as_u64() as i64, out);
+        codec::encode_list_header(2, out);
+        codec::encode_i64(policy.ack_deadline_ticks as i64, out);
+        codec::encode_i64(i64::from(policy.max_attempts), out);
+        codec::encode_list_header(users.len(), out);
+        for user in users {
+            codec::encode_text(user.name(), out);
         }
-        codec::encode_list_header(vehicles.len(), &mut out);
+        codec::encode_list_header(apps.len(), out);
+        for (_, app) in apps {
+            app.encode_into(out);
+        }
+        let mut scratch = SortScratch::default();
+        codec::encode_list_header(vehicles.len(), out);
         for (vin, record) in vehicles {
-            let entry = Value::List(vec![Value::Text(vin.vin().to_owned()), record.to_value()]);
-            codec::encode_into(&entry, &mut out);
+            codec::encode_list_header(2, out);
+            codec::encode_text(vin.vin(), out);
+            record.encode_into(out, &mut scratch);
         }
-        codec::encode_into(&self.shared.ledger.lock().to_value(), &mut out);
-        codec::encode_into(
-            &Value::List(self.campaigns.values().map(Campaign::to_value).collect()),
-            &mut out,
-        );
-        out
+        codec::encode_into(&self.shared.ledger.lock().to_value(), out);
+        codec::encode_list_header(self.campaigns.len(), out);
+        for campaign in self.campaigns.values() {
+            campaign.encode_into(out);
+        }
     }
 
     /// Decodes a server from a snapshot value into a `shards`-way layout.
@@ -2701,7 +2717,7 @@ impl TrustedServer {
                 {
                     let mut ledger = self.shared.ledger.lock();
                     ledger.campaign_exposures += 1;
-                    let _ = Self::op_reconcile(&mut shard, &mut ledger, &ctx, vehicle);
+                    Self::reconcile_record(record, &mut ledger, &ctx);
                 }
                 shard.note_dirty(vehicle);
                 exposed.push((vehicle.clone(), last_good));
@@ -2817,7 +2833,7 @@ impl TrustedServer {
                 {
                     let mut ledger = self.shared.ledger.lock();
                     ledger.campaign_rollbacks += 1;
-                    let _ = Self::op_reconcile(&mut shard, &mut ledger, &ctx, &vehicle);
+                    Self::reconcile_record(record, &mut ledger, &ctx);
                 }
                 shard.note_dirty(&vehicle);
                 restored += 1;
@@ -2948,8 +2964,42 @@ impl ShardHandle {
 }
 
 // ----------------------------------------------------------------------
-// Snapshot value codec for the per-vehicle bookkeeping
+// Snapshot codec for the per-vehicle bookkeeping
 // ----------------------------------------------------------------------
+//
+// Each type streams its snapshot encoding with `encode_into`, straight into
+// the journal buffer at compaction (no `Value` tree is built), and decodes
+// the `Value` form of those bytes with `from_value`.  Hash maps and sets are
+// emitted in sorted order, sorted in a reused `SortScratch`.
+
+/// Reused sort space for streaming vehicle records.  The snapshot holds
+/// every shard lock while it runs, so borrows of one record's keys can live
+/// in vectors that outlast the record: each vector keeps its capacity from
+/// one record to the next instead of being allocated per record.
+#[derive(Default)]
+struct SortScratch<'a> {
+    installed: Vec<(&'a AppId, &'a InstalledApp)>,
+    pending: Vec<(&'a AppId, &'a PendingOperation)>,
+    failed: Vec<(&'a AppId, &'a String)>,
+    awaiting: Vec<&'a PluginId>,
+    ports: Vec<(EcuId, u32)>,
+}
+
+/// Fills `scratch` with the entries of `map`, sorted by app id (the
+/// canonical order of every app-keyed map in the snapshot).
+fn sorted_by_app<'a, V>(map: &'a HashMap<AppId, V>, scratch: &mut Vec<(&'a AppId, &'a V)>) {
+    scratch.clear();
+    scratch.extend(map.iter());
+    scratch.sort_unstable_by(|a, b| a.0.cmp(b.0));
+}
+
+/// An optional text: the text, or void when absent.
+fn encode_optional_text(text: Option<&str>, out: &mut Vec<u8>) {
+    match text {
+        Some(text) => codec::encode_text(text, out),
+        None => codec::encode_void(out),
+    }
+}
 
 fn snap_err(what: &str) -> DynarError {
     DynarError::ProtocolViolation(format!("malformed server snapshot: {what}"))
@@ -2978,12 +3028,8 @@ fn snap_bool(value: &Value, what: &str) -> Result<bool> {
 }
 
 /// Installation packages ride inside the snapshot as the very
-/// [`ManagementMessage::Install`] encoding the wire uses — one codec, one
-/// truth.
-fn package_to_value(package: &InstallationPackage) -> Value {
-    ManagementMessage::Install(package.clone()).to_value()
-}
-
+/// [`ManagementMessage::Install`] encoding the wire uses
+/// ([`InstallationPackage::encode_install_into`]) — one codec, one truth.
 fn package_from_value(value: &Value) -> Result<InstallationPackage> {
     match ManagementMessage::from_value(value)? {
         ManagementMessage::Install(package) => Ok(package),
@@ -2992,11 +3038,14 @@ fn package_from_value(value: &Value) -> Result<InstallationPackage> {
 }
 
 impl PendingKind {
-    fn to_value(&self) -> Value {
-        Value::I64(match self {
-            PendingKind::Install => 0,
-            PendingKind::Uninstall => 1,
-        })
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_i64(
+            match self {
+                PendingKind::Install => 0,
+                PendingKind::Uninstall => 1,
+            },
+            out,
+        );
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -3009,31 +3058,20 @@ impl PendingKind {
 }
 
 impl InstalledApp {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::List(
-                self.plugins
-                    .iter()
-                    .map(|(plugin, ecu)| {
-                        Value::List(vec![
-                            Value::Text(plugin.name().to_owned()),
-                            Value::I64(i64::from(ecu.index())),
-                        ])
-                    })
-                    .collect(),
-            ),
-            Value::List(
-                self.packages
-                    .iter()
-                    .map(|(ecu, package)| {
-                        Value::List(vec![
-                            Value::I64(i64::from(ecu.index())),
-                            package_to_value(package),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ])
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(2, out);
+        codec::encode_list_header(self.plugins.len(), out);
+        for (plugin, ecu) in &self.plugins {
+            codec::encode_list_header(2, out);
+            codec::encode_text(plugin.name(), out);
+            codec::encode_i64(i64::from(ecu.index()), out);
+        }
+        codec::encode_list_header(self.packages.len(), out);
+        for (ecu, package) in &self.packages {
+            codec::encode_list_header(2, out);
+            codec::encode_i64(i64::from(ecu.index()), out);
+            package.encode_install_into(out);
+        }
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -3073,24 +3111,20 @@ impl InstalledApp {
 }
 
 impl PendingOperation {
-    fn to_value(&self) -> Value {
-        // `awaiting` is a HashSet: sorted for a canonical encoding.
-        let mut awaiting: Vec<&PluginId> = self.awaiting.iter().collect();
-        awaiting.sort();
-        Value::List(vec![
-            self.kind.to_value(),
-            Value::List(
-                awaiting
-                    .iter()
-                    .map(|p| Value::Text(p.name().to_owned()))
-                    .collect(),
-            ),
-            self.record.to_value(),
-            match &self.failure {
-                Some(reason) => Value::Text(reason.clone()),
-                None => Value::Void,
-            },
-        ])
+    /// Streams the operation; `awaiting` is the reused space its plug-in
+    /// set (a `HashSet`) is sorted in, for a canonical encoding.
+    fn encode_into<'a>(&'a self, out: &mut Vec<u8>, awaiting: &mut Vec<&'a PluginId>) {
+        codec::encode_list_header(4, out);
+        self.kind.encode_into(out);
+        awaiting.clear();
+        awaiting.extend(self.awaiting.iter());
+        awaiting.sort_unstable();
+        codec::encode_list_header(awaiting.len(), out);
+        for plugin in awaiting.iter() {
+            codec::encode_text(plugin.name(), out);
+        }
+        self.record.encode_into(out);
+        encode_optional_text(self.failure.as_deref(), out);
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -3119,17 +3153,16 @@ impl PendingOperation {
 }
 
 impl OutstandingDownlink {
-    fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::I64(self.seq as i64),
-            Value::I64(i64::from(self.ecu.index())),
-            Value::Text(self.plugin.name().to_owned()),
-            Value::Text(self.app.name().to_owned()),
-            self.kind.to_value(),
-            Value::Bytes(self.payload.as_ref().to_vec()),
-            Value::I64(i64::from(self.attempts)),
-            Value::I64(self.deadline.as_u64() as i64),
-        ])
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_list_header(8, out);
+        codec::encode_i64(self.seq as i64, out);
+        codec::encode_i64(i64::from(self.ecu.index()), out);
+        codec::encode_text(self.plugin.name(), out);
+        codec::encode_text(self.app.name(), out);
+        self.kind.encode_into(out);
+        codec::encode_bytes(self.payload.as_ref(), out);
+        codec::encode_i64(i64::from(self.attempts), out);
+        codec::encode_i64(self.deadline.as_u64() as i64, out);
     }
 
     fn from_value(value: &Value) -> Result<Self> {
@@ -3155,73 +3188,59 @@ impl OutstandingDownlink {
 }
 
 impl VehicleRecord {
-    fn to_value(&self) -> Value {
-        let sorted_map = |len: usize, pairs: &mut dyn Iterator<Item = (&AppId, Value)>| -> Value {
-            let mut entries: Vec<(&AppId, Value)> = Vec::with_capacity(len);
-            entries.extend(pairs);
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            Value::List(
-                entries
-                    .into_iter()
-                    .map(|(app, value)| {
-                        Value::List(vec![Value::Text(app.name().to_owned()), value])
-                    })
-                    .collect(),
-            )
-        };
-        let mut ports: Vec<(&EcuId, &u32)> = self.next_port_id.iter().collect();
-        ports.sort();
-        Value::List(vec![
-            self.hw.to_value(),
-            self.system.to_value(),
-            match &self.owner {
-                Some(owner) => Value::Text(owner.name().to_owned()),
-                None => Value::Void,
-            },
-            Value::List(
-                self.desired
-                    .iter()
-                    .map(|app| Value::Text(app.name().to_owned()))
-                    .collect(),
-            ),
-            sorted_map(
-                self.installed.len(),
-                &mut self.installed.iter().map(|(app, r)| (app, r.to_value())),
-            ),
-            sorted_map(
-                self.pending.len(),
-                &mut self.pending.iter().map(|(app, p)| (app, p.to_value())),
-            ),
-            sorted_map(
-                self.failed.len(),
-                &mut self
-                    .failed
-                    .iter()
-                    .map(|(app, reason)| (app, Value::Text(reason.clone()))),
-            ),
-            Value::Bool(self.online),
-            Value::Bool(self.awaiting_report),
-            Value::I64(i64::from(self.boot_epoch)),
-            Value::List(
-                ports
-                    .into_iter()
-                    .map(|(ecu, next)| {
-                        Value::List(vec![
-                            Value::I64(i64::from(ecu.index())),
-                            Value::I64(i64::from(*next)),
-                        ])
-                    })
-                    .collect(),
-            ),
-            Value::List(
-                self.downlink
-                    .iter()
-                    .map(|p| Value::Bytes(p.as_ref().to_vec()))
-                    .collect(),
-            ),
-            Value::I64(self.next_seq as i64),
-            Value::List(self.outstanding.iter().map(|o| o.to_value()).collect()),
-        ])
+    /// Streams the record, sorting its hash maps and sets in `scratch`.
+    fn encode_into<'a>(&'a self, out: &mut Vec<u8>, scratch: &mut SortScratch<'a>) {
+        codec::encode_list_header(14, out);
+        self.hw.encode_into(out);
+        self.system.encode_into(out);
+        encode_optional_text(self.owner.as_ref().map(UserId::name), out);
+        codec::encode_list_header(self.desired.len(), out);
+        for app in &self.desired {
+            codec::encode_text(app.name(), out);
+        }
+        sorted_by_app(&self.installed, &mut scratch.installed);
+        codec::encode_list_header(scratch.installed.len(), out);
+        for (app, installed) in &scratch.installed {
+            codec::encode_list_header(2, out);
+            codec::encode_text(app.name(), out);
+            installed.encode_into(out);
+        }
+        sorted_by_app(&self.pending, &mut scratch.pending);
+        codec::encode_list_header(scratch.pending.len(), out);
+        for (app, pending) in &scratch.pending {
+            codec::encode_list_header(2, out);
+            codec::encode_text(app.name(), out);
+            pending.encode_into(out, &mut scratch.awaiting);
+        }
+        sorted_by_app(&self.failed, &mut scratch.failed);
+        codec::encode_list_header(scratch.failed.len(), out);
+        for (app, reason) in &scratch.failed {
+            codec::encode_list_header(2, out);
+            codec::encode_text(app.name(), out);
+            codec::encode_text(reason, out);
+        }
+        codec::encode_bool(self.online, out);
+        codec::encode_bool(self.awaiting_report, out);
+        codec::encode_i64(i64::from(self.boot_epoch), out);
+        let ports = &mut scratch.ports;
+        ports.clear();
+        ports.extend(self.next_port_id.iter().map(|(ecu, next)| (*ecu, *next)));
+        ports.sort_unstable();
+        codec::encode_list_header(ports.len(), out);
+        for (ecu, next) in ports.iter() {
+            codec::encode_list_header(2, out);
+            codec::encode_i64(i64::from(ecu.index()), out);
+            codec::encode_i64(i64::from(*next), out);
+        }
+        codec::encode_list_header(self.downlink.len(), out);
+        for payload in &self.downlink {
+            codec::encode_bytes(payload.as_ref(), out);
+        }
+        codec::encode_i64(self.next_seq as i64, out);
+        codec::encode_list_header(self.outstanding.len(), out);
+        for entry in &self.outstanding {
+            entry.encode_into(out);
+        }
     }
 
     fn from_value(value: &Value) -> Result<Self> {

@@ -28,12 +28,23 @@
 //!   loop (fused superinstructions on the fast plane) runs whole slots
 //!   without allocating: pre-decoded ops, pre-resolved constants and a
 //!   steady-state stack leave nothing to allocate per instruction.
+//! * **Journal compaction** — one compaction of a warm journaled server
+//!   allocates the same number of times at 50 vehicles as at 400: the
+//!   snapshot streams into the journal's own buffer and sorts into reused
+//!   space, so no per-vehicle allocation (a `Value` tree, a sort buffer)
+//!   can come back unnoticed.
 
+use dynar::core::message::{Ack, AckStatus, ManagementMessage};
 use dynar::fes::transport::{TransportConfig, TransportHub};
+use dynar::foundation::ids::{UserId, VehicleId};
 use dynar::foundation::payload::Payload;
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
-use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig, SENSOR_PERIOD};
+use dynar::server::TrustedServer;
+use dynar::sim::scenario::fleet::{
+    fleet_hw, fleet_system, telemetry_app, FleetScenario, FleetScenarioConfig, APP_TELEMETRY,
+    APP_TELEMETRY_V2, GAIN_V1, GAIN_V2, SENSOR_PERIOD,
+};
 use dynar::sim::POOLED_MIN_VEHICLES;
 use dynar::vm::{assemble, Budget, CompiledVm, VmStatus};
 use dynar_bench::CountingAllocator;
@@ -207,6 +218,72 @@ fn warm_compiled_slot_is_allocation_free() {
     assert_eq!(vm.status(), VmStatus::Preempted);
 }
 
+/// A journaling server (compacting before every record) with `vehicles`
+/// vehicles, each with v1 installed and acknowledged and v2 in flight:
+/// installed packages, a pending operation, outstanding downlinks and a
+/// queued downlink per record.
+fn journaled_server(vehicles: usize) -> (TrustedServer, Vec<VehicleId>) {
+    const WORKERS: u16 = 3;
+    let mut server = TrustedServer::new();
+    let user = UserId::new("fleet-ops");
+    server.create_user(user.clone()).unwrap();
+    let v1 = telemetry_app(APP_TELEMETRY, "", GAIN_V1, WORKERS).unwrap();
+    let v2 = telemetry_app(APP_TELEMETRY_V2, "2", GAIN_V2, WORKERS).unwrap();
+    server.upload_app(v1.clone()).unwrap();
+    server.upload_app(v2.clone()).unwrap();
+    let vins: Vec<VehicleId> = (0..vehicles)
+        .map(|i| VehicleId::new(format!("VIN-{i:04}")))
+        .collect();
+    for vin in &vins {
+        server
+            .register_vehicle(vin.clone(), fleet_hw(WORKERS), fleet_system(WORKERS))
+            .unwrap();
+        server.bind_vehicle(&user, vin).unwrap();
+        server.deploy(&user, vin, &v1.id).unwrap();
+        for placement in &v1.sw_confs[0].placements {
+            let ack = ManagementMessage::Ack(Ack {
+                plugin: placement.plugin.clone(),
+                app: v1.id.clone(),
+                ecu: placement.ecu,
+                status: AckStatus::Installed,
+            });
+            server.process_uplink(vin, &ack.to_bytes()).unwrap();
+        }
+        server.deploy(&user, vin, &v2.id).unwrap();
+    }
+    server.enable_journal(1);
+    (server, vins)
+}
+
+/// Allocations of one warm compaction (plus the one small record that
+/// triggers it) of a `vehicles`-vehicle journaled server.
+fn warm_compaction_allocations(vehicles: usize) -> u64 {
+    let (mut server, vins) = journaled_server(vehicles);
+    // Warm-up: the journal buffer grows to a snapshot plus a record.
+    for _ in 0..3 {
+        server.mark_offline(&vins[0]);
+    }
+    let before = server.journal_bytes().unwrap().len();
+    let (allocations, ()) = CountingAllocator::count(|| server.mark_offline(&vins[0]));
+    let journal = server.journal_bytes().unwrap();
+    assert_eq!(journal.len(), before, "one compaction, same state");
+    assert!(
+        journal.len() > vehicles * 1000,
+        "the compaction covered every vehicle record ({} bytes)",
+        journal.len()
+    );
+    allocations
+}
+
+fn warm_compaction_allocations_do_not_grow_with_the_fleet() {
+    let small = warm_compaction_allocations(50);
+    let large = warm_compaction_allocations(400);
+    assert_eq!(
+        small, large,
+        "a warm compaction allocated {small} times at 50 vehicles but {large} at 400"
+    );
+}
+
 #[test]
 fn steady_state_hot_paths_are_allocation_free() {
     warm_transport_round_is_allocation_free();
@@ -214,4 +291,5 @@ fn steady_state_hot_paths_are_allocation_free() {
     quiescent_pooled_fleet_tick_is_allocation_free(1);
     quiescent_pooled_fleet_tick_is_allocation_free(8);
     warm_compiled_slot_is_allocation_free();
+    warm_compaction_allocations_do_not_grow_with_the_fleet();
 }

@@ -467,15 +467,15 @@ proptest! {
 
     /// Every campaign structure — any selector shape, wave plan, gate,
     /// lifecycle status, last-good map and counter state — survives its
-    /// canonical value encoding: the form the journal's create record and
-    /// the durability snapshot carry.
+    /// canonical streamed encoding: the bytes the journal's create record
+    /// and the durability snapshot carry.
     #[test]
     fn campaign_codecs_round_trip(
         spec in campaign_spec_strategy(),
         campaign in campaign_strategy(),
     ) {
-        prop_assert_eq!(CampaignSpec::from_value(&spec.to_value()).unwrap(), spec);
-        prop_assert_eq!(Campaign::from_value(&campaign.to_value()).unwrap(), campaign);
+        prop_assert_eq!(streamed(|o| spec.encode_into(o), CampaignSpec::from_value), spec);
+        prop_assert_eq!(streamed(|o| campaign.encode_into(o), Campaign::from_value), campaign);
     }
 
     /// Well-formed journal frames carrying the campaign record tags (20–25)
@@ -547,23 +547,254 @@ proptest! {
         use dynar::server::{AppDefinition, HwConf, Ledger, SystemSwConf};
 
         if let Ok(hw) = HwConf::from_value(&value) {
-            prop_assert_eq!(HwConf::from_value(&hw.to_value()).unwrap(), hw);
+            prop_assert_eq!(streamed(|o| hw.encode_into(o), HwConf::from_value), hw);
         }
         if let Ok(system) = SystemSwConf::from_value(&value) {
-            prop_assert_eq!(SystemSwConf::from_value(&system.to_value()).unwrap(), system);
+            prop_assert_eq!(
+                streamed(|o| system.encode_into(o), SystemSwConf::from_value),
+                system
+            );
         }
         if let Ok(app) = AppDefinition::from_value(&value) {
-            prop_assert_eq!(AppDefinition::from_value(&app.to_value()).unwrap(), app);
+            prop_assert_eq!(streamed(|o| app.encode_into(o), AppDefinition::from_value), app);
         }
         if let Ok(ledger) = Ledger::from_value(&value) {
-            prop_assert_eq!(Ledger::from_value(&ledger.to_value()).unwrap(), ledger);
+            // The ledger is the one durable type encoded through its value
+            // form (`Ledger::to_value`, twelve counters).
+            let bytes = encode_value(&ledger.to_value());
+            prop_assert_eq!(
+                streamed(|o| o.extend_from_slice(&bytes), Ledger::from_value),
+                ledger
+            );
         }
         if let Ok(spec) = CampaignSpec::from_value(&value) {
-            prop_assert_eq!(CampaignSpec::from_value(&spec.to_value()).unwrap(), spec);
+            prop_assert_eq!(streamed(|o| spec.encode_into(o), CampaignSpec::from_value), spec);
         }
         if let Ok(campaign) = Campaign::from_value(&value) {
-            prop_assert_eq!(Campaign::from_value(&campaign.to_value()).unwrap(), campaign);
+            prop_assert_eq!(
+                streamed(|o| campaign.encode_into(o), Campaign::from_value),
+                campaign
+            );
         }
+    }
+}
+
+/// Decodes the bytes `encode` streams and hands their value form to
+/// `decode`: the path a durable type takes through a journal frame.
+fn streamed<T>(
+    encode: impl FnOnce(&mut Vec<u8>),
+    decode: impl FnOnce(&Value) -> Result<T, DynarError>,
+) -> T {
+    let mut bytes = Vec::new();
+    encode(&mut bytes);
+    decode(&decode_value(&bytes).expect("streamed bytes decode")).expect("decoded form is valid")
+}
+
+// ---------------------------------------------------------------------------
+// Streamed snapshot properties.
+// ---------------------------------------------------------------------------
+
+/// One operator, vehicle or clock input to a generated journaling server.
+/// Vehicle indices and plug-in indices are taken modulo what exists; the
+/// `bool` picks the v2 app over v1.
+#[derive(Debug, Clone)]
+enum ServerOp {
+    Deploy(usize, bool),
+    Uninstall(usize, bool),
+    SetDesired(usize, bool),
+    ClearDesired(usize, bool),
+    Reconcile(usize),
+    Ack(usize, bool, usize, bool),
+    StateReport(usize, u32),
+    Poll(usize),
+    Tick(u64),
+    Offline(usize),
+    Online(usize, u32),
+    Restore(usize),
+    Campaign(usize, bool),
+    StepCampaigns,
+}
+
+fn server_op_strategy() -> impl Strategy<Value = ServerOp> {
+    let vehicle = 0usize..8;
+    prop_oneof![
+        (vehicle.clone(), any::<bool>()).prop_map(|(v, b)| ServerOp::Deploy(v, b)),
+        (vehicle.clone(), any::<bool>()).prop_map(|(v, b)| ServerOp::Uninstall(v, b)),
+        (vehicle.clone(), any::<bool>()).prop_map(|(v, b)| ServerOp::SetDesired(v, b)),
+        (vehicle.clone(), any::<bool>()).prop_map(|(v, b)| ServerOp::ClearDesired(v, b)),
+        vehicle.clone().prop_map(ServerOp::Reconcile),
+        (vehicle.clone(), any::<bool>(), 0usize..4, any::<bool>())
+            .prop_map(|(v, b, p, ok)| ServerOp::Ack(v, b, p, ok)),
+        (vehicle.clone(), 0u32..3).prop_map(|(v, e)| ServerOp::StateReport(v, e)),
+        vehicle.clone().prop_map(ServerOp::Poll),
+        (1u64..40).prop_map(ServerOp::Tick),
+        vehicle.clone().prop_map(ServerOp::Offline),
+        (vehicle.clone(), 0u32..3).prop_map(|(v, e)| ServerOp::Online(v, e)),
+        vehicle.clone().prop_map(ServerOp::Restore),
+        (0usize..4, any::<bool>()).prop_map(|(c, abort)| ServerOp::Campaign(c, abort)),
+        Just(ServerOp::StepCampaigns),
+    ]
+}
+
+/// Builds a journaling server (compacting every `interval` records) with
+/// `vehicles` fleet vehicles and both telemetry apps, then applies `ops`.
+/// Rejected calls are part of the workload: they are journaled and replay
+/// to the same rejection.
+fn generated_server(
+    vehicles: usize,
+    interval: u32,
+    ops: &[ServerOp],
+) -> dynar::server::TrustedServer {
+    use dynar::foundation::ids::{UserId, VehicleId};
+    use dynar::foundation::time::Tick;
+    use dynar::server::{AppDefinition, TrustedServer};
+    use dynar::sim::scenario::fleet::{
+        fleet_hw, fleet_system, telemetry_app, APP_TELEMETRY, APP_TELEMETRY_V2, GAIN_V1, GAIN_V2,
+    };
+
+    const WORKERS: u16 = 2;
+    let mut server = TrustedServer::new();
+    server.enable_journal(interval);
+    let user = UserId::new("ops");
+    server.create_user(user.clone()).unwrap();
+    let apps: [AppDefinition; 2] = [
+        telemetry_app(APP_TELEMETRY, "", GAIN_V1, WORKERS).unwrap(),
+        telemetry_app(APP_TELEMETRY_V2, "2", GAIN_V2, WORKERS).unwrap(),
+    ];
+    for app in &apps {
+        server.upload_app(app.clone()).unwrap();
+    }
+    let vins: Vec<VehicleId> = (0..vehicles)
+        .map(|i| VehicleId::new(format!("VIN-{i:03}")))
+        .collect();
+    for vin in &vins {
+        server
+            .register_vehicle(vin.clone(), fleet_hw(WORKERS), fleet_system(WORKERS))
+            .unwrap();
+        server.bind_vehicle(&user, vin).unwrap();
+    }
+    let mut now = 0u64;
+    let mut campaigns = 0usize;
+    for op in ops {
+        match op {
+            ServerOp::Deploy(v, b) => {
+                let _ = server.deploy(&user, &vins[v % vehicles], &apps[usize::from(*b)].id);
+            }
+            ServerOp::Uninstall(v, b) => {
+                let _ = server.uninstall(&user, &vins[v % vehicles], &apps[usize::from(*b)].id);
+            }
+            ServerOp::SetDesired(v, b) => {
+                let _ = server.set_desired(&user, &vins[v % vehicles], &apps[usize::from(*b)].id);
+            }
+            ServerOp::ClearDesired(v, b) => {
+                let _ = server.clear_desired(&user, &vins[v % vehicles], &apps[usize::from(*b)].id);
+            }
+            ServerOp::Reconcile(v) => {
+                let _ = server.reconcile(&vins[v % vehicles]);
+            }
+            ServerOp::Ack(v, b, p, ok) => {
+                let app = &apps[usize::from(*b)];
+                let placement = &app.sw_confs[0].placements[p % app.plugins.len()];
+                let ack = ManagementMessage::Ack(Ack {
+                    plugin: placement.plugin.clone(),
+                    app: app.id.clone(),
+                    ecu: placement.ecu,
+                    status: if *ok {
+                        AckStatus::Installed
+                    } else {
+                        AckStatus::Failed("generated failure".into())
+                    },
+                });
+                let _ = server.process_uplink(&vins[v % vehicles], &ack.to_bytes());
+            }
+            ServerOp::StateReport(v, epoch) => {
+                let report = ManagementMessage::StateReport {
+                    boot_epoch: *epoch,
+                    plugins: Vec::new(),
+                };
+                let _ = server.process_uplink(&vins[v % vehicles], &report.to_bytes());
+            }
+            ServerOp::Poll(v) => {
+                let _ = server.poll_downlink(&vins[v % vehicles]);
+            }
+            ServerOp::Tick(delta) => {
+                now += delta;
+                let _ = server.tick(Tick::new(now));
+            }
+            ServerOp::Offline(v) => server.mark_offline(&vins[v % vehicles]),
+            ServerOp::Online(v, epoch) => {
+                let _ = server.mark_online(&vins[v % vehicles], *epoch);
+            }
+            ServerOp::Restore(v) => {
+                let _ = server.restore(&vins[v % vehicles], EcuId::new(2));
+            }
+            ServerOp::Campaign(canary, abort) => {
+                campaigns += 1;
+                let spec = CampaignSpec {
+                    id: CampaignId::new(format!("rollout-{campaigns}")),
+                    app: apps[1].id.clone(),
+                    replaces: Some(apps[0].id.clone()),
+                    selector: VehicleSelector::All,
+                    plan: WavePlan {
+                        canary: *canary,
+                        ramp_percent: vec![50, 100],
+                    },
+                    gate: HealthGate {
+                        min_soak_ticks: 2,
+                        pause_failed: 1,
+                        abort_failed: if *abort { 1 } else { 3 },
+                    },
+                };
+                let _ = server.create_campaign(&user, spec);
+            }
+            ServerOp::StepCampaigns => {
+                let _ = server.step_campaigns();
+            }
+        }
+    }
+    server
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// For generated journaling servers, the streamed snapshot is a
+    /// canonical encoding: its value form re-encodes to the same bytes and
+    /// a server rebuilt from it alone snapshots to the same bytes.  And the
+    /// journal — compacted mid-run, every `interval` records, each
+    /// compaction frame streamed in place — replays to a server
+    /// byte-identical to the live one.
+    #[test]
+    fn streamed_snapshots_and_compacted_journals_are_byte_identical(
+        vehicles in 1usize..6,
+        interval in 1u32..8,
+        ops in proptest::collection::vec(server_op_strategy(), 0..48),
+    ) {
+        use dynar::foundation::journal::{append_frame, FrameReader};
+        use dynar::server::TrustedServer;
+
+        let server = generated_server(vehicles, interval, &ops);
+        let live = server.snapshot_bytes();
+        let state = decode_value(&live).unwrap();
+        prop_assert_eq!(encode_value(&state), live.clone());
+
+        let mut snapshot_only = Vec::new();
+        append_frame(
+            &mut snapshot_only,
+            &encode_value(&Value::List(vec![Value::I64(0), state])),
+        );
+        prop_assert_eq!(TrustedServer::replay(&snapshot_only).unwrap().snapshot_bytes(), live.clone());
+
+        let journal = server.journal_bytes().unwrap();
+        let mut frames = FrameReader::new(journal);
+        let mut records = 0usize;
+        while frames.next_frame().unwrap().is_some() {
+            records += 1;
+        }
+        prop_assert!(records <= interval as usize + 1, "the journal compacted ({records} frames)");
+        let replayed = TrustedServer::replay(journal).unwrap();
+        prop_assert_eq!(replayed.snapshot_bytes(), live);
+        prop_assert_eq!(replayed.ledger(), server.ledger());
     }
 }
 
