@@ -404,9 +404,20 @@ impl InstallationContext {
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
+    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings,
+    /// ids out of their type's range included.
     pub fn from_value(value: &Value) -> Result<Self> {
         let malformed = |what: &str| DynarError::ProtocolViolation(format!("malformed {what}"));
+        // Ids are range-checked: a cast would wrap an out-of-range id onto a
+        // different, valid one.
+        let port_id = |value: &Value, what: &str| -> Result<PluginPortId> {
+            let id = u32::try_from(value.expect_i64()?).map_err(|_| malformed(what))?;
+            Ok(PluginPortId::new(id))
+        };
+        let virtual_port_id = |value: &Value, what: &str| -> Result<VirtualPortId> {
+            let id = u16::try_from(value.expect_i64()?).map_err(|_| malformed(what))?;
+            Ok(VirtualPortId::new(id))
+        };
         let parts = value.as_list().ok_or_else(|| malformed("context"))?;
         let [pic_value, plc_value, ecc_value] = parts else {
             return Err(malformed("context"));
@@ -420,7 +431,7 @@ impl InstallationContext {
             };
             pic = pic.with_port(
                 name.as_text().ok_or_else(|| malformed("PIC name"))?,
-                PluginPortId::new(id.expect_i64()? as u32),
+                port_id(id, "PIC port id")?,
                 if provided
                     .as_bool()
                     .ok_or_else(|| malformed("PIC direction"))?
@@ -445,14 +456,14 @@ impl InstallationContext {
                 .expect_i64()?;
             let target = match (kind, target_fields) {
                 (0, _) => LinkTarget::Direct,
-                (1, [_, v]) => LinkTarget::VirtualPort(VirtualPortId::new(v.expect_i64()? as u16)),
+                (1, [_, v]) => LinkTarget::VirtualPort(virtual_port_id(v, "PLC virtual port id")?),
                 (2, [_, via, remote]) => LinkTarget::RemotePluginPort {
-                    via: VirtualPortId::new(via.expect_i64()? as u16),
-                    remote: PluginPortId::new(remote.expect_i64()? as u32),
+                    via: virtual_port_id(via, "PLC virtual port id")?,
+                    remote: port_id(remote, "PLC remote port id")?,
                 },
                 _ => return Err(malformed("PLC target")),
             };
-            plc = plc.with_link(PluginPortId::new(port.expect_i64()? as u32), target);
+            plc = plc.with_link(port_id(port, "PLC port id")?, target);
         }
 
         let ecc = match ecc_value {
@@ -471,8 +482,11 @@ impl InstallationContext {
                         message_id
                             .as_text()
                             .ok_or_else(|| malformed("ECC message id"))?,
-                        EcuId::new(ecu.expect_i64()? as u16),
-                        PluginPortId::new(port.expect_i64()? as u32),
+                        EcuId::new(
+                            u16::try_from(ecu.expect_i64()?)
+                                .map_err(|_| malformed("ECC ECU id"))?,
+                        ),
+                        port_id(port, "ECC port id")?,
                     );
                 }
                 Some(ecc)
@@ -687,6 +701,50 @@ mod tests {
             Value::Void,
         ]);
         assert!(InstallationContext::from_value(&bad_target).is_err());
+    }
+
+    /// `value` with the integer at `path` (list indices) replaced by `id`.
+    fn with_id(value: &Value, path: &[usize], id: i64) -> Value {
+        let mut value = value.clone();
+        let mut node = &mut value;
+        for &index in path {
+            let Value::List(items) = node else {
+                panic!("{path:?} leads through lists");
+            };
+            node = &mut items[index];
+        }
+        *node = Value::I64(id);
+        value
+    }
+
+    #[test]
+    fn out_of_range_ids_are_protocol_violations() {
+        let context = paper_com_context().to_value();
+        let ids: [(&str, &[usize], i64); 5] = [
+            ("PIC port id", &[0, 0, 1], u32::MAX.into()),
+            ("PLC port id", &[1, 2, 0], u32::MAX.into()),
+            ("PLC virtual port id", &[1, 2, 1, 1], u16::MAX.into()),
+            ("ECC ECU id", &[2, 0, 2], u16::MAX.into()),
+            ("ECC port id", &[2, 0, 3], u32::MAX.into()),
+        ];
+        for (what, path, max) in ids {
+            // The path names the id: its largest value still decodes.
+            assert!(
+                InstallationContext::from_value(&with_id(&context, path, max)).is_ok(),
+                "{what} {max}"
+            );
+            // Too large by one, too large by 2^n + 3 (which a cast would
+            // wrap onto the valid id 3), and negative.
+            for id in [max + 1, max + 4, -1] {
+                assert!(
+                    matches!(
+                        InstallationContext::from_value(&with_id(&context, path, id)),
+                        Err(DynarError::ProtocolViolation(_))
+                    ),
+                    "{what} {id}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //! automatic or manual transition is journaled
 //! (`JournalRecord::Campaign{Create,Advance,Pause,Resume,Abort,Complete}`),
 //! and the campaigns ride in the canonical snapshot, so
-//! [`TrustedServer::replay`] reproduces a mid-campaign server byte-for-byte —
-//! at any shard count, because campaigns are serial bookkeeping layered on top
-//! of the sharded per-vehicle state.
+//! [`TrustedServer::replay`] reproduces a mid-campaign server byte-for-byte.
 //!
 //! [`DeploymentStatus::Failed`]: crate::server::DeploymentStatus::Failed
 //! [`TrustedServer::replay`]: crate::server::TrustedServer::replay

@@ -62,28 +62,6 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Adds every counter of `other` into `self`.  The counters are
-    /// commutative event sums, so per-shard deltas accumulated during a
-    /// parallel tick fold into the shared ledger in any order.
-    pub fn merge_from(&mut self, other: &Ledger) {
-        self.installs_pushed += other.installs_pushed;
-        self.uninstalls_pushed += other.uninstalls_pushed;
-        self.installs_completed += other.installs_completed;
-        self.uninstalls_completed += other.uninstalls_completed;
-        self.operations_failed += other.operations_failed;
-        self.retransmissions += other.retransmissions;
-        self.retries_exhausted += other.retries_exhausted;
-        self.unreachable_failures += other.unreachable_failures;
-        self.operations_voided += other.operations_voided;
-        self.resyncs += other.resyncs;
-        self.orphan_uninstalls += other.orphan_uninstalls;
-        self.restores += other.restores;
-        self.campaign_exposures += other.campaign_exposures;
-        self.campaign_rollbacks += other.campaign_rollbacks;
-        self.campaigns_completed += other.campaigns_completed;
-        self.campaigns_aborted += other.campaigns_aborted;
-    }
-
     /// Encodes the ledger as a [`Value`] (a fixed-arity list of counters).
     pub fn to_value(&self) -> Value {
         Value::List(

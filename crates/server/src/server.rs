@@ -29,27 +29,21 @@
 //! with the distinct [`DynarError::VehicleUnreachable`]
 //! ([`TrustedServer::mark_unreachable`]).
 //!
-//! # Sharded control plane
+//! # One vehicle table
 //!
 //! Per-vehicle state (downlink queues, outstanding packages, deadline heaps,
-//! epoch bookkeeping, observed/desired manifests) lives in N **shards**, each
-//! behind its own mutex; a vehicle's shard is a pure function of its VIN
-//! ([`TrustedServer::shard_index`]), so two vehicles on different shards never
-//! contend.  The catalogue, retry policy, ledger and clock form a shared
-//! read-mostly plane ([`parking_lot`] locks; the ledger is updated through
-//! commutative per-shard deltas).  The serial API (`&mut self`) is unchanged;
-//! a round driver instead calls [`TrustedServer::begin_tick`], runs the
-//! per-shard work through each shard's [`TrustedServer::shard_handle`] and
-//! ends with [`TrustedServer::merge_shard_journals`].  Journal records
-//! produced through the handles are buffered per shard and merged in
-//! deterministic order (shard id, then per-shard sequence), so replay
-//! byte-identity holds at any shard count: per-vehicle record order is
-//! preserved within its shard, and cross-vehicle operations commute.
-//!
-//! Lock order everywhere: catalogue (`apps`) → shard → ledger.  The journal
-//! is only touched from `&mut self` methods, and always *before* any guard is
-//! taken — compaction snapshots the whole plane and must not deadlock against
-//! a held shard.
+//! epoch bookkeeping, observed/desired manifests) lives in one table of
+//! vehicle records, plain data behind `&mut self`; the catalogue, retry
+//! policy, clock and incarnation id sit next to it, and so does the ledger.
+//! Every operation borrows the fields it needs, so there is one
+//! implementation of each per-vehicle step.  A round driver (the fleet round
+//! of `dynar-sim`) calls [`TrustedServer::tick`],
+//! [`TrustedServer::poll_downlink_dirty`], [`TrustedServer::mark_offline`]
+//! and [`TrustedServer::process_uplink`], then ends the round with
+//! [`TrustedServer::end_round`].  Those three transport-path calls journal
+//! their records without checking whether the journal is due for
+//! compaction; `end_round` does the check once, so a busy round compacts at
+//! most once, after all of its records.
 //!
 //! # Hot-path discipline
 //!
@@ -59,7 +53,7 @@
 //! packages (lazily invalidated when acknowledgements settle entries), and a
 //! quiescent vehicle costs one heap peek.  Encoded downlink payloads are
 //! shared [`Payload`] buffers: the retransmission cache, the downlink queue
-//! and the transport all hold the same allocation.  Each shard additionally
+//! and the transport all hold the same allocation.  The server additionally
 //! keeps a **dirty set** of vehicles with queued downlinks, so draining a
 //! quiescent fleet ([`TrustedServer::poll_downlink_dirty`]) is O(active), not
 //! O(vehicles).
@@ -83,10 +77,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use dynar_core::context::{
     ExternalConnectionContext, InstallationContext, LinkTarget, PortInitContext, PortLinkContext,
@@ -97,7 +87,7 @@ use dynar_core::message::{
 use dynar_foundation::codec;
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, PluginPortId, UserId, VehicleId};
-use dynar_foundation::journal::{fnv1a, FrameReader};
+use dynar_foundation::journal::FrameReader;
 use dynar_foundation::payload::Payload;
 use dynar_foundation::time::Tick;
 use dynar_foundation::value::Value;
@@ -238,79 +228,31 @@ struct VehicleRecord {
     /// quiescent [`TrustedServer::tick`] is therefore one `peek` per vehicle,
     /// independent of how many packages are outstanding.
     deadlines: BinaryHeap<Reverse<(Tick, u64)>>,
-    /// `true` iff this vehicle currently sits in its shard's dirty set (the
+    /// `true` iff this vehicle currently sits in the server's dirty set (the
     /// flag dedups re-inserts).  Not part of the durability snapshot — it is
     /// rebuilt from `online && !downlink.is_empty()` on decode.
     in_dirty: bool,
 }
 
-/// The read-mostly plane shared by every shard: the application catalogue,
-/// the retry policy, the operation ledger and the (atomic) clock and
-/// incarnation id.  Lock order: `apps` → (a shard) → `ledger`.
+/// What every per-vehicle operation reads but does not change: the
+/// application catalogue, the retry policy, the clock and the incarnation
+/// id.  A field of its own, so an operation can borrow it while it changes
+/// a vehicle record and the ledger.
 #[derive(Debug, Default)]
-struct SharedPlane {
-    apps: RwLock<HashMap<AppId, AppDefinition>>,
-    policy: RwLock<RetryPolicy>,
-    ledger: Mutex<Ledger>,
-    now: AtomicU64,
-    incarnation: AtomicU32,
-}
-
-impl SharedPlane {
-    fn now(&self) -> Tick {
-        Tick::new(self.now.load(Ordering::Relaxed))
-    }
-
-    fn incarnation(&self) -> u32 {
-        self.incarnation.load(Ordering::Relaxed)
-    }
-}
-
-/// One shard of per-vehicle state plus its side bands: the dirty set driving
-/// O(active) downlink drains and the per-shard journal buffer merged (in
-/// shard order) by [`TrustedServer::merge_shard_journals`].
-#[derive(Debug, Default)]
-struct Shard {
-    vehicles: HashMap<VehicleId, VehicleRecord>,
-    /// Vehicles with queued downlink payloads (each listed at most once —
-    /// `VehicleRecord::in_dirty` dedups).  Drained by `op_poll_dirty` in
-    /// sorted VIN order so delivery order is deterministic.
-    dirty: Vec<VehicleId>,
-    /// Journal records produced while this shard ran detached from the
-    /// journal owner (the parallel phase); drained by
-    /// [`TrustedServer::merge_shard_journals`].
-    journal_buf: Vec<JournalRecord>,
-}
-
-impl Shard {
-    /// Enrols `vehicle` in the dirty set if it has queued downlinks and is
-    /// not already listed.
-    fn note_dirty(&mut self, vehicle: &VehicleId) {
-        if let Some(record) = self.vehicles.get_mut(vehicle) {
-            if !record.in_dirty && !record.downlink.is_empty() {
-                record.in_dirty = true;
-                self.dirty.push(vehicle.clone());
-            }
-        }
-    }
-}
-
-/// The shared-plane context one operation runs under: a borrowed catalogue
-/// read guard plus point-in-time copies of the policy, clock and incarnation.
-struct OpCtx<'a> {
-    apps: &'a HashMap<AppId, AppDefinition>,
+struct OpCtx {
+    apps: HashMap<AppId, AppDefinition>,
     policy: RetryPolicy,
     now: Tick,
     incarnation: u32,
 }
 
-impl SharedPlane {
-    fn op_ctx<'a>(&self, apps: &'a HashMap<AppId, AppDefinition>) -> OpCtx<'a> {
-        OpCtx {
-            apps,
-            policy: self.policy.read().clone(),
-            now: self.now(),
-            incarnation: self.incarnation(),
+impl VehicleRecord {
+    /// Enrols the record (of `vehicle`) in the dirty set if it has queued
+    /// downlinks and is not already listed.
+    fn note_dirty(&mut self, vehicle: &VehicleId, dirty: &mut Vec<VehicleId>) {
+        if !self.in_dirty && !self.downlink.is_empty() {
+            self.in_dirty = true;
+            dirty.push(vehicle.clone());
         }
     }
 }
@@ -322,15 +264,18 @@ impl SharedPlane {
 /// See the crate-level example of `dynar-sim` and the `remote_control_car`
 /// example binary for a full deployment round trip; the unit tests below
 /// exercise every operation in isolation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TrustedServer {
     users: HashSet<UserId>,
-    shared: Arc<SharedPlane>,
-    shards: Vec<Arc<Mutex<Shard>>>,
-    /// Rollout campaigns keyed by id: serial bookkeeping owned by the
-    /// journal owner (`&mut self` only), layered over the sharded
-    /// per-vehicle state — the parallel per-shard phase never touches it,
-    /// so campaign decisions are deterministic at every shard count.
+    ctx: OpCtx,
+    vehicles: HashMap<VehicleId, VehicleRecord>,
+    /// Vehicles with queued downlink payloads (each listed at most once —
+    /// `VehicleRecord::in_dirty` dedups).  Drained by
+    /// [`TrustedServer::poll_downlink_dirty`] in sorted VIN order so
+    /// delivery order is deterministic.
+    dirty: Vec<VehicleId>,
+    ledger: Ledger,
+    /// Rollout campaigns keyed by id, layered over the per-vehicle state.
     campaigns: BTreeMap<CampaignId, Campaign>,
     /// The write-ahead journal, `None` until
     /// [`TrustedServer::enable_journal`].  Never set on a replayed-into
@@ -338,69 +283,21 @@ pub struct TrustedServer {
     journal: Option<Journal>,
 }
 
-impl Default for TrustedServer {
-    fn default() -> Self {
-        TrustedServer::with_shards(1)
-    }
-}
-
-/// A per-shard capability handed out by [`TrustedServer::shard_handle`]: it
-/// can run the per-vehicle phase (tick, downlink drain, uplink processing,
-/// offline parking) of its shard concurrently with the other shards'
-/// handles.  Journal records are buffered in the shard (merged
-/// deterministically by [`TrustedServer::merge_shard_journals`]); ledger
-/// updates are accumulated locally and folded into the shared ledger as a
-/// commutative delta.
-#[derive(Debug)]
-pub struct ShardHandle {
-    index: usize,
-    shard: Arc<Mutex<Shard>>,
-    shared: Arc<SharedPlane>,
-    journaling: bool,
-}
-
 impl TrustedServer {
-    /// Creates an empty single-shard server.
+    /// Creates an empty server.
     pub fn new() -> Self {
         TrustedServer::default()
     }
 
-    /// Creates an empty server whose per-vehicle state is split over
-    /// `shards` independently locked shards (clamped to at least 1).  The
-    /// shard count is a runtime layout choice, not part of the logical
-    /// state: snapshots and journals are byte-identical across shard counts.
+    /// Creates an empty server; `shards` must be 1.  Kept only because the
+    /// `perfbench` benchmark builds its server with `with_shards(1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is not 1.
     pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        TrustedServer {
-            users: HashSet::new(),
-            shared: Arc::new(SharedPlane::default()),
-            shards: (0..shards)
-                .map(|_| Arc::new(Mutex::new(Shard::default())))
-                .collect(),
-            campaigns: BTreeMap::new(),
-            journal: None,
-        }
-    }
-
-    /// The number of shards the per-vehicle state is split over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a vehicle maps to under a `shards`-way split: a pure
-    /// function of the VIN, so drivers can partition their own per-vehicle
-    /// resources (transport hubs, worker queues) the same way.
-    pub fn shard_index(vehicle: &VehicleId, shards: usize) -> usize {
-        if shards <= 1 {
-            0
-        } else {
-            fnv1a(vehicle.vin().as_bytes()) as usize % shards
-        }
-    }
-
-    /// Locks and returns the shard owning `vehicle`.
-    fn shard_of(&self, vehicle: &VehicleId) -> MutexGuard<'_, Shard> {
-        self.shards[Self::shard_index(vehicle, self.shards.len())].lock()
+        assert_eq!(shards, 1, "the server keeps one vehicle table");
+        TrustedServer::default()
     }
 
     // ------------------------------------------------------------------
@@ -435,11 +332,10 @@ impl TrustedServer {
         self.journal_append(|| {
             JournalRecord::RegisterVehicle(vehicle.clone(), hw.clone(), system.clone())
         });
-        let mut shard = self.shard_of(&vehicle);
-        if shard.vehicles.contains_key(&vehicle) {
+        if self.vehicles.contains_key(&vehicle) {
             return Err(DynarError::duplicate("vehicle", vehicle));
         }
-        shard.vehicles.insert(
+        self.vehicles.insert(
             vehicle,
             VehicleRecord {
                 hw,
@@ -473,8 +369,7 @@ impl TrustedServer {
         if !self.users.contains(user) {
             return Err(DynarError::not_found("user", user));
         }
-        let mut shard = self.shard_of(vehicle);
-        let record = shard
+        let record = self
             .vehicles
             .get_mut(vehicle)
             .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
@@ -495,18 +390,16 @@ impl TrustedServer {
     pub fn upload_app(&mut self, app: AppDefinition) -> Result<()> {
         self.journal_append(|| JournalRecord::UploadApp(app.clone()));
         app.validate()?;
-        let mut apps = self.shared.apps.write();
-        if apps.contains_key(&app.id) {
+        if self.ctx.apps.contains_key(&app.id) {
             return Err(DynarError::duplicate("app", &app.id));
         }
-        apps.insert(app.id.clone(), app);
+        self.ctx.apps.insert(app.id.clone(), app);
         Ok(())
     }
 
     /// The applications recorded as installed on a vehicle.
     pub fn installed_apps(&self, vehicle: &VehicleId) -> Vec<AppId> {
         let mut apps: Vec<AppId> = self
-            .shard_of(vehicle)
             .vehicles
             .get(vehicle)
             .map(|v| v.installed.keys().cloned().collect())
@@ -517,8 +410,7 @@ impl TrustedServer {
 
     /// The deployment status of an application on a vehicle.
     pub fn deployment_status(&self, vehicle: &VehicleId, app: &AppId) -> DeploymentStatus {
-        let shard = self.shard_of(vehicle);
-        let Some(record) = shard.vehicles.get(vehicle) else {
+        let Some(record) = self.vehicles.get(vehicle) else {
             return DeploymentStatus::NotInstalled;
         };
         if let Some(pending) = record.pending.get(app) {
@@ -557,18 +449,15 @@ impl TrustedServer {
         vehicle: &VehicleId,
         app: &AppId,
     ) -> Result<Vec<(EcuId, InstallationPackage)>> {
-        let apps = self.shared.apps.read();
-        let shard = self.shard_of(vehicle);
-        let record = shard
+        let record = self
             .vehicles
             .get(vehicle)
             .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
-        Self::plan_for_record(record, &apps, app)
+        Self::plan_for_record(record, &self.ctx.apps, app)
     }
 
     /// [`TrustedServer::plan_deployment`] against an already-resolved vehicle
-    /// record (shared with the shard-local push path, which holds the shard
-    /// guard and the catalogue read guard already).
+    /// record (shared with the push path).
     fn plan_for_record(
         record: &VehicleRecord,
         apps: &HashMap<AppId, AppDefinition>,
@@ -788,16 +677,10 @@ impl TrustedServer {
     pub fn deploy(&mut self, user: &UserId, vehicle: &VehicleId, app: &AppId) -> Result<usize> {
         self.journal_append(|| JournalRecord::Deploy(user.clone(), vehicle.clone(), app.clone()));
         self.check_owner(user, vehicle)?;
-        let apps = self.shared.apps.read();
-        let ctx = self.shared.op_ctx(&apps);
-        let mut shard = self.shard_of(vehicle);
-        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
-        let pushed = {
-            let mut ledger = self.shared.ledger.lock();
-            Self::op_push_install(record, &mut ledger, &ctx, app)?
-        };
+        let record = self.vehicles.get_mut(vehicle).expect("owner checked");
+        let pushed = Self::op_push_install(record, &mut self.ledger, &self.ctx, app)?;
         record.desired.insert(app.clone());
-        shard.note_dirty(vehicle);
+        record.note_dirty(vehicle, &mut self.dirty);
         Ok(pushed)
     }
 
@@ -809,10 +692,10 @@ impl TrustedServer {
     fn op_push_install(
         record: &mut VehicleRecord,
         ledger: &mut Ledger,
-        ctx: &OpCtx<'_>,
+        ctx: &OpCtx,
         app: &AppId,
     ) -> Result<usize> {
-        let packages = Self::plan_for_record(record, ctx.apps, app)?;
+        let packages = Self::plan_for_record(record, &ctx.apps, app)?;
         let mut installed = InstalledApp {
             plugins: Vec::new(),
             packages: packages.clone(),
@@ -873,16 +756,10 @@ impl TrustedServer {
             JournalRecord::Uninstall(user.clone(), vehicle.clone(), app.clone())
         });
         self.check_owner(user, vehicle)?;
-        let apps = self.shared.apps.read();
-        let ctx = self.shared.op_ctx(&apps);
-        let mut shard = self.shard_of(vehicle);
-        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
-        let pushed = {
-            let mut ledger = self.shared.ledger.lock();
-            Self::op_push_uninstall(record, &mut ledger, &ctx, app)?
-        };
+        let record = self.vehicles.get_mut(vehicle).expect("owner checked");
+        let pushed = Self::op_push_uninstall(record, &mut self.ledger, &self.ctx, app)?;
         record.desired.remove(app);
-        shard.note_dirty(vehicle);
+        record.note_dirty(vehicle, &mut self.dirty);
         Ok(pushed)
     }
 
@@ -892,7 +769,7 @@ impl TrustedServer {
     fn op_push_uninstall(
         record: &mut VehicleRecord,
         ledger: &mut Ledger,
-        ctx: &OpCtx<'_>,
+        ctx: &OpCtx,
         app: &AppId,
     ) -> Result<usize> {
         if !record.installed.contains_key(app) {
@@ -924,7 +801,7 @@ impl TrustedServer {
     fn push_uninstall(
         record: &mut VehicleRecord,
         ledger: &mut Ledger,
-        ctx: &OpCtx<'_>,
+        ctx: &OpCtx,
         app: &AppId,
         installed: InstalledApp,
     ) -> usize {
@@ -970,43 +847,36 @@ impl TrustedServer {
     /// Returns [`DynarError::NotFound`] for unknown vehicles.
     pub fn restore(&mut self, vehicle: &VehicleId, ecu: EcuId) -> Result<usize> {
         self.journal_append(|| JournalRecord::Restore(vehicle.clone(), ecu));
-        let incarnation = self.shared.incarnation();
-        let mut shard = self.shard_of(vehicle);
-        let pushed = {
-            let record = shard
-                .vehicles
-                .get_mut(vehicle)
-                .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
-            let mut pushed = 0;
-            let mut repush = Vec::new();
-            // Sorted by app so the push order (and thus sequence-id
-            // assignment) is deterministic — journal replay must reproduce it
-            // exactly.
-            let mut apps: Vec<&AppId> = record.installed.keys().collect();
-            apps.sort();
-            for app in apps {
-                for (target, package) in &record.installed[app].packages {
-                    if *target == ecu {
-                        repush.push((*target, package.clone()));
-                    }
+        let record = self
+            .vehicles
+            .get_mut(vehicle)
+            .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
+        let mut repush = Vec::new();
+        // Sorted by app so the push order (and thus sequence-id assignment)
+        // is deterministic — journal replay must reproduce it exactly.
+        let mut apps: Vec<&AppId> = record.installed.keys().collect();
+        apps.sort();
+        for app in apps {
+            for (target, package) in &record.installed[app].packages {
+                if *target == ecu {
+                    repush.push((*target, package.clone()));
                 }
             }
-            // Restore pushes are fire-and-forget (no pending operation
-            // records them), but they still consume sequence ids so gateway
-            // deduplication and ordering stay uniform.
-            for (target, package) in repush {
-                Self::queue_envelope(
-                    record,
-                    target,
-                    incarnation,
-                    ManagementMessage::Install(package),
-                );
-                pushed += 1;
-            }
-            pushed
-        };
-        shard.note_dirty(vehicle);
-        self.shared.ledger.lock().restores += pushed as u64;
+        }
+        // Restore pushes are fire-and-forget (no pending operation records
+        // them), but they still consume sequence ids so gateway
+        // deduplication and ordering stay uniform.
+        let pushed = repush.len();
+        for (target, package) in repush {
+            Self::queue_envelope(
+                record,
+                target,
+                self.ctx.incarnation,
+                ManagementMessage::Install(package),
+            );
+        }
+        record.note_dirty(vehicle, &mut self.dirty);
+        self.ledger.restores += pushed as u64;
         Ok(pushed)
     }
 
@@ -1018,24 +888,23 @@ impl TrustedServer {
     /// now on; already-outstanding packages keep their deadlines).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.journal_append(|| JournalRecord::SetRetryPolicy(policy.clone()));
-        *self.shared.policy.write() = policy;
+        self.ctx.policy = policy;
     }
 
     /// The active retransmission policy.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.shared.policy.read().clone()
+        self.ctx.policy.clone()
     }
 
     /// The retry horizon: worst-case ticks from first push to escalation.
     pub fn retry_horizon_ticks(&self) -> u64 {
-        let policy = self.shared.policy.read();
+        let policy = &self.ctx.policy;
         policy.ack_deadline_ticks * u64::from(policy.max_attempts)
     }
 
     /// Downlink packages of `vehicle` still awaiting an acknowledgement.
     pub fn outstanding_count(&self, vehicle: &VehicleId) -> usize {
-        self.shard_of(vehicle)
-            .vehicles
+        self.vehicles
             .get(vehicle)
             .map(|v| v.outstanding.len())
             .unwrap_or(0)
@@ -1044,7 +913,6 @@ impl TrustedServer {
     /// Applications of `vehicle` with an operation still in flight.
     pub fn pending_operations(&self, vehicle: &VehicleId) -> Vec<AppId> {
         let mut apps: Vec<AppId> = self
-            .shard_of(vehicle)
             .vehicles
             .get(vehicle)
             .map(|v| v.pending.keys().cloned().collect())
@@ -1060,8 +928,7 @@ impl TrustedServer {
     /// The vehicle's desired manifest: the applications it should converge
     /// to, in sorted order.
     pub fn desired_manifest(&self, vehicle: &VehicleId) -> Vec<AppId> {
-        self.shard_of(vehicle)
-            .vehicles
+        self.vehicles
             .get(vehicle)
             .map(|v| v.desired.iter().cloned().collect())
             .unwrap_or_default()
@@ -1087,20 +954,14 @@ impl TrustedServer {
             JournalRecord::SetDesired(user.clone(), vehicle.clone(), app.clone())
         });
         self.check_owner(user, vehicle)?;
-        let apps = self.shared.apps.read();
-        if !apps.contains_key(app) {
+        if !self.ctx.apps.contains_key(app) {
             return Err(DynarError::not_found("app", app));
         }
-        let ctx = self.shared.op_ctx(&apps);
-        let mut shard = self.shard_of(vehicle);
-        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
+        let record = self.vehicles.get_mut(vehicle).expect("owner checked");
         record.desired.insert(app.clone());
-        let reconciled = {
-            let mut ledger = self.shared.ledger.lock();
-            Self::op_reconcile(&mut shard, &mut ledger, &ctx, vehicle)
-        };
-        shard.note_dirty(vehicle);
-        reconciled
+        let pushed = Self::reconcile_record(record, &mut self.ledger, &self.ctx);
+        record.note_dirty(vehicle, &mut self.dirty);
+        Ok(pushed)
     }
 
     /// Removes `app` from the vehicle's desired manifest and reconciles
@@ -1119,17 +980,11 @@ impl TrustedServer {
             JournalRecord::ClearDesired(user.clone(), vehicle.clone(), app.clone())
         });
         self.check_owner(user, vehicle)?;
-        let apps = self.shared.apps.read();
-        let ctx = self.shared.op_ctx(&apps);
-        let mut shard = self.shard_of(vehicle);
-        let record = shard.vehicles.get_mut(vehicle).expect("owner checked");
+        let record = self.vehicles.get_mut(vehicle).expect("owner checked");
         record.desired.remove(app);
-        let reconciled = {
-            let mut ledger = self.shared.ledger.lock();
-            Self::op_reconcile(&mut shard, &mut ledger, &ctx, vehicle)
-        };
-        shard.note_dirty(vehicle);
-        reconciled
+        let pushed = Self::reconcile_record(record, &mut self.ledger, &self.ctx);
+        record.note_dirty(vehicle, &mut self.dirty);
+        Ok(pushed)
     }
 
     /// Diffs the vehicle's desired manifest against its observed state and
@@ -1156,30 +1011,13 @@ impl TrustedServer {
     /// Returns [`DynarError::NotFound`] for unknown vehicles.
     pub fn reconcile(&mut self, vehicle: &VehicleId) -> Result<usize> {
         self.journal_append(|| JournalRecord::Reconcile(vehicle.clone()));
-        let apps = self.shared.apps.read();
-        let ctx = self.shared.op_ctx(&apps);
-        let mut shard = self.shard_of(vehicle);
-        let reconciled = {
-            let mut ledger = self.shared.ledger.lock();
-            Self::op_reconcile(&mut shard, &mut ledger, &ctx, vehicle)
-        };
-        shard.note_dirty(vehicle);
-        reconciled
-    }
-
-    /// [`TrustedServer::reconcile`] against an already-locked shard (shared
-    /// with the mutators that already journaled their own triggering record).
-    fn op_reconcile(
-        shard: &mut Shard,
-        ledger: &mut Ledger,
-        ctx: &OpCtx<'_>,
-        vehicle: &VehicleId,
-    ) -> Result<usize> {
-        let record = shard
+        let record = self
             .vehicles
             .get_mut(vehicle)
             .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
-        Ok(Self::reconcile_record(record, ledger, ctx))
+        let pushed = Self::reconcile_record(record, &mut self.ledger, &self.ctx);
+        record.note_dirty(vehicle, &mut self.dirty);
+        Ok(pushed)
     }
 
     /// Reconciles one already-found vehicle record: diffs its desired
@@ -1188,7 +1026,7 @@ impl TrustedServer {
     /// recorded in `failed` for the next reconciliation, and the planned
     /// uninstalls are installed apps without installed dependents by
     /// construction.  Returns the number of packages pushed.
-    fn reconcile_record(record: &mut VehicleRecord, ledger: &mut Ledger, ctx: &OpCtx<'_>) -> usize {
+    fn reconcile_record(record: &mut VehicleRecord, ledger: &mut Ledger, ctx: &OpCtx) -> usize {
         let to_install: Vec<AppId> = record
             .desired
             .iter()
@@ -1242,27 +1080,24 @@ impl TrustedServer {
     /// in progress, dropped-destination feedback): downlinks stay queued and
     /// retransmission deadlines freeze, so the retry budget is not burned
     /// against a dead link.
+    ///
+    /// A transport-path call: its journal record is appended without the
+    /// compaction check, which [`TrustedServer::end_round`] makes.
     pub fn mark_offline(&mut self, vehicle: &VehicleId) {
-        self.journal_append(|| JournalRecord::MarkOffline(vehicle.clone()));
-        if let Some(record) = self.shard_of(vehicle).vehicles.get_mut(vehicle) {
+        self.journal_append_unchecked(|| JournalRecord::MarkOffline(vehicle.clone()));
+        if let Some(record) = self.vehicles.get_mut(vehicle) {
             record.online = false;
         }
     }
 
     /// Returns `true` if the vehicle is registered and not parked offline.
     pub fn is_online(&self, vehicle: &VehicleId) -> bool {
-        self.shard_of(vehicle)
-            .vehicles
-            .get(vehicle)
-            .is_some_and(|v| v.online)
+        self.vehicles.get(vehicle).is_some_and(|v| v.online)
     }
 
     /// The vehicle boot epoch the server currently stamps into downlinks.
     pub fn vehicle_boot_epoch(&self, vehicle: &VehicleId) -> Option<u32> {
-        self.shard_of(vehicle)
-            .vehicles
-            .get(vehicle)
-            .map(|v| v.boot_epoch)
+        self.vehicles.get(vehicle).map(|v| v.boot_epoch)
     }
 
     /// Brings a parked vehicle back: outstanding deadlines are re-armed
@@ -1281,17 +1116,15 @@ impl TrustedServer {
     /// Returns [`DynarError::NotFound`] for unknown vehicles.
     pub fn mark_online(&mut self, vehicle: &VehicleId, boot_epoch: u32) -> Result<usize> {
         self.journal_append(|| JournalRecord::MarkOnline(vehicle.clone(), boot_epoch));
-        let apps = self.shared.apps.read();
-        let ctx = self.shared.op_ctx(&apps);
-        let mut shard = self.shard_of(vehicle);
-        let mut ledger = self.shared.ledger.lock();
-        if let Some(record) = shard.vehicles.get_mut(vehicle) {
-            Self::bring_online(record, &mut ledger, ctx.now, &ctx.policy, boot_epoch);
-        }
-        let reconciled = Self::op_reconcile(&mut shard, &mut ledger, &ctx, vehicle);
-        drop(ledger);
-        shard.note_dirty(vehicle);
-        reconciled
+        let record = self
+            .vehicles
+            .get_mut(vehicle)
+            .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
+        let ctx = &self.ctx;
+        Self::bring_online(record, &mut self.ledger, ctx.now, &ctx.policy, boot_epoch);
+        let pushed = Self::reconcile_record(record, &mut self.ledger, ctx);
+        record.note_dirty(vehicle, &mut self.dirty);
+        Ok(pushed)
     }
 
     /// Declares a vehicle permanently unreachable (its endpoint was removed,
@@ -1301,10 +1134,8 @@ impl TrustedServer {
     /// "retry budget exhausted".  Returns the escalated failures.
     pub fn mark_unreachable(&mut self, vehicle: &VehicleId) -> Vec<RetryFailure> {
         self.journal_append(|| JournalRecord::MarkUnreachable(vehicle.clone()));
-        let mut shard = self.shard_of(vehicle);
-        let mut ledger = self.shared.ledger.lock();
-        let ledger = &mut *ledger;
-        let Some(record) = shard.vehicles.get_mut(vehicle) else {
+        let ledger = &mut self.ledger;
+        let Some(record) = self.vehicles.get_mut(vehicle) else {
             return Vec::new();
         };
         record.online = false;
@@ -1356,28 +1187,22 @@ impl TrustedServer {
     /// declares no ECM.
     pub fn request_state_report(&mut self, vehicle: &VehicleId) -> Result<()> {
         self.journal_append(|| JournalRecord::RequestStateReport(vehicle.clone()));
-        let incarnation = self.shared.incarnation();
-        let mut shard = self.shard_of(vehicle);
-        let result = Self::op_request_state_report(&mut shard, incarnation, vehicle);
-        shard.note_dirty(vehicle);
-        result
-    }
-
-    /// [`TrustedServer::request_state_report`] without the journal hook
-    /// (shared with the resync and incarnation paths, whose own records
-    /// already cover the request).
-    fn op_request_state_report(
-        shard: &mut Shard,
-        incarnation: u32,
-        vehicle: &VehicleId,
-    ) -> Result<()> {
-        let record = shard
+        let record = self
             .vehicles
             .get_mut(vehicle)
             .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
         let ecm = record.system.ecm_ecu().ok_or_else(|| {
             DynarError::invalid_config(format!("vehicle {vehicle} declares no ECM SW-C"))
         })?;
+        Self::queue_report_request(record, ecm, self.ctx.incarnation);
+        record.note_dirty(vehicle, &mut self.dirty);
+        Ok(())
+    }
+
+    /// Queues a state-report request towards the record's ECM on `ecm`
+    /// (shared with the resync and incarnation paths, whose own journal
+    /// records already cover the request).
+    fn queue_report_request(record: &mut VehicleRecord, ecm: EcuId, incarnation: u32) {
         Self::queue_envelope(
             record,
             ecm,
@@ -1385,7 +1210,6 @@ impl TrustedServer {
             ManagementMessage::StateReportRequest,
         );
         record.awaiting_report = true;
-        Ok(())
     }
 
     /// Resynchronises the server's observed state from a vehicle state
@@ -1404,16 +1228,12 @@ impl TrustedServer {
     ///
     /// Stale reports from before the last known epoch are ignored.
     fn op_resync(
-        shard: &mut Shard,
+        record: &mut VehicleRecord,
         ledger: &mut Ledger,
-        ctx: &OpCtx<'_>,
-        vehicle: &VehicleId,
+        ctx: &OpCtx,
         epoch: u32,
         plugins: &[(PluginId, AppId, EcuId)],
     ) {
-        let Some(record) = shard.vehicles.get_mut(vehicle) else {
-            return;
-        };
         if epoch < record.boot_epoch {
             return;
         }
@@ -1460,14 +1280,17 @@ impl TrustedServer {
             }
         }
         ledger.orphan_uninstalls += orphan_pushes as u64;
-        let reconciled = Self::op_reconcile(shard, ledger, ctx, vehicle).unwrap_or(0);
+        let reconciled = Self::reconcile_record(record, ledger, ctx);
         // An announcing gateway re-announces until a downlink of its own
         // epoch proves the server resynced.  When the resync itself produced
         // no downlink (empty manifest, everything already converged), answer
         // with a state-report request: it confirms the epoch, and its reply
-        // arrives flagged as solicited so this cannot ping-pong.
+        // arrives flagged as solicited so this cannot ping-pong.  A vehicle
+        // without an ECM cannot be asked.
         if !solicited && orphan_pushes == 0 && reconciled == 0 {
-            let _ = Self::op_request_state_report(shard, ctx.incarnation, vehicle);
+            if let Some(ecm) = record.system.ecm_ecu() {
+                Self::queue_report_request(record, ecm, ctx.incarnation);
+            }
         }
     }
 
@@ -1521,15 +1344,6 @@ impl TrustedServer {
         }
     }
 
-    /// Journals the tick record and advances the shared clock — the serial
-    /// prologue of a (possibly parallel) tick.  The `Tick` journal record is
-    /// written *before* any shard runs, so replay performs the same full
-    /// sweep at the same point in the record stream.
-    pub fn begin_tick(&mut self, now: Tick) {
-        self.journal_append(|| JournalRecord::Tick(now));
-        self.shared.now.store(now.as_u64(), Ordering::Relaxed);
-    }
-
     /// Advances the reliability plane to `now`: every outstanding package
     /// whose deadline lapsed is either retransmitted (same sequence id) or —
     /// once its attempt budget is spent — escalated into a typed
@@ -1539,62 +1353,13 @@ impl TrustedServer {
     /// Deadlines are tracked in a per-vehicle min-heap with lazy
     /// invalidation: a vehicle with nothing due costs a single peek, so a
     /// quiescent fleet tick is O(1) in the number of outstanding packages.
-    ///
-    /// This is the serial form; a round driver calls
-    /// [`TrustedServer::begin_tick`] and sweeps each shard through its
-    /// [`TrustedServer::shard_handle`] instead.
     pub fn tick(&mut self, now: Tick) -> Vec<RetryFailure> {
-        self.begin_tick(now);
-        let policy = self.shared.policy.read().clone();
+        self.journal_append(|| JournalRecord::Tick(now));
+        self.ctx.now = now;
+        let policy = &self.ctx.policy;
+        let ledger = &mut self.ledger;
         let mut failures = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            let mut ledger = self.shared.ledger.lock();
-            Self::op_tick(&mut shard, &mut ledger, &policy, now, &mut failures);
-        }
-        failures
-    }
-
-    /// The earliest retransmission deadline over every online vehicle, if
-    /// any — the timer a tick-free driver (the actor runtime) arms instead
-    /// of sweeping [`TrustedServer::tick`] every quantum: it sleeps until
-    /// this tick or the next uplink, whichever comes first.
-    ///
-    /// The value may be *early* (heap entries are lazily invalidated, so a
-    /// settled package can still surface its stale deadline) but never late;
-    /// a spurious early wake-up just runs a cheap quiescent sweep.  Offline
-    /// vehicles are skipped — their deadlines are frozen by contract.
-    pub fn next_deadline(&self) -> Option<Tick> {
-        let mut earliest: Option<Tick> = None;
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for record in shard.vehicles.values() {
-                if !record.online || record.outstanding.is_empty() {
-                    continue;
-                }
-                if let Some(&Reverse((deadline, _))) = record.deadlines.peek() {
-                    if earliest.is_none_or(|e| deadline < e) {
-                        earliest = Some(deadline);
-                    }
-                }
-            }
-        }
-        earliest
-    }
-
-    /// The per-shard tick sweep (shared by the serial [`TrustedServer::tick`]
-    /// and [`ShardHandle::tick`]).
-    fn op_tick(
-        shard: &mut Shard,
-        ledger: &mut Ledger,
-        policy: &RetryPolicy,
-        now: Tick,
-        failures: &mut Vec<RetryFailure>,
-    ) {
-        let Shard {
-            vehicles, dirty, ..
-        } = shard;
-        for (vehicle_id, record) in vehicles.iter_mut() {
+        for (vehicle_id, record) in &mut self.vehicles {
             if !record.online {
                 // Parked: an offline vehicle's deadlines freeze — the link is
                 // known dead, so retransmitting would only burn the retry
@@ -1655,11 +1420,31 @@ impl TrustedServer {
                 }
             }
             // Retransmissions queued above make the vehicle pollable again.
-            if !record.in_dirty && !record.downlink.is_empty() {
-                record.in_dirty = true;
-                dirty.push(vehicle_id.clone());
-            }
+            record.note_dirty(vehicle_id, &mut self.dirty);
         }
+        failures
+    }
+
+    /// The earliest retransmission deadline over every online vehicle, if
+    /// any — the timer a tick-free driver (the actor runtime) arms instead
+    /// of sweeping [`TrustedServer::tick`] every quantum: it sleeps until
+    /// this tick or the next uplink, whichever comes first.
+    ///
+    /// The value may be *early* (heap entries are lazily invalidated, so a
+    /// settled package can still surface its stale deadline) but never late;
+    /// a spurious early wake-up just runs a cheap quiescent sweep.  Offline
+    /// vehicles are skipped — their deadlines are frozen by contract.
+    pub fn next_deadline(&self) -> Option<Tick> {
+        self.vehicles
+            .values()
+            .filter(|record| record.online && !record.outstanding.is_empty())
+            .filter_map(|record| {
+                record
+                    .deadlines
+                    .peek()
+                    .map(|&Reverse((deadline, _))| deadline)
+            })
+            .min()
     }
 
     /// Assigns the next sequence id, encodes the envelope and queues it on
@@ -1719,7 +1504,6 @@ impl TrustedServer {
     /// report) brings the vehicle back.
     pub fn poll_downlink(&mut self, vehicle: &VehicleId) -> Vec<Payload> {
         let drained = self
-            .shard_of(vehicle)
             .vehicles
             .get_mut(vehicle)
             .filter(|v| v.online)
@@ -1728,8 +1512,8 @@ impl TrustedServer {
         // Journaled only when something actually left the queue: the fleet
         // polls every vehicle every tick, and an empty drain is a no-op that
         // would otherwise dominate the journal.  (The vehicle may still sit
-        // in its shard's dirty set; the next dirty drain pops it, sees the
-        // empty queue and skips it.)
+        // in the dirty set; the next dirty drain pops it, sees the empty
+        // queue and skips it.)
         if !drained.is_empty() {
             self.journal_append(|| JournalRecord::PollDownlink(vehicle.clone()));
         }
@@ -1738,38 +1522,25 @@ impl TrustedServer {
 
     /// Drains the downlink queues of every *dirty* vehicle (one with queued
     /// payloads), invoking `f` per payload in sorted-VIN order, and returns
-    /// the number of vehicles drained.  A quiescent fleet costs O(shards),
-    /// independent of the vehicle count — this is the serial form of
-    /// [`ShardHandle::poll_downlink_dirty`].
+    /// the number of vehicles drained.  A quiescent fleet costs O(1),
+    /// independent of the vehicle count.  Each drained vehicle is journaled
+    /// as a `PollDownlink` record, exactly as
+    /// [`TrustedServer::poll_downlink`] would have journaled it.
+    ///
+    /// A transport-path call: its journal records are appended without the
+    /// compaction check, which [`TrustedServer::end_round`] makes.
     pub fn poll_downlink_dirty(&mut self, mut f: impl FnMut(&VehicleId, Payload)) -> u64 {
-        let journaling = self.journal.is_some();
-        let mut polls = 0;
-        for shard in &self.shards {
-            polls += Self::op_poll_dirty(&mut shard.lock(), journaling, &mut f);
-        }
-        self.merge_shard_journals();
-        polls
-    }
-
-    /// Drains one shard's dirty set.  The per-vehicle `PollDownlink` journal
-    /// records land in the shard buffer (in drain order), exactly as the
-    /// serial [`TrustedServer::poll_downlink`] would have journaled them.
-    fn op_poll_dirty(
-        shard: &mut Shard,
-        journaling: bool,
-        f: &mut dyn FnMut(&VehicleId, Payload),
-    ) -> u64 {
-        if shard.dirty.is_empty() {
+        if self.dirty.is_empty() {
             return 0;
         }
-        let mut dirty = std::mem::take(&mut shard.dirty);
+        let mut dirty = std::mem::take(&mut self.dirty);
         // Sorted VIN order: the dirty set fills in operation order (which is
         // nondeterministic across HashMap sweeps), but delivery order — and
         // the journal record order derived from it — must be reproducible.
         dirty.sort();
         let mut polls = 0;
         for vehicle in dirty.drain(..) {
-            let Some(record) = shard.vehicles.get_mut(&vehicle) else {
+            let Some(record) = self.vehicles.get_mut(&vehicle) else {
                 continue;
             };
             record.in_dirty = false;
@@ -1782,12 +1553,12 @@ impl TrustedServer {
             for payload in record.downlink.drain(..) {
                 f(&vehicle, payload);
             }
-            if journaling {
-                shard.journal_buf.push(JournalRecord::PollDownlink(vehicle));
+            if let Some(journal) = &mut self.journal {
+                journal.append(&JournalRecord::PollDownlink(vehicle));
             }
         }
         // Hand the (now empty) allocation back — the steady state reuses it.
-        shard.dirty = dirty;
+        self.dirty = dirty;
         polls
     }
 
@@ -1796,43 +1567,34 @@ impl TrustedServer {
     /// resynchronises the server's observed state from the vehicle's ground
     /// truth.
     ///
+    /// A transport-path call: its journal record is appended without the
+    /// compaction check, which [`TrustedServer::end_round`] makes.
+    ///
     /// # Errors
     ///
     /// Returns [`DynarError::NotFound`] for unknown vehicles and
     /// [`DynarError::ProtocolViolation`] for malformed or unexpected uplink
     /// payloads.
     pub fn process_uplink(&mut self, vehicle: &VehicleId, payload: &[u8]) -> Result<()> {
-        self.journal_append(|| JournalRecord::ProcessUplink(vehicle.clone(), payload.to_vec()));
-        let apps = self.shared.apps.read();
-        let ctx = self.shared.op_ctx(&apps);
-        let mut shard = self.shard_of(vehicle);
-        let mut ledger = self.shared.ledger.lock();
-        Self::op_process_uplink(&mut shard, &mut ledger, &ctx, vehicle, payload)
-    }
-
-    /// The shard-local uplink path (shared by the serial
-    /// [`TrustedServer::process_uplink`] and [`ShardHandle::process_uplink`]).
-    fn op_process_uplink(
-        shard: &mut Shard,
-        ledger: &mut Ledger,
-        ctx: &OpCtx<'_>,
-        vehicle: &VehicleId,
-        payload: &[u8],
-    ) -> Result<()> {
-        if !shard.vehicles.contains_key(vehicle) {
-            return Err(DynarError::not_found("vehicle", vehicle));
-        }
+        // Journal-first: even a rejected uplink is recorded (it replays to
+        // the same rejection).
+        self.journal_append_unchecked(|| {
+            JournalRecord::ProcessUplink(vehicle.clone(), payload.to_vec())
+        });
+        let record = self
+            .vehicles
+            .get_mut(vehicle)
+            .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
         let result = match ManagementMessage::from_bytes(payload)? {
             ManagementMessage::Ack(ack) => {
-                let record = shard.vehicles.get_mut(vehicle).expect("checked above");
-                Self::apply_ack(record, ledger, &ack);
+                Self::apply_ack(record, &mut self.ledger, &ack);
                 Ok(())
             }
             ManagementMessage::StateReport {
                 boot_epoch,
                 plugins,
             } => {
-                Self::op_resync(shard, ledger, ctx, vehicle, boot_epoch, &plugins);
+                Self::op_resync(record, &mut self.ledger, &self.ctx, boot_epoch, &plugins);
                 Ok(())
             }
             _ => Err(DynarError::ProtocolViolation(
@@ -1840,7 +1602,7 @@ impl TrustedServer {
             )),
         };
         // Resyncs and ack-triggered reconciliations queue downlinks.
-        shard.note_dirty(vehicle);
+        record.note_dirty(vehicle, &mut self.dirty);
         result
     }
 
@@ -1971,12 +1733,12 @@ impl TrustedServer {
 
     /// The server incarnation id currently stamped into downlink envelopes.
     pub fn incarnation(&self) -> u32 {
-        self.shared.incarnation()
+        self.ctx.incarnation
     }
 
     /// A copy of the operation-accounting ledger (see [`Ledger`]).
     pub fn ledger(&self) -> Ledger {
-        self.shared.ledger.lock().clone()
+        self.ledger.clone()
     }
 
     /// Turns the write-ahead journal on: every mutating API call from now on
@@ -2025,60 +1787,29 @@ impl TrustedServer {
     /// state *before* the new record is appended — the snapshot captures
     /// exactly what every previously journaled record replays to, so replay
     /// is always `snapshot ⊕ remaining records`, in order.
-    ///
-    /// Must be called before any shard or ledger guard is taken: the
-    /// compaction snapshot locks the whole plane.
     fn journal_append(&mut self, record: impl FnOnce() -> JournalRecord) {
         if self.journal.is_none() {
             return;
         }
         self.compact_journal_if_due();
-        let record = record();
-        self.journal.as_mut().expect("checked").append(&record);
+        self.journal_append_unchecked(record);
     }
 
-    /// The [`ShardHandle`] of one shard, for a round's per-vehicle phase
-    /// between [`TrustedServer::begin_tick`] and
-    /// [`TrustedServer::merge_shard_journals`].  The handle buffers its
-    /// journal records in its shard; nothing touches the journal itself, so
-    /// the borrow of `self` ends when the handle is taken.  Taking one
-    /// allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not below [`TrustedServer::shard_count`].
-    pub fn shard_handle(&self, index: usize) -> ShardHandle {
-        ShardHandle {
-            index,
-            shard: Arc::clone(&self.shards[index]),
-            shared: Arc::clone(&self.shared),
-            journaling: self.journal.is_some(),
+    /// Appends one record to the journal (no-op while journaling is off)
+    /// without the compaction check — the append of the transport-path
+    /// calls, whose round [`TrustedServer::end_round`] closes.
+    fn journal_append_unchecked(&mut self, record: impl FnOnce() -> JournalRecord) {
+        if let Some(journal) = &mut self.journal {
+            journal.append(&record());
         }
     }
 
-    /// Drains every shard's buffered journal records into the journal, in
-    /// deterministic order: shard id first, per-shard sequence second.
-    /// Replay equivalence holds because a vehicle's records all live in its
-    /// own shard's buffer (per-vehicle order is preserved exactly) and
-    /// records of different vehicles commute.  No-op (beyond clearing the
-    /// buffers) while journaling is off.
-    pub fn merge_shard_journals(&mut self) {
-        if self.journal.is_none() {
-            for shard in &self.shards {
-                shard.lock().journal_buf.clear();
-            }
-            return;
-        }
-        let mut merged = Vec::new();
-        for shard in &self.shards {
-            merged.append(&mut shard.lock().journal_buf);
-        }
-        let journal = self.journal.as_mut().expect("checked");
-        for record in &merged {
-            journal.append(record);
-        }
-        // Compact only after the whole merge: a mid-merge snapshot would
-        // capture later shards' effects ahead of their records.
+    /// Ends a round driven through the transport-path calls
+    /// ([`TrustedServer::poll_downlink_dirty`],
+    /// [`TrustedServer::mark_offline`], [`TrustedServer::process_uplink`]):
+    /// compacts the journal if it is due.  Those calls append without the
+    /// check, so a busy round compacts at most once, after all its records.
+    pub fn end_round(&mut self) {
         self.compact_journal_if_due();
     }
 
@@ -2094,9 +1825,9 @@ impl TrustedServer {
         self.journal = Some(journal);
     }
 
-    /// Rebuilds a single-shard server from journal bytes: decodes each frame
-    /// and applies it through the same public API the live server ran.  The
-    /// result is byte-identical to the journaling server at its last append
+    /// Rebuilds a server from journal bytes: decodes each frame and applies
+    /// it through the same public API the live server ran.  The result is
+    /// byte-identical to the journaling server at its last append
     /// ([`TrustedServer::snapshot_bytes`] is the comparison form).  The
     /// rebuilt server has journaling off — re-enable it (and start a new
     /// incarnation with [`TrustedServer::begin_incarnation`]) to resume.
@@ -2106,19 +1837,7 @@ impl TrustedServer {
     /// Returns [`DynarError::ProtocolViolation`] for truncated, corrupted or
     /// malformed journal bytes.
     pub fn replay(bytes: &[u8]) -> Result<TrustedServer> {
-        Self::replay_with_shards(bytes, 1)
-    }
-
-    /// [`TrustedServer::replay`] into a `shards`-way sharded server.  The
-    /// journal carries no shard count — the layout is the reader's choice,
-    /// and the replayed state is byte-identical regardless.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] for truncated, corrupted or
-    /// malformed journal bytes.
-    pub fn replay_with_shards(bytes: &[u8], shards: usize) -> Result<TrustedServer> {
-        let mut server = TrustedServer::with_shards(shards);
+        let mut server = TrustedServer::new();
         let mut reader = FrameReader::new(bytes);
         while let Some(frame) = reader.next_frame()? {
             let record = JournalRecord::from_bytes(frame)?;
@@ -2142,8 +1861,8 @@ impl TrustedServer {
     ///
     /// Returns [`DynarError::ProtocolViolation`] when an intact frame holds
     /// a malformed record.
-    pub fn replay_recover(bytes: &[u8], shards: usize) -> Result<(TrustedServer, usize)> {
-        let mut server = TrustedServer::with_shards(shards);
+    pub fn replay_recover(bytes: &[u8]) -> Result<(TrustedServer, usize)> {
+        let mut server = TrustedServer::new();
         let mut reader = FrameReader::new(bytes);
         let mut clean = 0usize;
         loop {
@@ -2169,7 +1888,7 @@ impl TrustedServer {
     fn apply_record(&mut self, record: JournalRecord) -> Result<()> {
         match record {
             JournalRecord::Snapshot(state) => {
-                *self = TrustedServer::from_snapshot_value(&state, self.shards.len())?;
+                *self = TrustedServer::from_snapshot_value(&state)?;
             }
             JournalRecord::CreateUser(user) => {
                 let _ = self.create_user(user);
@@ -2254,21 +1973,15 @@ impl TrustedServer {
     /// vehicles solicited.
     pub fn begin_incarnation(&mut self) -> usize {
         self.journal_append(|| JournalRecord::BeginIncarnation);
-        let incarnation = self.shared.incarnation() + 1;
-        self.shared
-            .incarnation
-            .store(incarnation, Ordering::Relaxed);
-        // Sorted: the shards are HashMaps and the sequence ids consumed by
-        // the solicitations must be reproducible under journal replay.
-        let mut vehicles: Vec<VehicleId> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.lock().vehicles.keys().cloned().collect::<Vec<_>>())
-            .collect();
+        let incarnation = self.ctx.incarnation + 1;
+        self.ctx.incarnation = incarnation;
+        // Sorted: the vehicle table is a HashMap and the sequence ids
+        // consumed by the solicitations must be reproducible under journal
+        // replay.
+        let mut vehicles: Vec<VehicleId> = self.vehicles.keys().cloned().collect();
         vehicles.sort();
         for vehicle in &vehicles {
-            let mut shard = self.shard_of(vehicle);
-            let record = shard.vehicles.get_mut(vehicle).expect("key just listed");
+            let record = self.vehicles.get_mut(vehicle).expect("key just listed");
             for payload in &mut record.downlink {
                 *payload = Self::restamp(payload, incarnation);
             }
@@ -2276,8 +1989,10 @@ impl TrustedServer {
                 entry.payload = Self::restamp(&entry.payload, incarnation);
             }
             // No-ECM vehicles simply get no solicitation.
-            let _ = Self::op_request_state_report(&mut shard, incarnation, vehicle);
-            shard.note_dirty(vehicle);
+            if let Some(ecm) = record.system.ecm_ecu() {
+                Self::queue_report_request(record, ecm, incarnation);
+            }
+            record.note_dirty(vehicle, &mut self.dirty);
         }
         vehicles.len()
     }
@@ -2294,8 +2009,6 @@ impl TrustedServer {
     /// every map and set is emitted in sorted order, so two servers in the
     /// same logical state encode identically — `snapshot_bytes` equality
     /// *is* the state-equality check the restart scenario asserts.  The
-    /// shard count is deliberately absent (it is a runtime layout choice, so
-    /// differently sharded servers in the same state compare equal), and the
     /// deadline heaps and dirty flags are not part of the snapshot: both are
     /// rebuildable views over the outstanding entries and downlink queues.
     ///
@@ -2320,19 +2033,14 @@ impl TrustedServer {
         // buffer, an allocation that would depend on the fleet size.
         let mut users: Vec<&UserId> = self.users.iter().collect();
         users.sort_unstable();
-        let apps_guard = self.shared.apps.read();
-        let mut apps: Vec<(&AppId, &AppDefinition)> = apps_guard.iter().collect();
+        let mut apps: Vec<(&AppId, &AppDefinition)> = self.ctx.apps.iter().collect();
         apps.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let guards: Vec<MutexGuard<'_, Shard>> =
-            self.shards.iter().map(|shard| shard.lock()).collect();
-        let mut vehicles: Vec<(&VehicleId, &VehicleRecord)> =
-            Vec::with_capacity(guards.iter().map(|guard| guard.vehicles.len()).sum());
-        vehicles.extend(guards.iter().flat_map(|guard| guard.vehicles.iter()));
+        let mut vehicles: Vec<(&VehicleId, &VehicleRecord)> = self.vehicles.iter().collect();
         vehicles.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let policy = self.shared.policy.read();
+        let policy = &self.ctx.policy;
         codec::encode_list_header(8, out);
-        codec::encode_i64(i64::from(self.shared.incarnation()), out);
-        codec::encode_i64(self.shared.now().as_u64() as i64, out);
+        codec::encode_i64(i64::from(self.ctx.incarnation), out);
+        codec::encode_i64(self.ctx.now.as_u64() as i64, out);
         codec::encode_list_header(2, out);
         codec::encode_i64(policy.ack_deadline_ticks as i64, out);
         codec::encode_i64(i64::from(policy.max_attempts), out);
@@ -2351,20 +2059,20 @@ impl TrustedServer {
             codec::encode_text(vin.vin(), out);
             record.encode_into(out, &mut scratch);
         }
-        codec::encode_into(&self.shared.ledger.lock().to_value(), out);
+        codec::encode_into(&self.ledger.to_value(), out);
         codec::encode_list_header(self.campaigns.len(), out);
         for campaign in self.campaigns.values() {
             campaign.encode_into(out);
         }
     }
 
-    /// Decodes a server from a snapshot value into a `shards`-way layout.
-    /// The rebuilt server has journaling off.
+    /// Decodes a server from a snapshot value.  The rebuilt server has
+    /// journaling off.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed snapshots.
-    fn from_snapshot_value(value: &Value, shards: usize) -> Result<TrustedServer> {
+    fn from_snapshot_value(value: &Value) -> Result<TrustedServer> {
         let parts = value.as_list().ok_or_else(|| snap_err("not a list"))?;
         let [incarnation, now, policy, users, apps, vehicles, ledger, campaigns] = parts else {
             return Err(snap_err("top-level arity"));
@@ -2403,16 +2111,17 @@ impl TrustedServer {
                 Ok((definition.id.clone(), definition))
             })
             .collect::<Result<HashMap<AppId, AppDefinition>>>()?;
-        let server = TrustedServer::with_shards(shards);
-        server
-            .shared
-            .incarnation
-            .store(incarnation, Ordering::Relaxed);
-        server.shared.now.store(now, Ordering::Relaxed);
-        *server.shared.policy.write() = policy;
-        *server.shared.apps.write() = apps;
-        *server.shared.ledger.lock() = Ledger::from_value(ledger)?;
-        let count = server.shards.len();
+        let mut server = TrustedServer {
+            users,
+            ctx: OpCtx {
+                apps,
+                policy,
+                now: Tick::new(now),
+                incarnation,
+            },
+            ledger: Ledger::from_value(ledger)?,
+            ..TrustedServer::default()
+        };
         for entry in vehicles.as_list().ok_or_else(|| snap_err("vehicles"))? {
             let parts = entry.as_list().ok_or_else(|| snap_err("vehicle entry"))?;
             let [vin, record] = parts else {
@@ -2420,18 +2129,14 @@ impl TrustedServer {
             };
             let vin = VehicleId::new(vin.as_text().ok_or_else(|| snap_err("vin"))?);
             let mut record = VehicleRecord::from_value(record)?;
-            let mut shard = server.shards[Self::shard_index(&vin, count)].lock();
             // The dirty set is a rebuildable view: a vehicle with queued
             // downlinks is pollable (offline queues re-arm via `note_dirty`
             // when the vehicle returns).
-            record.in_dirty = record.online && !record.downlink.is_empty();
-            if record.in_dirty {
-                shard.dirty.push(vin.clone());
+            if record.online {
+                record.note_dirty(&vin, &mut server.dirty);
             }
-            shard.vehicles.insert(vin, record);
+            server.vehicles.insert(vin, record);
         }
-        let mut server = server;
-        server.users = users;
         for entry in campaigns.as_list().ok_or_else(|| snap_err("campaigns"))? {
             let campaign = Campaign::from_value(entry)?;
             server.campaigns.insert(campaign.id.clone(), campaign);
@@ -2463,15 +2168,13 @@ impl TrustedServer {
         if !self.users.contains(user) {
             return Err(DynarError::not_found("user", user));
         }
-        {
-            let apps = self.shared.apps.read();
-            if !apps.contains_key(&spec.app) {
-                return Err(DynarError::not_found("app", &spec.app));
-            }
-            if let Some(replaces) = &spec.replaces {
-                if !apps.contains_key(replaces) {
-                    return Err(DynarError::not_found("app", replaces));
-                }
+        let apps = &self.ctx.apps;
+        if !apps.contains_key(&spec.app) {
+            return Err(DynarError::not_found("app", &spec.app));
+        }
+        if let Some(replaces) = &spec.replaces {
+            if !apps.contains_key(replaces) {
+                return Err(DynarError::not_found("app", replaces));
             }
         }
         if self.campaigns.contains_key(&spec.id) {
@@ -2573,7 +2276,7 @@ impl TrustedServer {
             let total = campaign.targets.len();
             let final_wave = campaign.plan.cumulative_target(campaign.wave, total) >= total;
             let (succeeded, failed, pending) = self.campaign_health(&id);
-            let now = self.shared.now();
+            let now = self.ctx.now;
             let soaked = now.as_u64().saturating_sub(wave_started.as_u64()) >= gate.min_soak_ticks;
             if gate.abort_failed > 0 && failed >= gate.abort_failed {
                 self.journal_append(|| JournalRecord::CampaignAbort(id.clone()));
@@ -2633,16 +2336,15 @@ impl TrustedServer {
     }
 
     /// Resolves a selector into the sorted list of vehicles bound to `user`
-    /// that the campaign will target.  Shard iteration order does not leak:
-    /// the result is sorted, so resolution is deterministic under journal
-    /// replay at any shard count.
+    /// that the campaign will target.  Hash-map iteration order does not
+    /// leak: the result is sorted, so resolution is deterministic under
+    /// journal replay.
     fn resolve_selector(&self, user: &UserId, selector: &VehicleSelector) -> Vec<VehicleId> {
         let mut targets = Vec::new();
         match selector {
             VehicleSelector::Vehicles(vehicles) => {
                 for vehicle in vehicles {
-                    let shard = self.shard_of(vehicle);
-                    if shard
+                    if self
                         .vehicles
                         .get(vehicle)
                         .is_some_and(|r| r.owner.as_ref() == Some(user))
@@ -2652,19 +2354,16 @@ impl TrustedServer {
                 }
             }
             VehicleSelector::All | VehicleSelector::Model(_) => {
-                for shard in &self.shards {
-                    let shard = shard.lock();
-                    for (vehicle, record) in &shard.vehicles {
-                        if record.owner.as_ref() != Some(user) {
+                for (vehicle, record) in &self.vehicles {
+                    if record.owner.as_ref() != Some(user) {
+                        continue;
+                    }
+                    if let VehicleSelector::Model(model) = selector {
+                        if record.system.model != *model {
                             continue;
                         }
-                        if let VehicleSelector::Model(model) = selector {
-                            if record.system.model != *model {
-                                continue;
-                            }
-                        }
-                        targets.push(vehicle.clone());
                     }
+                    targets.push(vehicle.clone());
                 }
             }
         }
@@ -2680,7 +2379,7 @@ impl TrustedServer {
     /// create and advance transitions; replay applies the journaled
     /// decision through this same function without re-evaluating the gate.
     fn campaign_expose_next_wave(&mut self, id: &CampaignId) -> usize {
-        let now = self.shared.now();
+        let now = self.ctx.now;
         let Some(campaign) = self.campaigns.get_mut(id) else {
             return 0;
         };
@@ -2698,30 +2397,22 @@ impl TrustedServer {
         let app = campaign.app.clone();
         let replaces = campaign.replaces.clone();
         let mut exposed = Vec::with_capacity(batch.len());
-        {
-            let apps = self.shared.apps.read();
-            let ctx = self.shared.op_ctx(&apps);
-            for vehicle in &batch {
-                let mut shard = self.shard_of(vehicle);
-                let Some(record) = shard.vehicles.get_mut(vehicle) else {
-                    // Dropped from the fleet since resolution: skipped now,
-                    // never retried (`last_good` stays unset, the wave math
-                    // simply moves past it).
-                    continue;
-                };
-                let last_good = record.desired.clone();
-                if let Some(replaced) = &replaces {
-                    record.desired.remove(replaced);
-                }
-                record.desired.insert(app.clone());
-                {
-                    let mut ledger = self.shared.ledger.lock();
-                    ledger.campaign_exposures += 1;
-                    Self::reconcile_record(record, &mut ledger, &ctx);
-                }
-                shard.note_dirty(vehicle);
-                exposed.push((vehicle.clone(), last_good));
+        for vehicle in &batch {
+            let Some(record) = self.vehicles.get_mut(vehicle) else {
+                // Dropped from the fleet since resolution: skipped now, never
+                // retried (`last_good` stays unset, the wave math simply
+                // moves past it).
+                continue;
+            };
+            let last_good = record.desired.clone();
+            if let Some(replaced) = &replaces {
+                record.desired.remove(replaced);
             }
+            record.desired.insert(app.clone());
+            self.ledger.campaign_exposures += 1;
+            Self::reconcile_record(record, &mut self.ledger, &self.ctx);
+            record.note_dirty(vehicle, &mut self.dirty);
+            exposed.push((vehicle.clone(), last_good));
         }
         let campaign = self.campaigns.get_mut(id).expect("present above");
         let count = exposed.len();
@@ -2733,8 +2424,7 @@ impl TrustedServer {
     }
 
     /// Counts `(succeeded, failed, pending)` over every vehicle `id` has
-    /// exposed, read through the shard locks at the serial evaluation
-    /// point.  *Failed* is the per-vehicle failure record of the campaign
+    /// exposed.  *Failed* is the per-vehicle failure record of the campaign
     /// app — NACKed installs, retry exhaustions and state-report resyncs
     /// all resolve into it, so the gate sees every failure mode through one
     /// predicate.  A vehicle that vanished from the fleet counts failed.
@@ -2744,8 +2434,7 @@ impl TrustedServer {
         };
         let (mut succeeded, mut failed, mut pending) = (0u64, 0u64, 0u64);
         for vehicle in campaign.last_good.keys() {
-            let shard = self.shard_of(vehicle);
-            match shard.vehicles.get(vehicle) {
+            match self.vehicles.get(vehicle) {
                 Some(record) if record.failed.contains_key(&campaign.app) => failed += 1,
                 Some(record) if record.pending.contains_key(&campaign.app) => pending += 1,
                 Some(record) if record.installed.contains_key(&campaign.app) => succeeded += 1,
@@ -2786,7 +2475,7 @@ impl TrustedServer {
 
     /// Applies a resume decision, restarting the soak dwell.
     fn campaign_apply_resume(&mut self, id: &CampaignId) {
-        let now = self.shared.now();
+        let now = self.ctx.now;
         if let Some(campaign) = self.campaigns.get_mut(id) {
             campaign.status = CampaignStatus::Running;
             campaign.wave_started = now;
@@ -2798,7 +2487,7 @@ impl TrustedServer {
         self.campaign_refresh_counters(id);
         if let Some(campaign) = self.campaigns.get_mut(id) {
             campaign.status = CampaignStatus::Complete;
-            self.shared.ledger.lock().campaigns_completed += 1;
+            self.ledger.campaigns_completed += 1;
         }
     }
 
@@ -2821,34 +2510,25 @@ impl TrustedServer {
             .map(|(vehicle, apps)| (vehicle.clone(), apps.clone()))
             .collect();
         let mut restored = 0usize;
-        {
-            let apps = self.shared.apps.read();
-            let ctx = self.shared.op_ctx(&apps);
-            for (vehicle, last_good) in restores {
-                let mut shard = self.shard_of(&vehicle);
-                let Some(record) = shard.vehicles.get_mut(&vehicle) else {
-                    continue;
-                };
-                record.desired = last_good;
-                {
-                    let mut ledger = self.shared.ledger.lock();
-                    ledger.campaign_rollbacks += 1;
-                    Self::reconcile_record(record, &mut ledger, &ctx);
-                }
-                shard.note_dirty(&vehicle);
-                restored += 1;
-            }
+        for (vehicle, last_good) in restores {
+            let Some(record) = self.vehicles.get_mut(&vehicle) else {
+                continue;
+            };
+            record.desired = last_good;
+            self.ledger.campaign_rollbacks += 1;
+            Self::reconcile_record(record, &mut self.ledger, &self.ctx);
+            record.note_dirty(&vehicle, &mut self.dirty);
+            restored += 1;
         }
         let campaign = self.campaigns.get_mut(id).expect("present above");
         campaign.counters.rolled_back = restored as u64;
-        self.shared.ledger.lock().campaigns_aborted += 1;
+        self.ledger.campaigns_aborted += 1;
         restored
     }
 
     /// Validates a manual campaign transition *before* its journal append:
     /// the decision records replay unconditionally, so only applied
-    /// transitions may reach the journal.  (Safe ahead of `journal_append`
-    /// because it takes no locks.)
+    /// transitions may reach the journal.
     fn check_campaign(
         &self,
         user: &UserId,
@@ -2875,8 +2555,7 @@ impl TrustedServer {
     }
 
     fn check_owner(&self, user: &UserId, vehicle: &VehicleId) -> Result<()> {
-        let shard = self.shard_of(vehicle);
-        let record = shard
+        let record = self
             .vehicles
             .get(vehicle)
             .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
@@ -2890,79 +2569,6 @@ impl TrustedServer {
     }
 }
 
-impl ShardHandle {
-    /// The shard this handle drives (the value [`TrustedServer::shard_index`]
-    /// maps this shard's vehicles to).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Runs the retransmission sweep over this shard's vehicles (the
-    /// per-shard half of [`TrustedServer::tick`]; the caller journals the
-    /// tick serially via [`TrustedServer::begin_tick`] first).  Escalated
-    /// failures are appended to `failures`.
-    pub fn tick(&self, now: Tick, failures: &mut Vec<RetryFailure>) {
-        let policy = self.shared.policy.read().clone();
-        let mut delta = Ledger::default();
-        {
-            let mut shard = self.shard.lock();
-            TrustedServer::op_tick(&mut shard, &mut delta, &policy, now, failures);
-        }
-        // Fold the commutative counter delta in *after* releasing the shard:
-        // the ledger lock must never serialize the parallel sweep.
-        self.shared.ledger.lock().merge_from(&delta);
-    }
-
-    /// Drains this shard's dirty downlink queues (see
-    /// [`TrustedServer::poll_downlink_dirty`]); returns the number of
-    /// vehicles drained.
-    pub fn poll_downlink_dirty(&self, mut f: impl FnMut(&VehicleId, Payload)) -> u64 {
-        let mut shard = self.shard.lock();
-        TrustedServer::op_poll_dirty(&mut shard, self.journaling, &mut f)
-    }
-
-    /// Processes one uplink message from a vehicle of this shard (see
-    /// [`TrustedServer::process_uplink`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::NotFound`] for unknown vehicles and
-    /// [`DynarError::ProtocolViolation`] for malformed or unexpected uplink
-    /// payloads.
-    pub fn process_uplink(&self, vehicle: &VehicleId, payload: &[u8]) -> Result<()> {
-        let apps = self.shared.apps.read();
-        let ctx = self.shared.op_ctx(&apps);
-        let mut delta = Ledger::default();
-        let result = {
-            let mut shard = self.shard.lock();
-            if self.journaling {
-                // Journal-first, like the serial path: even a rejected uplink
-                // is recorded (it replays to the same rejection).
-                shard.journal_buf.push(JournalRecord::ProcessUplink(
-                    vehicle.clone(),
-                    payload.to_vec(),
-                ));
-            }
-            TrustedServer::op_process_uplink(&mut shard, &mut delta, &ctx, vehicle, payload)
-        };
-        self.shared.ledger.lock().merge_from(&delta);
-        result
-    }
-
-    /// Parks a vehicle of this shard (see [`TrustedServer::mark_offline`]).
-    pub fn mark_offline(&self, vehicle: &VehicleId) {
-        let mut shard = self.shard.lock();
-        if self.journaling {
-            shard
-                .journal_buf
-                .push(JournalRecord::MarkOffline(vehicle.clone()));
-        }
-        if let Some(record) = shard.vehicles.get_mut(vehicle) {
-            record.online = false;
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // Snapshot codec for the per-vehicle bookkeeping
 // ----------------------------------------------------------------------
@@ -2972,8 +2578,8 @@ impl ShardHandle {
 // the `Value` form of those bytes with `from_value`.  Hash maps and sets are
 // emitted in sorted order, sorted in a reused `SortScratch`.
 
-/// Reused sort space for streaming vehicle records.  The snapshot holds
-/// every shard lock while it runs, so borrows of one record's keys can live
+/// Reused sort space for streaming vehicle records.  The snapshot borrows
+/// the whole server while it runs, so borrows of one record's keys can live
 /// in vectors that outlast the record: each vector keeps its capacity from
 /// one record to the next instead of being allocated per record.
 #[derive(Default)]
@@ -4551,16 +4157,16 @@ mod tests {
         // journal.
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk, server.journal_bytes().unwrap());
-        let (recovered, clean) = TrustedServer::replay_recover(&on_disk, 1).unwrap();
+        let (recovered, clean) = TrustedServer::replay_recover(&on_disk).unwrap();
         assert_eq!(clean, on_disk.len());
         assert_eq!(recovered.snapshot_bytes(), server.snapshot_bytes());
 
         // Crash mid-append: the tail frame is half-written.  Recovery
         // replays the clean prefix and reports where it ends.
         let torn = &on_disk[..on_disk.len() - 3];
-        let (recovered, clean) = TrustedServer::replay_recover(torn, 1).unwrap();
+        let (recovered, clean) = TrustedServer::replay_recover(torn).unwrap();
         assert!(clean < torn.len());
-        let (clean_server, reclean) = TrustedServer::replay_recover(&on_disk[..clean], 1).unwrap();
+        let (clean_server, reclean) = TrustedServer::replay_recover(&on_disk[..clean]).unwrap();
         assert_eq!(reclean, clean, "the clean prefix is wholly intact");
         assert_eq!(recovered.snapshot_bytes(), clean_server.snapshot_bytes());
 
@@ -4568,7 +4174,7 @@ mod tests {
         let mut corrupted = Vec::new();
         dynar_foundation::journal::append_frame(&mut corrupted, &[0xFF, 0xFE]);
         assert!(matches!(
-            TrustedServer::replay_recover(&corrupted, 1),
+            TrustedServer::replay_recover(&corrupted),
             Err(DynarError::ProtocolViolation(_))
         ));
 
@@ -4589,7 +4195,7 @@ mod tests {
 
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk, server.journal_bytes().unwrap());
-        let (recovered, _) = TrustedServer::replay_recover(&on_disk, 1).unwrap();
+        let (recovered, _) = TrustedServer::replay_recover(&on_disk).unwrap();
         assert_eq!(recovered.snapshot_bytes(), server.snapshot_bytes());
         assert!(
             !path.with_extension("log.compact").exists(),

@@ -21,29 +21,24 @@
 //!    cadence, so [`TrustedServer::step_campaigns`] runs right after,
 //! 2. runs the federation round `Fleet::step` runs — the same function —
 //!    with a no-op vehicle step (the vehicles step on their own threads):
-//!    queued downlinks out, the transport stepped, arrived uplinks in; the
-//!    journal records the round buffered are merged right after, and its
-//!    counts land in the [`FleetStats`] that [`ActorFederation::stats`]
-//!    reports,
+//!    queued downlinks out, the transport stepped, arrived uplinks in; then
+//!    [`TrustedServer::end_round`] compacts the journal when it is due, and
+//!    the round's counts land in the [`FleetStats`] that
+//!    [`ActorFederation::stats`] reports,
 //! 3. sleeps on its command channel until the next deadline or quantum,
 //!    whichever is sooner, handling [`ActorFederation::with_server`]
 //!    closures as they arrive.
-//!
-//! The actor server's round takes the one shard handle of a single-shard
-//! server; a sharded federation runs on [`crate::fleet::Fleet`].
 //!
 //! Protocol time stays tick-denominated: a [`WallClock`] maps elapsed real
 //! time onto the same [`Tick`] axis the retry budgets and announce periods
 //! are written in, so the reliability plane is unchanged — only the driver
 //! differs.
 //!
-//! # Lock order and the determinism boundary
+//! # Locks and the determinism boundary
 //!
-//! Every thread that takes both locks takes **the transport lock first,
-//! then server shard/ledger locks** (the round holds the transport lock
-//! across the downlink drain, whose shard locking nests inside).  Vehicle
-//! threads only ever take the transport lock (through their ECM gateways),
-//! so they can never invert the order.
+//! The transport is the only lock: the server is owned by its actor
+//! thread, and vehicle threads reach the transport through their ECM
+//! gateways only.
 //!
 //! Runs through this module are **not** reproducible: thread interleaving
 //! and wall-clock timing are real.  Determinism lives below the
@@ -160,22 +155,12 @@ impl ActorFederation {
     /// Spawns the server actor.  `quantum` is the real-time span of one
     /// protocol [`Tick`] — retry deadlines, announce periods and partition
     /// heal times all scale with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` has more than one shard: the actor server's round
-    /// takes a single shard handle.
     pub fn launch(
         server: TrustedServer,
         server_endpoint: impl Into<String>,
         transport: SharedHub,
         quantum: Duration,
     ) -> Self {
-        assert_eq!(
-            server.shard_count(),
-            1,
-            "ActorFederation::launch takes a single-shard server; use Fleet::new for sharded fleets"
-        );
         let server_endpoint = server_endpoint.into();
         transport.lock().register(&server_endpoint);
         let clock = WallClock::new(quantum);
@@ -336,7 +321,7 @@ fn vehicle_actor(
 }
 
 /// The server actor body.  See the module documentation for the loop's
-/// three phases and the lock order.
+/// three phases.
 fn server_actor(
     mut server: TrustedServer,
     server_endpoint: &str,
@@ -370,21 +355,19 @@ fn server_actor(
             stats.campaign_events += campaign_events;
         }
 
-        // 2. The federation round with a no-op vehicle step (transport lock
-        //    held, shard locks nest inside), then the journal merge.  After
-        //    a shutdown this is the final round: it consumes whatever the
-        //    stopped vehicles left on the wire, so the transport ledger can
-        //    settle for post-run conservation checks.
-        let handle = server.shard_handle(0);
+        // 2. The federation round with a no-op vehicle step, then the end
+        //    of the round.  After a shutdown this is the final round: it
+        //    consumes whatever the stopped vehicles left on the wire, so the
+        //    transport ledger can settle for post-run conservation checks.
         let (counts, ()) = step_round(
-            std::slice::from_ref(&handle),
+            &mut server,
             std::slice::from_ref(&route),
             server_endpoint,
             &mut scratch,
             now,
             || (),
         );
-        server.merge_shard_journals();
+        server.end_round();
         {
             let mut stats = stats.lock();
             stats.add_round(counts);

@@ -16,46 +16,41 @@
 //!
 //! A **lane** is one transport hub plus the vehicles whose ECMs are
 //! registered on it; the server endpoint is registered on every lane hub.
-//! A [`Fleet::new`] fleet has [`LANES`] lanes at every shard count, and a
-//! vehicle's lane follows from its VIN hash alone, so [`Fleet::hub_for`]
-//! answers before the vehicle is added.  A vehicle's ECM locks only its own
-//! lane's hub, so lanes share nothing while the vehicles step, and the
-//! vehicle phase of a round runs the lanes on a [`LanePool`]: up to
-//! `min(cores, LANES)` threads, the caller included, claiming lanes as they
-//! go.  A round of fewer than [`POOLED_MIN_VEHICLES`] vehicles steps its
-//! lanes inline.  A [`Fleet::with_hub`] fleet has a single lane on the
-//! shared hub.
+//! A [`Fleet::new`] fleet has [`LANES`] lanes, and a vehicle's lane follows
+//! from its VIN hash alone, so [`Fleet::hub_for`] answers before the vehicle
+//! is added.  A vehicle's ECM locks only its own lane's hub, so lanes share
+//! nothing while the vehicles step, and the vehicle phase of a round runs
+//! the lanes on a [`LanePool`]: up to `min(cores, LANES)` threads, the
+//! caller included, claiming lanes as they go.  A round of fewer than
+//! [`POOLED_MIN_VEHICLES`] vehicles steps its lanes inline.  A
+//! [`Fleet::with_hub`] fleet has a single lane on the shared hub.
 //!
 //! # The round
 //!
 //! One function, `step_round`, holds the transport phases of the Figure 2
-//! loop: shard by shard, drain the dirty downlinks, send each to its
-//! vehicle's lane hub and park the vehicles whose send failed; step every
-//! lane hub, park the vehicles whose endpoint vanished (dropped-destination
-//! feedback), step the vehicles (a caller-supplied callback), then drain
-//! each lane hub's server mailbox in lane order and process each uplink in
-//! its sender's shard.  It routes through each lane's `EndpointTable`
-//! (vehicle id ↔ ECM endpoint) and the server's [`ShardHandle`]s, and has
-//! three callers:
+//! loop: drain the server's dirty downlinks, send each to its vehicle's lane
+//! hub and park the vehicles whose send failed; step every lane hub, park
+//! the vehicles whose endpoint vanished (dropped-destination feedback), step
+//! the vehicles (a caller-supplied callback), then drain each lane hub's
+//! server mailbox in lane order and hand each uplink to the server.  It
+//! routes through each lane's `EndpointTable` (vehicle id ↔ ECM endpoint),
+//! takes the server as `&mut TrustedServer`, and has three callers:
 //!
-//! * [`Fleet::step`], at every shard count: the tick is journaled up front
-//!   ([`TrustedServer::begin_tick`]), each shard runs its reliability sweep
-//!   ([`ShardHandle::tick`]), the round runs once over every shard and lane,
-//!   and the journal records the shards buffered are merged in shard order
-//!   ([`TrustedServer::merge_shard_journals`]) before the campaign gates run.
-//!   The effects and the statistics are the same at every shard count and
-//!   lane layout, the merged journal replays to the same state, and a round
-//!   allocates nothing when the fleet is quiet, at any shard count and
-//!   whether its lanes run inline or on the pool
-//!   (`tests/alloc_regression.rs`).
-//! * The actor server ([`crate::actors`]), with its one shard handle and a
-//!   no-op vehicle step: its vehicles run on their own threads.
+//! * [`Fleet::step`]: the server's reliability sweep
+//!   ([`TrustedServer::tick`]), the round over every lane, the end of the
+//!   round ([`TrustedServer::end_round`], which compacts the journal when it
+//!   is due), then the campaign gates.  The effects and the statistics are
+//!   the same at every lane layout, the journal replays to the same state,
+//!   and a round allocates nothing when the fleet is quiet, whether its
+//!   lanes run inline or on the pool (`tests/alloc_regression.rs`).
+//! * The actor server ([`crate::actors`]), with a no-op vehicle step: its
+//!   vehicles run on their own threads.
 //! * [`crate::scenario::remote_car`], the Figure 3 demonstrator, through a
 //!   one-vehicle [`Fleet`].
 //!
 //! Downlinks are drained through the server's **dirty set**
-//! ([`ShardHandle::poll_downlink_dirty`]): a management-quiescent tick visits
-//! zero vehicles instead of polling all N.
+//! ([`TrustedServer::poll_downlink_dirty`]): a management-quiescent tick
+//! visits zero vehicles instead of polling all N.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,17 +63,18 @@ use dynar_fes::transport::{
 };
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, PluginId, UserId, VehicleId};
+use dynar_foundation::journal::fnv1a;
 use dynar_foundation::payload::Payload;
 use dynar_foundation::pool::LanePool;
 use dynar_foundation::time::{Clock, Tick};
-use dynar_server::server::{DeploymentStatus, RetryFailure, ShardHandle, TrustedServer};
+use dynar_server::server::{DeploymentStatus, RetryFailure, TrustedServer};
 
 use crate::world::Vehicle;
 
-/// The vehicle lanes of a [`Fleet::new`] fleet, at every shard count.  A
-/// constant, so the layout — which hub a vehicle's ECM registers on, and
-/// with it the order in which the server processes uplinks and journals
-/// them — is the same on every machine.
+/// The vehicle lanes of a [`Fleet::new`] fleet.  A constant, so the layout
+/// — which hub a vehicle's ECM registers on, and with it the order in which
+/// the server processes uplinks and journals them — is the same on every
+/// machine.
 pub const LANES: usize = 8;
 
 /// The smallest fleet whose rounds hand their lanes to the lane pool.  A
@@ -154,9 +150,9 @@ pub struct FleetStats {
     /// The first [`MAX_FAILURE_EVENTS`] escalated failures, each carrying
     /// which (vehicle, app, plug-in) exhausted its budget.  Every batch is
     /// sorted before it is appended: a round's escalation *set* is
-    /// deterministic but its sweep order is not (per-shard hash maps), so
-    /// sorting keeps the event list — and therefore [`FleetStats`] equality
-    /// — identical at every shard count.
+    /// deterministic but its sweep order is not (the server's vehicle table
+    /// is a hash map), so sorting keeps the event list — and therefore
+    /// [`FleetStats`] equality — identical from run to run.
     pub failure_events: Vec<RetryFailureEvent>,
 }
 
@@ -287,10 +283,14 @@ impl LaneRoute {
     }
 }
 
-/// The lane of a vehicle among `lanes`, by VIN hash: known before the
-/// vehicle is added, and the same on every machine.
+/// The lane of a vehicle among `lanes`, by FNV-1a hash of its VIN: known
+/// before the vehicle is added, and the same on every machine.
 fn lane_index(id: &VehicleId, lanes: usize) -> usize {
-    TrustedServer::shard_index(id, lanes)
+    if lanes <= 1 {
+        0
+    } else {
+        fnv1a(id.vin().as_bytes()) as usize % lanes
+    }
 }
 
 /// The vehicle half of a lane, in table-row order: what a lane's thread
@@ -327,9 +327,6 @@ pub struct Fleet {
     routes: Vec<LaneRoute>,
     lanes: Vec<LaneVehicles>,
     scratch: RoundScratch,
-    /// The server's shard handles, taken afresh at the start of every round
-    /// into a reused buffer.
-    handles: Vec<ShardHandle>,
     /// Vehicle ids in registration order (what [`Fleet::vehicle_ids`]
     /// borrows, so callers do not clone the whole fleet's ids per call).
     ids: Vec<VehicleId>,
@@ -346,10 +343,9 @@ pub struct Fleet {
 
 impl Fleet {
     /// Creates a fleet around a trusted server, with [`LANES`] fresh lane
-    /// hubs built from `transport`, whatever the server's shard count.
-    /// Per-link fault and jitter streams are keyed by endpoint *names* (not
-    /// hub identity), so the same seed produces the same per-link behaviour
-    /// at any shard count and lane layout.
+    /// hubs built from `transport`.  Per-link fault and jitter streams are
+    /// keyed by endpoint *names* (not hub identity), so the same seed
+    /// produces the same per-link behaviour at any lane layout.
     pub fn new(
         server: TrustedServer,
         server_endpoint: impl Into<String>,
@@ -390,7 +386,6 @@ impl Fleet {
             hubs,
             server_endpoint,
             scratch: RoundScratch::default(),
-            handles: Vec::new(),
             ids: Vec::new(),
             ids_at: HashMap::new(),
             lane_pool: None,
@@ -449,7 +444,7 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if a shard backend does not support fault injection — induced
+    /// Panics if a hub backend does not support fault injection — induced
     /// faults are a capability of the deterministic hub, not of wire
     /// transports.
     pub fn set_link_fault(&self, from: &str, to: &str, fault: LinkFault) {
@@ -466,7 +461,7 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if a shard backend does not support fault injection.
+    /// Panics if a hub backend does not support fault injection.
     pub fn partition(&self, a: &str, b: &str, heal_at: Tick) {
         for hub in &self.hubs {
             hub.lock()
@@ -632,8 +627,8 @@ impl Fleet {
     /// every vehicle's ECM endpoint, the transport delivers, every vehicle
     /// runs one tick, uplink acknowledgements flow back into the server and
     /// the campaign gates run.  A large enough multi-lane fleet steps its
-    /// lanes in parallel; the effects, the journal and the statistics are
-    /// the same at every shard count and lane layout.
+    /// lanes in parallel; the effects and the statistics are the same at
+    /// every lane layout, and the journal replays to the same state.
     ///
     /// A vehicle step error does not cut the round short: every vehicle is
     /// stepped and the round runs to the end before the error is returned.
@@ -643,15 +638,7 @@ impl Fleet {
     /// Returns the step error of the lowest vehicle id that failed.
     pub fn step(&mut self) -> Result<()> {
         let now = self.clock.step();
-        self.server.begin_tick(now);
-        let server = &self.server;
-        self.handles.clear();
-        self.handles
-            .extend((0..server.shard_count()).map(|index| server.shard_handle(index)));
-        let mut failures = Vec::new();
-        for handle in &self.handles {
-            handle.tick(now, &mut failures);
-        }
+        let failures = self.server.tick(now);
         let pooled = self.lanes.len() > 1 && self.ids.len() >= POOLED_MIN_VEHICLES;
         let lane_pool = pooled.then(|| {
             &*self.lane_pool.get_or_insert_with(|| {
@@ -664,7 +651,7 @@ impl Fleet {
         self.pooled_rounds += u64::from(pooled);
         let (lanes, routes) = (&mut self.lanes, &self.routes);
         let (counts, failure) = step_round(
-            &self.handles,
+            &mut self.server,
             routes,
             &self.server_endpoint,
             &mut self.scratch,
@@ -685,11 +672,11 @@ impl Fleet {
         );
         self.stats.add_round(counts);
         // One batch per round: `record_failures` sorts it, so the retained
-        // events are the same at every shard count.
+        // events do not depend on the server's sweep order.
         self.stats.record_failures(failures);
-        self.server.merge_shard_journals();
-        // Campaign decisions run (and journal) strictly after the shard
-        // merge, on the state this round's acknowledgements settled into.
+        self.server.end_round();
+        // Campaign decisions run (and journal) strictly after the round, on
+        // the state this round's acknowledgements settled into.
         self.stats.campaign_events += self.server.step_campaigns().len() as u64;
         self.stats.ticks += 1;
         failure.map_or(Ok(()), |(_, error)| Err(error))
@@ -817,55 +804,50 @@ impl Fleet {
 }
 
 /// One federation round — the one implementation of the Figure 2 loop's
-/// transport phases — over every shard of the server (`handles`, one per
-/// shard, in shard order) and every lane (`routes`, in lane order).
-/// Shard by shard, the downlinks the dirty set holds are sent to their
+/// transport phases — between `server` and every lane (`routes`, in lane
+/// order).  The downlinks the server's dirty set holds are sent to their
 /// vehicles' endpoints on their lanes' hubs and a vehicle whose send fails
 /// is parked.  Then every lane hub steps, and a vehicle whose endpoint
 /// vanished with traffic in flight is parked too.  Then `step_vehicles`
 /// runs, and finally each lane hub's server mailbox is drained, in lane
-/// order, and every uplink processed by its sender's shard, the sender
-/// found through the lane's table; an uplink from an endpoint no vehicle
-/// owns is counted as rejected.
+/// order, and every uplink processed, the sender found through the lane's
+/// table; an uplink from an endpoint no vehicle owns is counted as
+/// rejected.
 ///
-/// Per vehicle, the order of effects (and of journal records, buffered in
-/// its shard) is the same whichever caller runs the round, however many
-/// shards the server has and however the vehicles are split into lanes.
-/// The reliability sweep ([`ShardHandle::tick`]) is the caller's, as are the
-/// journal merge and the campaign gates.
+/// Per vehicle, the order of the server's calls (and of its journal
+/// records) is the same whichever caller runs the round and however the
+/// vehicles are split into lanes.  The reliability sweep ([`TrustedServer::tick`]) is the caller's,
+/// as are [`TrustedServer::end_round`] and the campaign gates.
 pub(crate) fn step_round<R>(
-    handles: &[ShardHandle],
+    server: &mut TrustedServer,
     routes: &[LaneRoute],
     server_endpoint: &str,
     scratch: &mut RoundScratch,
     now: Tick,
     step_vehicles: impl FnOnce() -> R,
 ) -> (RoundCounts, R) {
-    let handle_of =
-        |vehicle: &VehicleId| &handles[TrustedServer::shard_index(vehicle, handles.len())];
     let mut counts = RoundCounts::default();
     {
-        // Transport locks first, lane by lane, then the server's (the lock
-        // order every thread keeps): the drain's shard locking nests inside.
+        // Every lane hub stays locked across the downlink drain and the hub
+        // steps; vehicles lock only their own lane's hub, and only in the
+        // vehicle phase.
         assert!(routes.len() <= LANES, "a fleet has at most LANES lanes");
         let mut hubs: [Option<MutexGuard<'_, dyn Transport>>; LANES] =
             std::array::from_fn(|lane| routes.get(lane).map(|route| route.hub.lock()));
         let offline = &mut scratch.offline;
-        for handle in handles {
-            counts.downlink_polls += handle.poll_downlink_dirty(|vehicle, payload| {
-                counts.downlink_messages += 1;
-                let lane = lane_index(vehicle, routes.len());
-                let Some(endpoint) = routes[lane].table.endpoint_of(vehicle) else {
-                    return;
-                };
-                let hub = hubs[lane].as_mut().expect("every lane hub is locked");
-                if hub.send(server_endpoint, endpoint, payload).is_err() {
-                    offline.push(vehicle.clone());
-                }
-            });
-            for vehicle in offline.drain(..) {
-                handle.mark_offline(&vehicle);
+        counts.downlink_polls += server.poll_downlink_dirty(|vehicle, payload| {
+            counts.downlink_messages += 1;
+            let lane = lane_index(vehicle, routes.len());
+            let Some(endpoint) = routes[lane].table.endpoint_of(vehicle) else {
+                return;
+            };
+            let hub = hubs[lane].as_mut().expect("every lane hub is locked");
+            if hub.send(server_endpoint, endpoint, payload).is_err() {
+                offline.push(vehicle.clone());
             }
+        });
+        for vehicle in offline.drain(..) {
+            server.mark_offline(&vehicle);
         }
         for (hub, LaneRoute { table, .. }) in hubs.iter_mut().flatten().zip(routes) {
             hub.step(now);
@@ -879,7 +861,7 @@ pub(crate) fn step_round<R>(
                     continue;
                 }
                 if let Some(vehicle) = table.vehicle_at(endpoint.as_ref()) {
-                    handle_of(vehicle).mark_offline(vehicle);
+                    server.mark_offline(vehicle);
                 }
             }
         }
@@ -897,10 +879,7 @@ pub(crate) fn step_round<R>(
                 continue;
             };
             counts.uplink_messages += 1;
-            if handle_of(vehicle)
-                .process_uplink(vehicle, &payload)
-                .is_err()
-            {
+            if server.process_uplink(vehicle, &payload).is_err() {
                 counts.rejected_uplinks += 1;
             }
         }

@@ -75,8 +75,6 @@ pub struct CampaignScenarioConfig {
     /// are relative to the start of [`CampaignScenario::drive`]; indices
     /// refer to the initial registration order.
     pub reboots: Vec<(u64, usize)>,
-    /// Server shard count (1 = serial fleet tick).
-    pub shards: usize,
 }
 
 impl Default for CampaignScenarioConfig {
@@ -95,7 +93,6 @@ impl Default for CampaignScenarioConfig {
             reconcile_interval: 50,
             max_ticks: 6_000,
             reboots: Vec::new(),
-            shards: 1,
         }
     }
 }
@@ -184,7 +181,6 @@ impl CampaignScenario {
                 loss_probability: config.loss_probability,
                 seed: config.seed,
             },
-            shards: config.shards,
             ..FleetScenarioConfig::default()
         })?;
         inner.fleet.server.set_retry_policy(config.retry.clone());

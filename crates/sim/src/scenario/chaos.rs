@@ -60,9 +60,6 @@ pub struct ChaosConfig {
     pub retry: RetryPolicy,
     /// Convergence horizon per wave, in ticks.
     pub max_ticks_per_wave: u64,
-    /// Server shard count (1 = serial fleet tick; more shards run the same
-    /// campaign shard-parallel).
-    pub shards: usize,
 }
 
 impl Default for ChaosConfig {
@@ -82,7 +79,6 @@ impl Default for ChaosConfig {
             }),
             retry: RetryPolicy::default(),
             max_ticks_per_wave: 600,
-            shards: 1,
         }
     }
 }
@@ -139,14 +135,13 @@ impl ChaosScenario {
                 loss_probability: config.loss_probability,
                 seed: config.seed,
             },
-            shards: config.shards,
             ..FleetScenarioConfig::default()
         })?;
         inner.fleet.server.set_retry_policy(config.retry.clone());
 
         // Per-link faults: jitter on both directions, asymmetric loss on the
         // uplink when configured.  Faults are keyed by endpoint names, so
-        // installing them on every shard hub is inert where a pair never
+        // installing them on every lane hub is inert where a pair never
         // communicates.
         {
             let ids = inner.fleet.vehicle_ids();

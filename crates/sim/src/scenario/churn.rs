@@ -81,9 +81,6 @@ pub struct ChurnConfig {
     pub max_ticks: u64,
     /// The scheduled churn events.
     pub plan: ChurnPlan,
-    /// Server shard count (1 = serial fleet tick; more shards run the same
-    /// campaign shard-parallel).
-    pub shards: usize,
 }
 
 impl Default for ChurnConfig {
@@ -109,7 +106,6 @@ impl Default for ChurnConfig {
                 removals: vec![(8, 1)],
                 additions: vec![80],
             },
-            shards: 1,
         }
     }
 }
@@ -174,7 +170,6 @@ impl ChurnScenario {
                 loss_probability: config.loss_probability,
                 seed: config.seed,
             },
-            shards: config.shards,
             ..FleetScenarioConfig::default()
         })?;
         inner.fleet.server.set_retry_policy(config.retry.clone());

@@ -65,12 +65,8 @@ pub struct FleetScenarioConfig {
     pub workers_per_vehicle: u16,
     /// In-vehicle bus configuration (shared by every vehicle).
     pub bus: BusConfig,
-    /// External transport configuration of the shared hub.
+    /// External transport configuration of every lane hub.
     pub transport: TransportConfig,
-    /// Server shard count: a layout choice of the server's per-vehicle
-    /// state.  The fleet's vehicle lanes, and with them the round, are the
-    /// same at every shard count.
-    pub shards: usize,
 }
 
 impl Default for FleetScenarioConfig {
@@ -83,7 +79,6 @@ impl Default for FleetScenarioConfig {
                 ..BusConfig::default()
             },
             transport: TransportConfig::default(),
-            shards: 1,
         }
     }
 }
@@ -276,7 +271,7 @@ impl FleetScenario {
         let workers = config.workers_per_vehicle;
 
         // --- Trusted server: one catalogue, every vehicle registered ------
-        let mut server = TrustedServer::with_shards(config.shards);
+        let mut server = TrustedServer::new();
         let user = UserId::new("fleet-ops");
         server.create_user(user.clone())?;
         server.upload_app(telemetry_app(APP_TELEMETRY, "", GAIN_V1, workers)?)?;

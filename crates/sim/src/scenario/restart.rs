@@ -65,9 +65,6 @@ pub struct RestartConfig {
     pub reboot: Option<(u64, usize)>,
     /// Hard horizon for the whole campaign, in ticks.
     pub max_ticks: u64,
-    /// Server shard count (1 = serial fleet tick; more shards run the same
-    /// campaign shard-parallel — the journal and its replay stay identical).
-    pub shards: usize,
 }
 
 impl Default for RestartConfig {
@@ -88,7 +85,6 @@ impl Default for RestartConfig {
             // window, so a boot-epoch bump races the incarnation bump.
             reboot: Some((14, 1)),
             max_ticks: 3_000,
-            shards: 1,
         }
     }
 }
@@ -146,7 +142,6 @@ impl RestartScenario {
                 loss_probability: config.loss_probability,
                 seed: config.seed,
             },
-            shards: config.shards,
             ..FleetScenarioConfig::default()
         })?;
         inner.fleet.server.set_retry_policy(config.retry.clone());
@@ -206,10 +201,7 @@ impl RestartScenario {
                 DynarError::ProtocolViolation("crash scheduled but journaling is off".into())
             })?
             .to_vec();
-        // The successor shards its state exactly like the crashed process
-        // did — replay is shard-agnostic, so this is a choice, not a need.
-        let shards = self.inner.fleet.server.shard_count();
-        let mut replayed = TrustedServer::replay_with_shards(&journal, shards)?;
+        let mut replayed = TrustedServer::replay(&journal)?;
 
         // Byte identity: the recovered state *is* the crashed state.
         let live = self.inner.fleet.server.snapshot_bytes();
@@ -321,10 +313,7 @@ impl RestartScenario {
             .journal_bytes()
             .expect("successor journals")
             .to_vec();
-        let shadow = TrustedServer::replay_with_shards(
-            &successor_journal,
-            self.inner.fleet.server.shard_count(),
-        )?;
+        let shadow = TrustedServer::replay(&successor_journal)?;
         if shadow.snapshot_bytes() != self.inner.fleet.server.snapshot_bytes() {
             return Err(DynarError::ProtocolViolation(
                 "post-recovery journal replay diverges".into(),

@@ -2,9 +2,9 @@
 //! trusted server, installed in staged waves, then updated in place while
 //! the rest of the fleet keeps driving.
 //!
-//! The server runs **sharded** (4 shards).  The fleet's vehicle lanes and
-//! its round do not depend on the shard count, and the same campaign at
-//! `shards: 1` produces byte-identical server state.
+//! The fleet splits its vehicles into 8 lanes, each with its own transport
+//! hub, and steps the lanes in parallel; the server state it ends in is the
+//! same as a single-lane fleet's.
 //!
 //! ```console
 //! $ cargo run --release --example fleet_scale
@@ -12,21 +12,16 @@
 
 use dynar::foundation::ids::EcuId;
 use dynar::foundation::value::Value;
-use dynar::sim::scenario::fleet::{FleetScenario, FleetScenarioConfig, GAIN_V1, GAIN_V2};
+use dynar::sim::scenario::fleet::{FleetScenario, GAIN_V1, GAIN_V2};
 
 fn main() {
     let vehicles = 50;
-    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
-        vehicles,
-        shards: 4,
-        ..FleetScenarioConfig::default()
-    })
-    .expect("fleet builds");
+    let mut scenario = FleetScenario::build(vehicles).expect("fleet builds");
     println!(
-        "built a fleet of {} vehicles x {} ECUs across {} server shards",
+        "built a fleet of {} vehicles x {} ECUs across {} vehicle lanes",
         scenario.fleet.len(),
         1 + scenario.workers_per_vehicle(),
-        scenario.fleet.server.shard_count()
+        scenario.fleet.hubs().len()
     );
 
     scenario

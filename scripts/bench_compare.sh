@@ -180,11 +180,10 @@ for workload in ("arith", "ports", "branch"):
               f"(interpreter {interp:.0f} ns vs compiled {compiled:.0f} ns, "
               "report-only)")
 
-# The sharded control plane, report-only: BENCH_PAR_SPEEDUP is the 8-shard
-# tick against the one-shard tick at equal fleet size.  Both run the same
-# round (8 vehicle lanes on the lane pool, server phases shard by shard on
-# the caller's thread), so the ratio is what sharding the server state
-# costs or saves; it is not gated and sits near 1.
+# Report-only: BENCH_PAR_SPEEDUP is par_tick against tick at equal fleet
+# size.  The server has one vehicle table now, so both rows measure the same
+# 8-lane round (vehicle lanes on the lane pool, server phases on the
+# caller's thread); the ratio is not gated and sits near 1 by construction.
 for size in ("500", "10000"):
     serial = cand.get(f"bench_fleet_tick/tick/{size}")
     par = cand.get(f"bench_fleet_tick/par_tick/{size}")

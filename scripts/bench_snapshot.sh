@@ -65,9 +65,9 @@ if not any("tick_with_journal" in r["bench"] for r in results):
 if not any("campaign_tick" in r["bench"] for r in results):
     sys.exit("bench snapshot is missing the bench_fleet_tick campaign_tick datapoint")
 
-# ... and the sharded-control-plane datapoints: the 10k-vehicle serial tick
-# (linear-scaling evidence) and the 8-shard parallel tick next to its serial
-# twin (BENCH_PAR_SPEEDUP in scripts/bench_compare.sh).
+# ... and the large-fleet datapoints: the 10k-vehicle tick (linear-scaling
+# evidence) and the par_tick row next to tick (BENCH_PAR_SPEEDUP in
+# scripts/bench_compare.sh; both measure the same 8-lane round).
 benches = {r["bench"] for r in results}
 for required in ("bench_fleet_tick/tick/10000", "bench_fleet_tick/par_tick/500"):
     if required not in benches:

@@ -3,8 +3,8 @@
 //! with lossy links forcing the retransmission plane to do real work.
 //!
 //! This is the concurrency half of the transport story.  The deterministic
-//! half — byte-identical replay, shard equivalence — lives in
-//! `tests/shard_equivalence.rs` and the journal tests and keeps running over
+//! half — byte-identical replay, lane-layout equivalence — lives in
+//! `tests/lane_equivalence.rs` and the journal tests and keeps running over
 //! `Fleet`'s lockstep loop.  Here nothing is reproducible (thread
 //! interleaving and wall-clock pacing are real), so the assertions are about
 //! *convergence*:

@@ -21,9 +21,7 @@
 //! * **Pooled fleet tick** — the same claim for a fleet big enough that its
 //!   rounds hand their vehicle lanes to the lane pool's worker threads: the
 //!   hand-off (slots, wake-ups, completion tokens) allocates nothing, so the
-//!   same sensor-tick exemption bounds the window.  It holds at one server
-//!   shard and at eight: the round walks the shard handles from a reused
-//!   buffer, so a sharded round allocates nothing either.
+//!   same sensor-tick exemption bounds the window.
 //! * **Compiled VM slot** — a warm [`CompiledVm`] executing an arith-heavy
 //!   loop (fused superinstructions on the fast plane) runs whole slots
 //!   without allocating: pre-decoded ops, pre-resolved constants and a
@@ -42,8 +40,8 @@ use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
 use dynar::server::TrustedServer;
 use dynar::sim::scenario::fleet::{
-    fleet_hw, fleet_system, telemetry_app, FleetScenario, FleetScenarioConfig, APP_TELEMETRY,
-    APP_TELEMETRY_V2, GAIN_V1, GAIN_V2, SENSOR_PERIOD,
+    fleet_hw, fleet_system, telemetry_app, FleetScenario, APP_TELEMETRY, APP_TELEMETRY_V2, GAIN_V1,
+    GAIN_V2, SENSOR_PERIOD,
 };
 use dynar::sim::POOLED_MIN_VEHICLES;
 use dynar::vm::{assemble, Budget, CompiledVm, VmStatus};
@@ -88,20 +86,14 @@ fn quiescent_fleet_tick_is_allocation_free() {
     assert_eq!(scenario.fleet.pooled_rounds(), 0, "10 vehicles step inline");
 }
 
-fn quiescent_pooled_fleet_tick_is_allocation_free(shards: usize) {
-    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
-        vehicles: POOLED_MIN_VEHICLES,
-        shards,
-        ..FleetScenarioConfig::default()
-    })
-    .expect("fleet builds");
+fn quiescent_pooled_fleet_tick_is_allocation_free() {
+    let mut scenario = FleetScenario::build(POOLED_MIN_VEHICLES).expect("fleet builds");
     let rounds_before = scenario.fleet.stats().ticks;
     quiescent_ticks_allocate_only_for_sensors(&mut scenario, POOLED_MIN_VEHICLES / 2);
     assert_eq!(
         scenario.fleet.pooled_rounds(),
         scenario.fleet.stats().ticks - rounds_before,
-        "every round of a {POOLED_MIN_VEHICLES}-vehicle fleet at {shards} shard(s) ran its lanes \
-         on the pool"
+        "every round of a {POOLED_MIN_VEHICLES}-vehicle fleet ran its lanes on the pool"
     );
 }
 
@@ -130,7 +122,7 @@ fn quiescent_ticks_allocate_only_for_sensors(scenario: &mut FleetScenario, wave_
 
     // The dirty-set downlink sweep: a management-quiescent tick must visit
     // zero vehicles (O(active), not O(V)) — the whole window's sweep work is
-    // a constant per-shard check.
+    // a constant check of the empty dirty set.
     let polls = scenario.fleet.stats().downlink_polls - polls_before;
     assert_eq!(
         polls, 0,
@@ -256,15 +248,20 @@ fn journaled_server(vehicles: usize) -> (TrustedServer, Vec<VehicleId>) {
 }
 
 /// Allocations of one warm compaction (plus the one small record that
-/// triggers it) of a `vehicles`-vehicle journaled server.
+/// triggers it) of a `vehicles`-vehicle journaled server: a round's
+/// `mark_offline` appends the record, and the end of the round compacts.
 fn warm_compaction_allocations(vehicles: usize) -> u64 {
     let (mut server, vins) = journaled_server(vehicles);
+    let round = |server: &mut TrustedServer| {
+        server.mark_offline(&vins[0]);
+        server.end_round();
+    };
     // Warm-up: the journal buffer grows to a snapshot plus a record.
     for _ in 0..3 {
-        server.mark_offline(&vins[0]);
+        round(&mut server);
     }
     let before = server.journal_bytes().unwrap().len();
-    let (allocations, ()) = CountingAllocator::count(|| server.mark_offline(&vins[0]));
+    let (allocations, ()) = CountingAllocator::count(|| round(&mut server));
     let journal = server.journal_bytes().unwrap();
     assert_eq!(journal.len(), before, "one compaction, same state");
     assert!(
@@ -288,8 +285,7 @@ fn warm_compaction_allocations_do_not_grow_with_the_fleet() {
 fn steady_state_hot_paths_are_allocation_free() {
     warm_transport_round_is_allocation_free();
     quiescent_fleet_tick_is_allocation_free();
-    quiescent_pooled_fleet_tick_is_allocation_free(1);
-    quiescent_pooled_fleet_tick_is_allocation_free(8);
+    quiescent_pooled_fleet_tick_is_allocation_free();
     warm_compiled_slot_is_allocation_free();
     warm_compaction_allocations_do_not_grow_with_the_fleet();
 }

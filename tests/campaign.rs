@@ -12,11 +12,12 @@
 //!   with zero double-applied operations.
 //! * **Rollback under fire** — the same abort under 10 % transport loss
 //!   while exposed canaries reboot mid-wave.
-//! * **Shard equivalence** — the same seeded campaign at 1, 2 and 8 server
-//!   shards ends in byte-for-byte identical server state.
+//! * **Reproducibility** — the same seeded abort campaign under loss, run
+//!   twice, ends in byte-for-byte identical server state.  (Equivalence
+//!   across lane layouts, campaign included, is `tests/lane_equivalence.rs`.)
 //! * **Crash replay** — a journaled server crashed mid-campaign (and again
 //!   after the terminal decision) is reconstructed byte-identically from its
-//!   write-ahead journal at every shard count.
+//!   write-ahead journal.
 
 use dynar::server::campaign::{CampaignId, CampaignStatus};
 use dynar::server::{Ledger, TrustedServer};
@@ -111,26 +112,21 @@ fn rollback_converges_under_loss_with_mid_wave_reboots() {
     assert!(report.transport.is_conserved(), "{report:?}");
 }
 
-/// One full bad-version abort campaign at the given shard count, returning
-/// everything that must match across counts.
-fn sharded_abort_campaign(shards: usize) -> (Vec<u8>, Ledger, FleetStats) {
+/// One full bad-version abort campaign under 5 % loss, returning everything
+/// a rerun must reproduce.
+fn lossy_abort_campaign() -> (Vec<u8>, Ledger, FleetStats) {
     let mut scenario = CampaignScenario::build_with(CampaignScenarioConfig {
         vehicles: 12,
         canary: 2,
         loss_probability: 0.05,
         latency_ticks: 2,
-        shards,
         ..CampaignScenarioConfig::default()
     })
     .expect("campaign scenario builds");
     scenario.converge_on_v1().expect("fleet converges on v1");
     let spec = scenario.spec("bad-v2", APP_TELEMETRY_BAD, Some(APP_TELEMETRY));
     let report = scenario.run_campaign(spec).expect("abort converges");
-    assert_eq!(
-        report.status,
-        CampaignStatus::Aborted,
-        "{shards} shards: {report:?}"
-    );
+    assert_eq!(report.status, CampaignStatus::Aborted, "{report:?}");
     (
         scenario.inner.fleet.server.snapshot_bytes(),
         scenario.inner.fleet.server.ledger(),
@@ -139,107 +135,83 @@ fn sharded_abort_campaign(shards: usize) -> (Vec<u8>, Ledger, FleetStats) {
 }
 
 #[test]
-fn sharded_abort_campaign_matches_the_serial_one_byte_for_byte_across_shards() {
-    let (snapshot, ledger, stats) = sharded_abort_campaign(1);
-    for shards in [2, 8] {
-        let (shadow_snapshot, shadow_ledger, shadow_stats) = sharded_abort_campaign(shards);
-        assert_eq!(
-            snapshot, shadow_snapshot,
-            "campaign snapshot diverged at {shards} shards"
-        );
-        assert_eq!(
-            ledger, shadow_ledger,
-            "campaign ledger diverged at {shards} shards"
-        );
-        assert_eq!(
-            stats, shadow_stats,
-            "fleet counters diverged at {shards} shards"
-        );
-    }
+fn lossy_abort_campaign_is_byte_for_byte_reproducible() {
+    let (snapshot, ledger, stats) = lossy_abort_campaign();
+    let (rerun_snapshot, rerun_ledger, rerun_stats) = lossy_abort_campaign();
+    assert_eq!(snapshot, rerun_snapshot, "campaign snapshot diverged");
+    assert_eq!(ledger, rerun_ledger, "campaign ledger diverged");
+    assert_eq!(stats, rerun_stats, "fleet counters diverged");
 }
 
 #[test]
-fn mid_campaign_crash_replays_byte_identically_at_all_shards() {
-    let mut terminal_snapshots = Vec::new();
-    for shards in [1, 2, 8] {
-        let mut scenario = CampaignScenario::build_with(CampaignScenarioConfig {
-            vehicles: 12,
-            canary: 2,
-            ramp_percent: vec![50, 100],
-            min_soak_ticks: 25,
-            shards,
-            ..CampaignScenarioConfig::default()
-        })
-        .expect("campaign scenario builds");
-        scenario.inner.fleet.server.enable_journal(4096);
-        scenario.converge_on_v1().expect("fleet converges on v1");
+fn mid_campaign_crash_replays_byte_identically() {
+    let mut scenario = CampaignScenario::build_with(CampaignScenarioConfig {
+        vehicles: 12,
+        canary: 2,
+        ramp_percent: vec![50, 100],
+        min_soak_ticks: 25,
+        ..CampaignScenarioConfig::default()
+    })
+    .expect("campaign scenario builds");
+    scenario.inner.fleet.server.enable_journal(4096);
+    scenario.converge_on_v1().expect("fleet converges on v1");
 
-        let id = CampaignId::new("good-v2");
-        let spec = scenario.spec("good-v2", APP_TELEMETRY_V2, Some(APP_TELEMETRY));
-        let user = scenario.user().clone();
-        scenario
-            .inner
-            .fleet
-            .server
-            .create_campaign(&user, spec)
-            .expect("campaign creates");
-        for _ in 0..10 {
-            scenario.step().expect("fleet steps");
-        }
-
-        // Crash point: the campaign is mid-flight — waves open, acks in the
-        // air, decisions journaled.  The successor must be byte-identical.
-        let campaign = scenario
-            .inner
-            .fleet
-            .server
-            .campaign(&id)
-            .expect("campaign exists");
-        assert_eq!(
-            campaign.status,
-            CampaignStatus::Running,
-            "{shards} shards: crash point must land mid-campaign"
-        );
-        let journal = scenario
-            .inner
-            .fleet
-            .server
-            .journal_bytes()
-            .expect("journal enabled")
-            .to_vec();
-        let successor = TrustedServer::replay(&journal).expect("mid-campaign journal replays");
-        assert_eq!(
-            successor.snapshot_bytes(),
-            scenario.inner.fleet.server.snapshot_bytes(),
-            "{shards} shards: mid-campaign crash replay diverged"
-        );
-
-        // Drive the original to its terminal decision and replay once more:
-        // the full decision alphabet (create/advance/complete) round-trips.
-        let report = scenario.drive(&id).expect("rollout completes");
-        assert_eq!(
-            report.status,
-            CampaignStatus::Complete,
-            "{shards} shards: {report:?}"
-        );
-        let journal = scenario
-            .inner
-            .fleet
-            .server
-            .journal_bytes()
-            .expect("journal enabled")
-            .to_vec();
-        let successor = TrustedServer::replay(&journal).expect("terminal journal replays");
-        let bytes = scenario.inner.fleet.server.snapshot_bytes();
-        assert_eq!(
-            successor.snapshot_bytes(),
-            bytes,
-            "{shards} shards: terminal crash replay diverged"
-        );
-        terminal_snapshots.push(bytes);
+    let id = CampaignId::new("good-v2");
+    let spec = scenario.spec("good-v2", APP_TELEMETRY_V2, Some(APP_TELEMETRY));
+    let user = scenario.user().clone();
+    scenario
+        .inner
+        .fleet
+        .server
+        .create_campaign(&user, spec)
+        .expect("campaign creates");
+    for _ in 0..10 {
+        scenario.step().expect("fleet steps");
     }
-    assert!(
-        terminal_snapshots.windows(2).all(|w| w[0] == w[1]),
-        "terminal campaign snapshots diverged across shard counts"
+
+    // Crash point: the campaign is mid-flight — waves open, acks in the
+    // air, decisions journaled.  The successor must be byte-identical.
+    let campaign = scenario
+        .inner
+        .fleet
+        .server
+        .campaign(&id)
+        .expect("campaign exists");
+    assert_eq!(
+        campaign.status,
+        CampaignStatus::Running,
+        "crash point must land mid-campaign"
+    );
+    let journal = scenario
+        .inner
+        .fleet
+        .server
+        .journal_bytes()
+        .expect("journal enabled")
+        .to_vec();
+    let successor = TrustedServer::replay(&journal).expect("mid-campaign journal replays");
+    assert_eq!(
+        successor.snapshot_bytes(),
+        scenario.inner.fleet.server.snapshot_bytes(),
+        "mid-campaign crash replay diverged"
+    );
+
+    // Drive the original to its terminal decision and replay once more:
+    // the full decision alphabet (create/advance/complete) round-trips.
+    let report = scenario.drive(&id).expect("rollout completes");
+    assert_eq!(report.status, CampaignStatus::Complete, "{report:?}");
+    let journal = scenario
+        .inner
+        .fleet
+        .server
+        .journal_bytes()
+        .expect("journal enabled")
+        .to_vec();
+    let successor = TrustedServer::replay(&journal).expect("terminal journal replays");
+    let bytes = scenario.inner.fleet.server.snapshot_bytes();
+    assert_eq!(
+        successor.snapshot_bytes(),
+        bytes,
+        "terminal crash replay diverged"
     );
 }

@@ -17,15 +17,9 @@
 use dynar::foundation::value::Value;
 use dynar::sim::scenario::chaos::{ChaosConfig, ChaosScenario, PartitionPlan};
 
-/// The full pinned campaign at the given server shard count.  Shard count is
-/// an execution strategy, not a behaviour: every assertion below holds with
-/// the exact same numbers whether the server keeps its per-vehicle state in
-/// one shard or in 2/8.
-fn chaos_acceptance(shards: usize) {
-    let config = ChaosConfig {
-        shards,
-        ..ChaosConfig::default()
-    };
+#[test]
+fn chaos_acceptance_ten_percent_loss_fifty_tick_partition() {
+    let config = ChaosConfig::default();
     assert!((config.loss_probability - 0.10).abs() < f64::EPSILON);
     assert_eq!(
         config.partition,
@@ -83,19 +77,4 @@ fn chaos_acceptance(shards: usize) {
         }
     }
     scenario.verify_no_duplicates().unwrap();
-}
-
-#[test]
-fn chaos_acceptance_ten_percent_loss_fifty_tick_partition() {
-    chaos_acceptance(1);
-}
-
-#[test]
-fn chaos_acceptance_two_shards() {
-    chaos_acceptance(2);
-}
-
-#[test]
-fn chaos_acceptance_eight_shards() {
-    chaos_acceptance(8);
 }

@@ -26,13 +26,9 @@ use dynar::foundation::value::Value;
 use dynar::sim::scenario::churn::{ChurnConfig, ChurnPlan, ChurnScenario};
 use dynar::sim::scenario::fleet::{APP_TELEMETRY_V2, GAIN_V1, GAIN_V2};
 
-/// The full pinned campaign at the given server shard count.  Membership
-/// churn is the hard case for sharding — vehicles join, reboot and leave
-/// while the round walks the shards — and every assertion holds with the same
-/// numbers at any shard count.
-fn churn_acceptance(shards: usize) {
+#[test]
+fn churn_acceptance_twenty_vehicles_ten_percent_loss() {
     let config = ChurnConfig {
-        shards,
         vehicles: 20,
         workers_per_vehicle: 3,
         loss_probability: 0.10,
@@ -112,19 +108,4 @@ fn churn_acceptance(shards: usize) {
 
     // End-state invariants once more, after the extra drive time.
     assert!(scenario.fleet_converged());
-}
-
-#[test]
-fn churn_acceptance_twenty_vehicles_ten_percent_loss() {
-    churn_acceptance(1);
-}
-
-#[test]
-fn churn_acceptance_two_shards() {
-    churn_acceptance(2);
-}
-
-#[test]
-fn churn_acceptance_eight_shards() {
-    churn_acceptance(8);
 }

@@ -1,8 +1,9 @@
 //! Lane equivalence: a fleet whose vehicles are split into lanes (one
 //! transport hub per lane, stepped in parallel on the lane pool) must end a
-//! seeded scenario in exactly the state of a one-shard, single-lane fleet
-//! that steps every vehicle on one thread over one shared hub — at one, two
-//! and eight server shards.
+//! seeded scenario in exactly the state of a single-lane fleet that steps
+//! every vehicle on one thread over one shared hub.  The lane layout is the
+//! fleet's only layout choice: [`Fleet::new`] has [`LANES`] lanes,
+//! [`Fleet::with_hub`] one.
 //!
 //! The scenario is hostile on purpose: 5% loss on every link, a partition
 //! between the server and one vehicle, a vehicle reboot in the middle of an
@@ -15,6 +16,11 @@
 //! * the transport counters, summed over the hubs;
 //! * every vehicle's PIRTE, kernel and bus counters (so their sums too);
 //! * the laned server's journal, which must replay to the same bytes.
+//!
+//! A second run crashes the server of both layouts at the same tick, in the
+//! middle of the install wave, and recovers it from its journal the way
+//! `RestartScenario` does: the replayed successor must equal the crashed
+//! server byte for byte, and the two layouts must still agree at the end.
 //!
 //! Why the layouts agree: each link's loss and jitter draws come from a
 //! stream keyed by its endpoint names, every ECM drains only its own
@@ -82,12 +88,10 @@ struct Run {
 
 impl Run {
     /// Builds the fleet vehicle by vehicle: each ECM registers on the hub
-    /// `hub_for` names, before the vehicle joins.  `Some(shards)` builds a
-    /// laned fleet over a server of that many shards, `None` the one-shard,
-    /// single-lane reference.
-    fn build(laned_shards: Option<usize>) -> Run {
-        let laned = laned_shards.is_some();
-        let mut server = TrustedServer::with_shards(laned_shards.unwrap_or(1));
+    /// `hub_for` names, before the vehicle joins.  `laned` builds a
+    /// [`Fleet::new`] fleet, otherwise the single-lane reference.
+    fn build(laned: bool) -> Run {
+        let mut server = TrustedServer::new();
         server.create_user(operator()).unwrap();
         server
             .upload_app(telemetry_app(APP_TELEMETRY, "", GAIN_V1, WORKERS).unwrap())
@@ -147,9 +151,27 @@ impl Run {
         }
     }
 
+    /// Kills the server and swaps in the successor replayed from its
+    /// journal, as `RestartScenario` does: the successor must equal the
+    /// crashed server byte for byte (snapshot and ledger), then journals
+    /// again and starts a new incarnation.
+    fn crash_and_recover(&mut self) {
+        let journal = self.fleet.server.journal_bytes().expect("journal on");
+        let mut successor = TrustedServer::replay(journal).expect("journal replays");
+        assert!(
+            successor.snapshot_bytes() == self.fleet.server.snapshot_bytes(),
+            "the replayed successor diverges from the crashed server"
+        );
+        assert_eq!(successor.ledger(), self.fleet.server.ledger());
+        successor.enable_journal(64);
+        successor.begin_incarnation();
+        self.fleet.server = successor;
+    }
+
     /// The scenario, on a fixed schedule so both layouts see the same
-    /// operations at the same ticks.
-    fn scenario(&mut self) {
+    /// operations at the same ticks.  With `crash`, the server crashes and
+    /// recovers in the middle of the install wave.
+    fn scenario(&mut self, crash: bool) {
         let user = operator();
         let v1 = AppId::new(APP_TELEMETRY);
         // Install wave: half the fleet first, the rest 20 ticks later.
@@ -174,7 +196,11 @@ impl Run {
         // A vehicle of the second half reboots while its install is in
         // flight.
         self.reboot(vehicles() - 3);
-        self.run(175);
+        self.run(5);
+        if crash {
+            self.crash_and_recover();
+        }
+        self.run(170);
 
         // A staged update campaign: a canary, then two ramps.
         let spec = CampaignSpec {
@@ -233,10 +259,11 @@ impl Run {
     }
 }
 
-#[test]
-fn laned_fleet_matches_the_single_lane_reference() {
-    let mut reference = Run::build(None);
-    reference.scenario();
+/// Runs the scenario on the single-lane reference and on a laned fleet
+/// and asserts that every compared value agrees.
+fn assert_layouts_agree(crash: bool) {
+    let mut reference = Run::build(false);
+    reference.scenario(crash);
     assert_eq!(reference.fleet.pooled_rounds(), 0, "one lane never pools");
     let (snapshot, ledger, stats, transport) = reference.outcome();
     let vehicle_stats = reference.vehicle_stats();
@@ -246,45 +273,51 @@ fn laned_fleet_matches_the_single_lane_reference() {
     assert!(stats.campaign_events > 0, "{stats:?}");
     assert!(stats.uplink_messages > 0, "{stats:?}");
     assert_eq!(reference.send_failures(), SendFailureCounts::default());
+    assert_eq!(reference.fleet.server.incarnation(), u32::from(crash));
 
-    for shards in [1, 2, 8] {
-        let mut laned = Run::build(Some(shards));
-        laned.scenario();
-        assert_eq!(
-            laned.fleet.pooled_rounds(),
-            laned.fleet.stats().ticks,
-            "{shards} shards: every laned round ran its lanes on the pool"
-        );
+    let mut laned = Run::build(true);
+    laned.scenario(crash);
+    assert_eq!(
+        laned.fleet.pooled_rounds(),
+        laned.fleet.stats().ticks,
+        "every laned round ran its lanes on the pool"
+    );
 
-        let (laned_snapshot, laned_ledger, laned_stats, laned_transport) = laned.outcome();
-        assert!(
-            snapshot == laned_snapshot,
-            "{shards} shards: durability snapshot diverged across lane layouts"
-        );
-        assert_eq!(ledger, laned_ledger, "{shards} shards: ledger diverged");
-        assert_eq!(
-            stats, laned_stats,
-            "{shards} shards: fleet counters diverged"
-        );
-        assert_eq!(
-            transport, laned_transport,
-            "{shards} shards: summed transport counters diverged"
-        );
-        assert!(laned_transport.is_conserved(), "{laned_transport:?}");
-        assert!(
-            vehicle_stats == laned.vehicle_stats(),
-            "{shards} shards: PIRTE, kernel or bus counters diverged"
-        );
-        // Every ECM registered on the hub its vehicle's lane names.
-        assert_eq!(laned.send_failures(), SendFailureCounts::default());
+    let (laned_snapshot, laned_ledger, laned_stats, laned_transport) = laned.outcome();
+    assert!(
+        snapshot == laned_snapshot,
+        "durability snapshot diverged across lane layouts"
+    );
+    assert_eq!(ledger, laned_ledger, "ledger diverged");
+    assert_eq!(stats, laned_stats, "fleet counters diverged");
+    assert_eq!(
+        transport, laned_transport,
+        "summed transport counters diverged"
+    );
+    assert!(laned_transport.is_conserved(), "{laned_transport:?}");
+    assert!(
+        vehicle_stats == laned.vehicle_stats(),
+        "PIRTE, kernel or bus counters diverged"
+    );
+    // Every ECM registered on the hub its vehicle's lane names.
+    assert_eq!(laned.send_failures(), SendFailureCounts::default());
 
-        // The laned journal (uplinks journaled in lane order, merged shard by
-        // shard) replays to the same bytes.
-        let journal = laned.fleet.server.journal_bytes().expect("journal on");
-        let replayed = TrustedServer::replay(journal).expect("journal replays");
-        assert!(
-            replayed.snapshot_bytes() == laned_snapshot,
-            "{shards} shards: the laned journal replays to different bytes"
-        );
-    }
+    // The laned journal (uplinks journaled in lane order) replays to the
+    // same bytes.
+    let journal = laned.fleet.server.journal_bytes().expect("journal on");
+    let replayed = TrustedServer::replay(journal).expect("journal replays");
+    assert!(
+        replayed.snapshot_bytes() == laned_snapshot,
+        "the laned journal replays to different bytes"
+    );
+}
+
+#[test]
+fn laned_fleet_matches_the_single_lane_reference() {
+    assert_layouts_agree(false);
+}
+
+#[test]
+fn journal_replays_byte_identically_through_a_crash_at_both_lane_layouts() {
+    assert_layouts_agree(true);
 }

@@ -763,7 +763,9 @@ proptest! {
     /// a server rebuilt from it alone snapshots to the same bytes.  And the
     /// journal — compacted mid-run, every `interval` records, each
     /// compaction frame streamed in place — replays to a server
-    /// byte-identical to the live one.
+    /// byte-identical to the live one, both as the ops left it (the
+    /// transport-path calls append without the compaction check) and after
+    /// the end of a round compacted it.
     #[test]
     fn streamed_snapshots_and_compacted_journals_are_byte_identical(
         vehicles in 1usize..6,
@@ -773,7 +775,7 @@ proptest! {
         use dynar::foundation::journal::{append_frame, FrameReader};
         use dynar::server::TrustedServer;
 
-        let server = generated_server(vehicles, interval, &ops);
+        let mut server = generated_server(vehicles, interval, &ops);
         let live = server.snapshot_bytes();
         let state = decode_value(&live).unwrap();
         prop_assert_eq!(encode_value(&state), live.clone());
@@ -785,6 +787,11 @@ proptest! {
         );
         prop_assert_eq!(TrustedServer::replay(&snapshot_only).unwrap().snapshot_bytes(), live.clone());
 
+        let replayed = TrustedServer::replay(server.journal_bytes().unwrap()).unwrap();
+        prop_assert_eq!(replayed.snapshot_bytes(), live.clone());
+        prop_assert_eq!(replayed.ledger(), server.ledger());
+
+        server.end_round();
         let journal = server.journal_bytes().unwrap();
         let mut frames = FrameReader::new(journal);
         let mut records = 0usize;

@@ -28,14 +28,9 @@ use dynar::foundation::value::Value;
 use dynar::sim::scenario::fleet::GAIN_V1;
 use dynar::sim::scenario::restart::{RestartConfig, RestartScenario};
 
-/// The full pinned campaign at the given server shard count.  The crash and
-/// recovery replay a journal whose records were produced by *parallel* ticks
-/// when `shards > 1` — the deterministic shard merge must make that journal
-/// indistinguishable from a serial one, so every assertion holds with the
-/// same numbers at any shard count.
-fn restart_acceptance(shards: usize) {
+#[test]
+fn restart_acceptance_twelve_vehicles_ten_percent_loss() {
     let config = RestartConfig {
-        shards,
         vehicles: 12,
         workers_per_vehicle: 3,
         loss_probability: 0.10,
@@ -110,19 +105,4 @@ fn restart_acceptance(shards: usize) {
 
     // End-state invariants once more, after the extra drive time.
     assert!(scenario.fleet_converged());
-}
-
-#[test]
-fn restart_acceptance_twelve_vehicles_ten_percent_loss() {
-    restart_acceptance(1);
-}
-
-#[test]
-fn restart_acceptance_two_shards() {
-    restart_acceptance(2);
-}
-
-#[test]
-fn restart_acceptance_eight_shards() {
-    restart_acceptance(8);
 }

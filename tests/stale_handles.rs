@@ -14,10 +14,9 @@ use dynar::sim::scenario::fleet::{
     build_vehicle, FleetScenario, FleetScenarioConfig, APP_TELEMETRY,
 };
 
-fn scenario(vehicles: usize, shards: usize) -> FleetScenario {
+fn scenario(vehicles: usize) -> FleetScenario {
     FleetScenario::build_with(FleetScenarioConfig {
         vehicles,
-        shards,
         ..FleetScenarioConfig::default()
     })
     .unwrap()
@@ -35,8 +34,9 @@ fn installs_of(scenario: &FleetScenario, vehicle: usize) -> Vec<u64> {
 /// the same name, and the new incarnation replaces the old vehicle.  The
 /// server's resync downlinks must reach the new ECM (whose workers get the
 /// app reinstalled), and the dropped incarnation sees nothing more.
-fn reboot_path(shards: usize) {
-    let mut scenario = scenario(4, shards);
+#[test]
+fn reboot_path_downlinks_reach_the_new_ecm() {
+    let mut scenario = scenario(4);
     scenario.install_telemetry(4).unwrap();
     let id: VehicleId = scenario.handles()[0].id.clone();
     let endpoint = scenario.fleet.endpoint_of(&id).unwrap().to_owned();
@@ -89,16 +89,6 @@ fn reboot_path(shards: usize) {
     );
 }
 
-#[test]
-fn reboot_path_downlinks_reach_the_new_ecm() {
-    reboot_path(1);
-}
-
-#[test]
-fn reboot_path_downlinks_reach_the_new_ecm_two_shards() {
-    reboot_path(2);
-}
-
 /// An ECM that keeps running while its endpoint is unregistered and then
 /// registered again: its cached handle goes stale (another endpoint even
 /// takes over the freed slot meanwhile), and it must re-resolve by name and
@@ -107,8 +97,9 @@ fn reboot_path_downlinks_reach_the_new_ecm_two_shards() {
 /// so the acknowledgements it forwards meanwhile are refused by the
 /// transport: they are counted, and the retransmission that reaches the
 /// re-registered ECM settles the deployment from its replayed acks.
-fn ecm_survives_re_registration(shards: usize) {
-    let mut scenario = scenario(3, shards);
+#[test]
+fn running_ecm_re_resolves_its_handle_after_re_registration() {
+    let mut scenario = scenario(3);
     // A few rounds so every gateway has resolved and cached its handle.
     scenario.fleet.run(3).unwrap();
     let id: VehicleId = scenario.handles()[0].id.clone();
@@ -172,14 +163,4 @@ fn ecm_survives_re_registration(shards: usize) {
         failures,
         "no send fails once the endpoint is back"
     );
-}
-
-#[test]
-fn running_ecm_re_resolves_its_handle_after_re_registration() {
-    ecm_survives_re_registration(1);
-}
-
-#[test]
-fn running_ecm_re_resolves_its_handle_after_re_registration_two_shards() {
-    ecm_survives_re_registration(2);
 }
