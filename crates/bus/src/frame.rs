@@ -69,6 +69,9 @@ impl fmt::UpperHex for CanId {
 
 /// One frame on the bus: an identifier plus up to [`MAX_PAYLOAD`] bytes.
 ///
+/// The payload is held inline, so creating, queueing, cloning and
+/// delivering a frame never touches the allocator.
+///
 /// # Example
 /// ```
 /// use dynar_bus::frame::{CanId, Frame};
@@ -76,13 +79,18 @@ impl fmt::UpperHex for CanId {
 /// # fn main() -> Result<(), dynar_foundation::error::DynarError> {
 /// let frame = Frame::new(CanId::new(0x55)?, vec![0xDE, 0xAD])?;
 /// assert_eq!(frame.dlc(), 2);
+/// let same = Frame::from_slices(CanId::new(0x55)?, &[&[0xDE], &[0xAD]])?;
+/// assert_eq!(frame, same);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Frame {
     id: CanId,
-    payload: Vec<u8>,
+    len: u8,
+    /// Bytes past `len` are always zero, so the derived comparisons see
+    /// only the payload.
+    data: [u8; MAX_PAYLOAD],
 }
 
 impl Frame {
@@ -93,13 +101,34 @@ impl Frame {
     /// Returns [`DynarError::InvalidConfiguration`] if the payload exceeds
     /// [`MAX_PAYLOAD`] bytes.
     pub fn new(id: CanId, payload: Vec<u8>) -> Result<Self> {
-        if payload.len() > MAX_PAYLOAD {
+        Self::from_slices(id, &[&payload])
+    }
+
+    /// Creates a frame whose payload is `parts` concatenated (a segment
+    /// header followed by its chunk, say), copied straight into the frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::InvalidConfiguration`] if the payload exceeds
+    /// [`MAX_PAYLOAD`] bytes.
+    pub fn from_slices(id: CanId, parts: &[&[u8]]) -> Result<Self> {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        if len > MAX_PAYLOAD {
             return Err(DynarError::invalid_config(format!(
-                "frame payload of {} bytes exceeds the {MAX_PAYLOAD}-byte limit",
-                payload.len()
+                "frame payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte limit"
             )));
         }
-        Ok(Frame { id, payload })
+        let mut data = [0; MAX_PAYLOAD];
+        let mut at = 0;
+        for part in parts {
+            data[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        Ok(Frame {
+            id,
+            len: len as u8,
+            data,
+        })
     }
 
     /// The frame identifier.
@@ -109,23 +138,32 @@ impl Frame {
 
     /// The payload bytes.
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.data[..usize::from(self.len)]
     }
 
     /// The data length code (payload length in bytes).
     pub fn dlc(&self) -> usize {
-        self.payload.len()
+        usize::from(self.len)
     }
 
     /// Consumes the frame and returns its payload.
     pub fn into_payload(self) -> Vec<u8> {
-        self.payload
+        self.payload().to_vec()
+    }
+}
+
+impl fmt::Debug for Frame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Frame")
+            .field("id", &self.id)
+            .field("payload", &self.payload())
+            .finish()
     }
 }
 
 impl fmt::Display for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "frame {} [{} bytes]", self.id, self.payload.len())
+        write!(f, "frame {} [{} bytes]", self.id, self.len)
     }
 }
 
@@ -149,6 +187,17 @@ mod tests {
         let id = CanId::new(1).unwrap();
         assert!(Frame::new(id, vec![0; MAX_PAYLOAD]).is_ok());
         assert!(Frame::new(id, vec![0; MAX_PAYLOAD + 1]).is_err());
+    }
+
+    #[test]
+    fn inline_payloads_compare_by_their_bytes() {
+        let id = CanId::new(3).unwrap();
+        let full = Frame::new(id, vec![7; MAX_PAYLOAD]).unwrap();
+        assert_eq!(full.payload(), &[7; MAX_PAYLOAD][..]);
+        let short = Frame::from_slices(id, &[&[1, 2], &[], &[3]]).unwrap();
+        assert_eq!(short, Frame::new(id, vec![1, 2, 3]).unwrap());
+        assert_ne!(short, Frame::new(id, vec![1, 2, 3, 0]).unwrap());
+        assert!(Frame::from_slices(id, &[&[0; MAX_PAYLOAD], &[1]]).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`Bus::send`] and [`Bus::receive_into`] check that predicted slot against
 //! the interner's dense key table and hash the id only when it misses.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +70,11 @@ pub struct BusStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PendingFrame {
     frame: Frame,
-    sender: EcuId,
+    sender: Slot,
+    /// The frame id's slot in `subscribers`, resolved when the frame was
+    /// queued; valid while `filters` equals the bus's `filter_changes`.
+    receivers: Option<Slot>,
+    filters: u32,
     enqueued_at: Tick,
     deliver_at: Tick,
 }
@@ -92,17 +96,24 @@ pub struct Bus {
     subscriptions: Vec<SlotSet>,
     /// frame slot -> subscribed ECU slots (the compiled delivery list).
     subscribers: Vec<Vec<Slot>>,
+    /// Acceptance-filter changes so far: a queued frame whose resolved
+    /// subscriber slot predates the latest change resolves it again.
+    filter_changes: u32,
     /// Frames accepted but not yet transmitted, ordered by identifier for
     /// CAN-style arbitration and by enqueue time within one identifier.
     arbitration_queue: BTreeMap<(CanId, u64), PendingFrame>,
     arbitration_seq: u64,
     /// Frames transmitted and awaiting their delivery time.
     in_flight: Vec<PendingFrame>,
-    /// Scratch buffer `step` compacts `in_flight` through, so delivery never
-    /// reallocates the queue.
-    in_flight_scratch: Vec<PendingFrame>,
-    /// ecu slot -> receive mailbox.
-    mailboxes: Vec<VecDeque<Frame>>,
+    /// Frames delivered since every mailbox was last empty, each stored
+    /// once however many ECUs it reached.
+    delivered: Vec<Frame>,
+    /// ecu slot -> receive mailbox: indices into `delivered`, in delivery
+    /// order.
+    mailboxes: Vec<Vec<u32>>,
+    /// Mailbox entries not drained yet; `step` resets `delivered` once
+    /// none are left.
+    undrained: usize,
     stats: BusStats,
     rng: StdRng,
 }
@@ -118,11 +129,13 @@ impl Bus {
             frame_slots: Interner::new(),
             subscriptions: Vec::new(),
             subscribers: Vec::new(),
+            filter_changes: 0,
             arbitration_queue: BTreeMap::new(),
             arbitration_seq: 0,
             in_flight: Vec::new(),
-            in_flight_scratch: Vec::new(),
+            delivered: Vec::new(),
             mailboxes: Vec::new(),
+            undrained: 0,
             stats: BusStats::default(),
             rng,
         }
@@ -145,7 +158,7 @@ impl Bus {
         }
         let slot = self.ecu_slots.intern(ecu);
         if slot.index() >= self.mailboxes.len() {
-            self.mailboxes.resize_with(slot.index() + 1, VecDeque::new);
+            self.mailboxes.resize_with(slot.index() + 1, Vec::new);
             self.subscriptions
                 .resize_with(slot.index() + 1, SlotSet::new);
         }
@@ -175,6 +188,7 @@ impl Bus {
         }
         if self.subscriptions[ecu_slot.index()].insert(frame_slot) {
             self.subscribers[frame_slot.index()].push(ecu_slot);
+            self.filter_changes = self.filter_changes.wrapping_add(1);
         }
     }
 
@@ -188,6 +202,7 @@ impl Bus {
         };
         if self.subscriptions[ecu_slot.index()].remove(frame_slot) {
             self.subscribers[frame_slot.index()].retain(|s| *s != ecu_slot);
+            self.filter_changes = self.filter_changes.wrapping_add(1);
         }
         // Free the frame's slot once its last subscriber is gone, so filter
         // churn over many distinct frame ids reuses slots instead of growing
@@ -197,15 +212,17 @@ impl Bus {
         }
     }
 
-    /// Queues a frame for transmission.
+    /// Queues a frame for transmission, resolving its sender's slot and its
+    /// subscriber list once, here, rather than at delivery.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::NotFound`] if the sender is not attached.
     pub fn send(&mut self, sender: EcuId, frame: Frame, now: Tick) -> Result<()> {
-        if !self.is_attached(sender) {
+        let Some(sender) = self.ecu_slot(sender) else {
             return Err(DynarError::not_found("bus node", sender));
-        }
+        };
+        let receivers = self.frame_slots.get(&frame.id());
         self.stats.sent += 1;
         self.stats.payload_bytes += frame.dlc() as u64;
         let key = (frame.id(), self.arbitration_seq);
@@ -215,6 +232,8 @@ impl Bus {
             PendingFrame {
                 frame,
                 sender,
+                receivers,
+                filters: self.filter_changes,
                 enqueued_at: now,
                 deliver_at: now,
             },
@@ -247,41 +266,58 @@ impl Bus {
             self.in_flight.push(pending);
         }
 
-        // Delivery of frames whose latency has elapsed: compact the
-        // in-flight queue in place through the reused scratch buffer
-        // (nothing reallocates on the per-tick path).
-        let mut scratch = std::mem::take(&mut self.in_flight_scratch);
-        debug_assert!(scratch.is_empty());
-        std::mem::swap(&mut self.in_flight, &mut scratch);
-        for pending in scratch.drain(..) {
+        // Delivery of frames whose latency has elapsed, compacting the
+        // in-flight queue in place (nothing reallocates on the per-tick
+        // path, and frames still in flight keep their order).  A delivered
+        // frame is stored once; each receiver's mailbox gets its index.
+        if self.undrained == 0 {
+            self.delivered.clear();
+        }
+        let Bus {
+            in_flight,
+            frame_slots,
+            subscribers,
+            filter_changes,
+            delivered,
+            mailboxes,
+            undrained,
+            stats,
+            ..
+        } = self;
+        in_flight.retain(|pending| {
             if !(pending.deliver_at <= now || pending.deliver_at.elapsed_since(now) == 0) {
-                self.in_flight.push(pending);
-                continue;
+                return true;
             }
             let latency = now.elapsed_since(pending.enqueued_at);
-            if latency > self.stats.worst_latency {
-                self.stats.worst_latency = latency;
+            if latency > stats.worst_latency {
+                stats.worst_latency = latency;
             }
-            let sender_slot = self.ecu_slot(pending.sender);
-            let receivers = self
-                .frame_slots
-                .get(&pending.frame.id())
-                .map(|frame_slot| self.subscribers[frame_slot.index()].as_slice())
+            let frame_slot = if pending.filters == *filter_changes {
+                pending.receivers
+            } else {
+                frame_slots.get(&pending.frame.id())
+            };
+            let receivers = frame_slot
+                .map(|frame_slot| subscribers[frame_slot.index()].as_slice())
                 .unwrap_or_default();
-            let mut any = false;
+            let mut stored = None;
             for &ecu_slot in receivers {
-                if Some(ecu_slot) == sender_slot {
+                if ecu_slot == pending.sender {
                     continue;
                 }
-                self.mailboxes[ecu_slot.index()].push_back(pending.frame.clone());
-                self.stats.delivered += 1;
-                any = true;
+                let index = *stored.get_or_insert_with(|| {
+                    delivered.push(pending.frame.clone());
+                    (delivered.len() - 1) as u32
+                });
+                mailboxes[ecu_slot.index()].push(index);
+                *undrained += 1;
+                stats.delivered += 1;
             }
-            if !any {
-                self.stats.unrouted += 1;
+            if stored.is_none() {
+                stats.unrouted += 1;
             }
-        }
-        self.in_flight_scratch = scratch;
+            false
+        });
     }
 
     /// Drains and returns every frame delivered to `ecu` so far.
@@ -294,9 +330,30 @@ impl Bus {
     /// Drains every frame delivered to `ecu` into a caller-owned buffer —
     /// the allocation-free variant of [`Bus::receive`] for per-tick callers.
     pub fn receive_into(&mut self, ecu: EcuId, into: &mut Vec<Frame>) {
-        if let Some(slot) = self.ecu_slot(ecu) {
-            into.extend(self.mailboxes[slot.index()].drain(..));
-        }
+        into.extend(self.drain_received(ecu).cloned());
+    }
+
+    /// Drains every frame delivered to `ecu`, in delivery order, lending
+    /// each straight out of the bus (an unattached ECU has none).
+    pub fn drain_received(&mut self, ecu: EcuId) -> impl Iterator<Item = &Frame> + '_ {
+        let slot = self.ecu_slot(ecu);
+        let Bus {
+            delivered,
+            mailboxes,
+            undrained,
+            ..
+        } = self;
+        // The mailbox is emptied here, not when the iterator is first
+        // polled, so `undrained` stays exact however much of it is read.
+        let drained = slot.map(|slot| {
+            let mailbox = &mut mailboxes[slot.index()];
+            *undrained -= mailbox.len();
+            mailbox.drain(..)
+        });
+        drained
+            .into_iter()
+            .flatten()
+            .map(|index| &delivered[index as usize])
     }
 
     /// Number of frames waiting in `ecu`'s mailbox.
@@ -557,6 +614,66 @@ mod tests {
         bus.step(Tick::new(3));
         bus.step(Tick::new(4));
         assert_eq!(bus.receive(b).len(), 1);
+    }
+
+    #[test]
+    fn a_frame_reaching_several_mailboxes_is_drained_from_each() {
+        let (mut bus, a, b) = two_node_bus(BusConfig::default());
+        let c = EcuId::new(3);
+        bus.attach(c);
+        let id = CanId::new(0x50).unwrap();
+        bus.subscribe(b, id);
+        bus.subscribe(c, id);
+        for round in 0..3u8 {
+            let now = Tick::new(u64::from(round) * 2);
+            bus.send(a, Frame::new(id, vec![round]).unwrap(), now)
+                .unwrap();
+            bus.send(a, Frame::new(id, vec![round, 1]).unwrap(), now)
+                .unwrap();
+            bus.step(now.advance(1));
+            bus.step(now.advance(2));
+            assert_eq!(bus.pending_for(b), 2);
+            // A drain that is dropped unread still empties the mailbox.
+            drop(bus.drain_received(b));
+            assert_eq!(bus.pending_for(b), 0);
+            let mut frames = bus.drain_received(c);
+            assert_eq!(frames.next().unwrap().payload(), &[round]);
+            drop(frames);
+            assert_eq!(bus.pending_for(c), 0);
+        }
+        assert_eq!(bus.stats().delivered, 12);
+        assert!(bus.delivered.len() <= 2, "drained frames are released");
+    }
+
+    #[test]
+    fn filter_changes_while_a_frame_is_queued_take_effect_at_delivery() {
+        let (mut bus, a, b) = two_node_bus(BusConfig {
+            latency_ticks: 2,
+            ..BusConfig::default()
+        });
+        let c = EcuId::new(3);
+        bus.attach(c);
+        let early = CanId::new(0x40).unwrap();
+        let late = CanId::new(0x41).unwrap();
+        bus.subscribe(b, early);
+        // `late` has no subscriber when queued; `early` loses its only one
+        // and its slot is reused by `late` before delivery.
+        bus.send(a, Frame::new(early, vec![1]).unwrap(), Tick::ZERO)
+            .unwrap();
+        bus.send(a, Frame::new(late, vec![2]).unwrap(), Tick::ZERO)
+            .unwrap();
+        bus.step(Tick::new(1));
+        bus.unsubscribe(b, early);
+        bus.subscribe(c, late);
+        for t in 2..=4 {
+            bus.step(Tick::new(t));
+        }
+        assert!(bus.receive(b).is_empty());
+        let frames = bus.receive(c);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].id(), late);
+        assert_eq!(bus.stats().unrouted, 1);
+        assert_eq!(bus.stats().delivered, 1);
     }
 
     #[test]

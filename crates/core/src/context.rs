@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dynar_foundation::codec;
+use dynar_foundation::codec::{self, Reader};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{EcuId, PluginPortId, VirtualPortId};
 use dynar_foundation::value::Value;
@@ -400,98 +400,80 @@ impl InstallationContext {
         }
     }
 
-    /// Decodes a context encoded by [`InstallationContext::to_value`].
+    /// Reads a context written by [`InstallationContext::encode_into`]
+    /// straight from the bytes.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings,
     /// ids out of their type's range included.
-    pub fn from_value(value: &Value) -> Result<Self> {
+    pub fn decode(reader: &mut Reader<'_>) -> Result<Self> {
         let malformed = |what: &str| DynarError::ProtocolViolation(format!("malformed {what}"));
         // Ids are range-checked: a cast would wrap an out-of-range id onto a
         // different, valid one.
-        let port_id = |value: &Value, what: &str| -> Result<PluginPortId> {
-            let id = u32::try_from(value.expect_i64()?).map_err(|_| malformed(what))?;
+        let port_id = |reader: &mut Reader<'_>, what: &str| -> Result<PluginPortId> {
+            let id = u32::try_from(reader.i64()?).map_err(|_| malformed(what))?;
             Ok(PluginPortId::new(id))
         };
-        let virtual_port_id = |value: &Value, what: &str| -> Result<VirtualPortId> {
-            let id = u16::try_from(value.expect_i64()?).map_err(|_| malformed(what))?;
+        let virtual_port_id = |reader: &mut Reader<'_>, what: &str| -> Result<VirtualPortId> {
+            let id = u16::try_from(reader.i64()?).map_err(|_| malformed(what))?;
             Ok(VirtualPortId::new(id))
         };
-        let parts = value.as_list().ok_or_else(|| malformed("context"))?;
-        let [pic_value, plc_value, ecc_value] = parts else {
-            return Err(malformed("context"));
-        };
+        reader.list_of(3, "context")?;
 
         let mut pic = PortInitContext::new();
-        for entry in pic_value.as_list().ok_or_else(|| malformed("PIC"))? {
-            let fields = entry.as_list().ok_or_else(|| malformed("PIC entry"))?;
-            let [name, id, provided] = fields else {
-                return Err(malformed("PIC entry"));
+        for _ in 0..reader.list()? {
+            reader.list_of(3, "PIC entry")?;
+            let name = reader.text()?;
+            let id = port_id(reader, "PIC port id")?;
+            let direction = if reader.bool()? {
+                PluginPortDirection::Provided
+            } else {
+                PluginPortDirection::Required
             };
-            pic = pic.with_port(
-                name.as_text().ok_or_else(|| malformed("PIC name"))?,
-                port_id(id, "PIC port id")?,
-                if provided
-                    .as_bool()
-                    .ok_or_else(|| malformed("PIC direction"))?
-                {
-                    PluginPortDirection::Provided
-                } else {
-                    PluginPortDirection::Required
-                },
-            );
+            pic = pic.with_port(name, id, direction);
         }
 
         let mut plc = PortLinkContext::new();
-        for entry in plc_value.as_list().ok_or_else(|| malformed("PLC"))? {
-            let fields = entry.as_list().ok_or_else(|| malformed("PLC entry"))?;
-            let [port, target] = fields else {
-                return Err(malformed("PLC entry"));
-            };
-            let target_fields = target.as_list().ok_or_else(|| malformed("PLC target"))?;
-            let kind = target_fields
-                .first()
-                .ok_or_else(|| malformed("PLC target"))?
-                .expect_i64()?;
-            let target = match (kind, target_fields) {
-                (0, _) => LinkTarget::Direct,
-                (1, [_, v]) => LinkTarget::VirtualPort(virtual_port_id(v, "PLC virtual port id")?),
-                (2, [_, via, remote]) => LinkTarget::RemotePluginPort {
-                    via: virtual_port_id(via, "PLC virtual port id")?,
-                    remote: port_id(remote, "PLC remote port id")?,
+        for _ in 0..reader.list()? {
+            reader.list_of(2, "PLC entry")?;
+            let port = port_id(reader, "PLC port id")?;
+            let fields = reader.list()?;
+            if fields == 0 {
+                return Err(malformed("PLC target"));
+            }
+            let target = match (reader.i64()?, fields) {
+                (0, _) => {
+                    // A direct link carries no ids; extra fields are skipped.
+                    for _ in 1..fields {
+                        reader.span()?;
+                    }
+                    LinkTarget::Direct
+                }
+                (1, 2) => LinkTarget::VirtualPort(virtual_port_id(reader, "PLC virtual port id")?),
+                (2, 3) => LinkTarget::RemotePluginPort {
+                    via: virtual_port_id(reader, "PLC virtual port id")?,
+                    remote: port_id(reader, "PLC remote port id")?,
                 },
                 _ => return Err(malformed("PLC target")),
             };
-            plc = plc.with_link(port_id(port, "PLC port id")?, target);
+            plc = plc.with_link(port, target);
         }
 
-        let ecc = match ecc_value {
-            Value::Void => None,
-            Value::List(routes) => {
-                let mut ecc = ExternalConnectionContext::new();
-                for entry in routes {
-                    let fields = entry.as_list().ok_or_else(|| malformed("ECC entry"))?;
-                    let [endpoint, message_id, ecu, port] = fields else {
-                        return Err(malformed("ECC entry"));
-                    };
-                    ecc = ecc.with_route(
-                        endpoint
-                            .as_text()
-                            .ok_or_else(|| malformed("ECC endpoint"))?,
-                        message_id
-                            .as_text()
-                            .ok_or_else(|| malformed("ECC message id"))?,
-                        EcuId::new(
-                            u16::try_from(ecu.expect_i64()?)
-                                .map_err(|_| malformed("ECC ECU id"))?,
-                        ),
-                        port_id(port, "ECC port id")?,
-                    );
-                }
-                Some(ecc)
+        let ecc = if reader.at_void() {
+            reader.void()?;
+            None
+        } else {
+            let mut ecc = ExternalConnectionContext::new();
+            for _ in 0..reader.list()? {
+                reader.list_of(4, "ECC entry")?;
+                let endpoint = reader.text()?;
+                let message_id = reader.text()?;
+                let ecu = u16::try_from(reader.i64()?).map_err(|_| malformed("ECC ECU id"))?;
+                let port = port_id(reader, "ECC port id")?;
+                ecc = ecc.with_route(endpoint, message_id, EcuId::new(ecu), port);
             }
-            _ => return Err(malformed("ECC")),
+            Some(ecc)
         };
 
         Ok(InstallationContext { pic, plc, ecc })
@@ -511,9 +493,13 @@ impl InstallationContext {
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
+    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings and
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_value(&codec::decode_value(bytes)?)
+        let mut reader = Reader::new(bytes);
+        let context = Self::decode(&mut reader)?;
+        reader.finish()?;
+        Ok(context)
     }
 }
 
@@ -677,11 +663,16 @@ mod tests {
         assert_eq!(ecc.endpoints(), vec!["111.22.33.44:56789"]);
     }
 
+    /// Decodes the encoding of a value tree.
+    fn from_tree(value: &Value) -> Result<InstallationContext> {
+        InstallationContext::from_bytes(&codec::encode_value(value))
+    }
+
     #[test]
     fn context_value_round_trip() {
         for context in [paper_op_context(), paper_com_context()] {
             let encoded = context.to_value();
-            assert_eq!(InstallationContext::from_value(&encoded).unwrap(), context);
+            assert_eq!(from_tree(&encoded).unwrap(), context);
             let bytes = context.to_bytes();
             assert_eq!(bytes, codec::encode_value(&encoded), "streamed = tree");
             assert_eq!(InstallationContext::from_bytes(&bytes).unwrap(), context);
@@ -690,8 +681,8 @@ mod tests {
 
     #[test]
     fn malformed_context_values_are_rejected() {
-        assert!(InstallationContext::from_value(&Value::I64(1)).is_err());
-        assert!(InstallationContext::from_value(&Value::List(vec![])).is_err());
+        assert!(from_tree(&Value::I64(1)).is_err());
+        assert!(from_tree(&Value::List(vec![])).is_err());
         let bad_target = Value::List(vec![
             Value::List(vec![]),
             Value::List(vec![Value::List(vec![
@@ -700,7 +691,7 @@ mod tests {
             ])]),
             Value::Void,
         ]);
-        assert!(InstallationContext::from_value(&bad_target).is_err());
+        assert!(from_tree(&bad_target).is_err());
     }
 
     /// `value` with the integer at `path` (list indices) replaced by `id`.
@@ -730,7 +721,7 @@ mod tests {
         for (what, path, max) in ids {
             // The path names the id: its largest value still decodes.
             assert!(
-                InstallationContext::from_value(&with_id(&context, path, max)).is_ok(),
+                from_tree(&with_id(&context, path, max)).is_ok(),
                 "{what} {max}"
             );
             // Too large by one, too large by 2^n + 3 (which a cast would
@@ -738,7 +729,7 @@ mod tests {
             for id in [max + 1, max + 4, -1] {
                 assert!(
                     matches!(
-                        InstallationContext::from_value(&with_id(&context, path, id)),
+                        from_tree(&with_id(&context, path, id)),
                         Err(DynarError::ProtocolViolation(_))
                     ),
                     "{what} {id}"

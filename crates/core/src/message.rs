@@ -10,7 +10,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use dynar_foundation::codec;
+use dynar_foundation::codec::{self, Reader};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, PluginPortId};
 use dynar_foundation::value::Value;
@@ -199,55 +199,6 @@ impl DownlinkEnvelope {
         self.message.encode_into(out);
     }
 
-    /// Decodes an envelope from the value form of its
-    /// [`DownlinkEnvelope::encode_into`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings,
-    /// including target ids outside the `u16` ECU-id range, negative sequence
-    /// ids and boot epochs outside the `u32` range — out-of-range values are
-    /// rejected, never truncated.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let parts = value
-            .as_list()
-            .ok_or_else(|| DynarError::ProtocolViolation("downlink is not a list".into()))?;
-        let [target, seq, boot_epoch, incarnation, message] = parts else {
-            return Err(DynarError::ProtocolViolation(
-                "downlink must carry a target, a sequence id, a boot epoch, a server \
-                 incarnation and a message"
-                    .into(),
-            ));
-        };
-        let target = target.expect_i64()?;
-        let target = u16::try_from(target).map_err(|_| {
-            DynarError::ProtocolViolation(format!("downlink target {target} is not a valid ECU id"))
-        })?;
-        let seq = seq.expect_i64()?;
-        let seq = u64::try_from(seq).map_err(|_| {
-            DynarError::ProtocolViolation(format!("downlink sequence id {seq} is negative"))
-        })?;
-        let boot_epoch = boot_epoch.expect_i64()?;
-        let boot_epoch = u32::try_from(boot_epoch).map_err(|_| {
-            DynarError::ProtocolViolation(format!(
-                "downlink boot epoch {boot_epoch} is not a valid epoch"
-            ))
-        })?;
-        let incarnation = incarnation.expect_i64()?;
-        let incarnation = u32::try_from(incarnation).map_err(|_| {
-            DynarError::ProtocolViolation(format!(
-                "downlink server incarnation {incarnation} is not a valid incarnation id"
-            ))
-        })?;
-        Ok(DownlinkEnvelope {
-            target: EcuId::new(target),
-            seq,
-            boot_epoch,
-            incarnation,
-            message: ManagementMessage::from_value(message)?,
-        })
-    }
-
     /// Encodes the envelope to bytes using the shared value codec.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -260,9 +211,59 @@ impl DownlinkEnvelope {
     ///
     /// # Errors
     ///
-    /// See [`DownlinkEnvelope::from_value`].
+    /// See [`DownlinkEnvelope::decode_with_message`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_value(&codec::decode_value(bytes)?)
+        Self::decode_with_message(bytes).map(|(envelope, _)| envelope)
+    }
+
+    /// Decodes an envelope and also returns the bytes of its message — the
+    /// exact [`ManagementMessage::to_bytes`] encoding, borrowed from `bytes`
+    /// — so a relay can forward the validated message without encoding it
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings,
+    /// including target ids outside the `u16` ECU-id range, negative sequence
+    /// ids, boot epochs and incarnations outside the `u32` range — values
+    /// out of range are rejected, never truncated — and trailing bytes.
+    pub fn decode_with_message(bytes: &[u8]) -> Result<(Self, &[u8])> {
+        let mut reader = Reader::new(bytes);
+        reader.list_of(5, "downlink")?;
+        let target = reader.i64()?;
+        let target = u16::try_from(target).map_err(|_| {
+            DynarError::ProtocolViolation(format!("downlink target {target} is not a valid ECU id"))
+        })?;
+        let seq = reader.i64()?;
+        let seq = u64::try_from(seq).map_err(|_| {
+            DynarError::ProtocolViolation(format!("downlink sequence id {seq} is negative"))
+        })?;
+        let boot_epoch = reader.i64()?;
+        let boot_epoch = u32::try_from(boot_epoch).map_err(|_| {
+            DynarError::ProtocolViolation(format!(
+                "downlink boot epoch {boot_epoch} is not a valid epoch"
+            ))
+        })?;
+        let incarnation = reader.i64()?;
+        let incarnation = u32::try_from(incarnation).map_err(|_| {
+            DynarError::ProtocolViolation(format!(
+                "downlink server incarnation {incarnation} is not a valid incarnation id"
+            ))
+        })?;
+        let start = reader.position();
+        let message = ManagementMessage::decode(&mut reader)?;
+        let message_bytes = &bytes[start..reader.position()];
+        reader.finish()?;
+        Ok((
+            DownlinkEnvelope {
+                target: EcuId::new(target),
+                seq,
+                boot_epoch,
+                incarnation,
+                message,
+            },
+            message_bytes,
+        ))
     }
 }
 
@@ -450,41 +451,51 @@ impl ManagementMessage {
         }
     }
 
-    /// Decodes a message encoded by [`ManagementMessage::to_value`].
+    /// Decodes a message from the value form of its encoding: a thin
+    /// wrapper that encodes `value` and streams it through
+    /// [`ManagementMessage::decode`], so there is one decoder.
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
+    /// See [`ManagementMessage::decode`].
     pub fn from_value(value: &Value) -> Result<Self> {
+        Self::from_bytes(&codec::encode_value(value))
+    }
+
+    /// Reads a message written by [`ManagementMessage::encode_into`]
+    /// straight from the bytes: text and binary fields are copied out of the
+    /// input once, with no [`Value`] tree in between.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings,
+    /// ids out of their type's range included.
+    pub fn decode(reader: &mut Reader<'_>) -> Result<Self> {
         let malformed = |what: &str| {
             DynarError::ProtocolViolation(format!("malformed management message: {what}"))
         };
-        let envelope = value.as_list().ok_or_else(|| malformed("envelope"))?;
-        let [type_id, body] = envelope else {
-            return Err(malformed("envelope"));
+        reader.list_of(2, "management message envelope")?;
+        let type_id = reader.i64()?;
+        let body = reader.list()?;
+        let expect_body = |len: usize, what: &str| {
+            if body == len {
+                Ok(())
+            } else {
+                Err(malformed(what))
+            }
         };
-        let body = body.as_list().ok_or_else(|| malformed("body"))?;
-        let message = match type_id.expect_i64()? {
+        let message = match type_id {
             INSTALL_TYPE_ID => {
-                let [plugin, app, binary, context] = body else {
-                    return Err(malformed("install body"));
-                };
-                ManagementMessage::Install(InstallationPackage::new(
-                    PluginId::new(plugin.as_text().ok_or_else(|| malformed("plugin name"))?),
-                    AppId::new(app.as_text().ok_or_else(|| malformed("app name"))?),
-                    binary
-                        .as_bytes()
-                        .ok_or_else(|| malformed("binary"))?
-                        .to_vec(),
-                    InstallationContext::from_value(context)?,
-                ))
+                expect_body(4, "install body")?;
+                let plugin = PluginId::new(reader.text()?);
+                let app = AppId::new(reader.text()?);
+                let binary = reader.bytes()?.to_vec();
+                let context = InstallationContext::decode(reader)?;
+                ManagementMessage::Install(InstallationPackage::new(plugin, app, binary, context))
             }
             tag @ (1..=3) => {
-                let [plugin] = body else {
-                    return Err(malformed("plugin reference"));
-                };
-                let plugin =
-                    PluginId::new(plugin.as_text().ok_or_else(|| malformed("plugin name"))?);
+                expect_body(1, "plugin reference")?;
+                let plugin = PluginId::new(reader.text()?);
                 match tag {
                     1 => ManagementMessage::Uninstall { plugin },
                     2 => ManagementMessage::Stop { plugin },
@@ -492,90 +503,67 @@ impl ManagementMessage {
                 }
             }
             4 => {
-                let [port, payload] = body else {
-                    return Err(malformed("external data"));
-                };
-                let port = port.expect_i64()?;
-                let port = u32::try_from(port).map_err(|_| malformed("external data port id"))?;
+                expect_body(2, "external data")?;
+                let port =
+                    u32::try_from(reader.i64()?).map_err(|_| malformed("external data port id"))?;
                 ManagementMessage::ExternalData {
                     port: PluginPortId::new(port),
-                    payload: payload.clone(),
+                    payload: reader.value()?,
                 }
             }
             5 => {
-                let [message_id, payload] = body else {
-                    return Err(malformed("outbound data"));
-                };
+                expect_body(2, "outbound data")?;
                 ManagementMessage::OutboundData {
-                    message_id: message_id
-                        .as_text()
-                        .ok_or_else(|| malformed("message id"))?
-                        .to_owned(),
-                    payload: payload.clone(),
+                    message_id: reader.text()?.to_owned(),
+                    payload: reader.value()?,
                 }
             }
             6 => {
-                let [plugin, app, ecu, status, reason] = body else {
-                    return Err(malformed("ack"));
-                };
-                let status = match status.expect_i64()? {
+                expect_body(5, "ack")?;
+                let plugin = PluginId::new(reader.text()?);
+                let app = AppId::new(reader.text()?);
+                let ecu = u16::try_from(reader.i64()?).map_err(|_| malformed("ack ECU id"))?;
+                let status = match reader.i64()? {
                     0 => AckStatus::Installed,
                     1 => AckStatus::Uninstalled,
                     2 => AckStatus::Started,
                     3 => AckStatus::Stopped,
-                    4 => AckStatus::Failed(
-                        reason
-                            .as_text()
-                            .ok_or_else(|| malformed("failure reason"))?
-                            .to_owned(),
-                    ),
+                    4 => AckStatus::Failed(reader.text()?.to_owned()),
                     _ => return Err(malformed("ack status")),
                 };
-                let ecu = ecu.expect_i64()?;
-                let ecu = u16::try_from(ecu).map_err(|_| malformed("ack ECU id"))?;
+                if !matches!(status, AckStatus::Failed(_)) {
+                    // Only a failure carries a reason; the slot is skipped.
+                    reader.span()?;
+                }
                 ManagementMessage::Ack(Ack {
-                    plugin: PluginId::new(plugin.as_text().ok_or_else(|| malformed("plugin"))?),
-                    app: AppId::new(app.as_text().ok_or_else(|| malformed("app"))?),
+                    plugin,
+                    app,
                     ecu: EcuId::new(ecu),
                     status,
                 })
             }
             7 => {
-                if !body.is_empty() {
-                    return Err(malformed("state report request"));
-                }
+                expect_body(0, "state report request")?;
                 ManagementMessage::StateReportRequest
             }
             8 => {
-                let [boot_epoch, plugins] = body else {
-                    return Err(malformed("state report"));
-                };
-                let boot_epoch = boot_epoch.expect_i64()?;
-                let boot_epoch =
-                    u32::try_from(boot_epoch).map_err(|_| malformed("state report boot epoch"))?;
-                let entries = plugins
-                    .as_list()
-                    .ok_or_else(|| malformed("state report plugins"))?;
-                let mut decoded = Vec::with_capacity(entries.len());
-                for entry in entries {
-                    let Some([plugin, app, ecu]) = entry.as_list() else {
-                        return Err(malformed("state report entry"));
-                    };
-                    let ecu = ecu.expect_i64()?;
-                    let ecu = u16::try_from(ecu).map_err(|_| malformed("state report ECU id"))?;
-                    decoded.push((
-                        PluginId::new(
-                            plugin
-                                .as_text()
-                                .ok_or_else(|| malformed("state report plugin"))?,
-                        ),
-                        AppId::new(app.as_text().ok_or_else(|| malformed("state report app"))?),
-                        EcuId::new(ecu),
-                    ));
+                expect_body(2, "state report")?;
+                let boot_epoch = u32::try_from(reader.i64()?)
+                    .map_err(|_| malformed("state report boot epoch"))?;
+                let entries = reader.list()?;
+                // The count is untrusted, so the reservation is capped.
+                let mut plugins = Vec::with_capacity(entries.min(64));
+                for _ in 0..entries {
+                    reader.list_of(3, "state report entry")?;
+                    let plugin = PluginId::new(reader.text()?);
+                    let app = AppId::new(reader.text()?);
+                    let ecu = u16::try_from(reader.i64()?)
+                        .map_err(|_| malformed("state report ECU id"))?;
+                    plugins.push((plugin, app, EcuId::new(ecu)));
                 }
                 ManagementMessage::StateReport {
                     boot_epoch,
-                    plugins: decoded,
+                    plugins,
                 }
             }
             other => {
@@ -599,9 +587,13 @@ impl ManagementMessage {
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
+    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings and
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_value(&codec::decode_value(bytes)?)
+        let mut reader = Reader::new(bytes);
+        let message = Self::decode(&mut reader)?;
+        reader.finish()?;
+        Ok(message)
     }
 }
 
@@ -805,7 +797,7 @@ mod tests {
                 Value::I64(0),
                 message.to_value(),
             ]);
-            let err = DownlinkEnvelope::from_value(&value).unwrap_err();
+            let err = DownlinkEnvelope::from_bytes(&codec::encode_value(&value)).unwrap_err();
             assert!(
                 matches!(err, DynarError::ProtocolViolation(ref r) if r.contains("ECU id")),
                 "target {bad_target} must be rejected, got {err:?}"
@@ -819,7 +811,7 @@ mod tests {
             message.to_value(),
         ]);
         assert!(matches!(
-            DownlinkEnvelope::from_value(&negative_seq).unwrap_err(),
+            DownlinkEnvelope::from_bytes(&codec::encode_value(&negative_seq)).unwrap_err(),
             DynarError::ProtocolViolation(ref r) if r.contains("negative")
         ));
         for bad_epoch in [-1i64, i64::from(u32::MAX) + 1] {
@@ -830,7 +822,7 @@ mod tests {
                 Value::I64(0),
                 message.to_value(),
             ]);
-            let err = DownlinkEnvelope::from_value(&value).unwrap_err();
+            let err = DownlinkEnvelope::from_bytes(&codec::encode_value(&value)).unwrap_err();
             assert!(
                 matches!(err, DynarError::ProtocolViolation(ref r) if r.contains("epoch")),
                 "epoch {bad_epoch} must be rejected, got {err:?}"
@@ -844,7 +836,7 @@ mod tests {
                 Value::I64(bad_incarnation),
                 message.to_value(),
             ]);
-            let err = DownlinkEnvelope::from_value(&value).unwrap_err();
+            let err = DownlinkEnvelope::from_bytes(&codec::encode_value(&value)).unwrap_err();
             assert!(
                 matches!(err, DynarError::ProtocolViolation(ref r) if r.contains("incarnation")),
                 "incarnation {bad_incarnation} must be rejected, got {err:?}"

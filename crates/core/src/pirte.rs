@@ -665,13 +665,23 @@ impl Pirte {
     }
 
     /// Decodes and applies a management message arriving on a type I port,
-    /// queueing the responses on the type I outbound port.
+    /// queueing the responses on the type I outbound port.  Type I ports
+    /// carry each message as [`Value::Bytes`] holding its
+    /// [`ManagementMessage::to_bytes`] encoding: the relay forwards the bytes
+    /// it received, and this is the one decode.
     fn dispatch_management(&mut self, value: &Value) -> Result<()> {
-        let message = ManagementMessage::from_value(value)?;
+        let Value::Bytes(bytes) = value else {
+            return Err(DynarError::ProtocolViolation(format!(
+                "type I payload must be an encoded management message, found {}",
+                value.kind()
+            )));
+        };
+        let message = ManagementMessage::from_bytes(bytes)?;
         let responses = self.handle_management(message);
         if let Some(out_port) = self.type_i_output() {
             for response in responses {
-                self.outbox.push((out_port, response.to_value()));
+                self.outbox
+                    .push((out_port, Value::Bytes(response.to_bytes())));
             }
         }
         Ok(())
@@ -1481,12 +1491,23 @@ mod tests {
     #[test]
     fn type_i_input_is_decoded_and_acknowledged_on_the_out_port() {
         let mut pirte = pirte();
-        let message = ManagementMessage::Install(forwarder_package("fwd")).to_value();
-        pirte.dispatch_swc_input("mgmt_in", message).unwrap();
+        let message = ManagementMessage::Install(forwarder_package("fwd"));
+        // Type I ports carry the encoded message; a value tree is rejected.
+        assert!(matches!(
+            pirte.dispatch_swc_input("mgmt_in", message.to_value()),
+            Err(DynarError::ProtocolViolation(_))
+        ));
+        assert_eq!(pirte.plugin_count(), 0);
+        pirte
+            .dispatch_swc_input("mgmt_in", Value::Bytes(message.to_bytes()))
+            .unwrap();
         let outbox = pirte.drain_outbox();
         assert_eq!(outbox.len(), 1);
         assert_eq!(outbox[0].0, "mgmt_out");
-        let ack = ManagementMessage::from_value(&outbox[0].1).unwrap();
+        let Value::Bytes(ack) = &outbox[0].1 else {
+            panic!("acks leave as bytes, got {:?}", outbox[0].1);
+        };
+        let ack = ManagementMessage::from_bytes(ack).unwrap();
         assert!(matches!(
             ack,
             ManagementMessage::Ack(Ack {

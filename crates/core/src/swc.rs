@@ -519,12 +519,15 @@ mod tests {
         let frame = dynar_bus::frame::CanId::new(0x20).unwrap();
         ecu.map_signal_in(frame, swc, "mgmt_in").unwrap();
         let message = crate::message::ManagementMessage::Install(doubler_package());
-        ecu.deliver_inbound(frame, message.to_value());
+        ecu.deliver_inbound(frame, Value::Bytes(message.to_bytes()));
         ecu.run(2).unwrap();
 
         assert_eq!(pirte.lock().plugin_count(), 1);
         let ack_value = ecu.rte().read_port_by_name(swc, "mgmt_out").unwrap();
-        let ack = crate::message::ManagementMessage::from_value(&ack_value).unwrap();
+        let ack = crate::message::ManagementMessage::from_bytes(
+            ack_value.as_bytes().expect("acks leave as bytes"),
+        )
+        .unwrap();
         assert!(matches!(
             ack,
             crate::message::ManagementMessage::Ack(crate::message::Ack {

@@ -56,7 +56,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dynar_core::context::ExternalRoute;
-use dynar_core::message::ManagementMessage;
+use dynar_core::message::{DownlinkEnvelope, ManagementMessage};
 use dynar_core::pirte::{Pirte, SwcOutput};
 use dynar_core::swc::{PluginSwc, PluginSwcConfig, ResolvedPorts, SharedPirte};
 use dynar_fes::device::{decode_device_message, encode_device_message};
@@ -248,6 +248,8 @@ pub struct EcmSwc {
     /// `EcmConfig::type_i_in` resolved to `(config index, port id)` pairs on
     /// the first pass (unresolvable ports are warned about and skipped).
     resolved_type_i_in: Option<Vec<(usize, PortId)>>,
+    /// `EcmConfig::type_i_out` ports resolved to ids on their first relay.
+    type_i_out_ids: HashMap<EcuId, PortId>,
     /// The gateway's own mailbox, resolved on the first drain and again
     /// whenever the transport reports the handle stale.
     rx_handle: Option<EndpointHandle>,
@@ -305,6 +307,7 @@ impl EcmSwc {
                 pirte_inputs,
                 resolved_ports: None,
                 resolved_type_i_in: None,
+                type_i_out_ids: HashMap::new(),
                 rx_handle: None,
                 rx_scratch: Vec::new(),
                 outbox_scratch: Vec::new(),
@@ -454,7 +457,9 @@ impl EcmSwc {
         encoded
     }
 
-    /// Relays a management message towards a remote plug-in SW-C.
+    /// Relays a management message towards a remote plug-in SW-C: its
+    /// `encoded` bytes travel as [`Value::Bytes`] over the type I port, so
+    /// the receiving PIRTE is the only one to decode them again.
     ///
     /// Returns `Some(acks)` when the downlink was applied — either relayed
     /// (no synchronous acks) or answered with a failure acknowledgement
@@ -467,10 +472,19 @@ impl EcmSwc {
         ctx: &mut RteContext<'_>,
         target: EcuId,
         message: &ManagementMessage,
+        encoded: &[u8],
     ) -> Option<Vec<Payload>> {
         match self.config.type_i_out.get(&target) {
             Some(port) => {
-                if let Err(err) = ctx.write(port, message.to_value()) {
+                let port_id = match self.type_i_out_ids.get(&target) {
+                    Some(&id) => Ok(id),
+                    None => ctx.port_id(port).inspect(|&id| {
+                        self.type_i_out_ids.insert(target, id);
+                    }),
+                };
+                let written =
+                    port_id.and_then(|id| ctx.write_by_id(id, Value::Bytes(encoded.to_vec())));
+                if let Err(err) = written {
                     self.pirte
                         .lock()
                         .log_warning(format!("failed to relay to {target}: {err}"));
@@ -550,8 +564,10 @@ impl EcmSwc {
         self.drain_own_mailbox(&mut messages);
         for (from, payload) in messages.drain(..) {
             if *from == *self.config.server_endpoint {
-                match crate::protocol::decode_downlink(&payload) {
-                    Ok(envelope) => {
+                // The full decode validates the envelope and its message;
+                // a relay then forwards the message's own bytes.
+                match DownlinkEnvelope::decode_with_message(&payload) {
+                    Ok((envelope, message_bytes)) => {
                         let (target, seq, epoch, incarnation, message) = (
                             envelope.target,
                             envelope.seq,
@@ -632,7 +648,7 @@ impl EcmSwc {
                         let applied = if target == self.ecu {
                             Some(self.handle_local_management(message))
                         } else {
-                            self.forward_to_remote(ctx, target, &message)
+                            self.forward_to_remote(ctx, target, &message, message_bytes)
                         };
                         // A transiently failed relay leaves the seq unseen:
                         // the next retransmission retries it.
@@ -666,7 +682,8 @@ impl EcmSwc {
                             // retransmission, so a relay that fails, or has
                             // no type I port to go out on, is only counted.
                             let routed = self.config.type_i_out.contains_key(&route.ecu);
-                            let relayed = self.forward_to_remote(ctx, route.ecu, &data);
+                            let relayed =
+                                self.forward_to_remote(ctx, route.ecu, &data, &data.to_bytes());
                             if !routed || relayed.is_none() {
                                 SendFailures::note(&self.send_failures.remote_forward);
                             }
@@ -735,9 +752,20 @@ impl EcmSwc {
                         break;
                     }
                 };
-                match ManagementMessage::from_value(&value) {
+                // Type I ports carry encoded messages: an ack is decoded
+                // once, for the inventory and the replay cache, and its
+                // bytes go uplink as they are.
+                let Value::Bytes(bytes) = value else {
+                    let port = &self.config.type_i_in[index];
+                    self.pirte.lock().log_warning(format!(
+                        "malformed uplink on {port}: expected an encoded message, found {}",
+                        value.kind()
+                    ));
+                    continue;
+                };
+                match ManagementMessage::from_bytes(&bytes) {
                     Ok(message @ ManagementMessage::Ack(_)) => {
-                        let encoded: Payload = crate::protocol::encode_uplink(&message).into();
+                        let encoded = Payload::from(bytes);
                         self.note_ack(&message);
                         self.cache_remote_ack(&message, &encoded);
                         self.pending_uplink.push(encoded);
@@ -994,7 +1022,69 @@ mod tests {
 
         let ecm_swc = ecu.component_by_name("ecm-swc").unwrap();
         let relayed = ecu.rte().read_port_by_name(ecm_swc, "to_ecu2").unwrap();
-        assert_eq!(ManagementMessage::from_value(&relayed).unwrap(), package);
+        // The relay forwards the message's own bytes from the envelope.
+        assert_eq!(relayed, Value::Bytes(package.to_bytes()));
+    }
+
+    /// A downlink whose message does not decode is rejected at the ECM with
+    /// a typed error: nothing is relayed over the type I port and nothing
+    /// goes uplink.
+    #[test]
+    fn malformed_downlink_for_a_remote_ecu_is_never_relayed() {
+        let hub = hub();
+        let (mut ecu, pirte) = build_ecu(&hub);
+        let valid = encode_downlink(
+            EcuId::new(2),
+            0,
+            0,
+            0,
+            &ManagementMessage::Install(com_package()),
+        );
+        // Truncated, then a PIC port id past `u32::MAX` inside the package.
+        let truncated = valid[..valid.len() - 1].to_vec();
+        let mut out_of_range = Value::List(vec![
+            Value::I64(2),
+            Value::I64(1),
+            Value::I64(0),
+            Value::I64(0),
+            ManagementMessage::Install(com_package()).to_value(),
+        ]);
+        let mut node = &mut out_of_range;
+        for index in [4, 1, 3, 0, 0, 1] {
+            let Value::List(items) = node else {
+                unreachable!("the path leads through lists")
+            };
+            node = &mut items[index];
+        }
+        *node = Value::I64(i64::from(u32::MAX) + 1);
+        for bytes in [
+            truncated,
+            dynar_foundation::codec::encode_value(&out_of_range),
+        ] {
+            assert!(matches!(
+                crate::protocol::decode_downlink(&bytes),
+                Err(dynar_foundation::error::DynarError::ProtocolViolation(_))
+            ));
+            hub.lock()
+                .send("server", "vehicle-1", bytes.into())
+                .unwrap();
+        }
+        hub.lock().step(Tick::new(1));
+        ecu.run(2).unwrap();
+        hub.lock().step(Tick::new(2));
+
+        let ecm_swc = ecu.component_by_name("ecm-swc").unwrap();
+        let relayed = ecu.rte().read_port_by_name(ecm_swc, "to_ecu2").unwrap();
+        assert_eq!(relayed, Value::Void, "nothing relayed");
+        assert!(ecu.drain_outbound().is_empty(), "nothing left the ECU");
+        assert!(hub.lock().drain("server").is_empty(), "nothing went uplink");
+        let warnings = pirte
+            .lock()
+            .log()
+            .iter()
+            .filter(|event| event.message.starts_with("malformed downlink"))
+            .count();
+        assert_eq!(warnings, 2);
     }
 
     #[test]
@@ -1082,11 +1172,15 @@ mod tests {
         let ecm_swc = ecu.component_by_name("ecm-swc").unwrap();
         let frame = dynar_bus::frame::CanId::new(0x30).unwrap();
         ecu.map_signal_in(frame, ecm_swc, "from_ecu2").unwrap();
+        ecu.deliver_inbound(frame, Value::Bytes(ack.to_bytes()));
+        // A value tree is not an encoded message: logged, never forwarded.
         ecu.deliver_inbound(frame, ack.to_value());
         ecu.run(2).unwrap();
         hub.lock().step(Tick::new(1));
         let uplink = hub.lock().drain("server");
         assert_eq!(uplink.len(), 1);
+        // The ack's bytes go uplink exactly as the remote PIRTE wrote them.
+        assert_eq!(&*uplink[0].1, ack.to_bytes().as_slice());
         assert_eq!(crate::protocol::decode_uplink(&uplink[0].1).unwrap(), ack);
     }
 
@@ -1169,7 +1263,7 @@ mod tests {
         let ecm_swc = ecu.component_by_name("ecm-swc").unwrap();
         let frame = dynar_bus::frame::CanId::new(0x30).unwrap();
         ecu.map_signal_in(frame, ecm_swc, "from_ecu2").unwrap();
-        ecu.deliver_inbound(frame, ack.to_value());
+        ecu.deliver_inbound(frame, Value::Bytes(ack.to_bytes()));
         ecu.run(4).unwrap();
         hub.lock().step(Tick::new(4));
         assert_eq!(hub.lock().drain("server").len(), 1);

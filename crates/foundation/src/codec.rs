@@ -124,13 +124,9 @@ pub fn encode_list_header(len: usize, out: &mut Vec<u8>) {
 /// Returns [`DynarError::ProtocolViolation`] on truncated or malformed input
 /// and when trailing bytes follow the encoded value.
 pub fn decode_value(bytes: &[u8]) -> Result<Value> {
-    let (value, consumed) = decode_prefix(bytes)?;
-    if consumed != bytes.len() {
-        return Err(DynarError::ProtocolViolation(format!(
-            "{} trailing bytes after encoded value",
-            bytes.len() - consumed
-        )));
-    }
+    let mut reader = Reader::new(bytes);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
@@ -142,66 +138,293 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value> {
 ///
 /// Returns [`DynarError::ProtocolViolation`] on truncated or malformed input.
 pub fn decode_prefix(bytes: &[u8]) -> Result<(Value, usize)> {
-    let truncated = || DynarError::ProtocolViolation("truncated value encoding".into());
-    let tag = *bytes.first().ok_or_else(truncated)?;
+    let mut reader = Reader::new(bytes);
+    let value = reader.value()?;
+    Ok((value, reader.position()))
+}
+
+/// The name of the variant a tag encodes, for diagnostics.
+fn tag_kind(tag: u8) -> &'static str {
     match tag {
-        TAG_VOID => Ok((Value::Void, 1)),
-        TAG_BOOL => {
-            let b = *bytes.get(1).ok_or_else(truncated)?;
-            Ok((Value::Bool(b != 0), 2))
+        TAG_VOID => "void",
+        TAG_BOOL => "bool",
+        TAG_I64 => "i64",
+        TAG_F64 => "f64",
+        TAG_BYTES => "bytes",
+        TAG_TEXT => "text",
+        TAG_LIST => "list",
+        _ => "an unknown tag",
+    }
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str> {
+    std::str::from_utf8(bytes)
+        .map_err(|_| DynarError::ProtocolViolation("text value is not valid UTF-8".into()))
+}
+
+/// A borrowing, streaming decoder over one encoding: the decode mirror of
+/// the `encode_*` primitives.
+///
+/// A type with a fixed schema reads its fields straight from the bytes in
+/// the order its encoder wrote them — no [`Value`] tree in between, and text
+/// and byte fields borrowed from the input.  [`decode_value`] is this reader
+/// building a tree.  Every error is a [`DynarError::ProtocolViolation`]: a
+/// wrong tag, a truncated field or a wrong list length, never a panic.
+///
+/// ```
+/// use dynar_foundation::codec::{encode_i64, encode_list_header, encode_text, Reader};
+///
+/// # fn main() -> Result<(), dynar_foundation::error::DynarError> {
+/// let mut bytes = Vec::new();
+/// encode_list_header(2, &mut bytes);
+/// encode_i64(-3, &mut bytes);
+/// encode_text("speed", &mut bytes);
+///
+/// let mut reader = Reader::new(&bytes);
+/// reader.list_of(2, "sample")?;
+/// assert_eq!(reader.i64()?, -3);
+/// assert_eq!(reader.text()?, "speed");
+/// reader.finish()?;
+///
+/// assert!(Reader::new(&bytes[..4]).list().is_err(), "truncated header");
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    position: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Starts reading at the beginning of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, position: 0 }
+    }
+
+    /// Bytes consumed so far.
+    pub fn position(&self) -> usize {
+        self.position
+    }
+
+    /// Checks that every byte has been consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] when trailing bytes follow
+    /// the values read.
+    pub fn finish(&self) -> Result<()> {
+        match self.bytes.len() - self.position {
+            0 => Ok(()),
+            trailing => Err(DynarError::ProtocolViolation(format!(
+                "{trailing} trailing bytes after encoded value"
+            ))),
         }
-        TAG_I64 => {
-            let raw: [u8; 8] = bytes
-                .get(1..9)
-                .ok_or_else(truncated)?
-                .try_into()
-                .expect("slice length checked");
-            Ok((Value::I64(i64::from_le_bytes(raw)), 9))
+    }
+
+    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
+        let end = self
+            .position
+            .checked_add(len)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| DynarError::ProtocolViolation("truncated value encoding".into()))?;
+        let taken = &self.bytes[self.position..end];
+        self.position = end;
+        Ok(taken)
+    }
+
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self
+            .take(N)?
+            .try_into()
+            .expect("take returns exactly N bytes"))
+    }
+
+    fn tag(&mut self) -> Result<u8> {
+        Ok(self.take_array::<1>()?[0])
+    }
+
+    fn expect_tag(&mut self, expected: u8) -> Result<()> {
+        let at = self.position;
+        let found = self.tag()?;
+        if found == expected {
+            return Ok(());
         }
-        TAG_F64 => {
-            let raw: [u8; 8] = bytes
-                .get(1..9)
-                .ok_or_else(truncated)?
-                .try_into()
-                .expect("slice length checked");
-            Ok((Value::F64(f64::from_le_bytes(raw)), 9))
+        Err(DynarError::ProtocolViolation(format!(
+            "expected {} at byte {at}, found {}",
+            tag_kind(expected),
+            tag_kind(found)
+        )))
+    }
+
+    fn length(&mut self) -> Result<usize> {
+        Ok(u32::from_le_bytes(self.take_array()?) as usize)
+    }
+
+    /// Returns `true` if the next value is [`Value::Void`] (without
+    /// consuming it).
+    pub fn at_void(&self) -> bool {
+        self.bytes.get(self.position) == Some(&TAG_VOID)
+    }
+
+    /// Reads a [`Value::Void`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    pub fn void(&mut self) -> Result<()> {
+        self.expect_tag(TAG_VOID)
+    }
+
+    /// Reads a [`Value::Bool`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    pub fn bool(&mut self) -> Result<bool> {
+        self.expect_tag(TAG_BOOL)?;
+        Ok(self.tag()? != 0)
+    }
+
+    /// Reads a [`Value::I64`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    pub fn i64(&mut self) -> Result<i64> {
+        self.expect_tag(TAG_I64)?;
+        Ok(i64::from_le_bytes(self.take_array()?))
+    }
+
+    /// Reads a [`Value::F64`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    pub fn f64(&mut self) -> Result<f64> {
+        self.expect_tag(TAG_F64)?;
+        Ok(f64::from_le_bytes(self.take_array()?))
+    }
+
+    /// Reads a [`Value::Bytes`], borrowing its contents from the input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    pub fn bytes(&mut self) -> Result<&'a [u8]> {
+        self.expect_tag(TAG_BYTES)?;
+        let len = self.length()?;
+        self.take(len)
+    }
+
+    /// Reads a [`Value::Text`], borrowing its contents from the input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value and for
+    /// text that is not valid UTF-8.
+    pub fn text(&mut self) -> Result<&'a str> {
+        self.expect_tag(TAG_TEXT)?;
+        let len = self.length()?;
+        utf8(self.take(len)?)
+    }
+
+    /// Reads the header of a [`Value::List`] and returns its item count;
+    /// the items follow.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    pub fn list(&mut self) -> Result<usize> {
+        self.expect_tag(TAG_LIST)?;
+        self.length()
+    }
+
+    /// Reads the header of a list that must hold exactly `len` items;
+    /// `what` names the list in the error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value and for
+    /// a list of another length.
+    pub fn list_of(&mut self, len: usize, what: &str) -> Result<()> {
+        match self.list()? {
+            found if found == len => Ok(()),
+            found => Err(DynarError::ProtocolViolation(format!(
+                "malformed {what}: expected {len} items, found {found}"
+            ))),
         }
-        TAG_BYTES | TAG_TEXT => {
-            let raw: [u8; 4] = bytes
-                .get(1..5)
-                .ok_or_else(truncated)?
-                .try_into()
-                .expect("slice length checked");
-            let len = u32::from_le_bytes(raw) as usize;
-            let data = bytes.get(5..5 + len).ok_or_else(truncated)?;
-            let value = if tag == TAG_BYTES {
-                Value::Bytes(data.to_vec())
-            } else {
-                Value::Text(String::from_utf8(data.to_vec()).map_err(|_| {
-                    DynarError::ProtocolViolation("text value is not valid UTF-8".into())
-                })?)
-            };
-            Ok((value, 5 + len))
-        }
-        TAG_LIST => {
-            let raw: [u8; 4] = bytes
-                .get(1..5)
-                .ok_or_else(truncated)?
-                .try_into()
-                .expect("slice length checked");
-            let count = u32::from_le_bytes(raw) as usize;
-            let mut offset = 5;
-            let mut items = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let (item, used) = decode_prefix(bytes.get(offset..).ok_or_else(truncated)?)?;
-                items.push(item);
-                offset += used;
+    }
+
+    /// Reads one value of any shape as a [`Value`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] on truncated or malformed
+    /// input.
+    pub fn value(&mut self) -> Result<Value> {
+        Ok(match self.tag()? {
+            TAG_VOID => Value::Void,
+            TAG_BOOL => Value::Bool(self.tag()? != 0),
+            TAG_I64 => Value::I64(i64::from_le_bytes(self.take_array()?)),
+            TAG_F64 => Value::F64(f64::from_le_bytes(self.take_array()?)),
+            TAG_BYTES => {
+                let len = self.length()?;
+                Value::Bytes(self.take(len)?.to_vec())
             }
-            Ok((Value::List(items), offset))
+            TAG_TEXT => {
+                let len = self.length()?;
+                Value::Text(utf8(self.take(len)?)?.to_owned())
+            }
+            TAG_LIST => {
+                let count = self.length()?;
+                let mut items = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    items.push(self.value()?);
+                }
+                Value::List(items)
+            }
+            other => {
+                return Err(DynarError::ProtocolViolation(format!(
+                    "unknown value tag {other}"
+                )))
+            }
+        })
+    }
+
+    /// Skips one value of any shape and returns its encoded bytes, borrowed
+    /// from the input.  Nested lists are walked without recursion.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] on truncated or malformed
+    /// input.
+    pub fn span(&mut self) -> Result<&'a [u8]> {
+        let start = self.position;
+        let mut remaining: u64 = 1;
+        while remaining > 0 {
+            remaining -= 1;
+            match self.tag()? {
+                TAG_VOID => {}
+                TAG_BOOL => {
+                    self.take(1)?;
+                }
+                TAG_I64 | TAG_F64 => {
+                    self.take(8)?;
+                }
+                TAG_BYTES | TAG_TEXT => {
+                    let len = self.length()?;
+                    self.take(len)?;
+                }
+                TAG_LIST => remaining += self.length()? as u64,
+                other => {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "unknown value tag {other}"
+                    )))
+                }
+            }
         }
-        other => Err(DynarError::ProtocolViolation(format!(
-            "unknown value tag {other}"
-        ))),
+        Ok(&self.bytes[start..self.position])
     }
 }
 
@@ -263,6 +486,78 @@ mod tests {
         assert_eq!(used, text_start);
         let (second, _) = decode_prefix(&buffer[used..]).unwrap();
         assert_eq!(second, Value::Text("x".into()));
+    }
+
+    #[test]
+    fn reader_reads_fields_in_encoding_order() {
+        let mut bytes = Vec::new();
+        encode_list_header(6, &mut bytes);
+        encode_void(&mut bytes);
+        encode_bool(true, &mut bytes);
+        encode_i64(-7, &mut bytes);
+        encode_f64(2.5, &mut bytes);
+        encode_bytes(&[1, 2], &mut bytes);
+        encode_text("id", &mut bytes);
+        let mut reader = Reader::new(&bytes);
+        reader.list_of(6, "record").unwrap();
+        assert!(reader.at_void());
+        reader.void().unwrap();
+        assert!(reader.bool().unwrap());
+        assert_eq!(reader.i64().unwrap(), -7);
+        assert_eq!(reader.f64().unwrap(), 2.5);
+        assert_eq!(reader.bytes().unwrap(), &[1, 2]);
+        assert_eq!(reader.text().unwrap(), "id");
+        reader.finish().unwrap();
+        assert_eq!(reader.position(), bytes.len());
+    }
+
+    #[test]
+    fn reader_errors_are_protocol_violations() {
+        let bytes = encode_value(&Value::List(vec![Value::I64(1), Value::Text("x".into())]));
+        let violation = |result: Result<()>| {
+            assert!(
+                matches!(result, Err(DynarError::ProtocolViolation(_))),
+                "{result:?}"
+            );
+        };
+        violation(Reader::new(&bytes).list_of(3, "pair"));
+        violation(Reader::new(&bytes).i64().map(drop));
+        violation(Reader::new(&bytes[..3]).list().map(drop));
+        let mut reader = Reader::new(&bytes);
+        reader.list().unwrap();
+        reader.i64().unwrap();
+        violation(reader.bytes().map(drop));
+        let mut reader = Reader::new(&bytes);
+        reader.list().unwrap();
+        violation(reader.finish());
+        // A length past the end of the input is truncation, not a panic.
+        violation(
+            Reader::new(&[TAG_TEXT, 0xFF, 0xFF, 0xFF, 0xFF])
+                .text()
+                .map(drop),
+        );
+        violation(
+            Reader::new(&[TAG_LIST, 0xFF, 0xFF, 0xFF, 0xFF])
+                .span()
+                .map(drop),
+        );
+    }
+
+    #[test]
+    fn span_skips_one_value_and_borrows_its_bytes() {
+        let inner = Value::List(vec![
+            Value::Bytes(vec![9; 3]),
+            Value::List(vec![Value::Void, Value::F64(1.0)]),
+        ]);
+        let mut bytes = Vec::new();
+        encode_list_header(2, &mut bytes);
+        encode_into(&inner, &mut bytes);
+        encode_text("after", &mut bytes);
+        let mut reader = Reader::new(&bytes);
+        reader.list().unwrap();
+        assert_eq!(reader.span().unwrap(), encode_value(&inner).as_slice());
+        assert_eq!(reader.text().unwrap(), "after");
+        reader.finish().unwrap();
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub struct KernelStats {
     pub alarm_expirations: u64,
     /// Activation requests rejected because the activation limit was reached.
     pub activation_overflows: u64,
+    /// Activation requests rejected because they named no task of this
+    /// kernel.
+    pub unknown_task_activations: u64,
     /// Alarm `SetEvent` actions rejected by [`Kernel::set_event`] (the
     /// alarm targets a basic task or an unknown task).
     pub alarm_event_failures: u64,
@@ -119,7 +122,13 @@ impl Kernel {
     /// exceeded (OSEK `E_OS_LIMIT`).
     pub fn activate(&mut self, task: TaskId) -> Result<()> {
         let outcome = {
-            let tcb = self.tcb_mut(task)?;
+            let tcb = match self.tcb_mut(task) {
+                Ok(tcb) => tcb,
+                Err(err) => {
+                    self.stats.unknown_task_activations += 1;
+                    return Err(err);
+                }
+            };
             match tcb.state {
                 TaskState::Suspended => {
                     tcb.state = TaskState::Ready;
@@ -145,6 +154,21 @@ impl Kernel {
             Err(_) => self.stats.activation_overflows += 1,
         }
         outcome
+    }
+
+    /// Activates a task on behalf of a trigger no caller could answer — a
+    /// periodic or data-received runnable, an alarm.  A rejected activation
+    /// is counted in [`KernelStats`] by its reason
+    /// (`activation_overflows`, `unknown_task_activations`) and otherwise
+    /// tolerated, so one misconfigured trigger cannot stop the others.
+    pub fn trigger_activation(&mut self, task: TaskId) {
+        // `activate` has counted the rejection; nothing else can act on it.
+        if let Err(err) = self.activate(task) {
+            debug_assert!(matches!(
+                err,
+                DynarError::NotFound { .. } | DynarError::InvalidConfiguration(_)
+            ));
+        }
     }
 
     /// Terminates the given task (OSEK `TerminateTask`).
@@ -291,14 +315,13 @@ impl Kernel {
                 self.stats.alarm_expirations += 1;
                 // A failed alarm action is counted in the stats and
                 // otherwise tolerated, so one misconfigured alarm cannot stop
-                // the others: an activation overflow (on a periodic alarm,
-                // the task missed its deadline) is counted by `activate`
-                // itself in `activation_overflows`, a rejected event in
+                // the others: a rejected activation is counted by its
+                // reason (an overflow — on a periodic alarm, the task missed
+                // its deadline — in `activation_overflows`, an unknown task
+                // in `unknown_task_activations`), a rejected event in
                 // `alarm_event_failures`.
                 match action {
-                    AlarmAction::ActivateTask(task) => {
-                        let _ = self.activate(task);
-                    }
+                    AlarmAction::ActivateTask(task) => self.trigger_activation(task),
                     AlarmAction::SetEvent(task, events) => {
                         if self.set_event(task, events).is_err() {
                             self.stats.alarm_event_failures += 1;
@@ -515,6 +538,33 @@ mod tests {
         kernel.activate(t).unwrap();
         assert!(kernel.activate(t).is_err());
         assert_eq!(kernel.stats().activation_overflows, 1);
+    }
+
+    #[test]
+    fn rejected_trigger_activations_are_counted_by_reason() {
+        let mut kernel = Kernel::new();
+        let t = kernel
+            .add_task(TaskConfig::new("t", TaskPriority::new(1)).with_max_activations(1))
+            .unwrap();
+        kernel.trigger_activation(t);
+        kernel.trigger_activation(t);
+        let unknown = TaskId::new(7);
+        assert!(matches!(
+            kernel.activate(unknown),
+            Err(DynarError::NotFound { .. })
+        ));
+        kernel.add_alarm(Alarm::relative(
+            1,
+            None,
+            AlarmAction::ActivateTask(unknown),
+            Tick::ZERO,
+        ));
+        kernel.advance(Tick::new(1));
+        let stats = kernel.stats();
+        assert_eq!(stats.activations, 1);
+        assert_eq!(stats.activation_overflows, 1);
+        assert_eq!(stats.unknown_task_activations, 2);
+        assert_eq!(stats.alarm_expirations, 1);
     }
 
     #[test]

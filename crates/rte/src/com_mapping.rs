@@ -10,6 +10,21 @@
 //! * the system-level description of which signal travels on which frame id
 //!   between which ECUs ([`SystemMapping`]), the information an AUTOSAR
 //!   system description would contain.
+//!
+//! Segmentation and reassembly allocate nothing once warm: frames hold
+//! their payload inline, [`Segmenter::segment_into`] appends to a caller's
+//! reused buffer, and [`Reassembler::accept`] hands a finished payload back
+//! as a borrowed slice — of the frame itself for a single-chunk message, of
+//! the frame id's reused buffer otherwise.  Which frames reach a
+//! reassembler is the comstack's choice: a vehicle reassembles a frame only
+//! at an ECU whose RTE maps its id inbound (`dynar_sim::world::Vehicle`),
+//! however open the bus acceptance filters are.  Management messages cross
+//! as [`Value::Bytes`] of their own encoding, so the value codec wraps them
+//! in 5 bytes (a tag and a length) and the receiving PIRTE decodes them
+//! once.
+//!
+//! [`Value`]: dynar_foundation::value::Value
+//! [`Value::Bytes`]: dynar_foundation::value::Value::Bytes
 
 use std::collections::HashMap;
 
@@ -49,11 +64,12 @@ pub const SEGMENT_DATA: usize = MAX_PAYLOAD - SEGMENT_HEADER;
 /// let mut segmenter = Segmenter::new();
 /// let mut reassembler = Reassembler::new();
 ///
-/// let mut result = None;
-/// for frame in segmenter.segment(id, &payload)? {
-///     result = reassembler.accept(&frame)?;
+/// let frames = segmenter.segment(id, &payload)?;
+/// let (last, chunks) = frames.split_last().expect("at least one frame");
+/// for frame in chunks {
+///     assert_eq!(reassembler.accept(frame)?, None);
 /// }
-/// assert_eq!(result, Some((id, payload)));
+/// assert_eq!(reassembler.accept(last)?, Some((id, payload.as_slice())));
 /// # Ok(())
 /// # }
 /// ```
@@ -72,9 +88,27 @@ impl Segmenter {
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::InvalidConfiguration`] if the payload would need
-    /// more than `u16::MAX` chunks.
+    /// As [`Segmenter::segment_into`].
     pub fn segment(&mut self, id: CanId, payload: &[u8]) -> Result<Vec<Frame>> {
+        let mut frames = Vec::with_capacity(payload.len().div_ceil(SEGMENT_DATA).max(1));
+        self.segment_into(id, payload, &mut frames)?;
+        Ok(frames)
+    }
+
+    /// Appends the frames of `payload` to `frames` — the allocation-free
+    /// form of [`Segmenter::segment`] for a caller that reuses its buffer
+    /// (frames hold their payload inline).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::InvalidConfiguration`] if the payload would need
+    /// more than `u16::MAX` chunks; nothing is appended then.
+    pub fn segment_into(
+        &mut self,
+        id: CanId,
+        payload: &[u8],
+        frames: &mut Vec<Frame>,
+    ) -> Result<()> {
         let chunk_count = payload.len().div_ceil(SEGMENT_DATA).max(1);
         if chunk_count > u16::MAX as usize {
             return Err(DynarError::invalid_config(format!(
@@ -88,26 +122,34 @@ impl Segmenter {
             *counter = counter.wrapping_add(1);
             current
         };
-        let mut frames = Vec::with_capacity(chunk_count);
         for chunk_index in 0..chunk_count {
             let start = chunk_index * SEGMENT_DATA;
             let end = (start + SEGMENT_DATA).min(payload.len());
-            let mut data = Vec::with_capacity(SEGMENT_HEADER + (end - start));
-            data.extend_from_slice(&message.to_le_bytes());
-            data.extend_from_slice(&(chunk_index as u16).to_le_bytes());
-            data.extend_from_slice(&(chunk_count as u16).to_le_bytes());
-            data.extend_from_slice(&payload[start..end]);
-            frames.push(Frame::new(id, data)?);
+            let [m0, m1] = message.to_le_bytes();
+            let [i0, i1] = (chunk_index as u16).to_le_bytes();
+            let [c0, c1] = (chunk_count as u16).to_le_bytes();
+            frames.push(Frame::from_slices(
+                id,
+                &[&[m0, m1, i0, i1, c0, c1], &payload[start..end]],
+            )?);
         }
-        Ok(frames)
+        Ok(())
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One frame id's message under reassembly.  The entry outlives its
+/// message: once complete it goes idle (`received == 0`) and its buffers
+/// are reused by the next message on the id.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PartialMessage {
     message: u16,
     total: u16,
-    chunks: Vec<Option<Vec<u8>>>,
+    /// Chunks received so far; 0 while idle.
+    received: u16,
+    /// chunk index -> arrived.
+    arrived: Vec<bool>,
+    /// The payload, chunk `i` at byte `i * SEGMENT_DATA`.
+    payload: Vec<u8>,
 }
 
 /// Reassembles frames produced by a [`Segmenter`] back into payloads.
@@ -126,13 +168,18 @@ impl Reassembler {
     }
 
     /// Accepts one frame.  Returns the complete payload once the last chunk
-    /// of a message has arrived.
+    /// of a message has arrived: a single-chunk message is a slice of the
+    /// frame itself, a longer one a slice of the frame id's reassembly
+    /// buffer, which is reused by the id's next message.  Neither
+    /// allocates once the id's buffer is warm.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for frames that do not carry
-    /// a valid segmentation header.
-    pub fn accept(&mut self, frame: &Frame) -> Result<Option<(CanId, Vec<u8>)>> {
+    /// a valid segmentation header, and for a chunk other than a message's
+    /// last that is not full (a [`Segmenter`] fills every chunk but the
+    /// last).
+    pub fn accept<'a>(&'a mut self, frame: &'a Frame) -> Result<Option<(CanId, &'a [u8])>> {
         let payload = frame.payload();
         if payload.len() < SEGMENT_HEADER {
             return Err(DynarError::ProtocolViolation(
@@ -147,39 +194,57 @@ impl Reassembler {
                 "chunk index {index} out of range for {total} chunks"
             )));
         }
-        let data = payload[SEGMENT_HEADER..].to_vec();
-
-        let entry = self
-            .in_progress
-            .entry(frame.id())
-            .or_insert_with(|| PartialMessage {
-                message,
-                total,
-                chunks: vec![None; total as usize],
-            });
-        if entry.message != message || entry.total != total {
-            self.incomplete_dropped += 1;
-            *entry = PartialMessage {
-                message,
-                total,
-                chunks: vec![None; total as usize],
-            };
+        let data = &payload[SEGMENT_HEADER..];
+        if index + 1 < total && data.len() != SEGMENT_DATA {
+            return Err(DynarError::ProtocolViolation(format!(
+                "chunk {index} of {total} carries {} bytes, not {SEGMENT_DATA}",
+                data.len()
+            )));
         }
-        entry.chunks[index as usize] = Some(data);
 
-        if entry.chunks.iter().all(Option::is_some) {
-            let complete = self
-                .in_progress
-                .remove(&frame.id())
-                .expect("entry present, just updated");
-            let mut payload = Vec::new();
-            for chunk in complete.chunks.into_iter().flatten() {
-                payload.extend_from_slice(&chunk);
+        if total == 1 {
+            // A whole message in one frame: hand the frame's own bytes back.
+            if let Some(entry) = self.in_progress.get_mut(&frame.id()) {
+                if entry.received > 0 {
+                    self.incomplete_dropped += 1;
+                    entry.received = 0;
+                }
             }
-            Ok(Some((frame.id(), payload)))
-        } else {
-            Ok(None)
+            return Ok(Some((frame.id(), data)));
         }
+
+        let entry = self.in_progress.entry(frame.id()).or_default();
+        if entry.received > 0 && (entry.message != message || entry.total != total) {
+            // Abandoned, typically after a lost frame.  Its buffers go too,
+            // so a message that claimed a huge chunk count pins no memory
+            // past the next message on its id.
+            self.incomplete_dropped += 1;
+            *entry = PartialMessage::default();
+        }
+        if entry.received == 0 {
+            entry.message = message;
+            entry.total = total;
+            entry.arrived.clear();
+            entry.arrived.resize(usize::from(total), false);
+            entry.payload.clear();
+        }
+        let start = usize::from(index) * SEGMENT_DATA;
+        let end = start + data.len();
+        if entry.payload.len() < end {
+            // Grown exactly: the buffer ends up the size of the largest
+            // message the id carried.
+            entry.payload.reserve_exact(end - entry.payload.len());
+            entry.payload.resize(end, 0);
+        }
+        entry.payload[start..end].copy_from_slice(data);
+        if !std::mem::replace(&mut entry.arrived[usize::from(index)], true) {
+            entry.received += 1;
+        }
+        if entry.received < total {
+            return Ok(None);
+        }
+        entry.received = 0;
+        Ok(Some((frame.id(), &entry.payload)))
     }
 }
 
@@ -317,7 +382,7 @@ mod tests {
         let frames = seg.segment(id, b"hi").unwrap();
         assert_eq!(frames.len(), 1);
         let mut re = Reassembler::new();
-        assert_eq!(re.accept(&frames[0]).unwrap(), Some((id, b"hi".to_vec())));
+        assert_eq!(re.accept(&frames[0]).unwrap(), Some((id, &b"hi"[..])));
     }
 
     #[test]
@@ -327,7 +392,7 @@ mod tests {
         let frames = seg.segment(id, &[]).unwrap();
         assert_eq!(frames.len(), 1);
         let mut re = Reassembler::new();
-        assert_eq!(re.accept(&frames[0]).unwrap(), Some((id, Vec::new())));
+        assert_eq!(re.accept(&frames[0]).unwrap(), Some((id, &[][..])));
     }
 
     #[test]
@@ -340,7 +405,10 @@ mod tests {
         assert!(frames.len() > 1);
         let mut result = None;
         for frame in &frames {
-            result = re.accept(frame).unwrap();
+            result = re
+                .accept(frame)
+                .unwrap()
+                .map(|(id, bytes)| (id, bytes.to_vec()));
         }
         assert_eq!(result, Some((id, payload)));
     }
@@ -357,11 +425,11 @@ mod tests {
         let fb = seg.segment(b, &pb).unwrap();
         let mut out = Vec::new();
         for (x, y) in fa.iter().zip(fb.iter()) {
-            if let Some(done) = re.accept(x).unwrap() {
-                out.push(done);
+            if let Some((id, bytes)) = re.accept(x).unwrap() {
+                out.push((id, bytes.to_vec()));
             }
-            if let Some(done) = re.accept(y).unwrap() {
-                out.push(done);
+            if let Some((id, bytes)) = re.accept(y).unwrap() {
+                out.push((id, bytes.to_vec()));
             }
         }
         assert_eq!(out, vec![(a, pa), (b, pb)]);
@@ -378,7 +446,7 @@ mod tests {
         // message in full.
         assert_eq!(re.accept(&first[0]).unwrap(), None);
         let done = re.accept(&second[0]).unwrap();
-        assert_eq!(done, Some((id, vec![2; 30])));
+        assert_eq!(done, Some((id, &[2; 30][..])));
         assert_eq!(re.incomplete_dropped, 1);
     }
 
@@ -391,6 +459,33 @@ mod tests {
         // total = 0 is invalid.
         let bad = Frame::new(id, vec![0, 0, 0, 0, 0, 0, 1]).unwrap();
         assert!(re.accept(&bad).is_err());
+        // Chunk 0 of 2 must be full.
+        let short_chunk = Frame::new(id, vec![0, 0, 0, 0, 2, 0, 1]).unwrap();
+        assert!(re.accept(&short_chunk).is_err());
+    }
+
+    #[test]
+    fn reassembly_buffers_are_reused_across_messages() {
+        let mut seg = Segmenter::new();
+        let mut re = Reassembler::new();
+        let id = CanId::new(0xE).unwrap();
+        let mut frames = Vec::new();
+        for round in 0..3u8 {
+            frames.clear();
+            let payload = vec![round; 150];
+            seg.segment_into(id, &payload, &mut frames).unwrap();
+            assert_eq!(frames.len(), 3);
+            let mut done = None;
+            for frame in &frames {
+                done = re
+                    .accept(frame)
+                    .unwrap()
+                    .map(|(id, bytes)| (id, bytes.to_vec()));
+            }
+            assert_eq!(done, Some((id, payload)));
+        }
+        assert_eq!(re.in_progress.len(), 1, "one entry per frame id");
+        assert_eq!(re.incomplete_dropped, 0);
     }
 
     #[test]

@@ -353,6 +353,13 @@ impl Ecu {
         self.rte.deliver_inbound(frame, value);
     }
 
+    /// Returns `true` if the ECU's RTE maps `frame` inbound, i.e. if
+    /// [`Ecu::deliver_inbound`] would hand its value to a port.  The
+    /// comstack asks before reassembling a received frame.
+    pub fn maps_inbound(&self, frame: CanId) -> bool {
+        self.rte.maps_inbound(frame)
+    }
+
     /// Drains the values queued by this ECU for off-ECU transmission.
     pub fn drain_outbound(&mut self) -> Vec<(CanId, Value)> {
         self.rte.drain_outbound()
@@ -406,7 +413,8 @@ impl Ecu {
                 periodic.next_due = periodic.next_due.advance(periodic.period);
                 let component = periodic.component as usize;
                 self.pending_runnables[component].push(periodic.runnable);
-                let _ = self.kernel.activate(self.components[component].task);
+                self.kernel
+                    .trigger_activation(self.components[component].task);
             }
         }
 
@@ -493,7 +501,8 @@ impl Ecu {
                 if !pending.contains(&trigger.runnable) {
                     pending.push(trigger.runnable);
                 }
-                let _ = self.kernel.activate(self.components[component].task);
+                self.kernel
+                    .trigger_activation(self.components[component].task);
             }
         }
         self.slots_scratch.clear();

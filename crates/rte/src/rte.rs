@@ -463,6 +463,12 @@ impl Rte {
         Ok(self.ports[self.port_slot(port)?.index()].buffer.pending())
     }
 
+    /// Returns `true` if `frame` is mapped inbound to at least one port (a
+    /// binary search over the compiled receive table).
+    pub fn maps_inbound(&self, frame: CanId) -> bool {
+        self.rx_frames.binary_search(&frame).is_ok()
+    }
+
     /// Delivers a value arriving from the in-vehicle network for `frame`.
     ///
     /// Unknown frame ids are silently ignored, mirroring a CAN controller

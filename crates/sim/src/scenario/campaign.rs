@@ -315,7 +315,7 @@ impl CampaignScenario {
                 && now.is_multiple_of(self.config.reconcile_interval)
             {
                 for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&vehicle);
+                    super::unless_not_found(self.inner.fleet.server.reconcile(&vehicle))?;
                 }
             }
 
@@ -383,7 +383,7 @@ impl CampaignScenario {
                 && now.is_multiple_of(self.config.reconcile_interval)
             {
                 for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&vehicle);
+                    super::unless_not_found(self.inner.fleet.server.reconcile(&vehicle))?;
                 }
             }
             self.step()?;
@@ -399,7 +399,7 @@ impl CampaignScenario {
     fn truth_resync(&mut self) -> Result<()> {
         for _ in 0..8 {
             for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                let _ = self.inner.fleet.server.request_state_report(&vehicle);
+                super::unless_not_found(self.inner.fleet.server.request_state_report(&vehicle))?;
             }
             for _ in 0..12 {
                 self.step()?;

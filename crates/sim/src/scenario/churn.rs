@@ -341,7 +341,7 @@ impl ChurnScenario {
                 && now.is_multiple_of(self.config.reconcile_interval)
             {
                 for id in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&id);
+                    super::unless_not_found(self.inner.fleet.server.reconcile(&id))?;
                 }
             }
 
@@ -364,7 +364,7 @@ impl ChurnScenario {
         // rounds are issued.
         for _ in 0..8 {
             for id in self.inner.fleet.vehicle_ids().to_vec() {
-                let _ = self.inner.fleet.server.request_state_report(&id);
+                super::unless_not_found(self.inner.fleet.server.request_state_report(&id))?;
             }
             for _ in 0..12 {
                 self.step()?;

@@ -31,3 +31,16 @@ pub mod fleet;
 pub mod quickstart;
 pub mod remote_car;
 pub mod restart;
+
+use dynar_foundation::error::{DynarError, Result};
+
+/// The result of a scenario's per-vehicle operator call (a
+/// reconcile sweep, a state-report request): `NotFound` — a vehicle the
+/// server does not know — is expected and skipped; every other error is
+/// propagated.
+pub(crate) fn unless_not_found<T>(result: Result<T>) -> Result<()> {
+    match result {
+        Ok(_) | Err(DynarError::NotFound { .. }) => Ok(()),
+        Err(err) => Err(err),
+    }
+}

@@ -279,7 +279,7 @@ impl RestartScenario {
                 && now.is_multiple_of(self.config.reconcile_interval)
             {
                 for id in self.inner.fleet.vehicle_ids().to_vec() {
-                    let _ = self.inner.fleet.server.reconcile(&id);
+                    super::unless_not_found(self.inner.fleet.server.reconcile(&id))?;
                 }
             }
 
@@ -293,7 +293,7 @@ impl RestartScenario {
         // Ground truth: state-report rounds over the same lossy links.
         for _ in 0..8 {
             for id in self.inner.fleet.vehicle_ids().to_vec() {
-                let _ = self.inner.fleet.server.request_state_report(&id);
+                super::unless_not_found(self.inner.fleet.server.request_state_report(&id))?;
             }
             for _ in 0..12 {
                 self.step()?;

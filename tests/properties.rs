@@ -220,9 +220,86 @@ proptest! {
         let mut reassembler = Reassembler::new();
         let mut result = None;
         for frame in segmenter.segment(id, &payload).unwrap() {
-            result = reassembler.accept(&frame).unwrap();
+            result = reassembler
+                .accept(&frame)
+                .unwrap()
+                .map(|(id, bytes)| (id, bytes.to_vec()));
         }
         prop_assert_eq!(result, Some((id, payload)));
+    }
+
+    /// Messages on several frame ids survive reassembly when each
+    /// message's chunks arrive shuffled, the ids' streams interleave and
+    /// chunks are lost: every message whose chunks all arrive comes back
+    /// exactly once, byte for byte and on its own id; no other message
+    /// does; and every partly received message that a later message on its
+    /// id interrupts is counted in `incomplete_dropped`.
+    #[test]
+    fn reassembly_survives_shuffled_lost_and_interleaved_chunks(
+        streams in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..5),
+            1..4,
+        ),
+        seed in any::<u64>(),
+        loss_tenths in 0u8..4,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut segmenter = Segmenter::new();
+        let mut queues = Vec::new();
+        let mut expected = Vec::new();
+        let mut expected_dropped = 0u64;
+        for (stream, messages) in streams.iter().enumerate() {
+            let id = CanId::new(0x100 + stream as u32).unwrap();
+            let mut queue = std::collections::VecDeque::new();
+            let mut complete = Vec::new();
+            // Per message: were some, but not all, of its chunks delivered?
+            let mut partial = Vec::new();
+            for payload in messages {
+                let mut frames: Vec<Frame> = segmenter
+                    .segment(id, payload)
+                    .unwrap()
+                    .into_iter()
+                    .filter(|_| !rng.gen_bool(f64::from(loss_tenths) / 10.0))
+                    .collect();
+                let total = payload.len().div_ceil(dynar::rte::com_mapping::SEGMENT_DATA).max(1);
+                if frames.len() == total {
+                    complete.push(payload.clone());
+                }
+                partial.push(!frames.is_empty() && frames.len() < total);
+                for i in (1..frames.len()).rev() {
+                    let j = rng.gen_range_u64(0, i as u64 + 1) as usize;
+                    frames.swap(i, j);
+                }
+                queue.push_back(frames);
+            }
+            // A partly received message is dropped once a chunk of any
+            // later message on its id arrives.
+            for (index, &was_partial) in partial.iter().enumerate() {
+                let interrupted = queue.iter().skip(index + 1).any(|frames| !frames.is_empty());
+                if was_partial && interrupted {
+                    expected_dropped += 1;
+                }
+            }
+            queues.push((id, queue.into_iter().flatten().collect::<std::collections::VecDeque<_>>()));
+            expected.push(complete);
+        }
+
+        let mut reassembler = Reassembler::new();
+        let mut received = vec![Vec::new(); queues.len()];
+        while queues.iter().any(|(_, frames)| !frames.is_empty()) {
+            let live: Vec<usize> = (0..queues.len()).filter(|&i| !queues[i].1.is_empty()).collect();
+            let pick = live[rng.gen_range_u64(0, live.len() as u64) as usize];
+            let frame = queues[pick].1.pop_front().unwrap();
+            if let Some((id, payload)) = reassembler.accept(&frame).unwrap() {
+                prop_assert_eq!(id, queues[pick].0);
+                received[pick].push(payload.to_vec());
+            }
+        }
+        prop_assert_eq!(received, expected);
+        prop_assert_eq!(reassembler.incomplete_dropped, expected_dropped);
     }
 
     /// Installation contexts survive their wire encoding, for any mix of

@@ -499,7 +499,11 @@ fn remote_car_drive_matches_the_seed_observables() {
     assert_eq!(report.final_wheel_angle, -1.0);
     assert_eq!(report.odometer, 5.699999999999999);
 
-    // Bus statistics recorded from the seed implementation.
+    // Bus statistics recorded from the seed implementation, except that
+    // type I ports carry each management message as `Value::Bytes` of its
+    // encoding: the install relayed to SWC2 and its ack each cross the bus
+    // 5 bytes longer (a bytes tag and a u32 length), so `payload_bytes` is
+    // the seed's 2191 + 2 x 5 in the same 68 frames.
     let bus = scenario.vehicle_mut().bus().stats();
     assert_eq!(
         bus,
@@ -509,7 +513,7 @@ fn remote_car_drive_matches_the_seed_observables() {
             dropped: 0,
             unrouted: 0,
             worst_latency: 1,
-            payload_bytes: 2191,
+            payload_bytes: 2201,
         }
     );
 
@@ -602,6 +606,78 @@ fn lossy_bus_delivery_sequence_is_byte_identical_to_the_seed() {
             payload_bytes: 600,
         }
     );
+}
+
+/// Server-side bytes recorded from the revision whose ECM relayed
+/// management messages as value trees, by running exactly this lossy
+/// fleet (a journal, an install wave and a v1 → v2 update with
+/// retransmissions).  The byte relay through the ECM changed only the
+/// in-vehicle encoding of type I traffic: the journal (which records every
+/// uplink payload the server processed), the snapshot, the ledger and the
+/// transport statistics are the same bytes and counts, and so are the bus
+/// frames; only `payload_bytes` grew, by 5 bytes per relayed message and
+/// per acknowledgement (the recorded revision read 51 552).
+#[test]
+fn lossy_fleet_server_bytes_match_the_tree_relay_revision() {
+    use dynar::fes::transport::TransportConfig;
+    use dynar::sim::scenario::fleet::FleetScenarioConfig;
+
+    let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
+        vehicles: 12,
+        transport: TransportConfig {
+            latency_ticks: 1,
+            loss_probability: 0.05,
+            seed: 11,
+        },
+        ..FleetScenarioConfig::default()
+    })
+    .unwrap();
+    scenario.fleet.server.enable_journal(64);
+    scenario.install_telemetry(5).unwrap();
+    scenario.fleet.run(40).unwrap();
+    let ids = scenario.fleet.vehicle_ids().to_vec();
+    scenario.update_telemetry(&ids, 7).unwrap();
+    scenario.fleet.run(200).unwrap();
+
+    let digest = |bytes: &[u8]| {
+        let mut hash = FNV_OFFSET;
+        fold(&mut hash, bytes);
+        hash
+    };
+    let server = &scenario.fleet.server;
+    let journal = server.journal_bytes().unwrap();
+    assert_eq!(journal.len(), 23_770);
+    assert_eq!(digest(journal), 0x861d_2f5c_53f8_5c59, "journal");
+    assert_eq!(
+        digest(&server.snapshot_bytes()),
+        0x46ca_80a3_2cac_baf3,
+        "snapshot"
+    );
+    let ledger = server.ledger();
+    assert_eq!(
+        (
+            ledger.installs_pushed,
+            ledger.uninstalls_pushed,
+            ledger.retransmissions
+        ),
+        (72, 36, 13)
+    );
+    let transport = scenario.fleet.transport_stats();
+    assert_eq!(
+        (transport.sent, transport.delivered, transport.lost),
+        (239, 226, 13)
+    );
+    let mut bus = BusStats::default();
+    for id in &ids {
+        let stats = scenario.fleet.vehicle(id).unwrap().bus().stats();
+        bus.sent += stats.sent;
+        bus.delivered += stats.delivered;
+        bus.unrouted += stats.unrouted;
+        bus.payload_bytes += stats.payload_bytes;
+    }
+    assert_eq!((bus.sent, bus.delivered, bus.unrouted), (1920, 5760, 0));
+    let relayed = ledger.installs_pushed + ledger.uninstalls_pushed;
+    assert_eq!(bus.payload_bytes, 51_552 + 2 * 5 * relayed);
 }
 
 // ---------------------------------------------------------------------------
