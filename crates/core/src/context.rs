@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 use dynar_foundation::codec::{self, Reader};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{EcuId, PluginPortId, VirtualPortId};
-use dynar_foundation::value::Value;
 
 use crate::plugin::PluginPortDirection;
 
@@ -293,64 +292,9 @@ impl InstallationContext {
         Ok(())
     }
 
-    /// Encodes the context as a [`Value`] for transport inside installation
-    /// packages.
-    pub fn to_value(&self) -> Value {
-        let pic = Value::List(
-            self.pic
-                .ports()
-                .iter()
-                .map(|p| {
-                    Value::List(vec![
-                        Value::Text(p.name.clone()),
-                        Value::I64(i64::from(p.id.index())),
-                        Value::Bool(p.direction == PluginPortDirection::Provided),
-                    ])
-                })
-                .collect(),
-        );
-        let plc = Value::List(
-            self.plc
-                .links()
-                .iter()
-                .map(|l| {
-                    let target = match l.target {
-                        LinkTarget::Direct => Value::List(vec![Value::I64(0)]),
-                        LinkTarget::VirtualPort(v) => {
-                            Value::List(vec![Value::I64(1), Value::I64(i64::from(v.index()))])
-                        }
-                        LinkTarget::RemotePluginPort { via, remote } => Value::List(vec![
-                            Value::I64(2),
-                            Value::I64(i64::from(via.index())),
-                            Value::I64(i64::from(remote.index())),
-                        ]),
-                    };
-                    Value::List(vec![Value::I64(i64::from(l.port.index())), target])
-                })
-                .collect(),
-        );
-        let ecc = match &self.ecc {
-            None => Value::Void,
-            Some(ecc) => Value::List(
-                ecc.routes()
-                    .iter()
-                    .map(|r| {
-                        Value::List(vec![
-                            Value::Text(r.endpoint.clone()),
-                            Value::Text(r.message_id.clone()),
-                            Value::I64(i64::from(r.ecu.index())),
-                            Value::I64(i64::from(r.port.index())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        };
-        Value::List(vec![pic, plc, ecc])
-    }
-
-    /// Appends the codec encoding of [`InstallationContext::to_value`] to
-    /// `out`, streamed field by field without building the [`Value`] tree
-    /// (installation packages ride in every server snapshot).
+    /// Appends the context's codec encoding, `[PIC, PLC, ECC or void]`, to
+    /// `out`, streamed field by field (installation packages ride in every
+    /// server snapshot).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         codec::encode_list_header(3, out);
         let ports = self.pic.ports();
@@ -408,24 +352,15 @@ impl InstallationContext {
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings,
     /// ids out of their type's range included.
     pub fn decode(reader: &mut Reader<'_>) -> Result<Self> {
-        let malformed = |what: &str| DynarError::ProtocolViolation(format!("malformed {what}"));
-        // Ids are range-checked: a cast would wrap an out-of-range id onto a
-        // different, valid one.
-        let port_id = |reader: &mut Reader<'_>, what: &str| -> Result<PluginPortId> {
-            let id = u32::try_from(reader.i64()?).map_err(|_| malformed(what))?;
-            Ok(PluginPortId::new(id))
-        };
-        let virtual_port_id = |reader: &mut Reader<'_>, what: &str| -> Result<VirtualPortId> {
-            let id = u16::try_from(reader.i64()?).map_err(|_| malformed(what))?;
-            Ok(VirtualPortId::new(id))
-        };
+        // Ids are range-checked (`Reader::int`): a cast would wrap an
+        // out-of-range id onto a different, valid one.
         reader.list_of(3, "context")?;
 
         let mut pic = PortInitContext::new();
         for _ in 0..reader.list()? {
             reader.list_of(3, "PIC entry")?;
             let name = reader.text()?;
-            let id = port_id(reader, "PIC port id")?;
+            let id = PluginPortId::new(reader.int("PIC port id")?);
             let direction = if reader.bool()? {
                 PluginPortDirection::Provided
             } else {
@@ -437,10 +372,10 @@ impl InstallationContext {
         let mut plc = PortLinkContext::new();
         for _ in 0..reader.list()? {
             reader.list_of(2, "PLC entry")?;
-            let port = port_id(reader, "PLC port id")?;
+            let port = PluginPortId::new(reader.int("PLC port id")?);
             let fields = reader.list()?;
             if fields == 0 {
-                return Err(malformed("PLC target"));
+                return Err(reader.malformed("PLC target"));
             }
             let target = match (reader.i64()?, fields) {
                 (0, _) => {
@@ -450,12 +385,14 @@ impl InstallationContext {
                     }
                     LinkTarget::Direct
                 }
-                (1, 2) => LinkTarget::VirtualPort(virtual_port_id(reader, "PLC virtual port id")?),
+                (1, 2) => {
+                    LinkTarget::VirtualPort(VirtualPortId::new(reader.int("PLC virtual port id")?))
+                }
                 (2, 3) => LinkTarget::RemotePluginPort {
-                    via: virtual_port_id(reader, "PLC virtual port id")?,
-                    remote: port_id(reader, "PLC remote port id")?,
+                    via: VirtualPortId::new(reader.int("PLC virtual port id")?),
+                    remote: PluginPortId::new(reader.int("PLC remote port id")?),
                 },
-                _ => return Err(malformed("PLC target")),
+                _ => return Err(reader.malformed("PLC target")),
             };
             plc = plc.with_link(port, target);
         }
@@ -469,9 +406,9 @@ impl InstallationContext {
                 reader.list_of(4, "ECC entry")?;
                 let endpoint = reader.text()?;
                 let message_id = reader.text()?;
-                let ecu = u16::try_from(reader.i64()?).map_err(|_| malformed("ECC ECU id"))?;
-                let port = port_id(reader, "ECC port id")?;
-                ecc = ecc.with_route(endpoint, message_id, EcuId::new(ecu), port);
+                let ecu = EcuId::new(reader.int("ECC ECU id")?);
+                let port = PluginPortId::new(reader.int("ECC port id")?);
+                ecc = ecc.with_route(endpoint, message_id, ecu, port);
             }
             Some(ecc)
         };
@@ -479,8 +416,7 @@ impl InstallationContext {
         Ok(InstallationContext { pic, plc, ecc })
     }
 
-    /// Encodes the context to bytes (the shared codec's encoding of
-    /// [`InstallationContext::to_value`], streamed by
+    /// Encodes the context to bytes (streamed by
     /// [`InstallationContext::encode_into`]).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -496,16 +432,14 @@ impl InstallationContext {
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings and
     /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut reader = Reader::new(bytes);
-        let context = Self::decode(&mut reader)?;
-        reader.finish()?;
-        Ok(context)
+        codec::decode_with(bytes, Self::decode)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynar_foundation::value::Value;
 
     fn paper_op_context() -> InstallationContext {
         // The OP plug-in of §4: PIC initializes P0-P3, PLC is
@@ -671,11 +605,12 @@ mod tests {
     #[test]
     fn context_value_round_trip() {
         for context in [paper_op_context(), paper_com_context()] {
-            let encoded = context.to_value();
-            assert_eq!(from_tree(&encoded).unwrap(), context);
             let bytes = context.to_bytes();
-            assert_eq!(bytes, codec::encode_value(&encoded), "streamed = tree");
             assert_eq!(InstallationContext::from_bytes(&bytes).unwrap(), context);
+            // The bytes are one value of the shared codec.
+            let tree = codec::decode_value(&bytes).unwrap();
+            assert_eq!(codec::encode_value(&tree), bytes);
+            assert_eq!(from_tree(&tree).unwrap(), context);
         }
     }
 
@@ -710,7 +645,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_are_protocol_violations() {
-        let context = paper_com_context().to_value();
+        let context = codec::decode_value(&paper_com_context().to_bytes()).unwrap();
         let ids: [(&str, &[usize], i64); 5] = [
             ("PIC port id", &[0, 0, 1], u32::MAX.into()),
             ("PLC port id", &[1, 2, 0], u32::MAX.into()),

@@ -337,64 +337,9 @@ impl ManagementMessage {
         }
     }
 
-    /// Encodes the message as a [`Value`] for transport over SW-C ports.
-    pub fn to_value(&self) -> Value {
-        let body = match self {
-            ManagementMessage::Install(package) => Value::List(vec![
-                Value::Text(package.plugin.name().to_owned()),
-                Value::Text(package.app.name().to_owned()),
-                Value::Bytes(package.binary.clone()),
-                package.context.to_value(),
-            ]),
-            ManagementMessage::Uninstall { plugin }
-            | ManagementMessage::Stop { plugin }
-            | ManagementMessage::Start { plugin } => {
-                Value::List(vec![Value::Text(plugin.name().to_owned())])
-            }
-            ManagementMessage::ExternalData { port, payload } => {
-                Value::List(vec![Value::I64(i64::from(port.index())), payload.clone()])
-            }
-            ManagementMessage::OutboundData {
-                message_id,
-                payload,
-            } => Value::List(vec![Value::Text(message_id.clone()), payload.clone()]),
-            ManagementMessage::Ack(ack) => Value::List(vec![
-                Value::Text(ack.plugin.name().to_owned()),
-                Value::Text(ack.app.name().to_owned()),
-                Value::I64(i64::from(ack.ecu.index())),
-                Value::I64(ack.status.tag()),
-                Value::Text(match &ack.status {
-                    AckStatus::Failed(reason) => reason.clone(),
-                    _ => String::new(),
-                }),
-            ]),
-            ManagementMessage::StateReportRequest => Value::List(vec![]),
-            ManagementMessage::StateReport {
-                boot_epoch,
-                plugins,
-            } => Value::List(vec![
-                Value::I64(i64::from(*boot_epoch)),
-                Value::List(
-                    plugins
-                        .iter()
-                        .map(|(plugin, app, ecu)| {
-                            Value::List(vec![
-                                Value::Text(plugin.name().to_owned()),
-                                Value::Text(app.name().to_owned()),
-                                Value::I64(i64::from(ecu.index())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ]),
-        };
-        Value::List(vec![Value::I64(self.type_id()), body])
-    }
-
-    /// Appends the codec encoding of [`ManagementMessage::to_value`] to
-    /// `out`, streamed without building the [`Value`] tree (downlink
-    /// envelopes and the server snapshot's installation packages are
-    /// encoded this way).
+    /// Appends the message's codec encoding, `[type id, body]`, to `out`
+    /// (downlink envelopes and the server snapshot's installation packages
+    /// carry it).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         codec::encode_list_header(2, out);
         codec::encode_i64(self.type_id(), out);
@@ -451,17 +396,6 @@ impl ManagementMessage {
         }
     }
 
-    /// Decodes a message from the value form of its encoding: a thin
-    /// wrapper that encodes `value` and streams it through
-    /// [`ManagementMessage::decode`], so there is one decoder.
-    ///
-    /// # Errors
-    ///
-    /// See [`ManagementMessage::decode`].
-    pub fn from_value(value: &Value) -> Result<Self> {
-        Self::from_bytes(&codec::encode_value(value))
-    }
-
     /// Reads a message written by [`ManagementMessage::encode_into`]
     /// straight from the bytes: text and binary fields are copied out of the
     /// input once, with no [`Value`] tree in between.
@@ -504,10 +438,8 @@ impl ManagementMessage {
             }
             4 => {
                 expect_body(2, "external data")?;
-                let port =
-                    u32::try_from(reader.i64()?).map_err(|_| malformed("external data port id"))?;
                 ManagementMessage::ExternalData {
-                    port: PluginPortId::new(port),
+                    port: PluginPortId::new(reader.int("external data port id")?),
                     payload: reader.value()?,
                 }
             }
@@ -522,7 +454,7 @@ impl ManagementMessage {
                 expect_body(5, "ack")?;
                 let plugin = PluginId::new(reader.text()?);
                 let app = AppId::new(reader.text()?);
-                let ecu = u16::try_from(reader.i64()?).map_err(|_| malformed("ack ECU id"))?;
+                let ecu = EcuId::new(reader.int("ack ECU id")?);
                 let status = match reader.i64()? {
                     0 => AckStatus::Installed,
                     1 => AckStatus::Uninstalled,
@@ -538,7 +470,7 @@ impl ManagementMessage {
                 ManagementMessage::Ack(Ack {
                     plugin,
                     app,
-                    ecu: EcuId::new(ecu),
+                    ecu,
                     status,
                 })
             }
@@ -548,22 +480,14 @@ impl ManagementMessage {
             }
             8 => {
                 expect_body(2, "state report")?;
-                let boot_epoch = u32::try_from(reader.i64()?)
-                    .map_err(|_| malformed("state report boot epoch"))?;
-                let entries = reader.list()?;
-                // The count is untrusted, so the reservation is capped.
-                let mut plugins = Vec::with_capacity(entries.min(64));
-                for _ in 0..entries {
-                    reader.list_of(3, "state report entry")?;
-                    let plugin = PluginId::new(reader.text()?);
-                    let app = AppId::new(reader.text()?);
-                    let ecu = u16::try_from(reader.i64()?)
-                        .map_err(|_| malformed("state report ECU id"))?;
-                    plugins.push((plugin, app, EcuId::new(ecu)));
-                }
                 ManagementMessage::StateReport {
-                    boot_epoch,
-                    plugins,
+                    boot_epoch: reader.int("state report boot epoch")?,
+                    plugins: reader.items(|r| {
+                        r.list_of(3, "state report entry")?;
+                        let plugin = PluginId::new(r.text()?);
+                        let app = AppId::new(r.text()?);
+                        Ok((plugin, app, EcuId::new(r.int("state report ECU id")?)))
+                    })?,
                 }
             }
             other => {
@@ -590,10 +514,7 @@ impl ManagementMessage {
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings and
     /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut reader = Reader::new(bytes);
-        let message = Self::decode(&mut reader)?;
-        reader.finish()?;
-        Ok(message)
+        codec::decode_with(bytes, Self::decode)
     }
 }
 
@@ -679,11 +600,11 @@ mod tests {
             },
         ];
         for message in messages {
-            let value = message.to_value();
-            assert_eq!(ManagementMessage::from_value(&value).unwrap(), message);
             let bytes = message.to_bytes();
-            assert_eq!(bytes, codec::encode_value(&value), "streamed = tree");
             assert_eq!(ManagementMessage::from_bytes(&bytes).unwrap(), message);
+            // The bytes are one value of the shared codec.
+            let value = codec::decode_value(&bytes).unwrap();
+            assert_eq!(codec::encode_value(&value), bytes);
         }
     }
 
@@ -747,13 +668,10 @@ mod tests {
 
     #[test]
     fn malformed_messages_are_rejected() {
-        assert!(ManagementMessage::from_value(&Value::I64(3)).is_err());
-        assert!(ManagementMessage::from_value(&Value::List(vec![
-            Value::I64(99),
-            Value::List(vec![])
-        ]))
-        .is_err());
-        assert!(ManagementMessage::from_value(&Value::List(vec![
+        let decode = |value: Value| ManagementMessage::from_bytes(&codec::encode_value(&value));
+        assert!(decode(Value::I64(3)).is_err());
+        assert!(decode(Value::List(vec![Value::I64(99), Value::List(vec![])])).is_err());
+        assert!(decode(Value::List(vec![
             Value::I64(0),
             Value::List(vec![Value::Text("only-name".into())])
         ]))
@@ -795,7 +713,7 @@ mod tests {
                 Value::I64(0),
                 Value::I64(0),
                 Value::I64(0),
-                message.to_value(),
+                codec::decode_value(&message.to_bytes()).unwrap(),
             ]);
             let err = DownlinkEnvelope::from_bytes(&codec::encode_value(&value)).unwrap_err();
             assert!(
@@ -808,7 +726,7 @@ mod tests {
             Value::I64(-5),
             Value::I64(0),
             Value::I64(0),
-            message.to_value(),
+            codec::decode_value(&message.to_bytes()).unwrap(),
         ]);
         assert!(matches!(
             DownlinkEnvelope::from_bytes(&codec::encode_value(&negative_seq)).unwrap_err(),
@@ -820,7 +738,7 @@ mod tests {
                 Value::I64(0),
                 Value::I64(bad_epoch),
                 Value::I64(0),
-                message.to_value(),
+                codec::decode_value(&message.to_bytes()).unwrap(),
             ]);
             let err = DownlinkEnvelope::from_bytes(&codec::encode_value(&value)).unwrap_err();
             assert!(
@@ -834,7 +752,7 @@ mod tests {
                 Value::I64(0),
                 Value::I64(0),
                 Value::I64(bad_incarnation),
-                message.to_value(),
+                codec::decode_value(&message.to_bytes()).unwrap(),
             ]);
             let err = DownlinkEnvelope::from_bytes(&codec::encode_value(&value)).unwrap_err();
             assert!(

@@ -9,7 +9,7 @@
 //!
 //! Signal translation runs on compiled route tables indexed by dense
 //! positions: virtual ports by their declaration position in the static
-//! configuration, SW-C inputs by a [`SwcInput`] handle, SW-C outputs by a
+//! configuration, SW-C inputs by a `SwcInput` handle, SW-C outputs by a
 //! [`SwcOutput`] index, and every plug-in port's write route resolved to its
 //! virtual port.  Plug-in installation and uninstallation are the *only*
 //! operations that invalidate and rebuild the plug-in tables; per-signal
@@ -1494,7 +1494,10 @@ mod tests {
         let message = ManagementMessage::Install(forwarder_package("fwd"));
         // Type I ports carry the encoded message; a value tree is rejected.
         assert!(matches!(
-            pirte.dispatch_swc_input("mgmt_in", message.to_value()),
+            pirte.dispatch_swc_input(
+                "mgmt_in",
+                dynar_foundation::codec::decode_value(&message.to_bytes()).unwrap()
+            ),
             Err(DynarError::ProtocolViolation(_))
         ));
         assert_eq!(pirte.plugin_count(), 0);

@@ -125,9 +125,10 @@ impl Plugin {
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] if the binary cannot be
-    /// parsed and [`DynarError::InvalidConfiguration`] if the context is
-    /// internally inconsistent.
+    /// Returns a [`ProtocolViolation`](dynar_foundation::error::DynarError::ProtocolViolation)
+    /// if the binary cannot be parsed and an
+    /// [`InvalidConfiguration`](dynar_foundation::error::DynarError::InvalidConfiguration)
+    /// if the context is internally inconsistent.
     pub fn instantiate(
         id: PluginId,
         app: AppId,
@@ -215,7 +216,9 @@ impl Plugin {
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::LifecycleViolation`] for illegal transitions.
+    /// Returns a
+    /// [`LifecycleViolation`](dynar_foundation::error::DynarError::LifecycleViolation)
+    /// for illegal transitions.
     pub fn request(&mut self, request: LifecycleRequest) -> Result<PluginState> {
         let next = self.state.transition(self.id.name(), request)?;
         if request == LifecycleRequest::Restart {

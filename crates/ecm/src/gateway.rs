@@ -871,6 +871,7 @@ mod tests {
     use dynar_core::plugin::PluginPortDirection;
     use dynar_core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
     use dynar_fes::transport::{TransportConfig, TransportHub};
+    use dynar_foundation::codec::decode_value;
     use dynar_foundation::ids::{AppId, PluginId, VirtualPortId};
     use dynar_foundation::time::Tick;
     use dynar_foundation::value::Value;
@@ -1047,7 +1048,7 @@ mod tests {
             Value::I64(1),
             Value::I64(0),
             Value::I64(0),
-            ManagementMessage::Install(com_package()).to_value(),
+            decode_value(&ManagementMessage::Install(com_package()).to_bytes()).unwrap(),
         ]);
         let mut node = &mut out_of_range;
         for index in [4, 1, 3, 0, 0, 1] {
@@ -1174,7 +1175,7 @@ mod tests {
         ecu.map_signal_in(frame, ecm_swc, "from_ecu2").unwrap();
         ecu.deliver_inbound(frame, Value::Bytes(ack.to_bytes()));
         // A value tree is not an encoded message: logged, never forwarded.
-        ecu.deliver_inbound(frame, ack.to_value());
+        ecu.deliver_inbound(frame, decode_value(&ack.to_bytes()).unwrap());
         ecu.run(2).unwrap();
         hub.lock().step(Tick::new(1));
         let uplink = hub.lock().drain("server");

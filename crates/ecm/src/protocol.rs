@@ -108,7 +108,7 @@ mod tests {
                 Value::I64(0),
                 Value::I64(0),
                 Value::I64(0),
-                message.to_value(),
+                codec::decode_value(&message.to_bytes()).unwrap(),
             ]));
             let err = decode_downlink(&bytes).unwrap_err();
             assert!(
@@ -121,7 +121,7 @@ mod tests {
             Value::I64(-1),
             Value::I64(0),
             Value::I64(0),
-            message.to_value(),
+            codec::decode_value(&message.to_bytes()).unwrap(),
         ]));
         assert!(matches!(
             decode_downlink(&negative_seq).unwrap_err(),

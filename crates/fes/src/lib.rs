@@ -2,7 +2,7 @@
 //!
 //! A federated embedded system (FES) is a set of embedded systems in
 //! different products that cooperate through external communication
-//! (paper §1, [9]).  In the paper's demonstrator a smart phone remotely
+//! (paper §1, \[9\]).  In the paper's demonstrator a smart phone remotely
 //! controls a model car; the phone talks to the vehicle's external
 //! communication manager over TCP.  This crate provides the communication
 //! layer behind the [`transport::Transport`] trait, with two backends: the

@@ -16,6 +16,11 @@ const TAG_BYTES: u8 = 4;
 const TAG_TEXT: u8 = 5;
 const TAG_LIST: u8 = 6;
 
+/// The deepest list nesting [`Reader::value`] builds a tree for: far above
+/// any encoding the workspace writes (a server snapshot nests about 15
+/// lists deep), far below what would exhaust a thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Encodes a [`Value`] into a self-describing byte sequence.
 ///
 /// # Example
@@ -121,13 +126,27 @@ pub fn encode_list_header(len: usize, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns [`DynarError::ProtocolViolation`] on truncated or malformed input
-/// and when trailing bytes follow the encoded value.
+/// Returns [`DynarError::ProtocolViolation`] on truncated or malformed input,
+/// on lists nested deeper than [`MAX_DEPTH`] and when trailing bytes follow
+/// the encoded value.
 pub fn decode_value(bytes: &[u8]) -> Result<Value> {
+    decode_with(bytes, Reader::value)
+}
+
+/// Decodes all of `bytes` with `decode`, a type's streamed decoder.
+///
+/// # Errors
+///
+/// Returns the errors of `decode`, and [`DynarError::ProtocolViolation`]
+/// when trailing bytes follow what it read.
+pub fn decode_with<'a, T>(
+    bytes: &'a [u8],
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+) -> Result<T> {
     let mut reader = Reader::new(bytes);
-    let value = reader.value()?;
+    let decoded = decode(&mut reader)?;
     reader.finish()?;
-    Ok(value)
+    Ok(decoded)
 }
 
 /// Decodes one value from the start of `bytes`, returning it together with
@@ -136,7 +155,8 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value> {
 ///
 /// # Errors
 ///
-/// Returns [`DynarError::ProtocolViolation`] on truncated or malformed input.
+/// Returns [`DynarError::ProtocolViolation`] on truncated or malformed input
+/// and on lists nested deeper than [`MAX_DEPTH`].
 pub fn decode_prefix(bytes: &[u8]) -> Result<(Value, usize)> {
     let mut reader = Reader::new(bytes);
     let value = reader.value()?;
@@ -334,10 +354,23 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    /// Returns [`DynarError::ProtocolViolation`] for any other value and for
+    /// a count larger than the bytes left: every item takes at least its tag
+    /// byte, so such a count is rejected before anything loops over it.
     pub fn list(&mut self) -> Result<usize> {
         self.expect_tag(TAG_LIST)?;
-        self.length()
+        self.count()
+    }
+
+    fn count(&mut self) -> Result<usize> {
+        let count = self.length()?;
+        if count > self.bytes.len() - self.position {
+            return Err(DynarError::ProtocolViolation(format!(
+                "list of {count} items in {} bytes",
+                self.bytes.len() - self.position
+            )));
+        }
+        Ok(count)
     }
 
     /// Reads the header of a list that must hold exactly `len` items;
@@ -356,13 +389,65 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a list and decodes each of its items with `item`, collecting
+    /// them.  Nothing is reserved from the count the bytes claim.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value, and
+    /// the first error `item` returns.
+    pub fn items<T, C: FromIterator<T>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<C> {
+        let count = self.list()?;
+        (0..count).map(|_| item(self)).collect()
+    }
+
+    /// Reads a [`Value::I64`] that must fit `T`; `what` names it in the
+    /// error.  A cast would wrap an out-of-range integer onto a different,
+    /// valid one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value and for
+    /// an integer out of `T`'s range.
+    pub fn int<T: TryFrom<i64>>(&mut self, what: &str) -> Result<T> {
+        let value = self.i64()?;
+        T::try_from(value)
+            .map_err(|_| DynarError::ProtocolViolation(format!("{what} {value} is out of range")))
+    }
+
+    /// Reads a [`Value::Text`], or a [`Value::Void`] as `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for any other value.
+    pub fn optional_text(&mut self) -> Result<Option<&'a str>> {
+        if self.at_void() {
+            self.void().map(|()| None)
+        } else {
+            self.text().map(Some)
+        }
+    }
+
+    /// The error for an encoding whose `what` has the wrong shape, e.g. an
+    /// unknown variant tag, at the current position.
+    pub fn malformed(&self, what: &str) -> DynarError {
+        DynarError::ProtocolViolation(format!("malformed {what} before byte {}", self.position))
+    }
+
     /// Reads one value of any shape as a [`Value`] tree.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] on truncated or malformed
-    /// input.
+    /// input and on lists nested deeper than [`MAX_DEPTH`].
     pub fn value(&mut self) -> Result<Value> {
+        self.value_at(0)
+    }
+
+    fn value_at(&mut self, depth: usize) -> Result<Value> {
         Ok(match self.tag()? {
             TAG_VOID => Value::Void,
             TAG_BOOL => Value::Bool(self.tag()? != 0),
@@ -376,13 +461,17 @@ impl<'a> Reader<'a> {
                 let len = self.length()?;
                 Value::Text(utf8(self.take(len)?)?.to_owned())
             }
+            TAG_LIST if depth == MAX_DEPTH => {
+                return Err(DynarError::ProtocolViolation(format!(
+                    "lists nested deeper than {MAX_DEPTH}"
+                )))
+            }
             TAG_LIST => {
-                let count = self.length()?;
-                let mut items = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    items.push(self.value()?);
-                }
-                Value::List(items)
+                let count = self.count()?;
+                (0..count)
+                    .map(|_| self.value_at(depth + 1))
+                    .collect::<Result<_>>()
+                    .map(Value::List)?
             }
             other => {
                 return Err(DynarError::ProtocolViolation(format!(
@@ -558,6 +647,55 @@ mod tests {
         assert_eq!(reader.span().unwrap(), encode_value(&inner).as_slice());
         assert_eq!(reader.text().unwrap(), "after");
         reader.finish().unwrap();
+    }
+
+    #[test]
+    fn reader_helpers_read_counted_lists_ranged_ints_and_optional_text() {
+        let mut bytes = Vec::new();
+        encode_list_header(4, &mut bytes);
+        encode_list_header(2, &mut bytes);
+        encode_i64(7, &mut bytes);
+        encode_i64(-1, &mut bytes);
+        encode_i64(i64::from(u16::MAX) + 1, &mut bytes);
+        encode_void(&mut bytes);
+        encode_text("x", &mut bytes);
+        let mut reader = Reader::new(&bytes);
+        reader.list_of(4, "record").unwrap();
+        let items: Vec<i64> = reader.items(Reader::i64).unwrap();
+        assert_eq!(items, [7, -1]);
+        let error = reader.clone().int::<u16>("ECU id").unwrap_err();
+        assert!(matches!(&error, DynarError::ProtocolViolation(r) if r.contains("ECU id 65536")));
+        assert_eq!(reader.int::<u32>("count").unwrap(), 65_536);
+        assert_eq!(reader.optional_text().unwrap(), None);
+        assert_eq!(reader.optional_text().unwrap(), Some("x"));
+        reader.finish().unwrap();
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_counts_are_checked_against_the_input() {
+        let nested = |depth: usize| {
+            let mut bytes = Vec::new();
+            for _ in 0..depth {
+                encode_list_header(1, &mut bytes);
+            }
+            encode_void(&mut bytes);
+            bytes
+        };
+        assert!(decode_value(&nested(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            decode_value(&nested(MAX_DEPTH + 1)),
+            Err(DynarError::ProtocolViolation(_))
+        ));
+        // `span` walks any depth without recursing.
+        let deep = nested(100_000);
+        assert_eq!(Reader::new(&deep).span().unwrap(), deep.as_slice());
+        // Three items cannot fit in the two bytes left after the header.
+        let short = [TAG_LIST, 3, 0, 0, 0, TAG_VOID, TAG_VOID];
+        assert!(matches!(
+            Reader::new(&short).list(),
+            Err(DynarError::ProtocolViolation(_))
+        ));
+        assert!(decode_value(&short).is_err());
     }
 
     #[test]

@@ -28,11 +28,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use dynar_foundation::codec;
-use dynar_foundation::error::{DynarError, Result};
+use dynar_foundation::codec::{self, Reader};
+#[cfg(doc)]
+use dynar_foundation::error::DynarError;
+use dynar_foundation::error::Result;
 use dynar_foundation::ids::{AppId, UserId, VehicleId};
 use dynar_foundation::time::Tick;
-use dynar_foundation::value::Value;
 
 /// Identifier of one rollout campaign.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -315,36 +316,28 @@ pub enum CampaignEvent {
 }
 
 // ----------------------------------------------------------------------
-// Durability-plane value codec
+// Durability-plane codec
 // ----------------------------------------------------------------------
 //
 // Campaigns ride in the canonical server snapshot and the create record of
 // the write-ahead journal.  Each type streams its encoding with
-// `encode_into` and decodes the `Value` form of those bytes with
-// `from_value`; like every other decoder on the recovery path the bytes are
-// untrusted and must produce typed errors, never panics.
-
-fn malformed(what: &str) -> DynarError {
-    DynarError::ProtocolViolation(format!("malformed campaign encoding: {what}"))
-}
-
-fn text(value: &Value, what: &str) -> Result<String> {
-    Ok(value.as_text().ok_or_else(|| malformed(what))?.to_owned())
-}
-
-fn u64_of(value: &Value, what: &str) -> Result<u64> {
-    u64::try_from(value.expect_i64()?).map_err(|_| malformed(what))
-}
-
-fn usize_of(value: &Value, what: &str) -> Result<usize> {
-    usize::try_from(value.expect_i64()?).map_err(|_| malformed(what))
-}
+// `encode_into` and reads it back with `decode` from a `codec::Reader`;
+// like every other decoder on the recovery path the bytes are untrusted
+// and must produce typed errors, never panics.
 
 fn encode_vins(vehicles: &[VehicleId], out: &mut Vec<u8>) {
     codec::encode_list_header(vehicles.len(), out);
     for vehicle in vehicles {
         codec::encode_text(vehicle.vin(), out);
     }
+}
+
+fn decode_vin(r: &mut Reader<'_>) -> Result<VehicleId> {
+    Ok(VehicleId::new(r.text()?))
+}
+
+fn decode_app(r: &mut Reader<'_>) -> Result<AppId> {
+    Ok(AppId::new(r.text()?))
 }
 
 /// An optional app id: its name, or void when absent.
@@ -376,28 +369,18 @@ impl VehicleSelector {
         }
     }
 
-    /// Decodes a selector encoded by [`VehicleSelector::encode_into`].
+    /// Reads a selector written by [`VehicleSelector::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| malformed("selector"))?;
-        match parts {
-            [tag] if tag.expect_i64()? == 0 => Ok(VehicleSelector::All),
-            [tag, model] if tag.expect_i64()? == 1 => {
-                Ok(VehicleSelector::Model(text(model, "selector model")?))
-            }
-            [tag, vehicles] if tag.expect_i64()? == 2 => Ok(VehicleSelector::Vehicles(
-                vehicles
-                    .as_list()
-                    .ok_or_else(|| malformed("selector vehicles"))?
-                    .iter()
-                    .map(|v| Ok(VehicleId::new(text(v, "selector vin")?)))
-                    .collect::<Result<Vec<_>>>()?,
-            )),
-            _ => Err(malformed("selector tag")),
-        }
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(match (r.list()?, r.i64()?) {
+            (1, 0) => VehicleSelector::All,
+            (2, 1) => VehicleSelector::Model(r.text()?.to_owned()),
+            (2, 2) => VehicleSelector::Vehicles(r.items(decode_vin)?),
+            _ => return Err(r.malformed("campaign selector")),
+        })
     }
 }
 
@@ -412,23 +395,16 @@ impl WavePlan {
         }
     }
 
-    /// Decodes a plan encoded by [`WavePlan::encode_into`].
+    /// Reads a plan written by [`WavePlan::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let [canary, ramps] = value.as_list().ok_or_else(|| malformed("wave plan"))? else {
-            return Err(malformed("wave plan arity"));
-        };
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(2, "wave plan")?;
         Ok(WavePlan {
-            canary: usize_of(canary, "canary size")?,
-            ramp_percent: ramps
-                .as_list()
-                .ok_or_else(|| malformed("ramp list"))?
-                .iter()
-                .map(|p| u32::try_from(p.expect_i64()?).map_err(|_| malformed("ramp percent")))
-                .collect::<Result<Vec<_>>>()?,
+            canary: r.int("canary size")?,
+            ramp_percent: r.items(|r| r.int("ramp percent"))?,
         })
     }
 }
@@ -442,19 +418,17 @@ impl HealthGate {
         codec::encode_i64(self.abort_failed as i64, out);
     }
 
-    /// Decodes a gate encoded by [`HealthGate::encode_into`].
+    /// Reads a gate written by [`HealthGate::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let [min_soak, pause, abort] = value.as_list().ok_or_else(|| malformed("gate"))? else {
-            return Err(malformed("gate arity"));
-        };
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(3, "health gate")?;
         Ok(HealthGate {
-            min_soak_ticks: u64_of(min_soak, "min soak")?,
-            pause_failed: u64_of(pause, "pause threshold")?,
-            abort_failed: u64_of(abort, "abort threshold")?,
+            min_soak_ticks: r.int("min soak")?,
+            pause_failed: r.int("pause threshold")?,
+            abort_failed: r.int("abort threshold")?,
         })
     }
 }
@@ -472,13 +446,13 @@ impl CampaignStatus {
         );
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        match value.expect_i64()? {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        match r.i64()? {
             0 => Ok(CampaignStatus::Running),
             1 => Ok(CampaignStatus::Paused),
             2 => Ok(CampaignStatus::Aborted),
             3 => Ok(CampaignStatus::Complete),
-            other => Err(malformed(&format!("unknown status {other}"))),
+            _ => Err(r.malformed("campaign status")),
         }
     }
 }
@@ -495,29 +469,20 @@ impl CampaignSpec {
         self.gate.encode_into(out);
     }
 
-    /// Decodes a spec encoded by [`CampaignSpec::encode_into`].
+    /// Reads a spec written by [`CampaignSpec::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let [id, app, replaces, selector, plan, gate] =
-            value.as_list().ok_or_else(|| malformed("spec"))?
-        else {
-            return Err(malformed("spec arity"));
-        };
-        let replaces = if replaces.is_void() {
-            None
-        } else {
-            Some(AppId::new(text(replaces, "replaced app")?))
-        };
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(6, "campaign spec")?;
         Ok(CampaignSpec {
-            id: CampaignId::new(text(id, "campaign id")?),
-            app: AppId::new(text(app, "campaign app")?),
-            replaces,
-            selector: VehicleSelector::from_value(selector)?,
-            plan: WavePlan::from_value(plan)?,
-            gate: HealthGate::from_value(gate)?,
+            id: CampaignId::new(r.text()?),
+            app: decode_app(r)?,
+            replaces: r.optional_text()?.map(AppId::new),
+            selector: VehicleSelector::decode(r)?,
+            plan: WavePlan::decode(r)?,
+            gate: HealthGate::decode(r)?,
         })
     }
 }
@@ -554,74 +519,38 @@ impl Campaign {
         codec::encode_i64(self.counters.rolled_back as i64, out);
     }
 
-    /// Decodes a campaign encoded by [`Campaign::encode_into`].
+    /// Reads a campaign written by [`Campaign::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let [id, user, app, replaces, selector, targets, plan, gate, status, wave, wave_started, last_good, counters] =
-            value.as_list().ok_or_else(|| malformed("campaign"))?
-        else {
-            return Err(malformed("campaign arity"));
-        };
-        let replaces = if replaces.is_void() {
-            None
-        } else {
-            Some(AppId::new(text(replaces, "replaced app")?))
-        };
-        let targets = targets
-            .as_list()
-            .ok_or_else(|| malformed("targets"))?
-            .iter()
-            .map(|v| Ok(VehicleId::new(text(v, "target vin")?)))
-            .collect::<Result<Vec<_>>>()?;
-        let last_good = last_good
-            .as_list()
-            .ok_or_else(|| malformed("last-good map"))?
-            .iter()
-            .map(|pair| {
-                let [vehicle, apps] = pair.as_list().ok_or_else(|| malformed("last-good pair"))?
-                else {
-                    return Err(malformed("last-good pair arity"));
-                };
-                Ok((
-                    VehicleId::new(text(vehicle, "last-good vin")?),
-                    apps.as_list()
-                        .ok_or_else(|| malformed("last-good apps"))?
-                        .iter()
-                        .map(|a| Ok(AppId::new(text(a, "last-good app")?)))
-                        .collect::<Result<BTreeSet<AppId>>>()?,
-                ))
-            })
-            .collect::<Result<BTreeMap<_, _>>>()?;
-        let counters = {
-            let [exposed, succeeded, failed, rolled_back] =
-                counters.as_list().ok_or_else(|| malformed("counters"))?
-            else {
-                return Err(malformed("counters arity"));
-            };
-            CampaignCounters {
-                exposed: u64_of(exposed, "exposed counter")?,
-                succeeded: u64_of(succeeded, "succeeded counter")?,
-                failed: u64_of(failed, "failed counter")?,
-                rolled_back: u64_of(rolled_back, "rolled-back counter")?,
-            }
-        };
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(13, "campaign")?;
         Ok(Campaign {
-            id: CampaignId::new(text(id, "campaign id")?),
-            user: UserId::new(text(user, "campaign user")?),
-            app: AppId::new(text(app, "campaign app")?),
-            replaces,
-            selector: VehicleSelector::from_value(selector)?,
-            targets,
-            plan: WavePlan::from_value(plan)?,
-            gate: HealthGate::from_value(gate)?,
-            status: CampaignStatus::from_value(status)?,
-            wave: usize_of(wave, "wave")?,
-            wave_started: Tick::new(u64_of(wave_started, "wave start")?),
-            last_good,
-            counters,
+            id: CampaignId::new(r.text()?),
+            user: UserId::new(r.text()?),
+            app: decode_app(r)?,
+            replaces: r.optional_text()?.map(AppId::new),
+            selector: VehicleSelector::decode(r)?,
+            targets: r.items(decode_vin)?,
+            plan: WavePlan::decode(r)?,
+            gate: HealthGate::decode(r)?,
+            status: CampaignStatus::decode(r)?,
+            wave: r.int("wave")?,
+            wave_started: Tick::new(r.int("wave start")?),
+            last_good: r.items(|r| {
+                r.list_of(2, "last-good entry")?;
+                Ok((decode_vin(r)?, r.items(decode_app)?))
+            })?,
+            counters: {
+                r.list_of(4, "campaign counters")?;
+                CampaignCounters {
+                    exposed: r.int("exposed counter")?,
+                    succeeded: r.int("succeeded counter")?,
+                    failed: r.int("failed counter")?,
+                    rolled_back: r.int("rolled-back counter")?,
+                }
+            },
         })
     }
 }
@@ -701,21 +630,21 @@ mod tests {
         assert_eq!(flash.cumulative_target(1, 20), 20);
     }
 
-    /// Decodes the value form of `encode`'s bytes with `decode`.
+    /// Reads `encode`'s bytes back with `decode`.
     fn round_trip<T>(
         encode: impl FnOnce(&mut Vec<u8>),
-        decode: impl FnOnce(&Value) -> Result<T>,
+        decode: impl FnOnce(&mut Reader<'_>) -> Result<T>,
     ) -> T {
         let mut bytes = Vec::new();
         encode(&mut bytes);
-        decode(&codec::decode_value(&bytes).unwrap()).unwrap()
+        codec::decode_with(&bytes, decode).unwrap()
     }
 
     #[test]
     fn campaign_value_codec_round_trips() {
         let campaign = sample_campaign();
         assert_eq!(
-            round_trip(|o| campaign.encode_into(o), Campaign::from_value),
+            round_trip(|o| campaign.encode_into(o), Campaign::decode),
             campaign
         );
         let spec = CampaignSpec {
@@ -727,28 +656,36 @@ mod tests {
             gate: HealthGate::default(),
         };
         assert_eq!(
-            round_trip(|o| spec.encode_into(o), CampaignSpec::from_value),
+            round_trip(|o| spec.encode_into(o), CampaignSpec::decode),
             spec
         );
         let all = VehicleSelector::All;
         assert_eq!(
-            round_trip(|o| all.encode_into(o), VehicleSelector::from_value),
+            round_trip(|o| all.encode_into(o), VehicleSelector::decode),
             all
         );
     }
 
     #[test]
     fn campaign_decoders_reject_malformed_values() {
+        use dynar_foundation::error::DynarError;
+        use dynar_foundation::value::Value;
+        let violation =
+            |result: Result<()>| matches!(result, Err(DynarError::ProtocolViolation(_)));
         for decoder in [
-            |v: &Value| Campaign::from_value(v).map(|_| ()),
-            |v: &Value| CampaignSpec::from_value(v).map(|_| ()),
-            |v: &Value| VehicleSelector::from_value(v).map(|_| ()),
-            |v: &Value| WavePlan::from_value(v).map(|_| ()),
-            |v: &Value| HealthGate::from_value(v).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, Campaign::decode).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, CampaignSpec::decode).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, VehicleSelector::decode).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, WavePlan::decode).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, HealthGate::decode).map(|_| ()),
         ] {
-            assert!(decoder(&Value::I64(7)).is_err());
-            assert!(decoder(&Value::List(vec![Value::Void])).is_err());
+            for value in [Value::I64(7), Value::List(vec![Value::Void])] {
+                assert!(violation(decoder(&codec::encode_value(&value))));
+            }
         }
-        assert!(CampaignStatus::from_value(&Value::I64(9)).is_err());
+        let status = codec::encode_value(&Value::I64(9));
+        assert!(violation(
+            codec::decode_with(&status, CampaignStatus::decode).map(|_| ())
+        ));
     }
 }

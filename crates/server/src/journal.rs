@@ -10,21 +10,21 @@
 //! byte-for-byte.  Each record is one [`dynar_foundation::codec`]-encoded
 //! value inside a checksummed [`dynar_foundation::journal`] frame.
 //!
-//! Every [`JournalRecord::COMPACTION_INTERVAL`]-ish records (configured per
-//! journal) the buffer is *compacted*: replaced by a single
-//! [`JournalRecord::Snapshot`] frame holding the full canonical state, so
-//! the journal's size is bounded by the snapshot size plus one compaction
+//! Every compaction interval's worth of records (configured per journal)
+//! the buffer is *compacted*: replaced by a single snapshot frame holding
+//! the full canonical state, so the journal's size is bounded by the snapshot size plus one compaction
 //! interval of records instead of growing with uptime.  Compaction happens
 //! *before* the next record is appended, so the snapshot captures the state
 //! the pending record applies to — replay is `snapshot ⊕ commands`, in
 //! order.
 
-use dynar_foundation::codec;
-use dynar_foundation::error::{DynarError, Result};
+use dynar_foundation::codec::{self, Reader};
+#[cfg(doc)]
+use dynar_foundation::error::DynarError;
+use dynar_foundation::error::Result;
 use dynar_foundation::ids::{AppId, EcuId, UserId, VehicleId};
 use dynar_foundation::journal::{begin_frame, finish_frame};
 use dynar_foundation::time::Tick;
-use dynar_foundation::value::Value;
 
 use crate::campaign::{CampaignId, CampaignSpec};
 use crate::model::{AppDefinition, HwConf, SystemSwConf};
@@ -32,14 +32,12 @@ use crate::server::RetryPolicy;
 
 /// One journaled state transition of the trusted server.
 ///
-/// Except for [`JournalRecord::Snapshot`] (the compaction frame), every
-/// variant mirrors one mutating `TrustedServer` API call; replay applies
-/// them through the same public methods.
+/// Every variant mirrors one mutating `TrustedServer` API call; replay
+/// applies them through the same public methods.  The other kind of frame,
+/// the full-state snapshot a compaction writes ([`Journal::compact`]), is
+/// not a record: replay reads its state straight into a server.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum JournalRecord {
-    /// A full-state snapshot (the compaction frame; always the first frame
-    /// of a compacted journal).
-    Snapshot(Value),
     /// `create_user`.
     CreateUser(UserId),
     /// `register_vehicle`.
@@ -123,17 +121,8 @@ const TAG_CAMPAIGN_RESUME: i64 = 23;
 const TAG_CAMPAIGN_ABORT: i64 = 24;
 const TAG_CAMPAIGN_COMPLETE: i64 = 25;
 
-fn malformed(what: &str) -> DynarError {
-    DynarError::ProtocolViolation(format!("malformed journal record: {what}"))
-}
-
-fn text<'a>(value: &'a Value, what: &str) -> Result<&'a str> {
-    value.as_text().ok_or_else(|| malformed(what))
-}
-
 impl JournalRecord {
-    /// Appends the record's encoding, a `[tag, ...fields]` list, to `out`
-    /// (streamed: no [`Value`] tree is built).
+    /// Appends the record's encoding, a `[tag, ...fields]` list, to `out`.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let header = |tag: i64, fields: usize, out: &mut Vec<u8>| {
             codec::encode_list_header(1 + fields, out);
@@ -155,10 +144,6 @@ impl JournalRecord {
             codec::encode_text(campaign.name(), out);
         };
         match self {
-            JournalRecord::Snapshot(state) => {
-                header(TAG_SNAPSHOT, 1, out);
-                codec::encode_into(state, out);
-            }
             JournalRecord::CreateUser(user) => {
                 header(TAG_CREATE_USER, 1, out);
                 codec::encode_text(user.name(), out);
@@ -237,177 +222,91 @@ impl JournalRecord {
         }
     }
 
-    /// Decodes the value form of a record encoded by
-    /// [`JournalRecord::encode_into`].
+    /// Reads one frame's record written by [`JournalRecord::encode_into`],
+    /// or `None` for a snapshot frame ([`Journal::compact`]), whose state
+    /// then follows in `r`.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub(crate) fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| malformed("not a list"))?;
-        let (tag, fields) = parts
-            .split_first()
-            .ok_or_else(|| malformed("empty record"))?;
-        let tag = tag.expect_i64()?;
-        let user_vehicle_app = |fields: &[Value]| -> Result<(UserId, VehicleId, AppId)> {
-            let [user, vehicle, app] = fields else {
-                return Err(malformed("user/vehicle/app arity"));
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Option<Self>> {
+        type Decoded = Result<(usize, JournalRecord)>;
+        let user_vehicle_app =
+            |r: &mut Reader<'_>, record: fn(UserId, VehicleId, AppId) -> Self| -> Decoded {
+                let user = UserId::new(r.text()?);
+                let vehicle = VehicleId::new(r.text()?);
+                Ok((3, record(user, vehicle, AppId::new(r.text()?))))
             };
-            Ok((
-                UserId::new(text(user, "user")?),
-                VehicleId::new(text(vehicle, "vehicle")?),
-                AppId::new(text(app, "app")?),
-            ))
+        let vehicle_only = |r: &mut Reader<'_>, record: fn(VehicleId) -> Self| -> Decoded {
+            Ok((1, record(VehicleId::new(r.text()?))))
         };
-        let vehicle_only = |fields: &[Value]| -> Result<VehicleId> {
-            let [vehicle] = fields else {
-                return Err(malformed("vehicle arity"));
-            };
-            Ok(VehicleId::new(text(vehicle, "vehicle")?))
+        let campaign_only = |r: &mut Reader<'_>, record: fn(CampaignId) -> Self| -> Decoded {
+            Ok((1, record(CampaignId::new(r.text()?))))
         };
-        let campaign_only = |fields: &[Value]| -> Result<CampaignId> {
-            let [campaign] = fields else {
-                return Err(malformed("campaign arity"));
-            };
-            Ok(CampaignId::new(text(campaign, "campaign")?))
-        };
-        Ok(match tag {
-            TAG_SNAPSHOT => {
-                let [state] = fields else {
-                    return Err(malformed("snapshot arity"));
-                };
-                JournalRecord::Snapshot(state.clone())
-            }
-            TAG_CREATE_USER => {
-                let [user] = fields else {
-                    return Err(malformed("create-user arity"));
-                };
-                JournalRecord::CreateUser(UserId::new(text(user, "user")?))
-            }
+        // Each arm reads its fields and names how many it has, which the
+        // record's list header must match.
+        let fields = r.list()?;
+        let (arity, record) = match r.i64()? {
+            TAG_SNAPSHOT if fields == 2 => return Ok(None),
+            TAG_CREATE_USER => (1, Self::CreateUser(UserId::new(r.text()?))),
             TAG_REGISTER_VEHICLE => {
-                let [vehicle, hw, system] = fields else {
-                    return Err(malformed("register-vehicle arity"));
-                };
-                JournalRecord::RegisterVehicle(
-                    VehicleId::new(text(vehicle, "vehicle")?),
-                    HwConf::from_value(hw)?,
-                    SystemSwConf::from_value(system)?,
+                let vehicle = VehicleId::new(r.text()?);
+                let hw = HwConf::decode(r)?;
+                (
+                    3,
+                    Self::RegisterVehicle(vehicle, hw, SystemSwConf::decode(r)?),
                 )
             }
             TAG_BIND_VEHICLE => {
-                let [user, vehicle] = fields else {
-                    return Err(malformed("bind-vehicle arity"));
-                };
-                JournalRecord::BindVehicle(
-                    UserId::new(text(user, "user")?),
-                    VehicleId::new(text(vehicle, "vehicle")?),
-                )
+                let user = UserId::new(r.text()?);
+                (2, Self::BindVehicle(user, VehicleId::new(r.text()?)))
             }
-            TAG_UPLOAD_APP => {
-                let [app] = fields else {
-                    return Err(malformed("upload-app arity"));
-                };
-                JournalRecord::UploadApp(AppDefinition::from_value(app)?)
-            }
+            TAG_UPLOAD_APP => (1, Self::UploadApp(AppDefinition::decode(r)?)),
             TAG_SET_RETRY_POLICY => {
-                let [ack_deadline_ticks, max_attempts] = fields else {
-                    return Err(malformed("retry-policy arity"));
+                let policy = RetryPolicy {
+                    ack_deadline_ticks: r.int("ack deadline")?,
+                    max_attempts: r.int("max attempts")?,
                 };
-                let ack_deadline_ticks = u64::try_from(ack_deadline_ticks.expect_i64()?)
-                    .map_err(|_| malformed("ack deadline"))?;
-                let max_attempts = u32::try_from(max_attempts.expect_i64()?)
-                    .map_err(|_| malformed("max attempts"))?;
-                JournalRecord::SetRetryPolicy(RetryPolicy {
-                    ack_deadline_ticks,
-                    max_attempts,
-                })
+                (2, Self::SetRetryPolicy(policy))
             }
-            TAG_DEPLOY => {
-                let (user, vehicle, app) = user_vehicle_app(fields)?;
-                JournalRecord::Deploy(user, vehicle, app)
-            }
-            TAG_UNINSTALL => {
-                let (user, vehicle, app) = user_vehicle_app(fields)?;
-                JournalRecord::Uninstall(user, vehicle, app)
-            }
+            TAG_DEPLOY => user_vehicle_app(r, Self::Deploy)?,
+            TAG_UNINSTALL => user_vehicle_app(r, Self::Uninstall)?,
             TAG_RESTORE => {
-                let [vehicle, ecu] = fields else {
-                    return Err(malformed("restore arity"));
-                };
-                let ecu = u16::try_from(ecu.expect_i64()?).map_err(|_| malformed("restore ECU"))?;
-                JournalRecord::Restore(VehicleId::new(text(vehicle, "vehicle")?), EcuId::new(ecu))
+                let vehicle = VehicleId::new(r.text()?);
+                (2, Self::Restore(vehicle, EcuId::new(r.int("restore ECU")?)))
             }
-            TAG_SET_DESIRED => {
-                let (user, vehicle, app) = user_vehicle_app(fields)?;
-                JournalRecord::SetDesired(user, vehicle, app)
-            }
-            TAG_CLEAR_DESIRED => {
-                let (user, vehicle, app) = user_vehicle_app(fields)?;
-                JournalRecord::ClearDesired(user, vehicle, app)
-            }
-            TAG_RECONCILE => JournalRecord::Reconcile(vehicle_only(fields)?),
-            TAG_MARK_OFFLINE => JournalRecord::MarkOffline(vehicle_only(fields)?),
+            TAG_SET_DESIRED => user_vehicle_app(r, Self::SetDesired)?,
+            TAG_CLEAR_DESIRED => user_vehicle_app(r, Self::ClearDesired)?,
+            TAG_RECONCILE => vehicle_only(r, Self::Reconcile)?,
+            TAG_MARK_OFFLINE => vehicle_only(r, Self::MarkOffline)?,
             TAG_MARK_ONLINE => {
-                let [vehicle, boot_epoch] = fields else {
-                    return Err(malformed("mark-online arity"));
-                };
-                let boot_epoch =
-                    u32::try_from(boot_epoch.expect_i64()?).map_err(|_| malformed("boot epoch"))?;
-                JournalRecord::MarkOnline(VehicleId::new(text(vehicle, "vehicle")?), boot_epoch)
+                let vehicle = VehicleId::new(r.text()?);
+                (2, Self::MarkOnline(vehicle, r.int("boot epoch")?))
             }
-            TAG_MARK_UNREACHABLE => JournalRecord::MarkUnreachable(vehicle_only(fields)?),
-            TAG_REQUEST_STATE_REPORT => JournalRecord::RequestStateReport(vehicle_only(fields)?),
-            TAG_TICK => {
-                let [now] = fields else {
-                    return Err(malformed("tick arity"));
-                };
-                let now = u64::try_from(now.expect_i64()?).map_err(|_| malformed("tick"))?;
-                JournalRecord::Tick(Tick::new(now))
-            }
+            TAG_MARK_UNREACHABLE => vehicle_only(r, Self::MarkUnreachable)?,
+            TAG_REQUEST_STATE_REPORT => vehicle_only(r, Self::RequestStateReport)?,
+            TAG_TICK => (1, Self::Tick(Tick::new(r.int("tick")?))),
             TAG_PROCESS_UPLINK => {
-                let [vehicle, payload] = fields else {
-                    return Err(malformed("process-uplink arity"));
-                };
-                JournalRecord::ProcessUplink(
-                    VehicleId::new(text(vehicle, "vehicle")?),
-                    payload
-                        .as_bytes()
-                        .ok_or_else(|| malformed("uplink payload"))?
-                        .to_vec(),
-                )
+                let vehicle = VehicleId::new(r.text()?);
+                (2, Self::ProcessUplink(vehicle, r.bytes()?.to_vec()))
             }
-            TAG_POLL_DOWNLINK => JournalRecord::PollDownlink(vehicle_only(fields)?),
-            TAG_BEGIN_INCARNATION => {
-                if !fields.is_empty() {
-                    return Err(malformed("begin-incarnation arity"));
-                }
-                JournalRecord::BeginIncarnation
-            }
+            TAG_POLL_DOWNLINK => vehicle_only(r, Self::PollDownlink)?,
+            TAG_BEGIN_INCARNATION => (0, Self::BeginIncarnation),
             TAG_CAMPAIGN_CREATE => {
-                let [user, spec] = fields else {
-                    return Err(malformed("campaign-create arity"));
-                };
-                JournalRecord::CampaignCreate(
-                    UserId::new(text(user, "user")?),
-                    CampaignSpec::from_value(spec)?,
-                )
+                let user = UserId::new(r.text()?);
+                (2, Self::CampaignCreate(user, CampaignSpec::decode(r)?))
             }
-            TAG_CAMPAIGN_ADVANCE => JournalRecord::CampaignAdvance(campaign_only(fields)?),
-            TAG_CAMPAIGN_PAUSE => JournalRecord::CampaignPause(campaign_only(fields)?),
-            TAG_CAMPAIGN_RESUME => JournalRecord::CampaignResume(campaign_only(fields)?),
-            TAG_CAMPAIGN_ABORT => JournalRecord::CampaignAbort(campaign_only(fields)?),
-            TAG_CAMPAIGN_COMPLETE => JournalRecord::CampaignComplete(campaign_only(fields)?),
-            other => return Err(malformed(&format!("unknown tag {other}"))),
-        })
-    }
-
-    /// Decodes a record from one journal frame's payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        JournalRecord::from_value(&codec::decode_value(bytes)?)
+            TAG_CAMPAIGN_ADVANCE => campaign_only(r, Self::CampaignAdvance)?,
+            TAG_CAMPAIGN_PAUSE => campaign_only(r, Self::CampaignPause)?,
+            TAG_CAMPAIGN_RESUME => campaign_only(r, Self::CampaignResume)?,
+            TAG_CAMPAIGN_ABORT => campaign_only(r, Self::CampaignAbort)?,
+            TAG_CAMPAIGN_COMPLETE => campaign_only(r, Self::CampaignComplete)?,
+            _ => return Err(r.malformed("journal record")),
+        };
+        if fields != 1 + arity {
+            return Err(r.malformed("journal record"));
+        }
+        Ok(Some(record))
     }
 }
 
@@ -536,9 +435,9 @@ impl Journal {
         self.records_since_snapshot >= self.compaction_interval
     }
 
-    /// Replaces the whole buffer with a single snapshot frame: the encoding
-    /// of [`JournalRecord::Snapshot`] around the state that `write_state`
-    /// streams (`TrustedServer::write_snapshot`).  The frame is written in
+    /// Replaces the whole buffer with a single snapshot frame, `[TAG_SNAPSHOT,
+    /// state]`, around the state that `write_state` streams
+    /// (`TrustedServer::write_snapshot`).  The frame is written in
     /// place — its header is reserved, the payload is streamed after it, and
     /// the length and checksum are patched in — so the buffer keeps its
     /// capacity from one compaction to the next and the snapshot is never
@@ -568,12 +467,18 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynar_foundation::error::DynarError;
     use dynar_foundation::journal::{append_frame, FrameReader};
+    use dynar_foundation::value::Value;
+
+    /// Decodes one frame's payload.
+    fn decode(payload: &[u8]) -> Result<Option<JournalRecord>> {
+        codec::decode_with(payload, JournalRecord::decode)
+    }
 
     #[test]
     fn records_round_trip() {
         let records = vec![
-            JournalRecord::Snapshot(Value::List(vec![Value::I64(1)])),
             JournalRecord::CreateUser(UserId::new("alice")),
             JournalRecord::RegisterVehicle(
                 VehicleId::new("vin-1"),
@@ -643,16 +548,32 @@ mod tests {
         for record in records {
             let mut bytes = Vec::new();
             record.encode_into(&mut bytes);
-            assert_eq!(JournalRecord::from_bytes(&bytes).unwrap(), record);
+            assert_eq!(decode(&bytes).unwrap(), Some(record));
         }
     }
 
     #[test]
     fn malformed_records_are_typed_errors() {
-        assert!(JournalRecord::from_value(&Value::I64(0)).is_err());
-        assert!(JournalRecord::from_value(&Value::List(vec![])).is_err());
-        assert!(JournalRecord::from_value(&Value::List(vec![Value::I64(999)])).is_err());
-        assert!(JournalRecord::from_bytes(&[0xff, 0x01]).is_err());
+        for value in [
+            Value::I64(0),
+            Value::List(vec![]),
+            Value::List(vec![Value::I64(999)]),
+            // A record with one field too many or too few.
+            Value::List(vec![Value::I64(TAG_TICK), Value::I64(1), Value::I64(2)]),
+            Value::List(vec![
+                Value::I64(TAG_BIND_VEHICLE),
+                Value::Text("alice".into()),
+            ]),
+            // A snapshot frame carries exactly one state.
+            Value::List(vec![Value::I64(TAG_SNAPSHOT)]),
+        ] {
+            let error = decode(&codec::encode_value(&value)).unwrap_err();
+            assert!(
+                matches!(error, DynarError::ProtocolViolation(_)),
+                "{value:?}: {error:?}"
+            );
+        }
+        assert!(decode(&[0xff, 0x01]).is_err());
     }
 
     #[test]
@@ -667,8 +588,7 @@ mod tests {
         journal.compact(|out| codec::encode_into(&state, out));
         assert!(journal.bytes().len() < before + 32);
         assert!(!journal.due_for_compaction());
-        // The frame is the record's own encoding, `[TAG_SNAPSHOT, state]`,
-        // state decoded intact.
+        // The frame is `[TAG_SNAPSHOT, state]`, state read back intact.
         let mut expected = Vec::new();
         append_frame(
             &mut expected,
@@ -676,10 +596,10 @@ mod tests {
         );
         assert_eq!(journal.bytes(), expected.as_slice());
         let payload = &journal.bytes()[dynar_foundation::journal::FRAME_HEADER_LEN..];
-        assert_eq!(
-            JournalRecord::from_bytes(payload).unwrap(),
-            JournalRecord::Snapshot(state)
-        );
+        let mut reader = Reader::new(payload);
+        assert_eq!(JournalRecord::decode(&mut reader).unwrap(), None);
+        assert_eq!(reader.value().unwrap(), state);
+        reader.finish().unwrap();
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! (`TrustedServer::snapshot_bytes`), so a journaled-and-replayed server
 //! carries byte-identical totals to the live one.
 
-use dynar_foundation::error::{DynarError, Result};
+use dynar_foundation::codec::Reader;
+#[cfg(doc)]
+use dynar_foundation::error::DynarError;
+use dynar_foundation::error::Result;
 use dynar_foundation::value::Value;
 
 /// Monotonic counters over every operation the trusted server performed.
@@ -89,23 +92,19 @@ impl Ledger {
         )
     }
 
-    /// Decodes a ledger encoded by [`Ledger::to_value`].
+    /// Reads a ledger whose [`Ledger::to_value`] form was encoded.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let malformed = || DynarError::ProtocolViolation("malformed ledger encoding".into());
-        let parts = value.as_list().ok_or_else(malformed)?;
-        let counters = parts
-            .iter()
-            .map(|v| u64::try_from(v.expect_i64()?).map_err(|_| malformed()))
-            .collect::<Result<Vec<u64>>>()?;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(16, "ledger")?;
+        let mut counters = [0u64; 16];
+        for counter in &mut counters {
+            *counter = r.int("ledger counter")?;
+        }
         let [installs_pushed, uninstalls_pushed, installs_completed, uninstalls_completed, operations_failed, retransmissions, retries_exhausted, unreachable_failures, operations_voided, resyncs, orphan_uninstalls, restores, campaign_exposures, campaign_rollbacks, campaigns_completed, campaigns_aborted] =
-            counters[..]
-        else {
-            return Err(malformed());
-        };
+            counters;
         Ok(Ledger {
             installs_pushed,
             uninstalls_pushed,
@@ -130,6 +129,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynar_foundation::codec;
 
     #[test]
     fn ledger_round_trips() {
@@ -151,13 +151,18 @@ mod tests {
             campaigns_completed: 15,
             campaigns_aborted: 16,
         };
-        assert_eq!(Ledger::from_value(&ledger.to_value()).unwrap(), ledger);
+        assert_eq!(decode(&ledger.to_value()).unwrap(), ledger);
+    }
+
+    /// Decodes the encoding of `value` as a ledger.
+    fn decode(value: &Value) -> Result<Ledger> {
+        codec::decode_with(&codec::encode_value(value), Ledger::decode)
     }
 
     #[test]
     fn malformed_ledgers_are_rejected() {
-        assert!(Ledger::from_value(&Value::I64(1)).is_err());
-        assert!(Ledger::from_value(&Value::List(vec![Value::I64(1)])).is_err());
-        assert!(Ledger::from_value(&Value::List(vec![Value::I64(-1); 16])).is_err());
+        assert!(decode(&Value::I64(1)).is_err());
+        assert!(decode(&Value::List(vec![Value::I64(1)])).is_err());
+        assert!(decode(&Value::List(vec![Value::I64(-1); 16])).is_err());
     }
 }

@@ -365,39 +365,19 @@ impl AppDefinition {
 }
 
 // ----------------------------------------------------------------------
-// Durability-plane value codec
+// Durability-plane codec
 // ----------------------------------------------------------------------
 //
 // The write-ahead journal and the state snapshots of `TrustedServer`
 // (`crate::journal`) persist whole model objects with the shared
 // `dynar_foundation::codec`.  Each type streams its encoding with
-// `encode_into` (no `Value` tree is built on the write path) and decodes the
-// `Value` form of those bytes with `from_value`.  Every decoder returns a
-// typed [`DynarError::ProtocolViolation`] on malformed input — journals are
-// read back on the recovery path, where the bytes are untrusted by
-// definition.
+// `encode_into` and reads it back with `decode`, field by field from a
+// `codec::Reader` in the order `encode_into` wrote them.  Every decoder
+// returns a typed [`DynarError::ProtocolViolation`] on malformed input —
+// journals are read back on the recovery path, where the bytes are
+// untrusted by definition.
 
-use dynar_foundation::codec;
-use dynar_foundation::value::Value;
-
-fn malformed(what: &str) -> DynarError {
-    DynarError::ProtocolViolation(format!("malformed model encoding: {what}"))
-}
-
-fn decode_ecu(value: &Value, what: &str) -> Result<EcuId> {
-    let id = value.expect_i64()?;
-    let id = u16::try_from(id).map_err(|_| malformed(what))?;
-    Ok(EcuId::new(id))
-}
-
-fn decode_u32(value: &Value, what: &str) -> Result<u32> {
-    let raw = value.expect_i64()?;
-    u32::try_from(raw).map_err(|_| malformed(what))
-}
-
-fn decode_text<'a>(value: &'a Value, what: &str) -> Result<&'a str> {
-    value.as_text().ok_or_else(|| malformed(what))
-}
+use dynar_foundation::codec::{self, Reader};
 
 impl EcuHw {
     /// Appends the ECU description's encoding, `[ecu, memory_kb]`, to `out`.
@@ -407,18 +387,16 @@ impl EcuHw {
         codec::encode_i64(i64::from(self.memory_kb), out);
     }
 
-    /// Decodes an ECU description encoded by [`EcuHw::encode_into`].
+    /// Reads an ECU description written by [`EcuHw::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let [ecu, memory_kb] = value.as_list().ok_or_else(|| malformed("ECU hw"))? else {
-            return Err(malformed("ECU hw arity"));
-        };
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(2, "ECU hw")?;
         Ok(EcuHw {
-            ecu: decode_ecu(ecu, "ECU id")?,
-            memory_kb: decode_u32(memory_kb, "ECU memory")?,
+            ecu: EcuId::new(r.int("ECU id")?),
+            memory_kb: r.int("ECU memory")?,
         })
     }
 }
@@ -433,19 +411,15 @@ impl HwConf {
         }
     }
 
-    /// Decodes a configuration encoded by [`HwConf::encode_into`].
+    /// Reads a configuration written by [`HwConf::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let ecus = value
-            .as_list()
-            .ok_or_else(|| malformed("hw conf"))?
-            .iter()
-            .map(EcuHw::from_value)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(HwConf { ecus })
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(HwConf {
+            ecus: r.items(EcuHw::decode)?,
+        })
     }
 }
 
@@ -468,15 +442,14 @@ impl VirtualPortKindDecl {
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| malformed("port kind"))?;
-        match parts {
-            [tag] if tag.expect_i64()? == 0 => Ok(VirtualPortKindDecl::TypeI),
-            [tag, peer] if tag.expect_i64()? == 1 => Ok(VirtualPortKindDecl::TypeII {
-                peer: decode_ecu(peer, "type II peer")?,
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        match (r.list()?, r.i64()?) {
+            (1, 0) => Ok(VirtualPortKindDecl::TypeI),
+            (2, 1) => Ok(VirtualPortKindDecl::TypeII {
+                peer: EcuId::new(r.int("type II peer")?),
             }),
-            [tag] if tag.expect_i64()? == 2 => Ok(VirtualPortKindDecl::TypeIII),
-            _ => Err(malformed("port kind tag")),
+            (1, 2) => Ok(VirtualPortKindDecl::TypeIII),
+            _ => Err(r.malformed("port kind")),
         }
     }
 }
@@ -489,16 +462,12 @@ impl VirtualPortDecl {
         self.kind.encode_into(out);
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let [id, name, kind] = value.as_list().ok_or_else(|| malformed("virtual port"))? else {
-            return Err(malformed("virtual port arity"));
-        };
-        let id = id.expect_i64()?;
-        let id = u16::try_from(id).map_err(|_| malformed("virtual port id"))?;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(3, "virtual port")?;
         Ok(VirtualPortDecl {
-            id: VirtualPortId::new(id),
-            name: decode_text(name, "virtual port name")?.to_owned(),
-            kind: VirtualPortKindDecl::from_value(kind)?,
+            id: VirtualPortId::new(r.int("virtual port id")?),
+            name: r.text()?.to_owned(),
+            kind: VirtualPortKindDecl::decode(r)?,
         })
     }
 }
@@ -515,22 +484,13 @@ impl PluginSwcDecl {
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let [ecu, swc_name, is_ecm, ports] =
-            value.as_list().ok_or_else(|| malformed("plug-in SW-C"))?
-        else {
-            return Err(malformed("plug-in SW-C arity"));
-        };
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(4, "plug-in SW-C")?;
         Ok(PluginSwcDecl {
-            ecu: decode_ecu(ecu, "SW-C ECU")?,
-            swc_name: decode_text(swc_name, "SW-C name")?.to_owned(),
-            is_ecm: is_ecm.as_bool().ok_or_else(|| malformed("SW-C ECM flag"))?,
-            virtual_ports: ports
-                .as_list()
-                .ok_or_else(|| malformed("SW-C virtual ports"))?
-                .iter()
-                .map(VirtualPortDecl::from_value)
-                .collect::<Result<Vec<_>>>()?,
+            ecu: EcuId::new(r.int("SW-C ECU")?),
+            swc_name: r.text()?.to_owned(),
+            is_ecm: r.bool()?,
+            virtual_ports: r.items(VirtualPortDecl::decode)?,
         })
     }
 }
@@ -547,23 +507,16 @@ impl SystemSwConf {
         }
     }
 
-    /// Decodes a configuration encoded by [`SystemSwConf::encode_into`].
+    /// Reads a configuration written by [`SystemSwConf::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let [model, swcs] = value.as_list().ok_or_else(|| malformed("system sw conf"))? else {
-            return Err(malformed("system sw conf arity"));
-        };
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(2, "system sw conf")?;
         Ok(SystemSwConf {
-            model: decode_text(model, "system model")?.to_owned(),
-            swcs: swcs
-                .as_list()
-                .ok_or_else(|| malformed("system SW-Cs"))?
-                .iter()
-                .map(PluginSwcDecl::from_value)
-                .collect::<Result<Vec<_>>>()?,
+            model: r.text()?.to_owned(),
+            swcs: r.items(PluginSwcDecl::decode)?,
         })
     }
 }
@@ -581,19 +534,15 @@ impl PluginPortDecl {
         );
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let [name, direction] = value.as_list().ok_or_else(|| malformed("plug-in port"))? else {
-            return Err(malformed("plug-in port arity"));
-        };
-        let direction = match direction.expect_i64()? {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(2, "plug-in port")?;
+        let name = r.text()?.to_owned();
+        let direction = match r.i64()? {
             0 => PluginPortDirection::Provided,
             1 => PluginPortDirection::Required,
-            _ => return Err(malformed("plug-in port direction")),
+            _ => return Err(r.malformed("plug-in port direction")),
         };
-        Ok(PluginPortDecl {
-            name: decode_text(name, "plug-in port name")?.to_owned(),
-            direction,
-        })
+        Ok(PluginPortDecl { name, direction })
     }
 }
 
@@ -608,22 +557,12 @@ impl PluginArtifact {
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let [id, binary, ports] = value.as_list().ok_or_else(|| malformed("artifact"))? else {
-            return Err(malformed("artifact arity"));
-        };
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(3, "artifact")?;
         Ok(PluginArtifact {
-            id: PluginId::new(decode_text(id, "artifact id")?),
-            binary: binary
-                .as_bytes()
-                .ok_or_else(|| malformed("artifact binary"))?
-                .to_vec(),
-            ports: ports
-                .as_list()
-                .ok_or_else(|| malformed("artifact ports"))?
-                .iter()
-                .map(PluginPortDecl::from_value)
-                .collect::<Result<Vec<_>>>()?,
+            id: PluginId::new(r.text()?),
+            binary: r.bytes()?.to_vec(),
+            ports: r.items(PluginPortDecl::decode)?,
         })
     }
 }
@@ -658,23 +597,22 @@ impl ConnectionDecl {
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| malformed("connection"))?;
-        match parts {
-            [tag] if tag.expect_i64()? == 0 => Ok(ConnectionDecl::Direct),
-            [tag, name] if tag.expect_i64()? == 1 => Ok(ConnectionDecl::VirtualPort {
-                name: decode_text(name, "virtual port target")?.to_owned(),
-            }),
-            [tag, plugin, port] if tag.expect_i64()? == 2 => Ok(ConnectionDecl::RemotePlugin {
-                plugin: PluginId::new(decode_text(plugin, "remote plug-in")?),
-                port: decode_text(port, "remote port")?.to_owned(),
-            }),
-            [tag, endpoint, message_id] if tag.expect_i64()? == 3 => Ok(ConnectionDecl::External {
-                endpoint: decode_text(endpoint, "external endpoint")?.to_owned(),
-                message_id: decode_text(message_id, "external message id")?.to_owned(),
-            }),
-            _ => Err(malformed("connection tag")),
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(match (r.list()?, r.i64()?) {
+            (1, 0) => ConnectionDecl::Direct,
+            (2, 1) => ConnectionDecl::VirtualPort {
+                name: r.text()?.to_owned(),
+            },
+            (3, 2) => ConnectionDecl::RemotePlugin {
+                plugin: PluginId::new(r.text()?),
+                port: r.text()?.to_owned(),
+            },
+            (3, 3) => ConnectionDecl::External {
+                endpoint: r.text()?.to_owned(),
+                message_id: r.text()?.to_owned(),
+            },
+            _ => return Err(r.malformed("connection")),
+        })
     }
 }
 
@@ -686,17 +624,12 @@ impl PortConnection {
         self.target.encode_into(out);
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let [plugin, port, target] = value
-            .as_list()
-            .ok_or_else(|| malformed("port connection"))?
-        else {
-            return Err(malformed("port connection arity"));
-        };
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(3, "port connection")?;
         Ok(PortConnection {
-            plugin: PluginId::new(decode_text(plugin, "connection plug-in")?),
-            port: decode_text(port, "connection port")?.to_owned(),
-            target: ConnectionDecl::from_value(target)?,
+            plugin: PluginId::new(r.text()?),
+            port: r.text()?.to_owned(),
+            target: ConnectionDecl::decode(r)?,
         })
     }
 }
@@ -718,36 +651,19 @@ impl SwConf {
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let [model, min_memory_kb, placements, connections] =
-            value.as_list().ok_or_else(|| malformed("sw conf"))?
-        else {
-            return Err(malformed("sw conf arity"));
-        };
-        let placements = placements
-            .as_list()
-            .ok_or_else(|| malformed("placements"))?
-            .iter()
-            .map(|p| {
-                let [plugin, ecu] = p.as_list().ok_or_else(|| malformed("placement"))? else {
-                    return Err(malformed("placement arity"));
-                };
-                Ok(Placement {
-                    plugin: PluginId::new(decode_text(plugin, "placement plug-in")?),
-                    ecu: decode_ecu(ecu, "placement ECU")?,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(4, "sw conf")?;
         Ok(SwConf {
-            model: decode_text(model, "sw conf model")?.to_owned(),
-            min_memory_kb: decode_u32(min_memory_kb, "sw conf memory")?,
-            placements,
-            connections: connections
-                .as_list()
-                .ok_or_else(|| malformed("connections"))?
-                .iter()
-                .map(PortConnection::from_value)
-                .collect::<Result<Vec<_>>>()?,
+            model: r.text()?.to_owned(),
+            min_memory_kb: r.int("sw conf memory")?,
+            placements: r.items(|r| {
+                r.list_of(2, "placement")?;
+                Ok(Placement {
+                    plugin: PluginId::new(r.text()?),
+                    ecu: EcuId::new(r.int("placement ECU")?),
+                })
+            })?,
+            connections: r.items(PortConnection::decode)?,
         })
     }
 }
@@ -776,41 +692,20 @@ impl AppDefinition {
         }
     }
 
-    /// Decodes a definition encoded by [`AppDefinition::encode_into`].
+    /// Reads a definition written by [`AppDefinition::encode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed encodings.
-    pub fn from_value(value: &Value) -> Result<Self> {
-        let [id, plugins, requires, conflicts, sw_confs] =
-            value.as_list().ok_or_else(|| malformed("app definition"))?
-        else {
-            return Err(malformed("app definition arity"));
-        };
-        let ids = |value: &Value, what: &str| -> Result<Vec<AppId>> {
-            value
-                .as_list()
-                .ok_or_else(|| malformed(what))?
-                .iter()
-                .map(|a| Ok(AppId::new(decode_text(a, what)?)))
-                .collect()
-        };
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let app_id = |r: &mut Reader<'_>| -> Result<AppId> { Ok(AppId::new(r.text()?)) };
+        r.list_of(5, "app definition")?;
         Ok(AppDefinition {
-            id: AppId::new(decode_text(id, "app id")?),
-            plugins: plugins
-                .as_list()
-                .ok_or_else(|| malformed("app plug-ins"))?
-                .iter()
-                .map(PluginArtifact::from_value)
-                .collect::<Result<Vec<_>>>()?,
-            requires: ids(requires, "app dependencies")?,
-            conflicts: ids(conflicts, "app conflicts")?,
-            sw_confs: sw_confs
-                .as_list()
-                .ok_or_else(|| malformed("app sw confs"))?
-                .iter()
-                .map(SwConf::from_value)
-                .collect::<Result<Vec<_>>>()?,
+            id: app_id(r)?,
+            plugins: r.items(PluginArtifact::decode)?,
+            requires: r.items(app_id)?,
+            conflicts: r.items(app_id)?,
+            sw_confs: r.items(SwConf::decode)?,
         })
     }
 }
@@ -866,14 +761,14 @@ mod tests {
         assert!(conf.swc_on(EcuId::new(3)).is_none());
     }
 
-    /// Decodes the value form of `encode`'s bytes with `decode`.
+    /// Reads `encode`'s bytes back with `decode`.
     fn round_trip<T>(
         encode: impl FnOnce(&mut Vec<u8>),
-        decode: impl FnOnce(&Value) -> Result<T>,
+        decode: impl FnOnce(&mut Reader<'_>) -> Result<T>,
     ) -> T {
         let mut bytes = Vec::new();
         encode(&mut bytes);
-        decode(&codec::decode_value(&bytes).unwrap()).unwrap()
+        codec::decode_with(&bytes, decode).unwrap()
     }
 
     #[test]
@@ -881,7 +776,7 @@ mod tests {
         let hw = HwConf::new()
             .with_ecu(EcuId::new(1), 512)
             .with_ecu(EcuId::new(2), 256);
-        assert_eq!(round_trip(|o| hw.encode_into(o), HwConf::from_value), hw);
+        assert_eq!(round_trip(|o| hw.encode_into(o), HwConf::decode), hw);
 
         let system = SystemSwConf::new("model-car")
             .with_swc(PluginSwcDecl {
@@ -914,7 +809,7 @@ mod tests {
                 ],
             });
         assert_eq!(
-            round_trip(|o| system.encode_into(o), SystemSwConf::from_value),
+            round_trip(|o| system.encode_into(o), SystemSwConf::decode),
             system
         );
 
@@ -959,20 +854,25 @@ mod tests {
                     ),
             );
         assert_eq!(
-            round_trip(|o| app.encode_into(o), AppDefinition::from_value),
+            round_trip(|o| app.encode_into(o), AppDefinition::decode),
             app
         );
     }
 
     #[test]
     fn model_decoders_reject_malformed_values() {
+        use dynar_foundation::value::Value;
         for decoder in [
-            |v: &Value| HwConf::from_value(v).map(|_| ()),
-            |v: &Value| SystemSwConf::from_value(v).map(|_| ()),
-            |v: &Value| AppDefinition::from_value(v).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, HwConf::decode).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, SystemSwConf::decode).map(|_| ()),
+            |b: &[u8]| codec::decode_with(b, AppDefinition::decode).map(|_| ()),
         ] {
-            assert!(decoder(&Value::I64(7)).is_err());
-            assert!(decoder(&Value::List(vec![Value::Void])).is_err());
+            for value in [Value::I64(7), Value::List(vec![Value::Void])] {
+                assert!(matches!(
+                    decoder(&codec::encode_value(&value)),
+                    Err(DynarError::ProtocolViolation(_))
+                ));
+            }
         }
     }
 

@@ -84,13 +84,12 @@ use dynar_core::context::{
 use dynar_core::message::{
     Ack, AckStatus, DownlinkEnvelope, InstallationPackage, ManagementMessage,
 };
-use dynar_foundation::codec;
+use dynar_foundation::codec::{self, Reader};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, PluginPortId, UserId, VehicleId};
 use dynar_foundation::journal::FrameReader;
 use dynar_foundation::payload::Payload;
 use dynar_foundation::time::Tick;
-use dynar_foundation::value::Value;
 
 use crate::campaign::{
     Campaign, CampaignEvent, CampaignId, CampaignSpec, CampaignStatus, VehicleSelector,
@@ -1838,10 +1837,9 @@ impl TrustedServer {
     /// malformed journal bytes.
     pub fn replay(bytes: &[u8]) -> Result<TrustedServer> {
         let mut server = TrustedServer::new();
-        let mut reader = FrameReader::new(bytes);
-        while let Some(frame) = reader.next_frame()? {
-            let record = JournalRecord::from_bytes(frame)?;
-            server.apply_record(record)?;
+        let mut frames = FrameReader::new(bytes);
+        while let Some(frame) = frames.next_frame()? {
+            server.apply_frame(frame)?;
         }
         Ok(server)
     }
@@ -1868,8 +1866,7 @@ impl TrustedServer {
         loop {
             match reader.next_frame() {
                 Ok(Some(frame)) => {
-                    let record = JournalRecord::from_bytes(frame)?;
-                    server.apply_record(record)?;
+                    server.apply_frame(frame)?;
                     clean = reader.offset();
                 }
                 Ok(None) => break,
@@ -1881,15 +1878,35 @@ impl TrustedServer {
         Ok((server, clean))
     }
 
+    /// Applies one journal frame, read with one [`Reader`]: a snapshot
+    /// frame replaces the whole state, any other frame replays its record.
+    /// A frame is read to its end before anything is applied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] for a malformed frame.
+    fn apply_frame(&mut self, frame: &[u8]) -> Result<()> {
+        let mut reader = Reader::new(frame);
+        match JournalRecord::decode(&mut reader)? {
+            None => {
+                let server = TrustedServer::read_snapshot(&mut reader)?;
+                reader.finish()?;
+                *self = server;
+            }
+            Some(record) => {
+                reader.finish()?;
+                self.apply_record(record);
+            }
+        }
+        Ok(())
+    }
+
     /// Applies one journaled record.  Command *failures* are deliberately
     /// swallowed: the live call failed identically and changed nothing, so
     /// the failure replays for free.  (The replaying server has
     /// `journal: None`, so nothing is re-journaled here.)
-    fn apply_record(&mut self, record: JournalRecord) -> Result<()> {
+    fn apply_record(&mut self, record: JournalRecord) {
         match record {
-            JournalRecord::Snapshot(state) => {
-                *self = TrustedServer::from_snapshot_value(&state)?;
-            }
             JournalRecord::CreateUser(user) => {
                 let _ = self.create_user(user);
             }
@@ -1959,7 +1976,6 @@ impl TrustedServer {
             }
             JournalRecord::CampaignComplete(id) => self.campaign_apply_complete(&id),
         }
-        Ok(())
     }
 
     /// Starts a new server incarnation (called after a crash recovery
@@ -2012,9 +2028,8 @@ impl TrustedServer {
     /// deadline heaps and dirty flags are not part of the snapshot: both are
     /// rebuildable views over the outstanding entries and downlink queues.
     ///
-    /// The bytes encode one [`Value::List`] of eight parts, streamed by
-    /// [`TrustedServer::write_snapshot`]: the state never exists as a
-    /// [`Value`] tree beside the server.
+    /// The bytes encode one list of eight parts, streamed part by part:
+    /// the state never exists as a value tree beside the server.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_snapshot(&mut out);
@@ -2026,7 +2041,8 @@ impl TrustedServer {
     /// compaction passes the journal's own buffer — and the hash maps of the
     /// vehicle records are sorted in one reused [`SortScratch`], so the
     /// number of allocations does not grow with the fleet.  Only the ledger,
-    /// twelve counters, goes through its [`Value`] form.
+    /// sixteen counters, goes through its value-tree form
+    /// ([`Ledger::to_value`]).
     fn write_snapshot(&self, out: &mut Vec<u8>) {
         // Unstable sorts (the keys are unique, so the order is the same):
         // a stable sort takes a heap buffer once the list outgrows its stack
@@ -2066,69 +2082,37 @@ impl TrustedServer {
         }
     }
 
-    /// Decodes a server from a snapshot value.  The rebuilt server has
-    /// journaling off.
+    /// Reads a server from a snapshot written by
+    /// [`TrustedServer::write_snapshot`], part by part in the order it wrote
+    /// them.  The rebuilt server has journaling off.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] for malformed snapshots.
-    fn from_snapshot_value(value: &Value) -> Result<TrustedServer> {
-        let parts = value.as_list().ok_or_else(|| snap_err("not a list"))?;
-        let [incarnation, now, policy, users, apps, vehicles, ledger, campaigns] = parts else {
-            return Err(snap_err("top-level arity"));
+    fn read_snapshot(r: &mut Reader<'_>) -> Result<TrustedServer> {
+        r.list_of(8, "server snapshot")?;
+        let mut server = TrustedServer::default();
+        server.ctx.incarnation = r.int("incarnation")?;
+        server.ctx.now = Tick::new(r.int("now")?);
+        r.list_of(2, "retry policy")?;
+        server.ctx.policy = RetryPolicy {
+            ack_deadline_ticks: r.int("ack deadline")?,
+            max_attempts: r.int("max attempts")?,
         };
-        let incarnation =
-            u32::try_from(incarnation.expect_i64()?).map_err(|_| snap_err("incarnation"))?;
-        let now = u64::try_from(now.expect_i64()?).map_err(|_| snap_err("now"))?;
-        let policy = {
-            let parts = policy.as_list().ok_or_else(|| snap_err("policy"))?;
-            let [ack_deadline_ticks, max_attempts] = parts else {
-                return Err(snap_err("policy arity"));
-            };
-            RetryPolicy {
-                ack_deadline_ticks: u64::try_from(ack_deadline_ticks.expect_i64()?)
-                    .map_err(|_| snap_err("ack deadline"))?,
-                max_attempts: u32::try_from(max_attempts.expect_i64()?)
-                    .map_err(|_| snap_err("max attempts"))?,
-            }
-        };
-        let users = users
-            .as_list()
-            .ok_or_else(|| snap_err("users"))?
-            .iter()
-            .map(|u| {
-                Ok(UserId::new(
-                    u.as_text().ok_or_else(|| snap_err("user name"))?,
-                ))
-            })
-            .collect::<Result<HashSet<UserId>>>()?;
-        let apps = apps
-            .as_list()
-            .ok_or_else(|| snap_err("apps"))?
-            .iter()
-            .map(|a| {
-                let definition = AppDefinition::from_value(a)?;
-                Ok((definition.id.clone(), definition))
-            })
-            .collect::<Result<HashMap<AppId, AppDefinition>>>()?;
-        let mut server = TrustedServer {
-            users,
-            ctx: OpCtx {
-                apps,
-                policy,
-                now: Tick::new(now),
-                incarnation,
-            },
-            ledger: Ledger::from_value(ledger)?,
-            ..TrustedServer::default()
-        };
-        for entry in vehicles.as_list().ok_or_else(|| snap_err("vehicles"))? {
-            let parts = entry.as_list().ok_or_else(|| snap_err("vehicle entry"))?;
-            let [vin, record] = parts else {
-                return Err(snap_err("vehicle entry arity"));
-            };
-            let vin = VehicleId::new(vin.as_text().ok_or_else(|| snap_err("vin"))?);
-            let mut record = VehicleRecord::from_value(record)?;
+        server.users = r.items(|r| Ok(UserId::new(r.text()?)))?;
+        server.ctx.apps = r.items(|r| {
+            let definition = AppDefinition::decode(r)?;
+            // The catalogue holds only apps `upload_app` validated; deploying
+            // an inconsistent one would break the package generator.
+            definition
+                .validate()
+                .map_err(|error| r.malformed(&format!("app definition: {error}")))?;
+            Ok((definition.id.clone(), definition))
+        })?;
+        for _ in 0..r.list()? {
+            r.list_of(2, "vehicle entry")?;
+            let vin = VehicleId::new(r.text()?);
+            let mut record = VehicleRecord::decode(r)?;
             // The dirty set is a rebuildable view: a vehicle with queued
             // downlinks is pollable (offline queues re-arm via `note_dirty`
             // when the vehicle returns).
@@ -2137,10 +2121,11 @@ impl TrustedServer {
             }
             server.vehicles.insert(vin, record);
         }
-        for entry in campaigns.as_list().ok_or_else(|| snap_err("campaigns"))? {
-            let campaign = Campaign::from_value(entry)?;
-            server.campaigns.insert(campaign.id.clone(), campaign);
-        }
+        server.ledger = Ledger::decode(r)?;
+        server.campaigns = r.items(|r| {
+            let campaign = Campaign::decode(r)?;
+            Ok((campaign.id.clone(), campaign))
+        })?;
         Ok(server)
     }
 
@@ -2574,9 +2559,9 @@ impl TrustedServer {
 // ----------------------------------------------------------------------
 //
 // Each type streams its snapshot encoding with `encode_into`, straight into
-// the journal buffer at compaction (no `Value` tree is built), and decodes
-// the `Value` form of those bytes with `from_value`.  Hash maps and sets are
-// emitted in sorted order, sorted in a reused `SortScratch`.
+// the journal buffer at compaction, and reads it back with `decode` from a
+// `Reader` in the same order.  Hash maps and sets are emitted in sorted
+// order, sorted in a reused `SortScratch`.
 
 /// Reused sort space for streaming vehicle records.  The snapshot borrows
 /// the whole server while it runs, so borrows of one record's keys can live
@@ -2607,40 +2592,13 @@ fn encode_optional_text(text: Option<&str>, out: &mut Vec<u8>) {
     }
 }
 
-fn snap_err(what: &str) -> DynarError {
-    DynarError::ProtocolViolation(format!("malformed server snapshot: {what}"))
-}
-
-fn snap_text(value: &Value, what: &str) -> Result<String> {
-    Ok(value.as_text().ok_or_else(|| snap_err(what))?.to_owned())
-}
-
-fn snap_u64(value: &Value, what: &str) -> Result<u64> {
-    u64::try_from(value.expect_i64()?).map_err(|_| snap_err(what))
-}
-
-fn snap_u32(value: &Value, what: &str) -> Result<u32> {
-    u32::try_from(value.expect_i64()?).map_err(|_| snap_err(what))
-}
-
-fn snap_ecu(value: &Value, what: &str) -> Result<EcuId> {
-    Ok(EcuId::new(
-        u16::try_from(value.expect_i64()?).map_err(|_| snap_err(what))?,
-    ))
-}
-
-fn snap_bool(value: &Value, what: &str) -> Result<bool> {
-    value.as_bool().ok_or_else(|| snap_err(what))
-}
-
-/// Installation packages ride inside the snapshot as the very
-/// [`ManagementMessage::Install`] encoding the wire uses
-/// ([`InstallationPackage::encode_install_into`]) — one codec, one truth.
-fn package_from_value(value: &Value) -> Result<InstallationPackage> {
-    match ManagementMessage::from_value(value)? {
-        ManagementMessage::Install(package) => Ok(package),
-        _ => Err(snap_err("packaged message is not an install")),
-    }
+/// Reads a queued or outstanding downlink, the bytes of an envelope the
+/// server encoded.  They are checked to decode as one, as
+/// [`TrustedServer::begin_incarnation`] decodes them again to re-stamp them.
+fn read_envelope(r: &mut Reader<'_>) -> Result<Payload> {
+    let bytes = r.bytes()?;
+    DownlinkEnvelope::from_bytes(bytes)?;
+    Ok(Payload::copy_from(bytes))
 }
 
 impl PendingKind {
@@ -2654,11 +2612,11 @@ impl PendingKind {
         );
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        match value.expect_i64()? {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        match r.i64()? {
             0 => Ok(PendingKind::Install),
             1 => Ok(PendingKind::Uninstall),
-            other => Err(snap_err(&format!("unknown pending kind {other}"))),
+            _ => Err(r.malformed("pending kind")),
         }
     }
 }
@@ -2680,39 +2638,24 @@ impl InstalledApp {
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| snap_err("installed app"))?;
-        let [plugins, packages] = parts else {
-            return Err(snap_err("installed-app arity"));
-        };
-        let plugins = plugins
-            .as_list()
-            .ok_or_else(|| snap_err("installed plugins"))?
-            .iter()
-            .map(|pair| {
-                let parts = pair.as_list().ok_or_else(|| snap_err("plugin pair"))?;
-                let [plugin, ecu] = parts else {
-                    return Err(snap_err("plugin pair arity"));
-                };
-                Ok((
-                    PluginId::new(snap_text(plugin, "plugin name")?),
-                    snap_ecu(ecu, "plugin ECU")?,
-                ))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let packages = packages
-            .as_list()
-            .ok_or_else(|| snap_err("installed packages"))?
-            .iter()
-            .map(|pair| {
-                let parts = pair.as_list().ok_or_else(|| snap_err("package pair"))?;
-                let [ecu, package] = parts else {
-                    return Err(snap_err("package pair arity"));
-                };
-                Ok((snap_ecu(ecu, "package ECU")?, package_from_value(package)?))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(InstalledApp { plugins, packages })
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(2, "installed app")?;
+        Ok(InstalledApp {
+            plugins: r.items(|r| {
+                r.list_of(2, "installed plug-in")?;
+                Ok((PluginId::new(r.text()?), EcuId::new(r.int("plug-in ECU")?)))
+            })?,
+            packages: r.items(|r| {
+                r.list_of(2, "installed package")?;
+                let ecu = EcuId::new(r.int("package ECU")?);
+                // A package rides in the snapshot as the very install
+                // message the wire carries: one codec, one truth.
+                match ManagementMessage::decode(r)? {
+                    ManagementMessage::Install(package) => Ok((ecu, package)),
+                    _ => Err(r.malformed("installed package")),
+                }
+            })?,
+        })
     }
 }
 
@@ -2733,27 +2676,13 @@ impl PendingOperation {
         encode_optional_text(self.failure.as_deref(), out);
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| snap_err("pending op"))?;
-        let [kind, awaiting, record, failure] = parts else {
-            return Err(snap_err("pending-op arity"));
-        };
-        let awaiting = awaiting
-            .as_list()
-            .ok_or_else(|| snap_err("awaiting"))?
-            .iter()
-            .map(|p| Ok(PluginId::new(snap_text(p, "awaited plugin")?)))
-            .collect::<Result<HashSet<PluginId>>>()?;
-        let failure = if failure.is_void() {
-            None
-        } else {
-            Some(snap_text(failure, "failure reason")?)
-        };
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(4, "pending operation")?;
         Ok(PendingOperation {
-            kind: PendingKind::from_value(kind)?,
-            awaiting,
-            record: InstalledApp::from_value(record)?,
-            failure,
+            kind: PendingKind::decode(r)?,
+            awaiting: r.items(|r| Ok(PluginId::new(r.text()?)))?,
+            record: InstalledApp::decode(r)?,
+            failure: r.optional_text()?.map(str::to_owned),
         })
     }
 }
@@ -2771,24 +2700,17 @@ impl OutstandingDownlink {
         codec::encode_i64(self.deadline.as_u64() as i64, out);
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| snap_err("outstanding"))?;
-        let [seq, ecu, plugin, app, kind, payload, attempts, deadline] = parts else {
-            return Err(snap_err("outstanding arity"));
-        };
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.list_of(8, "outstanding downlink")?;
         Ok(OutstandingDownlink {
-            seq: snap_u64(seq, "seq")?,
-            ecu: snap_ecu(ecu, "outstanding ECU")?,
-            plugin: PluginId::new(snap_text(plugin, "outstanding plugin")?),
-            app: AppId::new(snap_text(app, "outstanding app")?),
-            kind: PendingKind::from_value(kind)?,
-            payload: Payload::copy_from(
-                payload
-                    .as_bytes()
-                    .ok_or_else(|| snap_err("outstanding payload"))?,
-            ),
-            attempts: snap_u32(attempts, "attempts")?,
-            deadline: Tick::new(snap_u64(deadline, "deadline")?),
+            seq: r.int("seq")?,
+            ecu: EcuId::new(r.int("outstanding ECU")?),
+            plugin: PluginId::new(r.text()?),
+            app: AppId::new(r.text()?),
+            kind: PendingKind::decode(r)?,
+            payload: read_envelope(r)?,
+            attempts: r.int("attempts")?,
+            deadline: Tick::new(r.int("deadline")?),
         })
     }
 }
@@ -2849,107 +2771,47 @@ impl VehicleRecord {
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self> {
-        let parts = value.as_list().ok_or_else(|| snap_err("vehicle record"))?;
-        let [hw, system, owner, desired, installed, pending, failed, online, awaiting_report, boot_epoch, next_port_id, downlink, next_seq, outstanding] =
-            parts
-        else {
-            return Err(snap_err("vehicle-record arity"));
-        };
-        let owner = if owner.is_void() {
-            None
-        } else {
-            Some(UserId::new(snap_text(owner, "owner")?))
-        };
-        let desired = desired
-            .as_list()
-            .ok_or_else(|| snap_err("desired"))?
-            .iter()
-            .map(|app| Ok(AppId::new(snap_text(app, "desired app")?)))
-            .collect::<Result<BTreeSet<AppId>>>()?;
-        let app_map = |value: &Value, what: &str| -> Result<Vec<(AppId, Value)>> {
-            value
-                .as_list()
-                .ok_or_else(|| snap_err(what))?
-                .iter()
-                .map(|pair| {
-                    let parts = pair.as_list().ok_or_else(|| snap_err(what))?;
-                    let [app, inner] = parts else {
-                        return Err(snap_err(what));
-                    };
-                    Ok((AppId::new(snap_text(app, what)?), inner.clone()))
-                })
-                .collect()
-        };
-        let installed = app_map(installed, "installed map")?
-            .into_iter()
-            .map(|(app, value)| Ok((app, InstalledApp::from_value(&value)?)))
-            .collect::<Result<HashMap<_, _>>>()?;
-        let pending = app_map(pending, "pending map")?
-            .into_iter()
-            .map(|(app, value)| Ok((app, PendingOperation::from_value(&value)?)))
-            .collect::<Result<HashMap<_, _>>>()?;
-        let failed = app_map(failed, "failed map")?
-            .into_iter()
-            .map(|(app, value)| Ok((app, snap_text(&value, "failure reason")?)))
-            .collect::<Result<HashMap<_, _>>>()?;
-        let next_port_id = next_port_id
-            .as_list()
-            .ok_or_else(|| snap_err("port ids"))?
-            .iter()
-            .map(|pair| {
-                let parts = pair.as_list().ok_or_else(|| snap_err("port-id pair"))?;
-                let [ecu, next] = parts else {
-                    return Err(snap_err("port-id pair arity"));
-                };
-                Ok((
-                    snap_ecu(ecu, "port-id ECU")?,
-                    snap_u32(next, "next port id")?,
-                ))
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        /// Reads an app-keyed map, a list of `[app, value]` pairs.
+        fn by_app<V>(
+            r: &mut Reader<'_>,
+            mut value: impl FnMut(&mut Reader<'_>) -> Result<V>,
+        ) -> Result<HashMap<AppId, V>> {
+            r.items(|r| {
+                r.list_of(2, "app entry")?;
+                Ok((AppId::new(r.text()?), value(r)?))
             })
-            .collect::<Result<HashMap<EcuId, u32>>>()?;
-        let downlink = downlink
-            .as_list()
-            .ok_or_else(|| snap_err("downlink"))?
-            .iter()
-            .map(|p| {
-                Ok(Payload::copy_from(
-                    p.as_bytes().ok_or_else(|| snap_err("downlink payload"))?,
-                ))
-            })
-            .collect::<Result<Vec<Payload>>>()?;
-        let outstanding = outstanding
-            .as_list()
-            .ok_or_else(|| snap_err("outstanding list"))?
-            .iter()
-            .map(OutstandingDownlink::from_value)
-            .collect::<Result<Vec<_>>>()?;
+        }
+        r.list_of(14, "vehicle record")?;
+        let mut record = VehicleRecord {
+            hw: HwConf::decode(r)?,
+            system: SystemSwConf::decode(r)?,
+            owner: r.optional_text()?.map(UserId::new),
+            desired: r.items(|r| Ok(AppId::new(r.text()?)))?,
+            installed: by_app(r, InstalledApp::decode)?,
+            pending: by_app(r, PendingOperation::decode)?,
+            failed: by_app(r, |r| Ok(r.text()?.to_owned()))?,
+            online: r.bool()?,
+            awaiting_report: r.bool()?,
+            boot_epoch: r.int("boot epoch")?,
+            next_port_id: r.items(|r| {
+                r.list_of(2, "port-id entry")?;
+                Ok((EcuId::new(r.int("port-id ECU")?), r.int("next port id")?))
+            })?,
+            downlink: r.items(read_envelope)?,
+            next_seq: r.int("next seq")?,
+            outstanding: r.items(OutstandingDownlink::decode)?,
+            deadlines: BinaryHeap::new(),
+            in_dirty: false,
+        };
         // The deadline heap is a rebuildable view: one live entry per
         // outstanding package.  (The journaling server's heap may carry
         // extra *stale* entries — lazily invalidated no-ops — so the heap is
         // excluded from the snapshot rather than compared.)
-        let mut deadlines = BinaryHeap::with_capacity(outstanding.len());
-        for entry in &outstanding {
-            deadlines.push(Reverse((entry.deadline, entry.seq)));
+        for entry in &record.outstanding {
+            record.deadlines.push(Reverse((entry.deadline, entry.seq)));
         }
-        Ok(VehicleRecord {
-            hw: HwConf::from_value(hw)?,
-            system: SystemSwConf::from_value(system)?,
-            owner,
-            desired,
-            installed,
-            pending,
-            failed,
-            online: snap_bool(online, "online")?,
-            awaiting_report: snap_bool(awaiting_report, "awaiting report")?,
-            boot_epoch: snap_u32(boot_epoch, "boot epoch")?,
-            next_port_id,
-            downlink,
-            next_seq: snap_u64(next_seq, "next seq")?,
-            outstanding,
-            deadlines,
-            in_dirty: false,
-        })
+        Ok(record)
     }
 }
 #[cfg(test)]
@@ -4138,6 +4000,31 @@ mod tests {
             TrustedServer::replay(&bytes[..bytes.len() - 4]),
             Err(DynarError::ProtocolViolation(_))
         ));
+    }
+
+    #[test]
+    fn untrusted_list_counts_are_rejected_before_any_item() {
+        // A snapshot frame, `[TAG_SNAPSHOT = 0, state]`, whose vehicle list
+        // claims `u32::MAX` entries and then ends.
+        let mut payload = Vec::new();
+        codec::encode_list_header(2, &mut payload);
+        codec::encode_i64(0, &mut payload);
+        codec::encode_list_header(8, &mut payload);
+        codec::encode_i64(0, &mut payload);
+        codec::encode_i64(0, &mut payload);
+        codec::encode_list_header(2, &mut payload);
+        codec::encode_i64(10, &mut payload);
+        codec::encode_i64(3, &mut payload);
+        codec::encode_list_header(0, &mut payload);
+        codec::encode_list_header(0, &mut payload);
+        codec::encode_list_header(u32::MAX as usize, &mut payload);
+        let mut journal = Vec::new();
+        dynar_foundation::journal::append_frame(&mut journal, &payload);
+        let error = TrustedServer::replay(&journal).unwrap_err();
+        assert!(
+            matches!(&error, DynarError::ProtocolViolation(reason) if reason.contains("4294967295 items")),
+            "{error:?}"
+        );
     }
 
     #[test]

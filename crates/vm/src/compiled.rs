@@ -21,7 +21,7 @@
 //! pure preconditions guarantee the whole window succeeds (or it replicates
 //! the interpreter's exact partial effects for host-error and memory-fault
 //! paths); otherwise it *bails* and the window executes one op at a time
-//! through the same shared semantics in [`crate::exec`].  The
+//! through the same shared semantics in `crate::exec`.  The
 //! [`crate::shadow`] engine runs both planes in lock-step and asserts the
 //! equivalence on live traffic.
 

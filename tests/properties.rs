@@ -11,7 +11,7 @@ use dynar::core::context::{
 use dynar::core::message::{Ack, AckStatus, InstallationPackage, ManagementMessage};
 use dynar::core::plugin::PluginPortDirection;
 use dynar::ecm::protocol::{decode_downlink, decode_uplink, encode_downlink, encode_uplink};
-use dynar::foundation::codec::{decode_value, encode_value};
+use dynar::foundation::codec::{decode_value, decode_with, encode_into, encode_value, Reader};
 use dynar::foundation::error::DynarError;
 use dynar::foundation::ids::{AppId, EcuId, PluginId, PluginPortId, VirtualPortId};
 use dynar::foundation::value::Value;
@@ -551,8 +551,8 @@ proptest! {
         spec in campaign_spec_strategy(),
         campaign in campaign_strategy(),
     ) {
-        prop_assert_eq!(streamed(|o| spec.encode_into(o), CampaignSpec::from_value), spec);
-        prop_assert_eq!(streamed(|o| campaign.encode_into(o), Campaign::from_value), campaign);
+        prop_assert_eq!(round_trip(&spec, CampaignSpec::encode_into, CampaignSpec::decode), spec);
+        prop_assert_eq!(round_trip(&campaign, Campaign::encode_into, Campaign::decode), campaign);
     }
 
     /// Well-formed journal frames carrying the campaign record tags (20–25)
@@ -615,56 +615,85 @@ proptest! {
         while let Ok(Some(_)) = reader.next_frame() {}
     }
 
-    /// The structured `from_value` decoders of the durability plane (model
-    /// descriptions, the ledger) reject arbitrary value trees with typed
-    /// errors — and whenever one *does* accept a tree, re-encoding the
-    /// decoded form is a fixpoint of the canonical encoding.
+    /// The streamed decoders of the durability plane (model descriptions,
+    /// the ledger, campaigns) read the encoding of an arbitrary value tree
+    /// with typed errors only — and whatever one accepts survives its own
+    /// encoding: `decode(encode(x)) == x`.
     #[test]
     fn durability_value_decoders_never_panic(value in value_strategy()) {
         use dynar::server::{AppDefinition, HwConf, Ledger, SystemSwConf};
 
-        if let Ok(hw) = HwConf::from_value(&value) {
-            prop_assert_eq!(streamed(|o| hw.encode_into(o), HwConf::from_value), hw);
-        }
-        if let Ok(system) = SystemSwConf::from_value(&value) {
-            prop_assert_eq!(
-                streamed(|o| system.encode_into(o), SystemSwConf::from_value),
-                system
-            );
-        }
-        if let Ok(app) = AppDefinition::from_value(&value) {
-            prop_assert_eq!(streamed(|o| app.encode_into(o), AppDefinition::from_value), app);
-        }
-        if let Ok(ledger) = Ledger::from_value(&value) {
-            // The ledger is the one durable type encoded through its value
-            // form (`Ledger::to_value`, twelve counters).
-            let bytes = encode_value(&ledger.to_value());
-            prop_assert_eq!(
-                streamed(|o| o.extend_from_slice(&bytes), Ledger::from_value),
-                ledger
-            );
-        }
-        if let Ok(spec) = CampaignSpec::from_value(&value) {
-            prop_assert_eq!(streamed(|o| spec.encode_into(o), CampaignSpec::from_value), spec);
-        }
-        if let Ok(campaign) = Campaign::from_value(&value) {
-            prop_assert_eq!(
-                streamed(|o| campaign.encode_into(o), Campaign::from_value),
-                campaign
-            );
-        }
+        let bytes = encode_value(&value);
+        accepted_round_trips(&bytes, HwConf::encode_into, HwConf::decode);
+        accepted_round_trips(&bytes, SystemSwConf::encode_into, SystemSwConf::decode);
+        accepted_round_trips(&bytes, AppDefinition::encode_into, AppDefinition::decode);
+        // The ledger is the one durable type encoded through its value form.
+        accepted_round_trips(
+            &bytes,
+            |ledger: &Ledger, out| encode_into(&ledger.to_value(), out),
+            Ledger::decode,
+        );
+        accepted_round_trips(&bytes, CampaignSpec::encode_into, CampaignSpec::decode);
+        accepted_round_trips(&bytes, Campaign::encode_into, Campaign::decode);
     }
 }
 
-/// Decodes the bytes `encode` streams and hands their value form to
-/// `decode`: the path a durable type takes through a journal frame.
-fn streamed<T>(
-    encode: impl FnOnce(&mut Vec<u8>),
-    decode: impl FnOnce(&Value) -> Result<T, DynarError>,
+/// Encodes `x` with `encode` and reads it back with `decode`: the path a
+/// durable type takes through a journal frame.
+fn round_trip<T>(
+    x: &T,
+    encode: fn(&T, &mut Vec<u8>),
+    decode: fn(&mut Reader<'_>) -> Result<T, DynarError>,
 ) -> T {
     let mut bytes = Vec::new();
-    encode(&mut bytes);
-    decode(&decode_value(&bytes).expect("streamed bytes decode")).expect("decoded form is valid")
+    encode(x, &mut bytes);
+    decode_with(&bytes, decode).expect("an encoding decodes")
+}
+
+/// `decode` reads `bytes` to a typed error or to a value that survives its
+/// own encoding.
+fn accepted_round_trips<T: PartialEq + std::fmt::Debug>(
+    bytes: &[u8],
+    encode: fn(&T, &mut Vec<u8>),
+    decode: fn(&mut Reader<'_>) -> Result<T, DynarError>,
+) {
+    match decode_with(bytes, decode) {
+        Ok(accepted) => assert_eq!(round_trip(&accepted, encode, decode), accepted),
+        Err(error) => assert!(
+            matches!(error, DynarError::ProtocolViolation(_)),
+            "{error:?}"
+        ),
+    }
+}
+
+/// A list nested 100 000 deep is a `ProtocolViolation` for every reader of
+/// untrusted bytes — the value codec, the external device decoder and
+/// journal replay — on a default (2 MiB) test thread, where a decoder that
+/// recursed once per level would overflow its stack.
+#[test]
+fn deeply_nested_lists_are_protocol_violations() {
+    use dynar::fes::device::decode_device_message;
+    use dynar::foundation::codec::encode_list_header;
+    use dynar::foundation::journal::append_frame;
+    use dynar::server::TrustedServer;
+
+    let mut nested = Vec::new();
+    for _ in 0..100_000 {
+        encode_list_header(1, &mut nested);
+    }
+    nested.extend_from_slice(&encode_value(&Value::Void));
+    let mut journal = Vec::new();
+    append_frame(&mut journal, &nested);
+    for result in [
+        decode_value(&nested).map(drop),
+        decode_device_message(&nested).map(drop),
+        TrustedServer::replay(&journal).map(drop),
+    ] {
+        assert!(
+            matches!(result, Err(DynarError::ProtocolViolation(_))),
+            "{result:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -879,6 +908,55 @@ proptest! {
         let replayed = TrustedServer::replay(journal).unwrap();
         prop_assert_eq!(replayed.snapshot_bytes(), live);
         prop_assert_eq!(replayed.ledger(), server.ledger());
+    }
+
+    /// Every frame of a generated journal — the snapshot and each record —
+    /// truncated, or with one bit flipped, and framed again so its checksum
+    /// passes: both replay entry points return a server or a
+    /// `ProtocolViolation`, never a panic or another error kind.  The
+    /// checksum proves such a frame was written intact, so its malformed
+    /// contents are a typed error, not a torn tail.
+    #[test]
+    fn malformed_journal_frames_are_protocol_violations(
+        vehicles in 1usize..4,
+        interval in 1u32..8,
+        ops in proptest::collection::vec(server_op_strategy(), 0..32),
+        at in any::<u32>(),
+        bit in 0u8..8,
+    ) {
+        use dynar::foundation::journal::{append_frame, FrameReader};
+        use dynar::server::TrustedServer;
+
+        let mut server = generated_server(vehicles, interval, &ops);
+        // A restart's first record: it decodes every queued and outstanding
+        // downlink again, so a damaged one must not reach it.
+        server.begin_incarnation();
+        let mut frames = Vec::new();
+        let mut reader = FrameReader::new(server.journal_bytes().unwrap());
+        while let Some(frame) = reader.next_frame().unwrap() {
+            frames.push(frame.to_vec());
+        }
+        for damaged in 0..frames.len() {
+            let payload = &frames[damaged];
+            let at = at as usize % payload.len();
+            let mut flipped = payload.clone();
+            flipped[at] ^= 1 << bit;
+            for bad in [payload[..at].to_vec(), flipped] {
+                let mut journal = Vec::new();
+                for (index, frame) in frames.iter().enumerate() {
+                    append_frame(&mut journal, if index == damaged { &bad } else { frame });
+                }
+                for result in [
+                    TrustedServer::replay(&journal).map(drop),
+                    TrustedServer::replay_recover(&journal).map(drop),
+                ] {
+                    prop_assert!(
+                        matches!(result, Ok(()) | Err(DynarError::ProtocolViolation(_))),
+                        "frame {} of {}: {:?}", damaged, frames.len(), result
+                    );
+                }
+            }
+        }
     }
 }
 

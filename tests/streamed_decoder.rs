@@ -486,8 +486,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
     /// Random valid envelopes: the streamed decoder and the oracle both
-    /// return the envelope, the message span is the message's own encoding,
-    /// and the streamed encoders write the bytes of the value trees.
+    /// return the envelope, and the message span is the message's own
+    /// encoding, which both decoders read back to the message.
     #[test]
     fn streamed_decoders_equal_the_tree_decoders(envelope in envelope_strategy()) {
         let bytes = envelope.to_bytes();
@@ -498,10 +498,8 @@ proptest! {
         prop_assert_eq!(oracle::envelope(&tree).unwrap(), envelope.clone());
 
         let message = &envelope.message;
-        prop_assert_eq!(encode_value(&message.to_value()), message_bytes.to_vec());
         prop_assert_eq!(&ManagementMessage::from_bytes(message_bytes).unwrap(), message);
-        prop_assert_eq!(&oracle::message(&message.to_value()).unwrap(), message);
-        prop_assert_eq!(&ManagementMessage::from_value(&message.to_value()).unwrap(), message);
+        prop_assert_eq!(&oracle::message(&decode_value(message_bytes).unwrap()).unwrap(), message);
         if let ManagementMessage::Install(package) = message {
             let context = package.context.to_bytes();
             prop_assert_eq!(
