@@ -20,6 +20,7 @@ pub struct SmartPhone {
     vehicle_endpoint: String,
     received: Vec<(String, Value)>,
     inbox: Vec<(EndpointName, Payload)>,
+    malformed: u64,
 }
 
 impl SmartPhone {
@@ -31,6 +32,7 @@ impl SmartPhone {
             vehicle_endpoint: vehicle_endpoint.into(),
             received: Vec::new(),
             inbox: Vec::new(),
+            malformed: 0,
         }
     }
 
@@ -82,15 +84,16 @@ impl SmartPhone {
     }
 
     /// Drains everything the vehicle sent back to the phone, decoding the
-    /// `[message id, payload]` envelope (malformed messages are dropped).
+    /// `[message id, payload]` envelope with [`decode_device_message`].  A
+    /// message that does not decode is dropped and counted in
+    /// [`SmartPhone::malformed`].
     pub fn poll(&mut self, transport: &mut dyn Transport) -> Vec<(String, Value)> {
         transport.drain_into(&self.endpoint, &mut self.inbox);
         let mut fresh = Vec::new();
         for (_, payload) in self.inbox.drain(..) {
-            if let Ok(Value::List(parts)) = codec::decode_value(&payload) {
-                if let [Value::Text(id), value] = parts.as_slice() {
-                    fresh.push((id.clone(), value.clone()));
-                }
+            match decode_device_message(&payload) {
+                Ok(message) => fresh.push(message),
+                Err(_) => self.malformed += 1,
             }
         }
         self.received.extend(fresh.clone());
@@ -100,6 +103,12 @@ impl SmartPhone {
     /// Every message received so far.
     pub fn received(&self) -> &[(String, Value)] {
         &self.received
+    }
+
+    /// The vehicle messages dropped so far because they were not a
+    /// well-formed `[message id, payload]` pair.
+    pub fn malformed(&self) -> u64 {
+        self.malformed
     }
 }
 
@@ -171,12 +180,44 @@ mod tests {
             encode_device_message("Speed", &Value::F64(2.0)),
         )
         .unwrap();
-        // Malformed traffic is ignored.
+        // Malformed traffic is dropped, and counted.
         hub.send("vehicle", "phone", vec![0xFF, 0x00]).unwrap();
         hub.step(Tick::new(1));
         let fresh = phone.poll(&mut hub);
         assert_eq!(fresh, vec![("Speed".to_string(), Value::F64(2.0))]);
         assert_eq!(phone.received().len(), 1);
+        assert_eq!(phone.malformed(), 1);
+    }
+
+    #[test]
+    fn phone_counts_truncated_and_misshapen_replies() {
+        let mut hub = TransportHub::new(TransportConfig::default());
+        hub.register("vehicle");
+        let mut phone = SmartPhone::new("phone", "vehicle");
+        phone.attach(&mut hub);
+        let reply = encode_device_message("Speed", &Value::F64(2.0));
+        let replies = [
+            // Cut off inside the payload.
+            reply[..reply.len() - 3].to_vec(),
+            // A list, but not `[id, payload]`.
+            codec::encode_value(&Value::List(vec![Value::I64(1), Value::F64(2.0)])),
+            codec::encode_value(&Value::List(vec![Value::Text("Speed".into())])),
+            // Not a list at all.
+            codec::encode_value(&Value::Text("Speed".into())),
+            reply,
+        ];
+        for bytes in replies {
+            hub.send("vehicle", "phone", bytes).unwrap();
+        }
+        hub.step(Tick::new(1));
+        let fresh = phone.poll(&mut hub);
+        assert_eq!(fresh, vec![("Speed".to_string(), Value::F64(2.0))]);
+        assert_eq!(phone.malformed(), 4);
+        // The counter accumulates across polls.
+        hub.send("vehicle", "phone", vec![0xFF]).unwrap();
+        hub.step(Tick::new(2));
+        assert!(phone.poll(&mut hub).is_empty());
+        assert_eq!(phone.malformed(), 5);
     }
 
     #[test]

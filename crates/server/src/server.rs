@@ -9,7 +9,10 @@
 //! time its deadline lapses, and after [`RetryPolicy::max_attempts`]
 //! escalates into a typed [`DynarError::RetryExhausted`] plus a
 //! [`DeploymentStatus::Failed`] record — a lossy link degrades into an
-//! explicit failure, never a silent hang.
+//! explicit failure, never a silent hang.  Deadlines adapt per vehicle: an
+//! RFC 6298 estimator over the vehicle's measured ack round trips sets its
+//! timeout, retransmissions back off exponentially, and no wait exceeds
+//! [`RetryPolicy::ack_deadline_ticks`].
 //!
 //! # Lifecycle & desired-state reconciliation
 //!
@@ -101,10 +104,17 @@ use crate::model::{
 };
 
 /// Retransmission parameters of the reliability plane.
+///
+/// Each vehicle arms its deadlines from its own retransmission timeout
+/// (RTO), estimated from measured ack round trips as in RFC 6298;
+/// `ack_deadline_ticks` is both the RTO before the first measurement and the
+/// longest any single wait may grow to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Ticks a pushed package may stay unacknowledged before it is
-    /// retransmitted.
+    /// The initial and the maximum retransmission timeout: the ticks a pushed
+    /// package may stay unacknowledged before it is retransmitted, until the
+    /// vehicle's first measured round trip, and the cap on every adaptive
+    /// or backed-off wait after it.
     pub ack_deadline_ticks: u64,
     /// Total delivery attempts (first push included) before the operation is
     /// escalated as [`DynarError::RetryExhausted`].
@@ -119,6 +129,12 @@ impl Default for RetryPolicy {
         }
     }
 }
+
+/// The floor of every adaptive retransmission timeout, in ticks (RFC 6298's
+/// minimum RTO, scaled to the fleet tick): a measured round trip can shrink
+/// a vehicle's timeout to here, but no further.  The policy's
+/// `ack_deadline_ticks` still wins when it is lower.
+const MIN_RTO_TICKS: u64 = 2;
 
 /// One escalated operation reported by [`TrustedServer::tick`].
 #[derive(Debug, Clone, PartialEq)]
@@ -146,6 +162,10 @@ struct OutstandingDownlink {
     payload: Payload,
     attempts: u32,
     deadline: Tick,
+    /// The tick of the first push: an ack settling the entry at its first
+    /// attempt measures one round trip from here (Karn's rule: a
+    /// retransmitted entry's ack is ambiguous and gives no sample).
+    sent: Tick,
 }
 
 /// The status of one application's deployment on one vehicle.
@@ -227,6 +247,8 @@ struct VehicleRecord {
     /// quiescent [`TrustedServer::tick`] is therefore one `peek` per vehicle,
     /// independent of how many packages are outstanding.
     deadlines: BinaryHeap<Reverse<(Tick, u64)>>,
+    /// The vehicle's ack round-trip estimator, which arms its deadlines.
+    rtt: RttEstimator,
     /// `true` iff this vehicle currently sits in the server's dirty set (the
     /// flag dedups re-inserts).  Not part of the durability snapshot — it is
     /// rebuilt from `online && !downlink.is_empty()` on decode.
@@ -243,6 +265,50 @@ struct OpCtx {
     policy: RetryPolicy,
     now: Tick,
     incarnation: u32,
+}
+
+/// One vehicle's RFC 6298 round-trip estimator, in integer ticks so replay
+/// re-derives it exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RttEstimator {
+    /// Smoothed round trip, scaled ×8 (`SRTT` in Jacobson's integer form);
+    /// 0 until the first sample.  Samples are at least one tick, so a
+    /// sampled estimator never reads 0.
+    srtt: u64,
+    /// Round-trip variation, scaled ×4 (`RTTVAR`).
+    rttvar: u64,
+}
+
+impl RttEstimator {
+    /// The retransmission timeout in ticks (RFC 6298 §2):
+    /// `ack_deadline_ticks` until the first round trip is measured, then
+    /// `srtt + max(1, 4·rttvar)` clamped to `[MIN_RTO_TICKS,
+    /// ack_deadline_ticks]` (the ceiling wins when the two cross).
+    fn rto(&self, policy: &RetryPolicy) -> u64 {
+        if self.srtt == 0 {
+            return policy.ack_deadline_ticks;
+        }
+        // `rttvar` is scaled ×4, so it already reads 4·RTTVAR in ticks.
+        let rto = (self.srtt >> 3).saturating_add(self.rttvar.max(1));
+        rto.max(MIN_RTO_TICKS).min(policy.ack_deadline_ticks)
+    }
+
+    /// Folds one measured round trip of `rtt` ticks into the estimator
+    /// (RFC 6298 §2.2–2.3, gains 1/8 and 1/4).
+    fn sample(&mut self, rtt: u64) {
+        // One tick is the clock granularity: a sample never reads 0.
+        let rtt = rtt.max(1);
+        if self.srtt == 0 {
+            self.srtt = rtt.saturating_mul(8);
+            self.rttvar = rtt.saturating_mul(2);
+            return;
+        }
+        // RTTVAR first, against the old SRTT: 3/4·RTTVAR + 1/4·|SRTT − R|.
+        let error = rtt.abs_diff(self.srtt >> 3);
+        self.rttvar = (self.rttvar - (self.rttvar >> 2)).saturating_add(error);
+        // SRTT ← 7/8·SRTT + 1/8·R.
+        self.srtt = (self.srtt - (self.srtt >> 3)).saturating_add(rtt);
+    }
 }
 
 impl VehicleRecord {
@@ -276,6 +342,15 @@ pub struct TrustedServer {
     ledger: Ledger,
     /// Rollout campaigns keyed by id, layered over the per-vehicle state.
     campaigns: BTreeMap<CampaignId, Campaign>,
+    /// State-changing inputs applied so far: every journaled call except
+    /// `Tick`, plus each tick that escalates a retry exhaustion.  Nothing
+    /// else moves the vehicle state a campaign gate reads.
+    inputs: u64,
+    /// Per running campaign, its last `(succeeded, failed, pending)` health
+    /// count and the `inputs` value it was taken at: a gate round with no
+    /// input since reuses it instead of rescanning the exposed vehicles.
+    /// Not part of the snapshot.
+    gate_health: HashMap<CampaignId, (u64, (u64, u64, u64))>,
     /// The write-ahead journal, `None` until
     /// [`TrustedServer::enable_journal`].  Never set on a replayed-into
     /// server while records apply, so replay cannot re-journal itself.
@@ -352,6 +427,7 @@ impl TrustedServer {
                 next_seq: 0,
                 outstanding: Vec::new(),
                 deadlines: BinaryHeap::new(),
+                rtt: RttEstimator::default(),
                 in_dirty: false,
             },
         );
@@ -896,9 +972,20 @@ impl TrustedServer {
     }
 
     /// The retry horizon: worst-case ticks from first push to escalation.
+    /// Adaptive and backed-off waits never exceed `ack_deadline_ticks`, so
+    /// `max_attempts` of them still fit in it.
     pub fn retry_horizon_ticks(&self) -> u64 {
         let policy = &self.ctx.policy;
         policy.ack_deadline_ticks * u64::from(policy.max_attempts)
+    }
+
+    /// The retransmission timeout `vehicle`'s next push arms, in ticks:
+    /// estimated from its measured ack round trips (see [`RetryPolicy`]).
+    /// `None` for an unknown vehicle.
+    pub fn rto_ticks(&self, vehicle: &VehicleId) -> Option<u64> {
+        self.vehicles
+            .get(vehicle)
+            .map(|record| record.rtt.rto(&self.ctx.policy))
     }
 
     /// Downlink packages of `vehicle` still awaiting an acknowledgement.
@@ -1331,11 +1418,14 @@ impl TrustedServer {
             // parked: a same-epoch state report from an *online* vehicle (a
             // routine poll answer, a re-announcement whose confirmation was
             // lost) must not keep postponing the retransmission of packages
-            // whose deadlines are legitimately running.
+            // whose deadlines are legitimately running.  The vehicle's own
+            // timeout arms them: the link that comes back is the one it
+            // measured.
             if !was_online {
+                let wait = record.rtt.rto(policy).max(1);
                 record.deadlines.clear();
                 for entry in &mut record.outstanding {
-                    entry.deadline = now.advance(policy.ack_deadline_ticks.max(1));
+                    entry.deadline = now.advance(wait);
                     record.deadlines.push(Reverse((entry.deadline, entry.seq)));
                 }
             }
@@ -1353,7 +1443,7 @@ impl TrustedServer {
     /// invalidation: a vehicle with nothing due costs a single peek, so a
     /// quiescent fleet tick is O(1) in the number of outstanding packages.
     pub fn tick(&mut self, now: Tick) -> Vec<RetryFailure> {
-        self.journal_append(|| JournalRecord::Tick(now));
+        self.journal_log(|| JournalRecord::Tick(now));
         self.ctx.now = now;
         let policy = &self.ctx.policy;
         let ledger = &mut self.ledger;
@@ -1406,13 +1496,22 @@ impl TrustedServer {
                         error,
                     });
                 } else {
+                    let rto = record.rtt.rto(policy);
                     let entry = &mut record.outstanding[position];
                     entry.attempts += 1;
-                    // Re-arm at least one tick ahead: a zero ack deadline
-                    // must retransmit once per tick (as the per-tick scan it
+                    // Exponential backoff, RTO · 2^(attempts − 1), capped at
+                    // the policy's deadline, so no wait exceeds it and the
+                    // retry horizon stays a worst-case bound.  Re-arm at
+                    // least one tick ahead: a zero ack deadline must
+                    // retransmit once per tick (as the per-tick scan it
                     // replaced did), not spin the heap loop through the whole
                     // attempt budget within this tick.
-                    entry.deadline = now.advance(policy.ack_deadline_ticks.max(1));
+                    let backoff = 1u64.checked_shl(entry.attempts - 1).unwrap_or(u64::MAX);
+                    let wait = rto
+                        .saturating_mul(backoff)
+                        .min(policy.ack_deadline_ticks)
+                        .max(1);
+                    entry.deadline = now.advance(wait);
                     ledger.retransmissions += 1;
                     record.downlink.push(entry.payload.clone());
                     record.deadlines.push(Reverse((entry.deadline, seq)));
@@ -1420,6 +1519,11 @@ impl TrustedServer {
             }
             // Retransmissions queued above make the vehicle pollable again.
             record.note_dirty(vehicle_id, &mut self.dirty);
+        }
+        // A retransmission changes no operation's outcome; an escalation
+        // fails one, which a campaign gate must see.
+        if !failures.is_empty() {
+            self.inputs += 1;
         }
         failures
     }
@@ -1481,7 +1585,7 @@ impl TrustedServer {
         message: ManagementMessage,
     ) {
         let (seq, payload) = Self::queue_envelope(record, ecu, incarnation, message);
-        let deadline = now.advance(policy.ack_deadline_ticks);
+        let deadline = now.advance(record.rtt.rto(policy));
         record.outstanding.push(OutstandingDownlink {
             seq,
             ecu,
@@ -1491,6 +1595,7 @@ impl TrustedServer {
             payload,
             attempts: 1,
             deadline,
+            sent: now,
         });
         record.deadlines.push(Reverse((deadline, seq)));
     }
@@ -1586,7 +1691,7 @@ impl TrustedServer {
             .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
         let result = match ManagementMessage::from_bytes(payload)? {
             ManagementMessage::Ack(ack) => {
-                Self::apply_ack(record, &mut self.ledger, &ack);
+                Self::apply_ack(record, &mut self.ledger, &self.ctx, &ack);
                 Ok(())
             }
             ManagementMessage::StateReport {
@@ -1606,7 +1711,10 @@ impl TrustedServer {
     }
 
     /// Applies one acknowledgement: settles the outstanding retransmission
-    /// state and the pending operation it belongs to.
+    /// state and the pending operation it belongs to.  Every entry it
+    /// settles at its first attempt is one round-trip sample for the
+    /// vehicle's timeout estimator; a retransmitted entry gives none (Karn's
+    /// rule: the ack may answer any of its copies).
     ///
     /// Settlement is *outcome-matched* — an `Installed` ack only settles
     /// Install-kind state (and `Uninstalled` only Uninstall-kind), so a
@@ -1617,7 +1725,7 @@ impl TrustedServer {
     /// fail the fresh operation early — acks carry no sequence id, so the
     /// two are indistinguishable; the operation still resolves typed-failed
     /// and can be retried.
-    fn apply_ack(record: &mut VehicleRecord, ledger: &mut Ledger, ack: &Ack) {
+    fn apply_ack(record: &mut VehicleRecord, ledger: &mut Ledger, ctx: &OpCtx, ack: &Ack) {
         let outcome_matches = |kind: &PendingKind, status: &AckStatus| {
             matches!(
                 (kind, status),
@@ -1625,6 +1733,19 @@ impl TrustedServer {
                     | (PendingKind::Uninstall, AckStatus::Uninstalled)
                     | (_, AckStatus::Failed(_))
             )
+        };
+        // A sample longer than the longest wait can only come from an entry
+        // whose deadline froze while the vehicle was parked: capped there,
+        // it cannot push the timeout past the policy's ceiling.
+        let rtt = &mut record.rtt;
+        let mut settle = |entry: &OutstandingDownlink| {
+            if entry.attempts == 1 {
+                rtt.sample(
+                    ctx.now
+                        .elapsed_since(entry.sent)
+                        .min(ctx.policy.ack_deadline_ticks),
+                );
+            }
         };
 
         // Failure acks generated by the ECM itself (e.g. "no route to ECU")
@@ -1636,6 +1757,7 @@ impl TrustedServer {
             let mut settled = Vec::new();
             record.outstanding.retain(|o| {
                 if o.plugin == ack.plugin && outcome_matches(&o.kind, &ack.status) {
+                    settle(o);
                     settled.push((o.app.clone(), o.plugin.clone()));
                     false
                 } else {
@@ -1656,7 +1778,12 @@ impl TrustedServer {
 
         let app = AppId::new(ack.app.name());
         record.outstanding.retain(|o| {
-            o.plugin != ack.plugin || o.app != app || !outcome_matches(&o.kind, &ack.status)
+            let keep =
+                o.plugin != ack.plugin || o.app != app || !outcome_matches(&o.kind, &ack.status);
+            if !keep {
+                settle(o);
+            }
+            keep
         });
         let Some(pending) = record.pending.get_mut(&app) else {
             return;
@@ -1781,23 +1908,35 @@ impl TrustedServer {
         self.journal.as_ref().map(Journal::bytes)
     }
 
-    /// Appends one record to the journal (no-op while journaling is off),
-    /// compacting first when the interval lapsed.  Compaction snapshots the
-    /// state *before* the new record is appended — the snapshot captures
-    /// exactly what every previously journaled record replays to, so replay
-    /// is always `snapshot ⊕ remaining records`, in order.
+    /// Counts one state-changing input and appends its record to the
+    /// journal (no-op while journaling is off), compacting first when the
+    /// interval lapsed.  Compaction snapshots the state *before* the new
+    /// record is appended — the snapshot captures exactly what every
+    /// previously journaled record replays to, so replay is always
+    /// `snapshot ⊕ remaining records`, in order.
     fn journal_append(&mut self, record: impl FnOnce() -> JournalRecord) {
+        self.inputs += 1;
+        self.journal_log(record);
+    }
+
+    /// [`TrustedServer::journal_append`] without counting an input: the
+    /// append of `Tick`, which by itself changes no vehicle's health.
+    fn journal_log(&mut self, record: impl FnOnce() -> JournalRecord) {
         if self.journal.is_none() {
             return;
         }
         self.compact_journal_if_due();
-        self.journal_append_unchecked(record);
+        if let Some(journal) = &mut self.journal {
+            journal.append(&record());
+        }
     }
 
-    /// Appends one record to the journal (no-op while journaling is off)
-    /// without the compaction check — the append of the transport-path
-    /// calls, whose round [`TrustedServer::end_round`] closes.
+    /// Counts one state-changing input and appends its record to the
+    /// journal (no-op while journaling is off) without the compaction check
+    /// — the append of the transport-path calls, whose round
+    /// [`TrustedServer::end_round`] closes.
     fn journal_append_unchecked(&mut self, record: impl FnOnce() -> JournalRecord) {
+        self.inputs += 1;
         if let Some(journal) = &mut self.journal {
             journal.append(&record());
         }
@@ -2245,22 +2384,30 @@ impl TrustedServer {
     /// re-evaluating the gate: the journal stays a log of inputs, and a
     /// mid-campaign crash replays byte-identically.  Call once per tick from
     /// the driving runtime (never during replay).
+    ///
+    /// A campaign's health count is taken afresh only when a state-changing
+    /// input arrived since the last count; debug builds check every reused
+    /// count against a fresh one.
     pub fn step_campaigns(&mut self) -> Vec<CampaignEvent> {
-        let ids: Vec<CampaignId> = self.campaigns.keys().cloned().collect();
+        // A verdict changes only its own campaign's status, so the running
+        // set listed here is the set this round evaluates.
+        let ids: Vec<CampaignId> = self
+            .campaigns
+            .iter()
+            .filter(|(_, campaign)| campaign.status == CampaignStatus::Running)
+            .map(|(id, _)| id.clone())
+            .collect();
         let mut events = Vec::new();
         for id in ids {
             let Some(campaign) = self.campaigns.get(&id) else {
                 continue;
             };
-            if campaign.status != CampaignStatus::Running {
-                continue;
-            }
             let gate = campaign.gate.clone();
             let wave_started = campaign.wave_started;
             let exposed = campaign.last_good.len() as u64;
             let total = campaign.targets.len();
             let final_wave = campaign.plan.cumulative_target(campaign.wave, total) >= total;
-            let (succeeded, failed, pending) = self.campaign_health(&id);
+            let (succeeded, failed, pending) = self.gated_health(&id);
             let now = self.ctx.now;
             let soaked = now.as_u64().saturating_sub(wave_started.as_u64()) >= gate.min_soak_ticks;
             if gate.abort_failed > 0 && failed >= gate.abort_failed {
@@ -2408,6 +2555,31 @@ impl TrustedServer {
         count
     }
 
+    /// [`TrustedServer::campaign_health`] of a running campaign, reused from
+    /// its last count while no state-changing input arrived since.  A
+    /// verdict is itself an input, so a decided campaign always recounts.
+    fn gated_health(&mut self, id: &CampaignId) -> (u64, u64, u64) {
+        let inputs = self.inputs;
+        if let Some(&(counted_at, health)) = self.gate_health.get(id) {
+            if counted_at == inputs {
+                debug_assert_eq!(
+                    health,
+                    self.campaign_health(id),
+                    "campaign {id}: reused gate health is stale"
+                );
+                return health;
+            }
+        }
+        let health = self.campaign_health(id);
+        match self.gate_health.get_mut(id) {
+            Some(entry) => *entry = (inputs, health),
+            None => {
+                self.gate_health.insert(id.clone(), (inputs, health));
+            }
+        }
+        health
+    }
+
     /// Counts `(succeeded, failed, pending)` over every vehicle `id` has
     /// exposed.  *Failed* is the per-vehicle failure record of the campaign
     /// app — NACKed installs, retry exhaustions and state-report resyncs
@@ -2453,6 +2625,7 @@ impl TrustedServer {
     /// Applies a pause decision.
     fn campaign_apply_pause(&mut self, id: &CampaignId) {
         self.campaign_refresh_counters(id);
+        self.gate_health.remove(id);
         if let Some(campaign) = self.campaigns.get_mut(id) {
             campaign.status = CampaignStatus::Paused;
         }
@@ -2470,6 +2643,7 @@ impl TrustedServer {
     /// Applies a complete decision.
     fn campaign_apply_complete(&mut self, id: &CampaignId) {
         self.campaign_refresh_counters(id);
+        self.gate_health.remove(id);
         if let Some(campaign) = self.campaigns.get_mut(id) {
             campaign.status = CampaignStatus::Complete;
             self.ledger.campaigns_completed += 1;
@@ -2485,6 +2659,7 @@ impl TrustedServer {
     /// restored.
     fn campaign_apply_abort(&mut self, id: &CampaignId) -> usize {
         self.campaign_refresh_counters(id);
+        self.gate_health.remove(id);
         let Some(campaign) = self.campaigns.get_mut(id) else {
             return 0;
         };
@@ -2689,7 +2864,7 @@ impl PendingOperation {
 
 impl OutstandingDownlink {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        codec::encode_list_header(8, out);
+        codec::encode_list_header(9, out);
         codec::encode_i64(self.seq as i64, out);
         codec::encode_i64(i64::from(self.ecu.index()), out);
         codec::encode_text(self.plugin.name(), out);
@@ -2698,10 +2873,11 @@ impl OutstandingDownlink {
         codec::encode_bytes(self.payload.as_ref(), out);
         codec::encode_i64(i64::from(self.attempts), out);
         codec::encode_i64(self.deadline.as_u64() as i64, out);
+        codec::encode_i64(self.sent.as_u64() as i64, out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        r.list_of(8, "outstanding downlink")?;
+        r.list_of(9, "outstanding downlink")?;
         Ok(OutstandingDownlink {
             seq: r.int("seq")?,
             ecu: EcuId::new(r.int("outstanding ECU")?),
@@ -2711,6 +2887,22 @@ impl OutstandingDownlink {
             payload: read_envelope(r)?,
             attempts: r.int("attempts")?,
             deadline: Tick::new(r.int("deadline")?),
+            sent: Tick::new(r.int("sent")?),
+        })
+    }
+}
+
+impl RttEstimator {
+    /// Streams the estimator as two items of the vehicle record's list.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode_i64(self.srtt as i64, out);
+        codec::encode_i64(self.rttvar as i64, out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(RttEstimator {
+            srtt: r.int("srtt")?,
+            rttvar: r.int("rttvar")?,
         })
     }
 }
@@ -2718,7 +2910,7 @@ impl OutstandingDownlink {
 impl VehicleRecord {
     /// Streams the record, sorting its hash maps and sets in `scratch`.
     fn encode_into<'a>(&'a self, out: &mut Vec<u8>, scratch: &mut SortScratch<'a>) {
-        codec::encode_list_header(14, out);
+        codec::encode_list_header(16, out);
         self.hw.encode_into(out);
         self.system.encode_into(out);
         encode_optional_text(self.owner.as_ref().map(UserId::name), out);
@@ -2769,6 +2961,7 @@ impl VehicleRecord {
         for entry in &self.outstanding {
             entry.encode_into(out);
         }
+        self.rtt.encode_into(out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
@@ -2782,7 +2975,7 @@ impl VehicleRecord {
                 Ok((AppId::new(r.text()?), value(r)?))
             })
         }
-        r.list_of(14, "vehicle record")?;
+        r.list_of(16, "vehicle record")?;
         let mut record = VehicleRecord {
             hw: HwConf::decode(r)?,
             system: SystemSwConf::decode(r)?,
@@ -2802,6 +2995,7 @@ impl VehicleRecord {
             next_seq: r.int("next seq")?,
             outstanding: r.items(OutstandingDownlink::decode)?,
             deadlines: BinaryHeap::new(),
+            rtt: RttEstimator::decode(r)?,
             in_dirty: false,
         };
         // The deadline heap is a rebuildable view: one live entry per
@@ -3415,6 +3609,228 @@ mod tests {
             server.deployment_status(&vehicle, &app),
             DeploymentStatus::Pending { .. }
         ));
+    }
+
+    #[test]
+    fn the_rtt_estimator_starts_at_the_deadline_and_smooths_toward_a_steady_rtt() {
+        let policy = RetryPolicy::default();
+        let mut rtt = RttEstimator::default();
+        assert_eq!(rtt.rto(&policy), 25, "no sample yet: the policy deadline");
+
+        // First sample R: SRTT = R, RTTVAR = R/2, RTO = R + 4·R/2.
+        rtt.sample(6);
+        assert_eq!((rtt.srtt, rtt.rttvar), (6 * 8, 3 * 4));
+        assert_eq!(rtt.rto(&policy), 18);
+
+        // A steady round trip keeps SRTT and shrinks RTTVAR to its integer
+        // floor, so the timeout settles a few ticks above the round trip.
+        for _ in 0..50 {
+            rtt.sample(6);
+        }
+        assert_eq!(rtt.srtt >> 3, 6);
+        assert_eq!(rtt.rto(&policy), 9);
+
+        // A new steady round trip pulls SRTT over to it.
+        for _ in 0..100 {
+            rtt.sample(10);
+        }
+        assert_eq!(rtt.srtt >> 3, 10);
+        assert_eq!(rtt.rto(&policy), 13);
+    }
+
+    #[test]
+    fn the_rto_is_clamped_between_the_floor_and_the_policy_deadline() {
+        let policy = RetryPolicy {
+            ack_deadline_ticks: 10,
+            max_attempts: 3,
+        };
+        // Samples never read below one tick, so SRTT never falls below it.
+        let mut rtt = RttEstimator::default();
+        for _ in 0..50 {
+            rtt.sample(0);
+        }
+        assert_eq!(rtt.srtt, 8);
+        assert!(rtt.rto(&policy) >= MIN_RTO_TICKS);
+        // Below a tick (reachable only through decoded state) the floor binds.
+        let sub_tick = RttEstimator { srtt: 4, rttvar: 0 };
+        assert_eq!(sub_tick.rto(&policy), MIN_RTO_TICKS);
+        // A slow link cannot push the timeout past the policy deadline ...
+        let mut slow = RttEstimator::default();
+        slow.sample(40);
+        assert_eq!(slow.rto(&policy), 10);
+        // ... and a deadline below the floor wins over the floor.
+        let tight = RetryPolicy {
+            ack_deadline_ticks: 1,
+            max_attempts: 3,
+        };
+        assert_eq!(sub_tick.rto(&tight), 1);
+        assert_eq!(slow.rto(&tight), 1);
+    }
+
+    /// Deploys the remote-control app at `now` and acknowledges both of its
+    /// packages `rtt` ticks later, at their first attempt.
+    fn install_with_round_trip(
+        server: &mut TrustedServer,
+        user: &UserId,
+        vehicle: &VehicleId,
+        now: u64,
+        rtt: u64,
+    ) {
+        let app = AppId::new("remote-control");
+        server.tick(tick(now));
+        server.deploy(user, vehicle, &app).unwrap();
+        server.poll_downlink(vehicle);
+        server.tick(tick(now + rtt));
+        for (plugin, ecu) in [("COM", 1), ("OP", 2)] {
+            server
+                .process_uplink(
+                    vehicle,
+                    &ack(plugin, "remote-control", ecu, AckStatus::Installed),
+                )
+                .unwrap();
+        }
+        assert_eq!(
+            server.deployment_status(vehicle, &app),
+            DeploymentStatus::Installed
+        );
+    }
+
+    #[test]
+    fn first_attempt_acks_sample_the_round_trip_and_arm_the_next_push() {
+        let (mut server, user, vehicle) = server_with_vehicle();
+        assert_eq!(server.rto_ticks(&vehicle), Some(25));
+        assert_eq!(server.rto_ticks(&VehicleId::new("VIN-UNKNOWN")), None);
+        install_with_round_trip(&mut server, &user, &vehicle, 0, 3);
+        // Two samples of 3 ticks: SRTT 3, and 4·RTTVAR 6 after the first,
+        // 5 (its integer 3/4) after the second, so the timeout reads 3 + 5.
+        assert_eq!(server.rto_ticks(&vehicle), Some(8));
+
+        // The next push is due one RTO after it left, not 25 ticks after.
+        server
+            .uninstall(&user, &vehicle, &AppId::new("remote-control"))
+            .unwrap();
+        let pushed = server.poll_downlink(&vehicle);
+        assert_eq!(pushed.len(), 2);
+        server.tick(tick(10));
+        assert!(server.poll_downlink(&vehicle).is_empty());
+        server.tick(tick(11));
+        assert_eq!(server.poll_downlink(&vehicle), pushed);
+    }
+
+    /// Karn's rule: an ack that settles a retransmitted entry may answer any
+    /// of its copies, so it leaves the estimator as it was.
+    #[test]
+    fn acks_of_retransmitted_packages_leave_the_estimator_unchanged() {
+        let (mut server, user, vehicle) = server_with_vehicle();
+        server.set_retry_policy(RetryPolicy {
+            ack_deadline_ticks: 10,
+            max_attempts: 3,
+        });
+        let app = AppId::new("remote-control");
+        server.deploy(&user, &vehicle, &app).unwrap();
+        server.poll_downlink(&vehicle);
+        server.tick(tick(10));
+        assert_eq!(server.poll_downlink(&vehicle).len(), 2, "retransmitted");
+        server.tick(tick(12));
+        for (plugin, ecu) in [("COM", 1), ("OP", 2)] {
+            server
+                .process_uplink(
+                    &vehicle,
+                    &ack(plugin, "remote-control", ecu, AckStatus::Installed),
+                )
+                .unwrap();
+        }
+        assert_eq!(
+            server.deployment_status(&vehicle, &app),
+            DeploymentStatus::Installed
+        );
+        assert_eq!(server.rto_ticks(&vehicle), Some(10), "still unsampled");
+        assert_eq!(server.vehicles[&vehicle].rtt, RttEstimator::default());
+    }
+
+    #[test]
+    fn retransmissions_back_off_exponentially_up_to_the_policy_deadline() {
+        let (mut server, user, vehicle) = server_with_vehicle();
+        server.set_retry_policy(RetryPolicy {
+            ack_deadline_ticks: 20,
+            max_attempts: 5,
+        });
+        install_with_round_trip(&mut server, &user, &vehicle, 0, 2);
+        let rto = server.rto_ticks(&vehicle).unwrap();
+        assert!(rto <= 5, "a 2-tick link measures a short timeout: {rto}");
+
+        // The uninstall's packages are never acknowledged.
+        server
+            .uninstall(&user, &vehicle, &AppId::new("remote-control"))
+            .unwrap();
+        server.poll_downlink(&vehicle);
+        let mut sends = vec![2];
+        let mut escalated = None;
+        for now in 3..=200 {
+            let failures = server.tick(tick(now));
+            if !server.poll_downlink(&vehicle).is_empty() {
+                sends.push(now);
+            }
+            if !failures.is_empty() {
+                escalated = Some(now);
+                break;
+            }
+        }
+        let waits: Vec<u64> = sends.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(waits.len(), 4, "attempts 2 to 5: {sends:?}");
+        assert_eq!(waits[0], rto, "first wait: the measured timeout");
+        for (k, wait) in waits.iter().enumerate() {
+            assert_eq!(*wait, (rto << k).min(20), "wait {k}: {waits:?}");
+        }
+        let escalated = escalated.expect("the budget ran out");
+        assert!(escalated - 2 <= server.retry_horizon_ticks());
+    }
+
+    #[test]
+    fn bringing_a_parked_vehicle_online_rearms_with_its_rto() {
+        let (mut server, user, vehicle) = server_with_vehicle();
+        install_with_round_trip(&mut server, &user, &vehicle, 0, 3);
+        let rto = server.rto_ticks(&vehicle).unwrap();
+        assert!(rto < 25);
+        server
+            .uninstall(&user, &vehicle, &AppId::new("remote-control"))
+            .unwrap();
+        server.poll_downlink(&vehicle);
+
+        server.mark_offline(&vehicle);
+        server.tick(tick(1_000));
+        server.mark_online(&vehicle, 0).unwrap();
+        server.tick(tick(1_000 + rto - 1));
+        assert!(server.poll_downlink(&vehicle).is_empty());
+        server.tick(tick(1_000 + rto));
+        assert_eq!(server.poll_downlink(&vehicle).len(), 2);
+    }
+
+    /// An entry parked at its first attempt and acknowledged after the
+    /// vehicle returns measures the parked time too: the sample is capped at
+    /// the policy deadline, so it moves the estimator by a bounded step.
+    #[test]
+    fn a_parked_first_attempt_samples_at_most_the_policy_deadline() {
+        let (mut server, user, vehicle) = server_with_vehicle();
+        install_with_round_trip(&mut server, &user, &vehicle, 0, 3);
+        server
+            .uninstall(&user, &vehicle, &AppId::new("remote-control"))
+            .unwrap();
+        server.poll_downlink(&vehicle);
+        server.mark_offline(&vehicle);
+        server.tick(tick(1_000));
+        server.mark_online(&vehicle, 0).unwrap();
+        for (plugin, ecu) in [("COM", 1), ("OP", 2)] {
+            server
+                .process_uplink(
+                    &vehicle,
+                    &ack(plugin, "remote-control", ecu, AckStatus::Uninstalled),
+                )
+                .unwrap();
+        }
+        // Two capped samples of 25 after SRTT 3: SRTT ≈ 3 + 2 · 22/8 ticks.
+        let srtt = server.vehicles[&vehicle].rtt.srtt >> 3;
+        assert!((6..=9).contains(&srtt), "{srtt}");
     }
 
     /// Regression: the ECM's own failure acks (e.g. "no route to ECU")
