@@ -89,6 +89,12 @@ impl PortInitContext {
         &self.ports
     }
 
+    /// The entries, by value (installation moves the port names into the
+    /// plug-in instead of copying them).
+    pub(crate) fn into_ports(self) -> Vec<PortInit> {
+        self.ports
+    }
+
     /// Looks an entry up by developer-chosen name.
     pub fn port_by_name(&self, name: &str) -> Option<&PortInit> {
         self.ports.iter().find(|p| p.name == name)

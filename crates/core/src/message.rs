@@ -21,6 +21,12 @@ use crate::context::InstallationContext;
 /// paper's example).
 const INSTALL_TYPE_ID: i64 = 0;
 
+/// The wire message-type id of an uninstallation.
+const UNINSTALL_TYPE_ID: i64 = 1;
+
+/// The wire message-type id of an acknowledgement.
+const ACK_TYPE_ID: i64 = 6;
+
 /// The payload of an installation: the plug-in binary plus the vehicle-
 /// specific context generated by the trusted server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -130,6 +136,59 @@ pub struct Ack {
     pub status: AckStatus,
 }
 
+/// Encodes [`ManagementMessage::Ack`] of these fields — the bytes of
+/// `ManagementMessage::Ack(Ack { plugin, app, ecu, status }).to_bytes()` —
+/// into one exactly sized buffer, from borrowed ids.
+pub fn encode_ack(plugin: &PluginId, app: &AppId, ecu: EcuId, status: &AckStatus) -> Vec<u8> {
+    let reason = match status {
+        AckStatus::Failed(reason) => reason.len(),
+        _ => 0,
+    };
+    // Envelope list header and type id, body list header, three text
+    // headers and two integers: 5 + 9 + 5 + 3·5 + 2·9 bytes.
+    let mut out = Vec::with_capacity(52 + plugin.name().len() + app.name().len() + reason);
+    codec::encode_list_header(2, &mut out);
+    codec::encode_i64(ACK_TYPE_ID, &mut out);
+    encode_ack_body(plugin, app, ecu, status, &mut out);
+    out
+}
+
+/// The ack message's body: `[plugin, app, ECU, status tag, reason]`.
+fn encode_ack_body(
+    plugin: &PluginId,
+    app: &AppId,
+    ecu: EcuId,
+    status: &AckStatus,
+    out: &mut Vec<u8>,
+) {
+    codec::encode_list_header(5, out);
+    codec::encode_text(plugin.name(), out);
+    codec::encode_text(app.name(), out);
+    codec::encode_i64(i64::from(ecu.index()), out);
+    codec::encode_i64(status.tag(), out);
+    codec::encode_text(
+        match status {
+            AckStatus::Failed(reason) => reason,
+            _ => "",
+        },
+        out,
+    );
+}
+
+/// Appends the encoding of [`ManagementMessage::Uninstall`] of `plugin` to
+/// `out`, from the borrowed id.
+pub fn encode_uninstall_into(plugin: &PluginId, out: &mut Vec<u8>) {
+    codec::encode_list_header(2, out);
+    codec::encode_i64(UNINSTALL_TYPE_ID, out);
+    encode_plugin_reference(plugin, out);
+}
+
+/// The body of the commands that name one plug-in: `[plugin]`.
+fn encode_plugin_reference(plugin: &PluginId, out: &mut Vec<u8>) {
+    codec::encode_list_header(1, out);
+    codec::encode_text(plugin.name(), out);
+}
+
 /// The downlink envelope: a management message addressed to one ECU of a
 /// vehicle, stamped with a per-vehicle monotonically increasing sequence id
 /// and the vehicle boot epoch the trusted server believes it is talking to.
@@ -191,12 +250,33 @@ impl DownlinkEnvelope {
     /// seq, boot epoch, incarnation, message]`, streamed without a
     /// [`Value`] tree.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        codec::encode_list_header(5, out);
-        codec::encode_i64(i64::from(self.target.index()), out);
-        codec::encode_i64(self.seq as i64, out);
-        codec::encode_i64(i64::from(self.boot_epoch), out);
-        codec::encode_i64(i64::from(self.incarnation), out);
+        Self::encode_header_into(
+            self.target,
+            self.seq,
+            self.boot_epoch,
+            self.incarnation,
+            out,
+        );
         self.message.encode_into(out);
+    }
+
+    /// Appends everything of an envelope's encoding but its message:
+    /// followed by a message's encoding (say
+    /// [`InstallationPackage::encode_install_into`]), it writes the bytes
+    /// of the whole envelope without the envelope having to own the
+    /// message.
+    pub fn encode_header_into(
+        target: EcuId,
+        seq: u64,
+        boot_epoch: u32,
+        incarnation: u32,
+        out: &mut Vec<u8>,
+    ) {
+        codec::encode_list_header(5, out);
+        codec::encode_i64(i64::from(target.index()), out);
+        codec::encode_i64(seq as i64, out);
+        codec::encode_i64(i64::from(boot_epoch), out);
+        codec::encode_i64(i64::from(incarnation), out);
     }
 
     /// Encodes the envelope to bytes using the shared value codec.
@@ -326,12 +406,12 @@ impl ManagementMessage {
     pub fn type_id(&self) -> i64 {
         match self {
             ManagementMessage::Install(_) => INSTALL_TYPE_ID,
-            ManagementMessage::Uninstall { .. } => 1,
+            ManagementMessage::Uninstall { .. } => UNINSTALL_TYPE_ID,
             ManagementMessage::Stop { .. } => 2,
             ManagementMessage::Start { .. } => 3,
             ManagementMessage::ExternalData { .. } => 4,
             ManagementMessage::OutboundData { .. } => 5,
-            ManagementMessage::Ack(_) => 6,
+            ManagementMessage::Ack(_) => ACK_TYPE_ID,
             ManagementMessage::StateReportRequest => 7,
             ManagementMessage::StateReport { .. } => 8,
         }
@@ -347,10 +427,7 @@ impl ManagementMessage {
             ManagementMessage::Install(package) => package.encode_body_into(out),
             ManagementMessage::Uninstall { plugin }
             | ManagementMessage::Stop { plugin }
-            | ManagementMessage::Start { plugin } => {
-                codec::encode_list_header(1, out);
-                codec::encode_text(plugin.name(), out);
-            }
+            | ManagementMessage::Start { plugin } => encode_plugin_reference(plugin, out),
             ManagementMessage::ExternalData { port, payload } => {
                 codec::encode_list_header(2, out);
                 codec::encode_i64(i64::from(port.index()), out);
@@ -365,18 +442,7 @@ impl ManagementMessage {
                 codec::encode_into(payload, out);
             }
             ManagementMessage::Ack(ack) => {
-                codec::encode_list_header(5, out);
-                codec::encode_text(ack.plugin.name(), out);
-                codec::encode_text(ack.app.name(), out);
-                codec::encode_i64(i64::from(ack.ecu.index()), out);
-                codec::encode_i64(ack.status.tag(), out);
-                codec::encode_text(
-                    match &ack.status {
-                        AckStatus::Failed(reason) => reason,
-                        _ => "",
-                    },
-                    out,
-                );
+                encode_ack_body(&ack.plugin, &ack.app, ack.ecu, &ack.status, out);
             }
             ManagementMessage::StateReportRequest => codec::encode_list_header(0, out),
             ManagementMessage::StateReport {
@@ -619,6 +685,40 @@ mod tests {
         let mut bytes = Vec::new();
         package.encode_install_into(&mut bytes);
         assert_eq!(bytes, ManagementMessage::Install(package).to_bytes());
+    }
+
+    /// The borrowed encoders write the bytes of the owned messages: an ack
+    /// into an exactly sized buffer, an uninstall, and an envelope header
+    /// followed by its message.
+    #[test]
+    fn borrowed_encoders_match_the_owned_messages() {
+        let plugin = PluginId::new("OP-2");
+        let app = AppId::new("fleet-telemetry");
+        for status in [AckStatus::Installed, AckStatus::Failed("no route".into())] {
+            let bytes = encode_ack(&plugin, &app, EcuId::new(2), &status);
+            let owned = ManagementMessage::Ack(Ack {
+                plugin: plugin.clone(),
+                app: app.clone(),
+                ecu: EcuId::new(2),
+                status,
+            });
+            assert_eq!(bytes, owned.to_bytes());
+            assert_eq!(bytes.capacity(), bytes.len(), "sized exactly");
+        }
+        let mut uninstall = Vec::new();
+        encode_uninstall_into(&plugin, &mut uninstall);
+        let owned = ManagementMessage::Uninstall {
+            plugin: plugin.clone(),
+        };
+        assert_eq!(uninstall, owned.to_bytes());
+
+        let package = sample_package();
+        let mut envelope = Vec::new();
+        DownlinkEnvelope::encode_header_into(EcuId::new(3), 9, 2, 1, &mut envelope);
+        package.encode_install_into(&mut envelope);
+        let owned =
+            DownlinkEnvelope::new(EcuId::new(3), 9, 2, 1, ManagementMessage::Install(package));
+        assert_eq!(envelope, owned.to_bytes());
     }
 
     #[test]

@@ -11,39 +11,42 @@
 //! positions: virtual ports by their declaration position in the static
 //! configuration, SW-C inputs by a `SwcInput` handle, SW-C outputs by a
 //! [`SwcOutput`] index, and every plug-in port's write route resolved to its
-//! virtual port.  Plug-in installation and uninstallation are the *only*
-//! operations that invalidate and rebuild the plug-in tables; per-signal
-//! dispatch never hashes.  The name- and id-keyed calls
+//! virtual port and kept beside the port.  Plug-in installation and
+//! uninstallation are the *only* operations that change the plug-in tables,
+//! and each patches only the entries of the plug-in it adds or removes;
+//! per-signal dispatch never hashes.  The name- and id-keyed calls
 //! ([`Pirte::dispatch_swc_input`], [`Pirte::virtual_port`]) resolve onto the
 //! same tables.
-
-use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{EcuId, PluginId, PluginPortId, VirtualPortId};
-use dynar_foundation::intern::Interner;
+use dynar_foundation::ids::{AppId, EcuId, PluginId, PluginPortId, VirtualPortId};
 use dynar_foundation::log::{EventLog, Severity};
 use dynar_foundation::time::Tick;
 use dynar_foundation::value::Value;
+use dynar_vm::engine::Engine;
 use dynar_vm::interpreter::{PortHost, VmStatus};
 
 use crate::context::LinkTarget;
 use crate::lifecycle::{LifecycleRequest, PluginState};
-use crate::message::{Ack, AckStatus, InstallationPackage, ManagementMessage};
-use crate::plugin::{Plugin, PluginPort, PluginPortDirection, VmOutcome};
+use crate::message::{encode_ack, Ack, AckStatus, InstallationPackage, ManagementMessage};
+use crate::plugin::{Plugin, PluginPort, PluginPortDirection, PortRoute, VmOutcome};
 use crate::swc::PluginSwcConfig;
 use crate::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 
-/// Upper bound on the width of the direct-indexed plug-in-port owner table:
-/// ids below this index hit a flat `Vec` on the per-signal dispatch path,
-/// ids at or above it fall back to the interner lookup.  Port ids are
-/// assigned densely per ECU by the trusted server, so in practice every id
-/// sits far below this bound — it exists so a hostile or corrupted
-/// installation package carrying a huge id cannot make the table allocation
-/// explode.
+/// Upper bound on the width of the id-indexed plug-in-port owner map: ids
+/// below this index hit a flat `Vec` on the per-signal dispatch path, ids
+/// at or above it fall back to a short list searched linearly.  The map is
+/// as wide as the largest id installed so far below the bound, and the
+/// trusted server's per-ECU id counter only ever grows, so a long-lived
+/// vehicle's ids climb towards it update by update; the bound keeps that
+/// growth — and a hostile or corrupted installation package carrying a
+/// huge id — from making the allocation explode.
 const DIRECT_PORT_OWNER_LIMIT: usize = 4096;
+
+/// The id-indexed owner map's marker for an id no installed port holds.
+const NO_SLOT: u32 = u32::MAX;
 
 /// A SW-C input port of the hosting plug-in SW-C, resolved once against the
 /// static configuration (see [`Pirte::input_of`]).
@@ -80,23 +83,116 @@ fn position_index(position: usize) -> u16 {
     u16::try_from(position).expect("virtual-port positions fit the u16 id space")
 }
 
-/// Where a write on one plug-in port goes, resolved from its PLC link when
-/// the plug-in is installed.
+/// An installed plug-in port's place in the plug-in table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PortRoute {
-    /// PLC `{Px-}`: surfaced to the embedder as a direct output.
-    Direct,
-    /// Through the to-system virtual port at this position.
-    System(u16),
-    /// Linked to a virtual port whose data flows towards the plug-ins:
-    /// writes are rejected.
-    NotToSystem(u16),
-    /// Wrapped with the remote recipient's id through the virtual port at
-    /// this position.
-    Remote(u16, PluginPortId),
-    /// The linked virtual port is not declared (installation rejects such
-    /// links, so this only guards the invariant).
-    Missing(VirtualPortId),
+struct PortOwner {
+    id: PluginPortId,
+    /// Index into the PIRTE's plug-ins.
+    plugin: usize,
+    /// Index into that plug-in's ports.
+    port: usize,
+}
+
+/// The owner table: which installed port holds each plug-in port id.  It
+/// answers both "is this id taken" (installation) and "who owns it"
+/// (per-signal delivery).
+///
+/// Owners sit in dense slots; a freed slot is reused by the next install, so
+/// the slot table is as wide as the most ports ever installed at once, not
+/// as the number of installs.  The id-indexed map in front of it costs four
+/// bytes per id.
+#[derive(Debug, Default)]
+struct PortOwners {
+    /// Live owners by slot; `None` marks a free slot.
+    slots: Vec<Option<PortOwner>>,
+    /// Port id (raw index) -> slot, or [`NO_SLOT`], for ids below
+    /// [`DIRECT_PORT_OWNER_LIMIT`].
+    by_id: Vec<u32>,
+    /// Port id -> slot for ids at or above the limit.
+    spilled: Vec<(PluginPortId, u32)>,
+}
+
+impl PortOwners {
+    fn slot_of(&self, id: PluginPortId) -> Option<usize> {
+        let raw = id.index() as usize;
+        let slot = if raw < DIRECT_PORT_OWNER_LIMIT {
+            *self.by_id.get(raw)?
+        } else {
+            self.spilled.iter().find(|(spilled, _)| *spilled == id)?.1
+        };
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    fn get(&self, id: PluginPortId) -> Option<PortOwner> {
+        self.slot_of(id).and_then(|slot| self.slots[slot])
+    }
+
+    fn get_mut(&mut self, id: PluginPortId) -> Option<&mut PortOwner> {
+        let slot = self.slot_of(id)?;
+        self.slots[slot].as_mut()
+    }
+
+    /// Records `owner` in the first free slot (the id must be free).
+    fn insert(&mut self, owner: PortOwner) {
+        let slot = match self.slots.iter().position(Option::is_none) {
+            Some(free) => {
+                self.slots[free] = Some(owner);
+                free
+            }
+            None => {
+                self.slots.push(Some(owner));
+                self.slots.len() - 1
+            }
+        };
+        let slot = u32::try_from(slot).expect("fewer live ports than u32 ids");
+        let raw = owner.id.index() as usize;
+        if raw < DIRECT_PORT_OWNER_LIMIT {
+            if self.by_id.len() <= raw {
+                self.by_id.resize(raw + 1, NO_SLOT);
+            }
+            self.by_id[raw] = slot;
+        } else {
+            self.spilled.push((owner.id, slot));
+        }
+    }
+
+    /// Frees the slot of `id` and forgets the id.
+    fn remove(&mut self, id: PluginPortId) {
+        if let Some(slot) = self.slot_of(id) {
+            self.slots[slot] = None;
+        }
+        let raw = id.index() as usize;
+        if raw < DIRECT_PORT_OWNER_LIMIT {
+            if let Some(entry) = self.by_id.get_mut(raw) {
+                *entry = NO_SLOT;
+            }
+        } else {
+            self.spilled.retain(|(spilled, _)| *spilled != id);
+        }
+    }
+
+    /// Number of live owners.
+    fn len(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+
+    /// Every id the map resolves: the direct entries, then the spilled ones.
+    fn ids(&self) -> impl Iterator<Item = (PluginPortId, u32)> + '_ {
+        self.by_id
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| **slot != NO_SLOT)
+            .map(|(raw, slot)| (PluginPortId::new(raw as u32), *slot))
+            .chain(self.spilled.iter().copied())
+    }
+}
+
+/// The plug-in an acknowledgement names: one still installed, whose ids are
+/// borrowed from the plug-in table when the ack is written, or ids the
+/// operation left the PIRTE holding.
+enum AckSubject {
+    Installed(usize),
+    Named(PluginId, AppId),
 }
 
 /// Counters describing one PIRTE instance's activity.
@@ -131,28 +227,17 @@ pub struct PirteStats {
 pub struct Pirte {
     ecu: EcuId,
     config: PluginSwcConfig,
+    /// The installed plug-ins in installation order (which fixes slot-grant
+    /// and outbox order).  With their PIC/PLC links they are the slow plane
+    /// every table below is compiled from.
     plugins: Vec<Plugin>,
-    plugin_index: HashMap<PluginId, usize>,
-    used_port_ids: HashSet<PluginPortId>,
+    /// Plug-in port id -> owning `(plugin index, port index)`, patched per
+    /// plug-in on (un)install.
+    owners: PortOwners,
     /// virtual port position -> `(plugin index, port index)` of every
-    /// required plug-in port linked to that virtual port (compiled on
-    /// (un)install).
+    /// required plug-in port linked to that virtual port, in plug-in order
+    /// (patched per plug-in on (un)install).
     virtual_fanout: Vec<Vec<(usize, usize)>>,
-    /// plugin index -> the write route of each of its ports, in port order
-    /// (compiled on (un)install).
-    port_routes: Vec<Vec<PortRoute>>,
-    /// Plug-in port id -> dense slot (freed on uninstall, reused on install).
-    plugin_port_slots: Interner<PluginPortId>,
-    /// plug-in-port slot -> `(plugin index, port index)` of the owning port
-    /// (compiled on (un)install).
-    port_owner: Vec<Option<(usize, usize)>>,
-    /// Plug-in port id (raw index) -> owning `(plugin index, port index)`,
-    /// compiled on (un)install.  Port ids are SW-C-scope dense (the server
-    /// assigns them sequentially), so the per-signal dispatch indexes this
-    /// table directly instead of hashing the id through the interner; its
-    /// width is capped at [`DIRECT_PORT_OWNER_LIMIT`] (larger ids use the
-    /// interner fallback).
-    port_owner_by_id: Vec<Option<(usize, usize)>>,
     /// Values to be written on SW-C ports by the hosting component
     /// behaviour, addressed by output index.
     outbox: Vec<(SwcOutput, Value)>,
@@ -173,13 +258,8 @@ impl Pirte {
             ecu,
             config,
             plugins: Vec::new(),
-            plugin_index: HashMap::new(),
-            used_port_ids: HashSet::new(),
+            owners: PortOwners::default(),
             virtual_fanout,
-            port_routes: Vec::new(),
-            plugin_port_slots: Interner::new(),
-            port_owner: Vec::new(),
-            port_owner_by_id: Vec::new(),
             outbox: Vec::new(),
             direct_outputs: Vec::new(),
             log: EventLog::new(),
@@ -287,12 +367,19 @@ impl Pirte {
 
     /// Read access to an installed plug-in.
     pub fn plugin(&self, id: &PluginId) -> Option<&Plugin> {
-        self.plugin_index.get(id).map(|&i| &self.plugins[i])
+        self.position(id).map(|index| &self.plugins[index])
     }
 
     /// Number of installed plug-ins.
     pub fn plugin_count(&self) -> usize {
         self.plugins.len()
+    }
+
+    /// Index of an installed plug-in.  A PIRTE hosts a handful of plug-ins,
+    /// so a scan beats keeping a hashed index in step with every
+    /// (un)install.
+    fn position(&self, id: &PluginId) -> Option<usize> {
+        self.plugins.iter().position(|p| p.id() == id)
     }
 
     // ------------------------------------------------------------------
@@ -308,35 +395,50 @@ impl Pirte {
     /// virtual port the static configuration does not declare, and propagates
     /// binary/context validation errors.
     pub fn install(&mut self, package: InstallationPackage) -> Result<()> {
-        if self.plugin_index.contains_key(&package.plugin) {
+        if self.position(&package.plugin).is_some() {
             self.stats.rejected_operations += 1;
             return Err(DynarError::duplicate("plug-in", &package.plugin));
         }
-        let plugin = self.validate_and_instantiate(&package, None)?;
-        self.commit_install(plugin, &package);
-        self.log.record(
-            self.now,
-            Severity::Info,
-            "pirte",
-            format!("installed and started plug-in {}", package.plugin.name()),
-        );
-        Ok(())
+        let engine = self.prepare(&package, None)?;
+        self.commit(package, engine, None)
+    }
+
+    /// Replaces an installed plug-in with a fresh package of the same id
+    /// (the management path's convergence semantics).  The replacement is
+    /// fully validated — port ids (the outgoing instance's own ids
+    /// excluded), virtual-port references, binary and context — *before* the
+    /// working instance is removed, so a rejected replacement leaves the old
+    /// plug-in running untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::NotFound`] if the plug-in is not installed, and
+    /// the rejections documented on [`Pirte::install`].
+    pub fn reinstall(&mut self, package: InstallationPackage) -> Result<()> {
+        let index = self
+            .position(&package.plugin)
+            .ok_or_else(|| DynarError::not_found("plug-in", &package.plugin))?;
+        let engine = self.prepare(&package, Some(index))?;
+        self.commit(package, engine, Some(index))
     }
 
     /// Validates a package against the current PIRTE state — port-id
-    /// collisions (ids in `reusable` excluded: a replacement may take over
-    /// the outgoing instance's own ids), virtual-port references, binary and
-    /// context — and returns the instantiated, started plug-in.  Nothing is
+    /// collisions (ids of the plug-in at `replacing` excluded: a replacement
+    /// may take over the outgoing instance's own ids), virtual-port
+    /// references, binary and context — and compiles its binary.  Nothing is
     /// mutated besides the rejection counter, so a failure leaves the PIRTE
-    /// untouched (shared by [`Pirte::install`] and [`Pirte::reinstall`]).
-    fn validate_and_instantiate(
+    /// untouched.
+    fn prepare(
         &mut self,
         package: &InstallationPackage,
-        reusable: Option<&HashSet<PluginPortId>>,
-    ) -> Result<Plugin> {
+        replacing: Option<usize>,
+    ) -> Result<Engine> {
         for init in package.context.pic.ports() {
-            let reused = reusable.is_some_and(|ids| ids.contains(&init.id));
-            if self.used_port_ids.contains(&init.id) && !reused {
+            let taken = self
+                .owners
+                .get(init.id)
+                .is_some_and(|owner| Some(owner.plugin) != replacing);
+            if taken {
                 self.stats.rejected_operations += 1;
                 return Err(DynarError::duplicate("plug-in port id", init.id));
             }
@@ -354,64 +456,40 @@ impl Pirte {
                 }
             }
         }
-        let mut plugin = Plugin::instantiate(
-            package.plugin.clone(),
-            package.app.clone(),
+        Plugin::compile(
             &package.binary,
             &package.context,
             self.config.plugin_budget(),
             self.config.exec_mode(),
-        )?;
-        plugin.request(LifecycleRequest::Start)?;
-        Ok(plugin)
+        )
     }
 
-    /// Commits a validated, started plug-in: reserves its port ids, indexes
-    /// it and recompiles the routing tables (shared by [`Pirte::install`]
-    /// and [`Pirte::reinstall`]).
-    fn commit_install(&mut self, plugin: Plugin, package: &InstallationPackage) {
-        for init in package.context.pic.ports() {
-            self.used_port_ids.insert(init.id);
+    /// Commits a prepared package: builds and starts the new plug-in,
+    /// uninstalls the one it replaces (if any) and attaches the new one at
+    /// the end of the plug-in order.
+    fn commit(
+        &mut self,
+        package: InstallationPackage,
+        engine: Engine,
+        replacing: Option<usize>,
+    ) -> Result<()> {
+        let mut plugin = Plugin::from_package(package, engine);
+        plugin
+            .request(LifecycleRequest::Start)
+            .expect("a freshly installed plug-in starts");
+        if let Some(index) = replacing {
+            self.uninstall_at(index)?;
         }
-        self.plugin_index
-            .insert(package.plugin.clone(), self.plugins.len());
-        self.plugins.push(plugin);
-        self.rebuild_routes();
+        let message = match replacing {
+            Some(_) => format!("replaced plug-in {}", plugin.id().name()),
+            None => format!("installed and started plug-in {}", plugin.id().name()),
+        };
+        self.attach(plugin);
         self.stats.installs += 1;
-    }
-
-    /// Replaces an installed plug-in with a fresh package of the same id
-    /// (the management path's convergence semantics).  The replacement is
-    /// fully validated — port ids (the outgoing instance's own ids
-    /// excluded), virtual-port references, binary and context — *before* the
-    /// working instance is removed, so a rejected replacement leaves the old
-    /// plug-in running untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::NotFound`] if the plug-in is not installed, and
-    /// the rejections documented on [`Pirte::install`].
-    pub fn reinstall(&mut self, package: InstallationPackage) -> Result<()> {
-        let old_ports: HashSet<PluginPortId> = self
-            .plugin(&package.plugin)
-            .ok_or_else(|| DynarError::not_found("plug-in", &package.plugin))?
-            .ports()
-            .iter()
-            .map(|p| p.id)
-            .collect();
-        // The full validation (binary and context included) runs while the
-        // old instance is still untouched: a rejected replacement never
-        // sacrifices a working plug-in.
-        let plugin = self.validate_and_instantiate(&package, Some(&old_ports))?;
-        self.uninstall(&package.plugin)?;
-        self.commit_install(plugin, &package);
-        self.stats.reinstalls += 1;
-        self.log.record(
-            self.now,
-            Severity::Info,
-            "pirte",
-            format!("replaced plug-in {}", package.plugin.name()),
-        );
+        if replacing.is_some() {
+            self.stats.reinstalls += 1;
+        }
+        self.log.record(self.now, Severity::Info, "pirte", message);
         Ok(())
     }
 
@@ -422,32 +500,26 @@ impl Pirte {
     ///
     /// Returns [`DynarError::NotFound`] if the plug-in is not installed.
     pub fn uninstall(&mut self, id: &PluginId) -> Result<()> {
-        let index = *self
-            .plugin_index
-            .get(id)
+        let index = self
+            .position(id)
             .ok_or_else(|| DynarError::not_found("plug-in", id))?;
+        self.uninstall_at(index).map(drop)
+    }
+
+    /// Uninstalls the plug-in at `index`, returning it.
+    fn uninstall_at(&mut self, index: usize) -> Result<Plugin> {
         if self.plugins[index].state() == PluginState::Running {
             self.plugins[index].request(LifecycleRequest::Stop)?;
         }
-        let removed = self.plugins.remove(index);
-        for port in removed.ports() {
-            self.used_port_ids.remove(&port.id);
-        }
-        self.plugin_index.remove(id);
-        for value in self.plugin_index.values_mut() {
-            if *value > index {
-                *value -= 1;
-            }
-        }
-        self.rebuild_routes();
+        let removed = self.detach(index);
         self.stats.uninstalls += 1;
         self.log.record(
             self.now,
             Severity::Info,
             "pirte",
-            format!("uninstalled plug-in {}", id.name()),
+            format!("uninstalled plug-in {}", removed.id().name()),
         );
-        Ok(())
+        Ok(removed)
     }
 
     /// Stops a running plug-in.
@@ -480,22 +552,32 @@ impl Pirte {
         Ok(())
     }
 
-    /// Handles one management message, returning the acknowledgements (and
-    /// other responses) to send back towards the server.
-    pub fn handle_management(&mut self, message: ManagementMessage) -> Vec<ManagementMessage> {
-        let ecu = self.ecu;
-        let ack = |plugin: &PluginId, app: &str, status: AckStatus| {
-            ManagementMessage::Ack(Ack {
-                plugin: plugin.clone(),
-                app: dynar_foundation::ids::AppId::new(app),
-                ecu,
-                status,
-            })
+    /// Handles one management message, returning the acknowledgement (if
+    /// the message asks for one) to send back towards the server.
+    pub fn handle_management(&mut self, message: ManagementMessage) -> Option<ManagementMessage> {
+        let (subject, status) = self.apply_management(message)?;
+        let (plugin, app) = match subject {
+            AckSubject::Installed(index) => {
+                let plugin = &self.plugins[index];
+                (plugin.id().clone(), plugin.app().clone())
+            }
+            AckSubject::Named(plugin, app) => (plugin, app),
         };
+        Some(ManagementMessage::Ack(Ack {
+            plugin,
+            app,
+            ecu: self.ecu,
+            status,
+        }))
+    }
+
+    /// Applies one management message, returning what its acknowledgement
+    /// (if any) names and reports.  The ack carries the app of the plug-in
+    /// the message found installed, or the package's own for an install.
+    fn apply_management(&mut self, message: ManagementMessage) -> Option<(AckSubject, AckStatus)> {
+        let failed = |err: DynarError| AckStatus::Failed(err.to_string());
         match message {
             ManagementMessage::Install(package) => {
-                let plugin = package.plugin.clone();
-                let app = package.app.name().to_owned();
                 // Reinstall-as-replace: duplicate *deliveries* never reach
                 // this path (the ECM gateway deduplicates by sequence id and
                 // boot epoch), so an install for an already-present plug-in
@@ -504,52 +586,53 @@ impl Pirte {
                 // stale instance is replaced so the fresh package applies
                 // instead of bouncing off a duplicate rejection that would
                 // make the failure terminal.
-                let status = if self.plugin_index.contains_key(&plugin) {
-                    match self.reinstall(package) {
-                        Ok(()) => AckStatus::Installed,
-                        Err(err) => AckStatus::Failed(err.to_string()),
+                let replacing = self.position(&package.plugin);
+                match self.prepare(&package, replacing) {
+                    Ok(engine) => match self.commit(package, engine, replacing) {
+                        Ok(()) => Some((
+                            AckSubject::Installed(self.plugins.len() - 1),
+                            AckStatus::Installed,
+                        )),
+                        // Only stopping the replaced instance can fail, and
+                        // then it is still installed at its place.
+                        Err(err) => Some((
+                            AckSubject::Installed(replacing.expect("a fresh install commits")),
+                            failed(err),
+                        )),
+                    },
+                    Err(err) => Some((AckSubject::Named(package.plugin, package.app), failed(err))),
+                }
+            }
+            ManagementMessage::Uninstall { plugin } => match self.position(&plugin) {
+                Some(index) => Some(match self.uninstall_at(index) {
+                    Ok(removed) => {
+                        let (plugin, app) = removed.into_ids();
+                        (AckSubject::Named(plugin, app), AckStatus::Uninstalled)
                     }
-                } else {
-                    match self.install(package) {
-                        Ok(()) => AckStatus::Installed,
-                        Err(err) => AckStatus::Failed(err.to_string()),
-                    }
-                };
-                vec![ack(&plugin, &app, status)]
-            }
-            ManagementMessage::Uninstall { plugin } => {
-                let app = self
-                    .plugin(&plugin)
-                    .map(|p| p.app().name().to_owned())
-                    .unwrap_or_default();
-                let status = match self.uninstall(&plugin) {
-                    Ok(()) => AckStatus::Uninstalled,
-                    Err(err) => AckStatus::Failed(err.to_string()),
-                };
-                vec![ack(&plugin, &app, status)]
-            }
-            ManagementMessage::Stop { plugin } => {
-                let app = self
-                    .plugin(&plugin)
-                    .map(|p| p.app().name().to_owned())
-                    .unwrap_or_default();
-                let status = match self.stop(&plugin) {
-                    Ok(()) => AckStatus::Stopped,
-                    Err(err) => AckStatus::Failed(err.to_string()),
-                };
-                vec![ack(&plugin, &app, status)]
-            }
-            ManagementMessage::Start { plugin } => {
-                let app = self
-                    .plugin(&plugin)
-                    .map(|p| p.app().name().to_owned())
-                    .unwrap_or_default();
-                let status = match self.start(&plugin) {
-                    Ok(()) => AckStatus::Started,
-                    Err(err) => AckStatus::Failed(err.to_string()),
-                };
-                vec![ack(&plugin, &app, status)]
-            }
+                    Err(err) => (AckSubject::Installed(index), failed(err)),
+                }),
+                None => Some(Self::not_installed(plugin)),
+            },
+            ManagementMessage::Stop { plugin } => match self.position(&plugin) {
+                Some(index) => {
+                    let status = match self.plugins[index].request(LifecycleRequest::Stop) {
+                        Ok(_) => AckStatus::Stopped,
+                        Err(err) => failed(err),
+                    };
+                    Some((AckSubject::Installed(index), status))
+                }
+                None => Some(Self::not_installed(plugin)),
+            },
+            ManagementMessage::Start { plugin } => match self.position(&plugin) {
+                Some(index) => {
+                    let status = match self.start(&plugin) {
+                        Ok(()) => AckStatus::Started,
+                        Err(err) => failed(err),
+                    };
+                    Some((AckSubject::Installed(index), status))
+                }
+                None => Some(Self::not_installed(plugin)),
+            },
             ManagementMessage::ExternalData { port, payload } => {
                 if let Err(err) = self.deliver_to_port(port, payload) {
                     self.log.record(
@@ -559,7 +642,7 @@ impl Pirte {
                         format!("dropped external data for {port}: {err}"),
                     );
                 }
-                Vec::new()
+                None
             }
             other => {
                 self.log.record(
@@ -571,9 +654,16 @@ impl Pirte {
                         other.type_id()
                     ),
                 );
-                Vec::new()
+                None
             }
         }
+    }
+
+    /// The failure acknowledgement of a command for a plug-in that is not
+    /// installed (its app is unknown, so the ack carries an empty one).
+    fn not_installed(plugin: PluginId) -> (AckSubject, AckStatus) {
+        let status = AckStatus::Failed(DynarError::not_found("plug-in", &plugin).to_string());
+        (AckSubject::Named(plugin, AppId::new(String::new())), status)
     }
 
     // ------------------------------------------------------------------
@@ -665,10 +755,11 @@ impl Pirte {
     }
 
     /// Decodes and applies a management message arriving on a type I port,
-    /// queueing the responses on the type I outbound port.  Type I ports
-    /// carry each message as [`Value::Bytes`] holding its
+    /// queueing its acknowledgement on the type I outbound port.  Type I
+    /// ports carry each message as [`Value::Bytes`] holding its
     /// [`ManagementMessage::to_bytes`] encoding: the relay forwards the bytes
-    /// it received, and this is the one decode.
+    /// it received, and this is the one decode.  The ack is encoded once,
+    /// straight into the outbox value, from the ids the PIRTE holds.
     fn dispatch_management(&mut self, value: &Value) -> Result<()> {
         let Value::Bytes(bytes) = value else {
             return Err(DynarError::ProtocolViolation(format!(
@@ -677,12 +768,18 @@ impl Pirte {
             )));
         };
         let message = ManagementMessage::from_bytes(bytes)?;
-        let responses = self.handle_management(message);
+        let Some((subject, status)) = self.apply_management(message) else {
+            return Ok(());
+        };
         if let Some(out_port) = self.type_i_output() {
-            for response in responses {
-                self.outbox
-                    .push((out_port, Value::Bytes(response.to_bytes())));
-            }
+            let bytes = match &subject {
+                AckSubject::Installed(index) => {
+                    let plugin = &self.plugins[*index];
+                    encode_ack(plugin.id(), plugin.app(), self.ecu, &status)
+                }
+                AckSubject::Named(plugin, app) => encode_ack(plugin, app, self.ecu, &status),
+            };
+            self.outbox.push((out_port, Value::Bytes(bytes)));
         }
         Ok(())
     }
@@ -695,22 +792,12 @@ impl Pirte {
     /// Returns [`DynarError::NotFound`] if no installed plug-in owns the port
     /// and [`DynarError::PortDirection`] if the port is not a required port.
     pub fn deliver_to_port(&mut self, port: PluginPortId, value: Value) -> Result<()> {
-        // The direct table covers the dense id range every realistic SW-C
-        // lives in; ids beyond [`DIRECT_PORT_OWNER_LIMIT`] fall back to the
-        // interner (correct for arbitrarily sparse ids, one hash slower).
-        let owner = if (port.index() as usize) < self.port_owner_by_id.len() {
-            self.port_owner_by_id[port.index() as usize]
-        } else {
-            self.plugin_port_slots
-                .get(&port)
-                .and_then(|slot| self.port_owner[slot.index()])
-        };
-        let Some((plugin_index, port_index)) = owner else {
+        let Some(owner) = self.owners.get(port) else {
             return Err(DynarError::not_found("plug-in port", port));
         };
-        let slot = self.plugins[plugin_index]
-            .port_at_mut(port_index)
-            .expect("compiled owner table points at a live port");
+        let slot = self.plugins[owner.plugin]
+            .port_at_mut(owner.port)
+            .expect("the owner table points at a live port");
         if slot.direction != PluginPortDirection::Required {
             return Err(DynarError::PortDirection {
                 port: port.to_string(),
@@ -722,72 +809,70 @@ impl Pirte {
         Ok(())
     }
 
-    /// Recompiles the routing tables from the installed plug-ins.  Called
-    /// only from [`Pirte::install`] and [`Pirte::uninstall`] — signal traffic
-    /// never invalidates the compiled plane.
-    fn rebuild_routes(&mut self) {
-        // Free the slots of ports that no longer exist so reinstall cycles
-        // reuse them instead of growing the dense tables.
-        let stale: Vec<PluginPortId> = self
-            .plugin_port_slots
-            .iter()
-            .map(|(_, id)| *id)
-            .filter(|id| !self.used_port_ids.contains(id))
-            .collect();
-        for id in &stale {
-            self.plugin_port_slots.remove(id);
-        }
-        for plugin in &self.plugins {
-            for port in plugin.ports() {
-                self.plugin_port_slots.intern(port.id);
+    /// Appends `plugin` to the plug-in order and patches its entries into
+    /// the compiled tables: its write routes, its port-id owners and, for
+    /// every required port linked to a type III virtual port, one fan-out
+    /// entry.  Nothing else in the tables changes.
+    fn attach(&mut self, mut plugin: Plugin) {
+        let index = self.plugins.len();
+        for (port_index, port) in plugin.ports_mut().iter_mut().enumerate() {
+            port.route = self.route_of(port.link);
+            self.owners.insert(PortOwner {
+                id: port.id,
+                plugin: index,
+                port: port_index,
+            });
+            if let Some(position) = self.fanout_position(port) {
+                self.virtual_fanout[position].push((index, port_index));
             }
         }
+        self.plugins.push(plugin);
+    }
 
-        let id_width = self
-            .used_port_ids
-            .iter()
-            .map(|id| id.index() as usize + 1)
-            .filter(|&width| width <= DIRECT_PORT_OWNER_LIMIT)
-            .max()
-            .unwrap_or(0);
-        self.port_owner = vec![None; self.plugin_port_slots.capacity()];
-        self.port_owner_by_id = vec![None; id_width];
-        for (plugin_index, plugin) in self.plugins.iter().enumerate() {
-            for (port_index, port) in plugin.ports().iter().enumerate() {
-                let slot = self
-                    .plugin_port_slots
-                    .get(&port.id)
-                    .expect("interned above");
-                self.port_owner[slot.index()] = Some((plugin_index, port_index));
-                if let Some(entry) = self.port_owner_by_id.get_mut(port.id.index() as usize) {
-                    *entry = Some((plugin_index, port_index));
+    /// Removes the plug-in at `index` and patches the compiled tables: its
+    /// owners and fan-out entries go, and the entries of the plug-ins after
+    /// it shift down one index in place.  The order of the remaining
+    /// plug-ins is kept — it fixes slot-grant and outbox order.
+    fn detach(&mut self, index: usize) -> Plugin {
+        let removed = self.plugins.remove(index);
+        for port in removed.ports() {
+            self.owners.remove(port.id);
+        }
+        for later in &self.plugins[index..] {
+            for port in later.ports() {
+                if let Some(owner) = self.owners.get_mut(port.id) {
+                    owner.plugin -= 1;
                 }
             }
         }
-        self.virtual_fanout = self.compile_fanout();
-        self.port_routes = self.compile_port_routes();
-    }
-
-    /// virtual port position -> linked required plug-in ports.
-    fn compile_fanout(&self) -> Vec<Vec<(usize, usize)>> {
-        let mut fanout = vec![Vec::new(); self.config.virtual_ports().len()];
-        for (plugin_index, plugin) in self.plugins.iter().enumerate() {
-            for (port_index, port) in plugin.ports().iter().enumerate() {
-                if port.direction == PluginPortDirection::Required {
-                    if let LinkTarget::VirtualPort(virtual_id) = port.link {
-                        if let Some(position) = self.virtual_position(virtual_id) {
-                            fanout[position].push((plugin_index, port_index));
-                        }
-                    }
+        for receivers in &mut self.virtual_fanout {
+            receivers.retain_mut(|(plugin, _)| {
+                if *plugin == index {
+                    return false;
                 }
-            }
+                if *plugin > index {
+                    *plugin -= 1;
+                }
+                true
+            });
         }
-        fanout
+        removed
     }
 
-    /// plugin index -> the write route of each port, resolved from its link.
-    fn compile_port_routes(&self) -> Vec<Vec<PortRoute>> {
-        let route_of = |port: &PluginPort| match port.link {
+    /// The virtual-port position a port's type III fan-out entry sits
+    /// under: required ports linked to a virtual port receive its values.
+    fn fanout_position(&self, port: &PluginPort) -> Option<usize> {
+        match port.link {
+            LinkTarget::VirtualPort(id) if port.direction == PluginPortDirection::Required => {
+                self.virtual_position(id)
+            }
+            _ => None,
+        }
+    }
+
+    /// The write route of a port with the given link.
+    fn route_of(&self, link: LinkTarget) -> PortRoute {
+        match link {
             LinkTarget::Direct => PortRoute::Direct,
             LinkTarget::VirtualPort(id) => match self.virtual_position(id) {
                 Some(position) => {
@@ -805,78 +890,72 @@ impl Pirte {
                 Some(position) => PortRoute::Remote(position_index(position), remote),
                 None => PortRoute::Missing(via),
             },
-        };
-        self.plugins
-            .iter()
-            .map(|plugin| plugin.ports().iter().map(route_of).collect())
-            .collect()
+        }
     }
 
-    /// Checks that the compiled route tables exactly match a fresh compile of
-    /// the installed plug-ins, with no stale slots left behind by uninstalls
+    /// virtual port position -> linked required plug-in ports, compiled
+    /// from scratch.
+    fn compile_fanout(&self) -> Vec<Vec<(usize, usize)>> {
+        let mut fanout = vec![Vec::new(); self.config.virtual_ports().len()];
+        for (plugin_index, plugin) in self.plugins.iter().enumerate() {
+            for (port_index, port) in plugin.ports().iter().enumerate() {
+                if let Some(position) = self.fanout_position(port) {
+                    fanout[position].push((plugin_index, port_index));
+                }
+            }
+        }
+        fanout
+    }
+
+    /// Checks that the patched tables exactly match a fresh compile of the
+    /// installed plug-ins, with no stale entry left behind by uninstalls
     /// (used by the equivalence and property test suites).
     pub fn verify_compiled_routes(&self) -> bool {
-        // Every live slot maps onto an installed port and vice versa.
-        if self.plugin_port_slots.len() != self.used_port_ids.len() {
+        // Every installed port owns its id, at its own place, with the
+        // route its link resolves to.
+        let mut ports = 0;
+        for (plugin_index, plugin) in self.plugins.iter().enumerate() {
+            for (port_index, port) in plugin.ports().iter().enumerate() {
+                ports += 1;
+                let owner = PortOwner {
+                    id: port.id,
+                    plugin: plugin_index,
+                    port: port_index,
+                };
+                if self.owners.get(port.id) != Some(owner) || port.route != self.route_of(port.link)
+                {
+                    return false;
+                }
+            }
+        }
+        // Nothing else is live: no freed slot keeps an owner, and every id
+        // the map resolves points at a live slot holding that id.
+        if self.owners.len() != ports {
             return false;
         }
-        for (slot, id) in self.plugin_port_slots.iter() {
-            if !self.used_port_ids.contains(id) {
-                return false;
-            }
-            let owns = self.port_owner[slot.index()].is_some_and(|(plugin_index, port_index)| {
-                self.plugins
-                    .get(plugin_index)
-                    .and_then(|p| p.ports().get(port_index))
-                    .is_some_and(|p| p.id == *id)
-            });
-            if !owns {
-                return false;
-            }
-        }
-        // Freed slots must not retain owners.
-        let live_owners = self.port_owner.iter().flatten().count();
-        if live_owners != self.plugin_port_slots.len() {
-            return false;
-        }
-        // The direct-indexed owner table mirrors the slot-indexed one for
-        // every live id inside the direct range: exactly those ids own
-        // entries, each pointing at its port (ids beyond the range are
-        // served by the interner fallback checked above).
-        let direct_ids = self
-            .used_port_ids
-            .iter()
-            .filter(|id| (id.index() as usize) < self.port_owner_by_id.len())
-            .count();
-        if self.port_owner_by_id.iter().flatten().count() != direct_ids {
-            return false;
-        }
-        for id in &self.used_port_ids {
-            if (id.index() as usize) >= self.port_owner_by_id.len() {
-                continue;
-            }
-            let owns = self.port_owner_by_id[id.index() as usize].is_some_and(
-                |(plugin_index, port_index)| {
-                    self.plugins
-                        .get(plugin_index)
-                        .and_then(|p| p.ports().get(port_index))
-                        .is_some_and(|p| p.id == *id)
-                },
-            );
-            if !owns {
+        let mut resolved = 0;
+        for (id, slot) in self.owners.ids() {
+            resolved += 1;
+            let live = self
+                .owners
+                .slots
+                .get(slot as usize)
+                .copied()
+                .flatten()
+                .is_some_and(|owner| owner.id == id);
+            if !live {
                 return false;
             }
         }
-        // The fan-out and write-route tables match a fresh compile.
-        self.compile_fanout() == self.virtual_fanout
-            && self.compile_port_routes() == self.port_routes
+        // The fan-out table matches a fresh compile, order included.
+        resolved == ports && self.compile_fanout() == self.virtual_fanout
     }
 
     /// Width of the dense plug-in-port slot table: bounded by the high-water
     /// mark of simultaneously installed ports, not by install/uninstall churn
     /// (exposed for the reinstall property tests).
     pub fn plugin_port_slot_capacity(&self) -> usize {
-        self.plugin_port_slots.capacity()
+        self.owners.slots.len()
     }
 
     /// Reads the last value a plug-in wrote on one of its ports (diagnostics
@@ -943,7 +1022,6 @@ impl Pirte {
                 let mut host = PirteHost {
                     plugin: plugin_id,
                     ports,
-                    routes: &self.port_routes[index],
                     virtual_ports: self.config.virtual_ports(),
                     outbox: &mut self.outbox,
                     direct_outputs: &mut self.direct_outputs,
@@ -990,21 +1068,18 @@ impl Pirte {
     }
 
     fn plugin_mut(&mut self, id: &PluginId) -> Result<&mut Plugin> {
-        let index = *self
-            .plugin_index
-            .get(id)
+        let index = self
+            .position(id)
             .ok_or_else(|| DynarError::not_found("plug-in", id))?;
         Ok(&mut self.plugins[index])
     }
 }
 
-/// The [`PortHost`] adapter that exposes a plug-in's ports (and, through its
-/// PLC links, the virtual ports) to the running VM.
+/// The [`PortHost`] adapter that exposes a plug-in's ports (and, through
+/// their resolved routes, the virtual ports) to the running VM.
 struct PirteHost<'a> {
     plugin: &'a PluginId,
     ports: &'a mut [PluginPort],
-    /// The write route of each port, indexed like `ports`.
-    routes: &'a [PortRoute],
     /// The static virtual ports, indexed by declaration position (which is
     /// also the outbox index of their SW-C port).
     virtual_ports: &'a [VirtualPortSpec],
@@ -1040,7 +1115,7 @@ impl PortHost for PirteHost<'_> {
     }
 
     fn write_port(&mut self, slot: u32, value: Value) -> Result<()> {
-        let port_id = {
+        let (port_id, route) = {
             let port = self.port_mut(slot)?;
             if port.direction != PluginPortDirection::Provided {
                 return Err(DynarError::PortDirection {
@@ -1049,10 +1124,10 @@ impl PortHost for PirteHost<'_> {
                 });
             }
             port.record_output(value.clone());
-            port.id
+            (port.id, port.route)
         };
         self.stats.signals_out += 1;
-        match self.routes[slot as usize] {
+        match route {
             PortRoute::Direct => {
                 self.direct_outputs
                     .push((self.plugin.clone(), port_id, value));
@@ -1419,20 +1494,19 @@ mod tests {
     fn management_messages_produce_acks() {
         let mut pirte = pirte();
         let install = ManagementMessage::Install(forwarder_package("fwd"));
-        let responses = pirte.handle_management(install);
-        assert_eq!(responses.len(), 1);
-        match &responses[0] {
-            ManagementMessage::Ack(ack) => {
+        let response = pirte.handle_management(install);
+        match &response {
+            Some(ManagementMessage::Ack(ack)) => {
                 assert_eq!(ack.status, AckStatus::Installed);
                 assert_eq!(ack.ecu, EcuId::new(2));
             }
             other => panic!("expected an ack, got {other:?}"),
         }
 
-        let responses = pirte.handle_management(ManagementMessage::Uninstall {
+        let response = pirte.handle_management(ManagementMessage::Uninstall {
             plugin: PluginId::new("ghost"),
         });
-        match &responses[0] {
+        match &response.expect("an uninstall is acknowledged") {
             ManagementMessage::Ack(ack) => assert!(matches!(ack.status, AckStatus::Failed(_))),
             other => panic!("expected an ack, got {other:?}"),
         }
@@ -1448,16 +1522,16 @@ mod tests {
         let mut pirte = pirte();
         let first = pirte.handle_management(ManagementMessage::Install(forwarder_package("fwd")));
         assert!(matches!(
-            &first[0],
-            ManagementMessage::Ack(ack) if ack.status == AckStatus::Installed
+            &first,
+            Some(ManagementMessage::Ack(ack)) if ack.status == AckStatus::Installed
         ));
         assert_eq!(pirte.plugin_count(), 1);
 
         let again = pirte.handle_management(ManagementMessage::Install(forwarder_package("fwd")));
         assert!(
             matches!(
-                &again[0],
-                ManagementMessage::Ack(ack) if ack.status == AckStatus::Installed
+                &again,
+                Some(ManagementMessage::Ack(ack)) if ack.status == AckStatus::Installed
             ),
             "the re-issued install converges instead of failing: {again:?}"
         );
@@ -1472,10 +1546,10 @@ mod tests {
         // a package that cannot even instantiate.
         let mut broken = forwarder_package("fwd");
         broken.binary = vec![0xFF, 0xEE, 0xDD];
-        let responses = pirte.handle_management(ManagementMessage::Install(broken));
+        let response = pirte.handle_management(ManagementMessage::Install(broken));
         assert!(matches!(
-            &responses[0],
-            ManagementMessage::Ack(ack) if matches!(ack.status, AckStatus::Failed(_))
+            &response,
+            Some(ManagementMessage::Ack(ack)) if matches!(ack.status, AckStatus::Failed(_))
         ));
         assert_eq!(pirte.plugin_count(), 1, "old instance survives");
         assert_eq!(pirte.stats().reinstalls, 1, "no second replacement");
@@ -1606,11 +1680,11 @@ mod tests {
                 context,
             ))
             .unwrap();
-        let responses = pirte.handle_management(ManagementMessage::ExternalData {
+        let response = pirte.handle_management(ManagementMessage::ExternalData {
             port: PluginPortId::new(0),
             payload: Value::Text("Wheels:30".into()),
         });
-        assert!(responses.is_empty());
+        assert!(response.is_none());
         assert_eq!(
             pirte.read_plugin_port(&PluginId::new("com"), PluginPortId::new(0)),
             Some(Value::Text("Wheels:30".into()))

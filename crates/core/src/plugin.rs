@@ -1,12 +1,12 @@
 //! Installed plug-ins and their ports.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use dynar_foundation::error::Result;
-use dynar_foundation::ids::{AppId, PluginId, PluginPortId};
+use dynar_foundation::ids::{AppId, PluginId, PluginPortId, VirtualPortId};
 use dynar_foundation::value::Value;
 use dynar_vm::budget::Budget;
 use dynar_vm::engine::{Engine, ExecMode};
@@ -14,6 +14,7 @@ use dynar_vm::program::Program;
 
 use crate::context::{ExternalConnectionContext, InstallationContext, LinkTarget};
 use crate::lifecycle::{LifecycleRequest, PluginState};
+use crate::message::InstallationPackage;
 
 /// How many inbound values one plug-in port buffers before dropping the
 /// oldest (the communication-resource part of the best-effort budget).
@@ -37,6 +38,38 @@ impl fmt::Display for PluginPortDirection {
     }
 }
 
+/// Where a write on one plug-in port goes: its PLC link resolved against the
+/// hosting PIRTE's virtual ports when the plug-in is installed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PortRoute {
+    /// PLC `{Px-}`: surfaced to the embedder as a direct output.
+    Direct,
+    /// Through the to-system virtual port at this declaration position.
+    System(u16),
+    /// Linked to a virtual port whose data flows towards the plug-ins:
+    /// writes are rejected.
+    NotToSystem(u16),
+    /// Wrapped with the remote recipient's id through the virtual port at
+    /// this position.
+    Remote(u16, PluginPortId),
+    /// The linked virtual port is not declared (installation rejects such
+    /// links, so this only guards the invariant; it is also the route of a
+    /// port no PIRTE has resolved yet).
+    Missing(VirtualPortId),
+}
+
+impl PortRoute {
+    /// The route of a port whose link no PIRTE has resolved yet.
+    fn unresolved(link: LinkTarget) -> Self {
+        match link {
+            LinkTarget::Direct => PortRoute::Direct,
+            LinkTarget::VirtualPort(id) | LinkTarget::RemotePluginPort { via: id, .. } => {
+                PortRoute::Missing(id)
+            }
+        }
+    }
+}
+
 /// The runtime state of one plug-in port.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PluginPort {
@@ -48,6 +81,8 @@ pub struct PluginPort {
     pub direction: PluginPortDirection,
     /// Where the port is linked, per the PLC.
     pub link: LinkTarget,
+    /// The link resolved by the hosting PIRTE (the write path reads it).
+    pub(crate) route: PortRoute,
     queue: VecDeque<Value>,
     last: Value,
     overflows: u64,
@@ -65,6 +100,7 @@ impl PluginPort {
             name,
             direction,
             link,
+            route: PortRoute::unresolved(link),
             queue: VecDeque::new(),
             last: Value::Void,
             overflows: 0,
@@ -116,7 +152,6 @@ pub struct Plugin {
     engine: Engine,
     state: PluginState,
     ports: Vec<PluginPort>,
-    port_index: HashMap<PluginPortId, usize>,
     ecc: Option<ExternalConnectionContext>,
 }
 
@@ -137,29 +172,60 @@ impl Plugin {
         budget: Budget,
         mode: ExecMode,
     ) -> Result<Self> {
+        let engine = Self::compile(binary, context, budget, mode)?;
+        // The binary lives on compiled in the engine; the package carries
+        // only the ids and the context.
+        let package = InstallationPackage::new(id, app, Vec::new(), context.clone());
+        Ok(Self::from_package(package, engine))
+    }
+
+    /// The fallible half of installing a package: validates its context
+    /// and compiles its binary into an engine for
+    /// [`Plugin::from_package`].
+    pub(crate) fn compile(
+        binary: &[u8],
+        context: &InstallationContext,
+        budget: Budget,
+        mode: ExecMode,
+    ) -> Result<Engine> {
         context.validate()?;
         let program = Program::from_bytes(binary)?;
-        let mut ports = Vec::with_capacity(context.pic.ports().len());
-        let mut port_index = HashMap::new();
-        for init in context.pic.ports() {
-            let link = context.plc.target_of(init.id);
-            port_index.insert(init.id, ports.len());
-            ports.push(PluginPort::new(
-                init.id,
-                init.name.clone(),
-                init.direction,
-                link,
-            ));
-        }
-        Ok(Plugin {
-            id,
+        Engine::new(program, budget, mode)
+    }
+
+    /// Builds the plug-in of a package whose binary [`Plugin::compile`]
+    /// turned into `engine`.  The ids, port names and ECC move out of the
+    /// package; nothing is copied.
+    pub(crate) fn from_package(package: InstallationPackage, engine: Engine) -> Self {
+        let InstallationPackage {
+            plugin,
             app,
-            engine: Engine::new(program, budget, mode)?,
+            context,
+            ..
+        } = package;
+        let InstallationContext { pic, plc, ecc } = context;
+        let ports = pic
+            .into_ports()
+            .into_iter()
+            .map(|init| {
+                let link = plc.target_of(init.id);
+                PluginPort::new(init.id, init.name, init.direction, link)
+            })
+            .collect();
+        Plugin {
+            id: plugin,
+            app,
+            engine,
             state: PluginState::Installed,
             ports,
-            port_index,
-            ecc: context.ecc.clone(),
-        })
+            ecc,
+        }
+    }
+
+    /// Takes the plug-in apart into its ids (an uninstall acknowledges with
+    /// them).
+    pub(crate) fn into_ids(self) -> (PluginId, AppId) {
+        (self.id, self.app)
     }
 
     /// The plug-in identifier.
@@ -187,23 +253,27 @@ impl Plugin {
         &self.ports
     }
 
-    /// Looks up a port by its SW-C-scope unique id.
+    /// Looks up a port by its SW-C-scope unique id (a plug-in declares a
+    /// handful of ports, so this is a short scan; the PIRTE's signal paths
+    /// address ports by slot instead).
     pub fn port(&self, id: PluginPortId) -> Option<&PluginPort> {
-        self.port_index.get(&id).map(|&i| &self.ports[i])
+        self.ports.iter().find(|p| p.id == id)
     }
 
     /// Mutable access to a port by id.
     pub fn port_mut(&mut self, id: PluginPortId) -> Option<&mut PluginPort> {
-        self.port_index
-            .get(&id)
-            .copied()
-            .map(move |i| &mut self.ports[i])
+        self.ports.iter_mut().find(|p| p.id == id)
     }
 
     /// Mutable access to a port by its dense slot index (the order of
     /// [`Plugin::ports`]), used by the PIRTE's compiled route tables.
     pub fn port_at_mut(&mut self, index: usize) -> Option<&mut PluginPort> {
         self.ports.get_mut(index)
+    }
+
+    /// Mutable access to every port, for the PIRTE to resolve their routes.
+    pub(crate) fn ports_mut(&mut self) -> &mut [PluginPort] {
+        &mut self.ports
     }
 
     /// The execution engine hosting the plug-in code (interpreter,

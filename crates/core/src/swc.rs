@@ -214,7 +214,7 @@ impl PluginSwcConfig {
                     PortDirection::Required,
                     INPUT_QUEUE_LENGTH,
                 ))
-                .with_port(PortSpec::sender_receiver(outbound, PortDirection::Provided));
+                .with_port(PortSpec::relay(outbound));
         }
         for spec in &self.virtual_ports {
             let port = match spec.direction() {

@@ -224,8 +224,7 @@ impl EcmConfig {
         use dynar_rte::port::{PortDirection, PortSpec};
         let mut descriptor = self.swc.descriptor()?;
         for port in self.type_i_out.values() {
-            descriptor =
-                descriptor.with_port(PortSpec::sender_receiver(port, PortDirection::Provided));
+            descriptor = descriptor.with_port(PortSpec::relay(port));
         }
         for port in &self.type_i_in {
             descriptor = descriptor.with_port(PortSpec::queued(port, PortDirection::Required, 32));
@@ -446,11 +445,11 @@ impl EcmSwc {
     }
 
     /// Applies a management message to the local PIRTE, returning the
-    /// encoded responses it produced (already sent uplink).
+    /// encoded acknowledgement it produced, if any (already sent uplink).
     fn handle_local_management(&mut self, message: ManagementMessage) -> Vec<Payload> {
-        let responses = self.pirte.lock().handle_management(message);
-        let mut encoded = Vec::with_capacity(responses.len());
-        for response in &responses {
+        let response = self.pirte.lock().handle_management(message);
+        let mut encoded = Vec::new();
+        if let Some(response) = &response {
             self.note_ack(response);
             encoded.push(self.send_uplink(response));
         }

@@ -22,9 +22,15 @@
 //! assert_eq!(payload, cached);
 //! ```
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
+
+thread_local! {
+    /// The encode buffer [`Payload::encode_with`] reuses on this thread.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// An immutable, cheaply clonable byte buffer shared between the trusted
 /// server's retransmission cache, the transport hub and the ECM gateway.
@@ -36,6 +42,28 @@ impl Payload {
     /// payload's life; every later hop shares it).
     pub fn copy_from(bytes: &[u8]) -> Self {
         Payload(Arc::from(bytes))
+    }
+
+    /// Creates a payload from whatever `encode` appends to the buffer it is
+    /// handed.  The buffer is reused per thread, so the payload's own buffer
+    /// is the one allocation: an encoder writing straight from borrowed
+    /// fields needs no owned message and no intermediate `Vec`.
+    ///
+    /// ```
+    /// use dynar_foundation::payload::Payload;
+    ///
+    /// let payload = Payload::encode_with(|out| out.extend_from_slice(b"hi"));
+    /// assert_eq!(&*payload, b"hi");
+    /// ```
+    pub fn encode_with(encode: impl FnOnce(&mut Vec<u8>)) -> Self {
+        // Taken out of the cell, not borrowed in it: an encoder that makes a
+        // payload of its own gets a fresh buffer instead of a panic.
+        let mut scratch = SCRATCH.take();
+        scratch.clear();
+        encode(&mut scratch);
+        let payload = Payload::copy_from(&scratch);
+        SCRATCH.set(scratch);
+        payload
     }
 
     /// The payload length in bytes.

@@ -81,6 +81,7 @@ pub struct PortSpec {
     name: String,
     direction: PortDirection,
     interface: PortInterface,
+    relay: bool,
 }
 
 impl PortSpec {
@@ -90,6 +91,20 @@ impl PortSpec {
             name: name.into(),
             direction,
             interface: PortInterface::SenderReceiver,
+            relay: false,
+        }
+    }
+
+    /// Creates a provided sender–receiver port that relays what is written
+    /// on it: a routed write moves on to its receivers and the port keeps
+    /// no copy, so [`Rte::read_port`](crate::rte::Rte::read_port) shows only
+    /// writes that had nowhere to go.  Type I management ports are relays —
+    /// a data port's last value is worth keeping, an installation package
+    /// relayed once is not.
+    pub fn relay(name: impl Into<String>) -> Self {
+        PortSpec {
+            relay: true,
+            ..PortSpec::sender_receiver(name, PortDirection::Provided)
         }
     }
 
@@ -101,6 +116,7 @@ impl PortSpec {
             interface: PortInterface::QueuedSenderReceiver {
                 queue_length: queue_length.max(1),
             },
+            relay: false,
         }
     }
 
@@ -116,6 +132,7 @@ impl PortSpec {
             interface: PortInterface::ClientServer {
                 operations: operations.into_iter().map(Into::into).collect(),
             },
+            relay: false,
         }
     }
 
@@ -132,6 +149,11 @@ impl PortSpec {
     /// The interaction scheme of the port.
     pub fn interface(&self) -> &PortInterface {
         &self.interface
+    }
+
+    /// Whether the port is a relay (see [`PortSpec::relay`]).
+    pub fn is_relay(&self) -> bool {
+        self.relay
     }
 }
 

@@ -64,6 +64,8 @@ pub struct RteStats {
 struct PortRuntime {
     id: PortId,
     direction: PortDirection,
+    /// A relay port's routed writes leave no copy in `buffer`.
+    relay: bool,
     buffer: PortBuffer,
 }
 
@@ -158,6 +160,7 @@ impl Rte {
             self.ports.push(PortRuntime {
                 id: PortId::new(swc, index as u16),
                 direction: spec.direction(),
+                relay: spec.is_relay(),
                 buffer: PortBuffer::for_interface(spec.interface()),
             });
             self.local_routes.push(Vec::new());
@@ -377,12 +380,20 @@ impl Rte {
         }
         self.stats.writes += 1;
 
-        // The provider's own buffer keeps the last written value so that
-        // diagnostics (and tests) can observe what a component last produced.
-        runtime.buffer.push(value.clone());
-
         let receivers = self.local_routes[slot.index()].len();
         let has_tx = self.tx_routes[slot.index()].is_some();
+        // The provider's own buffer keeps the last written value so that
+        // diagnostics (and tests) can observe what a component last produced
+        // — by move when the write goes nowhere else.  A relay port's routed
+        // writes move on without leaving a copy behind.
+        if receivers == 0 && !has_tx {
+            runtime.buffer.push(value);
+            self.stats.unconnected_writes += 1;
+            return Ok(());
+        }
+        if !runtime.relay {
+            runtime.buffer.push(value.clone());
+        }
         for index in 0..receivers {
             let requirer = self.local_routes[slot.index()][index];
             let last = index + 1 == receivers && !has_tx;
@@ -410,8 +421,6 @@ impl Rte {
         if let Some(frame) = self.tx_routes[slot.index()] {
             self.outbound.push((frame, value));
             self.stats.network_routes += 1;
-        } else if receivers == 0 {
-            self.stats.unconnected_writes += 1;
         }
         Ok(())
     }

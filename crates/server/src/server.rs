@@ -85,7 +85,7 @@ use dynar_core::context::{
     ExternalConnectionContext, InstallationContext, LinkTarget, PortInitContext, PortLinkContext,
 };
 use dynar_core::message::{
-    Ack, AckStatus, DownlinkEnvelope, InstallationPackage, ManagementMessage,
+    encode_uninstall_into, Ack, AckStatus, DownlinkEnvelope, InstallationPackage, ManagementMessage,
 };
 use dynar_foundation::codec::{self, Reader};
 use dynar_foundation::error::{DynarError, Result};
@@ -100,7 +100,7 @@ use crate::campaign::{
 use crate::journal::{Journal, JournalRecord};
 use crate::ledger::Ledger;
 use crate::model::{
-    AppDefinition, ConnectionDecl, HwConf, SwConf, SystemSwConf, VirtualPortKindDecl,
+    AppDefinition, ConnectionDecl, HwConf, Placement, SwConf, SystemSwConf, VirtualPortKindDecl,
 };
 
 /// Retransmission parameters of the reliability plane.
@@ -603,26 +603,42 @@ impl TrustedServer {
         definition: &AppDefinition,
         conf: &SwConf,
     ) -> Result<Vec<(EcuId, InstallationPackage)>> {
-        // First pass: assign SW-C-scope unique plug-in port ids per target ECU
-        // (continuing after ids already handed out to previously installed
-        // plug-ins on that ECU).  The assignment map borrows its keys from
-        // the app definition — no `(PluginId, String)` pair is cloned per
-        // port or per lookup.
-        let mut next_id: HashMap<EcuId, u32> = record.next_port_id.clone();
-        let mut assigned: HashMap<(&PluginId, &str), PluginPortId> = HashMap::new();
+        // SW-C-scope unique plug-in port ids per target ECU, continuing after
+        // the ids already handed out to previously installed plug-ins on
+        // that ECU.  A placement's ports take consecutive ids from a base —
+        // the ECU's next free id plus the ports of the placements before it
+        // on the same ECU — so a port's id is that base plus its index in
+        // the artifact, and no assignment table is built.  A plug-in placed
+        // twice, or a name declared twice, resolves to its last placement
+        // and port.
         for placement in &conf.placements {
-            let artifact = definition
+            definition
                 .plugin(&placement.plugin)
                 .ok_or_else(|| DynarError::not_found("plug-in", &placement.plugin))?;
-            let counter = next_id.entry(placement.ecu).or_insert(0);
-            for port in &artifact.ports {
-                assigned.insert(
-                    (&placement.plugin, port.name.as_str()),
-                    PluginPortId::new(*counter),
-                );
-                *counter += 1;
-            }
         }
+        let port_count = |placement: &Placement| {
+            definition
+                .plugin(&placement.plugin)
+                .map_or(0, |artifact| artifact.ports.len() as u32)
+        };
+        let base_of = |index: usize| {
+            let ecu = conf.placements[index].ecu;
+            let first = record.next_port_id.get(&ecu).copied().unwrap_or(0);
+            conf.placements[..index]
+                .iter()
+                .filter(|earlier| earlier.ecu == ecu)
+                .map(port_count)
+                .fold(first, |next, ports| next + ports)
+        };
+        let id_of = |plugin: &PluginId, port: &str| {
+            let placement = conf.placements.iter().rposition(|p| &p.plugin == plugin)?;
+            let index = definition
+                .plugin(plugin)?
+                .ports
+                .iter()
+                .rposition(|p| p.name == port)?;
+            Some(PluginPortId::new(base_of(placement) + index as u32))
+        };
 
         // Second pass: build PIC, PLC and ECC per plug-in.
         let mut packages = Vec::new();
@@ -637,7 +653,7 @@ impl TrustedServer {
 
             let mut pic = PortInitContext::new();
             for port in &artifact.ports {
-                let id = assigned[&(&placement.plugin, port.name.as_str())];
+                let id = id_of(&placement.plugin, &port.name).expect("the plug-in is placed");
                 pic = pic.with_port(&port.name, id, port.direction);
             }
 
@@ -649,7 +665,12 @@ impl TrustedServer {
                 .iter()
                 .filter(|c| c.plugin == placement.plugin)
             {
-                let port_id = assigned[&(&placement.plugin, connection.port.as_str())];
+                let port_id = id_of(&placement.plugin, &connection.port).ok_or_else(|| {
+                    DynarError::Incompatible(format!(
+                        "plug-in {} has no port named {}",
+                        placement.plugin, connection.port
+                    ))
+                })?;
                 match &connection.target {
                     ConnectionDecl::Direct => {
                         plc = plc.with_link(port_id, LinkTarget::Direct);
@@ -668,14 +689,11 @@ impl TrustedServer {
                         plc = plc.with_link(port_id, LinkTarget::VirtualPort(decl.id));
                     }
                     ConnectionDecl::RemotePlugin { plugin, port } => {
-                        let remote_id = assigned
-                            .get(&(plugin, port.as_str()))
-                            .copied()
-                            .ok_or_else(|| {
-                                DynarError::Incompatible(format!(
-                                    "remote plug-in {plugin} has no port named {port}"
-                                ))
-                            })?;
+                        let remote_id = id_of(plugin, port).ok_or_else(|| {
+                            DynarError::Incompatible(format!(
+                                "remote plug-in {plugin} has no port named {port}"
+                            ))
+                        })?;
                         let remote_ecu = conf.placement_of(plugin).ok_or_else(|| {
                             DynarError::Incompatible(format!("plug-in {plugin} is not placed"))
                         })?;
@@ -770,14 +788,13 @@ impl TrustedServer {
         ctx: &OpCtx,
         app: &AppId,
     ) -> Result<usize> {
+        // The plan is stored once, as the pending operation's record; each
+        // envelope is encoded from the borrowed package.
         let packages = Self::plan_for_record(record, &ctx.apps, app)?;
-        let mut installed = InstalledApp {
-            plugins: Vec::new(),
-            packages: packages.clone(),
-        };
-        let mut awaiting = HashSet::new();
+        let mut plugins = Vec::with_capacity(packages.len());
+        let mut awaiting = HashSet::with_capacity(packages.len());
         for (ecu, package) in &packages {
-            installed.plugins.push((package.plugin.clone(), *ecu));
+            plugins.push((package.plugin.clone(), *ecu));
             awaiting.insert(package.plugin.clone());
             // Reserve the port ids this deployment consumed.
             let counter = record.next_port_id.entry(*ecu).or_insert(0);
@@ -799,7 +816,7 @@ impl TrustedServer {
                 package.plugin.clone(),
                 app.clone(),
                 PendingKind::Install,
-                ManagementMessage::Install(package.clone()),
+                |out| package.encode_install_into(out),
             );
         }
         let count = packages.len();
@@ -808,7 +825,7 @@ impl TrustedServer {
             PendingOperation {
                 kind: PendingKind::Install,
                 awaiting,
-                record: installed,
+                record: InstalledApp { plugins, packages },
                 failure: None,
             },
         );
@@ -880,7 +897,7 @@ impl TrustedServer {
         app: &AppId,
         installed: InstalledApp,
     ) -> usize {
-        let mut awaiting = HashSet::new();
+        let mut awaiting = HashSet::with_capacity(installed.plugins.len());
         for (plugin, ecu) in &installed.plugins {
             awaiting.insert(plugin.clone());
             Self::push_tracked(
@@ -892,9 +909,7 @@ impl TrustedServer {
                 plugin.clone(),
                 app.clone(),
                 PendingKind::Uninstall,
-                ManagementMessage::Uninstall {
-                    plugin: plugin.clone(),
-                },
+                |out| encode_uninstall_into(plugin, out),
             );
         }
         let count = installed.plugins.len();
@@ -943,12 +958,9 @@ impl TrustedServer {
         // deduplication and ordering stay uniform.
         let pushed = repush.len();
         for (target, package) in repush {
-            Self::queue_envelope(
-                record,
-                target,
-                self.ctx.incarnation,
-                ManagementMessage::Install(package),
-            );
+            Self::queue_envelope(record, target, self.ctx.incarnation, |out| {
+                package.encode_install_into(out);
+            });
         }
         record.note_dirty(vehicle, &mut self.dirty);
         self.ledger.restores += pushed as u64;
@@ -1289,12 +1301,9 @@ impl TrustedServer {
     /// (shared with the resync and incarnation paths, whose own journal
     /// records already cover the request).
     fn queue_report_request(record: &mut VehicleRecord, ecm: EcuId, incarnation: u32) {
-        Self::queue_envelope(
-            record,
-            ecm,
-            incarnation,
-            ManagementMessage::StateReportRequest,
-        );
+        Self::queue_envelope(record, ecm, incarnation, |out| {
+            ManagementMessage::StateReportRequest.encode_into(out);
+        });
         record.awaiting_report = true;
     }
 
@@ -1358,9 +1367,7 @@ impl TrustedServer {
                     plugin.clone(),
                     app.clone(),
                     PendingKind::Uninstall,
-                    ManagementMessage::Uninstall {
-                        plugin: plugin.clone(),
-                    },
+                    |out| encode_uninstall_into(plugin, out),
                 );
                 orphan_pushes += 1;
             }
@@ -1550,21 +1557,24 @@ impl TrustedServer {
             .min()
     }
 
-    /// Assigns the next sequence id, encodes the envelope and queues it on
-    /// the vehicle's downlink (shared by tracked pushes and fire-and-forget
-    /// restore pushes).
+    /// Assigns the next sequence id, encodes the envelope — its header,
+    /// then the message `encode_message` appends — and queues it on the
+    /// vehicle's downlink (shared by tracked pushes and fire-and-forget
+    /// restore pushes).  The message is encoded from whatever the caller
+    /// borrows, straight into the payload's one allocation.
     fn queue_envelope(
         record: &mut VehicleRecord,
         ecu: EcuId,
         incarnation: u32,
-        message: ManagementMessage,
+        encode_message: impl FnOnce(&mut Vec<u8>),
     ) -> (u64, Payload) {
         let seq = record.next_seq;
         record.next_seq += 1;
-        let payload: Payload =
-            DownlinkEnvelope::new(ecu, seq, record.boot_epoch, incarnation, message)
-                .to_bytes()
-                .into();
+        let boot_epoch = record.boot_epoch;
+        let payload = Payload::encode_with(|out| {
+            DownlinkEnvelope::encode_header_into(ecu, seq, boot_epoch, incarnation, out);
+            encode_message(out);
+        });
         record.downlink.push(payload.clone());
         (seq, payload)
     }
@@ -1582,9 +1592,9 @@ impl TrustedServer {
         plugin: PluginId,
         app: AppId,
         kind: PendingKind,
-        message: ManagementMessage,
+        encode_message: impl FnOnce(&mut Vec<u8>),
     ) {
-        let (seq, payload) = Self::queue_envelope(record, ecu, incarnation, message);
+        let (seq, payload) = Self::queue_envelope(record, ecu, incarnation, encode_message);
         let deadline = now.advance(record.rtt.rto(policy));
         record.outstanding.push(OutstandingDownlink {
             seq,
@@ -1776,16 +1786,16 @@ impl TrustedServer {
             return;
         }
 
-        let app = AppId::new(ack.app.name());
+        let app = &ack.app;
         record.outstanding.retain(|o| {
             let keep =
-                o.plugin != ack.plugin || o.app != app || !outcome_matches(&o.kind, &ack.status);
+                o.plugin != ack.plugin || o.app != *app || !outcome_matches(&o.kind, &ack.status);
             if !keep {
                 settle(o);
             }
             keep
         });
-        let Some(pending) = record.pending.get_mut(&app) else {
+        let Some(pending) = record.pending.get_mut(app) else {
             return;
         };
         match &ack.status {
@@ -1798,7 +1808,7 @@ impl TrustedServer {
             }
             _ => {}
         }
-        Self::resolve_if_complete(record, ledger, &app);
+        Self::resolve_if_complete(record, ledger, app);
     }
 
     /// Finalises a pending operation once no acknowledgement is awaited any

@@ -30,13 +30,35 @@
 //!   snapshot streams into the journal's own buffer and sorts into reused
 //!   space, so no per-vehicle allocation (a `Value` tree, a sort buffer)
 //!   can come back unnoticed.
+//! * **Plug-in lifecycle** — a warm uninstall-then-install of one plug-in
+//!   through the type I port allocates the same count whether its PIRTE
+//!   hosts no other plug-in or seven: the PIRTE patches that plug-in's table
+//!   entries instead of recompiling every table.
+//! * **Deploy** — a `deploy` allocates the same per vehicle at 50 vehicles
+//!   as at 400, and at most [`DEPLOY_ALLOCATIONS_PER_VEHICLE`]: the plan is
+//!   stored once and each envelope is encoded from the borrowed package.
+//! * **Type I relay** — a relayed management message moves through the
+//!   RTE without a copy, and after an install wave no type I port of the
+//!   fleet keeps a package resident.
 
-use dynar::core::message::{Ack, AckStatus, ManagementMessage};
+use dynar::bus::frame::CanId;
+use dynar::core::message::{Ack, AckStatus, InstallationPackage, ManagementMessage};
+use dynar::core::pirte::{Pirte, SwcOutput};
+use dynar::core::plugin::PluginPortDirection;
+use dynar::core::swc::PluginSwcConfig;
+use dynar::core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
+use dynar::core::{InstallationContext, LinkTarget, PortInitContext, PortLinkContext};
 use dynar::fes::transport::{TransportConfig, TransportHub};
-use dynar::foundation::ids::{UserId, VehicleId};
+use dynar::foundation::ids::{
+    AppId, EcuId, PluginId, PluginPortId, SwcId, UserId, VehicleId, VirtualPortId,
+};
+use dynar::foundation::log::EventLog;
 use dynar::foundation::payload::Payload;
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
+use dynar::rte::port::PortSpec;
+use dynar::rte::rte::Rte;
+use dynar::rte::SwcDescriptor;
 use dynar::server::TrustedServer;
 use dynar::sim::scenario::fleet::{
     fleet_hw, fleet_system, telemetry_app, FleetScenario, APP_TELEMETRY, APP_TELEMETRY_V2, GAIN_V1,
@@ -277,6 +299,297 @@ fn warm_compaction_allocations_do_not_grow_with_the_fleet() {
     );
 }
 
+/// The fleet's worker plug-in SW-C: type I ports and the two type III
+/// virtual ports of the telemetry app.
+fn worker_pirte() -> Pirte {
+    let config = PluginSwcConfig::new("worker-swc-2")
+        .with_type_i_ports("mgmt_in", "mgmt_out")
+        .with_virtual_port(VirtualPortSpec::new(
+            VirtualPortId::new(0),
+            "SensorIn",
+            PortKind::TypeIII,
+            PortDataDirection::ToPlugins,
+            "sensor_in",
+        ))
+        .with_virtual_port(VirtualPortSpec::new(
+            VirtualPortId::new(1),
+            "ActOut",
+            PortKind::TypeIII,
+            PortDataDirection::ToSystem,
+            "act_out",
+        ));
+    Pirte::new(EcuId::new(2), config)
+}
+
+/// A bystander plug-in with ports `base` and `base + 1`, linked like the
+/// telemetry plug-in (type III in, type III out).
+fn bystander(index: u32) -> InstallationPackage {
+    let base = 100 + 2 * index;
+    let binary = assemble("bystander", "yield\nhalt").unwrap().to_bytes();
+    let context = InstallationContext::new(
+        PortInitContext::new()
+            .with_port("in", PluginPortId::new(base), PluginPortDirection::Required)
+            .with_port(
+                "out",
+                PluginPortId::new(base + 1),
+                PluginPortDirection::Provided,
+            ),
+        PortLinkContext::new()
+            .with_link(
+                PluginPortId::new(base),
+                LinkTarget::VirtualPort(VirtualPortId::new(0)),
+            )
+            .with_link(
+                PluginPortId::new(base + 1),
+                LinkTarget::VirtualPort(VirtualPortId::new(1)),
+            ),
+    );
+    InstallationPackage::new(
+        PluginId::new(format!("bystander-{index}")),
+        AppId::new("bystanders"),
+        binary,
+        context,
+    )
+}
+
+/// A telemetry v1 package as the trusted server plans it for the first
+/// worker ECU of a fresh fleet vehicle.
+fn telemetry_package() -> InstallationPackage {
+    const WORKERS: u16 = 3;
+    let mut server = TrustedServer::new();
+    let user = UserId::new("fleet-ops");
+    let vin = VehicleId::new("VIN-0000");
+    server.create_user(user.clone()).unwrap();
+    let v1 = telemetry_app(APP_TELEMETRY, "", GAIN_V1, WORKERS).unwrap();
+    server.upload_app(v1.clone()).unwrap();
+    server
+        .register_vehicle(vin.clone(), fleet_hw(WORKERS), fleet_system(WORKERS))
+        .unwrap();
+    server.bind_vehicle(&user, &vin).unwrap();
+    server
+        .plan_deployment(&vin, &v1.id)
+        .unwrap()
+        .into_iter()
+        .find(|(ecu, _)| *ecu == EcuId::new(2))
+        .expect("a package for the first worker")
+        .1
+}
+
+/// Allocations of one warm uninstall-then-install of the telemetry plug-in
+/// through the type I port, on a worker PIRTE hosting `others` bystander
+/// plug-ins installed before it.
+fn warm_lifecycle_allocations(others: u32) -> u64 {
+    let mut pirte = worker_pirte();
+    for index in 0..others {
+        pirte.install(bystander(index)).unwrap();
+    }
+    let package = telemetry_package();
+    let install = ManagementMessage::Install(package.clone()).to_bytes();
+    let uninstall = ManagementMessage::Uninstall {
+        plugin: package.plugin.clone(),
+    }
+    .to_bytes();
+    fn cycle(pirte: &mut Pirte, acks: &mut Vec<(SwcOutput, Value)>, messages: [Value; 2]) {
+        for message in messages {
+            pirte.dispatch_swc_input("mgmt_in", message).unwrap();
+        }
+        pirte.drain_outbox_into(acks);
+        assert_eq!(acks.len(), 2, "both operations acknowledged");
+        acks.clear();
+    }
+    let mut acks: Vec<(SwcOutput, Value)> = Vec::new();
+    let messages = || {
+        [
+            Value::Bytes(uninstall.clone()),
+            Value::Bytes(install.clone()),
+        ]
+    };
+    pirte
+        .dispatch_swc_input("mgmt_in", Value::Bytes(install.clone()))
+        .unwrap();
+    pirte.drain_outbox_into(&mut acks);
+    acks.clear();
+    // Warm-up: the tables, the outbox and the ack buffer reach their size,
+    // and the event log its capacity (from then on it recycles its ring).
+    while pirte.log().len() < EventLog::DEFAULT_CAPACITY {
+        cycle(&mut pirte, &mut acks, messages());
+    }
+    // The message values are built outside the window, as the relay hands
+    // over the bytes it received.
+    let messages = messages();
+    let (allocations, ()) = CountingAllocator::count(|| cycle(&mut pirte, &mut acks, messages));
+    assert!(pirte.verify_compiled_routes());
+    assert_eq!(pirte.plugin_count(), others as usize + 1);
+    allocations
+}
+
+fn lifecycle_allocations_do_not_grow_with_the_pirte() {
+    let alone = warm_lifecycle_allocations(0);
+    let crowded = warm_lifecycle_allocations(7);
+    assert_eq!(
+        alone, crowded,
+        "an uninstall-then-install allocated {alone} times on a PIRTE of its own \
+         but {crowded} beside seven other plug-ins"
+    );
+}
+
+/// The most allocations one vehicle's telemetry `deploy` (three packages)
+/// may make, set from the measured count.
+const DEPLOY_ALLOCATIONS_PER_VEHICLE: u64 = 43;
+
+/// Allocations per vehicle of a warm fleet-wide `deploy` of telemetry v1
+/// over `vehicles` vehicles: each vehicle installed, acknowledged,
+/// uninstalled and acknowledged it once before, so every per-vehicle
+/// buffer is warm.
+fn warm_deploy_allocations_per_vehicle(vehicles: usize) -> u64 {
+    const WORKERS: u16 = 3;
+    let mut server = TrustedServer::new();
+    let user = UserId::new("fleet-ops");
+    server.create_user(user.clone()).unwrap();
+    let v1 = telemetry_app(APP_TELEMETRY, "", GAIN_V1, WORKERS).unwrap();
+    server.upload_app(v1.clone()).unwrap();
+    let vins: Vec<VehicleId> = (0..vehicles)
+        .map(|i| VehicleId::new(format!("VIN-{i:04}")))
+        .collect();
+    for vin in &vins {
+        server
+            .register_vehicle(vin.clone(), fleet_hw(WORKERS), fleet_system(WORKERS))
+            .unwrap();
+        server.bind_vehicle(&user, vin).unwrap();
+    }
+    let acks = |status: AckStatus| -> Vec<Vec<u8>> {
+        v1.sw_confs[0]
+            .placements
+            .iter()
+            .map(|placement| {
+                ManagementMessage::Ack(Ack {
+                    plugin: placement.plugin.clone(),
+                    app: v1.id.clone(),
+                    ecu: placement.ecu,
+                    status: status.clone(),
+                })
+                .to_bytes()
+            })
+            .collect()
+    };
+    let (installed, uninstalled) = (acks(AckStatus::Installed), acks(AckStatus::Uninstalled));
+    let mut drained = 0usize;
+    for vin in &vins {
+        server.deploy(&user, vin, &v1.id).unwrap();
+        for ack in &installed {
+            server.process_uplink(vin, ack).unwrap();
+        }
+        server.uninstall(&user, vin, &v1.id).unwrap();
+        for ack in &uninstalled {
+            server.process_uplink(vin, ack).unwrap();
+        }
+    }
+    server.poll_downlink_dirty(|_, _| drained += 1);
+    assert_eq!(
+        drained,
+        vehicles * 6,
+        "three installs and three uninstalls each"
+    );
+
+    let (allocations, ()) = CountingAllocator::count(|| {
+        for vin in &vins {
+            server.deploy(&user, vin, &v1.id).unwrap();
+        }
+    });
+    assert_eq!(
+        allocations % vehicles as u64,
+        0,
+        "{allocations} allocations over {vehicles} vehicles"
+    );
+    allocations / vehicles as u64
+}
+
+fn deploy_allocations_do_not_grow_with_the_fleet() {
+    let small = warm_deploy_allocations_per_vehicle(50);
+    let large = warm_deploy_allocations_per_vehicle(400);
+    assert_eq!(
+        small, large,
+        "a deploy allocated {small} times per vehicle at 50 vehicles but {large} at 400"
+    );
+    assert!(
+        small <= DEPLOY_ALLOCATIONS_PER_VEHICLE,
+        "a deploy allocated {small} times per vehicle (bound {DEPLOY_ALLOCATIONS_PER_VEHICLE})"
+    );
+}
+
+fn relayed_management_messages_are_not_copied_or_kept() {
+    // One RTE-level relay write: the value moves onto the network route,
+    // the port keeps nothing.
+    let mut rte = Rte::new();
+    let swc = SwcId::new(EcuId::new(1), 0);
+    let descriptor = SwcDescriptor::new("ecm-swc")
+        .with_port(PortSpec::relay("to_2"))
+        .with_port(PortSpec::sender_receiver(
+            "data_out",
+            dynar::rte::port::PortDirection::Provided,
+        ));
+    rte.register_component(swc, &descriptor).unwrap();
+    let relay = rte.port_id(swc, "to_2").unwrap();
+    let data = rte.port_id(swc, "data_out").unwrap();
+    rte.map_signal_out(relay, CanId::new(0x700).unwrap())
+        .unwrap();
+    rte.map_signal_out(data, CanId::new(0x701).unwrap())
+        .unwrap();
+    let package = ManagementMessage::Install(telemetry_package()).to_bytes();
+    let mut outbound = Vec::new();
+    for _ in 0..4 {
+        rte.write_port(relay, Value::Bytes(package.clone()))
+            .unwrap();
+        rte.drain_outbound_into(&mut outbound);
+        outbound.clear();
+    }
+    let message = Value::Bytes(package.clone());
+    let (allocations, ()) = CountingAllocator::count(|| rte.write_port(relay, message).unwrap());
+    assert_eq!(allocations, 0, "a relayed package is moved, never copied");
+    rte.drain_outbound_into(&mut outbound);
+    assert_eq!(
+        outbound,
+        vec![(CanId::new(0x700).unwrap(), Value::Bytes(package))]
+    );
+    assert_eq!(
+        rte.read_port(relay).unwrap(),
+        Value::Void,
+        "nothing resident"
+    );
+    // A data port keeps its last value for readers.
+    rte.write_port(data, Value::I64(7)).unwrap();
+    assert_eq!(rte.read_port(data).unwrap(), Value::I64(7));
+
+    // Fleet-wide: after an install wave, no type I port of any ECU holds a
+    // package or an ack.
+    let mut scenario = FleetScenario::build(10).expect("fleet builds");
+    scenario.install_telemetry(5).expect("install waves");
+    for handles in scenario.handles() {
+        let vehicle = scenario.fleet.vehicle(&handles.id).unwrap();
+        let ecm = vehicle.ecu(EcuId::new(1)).unwrap();
+        let ecm_swc = ecm.component_by_name("ecm-swc").unwrap();
+        for (worker, swc, _) in &handles.workers {
+            let to_worker = ecm
+                .rte()
+                .read_port_by_name(ecm_swc, &format!("to_{worker}"))
+                .unwrap();
+            assert_eq!(
+                to_worker,
+                Value::Void,
+                "{}: ECM relay to {worker}",
+                handles.id
+            );
+            let acks = vehicle
+                .ecu(*worker)
+                .unwrap()
+                .rte()
+                .read_port_by_name(*swc, "mgmt_out")
+                .unwrap();
+            assert_eq!(acks, Value::Void, "{}: acks of {worker}", handles.id);
+        }
+    }
+}
+
 #[test]
 fn steady_state_hot_paths_are_allocation_free() {
     warm_transport_round_is_allocation_free();
@@ -284,4 +597,7 @@ fn steady_state_hot_paths_are_allocation_free() {
     quiescent_pooled_fleet_tick_is_allocation_free();
     warm_compiled_slot_is_allocation_free();
     warm_compaction_allocations_do_not_grow_with_the_fleet();
+    lifecycle_allocations_do_not_grow_with_the_pirte();
+    deploy_allocations_do_not_grow_with_the_fleet();
+    relayed_management_messages_are_not_copied_or_kept();
 }

@@ -23,8 +23,8 @@ use std::collections::{HashMap, VecDeque};
 use dynar::bus::frame::{CanId, Frame};
 use dynar::bus::network::{Bus, BusConfig, BusStats};
 use dynar::core::context::{InstallationContext, LinkTarget, PortInitContext, PortLinkContext};
-use dynar::core::message::InstallationPackage;
-use dynar::core::pirte::Pirte;
+use dynar::core::message::{AckStatus, InstallationPackage, ManagementMessage};
+use dynar::core::pirte::{Pirte, PirteStats};
 use dynar::core::plugin::PluginPortDirection;
 use dynar::core::swc::PluginSwcConfig;
 use dynar::core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
@@ -742,6 +742,181 @@ fn churn_package(name: &str, base_port: u32, ports: u32) -> InstallationPackage 
     )
 }
 
+/// A PIRTE with every kind of virtual port a plug-in port can link to:
+/// type III in and out, type II in and out.
+fn lifecycle_pirte() -> Pirte {
+    let port = |id: u16, name: &str, kind, direction, swc_port: &str| {
+        VirtualPortSpec::new(VirtualPortId::new(id), name, kind, direction, swc_port)
+    };
+    let config = PluginSwcConfig::new("lifecycle-swc")
+        .with_type_i_ports("mgmt_in", "mgmt_out")
+        .with_virtual_port(port(
+            0,
+            "In",
+            PortKind::TypeIII,
+            PortDataDirection::ToPlugins,
+            "swc_in",
+        ))
+        .with_virtual_port(port(
+            1,
+            "Out",
+            PortKind::TypeIII,
+            PortDataDirection::ToSystem,
+            "swc_out",
+        ))
+        .with_virtual_port(port(
+            2,
+            "RemoteIn",
+            PortKind::TypeII,
+            PortDataDirection::ToPlugins,
+            "remote_in",
+        ))
+        .with_virtual_port(port(
+            3,
+            "RemoteOut",
+            PortKind::TypeII,
+            PortDataDirection::ToSystem,
+            "remote_out",
+        ));
+    Pirte::new(EcuId::new(1), config)
+}
+
+/// One generated plug-in: `ports` ports alternating required/provided,
+/// link choices drawn from `links`, port ids from a per-plug-in range that
+/// `huge` puts past the direct owner table (its limit is 4096), and a gain
+/// that tells replacements apart in the outputs.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    ports: u32,
+    links: u16,
+    huge: bool,
+    gain: i64,
+}
+
+fn lifecycle_port_id(index: u8, shape: Shape, port: u32) -> PluginPortId {
+    let base = if shape.huge { 4_096 } else { 0 } + 8 * u32::from(index);
+    PluginPortId::new(base + port)
+}
+
+/// The plug-in `index` in `shape`: it forwards each required port's values,
+/// times its gain, to the provided port after it (an unpaired required port
+/// is drained).  Required ports link to the type III input or directly;
+/// provided ports to the type III output, a remote port through the type II
+/// output, or directly.
+fn lifecycle_package(index: u8, shape: Shape) -> InstallationPackage {
+    let mut source = String::from("loop:\n");
+    for required in (0..shape.ports).step_by(2) {
+        let provided = required + 1;
+        let forward = if provided < shape.ports {
+            format!("push_int {}\nmul\nwrite_port {provided}\n", shape.gain)
+        } else {
+            "pop\n".to_owned()
+        };
+        source += &format!(
+            "port_{required}:\nport_pending {required}\npush_int 0\ngt\n\
+             jump_if_false done_{required}\ntake_port {required}\n{forward}\
+             jump port_{required}\ndone_{required}:\n"
+        );
+    }
+    source += "yield\njump loop\n";
+    let name = format!("plugin-{index}");
+    let binary = assemble(&name, &source).unwrap().to_bytes();
+    let mut pic = PortInitContext::new();
+    let mut plc = PortLinkContext::new();
+    for port in 0..shape.ports {
+        let id = lifecycle_port_id(index, shape, port);
+        let choice = (shape.links >> (2 * port)) % 4;
+        let (direction, link) = if port.is_multiple_of(2) {
+            let link = if choice.is_multiple_of(2) {
+                LinkTarget::VirtualPort(VirtualPortId::new(0))
+            } else {
+                LinkTarget::Direct
+            };
+            (PluginPortDirection::Required, link)
+        } else {
+            let link = match choice % 3 {
+                0 => LinkTarget::VirtualPort(VirtualPortId::new(1)),
+                1 => LinkTarget::RemotePluginPort {
+                    via: VirtualPortId::new(3),
+                    remote: PluginPortId::new(70 + port),
+                },
+                _ => LinkTarget::Direct,
+            };
+            (PluginPortDirection::Provided, link)
+        };
+        pic = pic.with_port(format!("p{port}"), id, direction);
+        plc = plc.with_link(id, link);
+    }
+    InstallationPackage::new(
+        PluginId::new(name),
+        AppId::new("lifecycle"),
+        binary,
+        InstallationContext::new(pic, plc),
+    )
+}
+
+/// `after − before`, field by field.
+fn stats_delta(after: PirteStats, before: PirteStats) -> PirteStats {
+    PirteStats {
+        installs: after.installs - before.installs,
+        uninstalls: after.uninstalls - before.uninstalls,
+        reinstalls: after.reinstalls - before.reinstalls,
+        rejected_operations: after.rejected_operations - before.rejected_operations,
+        signals_in: after.signals_in - before.signals_in,
+        signals_out: after.signals_out - before.signals_out,
+        slots_granted: after.slots_granted - before.slots_granted,
+        instructions_executed: after.instructions_executed - before.instructions_executed,
+        plugin_faults: after.plugin_faults - before.plugin_faults,
+    }
+}
+
+/// What a PIRTE makes of one round of inputs: the result of every input,
+/// its outbox, its direct outputs and the change of its counters.
+type Observed = (
+    Vec<String>,
+    Vec<(String, Value)>,
+    Vec<(PluginId, PluginPortId, Value)>,
+    PirteStats,
+);
+
+/// Feeds `pirte` a type III value, a type II value for each of `ids` and a
+/// direct delivery to each, runs its plug-ins and reports what came out.
+/// A first, input-free slot parks every VM at its `yield`, so a plug-in
+/// installed a moment ago and one that has run for a while start alike.
+fn observe(pirte: &mut Pirte, ids: &[PluginPortId], round: i64) -> Observed {
+    pirte.run_plugins();
+    let idle = (pirte.drain_outbox(), pirte.take_direct_outputs());
+    assert_eq!(
+        idle,
+        (Vec::new(), Vec::new()),
+        "an input-free slot writes nothing"
+    );
+    let before = pirte.stats();
+    let mut results = vec![format!(
+        "{:?}",
+        pirte.dispatch_swc_input("swc_in", Value::I64(round))
+    )];
+    for (offset, id) in ids.iter().enumerate() {
+        let value = round * 100 + offset as i64;
+        let wrapped = Value::List(vec![Value::I64(i64::from(id.index())), Value::I64(value)]);
+        results.push(format!(
+            "{:?}",
+            pirte.dispatch_swc_input("remote_in", wrapped)
+        ));
+        results.push(format!(
+            "{:?}",
+            pirte.deliver_to_port(*id, Value::I64(-value))
+        ));
+    }
+    results.push(format!("{} slots", pirte.run_plugins()));
+    (
+        results,
+        pirte.drain_outbox(),
+        pirte.take_direct_outputs(),
+        stats_delta(pirte.stats(), before),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
@@ -808,6 +983,79 @@ proptest! {
             pirte.plugin_port_slot_capacity(),
             width_bound
         );
+    }
+
+    /// Random install, uninstall and replace-install (a management
+    /// `Install` for a present plug-in) over type II remote links, direct
+    /// links and port ids past the direct owner table: after every
+    /// operation the patched tables equal a fresh compile, and the PIRTE
+    /// behaves exactly like one freshly built by installing the same
+    /// plug-ins in the same order — same results, outbox, direct outputs
+    /// and counters for the same type II/III inputs and direct deliveries.
+    #[test]
+    fn patched_pirte_tables_match_a_freshly_built_pirte(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u8..4, 1u32..5, any::<u16>(), any::<bool>(), 1i64..5),
+            1..30,
+        ),
+    ) {
+        let mut pirte = lifecycle_pirte();
+        // The installed plug-ins in PIRTE order: a replacement moves to the
+        // end, as it does in the PIRTE.
+        let mut model: Vec<(u8, Shape)> = Vec::new();
+        for (round, (kind, index, ports, links, huge, gain)) in ops.into_iter().enumerate() {
+            let shape = Shape { ports, links, huge, gain };
+            let present = model.iter().position(|(i, _)| *i == index);
+            match (kind, present) {
+                (0, None) => {
+                    pirte.install(lifecycle_package(index, shape)).unwrap();
+                    model.push((index, shape));
+                }
+                (1, Some(position)) => {
+                    pirte.uninstall(&PluginId::new(format!("plugin-{index}"))).unwrap();
+                    model.remove(position);
+                }
+                (2, _) => {
+                    let ack = pirte.handle_management(ManagementMessage::Install(
+                        lifecycle_package(index, shape),
+                    ));
+                    prop_assert!(
+                        matches!(&ack, Some(ManagementMessage::Ack(ack)) if ack.status == AckStatus::Installed),
+                        "replace-install acknowledged: {ack:?}"
+                    );
+                    if let Some(position) = present {
+                        model.remove(position);
+                    }
+                    model.push((index, shape));
+                }
+                _ => {}
+            }
+            prop_assert!(pirte.verify_compiled_routes(), "op {round}: tables diverged");
+            prop_assert_eq!(pirte.plugin_count(), model.len());
+
+            let mut fresh = lifecycle_pirte();
+            for (index, shape) in &model {
+                fresh.install(lifecycle_package(*index, *shape)).unwrap();
+            }
+            prop_assert!(fresh.verify_compiled_routes());
+            prop_assert_eq!(pirte.plugin_states(), fresh.plugin_states());
+            // Every live id, one unknown id and one unknown id past the
+            // direct table.
+            let mut ids: Vec<PluginPortId> = model
+                .iter()
+                .flat_map(|(index, shape)| {
+                    (0..shape.ports).map(move |port| lifecycle_port_id(*index, *shape, port))
+                })
+                .collect();
+            ids.extend([PluginPortId::new(60), PluginPortId::new(9_000)]);
+            let round = round as i64;
+            prop_assert_eq!(
+                observe(&mut pirte, &ids, round),
+                observe(&mut fresh, &ids, round),
+                "op {}: the patched PIRTE behaves unlike a fresh one",
+                round
+            );
+        }
     }
 
     /// Random (dis)connect and (un)map churn keeps the RTE's compiled plane
