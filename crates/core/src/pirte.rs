@@ -1164,8 +1164,8 @@ impl PortHost for PirteHost<'_> {
         self.log.record(
             self.now,
             Severity::Info,
-            format!("plugin:{}", self.plugin.name()),
-            message,
+            "plugin",
+            format!("{}: {message}", self.plugin.name()),
         );
     }
 }

@@ -46,7 +46,8 @@ pub struct Event {
     /// Severity of the event.
     pub severity: Severity,
     /// The subsystem that produced the event ("pirte", "ecm", "server", ...).
-    pub source: String,
+    /// A static name, so recording an event never allocates its source.
+    pub source: &'static str,
     /// Human-readable description.
     pub message: String,
 }
@@ -109,7 +110,7 @@ impl EventLog {
         &mut self,
         at: Tick,
         severity: Severity,
-        source: impl Into<String>,
+        source: &'static str,
         message: impl Into<String>,
     ) {
         if self.events.len() == self.capacity {
@@ -119,7 +120,7 @@ impl EventLog {
         self.events.push_back(Event {
             at,
             severity,
-            source: source.into(),
+            source,
             message: message.into(),
         });
     }

@@ -4,7 +4,7 @@
 //!
 //! Where [`crate::scenario::churn`] drives the desired-state plane by hand
 //! (the operator edits manifests vehicle by vehicle), this scenario hands the
-//! whole rollout to [`TrustedServer::create_campaign`]: the operator declares
+//! whole rollout to [`create_campaign`]: the operator declares
 //! *one* campaign (app, selector, wave plan, health gate) and the fleet tick
 //! loop evaluates the gate every round via `TrustedServer::step_campaigns`.
 //! Three campaign shapes are covered:
@@ -22,26 +22,28 @@
 //!   loss and vehicles rebooting mid-wave: rollback must converge through
 //!   the ordinary reconciliation loop against whatever the churn left.
 //!
-//! End-state guarantees (checked by [`CampaignScenario::verify_converged`]):
-//! every vehicle's server-observed state equals its desired manifest after a
-//! truth-resync round, the worker PIRTEs (ground truth) host exactly the
-//! plug-ins the manifest implies, and no PIRTE of any incarnation rejected a
-//! duplicate operation — rollbacks never double-apply.
+//! End-state guarantees (checked by the shared ground-truth verifier,
+//! [`FleetScenario::verify`], after [`FleetScenario::truth_resync`]): every
+//! vehicle's server-observed state equals its desired manifest, the worker
+//! PIRTEs (ground truth) host exactly the plug-ins the manifest implies, and
+//! no PIRTE of any incarnation rejected a duplicate operation — rollbacks
+//! never double-apply.
+//!
+//! [`create_campaign`]: dynar_server::server::TrustedServer::create_campaign
 
 use dynar_fes::transport::{TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, EcuId, PluginId, UserId, VehicleId};
+use dynar_foundation::ids::{AppId, UserId, VehicleId};
 use dynar_server::campaign::{
-    CampaignId, CampaignSpec, CampaignStatus, HealthGate, VehicleSelector, WavePlan,
+    Campaign, CampaignId, CampaignSpec, CampaignStatus, HealthGate, VehicleSelector, WavePlan,
 };
 use dynar_server::model::{AppDefinition, PluginArtifact, SwConf};
-use dynar_server::server::{DeploymentStatus, RetryPolicy, TrustedServer};
+use dynar_server::server::RetryPolicy;
 
-use crate::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY, FLEET_MODEL};
-
-/// The application a bad-version campaign tries to roll out: plug-in
-/// binaries that no PIRTE can parse.
-pub const APP_TELEMETRY_BAD: &str = "fleet-telemetry-bad";
+pub use crate::scenario::fleet::APP_TELEMETRY_BAD;
+use crate::scenario::fleet::{
+    expected_plugin, worker_ids, FleetScenario, FleetScenarioConfig, APP_TELEMETRY, FLEET_MODEL,
+};
 
 /// How the campaign scenario is sized, how hostile its transport is, the
 /// rollout's wave plan/health gate and the churn scheduled against it.
@@ -140,11 +142,11 @@ pub struct CampaignScenario {
 ///
 /// Never fails today; kept fallible to match the app-builder signatures.
 pub fn bad_telemetry_app(workers: u16) -> Result<AppDefinition> {
-    let mut definition = AppDefinition::new(AppId::new(APP_TELEMETRY_BAD));
+    let app = AppId::new(APP_TELEMETRY_BAD);
+    let mut definition = AppDefinition::new(app.clone());
     let mut conf = SwConf::new(FLEET_MODEL);
-    for i in 0..workers {
-        let worker = EcuId::new(i + 2);
-        let op_id = PluginId::new(format!("OPBAD-{worker}"));
+    for worker in worker_ids(workers) {
+        let op_id = expected_plugin(&app, worker);
         definition = definition.with_plugin(PluginArtifact {
             id: op_id.clone(),
             binary: vec![0xFF; 8],
@@ -221,26 +223,6 @@ impl CampaignScenario {
         }
     }
 
-    /// One fleet tick, asserting transport conservation.  The fleet tick
-    /// itself evaluates the campaign gates (`TrustedServer::step_campaigns`
-    /// runs at the serial point of every round).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
-    pub fn step(&mut self) -> Result<()> {
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
-    }
-
     /// Converges the whole fleet on the v1 telemetry app through the desired
     /// plane — the baseline state an update campaign then rewrites.
     ///
@@ -251,10 +233,18 @@ impl CampaignScenario {
     pub fn converge_on_v1(&mut self) -> Result<()> {
         let user = self.inner.user.clone();
         let v1 = AppId::new(APP_TELEMETRY);
-        for id in self.initial_ids.clone() {
-            self.inner.fleet.server.set_desired(&user, &id, &v1)?;
+        for id in &self.initial_ids {
+            self.inner.fleet.server.set_desired(&user, id, &v1)?;
         }
-        self.run_until(|scenario| scenario.fleet_converged())
+        let no_events: Vec<(u64, usize)> = Vec::new();
+        self.inner.drive(
+            "v1",
+            self.config.max_ticks,
+            self.config.reconcile_interval,
+            no_events,
+            |_, _| Ok(()),
+            |inner| Ok(inner.fleet_converged()),
+        )
     }
 
     /// Creates the campaign and drives it to a verified end state — see
@@ -274,7 +264,9 @@ impl CampaignScenario {
     /// terminal status *and* every vehicle converged on its (possibly
     /// rolled-back) manifest, with the configured reboots (tick offsets
     /// relative to this call) and reconcile sweeps firing along the way.
-    /// Ends with a ground-truth verification round.
+    /// Ends with a ground-truth verification round.  The fleet tick itself
+    /// evaluates the campaign gates (`TrustedServer::step_campaigns` runs
+    /// at the serial point of every round).
     ///
     /// # Errors
     ///
@@ -282,68 +274,35 @@ impl CampaignScenario {
     /// [`DynarError::RetryExhausted`] on horizon exhaustion.
     pub fn drive(&mut self, id: &CampaignId) -> Result<CampaignReport> {
         let start = self.inner.fleet.now().as_u64();
-        let mut reboots = self.config.reboots.clone();
+        let schedule: Vec<(u64, usize)> = self
+            .config
+            .reboots
+            .iter()
+            .map(|&(offset, index)| (start + offset, index))
+            .collect();
         let mut rebooted = 0usize;
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= start + self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!(
-                        "campaign convergence within {} ticks",
-                        self.config.max_ticks
-                    ),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
-            }
-
-            let mut due = Vec::new();
-            reboots.retain(|&(tick, index)| {
-                if start + tick <= now {
-                    due.push(index);
-                    false
-                } else {
-                    true
-                }
-            });
-            for index in due {
-                let vehicle = self.initial_ids[index].clone();
-                self.inner.reboot_vehicle(&vehicle)?;
+        self.inner.drive(
+            "campaign",
+            start + self.config.max_ticks,
+            self.config.reconcile_interval,
+            schedule,
+            |inner, index| {
+                inner.reboot_vehicle(&self.initial_ids[index])?;
                 rebooted += 1;
-            }
+                Ok(())
+            },
+            |inner| {
+                let status = campaign_of(inner, id)?.status;
+                let terminal = matches!(status, CampaignStatus::Complete | CampaignStatus::Aborted);
+                Ok(terminal && inner.fleet_converged())
+            },
+        )?;
 
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                    super::unless_not_found(self.inner.fleet.server.reconcile(&vehicle))?;
-                }
-            }
+        self.inner.truth_resync()?;
+        self.inner.verify()?;
 
-            self.step()?;
-
-            let status = self
-                .inner
-                .fleet
-                .server
-                .campaign(id)
-                .map(|c| c.status)
-                .ok_or_else(|| DynarError::not_found("campaign", id))?;
-            let terminal = matches!(status, CampaignStatus::Complete | CampaignStatus::Aborted);
-            if terminal && reboots.is_empty() && self.fleet_converged() {
-                break;
-            }
-        }
-
-        self.truth_resync()?;
-        self.verify_converged()?;
-
-        let campaign = self
-            .inner
-            .fleet
-            .server
-            .campaign(id)
-            .ok_or_else(|| DynarError::not_found("campaign", id))?;
-        let report = CampaignReport {
+        let campaign = campaign_of(&self.inner, id)?;
+        Ok(CampaignReport {
             ticks: self.inner.fleet.stats().ticks,
             status: campaign.status,
             exposed: campaign.counters.exposed,
@@ -353,126 +312,7 @@ impl CampaignScenario {
             rebooted,
             retry_failures: self.inner.fleet.stats().retry_failures,
             transport: self.inner.fleet.transport_stats(),
-        };
-        Ok(report)
-    }
-
-    /// Returns `true` when every vehicle reached exactly its desired
-    /// manifest and nothing is pending or outstanding.
-    pub fn fleet_converged(&self) -> bool {
-        let server = &self.inner.fleet.server;
-        self.inner.fleet.vehicle_ids().iter().all(|id| {
-            server.pending_operations(id).is_empty()
-                && server.outstanding_count(id) == 0
-                && manifest_reached(server, id)
         })
-    }
-
-    /// Steps the fleet until `done` holds, bounded by the configured
-    /// horizon, sweeping reconcile periodically.
-    fn run_until(&mut self, done: impl Fn(&CampaignScenario) -> bool) -> Result<()> {
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!("convergence within {} ticks", self.config.max_ticks),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
-            }
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                    super::unless_not_found(self.inner.fleet.server.reconcile(&vehicle))?;
-                }
-            }
-            self.step()?;
-            if done(self) {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Asks every ECM for a state report and lets the resync path confirm
-    /// (or repair) the server's observed state; requests and reports travel
-    /// the same lossy links, so several rounds are issued.
-    fn truth_resync(&mut self) -> Result<()> {
-        for _ in 0..8 {
-            for vehicle in self.inner.fleet.vehicle_ids().to_vec() {
-                super::unless_not_found(self.inner.fleet.server.request_state_report(&vehicle))?;
-            }
-            for _ in 0..12 {
-                self.step()?;
-            }
-            if self.fleet_converged() {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks the campaign's end-state guarantees, naming the first vehicle
-    /// that violates one: observed state equals the desired manifest, the
-    /// worker PIRTEs host exactly the plug-ins that manifest implies, and no
-    /// PIRTE rejected a duplicate operation (rollbacks never double-apply).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
-    pub fn verify_converged(&self) -> Result<()> {
-        let server = &self.inner.fleet.server;
-        for handle in self.inner.handles() {
-            let id = &handle.id;
-            let desired = server.desired_manifest(id);
-            for app in &desired {
-                let status = server.deployment_status(id, app);
-                if status != DeploymentStatus::Installed {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: desired app {app} resolved to {status:?}, not Installed"
-                    )));
-                }
-            }
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: {} rejected operations — a rollback \
-                         double-applied or a duplicate crossed the dedup window",
-                        stats.rejected_operations
-                    )));
-                }
-                let mut expected: Vec<PluginId> = desired
-                    .iter()
-                    .map(|app| expected_plugin(app, *worker))
-                    .collect();
-                expected.sort();
-                let mut actual: Vec<PluginId> = pirte
-                    .plugin_states()
-                    .into_iter()
-                    .map(|(plugin, _)| plugin)
-                    .collect();
-                actual.sort();
-                if actual != expected {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: compiled routes diverged"
-                    )));
-                }
-            }
-            let observed = server.installed_apps(id);
-            if observed != desired {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: observed {observed:?} diverges from desired {desired:?} \
-                     after truth resync"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// The fleet-ops user driving the campaign.
@@ -481,24 +321,13 @@ impl CampaignScenario {
     }
 }
 
-/// `true` once `vehicle`'s server-side state equals its desired manifest.
-fn manifest_reached(server: &TrustedServer, vehicle: &VehicleId) -> bool {
-    let desired = server.desired_manifest(vehicle);
-    server.installed_apps(vehicle) == desired
-        && desired
-            .iter()
-            .all(|app| server.deployment_status(vehicle, app) == DeploymentStatus::Installed)
-}
-
-/// The plug-in id `app` places on `worker` (mirrors the fleet and bad-app
-/// builders' naming).
-fn expected_plugin(app: &AppId, worker: EcuId) -> PluginId {
-    let suffix = match app.name() {
-        name if name == crate::scenario::fleet::APP_TELEMETRY_V2 => "2",
-        APP_TELEMETRY_BAD => "BAD",
-        _ => "",
-    };
-    PluginId::new(format!("OP{suffix}-{worker}"))
+/// The campaign `id` on the fleet's server.
+fn campaign_of<'a>(inner: &'a FleetScenario, id: &CampaignId) -> Result<&'a Campaign> {
+    inner
+        .fleet
+        .server
+        .campaign(id)
+        .ok_or_else(|| DynarError::not_found("campaign", id))
 }
 
 #[cfg(test)]

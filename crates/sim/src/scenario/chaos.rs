@@ -16,7 +16,7 @@
 //! * **Conservation** — the transport accounts for every message at every
 //!   tick: `sent == delivered + lost + dropped (+ in-flight)`.
 
-use dynar_fes::transport::{LinkFault, TransportConfig, TransportStats};
+use dynar_fes::transport::{TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, VehicleId};
 use dynar_foundation::time::Tick;
@@ -138,34 +138,10 @@ impl ChaosScenario {
             ..FleetScenarioConfig::default()
         })?;
         inner.fleet.server.set_retry_policy(config.retry.clone());
-
-        // Per-link faults: jitter on both directions, asymmetric loss on the
-        // uplink when configured.  Faults are keyed by endpoint names, so
-        // installing them on every lane hub is inert where a pair never
-        // communicates.
-        {
-            let ids = inner.fleet.vehicle_ids();
-            let server = inner.fleet.server_endpoint().to_owned();
-            let endpoints: Vec<String> = ids
-                .iter()
-                .filter_map(|id| inner.fleet.endpoint_of(id).map(str::to_owned))
-                .collect();
-            for endpoint in endpoints {
-                inner.fleet.set_link_fault(
-                    &server,
-                    &endpoint,
-                    LinkFault::jittery(config.jitter_ticks),
-                );
-                inner.fleet.set_link_fault(
-                    &endpoint,
-                    &server,
-                    LinkFault {
-                        loss_probability: config.uplink_loss_probability,
-                        jitter_ticks: config.jitter_ticks,
-                        partition_until: None,
-                    },
-                );
-            }
+        // Jitter on both directions, asymmetric loss on the uplink when
+        // configured.
+        for id in inner.fleet.vehicle_ids() {
+            inner.set_link_jitter(id, config.jitter_ticks, config.uplink_loss_probability);
         }
 
         Ok(ChaosScenario {
@@ -181,13 +157,12 @@ impl ChaosScenario {
     }
 
     /// One fleet tick under chaos: injects the scheduled partition when its
-    /// start tick is reached and asserts the transport conservation
-    /// invariant afterwards.
+    /// start tick is reached, then takes the checked
+    /// [`FleetScenario::step`].
     ///
     /// # Errors
     ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
+    /// Propagates [`FleetScenario::step`] errors.
     pub fn step(&mut self) -> Result<()> {
         if let Some(plan) = &self.config.partition {
             if !self.partition_injected && self.inner.fleet.now().as_u64() >= plan.start_tick {
@@ -207,15 +182,7 @@ impl ChaosScenario {
                 self.partition_injected = true;
             }
         }
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
+        self.inner.step()
     }
 
     /// Ticks until no target has a `Pending` operation for `app` any more
@@ -328,41 +295,25 @@ impl ChaosScenario {
         Ok(report)
     }
 
-    /// Checks the idempotence guarantee on every worker PIRTE: no rejected
-    /// operations (a reinstalled duplicate would be rejected), at most one
-    /// plug-in per worker, and internally consistent routing tables.
+    /// Checks the idempotence guarantee through
+    /// [`FleetScenario::verify_workers`] (no rejected operation, compiled
+    /// routes equal to a fresh compile) with chaos's own rule: at most one
+    /// plug-in per worker, since a typed failure may leave a worker empty.
     ///
     /// # Errors
     ///
     /// Returns [`DynarError::ProtocolViolation`] naming the first worker
     /// that saw a duplicate.
     pub fn verify_no_duplicates(&self) -> Result<()> {
-        for handle in self.inner.handles() {
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{}/{worker}: {} rejected operations — a duplicate got past the dedup window",
-                        handle.id, stats.rejected_operations
-                    )));
-                }
-                if pirte.plugin_count() > 1 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{}/{worker}: {} plug-ins installed, at most 1 expected",
-                        handle.id,
-                        pirte.plugin_count()
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{}/{worker}: compiled routes diverged",
-                        handle.id
-                    )));
-                }
+        self.inner.verify_workers(|id, worker, pirte| {
+            let count = pirte.plugin_count();
+            if count > 1 {
+                return Err(DynarError::ProtocolViolation(format!(
+                    "{id}/{worker}: {count} plug-ins installed, at most 1 expected"
+                )));
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 

@@ -8,7 +8,13 @@
 //! in flight.  Vehicles are driven declaratively — the operator only edits
 //! each vehicle's desired manifest ([`TrustedServer::set_desired`] /
 //! [`TrustedServer::clear_desired`]) and a periodic reconcile sweep closes
-//! whatever gap loss, reboots and failures opened.
+//! whatever gap loss, reboots and failures opened.  The drive loop, the
+//! truth-resync rounds and the ground-truth verifier are
+//! [`FleetScenario`]'s; this module adds the churn schedule and the checks
+//! on updated and removed vehicles.
+//!
+//! [`TrustedServer::set_desired`]: dynar_server::server::TrustedServer::set_desired
+//! [`TrustedServer::clear_desired`]: dynar_server::server::TrustedServer::clear_desired
 //!
 //! What must hold at the end of a campaign:
 //!
@@ -27,10 +33,10 @@
 //!   the distinct `vehicle unreachable` reason, never by burning the retry
 //!   budget.
 
-use dynar_fes::transport::{LinkFault, TransportConfig, TransportStats};
+use dynar_fes::transport::{TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, EcuId, PluginId, VehicleId};
-use dynar_server::server::{DeploymentStatus, RetryPolicy, TrustedServer};
+use dynar_foundation::ids::{AppId, VehicleId};
+use dynar_server::server::{DeploymentStatus, RetryPolicy};
 
 use crate::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY, APP_TELEMETRY_V2};
 
@@ -174,16 +180,15 @@ impl ChurnScenario {
         })?;
         inner.fleet.server.set_retry_policy(config.retry.clone());
         let initial_ids: Vec<VehicleId> = inner.fleet.vehicle_ids().to_vec();
-        let scenario = ChurnScenario {
+        for id in &initial_ids {
+            inner.set_link_jitter(id, config.jitter_ticks, None);
+        }
+        Ok(ChurnScenario {
             inner,
             config,
             initial_ids,
             removed_ids: Vec::new(),
-        };
-        for id in scenario.initial_ids.clone() {
-            scenario_install_jitter(&scenario.inner, &id, scenario.config.jitter_ticks);
-        }
-        Ok(scenario)
+        })
     }
 
     /// The active configuration.
@@ -194,24 +199,6 @@ impl ChurnScenario {
     /// Vehicles removed by the campaign so far.
     pub fn removed_ids(&self) -> &[VehicleId] {
         &self.removed_ids
-    }
-
-    /// One fleet tick under churn, asserting transport conservation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
-    pub fn step(&mut self) -> Result<()> {
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
     }
 
     /// Runs the full churn campaign: staggered v1 waves, scheduled reboots,
@@ -236,143 +223,83 @@ impl ChurnScenario {
             self.inner.fleet.server.set_desired(&user, id, &v1)?;
         }
 
-        let mut reboots = self.config.plan.reboots.clone();
-        let mut removals = self.config.plan.removals.clone();
-        let mut additions = self.config.plan.additions.clone();
-        let mut second_wave_done = false;
-        let mut update_done = false;
-        let mut updated: Vec<VehicleId> = Vec::new();
-
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!(
-                        "churn campaign convergence within {} ticks",
-                        self.config.max_ticks
-                    ),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
-            }
-
-            // --- Scheduled churn events -----------------------------------
-            let mut due_reboots = Vec::new();
-            reboots.retain(|&(tick, index)| {
-                if tick <= now {
-                    due_reboots.push(index);
-                    false
-                } else {
-                    true
-                }
-            });
-            for index in due_reboots {
-                let id = self.initial_ids[index].clone();
-                if self.removed_ids.contains(&id) {
-                    continue;
-                }
-                self.inner.reboot_vehicle(&id)?;
-                // Jitter faults are keyed by endpoint *name* and survive the
-                // re-registration, so the rebooted link stays as hostile as
-                // before.
-                report.rebooted += 1;
-            }
-            let mut due_removals = Vec::new();
-            removals.retain(|&(tick, index)| {
-                if tick <= now {
-                    due_removals.push(index);
-                    false
-                } else {
-                    true
-                }
-            });
-            for index in due_removals {
-                let id = self.initial_ids[index].clone();
-                if self.removed_ids.contains(&id) {
-                    continue;
-                }
-                self.inner.remove_vehicle(&id)?;
-                self.removed_ids.push(id);
-                report.removed += 1;
-            }
-            let mut due_additions = 0usize;
-            additions.retain(|&tick| {
-                if tick <= now {
-                    due_additions += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            for _ in 0..due_additions {
-                let id = self.inner.add_vehicle_during_run()?;
-                scenario_install_jitter(&self.inner, &id, self.config.jitter_ticks);
-                self.inner.fleet.server.set_desired(&user, &id, &v1)?;
-                report.added += 1;
-            }
-
-            // --- Staggered waves ------------------------------------------
-            if !second_wave_done && now >= self.config.second_wave_tick {
-                second_wave_done = true;
-                for id in &self.initial_ids[half..] {
-                    if self.removed_ids.contains(id) {
-                        continue;
-                    }
-                    self.inner.fleet.server.set_desired(&user, id, &v1)?;
-                }
-            }
-            if !update_done && now >= self.config.update_tick {
-                update_done = true;
-                updated = self
-                    .inner
-                    .fleet
-                    .vehicle_ids()
+        // Events due on the same tick fire in this order: reboots,
+        // removals, joins, the second wave, the update.
+        let plan = &self.config.plan;
+        let schedule: Vec<(u64, ChurnEvent)> = plan
+            .reboots
+            .iter()
+            .map(|&(tick, index)| (tick, ChurnEvent::Reboot(index)))
+            .chain(
+                plan.removals
                     .iter()
-                    .take(self.config.update_count)
-                    .cloned()
-                    .collect();
-                for id in updated.clone() {
-                    self.inner.fleet.server.clear_desired(&user, &id, &v1)?;
-                    self.inner.fleet.server.set_desired(&user, &id, &v2)?;
+                    .map(|&(tick, index)| (tick, ChurnEvent::Remove(index))),
+            )
+            .chain(plan.additions.iter().map(|&tick| (tick, ChurnEvent::Join)))
+            .chain([
+                (self.config.second_wave_tick, ChurnEvent::SecondWave),
+                (self.config.update_tick, ChurnEvent::Update),
+            ])
+            .collect();
+        let mut updated: Vec<VehicleId> = Vec::new();
+        self.inner.drive(
+            "churn campaign",
+            self.config.max_ticks,
+            self.config.reconcile_interval,
+            schedule,
+            |inner, event| {
+                match event {
+                    ChurnEvent::Reboot(index) => {
+                        let id = &self.initial_ids[index];
+                        if !self.removed_ids.contains(id) {
+                            // Jitter faults are keyed by endpoint *name* and
+                            // survive the re-registration, so the rebooted
+                            // link stays as hostile as before.
+                            inner.reboot_vehicle(id)?;
+                            report.rebooted += 1;
+                        }
+                    }
+                    ChurnEvent::Remove(index) => {
+                        let id = &self.initial_ids[index];
+                        if !self.removed_ids.contains(id) {
+                            inner.remove_vehicle(id)?;
+                            self.removed_ids.push(id.clone());
+                            report.removed += 1;
+                        }
+                    }
+                    ChurnEvent::Join => {
+                        let id = inner.add_vehicle_during_run()?;
+                        inner.set_link_jitter(&id, self.config.jitter_ticks, None);
+                        inner.fleet.server.set_desired(&user, &id, &v1)?;
+                        report.added += 1;
+                    }
+                    ChurnEvent::SecondWave => {
+                        for id in &self.initial_ids[half..] {
+                            if !self.removed_ids.contains(id) {
+                                inner.fleet.server.set_desired(&user, id, &v1)?;
+                            }
+                        }
+                    }
+                    ChurnEvent::Update => {
+                        updated = inner
+                            .fleet
+                            .vehicle_ids()
+                            .iter()
+                            .take(self.config.update_count)
+                            .cloned()
+                            .collect();
+                        for id in &updated {
+                            inner.fleet.server.clear_desired(&user, id, &v1)?;
+                            inner.fleet.server.set_desired(&user, id, &v2)?;
+                        }
+                    }
                 }
-            }
+                Ok(())
+            },
+            |inner| Ok(inner.fleet_converged()),
+        )?;
 
-            // --- The convergent control loop ------------------------------
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for id in self.inner.fleet.vehicle_ids().to_vec() {
-                    super::unless_not_found(self.inner.fleet.server.reconcile(&id))?;
-                }
-            }
-
-            self.step()?;
-
-            // --- Done? ----------------------------------------------------
-            let events_pending = !reboots.is_empty()
-                || !removals.is_empty()
-                || !additions.is_empty()
-                || !second_wave_done
-                || !update_done;
-            if !events_pending && self.fleet_converged() {
-                break;
-            }
-        }
-
-        // Ground truth: ask every surviving ECM for a state report and let
-        // the resync path confirm (or repair) the server's observed state;
-        // requests and reports travel the same lossy links, so several
-        // rounds are issued.
-        for _ in 0..8 {
-            for id in self.inner.fleet.vehicle_ids().to_vec() {
-                super::unless_not_found(self.inner.fleet.server.request_state_report(&id))?;
-            }
-            for _ in 0..12 {
-                self.step()?;
-            }
-            if self.fleet_converged() {
-                break;
-            }
-        }
+        self.inner.truth_resync()?;
         self.verify_converged(&updated)?;
 
         report.ticks = self.inner.fleet.stats().ticks;
@@ -389,87 +316,27 @@ impl ChurnScenario {
         Ok(report)
     }
 
-    /// Returns `true` when every surviving vehicle reached exactly its
-    /// desired manifest and nothing is pending or outstanding.
-    pub fn fleet_converged(&self) -> bool {
-        let server = &self.inner.fleet.server;
-        self.inner.fleet.vehicle_ids().iter().all(|id| {
-            server.pending_operations(id).is_empty()
-                && server.outstanding_count(id) == 0
-                && manifest_reached(server, id)
-        })
-    }
-
-    /// Checks the campaign's end-state guarantees, naming the first vehicle
-    /// that violates one.
+    /// Checks the campaign's end-state guarantees: the shared ground-truth
+    /// check [`FleetScenario::verify`], every `updated` vehicle on exactly
+    /// v2, and every removed vehicle failed fast with the distinct
+    /// unreachable reason (unless its wave had already converged before
+    /// removal).
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
+    /// Returns [`DynarError::ProtocolViolation`] describing the first
+    /// violation.
     pub fn verify_converged(&self, updated: &[VehicleId]) -> Result<()> {
+        self.inner.verify()?;
         let server = &self.inner.fleet.server;
-        for handle in self.inner.handles() {
-            let id = &handle.id;
+        for id in updated {
             let desired = server.desired_manifest(id);
-            for app in &desired {
-                let status = server.deployment_status(id, app);
-                if status != DeploymentStatus::Installed {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: desired app {app} resolved to {status:?}, not Installed"
-                    )));
-                }
-            }
-            if updated.contains(id) && desired != vec![AppId::new(APP_TELEMETRY_V2)] {
+            if desired != vec![AppId::new(APP_TELEMETRY_V2)] {
                 return Err(DynarError::ProtocolViolation(format!(
                     "{id}: updated vehicle's manifest is {desired:?}"
                 )));
             }
-            // Ground truth: the worker PIRTEs host exactly the plug-ins the
-            // manifest implies — no leftovers, no double-applies.
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: {} rejected operations — a duplicate crossed \
-                         a boot epoch or the dedup window",
-                        stats.rejected_operations
-                    )));
-                }
-                let mut expected: Vec<PluginId> = desired
-                    .iter()
-                    .map(|app| expected_plugin(app, *worker))
-                    .collect();
-                expected.sort();
-                let mut actual: Vec<PluginId> = pirte
-                    .plugin_states()
-                    .into_iter()
-                    .map(|(plugin, _)| plugin)
-                    .collect();
-                actual.sort();
-                if actual != expected {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: compiled routes diverged"
-                    )));
-                }
-            }
-            // The server's observed state matches the ground truth the
-            // state-report rounds just re-confirmed.
-            let observed = server.installed_apps(id);
-            if observed != desired {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: observed {observed:?} diverges from desired {desired:?} \
-                     after truth resync"
-                )));
-            }
         }
-        // Removed vehicles failed fast with the distinct unreachable reason
-        // (unless their wave had already fully converged before removal).
         for id in &self.removed_ids {
             if !server.pending_operations(id).is_empty() {
                 return Err(DynarError::ProtocolViolation(format!(
@@ -491,42 +358,15 @@ impl ChurnScenario {
     }
 }
 
-/// `true` once `vehicle`'s server-side state equals its desired manifest.
-fn manifest_reached(server: &TrustedServer, vehicle: &VehicleId) -> bool {
-    let desired = server.desired_manifest(vehicle);
-    server.installed_apps(vehicle) == desired
-        && desired
-            .iter()
-            .all(|app| server.deployment_status(vehicle, app) == DeploymentStatus::Installed)
-}
-
-/// The plug-in id `app` places on `worker` (mirrors
-/// [`crate::scenario::fleet::telemetry_app`]'s naming).
-fn expected_plugin(app: &AppId, worker: EcuId) -> PluginId {
-    let suffix = if app.name() == APP_TELEMETRY_V2 {
-        "2"
-    } else {
-        ""
-    };
-    PluginId::new(format!("OP{suffix}-{worker}"))
-}
-
-/// Installs the scenario's jitter fault on both directions of one vehicle's
-/// server link (faults are name-keyed and survive reboots).
-fn scenario_install_jitter(inner: &FleetScenario, id: &VehicleId, jitter_ticks: u64) {
-    if jitter_ticks == 0 {
-        return;
-    }
-    let Some(endpoint) = inner.fleet.endpoint_of(id).map(str::to_owned) else {
-        return;
-    };
-    let server = inner.fleet.server_endpoint().to_owned();
-    inner
-        .fleet
-        .set_link_fault(&server, &endpoint, LinkFault::jittery(jitter_ticks));
-    inner
-        .fleet
-        .set_link_fault(&endpoint, &server, LinkFault::jittery(jitter_ticks));
+/// One scheduled churn event; vehicle indices refer to the initial
+/// registration order.
+#[derive(Debug, Clone, Copy)]
+enum ChurnEvent {
+    Reboot(usize),
+    Remove(usize),
+    Join,
+    SecondWave,
+    Update,
 }
 
 #[cfg(test)]
@@ -584,7 +424,7 @@ mod tests {
         scenario.inner.reboot_vehicle(&id).unwrap();
         assert!(!scenario.inner.fleet.server.is_online(&id));
         for _ in 0..30 {
-            scenario.step().unwrap();
+            scenario.inner.step().unwrap();
         }
         assert!(
             scenario.inner.fleet.server.is_online(&id),
@@ -597,7 +437,7 @@ mod tests {
         // stops re-announcing: the external link goes and stays quiet.
         let before = scenario.inner.fleet.transport_stats().sent;
         for _ in 0..100 {
-            scenario.step().unwrap();
+            scenario.inner.step().unwrap();
         }
         let after = scenario.inner.fleet.transport_stats().sent;
         assert_eq!(

@@ -15,17 +15,34 @@
 //! each plug-in consumes sensor readings, applies its gain and actuates.  The
 //! v2 application does the same with a different gain, so an update wave is
 //! observable at the actuators while the rest of the fleet keeps driving.
+//!
+//! [`FleetScenario`] is also the one harness the lossy scenarios
+//! ([`crate::scenario::chaos`], [`crate::scenario::churn`],
+//! [`crate::scenario::restart`], [`crate::scenario::campaign`]) run on:
+//!
+//! * [`FleetScenario::step`] — one fleet tick, then the transport
+//!   conservation check;
+//! * [`FleetScenario::drive`] — the drive loop: horizon, due events
+//!   (`take_due`), reconcile sweep, checked step, done?;
+//! * [`FleetScenario::truth_resync`] — state-report rounds that let every
+//!   ECM confirm (or repair) the server's observed state;
+//! * [`FleetScenario::verify`] — the one ground-truth verifier: every
+//!   worker PIRTE passes [`FleetScenario::verify_workers`] (no rejected
+//!   operation, compiled routes equal to a fresh compile) and hosts exactly
+//!   the plug-ins its manifest implies (`expected_plugin`); on the server
+//!   every desired app is `Installed` and observed = desired.
 
 use dynar_bus::frame::CanId;
 use dynar_bus::network::BusConfig;
+use dynar_core::pirte::Pirte;
 use dynar_core::plugin::PluginPortDirection;
 use dynar_core::swc::{PluginSwc, PluginSwcConfig, SharedPirte};
 use dynar_core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 use std::sync::Arc;
 
 use dynar_ecm::gateway::{EcmConfig, EcmSwc, SendFailureCounts, SendFailures, SharedHub};
-use dynar_fes::transport::TransportConfig;
-use dynar_foundation::error::Result;
+use dynar_fes::transport::{LinkFault, TransportConfig};
+use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{AppId, EcuId, PluginId, SwcId, UserId, VehicleId};
 use dynar_foundation::value::Value;
 use dynar_rte::component::{ComponentBehavior, RteContext, RunnableSpec, SwcDescriptor, Trigger};
@@ -35,7 +52,7 @@ use dynar_server::model::{
     AppDefinition, ConnectionDecl, HwConf, PluginArtifact, PluginPortDecl, PluginSwcDecl, SwConf,
     SystemSwConf, VirtualPortDecl, VirtualPortKindDecl,
 };
-use dynar_server::server::TrustedServer;
+use dynar_server::server::{DeploymentStatus, TrustedServer};
 use dynar_vm::assembler::assemble;
 
 use crate::fleet::Fleet;
@@ -49,6 +66,9 @@ pub const FLEET_MODEL: &str = "fleet-car";
 pub const APP_TELEMETRY: &str = "fleet-telemetry";
 /// The updated telemetry application (gain 3).
 pub const APP_TELEMETRY_V2: &str = "fleet-telemetry-v2";
+/// The application a bad-version campaign tries to roll out: plug-in
+/// binaries that no PIRTE can parse.
+pub const APP_TELEMETRY_BAD: &str = "fleet-telemetry-bad";
 /// Gain applied by the v1 OP plug-ins.
 pub const GAIN_V1: i64 = 2;
 /// Gain applied by the v2 OP plug-ins.
@@ -129,7 +149,7 @@ impl ComponentBehavior for SpeedSensor {
     }
 }
 
-fn worker_ids(workers: u16) -> impl Iterator<Item = EcuId> {
+pub(crate) fn worker_ids(workers: u16) -> impl Iterator<Item = EcuId> {
     (0..workers).map(|i| EcuId::new(i + 2))
 }
 
@@ -247,6 +267,30 @@ pub fn telemetry_app(app: &str, suffix: &str, gain: i64, workers: u16) -> Result
             );
     }
     Ok(definition.with_sw_conf(conf))
+}
+
+/// The plug-in id `app` places on `worker`: `OP-…` for [`APP_TELEMETRY`],
+/// `OP2-…` for [`APP_TELEMETRY_V2`] and `OPBAD-…` for [`APP_TELEMETRY_BAD`].
+pub(crate) fn expected_plugin(app: &AppId, worker: EcuId) -> PluginId {
+    let suffix = match app.name() {
+        APP_TELEMETRY_V2 => "2",
+        APP_TELEMETRY_BAD => "BAD",
+        _ => "",
+    };
+    PluginId::new(format!("OP{suffix}-{worker}"))
+}
+
+/// Removes the events of `schedule` that are due at `now` (scheduled at or
+/// before it) and returns them in schedule order; later events stay queued.
+pub(crate) fn take_due<E: Copy>(schedule: &mut Vec<(u64, E)>, now: u64) -> Vec<E> {
+    let mut due = Vec::new();
+    schedule.retain(|&(tick, event)| {
+        if tick <= now {
+            due.push(event);
+        }
+        tick > now
+    });
+    due
 }
 
 impl FleetScenario {
@@ -469,6 +513,235 @@ impl FleetScenario {
         Ok(())
     }
 
+    /// Puts `jitter_ticks` of latency jitter on both directions of
+    /// `vehicle`'s server link and, when set, overrides the loss of its
+    /// uplink.  Faults are keyed by endpoint name, so they survive reboots
+    /// (and a server crash: the transport outlives the process).
+    pub(crate) fn set_link_jitter(
+        &self,
+        vehicle: &VehicleId,
+        jitter_ticks: u64,
+        uplink_loss: Option<f64>,
+    ) {
+        if jitter_ticks == 0 && uplink_loss.is_none() {
+            return;
+        }
+        let Some(endpoint) = self.fleet.endpoint_of(vehicle) else {
+            return;
+        };
+        let server = self.fleet.server_endpoint();
+        let jittery = LinkFault::jittery(jitter_ticks);
+        self.fleet.set_link_fault(server, endpoint, jittery.clone());
+        self.fleet.set_link_fault(
+            endpoint,
+            server,
+            LinkFault {
+                loss_probability: uplink_loss,
+                ..jittery
+            },
+        );
+    }
+
+    /// One fleet tick, then the transport conservation check.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fleet step errors; returns
+    /// [`DynarError::ProtocolViolation`] if conservation is violated.
+    pub fn step(&mut self) -> Result<()> {
+        self.fleet.step()?;
+        let stats = self.fleet.transport_stats();
+        if !stats.is_conserved() {
+            return Err(DynarError::ProtocolViolation(format!(
+                "transport stats conservation violated at tick {}: {stats:?}",
+                self.fleet.now()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Runs `call` on the server for every vehicle in the fleet, skipping
+    /// the vehicles the server does not know (`NotFound`).
+    fn sweep<T>(
+        &mut self,
+        call: impl Fn(&mut TrustedServer, &VehicleId) -> Result<T>,
+    ) -> Result<()> {
+        for id in self.fleet.vehicle_ids().to_vec() {
+            match call(&mut self.fleet.server, &id) {
+                Ok(_) | Err(DynarError::NotFound { .. }) => {}
+                Err(err) => return Err(err),
+            }
+        }
+        Ok(())
+    }
+
+    /// Returns `true` when every vehicle reached exactly its desired
+    /// manifest on the server (observed = desired, every desired app
+    /// `Installed`) and nothing is pending or outstanding.
+    pub fn fleet_converged(&self) -> bool {
+        let server = &self.fleet.server;
+        self.fleet.vehicle_ids().iter().all(|id| {
+            let desired = server.desired_manifest(id);
+            server.pending_operations(id).is_empty()
+                && server.outstanding_count(id) == 0
+                && server.installed_apps(id) == desired
+                && desired
+                    .iter()
+                    .all(|app| server.deployment_status(id, app) == DeploymentStatus::Installed)
+        })
+    }
+
+    /// Drives the fleet until `done` holds and no event of `schedule` is
+    /// left.  Every tick: fail at `deadline`, `fire` each event due
+    /// (absolute ticks; due events fire in schedule order, each exactly
+    /// once, at or after its tick), sweep `reconcile` over the fleet
+    /// every `reconcile_interval` ticks (0 disables), take one checked
+    /// [`FleetScenario::step`], then ask `done`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::RetryExhausted`] (naming `label`) once the
+    /// fleet clock reaches `deadline`, and propagates event, sweep, step
+    /// and `done` errors.
+    pub fn drive<E: Copy>(
+        &mut self,
+        label: &str,
+        deadline: u64,
+        reconcile_interval: u64,
+        mut schedule: Vec<(u64, E)>,
+        mut fire: impl FnMut(&mut Self, E) -> Result<()>,
+        done: impl Fn(&Self) -> Result<bool>,
+    ) -> Result<()> {
+        loop {
+            let now = self.fleet.now().as_u64();
+            if now >= deadline {
+                return Err(DynarError::RetryExhausted {
+                    operation: format!("{label} convergence by tick {deadline}"),
+                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
+                });
+            }
+            for event in take_due(&mut schedule, now) {
+                fire(self, event)?;
+            }
+            if reconcile_interval > 0 && now.is_multiple_of(reconcile_interval) {
+                self.sweep(TrustedServer::reconcile)?;
+            }
+            self.step()?;
+            if schedule.is_empty() && done(self)? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Asks every ECM for a state report and lets the resync path confirm
+    /// (or repair) the server's observed state.  Requests and reports travel
+    /// the same lossy links, so up to eight rounds of twelve ticks run,
+    /// stopping after the first round that ends converged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates request and step errors.
+    pub fn truth_resync(&mut self) -> Result<()> {
+        for _ in 0..8 {
+            self.sweep(TrustedServer::request_state_report)?;
+            for _ in 0..12 {
+                self.step()?;
+            }
+            if self.fleet_converged() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the per-worker ground-truth check on every worker PIRTE of the
+    /// fleet: no rejected operation (a duplicate that got past an epoch
+    /// fence or the dedup window), then the caller's `rule`, then compiled
+    /// routes equal to a fresh compile.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] naming the first vehicle
+    /// and worker that fails, or the first error of `rule`.
+    pub fn verify_workers(
+        &self,
+        mut rule: impl FnMut(&VehicleId, EcuId, &Pirte) -> Result<()>,
+    ) -> Result<()> {
+        for handle in &self.handles {
+            let id = &handle.id;
+            for (worker, _, pirte) in &handle.workers {
+                let pirte = pirte.lock();
+                let rejected = pirte.stats().rejected_operations;
+                if rejected != 0 {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{id}/{worker}: {rejected} rejected operations — a duplicate got past \
+                         an epoch fence or the dedup window"
+                    )));
+                }
+                rule(id, *worker, &pirte)?;
+                if !pirte.verify_compiled_routes() {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{id}/{worker}: compiled routes diverged"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The ground-truth check of a converged fleet: every worker PIRTE
+    /// passes [`FleetScenario::verify_workers`] and hosts exactly the
+    /// plug-ins its vehicle's desired manifest implies — no leftovers, no
+    /// double-applies — and on the server every desired app is `Installed`
+    /// and the observed state equals the desired manifest.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DynarError::ProtocolViolation`] naming the first vehicle
+    /// (and worker, for a PIRTE-side violation) that fails a check.
+    pub fn verify(&self) -> Result<()> {
+        let server = &self.fleet.server;
+        self.verify_workers(|id, worker, pirte| {
+            let mut expected: Vec<PluginId> = server
+                .desired_manifest(id)
+                .iter()
+                .map(|app| expected_plugin(app, worker))
+                .collect();
+            expected.sort();
+            let mut actual: Vec<PluginId> = pirte
+                .plugin_states()
+                .into_iter()
+                .map(|(plugin, _)| plugin)
+                .collect();
+            actual.sort();
+            if actual != expected {
+                return Err(DynarError::ProtocolViolation(format!(
+                    "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
+                )));
+            }
+            Ok(())
+        })?;
+        for handle in &self.handles {
+            let id = &handle.id;
+            let desired = server.desired_manifest(id);
+            for app in &desired {
+                let status = server.deployment_status(id, app);
+                if status != DeploymentStatus::Installed {
+                    return Err(DynarError::ProtocolViolation(format!(
+                        "{id}: desired app {app} resolved to {status:?}, not Installed"
+                    )));
+                }
+            }
+            let observed = server.installed_apps(id);
+            if observed != desired {
+                return Err(DynarError::ProtocolViolation(format!(
+                    "{id}: observed {observed:?} diverges from desired {desired:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// The last actuated value on one worker ECU of one vehicle.
     pub fn actuator_value(&self, vehicle: &VehicleId, worker: EcuId) -> Option<Value> {
         let handles = self.handles.iter().find(|h| &h.id == vehicle)?;
@@ -570,6 +843,8 @@ pub fn build_vehicle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynar_core::message::InstallationPackage;
+    use dynar_core::{InstallationContext, PortInitContext, PortLinkContext};
 
     fn assert_fleet_healthy(scenario: &mut FleetScenario, expected_plugins: usize) {
         let handle_data: Vec<(VehicleId, Vec<WorkerHandle>)> = scenario
@@ -753,5 +1028,123 @@ mod tests {
             "every package acknowledged, got {}",
             stats.uplink_messages
         );
+    }
+
+    /// A two-vehicle fleet driven until v1 converged everywhere, which the
+    /// verifier accepts.
+    fn converged_pair() -> FleetScenario {
+        let mut scenario = FleetScenario::build_with(FleetScenarioConfig {
+            vehicles: 2,
+            workers_per_vehicle: 2,
+            ..FleetScenarioConfig::default()
+        })
+        .unwrap();
+        let user = scenario.user.clone();
+        for id in scenario.fleet.vehicle_ids().to_vec() {
+            scenario
+                .fleet
+                .server
+                .set_desired(&user, &id, &AppId::new(APP_TELEMETRY))
+                .unwrap();
+        }
+        let no_events: Vec<(u64, ())> = Vec::new();
+        scenario
+            .drive(
+                "v1",
+                600,
+                0,
+                no_events,
+                |_, ()| Ok(()),
+                |s| Ok(s.fleet_converged()),
+            )
+            .unwrap();
+        scenario.verify().unwrap();
+        scenario
+    }
+
+    /// The second vehicle's last worker: its id, its ECU and its PIRTE.
+    fn last_worker(scenario: &FleetScenario) -> (VehicleId, EcuId, SharedPirte) {
+        let handle = &scenario.handles()[1];
+        let (worker, _, pirte) = handle.workers.last().unwrap().clone();
+        (handle.id.clone(), worker, pirte)
+    }
+
+    /// A package for `plugin` with no ports and a trivial binary.
+    fn bare_package(plugin: PluginId) -> InstallationPackage {
+        InstallationPackage::new(
+            plugin,
+            AppId::new("planted"),
+            assemble("planted", "yield\nhalt").unwrap().to_bytes(),
+            InstallationContext::new(PortInitContext::new(), PortLinkContext::new()),
+        )
+    }
+
+    /// `verify` fails with a protocol violation whose message names
+    /// `named` (the vehicle, or vehicle/worker) and contains `what`.
+    fn assert_violation(scenario: &FleetScenario, named: &str, what: &str) {
+        match scenario.verify() {
+            Err(DynarError::ProtocolViolation(message)) => assert!(
+                message.starts_with(&format!("{named}:")) && message.contains(what),
+                "expected a violation of {named} about {what:?}, got {message:?}"
+            ),
+            other => panic!("expected a protocol violation of {named}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn verify_catches_a_plugin_installed_behind_the_servers_back() {
+        let scenario = converged_pair();
+        let (id, worker, pirte) = last_worker(&scenario);
+        pirte
+            .lock()
+            .install(bare_package(PluginId::new("intruder")))
+            .unwrap();
+        assert_violation(&scenario, &format!("{id}/{worker}"), "intruder");
+    }
+
+    #[test]
+    fn verify_catches_a_desired_app_cleared_on_the_server_only() {
+        let mut scenario = converged_pair();
+        let user = scenario.user.clone();
+        let (id, _, _) = last_worker(&scenario);
+        scenario
+            .fleet
+            .server
+            .clear_desired(&user, &id, &AppId::new(APP_TELEMETRY))
+            .unwrap();
+        let first = scenario.handles()[1].workers[0].0;
+        assert_violation(&scenario, &format!("{id}/{first}"), "manifest implies []");
+    }
+
+    #[test]
+    fn verify_catches_a_rejected_operation() {
+        let scenario = converged_pair();
+        let (id, worker, pirte) = last_worker(&scenario);
+        let installed = expected_plugin(&AppId::new(APP_TELEMETRY), worker);
+        assert!(pirte.lock().install(bare_package(installed)).is_err());
+        assert_violation(
+            &scenario,
+            &format!("{id}/{worker}"),
+            "1 rejected operations",
+        );
+    }
+
+    #[test]
+    fn due_events_fire_once_in_schedule_order_at_or_after_their_tick() {
+        let mut schedule = vec![(3, 'a'), (1, 'b'), (3, 'c'), (0, 'd'), (7, 'e'), (12, 'f')];
+        let mut fired = Vec::new();
+        // Ticks 1, 4, 6–8 and 10–11 are skipped: an event whose tick was
+        // skipped fires at the next tick asked.
+        for now in [0, 2, 3, 5, 9, 12, 13] {
+            for event in take_due(&mut schedule, now) {
+                fired.push((now, event));
+            }
+        }
+        assert_eq!(
+            fired,
+            vec![(0, 'd'), (2, 'b'), (3, 'a'), (3, 'c'), (9, 'e'), (12, 'f')]
+        );
+        assert!(schedule.is_empty());
+        assert!(take_due(&mut schedule, 20).is_empty());
     }
 }

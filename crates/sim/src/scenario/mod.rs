@@ -8,6 +8,10 @@
 //!   and the documentation.
 //! * [`fleet`] — the federated-scale scenario: N four-ECU vehicles on one
 //!   trusted server, staged install/update waves over live signal chains.
+//!   Its [`fleet::FleetScenario`] is also the one harness of the four lossy
+//!   scenarios below: the checked step, the drive loop over a schedule of
+//!   due events, the truth-resync rounds and the one ground-truth verifier,
+//!   [`fleet::FleetScenario::verify`].
 //! * [`chaos`] — the fleet scenario over a lossy, jittery, partitioning
 //!   transport, asserting that the federation reliability plane converges
 //!   every operation without duplicate installs.
@@ -31,16 +35,3 @@ pub mod fleet;
 pub mod quickstart;
 pub mod remote_car;
 pub mod restart;
-
-use dynar_foundation::error::{DynarError, Result};
-
-/// The result of a scenario's per-vehicle operator call (a
-/// reconcile sweep, a state-report request): `NotFound` — a vehicle the
-/// server does not know — is expected and skipped; every other error is
-/// propagated.
-pub(crate) fn unless_not_found<T>(result: Result<T>) -> Result<()> {
-    match result {
-        Ok(_) | Err(DynarError::NotFound { .. }) => Ok(()),
-        Err(err) => Err(err),
-    }
-}

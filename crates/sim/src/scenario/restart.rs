@@ -28,11 +28,14 @@
 //!   outlives the server process, as the real network would).
 //! * **Durability survives recovery** — the successor journals too; replaying
 //!   *its* journal at the end of the campaign is byte-identical again.
+//!
+//! The crash and the reboot are two events of one [`FleetScenario::drive`]
+//! schedule; convergence is checked by [`FleetScenario::verify`].
 
-use dynar_fes::transport::{LinkFault, TransportConfig, TransportStats};
+use dynar_fes::transport::{TransportConfig, TransportStats};
 use dynar_foundation::error::{DynarError, Result};
-use dynar_foundation::ids::{AppId, PluginId, VehicleId};
-use dynar_server::server::{DeploymentStatus, RetryPolicy, TrustedServer};
+use dynar_foundation::ids::AppId;
+use dynar_server::server::{RetryPolicy, TrustedServer};
 
 use crate::scenario::fleet::{FleetScenario, FleetScenarioConfig, APP_TELEMETRY};
 
@@ -149,80 +152,15 @@ impl RestartScenario {
             .fleet
             .server
             .enable_journal(config.compaction_interval);
-        let scenario = RestartScenario { inner, config };
-        for id in scenario.inner.fleet.vehicle_ids().to_vec() {
-            scenario.install_jitter(&id);
+        for id in inner.fleet.vehicle_ids() {
+            inner.set_link_jitter(id, config.jitter_ticks, None);
         }
-        Ok(scenario)
+        Ok(RestartScenario { inner, config })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &RestartConfig {
         &self.config
-    }
-
-    /// One fleet tick, asserting transport conservation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fleet step errors; returns
-    /// [`DynarError::ProtocolViolation`] if conservation is violated.
-    pub fn step(&mut self) -> Result<()> {
-        self.inner.fleet.step()?;
-        let stats = self.inner.fleet.transport_stats();
-        if !stats.is_conserved() {
-            return Err(DynarError::ProtocolViolation(format!(
-                "transport stats conservation violated at tick {}: {stats:?}",
-                self.inner.fleet.now()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Kills the server process and replays its journal into a successor,
-    /// asserting byte identity first.  The successor re-enables journaling
-    /// (a recovered control plane must be just as durable as the original)
-    /// and bumps its incarnation id, re-stamping everything still queued or
-    /// outstanding and soliciting a state report from every gateway.
-    ///
-    /// Returns the size of the replayed journal in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] if the replayed server is
-    /// not byte-identical to the crashed one, and propagates replay errors.
-    pub fn crash_and_recover(&mut self) -> Result<usize> {
-        let journal = self
-            .inner
-            .fleet
-            .server
-            .journal_bytes()
-            .ok_or_else(|| {
-                DynarError::ProtocolViolation("crash scheduled but journaling is off".into())
-            })?
-            .to_vec();
-        let mut replayed = TrustedServer::replay(&journal)?;
-
-        // Byte identity: the recovered state *is* the crashed state.
-        let live = self.inner.fleet.server.snapshot_bytes();
-        if replayed.snapshot_bytes() != live {
-            return Err(DynarError::ProtocolViolation(
-                "replayed server diverges from the crashed one".into(),
-            ));
-        }
-        if replayed.ledger() != self.inner.fleet.server.ledger() {
-            return Err(DynarError::ProtocolViolation(
-                "replayed ledger diverges from the crashed one".into(),
-            ));
-        }
-
-        // The successor is a durable server too, and announces itself.
-        replayed.enable_journal(self.config.compaction_interval);
-        replayed.begin_incarnation();
-        // The crashed process is dropped here — everything it only held in
-        // memory dies with it, exactly as a real crash would lose it.
-        let _crashed = std::mem::replace(&mut self.inner.fleet.server, replayed);
-        Ok(journal.len())
     }
 
     /// Runs the full restart campaign: a fleet-wide v1 install wave driven
@@ -246,63 +184,43 @@ impl RestartScenario {
             self.inner.fleet.server.set_desired(&user, &id, &v1)?;
         }
 
-        let mut crash_pending = true;
-        let mut reboot_pending = self.config.reboot;
-
-        loop {
-            let now = self.inner.fleet.now().as_u64();
-            if now >= self.config.max_ticks {
-                return Err(DynarError::RetryExhausted {
-                    operation: format!(
-                        "restart campaign convergence within {} ticks",
-                        self.config.max_ticks
-                    ),
-                    attempts: u32::try_from(now).unwrap_or(u32::MAX),
-                });
-            }
-
-            if crash_pending && now >= self.config.crash_tick {
-                crash_pending = false;
-                report.crashed_at = now;
-                report.journal_bytes = self.crash_and_recover()?;
-            }
-            if let Some((tick, index)) = reboot_pending {
-                if now >= tick {
-                    reboot_pending = None;
-                    let id = self.inner.fleet.vehicle_ids()[index].clone();
-                    self.inner.reboot_vehicle(&id)?;
-                    report.rebooted += 1;
+        // On a shared tick the crash fires before the reboot.
+        let schedule: Vec<(u64, RestartEvent)> = [(self.config.crash_tick, RestartEvent::Crash)]
+            .into_iter()
+            .chain(
+                self.config
+                    .reboot
+                    .map(|(tick, index)| (tick, RestartEvent::Reboot(index))),
+            )
+            .collect();
+        let compaction_interval = self.config.compaction_interval;
+        self.inner.drive(
+            "restart campaign",
+            self.config.max_ticks,
+            self.config.reconcile_interval,
+            schedule,
+            |inner, event| {
+                match event {
+                    RestartEvent::Crash => {
+                        report.crashed_at = inner.fleet.now().as_u64();
+                        report.journal_bytes = crash_and_recover(inner, compaction_interval)?;
+                    }
+                    RestartEvent::Reboot(index) => {
+                        let id = inner.fleet.vehicle_ids()[index].clone();
+                        inner.reboot_vehicle(&id)?;
+                        report.rebooted += 1;
+                    }
                 }
-            }
+                Ok(())
+            },
+            |inner| Ok(inner.fleet_converged()),
+        )?;
 
-            if self.config.reconcile_interval > 0
-                && now.is_multiple_of(self.config.reconcile_interval)
-            {
-                for id in self.inner.fleet.vehicle_ids().to_vec() {
-                    super::unless_not_found(self.inner.fleet.server.reconcile(&id))?;
-                }
-            }
-
-            self.step()?;
-
-            if !crash_pending && reboot_pending.is_none() && self.fleet_converged() {
-                break;
-            }
-        }
-
-        // Ground truth: state-report rounds over the same lossy links.
-        for _ in 0..8 {
-            for id in self.inner.fleet.vehicle_ids().to_vec() {
-                super::unless_not_found(self.inner.fleet.server.request_state_report(&id))?;
-            }
-            for _ in 0..12 {
-                self.step()?;
-            }
-            if self.fleet_converged() {
-                break;
-            }
-        }
-        self.verify_converged()?;
+        // Ground truth: state-report rounds over the same lossy links.  No
+        // incarnation of any PIRTE may have seen a duplicate — neither a
+        // stale pre-crash downlink nor a post-recovery re-push applied twice.
+        self.inner.truth_resync()?;
+        self.inner.verify()?;
 
         // The recovered server is durable too: replaying the journal it has
         // been writing since the crash reproduces it byte-for-byte.
@@ -326,110 +244,60 @@ impl RestartScenario {
         report.transport = self.inner.fleet.transport_stats();
         Ok(report)
     }
+}
 
-    /// Returns `true` when every vehicle reached exactly its desired
-    /// manifest and nothing is pending or outstanding.
-    pub fn fleet_converged(&self) -> bool {
-        let server = &self.inner.fleet.server;
-        self.inner.fleet.vehicle_ids().iter().all(|id| {
-            let desired = server.desired_manifest(id);
-            server.pending_operations(id).is_empty()
-                && server.outstanding_count(id) == 0
-                && server.installed_apps(id) == desired
-                && desired
-                    .iter()
-                    .all(|app| server.deployment_status(id, app) == DeploymentStatus::Installed)
-        })
+/// One scheduled restart event.
+#[derive(Debug, Clone, Copy)]
+enum RestartEvent {
+    /// The server process crashes and is replayed from its journal.
+    Crash,
+    /// The vehicle at this index reboots.
+    Reboot(usize),
+}
+
+/// Kills the server process and replays its journal into a successor,
+/// asserting byte identity first.  The successor re-enables journaling
+/// (a recovered control plane must be just as durable as the original)
+/// and bumps its incarnation id, re-stamping everything still queued or
+/// outstanding and soliciting a state report from every gateway.
+///
+/// Returns the size of the replayed journal in bytes.
+///
+/// # Errors
+///
+/// Returns [`DynarError::ProtocolViolation`] if the replayed server is
+/// not byte-identical to the crashed one, and propagates replay errors.
+fn crash_and_recover(inner: &mut FleetScenario, compaction_interval: u32) -> Result<usize> {
+    let journal = inner
+        .fleet
+        .server
+        .journal_bytes()
+        .ok_or_else(|| {
+            DynarError::ProtocolViolation("crash scheduled but journaling is off".into())
+        })?
+        .to_vec();
+    let mut replayed = TrustedServer::replay(&journal)?;
+
+    // Byte identity: the recovered state *is* the crashed state.
+    let live = inner.fleet.server.snapshot_bytes();
+    if replayed.snapshot_bytes() != live {
+        return Err(DynarError::ProtocolViolation(
+            "replayed server diverges from the crashed one".into(),
+        ));
+    }
+    if replayed.ledger() != inner.fleet.server.ledger() {
+        return Err(DynarError::ProtocolViolation(
+            "replayed ledger diverges from the crashed one".into(),
+        ));
     }
 
-    /// Checks the campaign's end-state guarantees, naming the first vehicle
-    /// that violates one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::ProtocolViolation`] describing the violation.
-    pub fn verify_converged(&self) -> Result<()> {
-        let server = &self.inner.fleet.server;
-        for handle in self.inner.handles() {
-            let id = &handle.id;
-            let desired = server.desired_manifest(id);
-            for app in &desired {
-                let status = server.deployment_status(id, app);
-                if status != DeploymentStatus::Installed {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}: desired app {app} resolved to {status:?}, not Installed"
-                    )));
-                }
-            }
-            // Ground truth: the worker PIRTEs host exactly the plug-ins the
-            // manifest implies, and no incarnation of any PIRTE ever saw a
-            // duplicate — neither a stale pre-crash downlink nor a
-            // post-recovery re-push applied twice.
-            for (worker, _, pirte) in &handle.workers {
-                let pirte = pirte.lock();
-                let stats = pirte.stats();
-                if stats.rejected_operations != 0 {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: {} rejected operations — a duplicate crossed \
-                         an epoch axis or the dedup window",
-                        stats.rejected_operations
-                    )));
-                }
-                let mut expected: Vec<PluginId> = desired
-                    .iter()
-                    .map(|_| PluginId::new(format!("OP-{worker}")))
-                    .collect();
-                expected.sort();
-                let mut actual: Vec<PluginId> = pirte
-                    .plugin_states()
-                    .into_iter()
-                    .map(|(plugin, _)| plugin)
-                    .collect();
-                actual.sort();
-                if actual != expected {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: PIRTE hosts {actual:?}, manifest implies {expected:?}"
-                    )));
-                }
-                if !pirte.verify_compiled_routes() {
-                    return Err(DynarError::ProtocolViolation(format!(
-                        "{id}/{worker}: compiled routes diverged"
-                    )));
-                }
-            }
-            let observed = server.installed_apps(id);
-            if observed != desired {
-                return Err(DynarError::ProtocolViolation(format!(
-                    "{id}: observed {observed:?} diverges from desired {desired:?} \
-                     after truth resync"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Installs the scenario's jitter fault on both directions of one
-    /// vehicle's server link (faults are name-keyed and survive reboots —
-    /// and the server crash, since the transport outlives the process).
-    fn install_jitter(&self, id: &VehicleId) {
-        if self.config.jitter_ticks == 0 {
-            return;
-        }
-        let Some(endpoint) = self.inner.fleet.endpoint_of(id).map(str::to_owned) else {
-            return;
-        };
-        let server = self.inner.fleet.server_endpoint().to_owned();
-        self.inner.fleet.set_link_fault(
-            &server,
-            &endpoint,
-            LinkFault::jittery(self.config.jitter_ticks),
-        );
-        self.inner.fleet.set_link_fault(
-            &endpoint,
-            &server,
-            LinkFault::jittery(self.config.jitter_ticks),
-        );
-    }
+    // The successor is a durable server too, and announces itself.
+    replayed.enable_journal(compaction_interval);
+    replayed.begin_incarnation();
+    // The crashed process is dropped here — everything it only held in
+    // memory dies with it, exactly as a real crash would lose it.
+    let _crashed = std::mem::replace(&mut inner.fleet.server, replayed);
+    Ok(journal.len())
 }
 
 #[cfg(test)]

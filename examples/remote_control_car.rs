@@ -36,5 +36,9 @@ fn main() -> Result<(), DynarError> {
         report.final_wheel_angle
     );
     println!("  odometer                   : {:.2} m", report.odometer);
+    // The signal chain is live end to end: phone commands reach the
+    // chassis actuators through the installed plug-ins and the car moves.
+    assert!(report.commands_delivered > 0, "no command reached the car");
+    assert!(report.odometer > 0.0, "the car never moved");
     Ok(())
 }

@@ -32,8 +32,9 @@
 //!   can come back unnoticed.
 //! * **Plug-in lifecycle** — a warm uninstall-then-install of one plug-in
 //!   through the type I port allocates the same count whether its PIRTE
-//!   hosts no other plug-in or seven: the PIRTE patches that plug-in's table
-//!   entries instead of recompiling every table.
+//!   hosts no other plug-in or seven (the PIRTE patches that plug-in's table
+//!   entries instead of recompiling every table), and at most
+//!   [`LIFECYCLE_ALLOCATIONS`].
 //! * **Deploy** — a `deploy` allocates the same per vehicle at 50 vehicles
 //!   as at 400, and at most [`DEPLOY_ALLOCATIONS_PER_VEHICLE`]: the plan is
 //!   stored once and each envelope is encoded from the borrowed package.
@@ -423,6 +424,11 @@ fn warm_lifecycle_allocations(others: u32) -> u64 {
     allocations
 }
 
+/// The most allocations one warm uninstall-then-install may make, set from
+/// the measured count (the event log's source names are static, so each of
+/// the two log lines allocates only its message).
+const LIFECYCLE_ALLOCATIONS: u64 = 18;
+
 fn lifecycle_allocations_do_not_grow_with_the_pirte() {
     let alone = warm_lifecycle_allocations(0);
     let crowded = warm_lifecycle_allocations(7);
@@ -430,6 +436,11 @@ fn lifecycle_allocations_do_not_grow_with_the_pirte() {
         alone, crowded,
         "an uninstall-then-install allocated {alone} times on a PIRTE of its own \
          but {crowded} beside seven other plug-ins"
+    );
+    assert!(
+        alone <= LIFECYCLE_ALLOCATIONS,
+        "an uninstall-then-install allocated {alone} times, more than the \
+         {LIFECYCLE_ALLOCATIONS} measured"
     );
 }
 

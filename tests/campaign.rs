@@ -166,7 +166,7 @@ fn mid_campaign_crash_replays_byte_identically() {
         .create_campaign(&user, spec)
         .expect("campaign creates");
     for _ in 0..10 {
-        scenario.step().expect("fleet steps");
+        scenario.inner.step().expect("fleet steps");
     }
 
     // Crash point: the campaign is mid-flight — waves open, acks in the

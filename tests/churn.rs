@@ -107,5 +107,5 @@ fn churn_acceptance_twenty_vehicles_ten_percent_loss() {
     }
 
     // End-state invariants once more, after the extra drive time.
-    assert!(scenario.fleet_converged());
+    assert!(scenario.inner.fleet_converged());
 }

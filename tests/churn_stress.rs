@@ -25,7 +25,7 @@ fn campaign(seed: u64) -> (Vec<u8>, u64) {
         report.transport.is_conserved(),
         "seed {seed:#x}: {report:?}"
     );
-    assert!(scenario.fleet_converged(), "seed {seed:#x}");
+    assert!(scenario.inner.fleet_converged(), "seed {seed:#x}");
     (
         scenario.inner.fleet.server.snapshot_bytes(),
         report.transport.delivered,

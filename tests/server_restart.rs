@@ -104,5 +104,5 @@ fn restart_acceptance_twelve_vehicles_ten_percent_loss() {
     }
 
     // End-state invariants once more, after the extra drive time.
-    assert!(scenario.fleet_converged());
+    assert!(scenario.inner.fleet_converged());
 }
