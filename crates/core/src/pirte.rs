@@ -224,13 +224,22 @@ pub struct PirteStats {
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug)]
+// Fields in declaration order: a quiet pass reads the plug-ins, the outbox,
+// the stats and the time, so they come first, next to the lock of a
+// `SharedPirte`.
+#[repr(C)]
 pub struct Pirte {
-    ecu: EcuId,
-    config: PluginSwcConfig,
     /// The installed plug-ins in installation order (which fixes slot-grant
     /// and outbox order).  With their PIC/PLC links they are the slow plane
     /// every table below is compiled from.
     plugins: Vec<Plugin>,
+    /// Values to be written on SW-C ports by the hosting component
+    /// behaviour, addressed by output index.
+    outbox: Vec<(SwcOutput, Value)>,
+    stats: PirteStats,
+    now: Tick,
+    ecu: EcuId,
+    config: PluginSwcConfig,
     /// Plug-in port id -> owning `(plugin index, port index)`, patched per
     /// plug-in on (un)install.
     owners: PortOwners,
@@ -238,16 +247,11 @@ pub struct Pirte {
     /// required plug-in port linked to that virtual port, in plug-in order
     /// (patched per plug-in on (un)install).
     virtual_fanout: Vec<Vec<(usize, usize)>>,
-    /// Values to be written on SW-C ports by the hosting component
-    /// behaviour, addressed by output index.
-    outbox: Vec<(SwcOutput, Value)>,
     /// Values written by plug-ins on direct-linked (PLC `{Px-}`) ports,
     /// consumed by the embedding SW-C (the ECM uses this for outbound
     /// external data).
     direct_outputs: Vec<(PluginId, PluginPortId, Value)>,
     log: EventLog,
-    stats: PirteStats,
-    now: Tick,
 }
 
 impl Pirte {
@@ -257,7 +261,11 @@ impl Pirte {
         Pirte {
             ecu,
             config,
-            plugins: Vec::new(),
+            // Room for one plug-in, the common case, taken with the PIRTE:
+            // the table sits next to it in memory, and the first install
+            // does not grow it to `Vec`'s minimum of four ~460-byte
+            // plug-ins.
+            plugins: Vec::with_capacity(1),
             owners: PortOwners::default(),
             virtual_fanout,
             outbox: Vec::new(),
@@ -1018,10 +1026,11 @@ impl Pirte {
             let outcome = {
                 // The plug-in id is borrowed for the host, not cloned — a
                 // slot grant must not allocate.
-                let (plugin_id, engine, ports) = self.plugins[index].split_for_run();
+                let (plugin_id, engine, ports, generation) = self.plugins[index].split_for_run();
                 let mut host = PirteHost {
                     plugin: plugin_id,
                     ports,
+                    generation,
                     virtual_ports: self.config.virtual_ports(),
                     outbox: &mut self.outbox,
                     direct_outputs: &mut self.direct_outputs,
@@ -1067,6 +1076,31 @@ impl Pirte {
         total
     }
 
+    /// Slots answered by replaying a remembered idle slot, summed across
+    /// every installed plug-in (always zero under
+    /// [`ExecMode::Interpreter`](dynar_vm::engine::ExecMode) and
+    /// `Shadow`).  A replayed slot counts in [`PirteStats`] exactly like an
+    /// executed one; this count stays out of it.
+    pub fn replayed_slots(&self) -> u64 {
+        self.plugins
+            .iter()
+            .map(|plugin| plugin.engine().replayed_slots())
+            .sum()
+    }
+
+    /// Forgets every plug-in's remembered idle slot, so each next slot
+    /// executes.  A replay is exact, so this changes nothing observable;
+    /// `examples/pirte_tick` uses it to price what replays save.
+    pub fn forget_idle_slots(&mut self) {
+        self.plugins.iter_mut().for_each(Plugin::forget_idle_slot);
+    }
+
+    /// Whether plug-ins or management acknowledgements wrote anything for
+    /// the hosting SW-C since the last drain.
+    pub fn has_output(&self) -> bool {
+        !self.outbox.is_empty()
+    }
+
     fn plugin_mut(&mut self, id: &PluginId) -> Result<&mut Plugin> {
         let index = self
             .position(id)
@@ -1080,6 +1114,8 @@ impl Pirte {
 struct PirteHost<'a> {
     plugin: &'a PluginId,
     ports: &'a mut [PluginPort],
+    /// The plug-in's port generation, moved on every take and write.
+    generation: &'a mut u64,
     /// The static virtual ports, indexed by declaration position (which is
     /// also the outbox index of their SW-C port).
     virtual_ports: &'a [VirtualPortSpec],
@@ -1111,7 +1147,11 @@ impl PortHost for PirteHost<'_> {
                 expected: "required",
             });
         }
-        Ok(port.take().unwrap_or_default())
+        let value = port.take();
+        if value.is_some() {
+            *self.generation += 1;
+        }
+        Ok(value.unwrap_or_default())
     }
 
     fn write_port(&mut self, slot: u32, value: Value) -> Result<()> {
@@ -1126,6 +1166,7 @@ impl PortHost for PirteHost<'_> {
             port.record_output(value.clone());
             (port.id, port.route)
         };
+        *self.generation += 1;
         self.stats.signals_out += 1;
         match route {
             PortRoute::Direct => {
@@ -1167,6 +1208,10 @@ impl PortHost for PirteHost<'_> {
             "plugin",
             format!("{}: {message}", self.plugin.name()),
         );
+    }
+
+    fn generation(&self) -> Option<u64> {
+        Some(*self.generation)
     }
 }
 

@@ -146,12 +146,20 @@ impl PluginPort {
 
 /// One installed plug-in: its virtual machine, ports and life-cycle state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+// Fields in declaration order: a slot grant reads the state, the port
+// generation and the head of the engine, so they come first, together.
+#[repr(C)]
 pub struct Plugin {
+    state: PluginState,
+    /// Changes whenever a port may have changed: every `&mut` access to a
+    /// port hands out a new generation, and a running slot's host moves it
+    /// on each take and write.  The compiled plane replays an idle slot
+    /// only while it holds.
+    generation: u64,
+    engine: Engine,
+    ports: Vec<PluginPort>,
     id: PluginId,
     app: AppId,
-    engine: Engine,
-    state: PluginState,
-    ports: Vec<PluginPort>,
     ecc: Option<ExternalConnectionContext>,
 }
 
@@ -218,6 +226,7 @@ impl Plugin {
             engine,
             state: PluginState::Installed,
             ports,
+            generation: 0,
             ecc,
         }
     }
@@ -262,17 +271,20 @@ impl Plugin {
 
     /// Mutable access to a port by id.
     pub fn port_mut(&mut self, id: PluginPortId) -> Option<&mut PluginPort> {
+        self.generation += 1;
         self.ports.iter_mut().find(|p| p.id == id)
     }
 
     /// Mutable access to a port by its dense slot index (the order of
     /// [`Plugin::ports`]), used by the PIRTE's compiled route tables.
     pub fn port_at_mut(&mut self, index: usize) -> Option<&mut PluginPort> {
+        self.generation += 1;
         self.ports.get_mut(index)
     }
 
     /// Mutable access to every port, for the PIRTE to resolve their routes.
     pub(crate) fn ports_mut(&mut self) -> &mut [PluginPort] {
+        self.generation += 1;
         &mut self.ports
     }
 
@@ -280,6 +292,12 @@ impl Plugin {
     /// compiled fast plane, or lock-step shadow of both).
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// Forgets the engine's remembered idle slot (see
+    /// [`Engine::forget_idle_slot`]).
+    pub(crate) fn forget_idle_slot(&mut self) {
+        self.engine.forget_idle_slot();
     }
 
     /// Applies a life-cycle transition, resetting the VM on restart.
@@ -299,9 +317,17 @@ impl Plugin {
     }
 
     /// Splits the plug-in into the parts needed to run one VM slot: the
-    /// machine itself and the port table the host adapter works on.
-    pub(crate) fn split_for_run(&mut self) -> (&PluginId, &mut Engine, &mut [PluginPort]) {
-        (&self.id, &mut self.engine, &mut self.ports)
+    /// machine itself, the port table the host adapter works on, and the
+    /// port generation the adapter moves on every take and write.
+    pub(crate) fn split_for_run(
+        &mut self,
+    ) -> (&PluginId, &mut Engine, &mut [PluginPort], &mut u64) {
+        (
+            &self.id,
+            &mut self.engine,
+            &mut self.ports,
+            &mut self.generation,
+        )
     }
 
     /// Records that the VM faulted or finished, updating the life-cycle

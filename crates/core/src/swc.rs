@@ -335,6 +335,11 @@ impl PluginSwc {
             }
         }
         pirte.run_plugins();
+        // A quiet pass (nothing received, every plug-in replayed an idle
+        // slot) wrote nothing.
+        if !pirte.has_output() {
+            return Ok(());
+        }
         debug_assert!(outbox_scratch.is_empty());
         pirte.drain_outbox_into(outbox_scratch);
         for (output, value) in outbox_scratch.drain(..) {

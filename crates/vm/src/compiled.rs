@@ -24,6 +24,40 @@
 //! through the same shared semantics in `crate::exec`.  The
 //! [`crate::shadow`] engine runs both planes in lock-step and asserts the
 //! equivalence on live traffic.
+//!
+//! Replayed idle slots keep the guarantee too: a replay reports, counts and
+//! leaves behind exactly what executing the slot would have.
+//!
+//! # Idle-slot replay
+//!
+//! A plug-in that polls an empty port re-runs the same few instructions
+//! every slot and ends where it started.  [`CompiledVm`] remembers such a
+//! slot, in four words, when it was *pure* (no `store`, `take_port`,
+//! `write_port` or `log`, and no fused window containing one), ended
+//! `Yielded` at the pc it started from, had an empty stack at both ends,
+//! and left `used_bytes` unchanged.  The next slot replays it instead of
+//! executing while nothing the slot could observe has changed: it adds the
+//! remembered instruction and fusion counts, counts the slot, and returns
+//! the same [`SlotReport`], reading neither the op array, the fused
+//! overlay, the stack nor the host's ports, and allocating nothing.
+//!
+//! What a slot can observe:
+//!
+//! - the locals, the stack and the pc: a remembered slot is dropped by
+//!   `reset` and by any executed slot that stores a local or ends
+//!   elsewhere, so while it is held the machine is where it started;
+//! - the budget, which is fixed per machine;
+//! - the host's ports, through [`PortHost::generation`], which changes on
+//!   every port change.  An unchanged generation replays at once.  A
+//!   changed one replays only if the slot read nothing but pending counts
+//!   of 0 and each of those ports still reads 0 (the one host re-check,
+//!   typically the first quiet slot after a data slot).
+//!
+//! A host without a generation (the default) never replays, so the
+//! interpreter and the shadow plane, whose recording host keeps the
+//! default, execute every slot and stay the oracle.  Debug builds execute
+//! every slot that would replay and assert it did exactly what the
+//! remembered slot says.
 
 use serde::{Deserialize, Serialize};
 
@@ -217,12 +251,119 @@ impl FusionCounters {
 
     /// Adds `other` into `self` (used to aggregate across plug-ins).
     pub fn merge(&mut self, other: &FusionCounters) {
-        self.load_arith_store += other.load_arith_store;
-        self.push_int_cmp_branch += other.push_int_cmp_branch;
-        self.take_port_store += other.take_port_store;
-        self.load_write_port += other.load_write_port;
-        self.take_port_write_port += other.take_port_write_port;
-        self.cmp_branch += other.cmp_branch;
+        for (total, count) in self.kinds_mut().into_iter().zip(other.kinds()) {
+            *total += count;
+        }
+    }
+
+    fn kinds(&self) -> [u64; 6] {
+        [
+            self.load_arith_store,
+            self.push_int_cmp_branch,
+            self.take_port_store,
+            self.load_write_port,
+            self.take_port_write_port,
+            self.cmp_branch,
+        ]
+    }
+
+    fn kinds_mut(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.load_arith_store,
+            &mut self.push_int_cmp_branch,
+            &mut self.take_port_store,
+            &mut self.load_write_port,
+            &mut self.take_port_write_port,
+            &mut self.cmp_branch,
+        ]
+    }
+}
+
+/// What one executed slot did that bears on replaying it: the effects a
+/// replay could not repeat, and what it read from the host.
+#[derive(Debug, Default)]
+struct SlotTrace {
+    /// The slot stored a local.
+    stored: bool,
+    /// The slot took or wrote a port, or logged.
+    effects: bool,
+    /// Port slots on which the slot read `pending` as 0, one bit each.
+    zero_pending: u32,
+    /// The slot read something a re-check of `zero_pending` cannot
+    /// confirm: a last value, a non-zero pending count, or the pending
+    /// count of a port slot past 31.
+    opaque: bool,
+}
+
+impl SlotTrace {
+    fn pending(&mut self, slot: u32, count: usize) {
+        match 1u32.checked_shl(slot) {
+            Some(bit) if count == 0 => self.zero_pending |= bit,
+            _ => self.opaque = true,
+        }
+    }
+}
+
+/// A remembered idle slot: a pure slot that yielded at the pc it started
+/// from, with an empty stack and unchanged memory, and what it counted.
+/// Four words; `instructions == 0` means nothing is remembered (a slot
+/// that yields executes at least its `yield`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct IdleSlot {
+    /// The host generation the slot was last executed or re-checked at.
+    generation: u64,
+    /// The pc the slot starts and ends at.
+    pc: u32,
+    /// [`SlotTrace::zero_pending`] of the slot.
+    zero_pending: u32,
+    /// Instructions the slot executes.
+    instructions: u16,
+    /// Whether a changed generation can be confirmed by re-reading the
+    /// `zero_pending` counts (the slot read nothing else from the host).
+    recheck: bool,
+    /// Fused windows the slot executes, per kind.
+    fused: [u16; 6],
+}
+
+impl IdleSlot {
+    /// The slot to remember, or `None` when its counts do not fit.
+    fn new(
+        generation: u64,
+        pc: usize,
+        trace: &SlotTrace,
+        instructions: u64,
+        before: &FusionCounters,
+        after: &FusionCounters,
+    ) -> Option<Self> {
+        let mut fused = [0u16; 6];
+        for ((delta, b), a) in fused.iter_mut().zip(before.kinds()).zip(after.kinds()) {
+            *delta = u16::try_from(a - b).ok()?;
+        }
+        Some(IdleSlot {
+            generation,
+            pc: u32::try_from(pc).ok()?,
+            zero_pending: trace.zero_pending,
+            instructions: u16::try_from(instructions).ok()?,
+            recheck: !trace.opaque,
+            fused,
+        })
+    }
+
+    fn is_set(&self) -> bool {
+        self.instructions != 0
+    }
+
+    fn report(&self) -> SlotReport {
+        SlotReport {
+            instructions: u64::from(self.instructions),
+            status: VmStatus::Yielded,
+        }
+    }
+
+    fn count_into(&self, counters: &mut FusionCounters) {
+        for (total, delta) in counters.kinds_mut().into_iter().zip(self.fused) {
+            *total += u64::from(delta);
+        }
     }
 }
 
@@ -298,20 +439,11 @@ fn match_fused(ops: &[Op], pc: usize) -> Option<Fused> {
 /// keyed by the window's *start* pc; ops inside a window stay in `ops`
 /// unchanged, so a jump landing mid-window simply executes single-step —
 /// no jump remapping, no behavioural cliff.
-fn plan_superinstructions(ops: &[Op]) -> (Vec<Option<Fused>>, FusionCounters) {
+fn plan_superinstructions(ops: &[Op]) -> Vec<Option<Fused>> {
     let mut fused = vec![None; ops.len()];
-    let mut sites = FusionCounters::default();
     let mut pc = 0;
     while pc < ops.len() {
         if let Some(f) = match_fused(ops, pc) {
-            match f {
-                Fused::LoadIntArithStore { .. } => sites.load_arith_store += 1,
-                Fused::PushIntCmpBranch { .. } => sites.push_int_cmp_branch += 1,
-                Fused::TakePortStore { .. } => sites.take_port_store += 1,
-                Fused::LoadWritePort { .. } => sites.load_write_port += 1,
-                Fused::TakePortWritePort { .. } => sites.take_port_write_port += 1,
-                Fused::CmpBranch { .. } => sites.cmp_branch += 1,
-            }
             let weight = f.weight() as usize;
             fused[pc] = Some(f);
             pc += weight;
@@ -319,7 +451,7 @@ fn plan_superinstructions(ops: &[Op]) -> (Vec<Option<Fused>>, FusionCounters) {
             pc += 1;
         }
     }
-    (fused, sites)
+    fused
 }
 
 /// A program pre-decoded for the fast plane: flat ops, a flat constant
@@ -331,7 +463,6 @@ pub struct CompiledProgram {
     constants: Vec<Value>,
     ops: Vec<Op>,
     fused: Vec<Option<Fused>>,
-    sites: FusionCounters,
 }
 
 impl CompiledProgram {
@@ -346,13 +477,12 @@ impl CompiledProgram {
         program.validate()?;
         let constants = program.constants().to_vec();
         let ops: Vec<Op> = program.code().iter().map(decode).collect();
-        let (fused, sites) = plan_superinstructions(&ops);
+        let fused = plan_superinstructions(&ops);
         Ok(CompiledProgram {
             source: program,
             constants,
             ops,
             fused,
-            sites,
         })
     }
 
@@ -374,7 +504,18 @@ impl CompiledProgram {
     /// Static counters: how many superinstruction windows the peephole pass
     /// planted, per kind.
     pub fn fusion_sites(&self) -> FusionCounters {
-        self.sites
+        let mut sites = FusionCounters::default();
+        for f in self.fused.iter().flatten() {
+            match f {
+                Fused::LoadIntArithStore { .. } => sites.load_arith_store += 1,
+                Fused::PushIntCmpBranch { .. } => sites.push_int_cmp_branch += 1,
+                Fused::TakePortStore { .. } => sites.take_port_store += 1,
+                Fused::LoadWritePort { .. } => sites.load_write_port += 1,
+                Fused::TakePortWritePort { .. } => sites.take_port_write_port += 1,
+                Fused::CmpBranch { .. } => sites.cmp_branch += 1,
+            }
+        }
+        sites
     }
 }
 
@@ -383,17 +524,22 @@ impl CompiledProgram {
 /// Mirrors [`crate::interpreter::Vm`] observable-for-observable; see the
 /// module docs for the equivalence guarantee.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+// Fields in declaration order: what a replay reads and writes comes first,
+// so a replayed slot touches two or three cache lines of the machine.
+#[repr(C)]
 pub struct CompiledVm {
-    program: CompiledProgram,
-    budget: Budget,
+    status: VmStatus,
+    idle: IdleSlot,
+    slots_run: u64,
+    total_instructions: u64,
+    replayed: u64,
+    counters: FusionCounters,
     pc: usize,
+    used_bytes: usize,
     stack: Vec<Value>,
     locals: Vec<Value>,
-    status: VmStatus,
-    total_instructions: u64,
-    slots_run: u64,
-    used_bytes: usize,
-    counters: FusionCounters,
+    budget: Budget,
+    program: CompiledProgram,
 }
 
 impl CompiledVm {
@@ -410,6 +556,8 @@ impl CompiledVm {
             slots_run: 0,
             used_bytes: 0,
             counters: FusionCounters::default(),
+            idle: IdleSlot::default(),
+            replayed: 0,
         }
     }
 
@@ -479,6 +627,19 @@ impl CompiledVm {
         self.counters
     }
 
+    /// Slots answered by replaying a remembered idle slot (debug builds
+    /// execute them too, and check the replay against the execution).
+    pub fn replayed_slots(&self) -> u64 {
+        self.replayed
+    }
+
+    /// Forgets the remembered idle slot, so the next slot executes.  A
+    /// replay is exact, so this changes nothing observable; it is how a
+    /// measurement prices what a replay saves.
+    pub fn forget_idle_slot(&mut self) {
+        self.idle = IdleSlot::default();
+    }
+
     /// Resets the machine to the start of its program, clearing stack and
     /// locals.  Used when a plug-in is restarted after an update.
     pub fn reset(&mut self) {
@@ -487,12 +648,15 @@ impl CompiledVm {
         self.locals = vec![Value::Void; self.budget.local_count()];
         self.status = VmStatus::Runnable;
         self.used_bytes = 0;
+        self.idle = IdleSlot::default();
     }
 
     /// Runs one best-effort execution slot against `host`.
     ///
     /// Semantics are identical to [`crate::interpreter::Vm::run_slot`],
-    /// including preemption boundaries and fault accounting.
+    /// including preemption boundaries and fault accounting.  A remembered
+    /// idle slot whose inputs still hold is replayed instead of executed
+    /// (see the module docs).
     ///
     /// # Errors
     ///
@@ -505,8 +669,88 @@ impl CompiledVm {
                 status: self.status,
             });
         }
+        let generation = host.generation();
+        if self.idle.is_set() && self.idle_holds(generation, host) {
+            self.replayed += 1;
+            if cfg!(debug_assertions) {
+                return self.execute_checked(generation, host);
+            }
+            let idle = self.idle;
+            self.slots_run += 1;
+            self.total_instructions += u64::from(idle.instructions);
+            idle.count_into(&mut self.counters);
+            self.status = VmStatus::Yielded;
+            return Ok(idle.report());
+        }
+        self.execute(generation, host)
+    }
+
+    /// Whether the remembered idle slot would run exactly as it did: the
+    /// host generation is the one it ran at, or every port it read
+    /// `pending == 0` on still reads 0 and it read nothing else.
+    fn idle_holds(&mut self, generation: Option<u64>, host: &mut dyn PortHost) -> bool {
+        let Some(generation) = generation else {
+            return false;
+        };
+        if generation == self.idle.generation {
+            return true;
+        }
+        if !self.idle.recheck {
+            return false;
+        }
+        let mut ports = self.idle.zero_pending;
+        while ports != 0 {
+            if !matches!(host.pending(ports.trailing_zeros()), Ok(0)) {
+                return false;
+            }
+            ports &= ports - 1;
+        }
+        self.idle.generation = generation;
+        true
+    }
+
+    /// The debug-build self-check of a replay: executes the slot and
+    /// asserts it did exactly what the remembered slot says.
+    fn execute_checked(
+        &mut self,
+        generation: Option<u64>,
+        host: &mut dyn PortHost,
+    ) -> Result<SlotReport> {
+        let idle = self.idle;
+        let (instructions, slots, used_bytes) =
+            (self.total_instructions, self.slots_run, self.used_bytes);
+        let mut counters = self.counters;
+        idle.count_into(&mut counters);
+        let outcome = self.execute(generation, host);
+        debug_assert_eq!(outcome, Ok(idle.report()), "replayed slot report");
+        debug_assert_eq!(
+            (self.pc, self.stack.len(), self.used_bytes),
+            (idle.pc as usize, 0, used_bytes),
+            "replayed slot machine state"
+        );
+        debug_assert_eq!(
+            (self.total_instructions, self.slots_run, self.counters),
+            (
+                instructions + u64::from(idle.instructions),
+                slots + 1,
+                counters
+            ),
+            "replayed slot counts"
+        );
+        outcome
+    }
+
+    /// Executes one slot, then remembers it if it was an idle slot.
+    fn execute(&mut self, generation: Option<u64>, host: &mut dyn PortHost) -> Result<SlotReport> {
         self.slots_run += 1;
         self.status = VmStatus::Runnable;
+        let (start_pc, start_empty, start_bytes, start_counters) = (
+            self.pc,
+            self.stack.is_empty(),
+            self.used_bytes,
+            self.counters,
+        );
+        let mut trace = SlotTrace::default();
         let limit = self.budget.instructions_per_slot();
         let mut executed = 0u64;
 
@@ -522,7 +766,7 @@ impl CompiledVm {
             // mid-window.
             if let Some(f) = self.program.fused[pc] {
                 if limit - executed >= f.weight() {
-                    match self.run_fused(f, &mut executed, host) {
+                    match self.run_fused(f, &mut executed, &mut trace, host) {
                         Ok(true) => continue,
                         Ok(false) => {} // bail: fall through to single-step
                         Err(err) => {
@@ -536,7 +780,7 @@ impl CompiledVm {
             executed += 1;
             self.total_instructions += 1;
             self.pc = pc + 1;
-            match self.step(op, host) {
+            match self.step(op, &mut trace, host) {
                 Ok(Flow::Continue) => {}
                 Ok(Flow::Yield) => {
                     self.status = VmStatus::Yielded;
@@ -555,6 +799,34 @@ impl CompiledVm {
         if executed == limit && self.status == VmStatus::Runnable {
             self.status = VmStatus::Preempted;
         }
+        let idle = start_pc == self.pc
+            && start_empty
+            && self.stack.is_empty()
+            && self.status == VmStatus::Yielded
+            && self.used_bytes == start_bytes
+            && !trace.stored
+            && !trace.effects;
+        let remembered = match generation {
+            Some(generation) if idle => IdleSlot::new(
+                generation,
+                start_pc,
+                &trace,
+                executed,
+                &start_counters,
+                &self.counters,
+            ),
+            // Any other slot that stored nothing and left the machine where
+            // the remembered slot starts keeps it: the locals, stack and
+            // memory it ran on are unchanged, and the ports are checked
+            // against the generation at the next slot.
+            Some(_)
+                if !trace.stored && self.stack.is_empty() && self.pc == self.idle.pc as usize =>
+            {
+                Some(self.idle)
+            }
+            _ => None,
+        };
+        self.idle = remembered.unwrap_or_default();
         Ok(SlotReport {
             instructions: executed,
             status: self.status,
@@ -566,7 +838,13 @@ impl CompiledVm {
     /// nothing counted), and `Err` for a fault — with `executed`,
     /// `total_instructions` and `pc` already advanced to exactly where the
     /// interpreter would have faulted inside the window.
-    fn run_fused(&mut self, f: Fused, executed: &mut u64, host: &mut dyn PortHost) -> Result<bool> {
+    fn run_fused(
+        &mut self,
+        f: Fused,
+        executed: &mut u64,
+        trace: &mut SlotTrace,
+        host: &mut dyn PortHost,
+    ) -> Result<bool> {
         let start = self.pc;
         match f {
             Fused::LoadIntArithStore { src, imm, op, dst } => {
@@ -589,6 +867,7 @@ impl CompiledVm {
                 let old = self.locals[dst].payload_size();
                 self.locals[dst] = Value::I64(result);
                 self.used_bytes = self.used_bytes.saturating_sub(old) + 8;
+                trace.stored = true;
                 self.counters.load_arith_store += 1;
                 *executed += 4;
                 self.total_instructions += 4;
@@ -628,6 +907,8 @@ impl CompiledVm {
                     return Ok(false);
                 }
                 self.counters.take_port_store += 1;
+                trace.stored = true;
+                trace.effects = true;
                 // Sub-step 0: take_port (host fault surfaces here).
                 *executed += 1;
                 self.total_instructions += 1;
@@ -661,6 +942,7 @@ impl CompiledVm {
                 }
                 let value = value.clone();
                 self.counters.load_write_port += 1;
+                trace.effects = true;
                 // Both sub-steps count before the host call: a write fault
                 // surfaces after load+write_port executed, with the machine
                 // state net-unchanged — exactly the interpreter's
@@ -675,6 +957,7 @@ impl CompiledVm {
                     return Ok(false);
                 }
                 self.counters.take_port_write_port += 1;
+                trace.effects = true;
                 *executed += 1;
                 self.total_instructions += 1;
                 self.pc = start + 1;
@@ -748,7 +1031,7 @@ impl CompiledVm {
     /// Executes one decoded op — a direct port of the interpreter's
     /// `execute`, dispatching on the dense form and sharing every semantic
     /// helper through [`crate::exec`].
-    fn step(&mut self, op: Op, host: &mut dyn PortHost) -> Result<Flow> {
+    fn step(&mut self, op: Op, trace: &mut SlotTrace, host: &mut dyn PortHost) -> Result<Flow> {
         match op {
             Op::Nop => {}
             Op::PushConst(index) => {
@@ -784,6 +1067,7 @@ impl CompiledVm {
                 self.push(value)?;
             }
             Op::Store(index) => {
+                trace.stored = true;
                 let value = self.pop()?;
                 let slot = self
                     .locals
@@ -849,19 +1133,23 @@ impl CompiledVm {
                 }
             }
             Op::ReadPort(slot) => {
+                trace.opaque = true;
                 let value = host.read_port(slot)?;
                 self.push(value)?;
             }
             Op::TakePort(slot) => {
+                trace.effects = true;
                 let value = host.take_port(slot)?;
                 self.push(value)?;
             }
             Op::WritePort(slot) => {
+                trace.effects = true;
                 let value = self.pop()?;
                 host.write_port(slot, value)?;
             }
             Op::PortPending(slot) => {
                 let pending = host.pending(slot)?;
+                trace.pending(slot, pending);
                 self.push(Value::I64(pending as i64))?;
             }
             Op::MakeList(count) => {
@@ -898,6 +1186,7 @@ impl CompiledVm {
                 self.push(Value::I64(items.len() as i64))?;
             }
             Op::Log => {
+                trace.effects = true;
                 let value = self.pop()?;
                 host.log(&value.to_string());
             }
@@ -1270,6 +1559,61 @@ mod tests {
         assert!(CompiledProgram::compile(program).is_err());
         let program = Program::new("bad2").with_code(vec![Instruction::PushConst(7)]);
         assert!(CompiledProgram::compile(program).is_err());
+    }
+
+    /// A host with one empty port whose generation never moves.
+    struct QuietHost;
+
+    impl PortHost for QuietHost {
+        fn read_port(&mut self, _slot: u32) -> Result<Value> {
+            Ok(Value::Void)
+        }
+        fn take_port(&mut self, _slot: u32) -> Result<Value> {
+            Ok(Value::Void)
+        }
+        fn write_port(&mut self, _slot: u32, _value: Value) -> Result<()> {
+            Ok(())
+        }
+        fn pending(&mut self, _slot: u32) -> Result<usize> {
+            Ok(0)
+        }
+        fn log(&mut self, _message: &str) {}
+        fn generation(&self) -> Option<u64> {
+            Some(7)
+        }
+    }
+
+    #[test]
+    fn idle_slots_replay_until_reset_or_a_stored_local() {
+        let program = assemble(
+            "idle",
+            "loop:\nport_pending 0\npush_int 0\ngt\njump_if_false idle\njump loop\n\
+             idle:\nyield\njump loop",
+        )
+        .unwrap();
+        let mut vm = CompiledVm::compile(program, Budget::default()).unwrap();
+        // The first slot starts at pc 0 and yields elsewhere; the second
+        // starts and ends at the `jump loop` after the yield.
+        vm.run_slot(&mut QuietHost).unwrap();
+        vm.run_slot(&mut QuietHost).unwrap();
+        assert_eq!(vm.replayed_slots(), 0);
+        let report = vm.run_slot(&mut QuietHost).unwrap();
+        assert_eq!(vm.replayed_slots(), 1);
+        assert_eq!(report.instructions, 6);
+        assert_eq!(vm.total_instructions(), 5 + 6 + 6);
+        assert_eq!(vm.fusion_counters().push_int_cmp_branch, 3);
+        vm.reset();
+        vm.run_slot(&mut QuietHost).unwrap();
+        vm.run_slot(&mut QuietHost).unwrap();
+        assert_eq!(vm.replayed_slots(), 1, "reset forgets the idle slot");
+
+        // A slot that stores a local is never remembered.
+        let program = assemble("store", "loop:\npush_int 1\nstore 0\nyield\njump loop").unwrap();
+        let mut vm = CompiledVm::compile(program, Budget::default()).unwrap();
+        for _ in 0..4 {
+            vm.run_slot(&mut QuietHost).unwrap();
+        }
+        assert_eq!(vm.replayed_slots(), 0);
     }
 
     #[test]

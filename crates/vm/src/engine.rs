@@ -158,4 +158,21 @@ impl Engine {
             Engine::Shadow(vm) => vm.fusion_counters(),
         }
     }
+
+    /// Slots answered by replaying a remembered idle slot (only the
+    /// compiled plane replays; see [`crate::compiled`]).
+    pub fn replayed_slots(&self) -> u64 {
+        match self {
+            Engine::Compiled(vm) => vm.replayed_slots(),
+            Engine::Interpreter(_) | Engine::Shadow(_) => 0,
+        }
+    }
+
+    /// Forgets a remembered idle slot, so the next slot executes (see
+    /// [`CompiledVm::forget_idle_slot`]).
+    pub fn forget_idle_slot(&mut self) {
+        if let Engine::Compiled(vm) = self {
+            vm.forget_idle_slot();
+        }
+    }
 }

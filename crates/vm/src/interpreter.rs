@@ -47,6 +47,20 @@ pub trait PortHost {
 
     /// Records a diagnostic message produced by the plug-in.
     fn log(&mut self, message: &str);
+
+    /// The generation of everything a slot can observe through this host:
+    /// the ports' queues and last values.  It must change whenever any of
+    /// them changes, and a machine must be run against hosts of one
+    /// generation sequence.  [`crate::compiled::CompiledVm`] replays a
+    /// remembered idle slot only while it holds (see the module docs of
+    /// [`crate::compiled`]).
+    ///
+    /// The default, `None`, tracks nothing, so nothing is ever replayed:
+    /// only the PIRTE's host implements it, which keeps the interpreter
+    /// and the shadow plane executing every slot.
+    fn generation(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// The execution state of a plug-in virtual machine.

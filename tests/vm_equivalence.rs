@@ -12,7 +12,12 @@
 //! 3. a fixed-seed sweep of random programs under adversarially tight
 //!    budgets (tiny slots, tiny stacks, tiny memory, missing ports) runs in
 //!    shadow mode — the same proof the routing plane got in its
-//!    `routing_equivalence` suite, applied to the execution plane.
+//!    `routing_equivalence` suite, applied to the execution plane,
+//! 4. the compiled plane replaying idle slots against a host that tracks
+//!    its generation runs random, tame and idle-loop programs under random
+//!    port traffic and must match the interpreter after every slot, and a
+//!    quiet fleet replays exactly the share of worker slots the replay
+//!    rule predicts.
 
 use dynar::core::context::{InstallationContext, LinkTarget, PortInitContext, PortLinkContext};
 use dynar::core::pirte::Pirte;
@@ -23,9 +28,10 @@ use dynar::core::InstallationPackage;
 use dynar::foundation::error::{DynarError, Result};
 use dynar::foundation::ids::{AppId, EcuId, PluginId, PluginPortId, VirtualPortId};
 use dynar::foundation::value::Value;
+use dynar::sim::scenario::fleet::{FleetScenario, SENSOR_PERIOD};
 use dynar::vm::isa::Instruction;
 use dynar::vm::program::Program;
-use dynar::vm::{assemble, Budget, ExecMode, PortHost, ShadowVm};
+use dynar::vm::{assemble, Budget, CompiledVm, ExecMode, PortHost, ShadowVm, Vm};
 
 // ---------------------------------------------------------------------------
 // A deterministic host fake (mirrors the vm crate's test host).
@@ -294,6 +300,14 @@ fn pirte_routes_identically_under_all_exec_modes() {
                 "loop-guard fusion should fire under {mode}"
             );
         }
+        // Only the compiled plane replays idle slots: here every quiet
+        // tick after the first data tick, the interpreter and the shadow
+        // plane execute every slot.
+        if mode == ExecMode::Compiled {
+            assert_eq!(pirte.replayed_slots(), 9, "replay should fire under {mode}");
+        } else {
+            assert_eq!(pirte.replayed_slots(), 0, "{mode} must not replay");
+        }
     }
     assert_eq!(outboxes[0], outboxes[1], "interpreter vs compiled outbox");
     assert_eq!(outboxes[0], outboxes[2], "interpreter vs shadow outbox");
@@ -559,4 +573,305 @@ fn fixed_seed_random_programs_shadow_execute_identically() {
     // proof.
     assert!(faults > 100, "only {faults}/400 random programs faulted");
     assert!(clean > 100, "only {clean}/400 random programs ran clean");
+}
+
+// ---------------------------------------------------------------------------
+// 4. Idle-slot replay against the interpreter.
+// ---------------------------------------------------------------------------
+
+/// One host call, with the host's answer.
+#[derive(Debug, Clone, PartialEq)]
+enum HostEvent {
+    Read(u32, Result<Value>),
+    Take(u32, Result<Value>),
+    Write(u32, Value, Result<()>),
+    Pending(u32, Result<usize>),
+    Log(String),
+}
+
+impl HostEvent {
+    /// Reads and pending counts are queries with no effect, which a
+    /// replayed slot does not repeat; the tape compares everything else.
+    fn is_effect(&self) -> bool {
+        !matches!(self, HostEvent::Read(..) | HostEvent::Pending(..))
+    }
+}
+
+/// A host whose ports hold queues and last values, like the PIRTE's, and
+/// that records every call.  With `generation` set it reports a generation
+/// that moves on every port change, which lets the compiled plane replay.
+struct TapeHost {
+    queues: Vec<Vec<Value>>,
+    last: Vec<Value>,
+    generation: Option<u64>,
+    tape: Vec<HostEvent>,
+}
+
+impl TapeHost {
+    fn new(slot_count: usize, tracks_generation: bool) -> Self {
+        TapeHost {
+            queues: vec![Vec::new(); slot_count],
+            last: vec![Value::Void; slot_count],
+            generation: tracks_generation.then_some(0),
+            tape: Vec::new(),
+        }
+    }
+
+    fn changed(&mut self) {
+        if let Some(generation) = &mut self.generation {
+            *generation += 1;
+        }
+    }
+
+    fn check(&self, slot: u32) -> Result<usize> {
+        let index = slot as usize;
+        if index < self.queues.len() {
+            Ok(index)
+        } else {
+            Err(DynarError::not_found("port slot", slot))
+        }
+    }
+
+    /// Queues a value from outside, as the PIRTE's dispatch does.
+    fn push(&mut self, slot: usize, value: Value) {
+        self.last[slot] = value.clone();
+        self.queues[slot].push(value);
+        self.changed();
+    }
+
+    /// Drops the oldest queued value from outside.
+    fn drop_oldest(&mut self, slot: usize) {
+        if !self.queues[slot].is_empty() {
+            self.queues[slot].remove(0);
+            self.changed();
+        }
+    }
+
+    fn effects(&self) -> Vec<HostEvent> {
+        self.tape
+            .iter()
+            .filter(|e| e.is_effect())
+            .cloned()
+            .collect()
+    }
+}
+
+impl PortHost for TapeHost {
+    fn read_port(&mut self, slot: u32) -> Result<Value> {
+        let result = self.check(slot).map(|index| self.last[index].clone());
+        self.tape.push(HostEvent::Read(slot, result.clone()));
+        result
+    }
+    fn take_port(&mut self, slot: u32) -> Result<Value> {
+        let result = self.check(slot).map(|index| {
+            if self.queues[index].is_empty() {
+                Value::Void
+            } else {
+                self.queues[index].remove(0)
+            }
+        });
+        if matches!(result, Ok(ref value) if !value.is_void()) {
+            self.changed();
+        }
+        self.tape.push(HostEvent::Take(slot, result.clone()));
+        result
+    }
+    fn write_port(&mut self, slot: u32, value: Value) -> Result<()> {
+        let result = self.check(slot).map(|index| {
+            self.last[index] = value.clone();
+        });
+        if result.is_ok() {
+            self.changed();
+        }
+        self.tape
+            .push(HostEvent::Write(slot, value, result.clone()));
+        result
+    }
+    fn pending(&mut self, slot: u32) -> Result<usize> {
+        let result = self.check(slot).map(|index| self.queues[index].len());
+        self.tape.push(HostEvent::Pending(slot, result.clone()));
+        result
+    }
+    fn log(&mut self, message: &str) {
+        self.tape.push(HostEvent::Log(message.to_owned()));
+    }
+    fn generation(&self) -> Option<u64> {
+        self.generation
+    }
+}
+
+/// Idle loops: guards on pending counts, last values and locals, with a
+/// data path between the idle yields.
+fn idle_loop_program(rng: &mut Rng, index: usize) -> Program {
+    let sources = [
+        // The fleet's telemetry plug-in.
+        "loop:\nport_pending 0\npush_int 0\ngt\njump_if_false idle\ntake_port 0\n\
+         push_int 2\nmul\nwrite_port 1\njump loop\nidle:\nyield\njump loop",
+        // Two guarded inputs, forwarded by the fused take+write window.
+        "loop:\nport_pending 0\npush_int 0\ngt\njump_if_true a\nport_pending 2\n\
+         push_int 0\ngt\njump_if_true b\nyield\njump loop\na:\ntake_port 0\n\
+         write_port 1\njump loop\nb:\ntake_port 2\nwrite_port 1\njump loop",
+        // A guard on the last value of a port.
+        "loop:\nread_port 0\npush_int 5\neq\njump_if_false idle\ntake_port 0\n\
+         write_port 1\nidle:\nyield\njump loop",
+        // A guard on a local the data path updates.
+        "push_int 0\nstore 0\nloop:\nport_pending 0\npush_int 0\ngt\n\
+         jump_if_false idle\ntake_port 0\npop\nload 0\npush_int 1\nadd\nstore 0\n\
+         idle:\nload 0\npush_int 3\nlt\njump_if_false loop\nyield\njump loop",
+        // A quiet slot that also logs: never remembered.
+        "loop:\nport_pending 1\nlog\nyield\njump loop",
+        // A spinner that yields only every few iterations.
+        "loop:\nload 0\npush_int 1\nadd\nstore 0\nload 0\npush_int 4\nrem\npush_int 0\n\
+         eq\njump_if_false loop\nport_pending 0\npop\nyield\njump loop",
+    ];
+    let source = sources[rng.below(sources.len() as u64) as usize];
+    assemble(&format!("idle{index}"), source).expect("idle-loop sources assemble")
+}
+
+/// Applies the same random traffic to both hosts: queue a value, drop one
+/// or do nothing, on one of the three ports.
+fn random_traffic(rng: &mut Rng, hosts: [&mut TapeHost; 3]) {
+    let slot = rng.below(3) as usize;
+    match rng.below(6) {
+        0 => {
+            let value = if rng.below(2) == 0 {
+                Value::I64(5)
+            } else {
+                random_value(rng)
+            };
+            for host in hosts {
+                host.push(slot, value.clone());
+            }
+        }
+        1 => {
+            for host in hosts {
+                host.drop_oldest(slot);
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn replayed_idle_slots_match_the_interpreter_after_every_slot() {
+    let mut rng = Rng(0xDAC2_0140_0000_0031);
+    let mut replayed = 0u64;
+    let mut slots = 0u64;
+    for index in 0..600 {
+        let (program, budget) = match index % 3 {
+            0 => (random_program(&mut rng, index), random_budget(&mut rng)),
+            1 => (
+                tame_program(&mut rng, index),
+                random_budget(&mut rng).with_max_memory_bytes(64 * 1024),
+            ),
+            _ => (
+                idle_loop_program(&mut rng, index),
+                random_budget(&mut rng)
+                    .with_max_memory_bytes(64 * 1024)
+                    .with_max_stack(256),
+            ),
+        };
+        let mut reference = Vm::new(program.clone(), budget);
+        let mut executing = CompiledVm::compile(program.clone(), budget).unwrap();
+        let mut replaying = CompiledVm::compile(program, budget).unwrap();
+        let mut reference_host = TapeHost::new(3, false);
+        let mut executing_host = TapeHost::new(3, false);
+        let mut replaying_host = TapeHost::new(3, true);
+        for slot in 0..24 {
+            if rng.below(3) == 0 {
+                random_traffic(
+                    &mut rng,
+                    [
+                        &mut reference_host,
+                        &mut executing_host,
+                        &mut replaying_host,
+                    ],
+                );
+            }
+            let expected = reference.run_slot(&mut reference_host);
+            let executed = executing.run_slot(&mut executing_host);
+            let outcome = replaying.run_slot(&mut replaying_host);
+            let name = format!("program {index}, slot {slot}");
+            assert_eq!(outcome, expected, "{name}: slot outcome");
+            assert_eq!(executed, expected, "{name}: executed outcome");
+            assert_eq!(replaying.status(), reference.status(), "{name}: status");
+            assert_eq!(replaying.pc(), reference.pc(), "{name}: pc");
+            assert_eq!(replaying.stack(), reference.stack(), "{name}: stack");
+            assert_eq!(replaying.locals(), reference.locals(), "{name}: locals");
+            assert_eq!(
+                replaying.used_bytes(),
+                reference.used_bytes(),
+                "{name}: memory"
+            );
+            assert_eq!(
+                replaying.total_instructions(),
+                reference.total_instructions(),
+                "{name}: instructions"
+            );
+            assert_eq!(
+                replaying.slots_run(),
+                reference.slots_run(),
+                "{name}: slots"
+            );
+            assert_eq!(
+                replaying.fusion_counters(),
+                executing.fusion_counters(),
+                "{name}: fusion counters"
+            );
+            assert_eq!(
+                replaying_host.effects(),
+                reference_host.effects(),
+                "{name}: host effects"
+            );
+            assert_eq!(
+                replaying_host.queues, reference_host.queues,
+                "{name}: queues"
+            );
+            assert_eq!(
+                replaying_host.last, reference_host.last,
+                "{name}: last values"
+            );
+            if expected.is_err() {
+                break;
+            }
+        }
+        assert_eq!(executing.replayed_slots(), 0, "no generation, no replay");
+        replayed += replaying.replayed_slots();
+        slots += replaying.slots_run();
+    }
+    // The sweep must replay a healthy share of its slots, or it proves
+    // nothing about the replay.
+    assert!(
+        replayed * 5 > slots,
+        "only {replayed} of {slots} slots replayed"
+    );
+}
+
+#[test]
+fn a_quiet_fleet_replays_three_of_four_worker_slots() {
+    let mut scenario = FleetScenario::build(4).unwrap();
+    scenario.install_telemetry(4).unwrap();
+    scenario.fleet.run(4 * SENSOR_PERIOD).unwrap();
+    let counts = |scenario: &FleetScenario| -> (u64, u64) {
+        let pirtes = scenario.handles().iter().flat_map(|h| &h.workers);
+        pirtes.fold((0, 0), |(slots, replayed), (_, _, pirte)| {
+            let pirte = pirte.lock();
+            (
+                slots + pirte.stats().slots_granted,
+                replayed + pirte.replayed_slots(),
+            )
+        })
+    };
+    let (slots_before, replayed_before) = counts(&scenario);
+    scenario.fleet.run(25 * SENSOR_PERIOD).unwrap();
+    let (slots_after, replayed_after) = counts(&scenario);
+    let (slots, replayed) = (slots_after - slots_before, replayed_after - replayed_before);
+    assert_eq!(
+        slots,
+        4 * 3 * 25 * SENSOR_PERIOD,
+        "one slot per worker per tick"
+    );
+    // One data slot per sensor period executes; the quiet slots after it
+    // replay, the first one after a re-check of the pending count.
+    assert_eq!(replayed * SENSOR_PERIOD, slots * (SENSOR_PERIOD - 1));
 }
