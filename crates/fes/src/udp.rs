@@ -11,8 +11,9 @@
 //! # Wire format
 //!
 //! One datagram carries exactly one checksummed frame in the
-//! [`dynar_foundation::journal`] layout (`[len u32 LE][fnv1a u32 LE][body]`),
-//! whose body is `[from_len u16 LE][from bytes][payload]`.  The checksum
+//! [`dynar_foundation::journal`] layout (`[len u32 LE][checksum u32 LE][body]`,
+//! checksummed by [`dynar_foundation::journal::frame_checksum`]), whose body
+//! is `[from_len u16 LE][from bytes][payload]`.  The checksum
 //! rejects corrupted or foreign datagrams instead of feeding them to the
 //! protocol layer.
 //!

@@ -16,7 +16,7 @@
 //! (`TrustedServer::snapshot_bytes`), so a journaled-and-replayed server
 //! carries byte-identical totals to the live one.
 
-use dynar_foundation::codec::Reader;
+use dynar_foundation::codec::{self, Reader};
 #[cfg(doc)]
 use dynar_foundation::error::DynarError;
 use dynar_foundation::error::Result;
@@ -68,28 +68,43 @@ impl Ledger {
     /// Encodes the ledger as a [`Value`] (a fixed-arity list of counters).
     pub fn to_value(&self) -> Value {
         Value::List(
-            [
-                self.installs_pushed,
-                self.uninstalls_pushed,
-                self.installs_completed,
-                self.uninstalls_completed,
-                self.operations_failed,
-                self.retransmissions,
-                self.retries_exhausted,
-                self.unreachable_failures,
-                self.operations_voided,
-                self.resyncs,
-                self.orphan_uninstalls,
-                self.restores,
-                self.campaign_exposures,
-                self.campaign_rollbacks,
-                self.campaigns_completed,
-                self.campaigns_aborted,
-            ]
-            .iter()
-            .map(|&c| Value::I64(c as i64))
-            .collect(),
+            self.counters()
+                .iter()
+                .map(|&c| Value::I64(c as i64))
+                .collect(),
         )
+    }
+
+    /// Appends the encoding of [`Ledger::to_value`] to `out`, without
+    /// building the value.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let counters = self.counters();
+        codec::encode_list_header(counters.len(), out);
+        for counter in counters {
+            codec::encode_i64(counter as i64, out);
+        }
+    }
+
+    /// The sixteen counters, in encoding order.
+    fn counters(&self) -> [u64; 16] {
+        [
+            self.installs_pushed,
+            self.uninstalls_pushed,
+            self.installs_completed,
+            self.uninstalls_completed,
+            self.operations_failed,
+            self.retransmissions,
+            self.retries_exhausted,
+            self.unreachable_failures,
+            self.operations_voided,
+            self.resyncs,
+            self.orphan_uninstalls,
+            self.restores,
+            self.campaign_exposures,
+            self.campaign_rollbacks,
+            self.campaigns_completed,
+            self.campaigns_aborted,
+        ]
     }
 
     /// Reads a ledger whose [`Ledger::to_value`] form was encoded.
@@ -129,7 +144,6 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynar_foundation::codec;
 
     #[test]
     fn ledger_round_trips() {
@@ -152,6 +166,9 @@ mod tests {
             campaigns_aborted: 16,
         };
         assert_eq!(decode(&ledger.to_value()).unwrap(), ledger);
+        let mut streamed = Vec::new();
+        ledger.encode_into(&mut streamed);
+        assert_eq!(streamed, codec::encode_value(&ledger.to_value()));
     }
 
     /// Decodes the encoding of `value` as a ledger.

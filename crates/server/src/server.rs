@@ -80,6 +80,8 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::ops::Range;
+use std::sync::Arc;
 
 use dynar_core::context::{
     ExternalConnectionContext, InstallationContext, LinkTarget, PortInitContext, PortLinkContext,
@@ -185,10 +187,92 @@ pub enum DeploymentStatus {
     Failed(String),
 }
 
-#[derive(Debug, Clone)]
+/// One application's deployment plan on one vehicle: the installation
+/// package generated for each target ECU.  The pending operation holds it,
+/// and then the installed record.  It is built once, by the push path or by
+/// a snapshot decode, and never changed, so it is shared behind an [`Arc`]
+/// and its snapshot encoding is computed once, at construction: a
+/// compaction copies those bytes, and each pushed envelope copies its
+/// package's install message out of them.
+#[derive(Debug)]
 struct InstalledApp {
-    plugins: Vec<(PluginId, EcuId)>,
     packages: Vec<(EcuId, InstallationPackage)>,
+    /// The snapshot encoding, `[[[plugin, ECU]…], [[ECU, install]…]]`,
+    /// whose plug-in list is derived from `packages`.
+    bytes: Payload,
+    /// Per package, where in `bytes` its install message lies: the bytes
+    /// [`InstallationPackage::encode_install_into`] writes.
+    installs: Vec<Range<usize>>,
+}
+
+impl InstalledApp {
+    /// Builds the plan and encodes it, each package exactly once.
+    fn new(packages: Vec<(EcuId, InstallationPackage)>) -> Arc<Self> {
+        let mut installs = Vec::with_capacity(packages.len());
+        let bytes = Payload::encode_with(|out| Self::encode(&packages, out, &mut installs));
+        Arc::new(InstalledApp {
+            packages,
+            bytes,
+            installs,
+        })
+    }
+
+    /// The deployed plug-ins with their ECUs, in package order.
+    fn plugins(&self) -> impl Iterator<Item = (&PluginId, EcuId)> {
+        self.packages
+            .iter()
+            .map(|(ecu, package)| (&package.plugin, *ecu))
+    }
+
+    /// `true` if one of the packages installs `plugin`.
+    fn deploys(&self, plugin: &PluginId) -> bool {
+        self.plugins().any(|(deployed, _)| deployed == plugin)
+    }
+
+    /// The encoded install message of package `index`.
+    fn install_message(&self, index: usize) -> &[u8] {
+        &self.bytes[self.installs[index].clone()]
+    }
+}
+
+/// A vehicle's hardware and system software configuration, with its
+/// snapshot encoding (`hw`, then `system`) computed once.  The vehicles of
+/// one model share one, interned by value in the server's [`ConfTable`].
+#[derive(Debug)]
+struct VehicleConf {
+    hw: HwConf,
+    system: SystemSwConf,
+    bytes: Box<[u8]>,
+}
+
+/// The distinct vehicle configurations of one server: one shared
+/// [`VehicleConf`] per distinct encoding, keyed by it.  A derived view, not
+/// part of the snapshot: registering and decoding vehicles fill it.
+#[derive(Debug, Default)]
+struct ConfTable {
+    confs: HashMap<Box<[u8]>, Arc<VehicleConf>>,
+    /// Reused encoding space for the lookup key.
+    scratch: Vec<u8>,
+}
+
+impl ConfTable {
+    /// The shared configuration equal to `hw` and `system`, added if it is
+    /// new.
+    fn intern(&mut self, hw: HwConf, system: SystemSwConf) -> Arc<VehicleConf> {
+        self.scratch.clear();
+        VehicleConf::encode(&hw, &system, &mut self.scratch);
+        if let Some(conf) = self.confs.get(self.scratch.as_slice()) {
+            return Arc::clone(conf);
+        }
+        let bytes: Box<[u8]> = self.scratch.as_slice().into();
+        let conf = Arc::new(VehicleConf {
+            hw,
+            system,
+            bytes: bytes.clone(),
+        });
+        self.confs.insert(bytes, Arc::clone(&conf));
+        conf
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,14 +285,15 @@ enum PendingKind {
 struct PendingOperation {
     kind: PendingKind,
     awaiting: HashSet<PluginId>,
-    record: InstalledApp,
+    record: Arc<InstalledApp>,
     failure: Option<String>,
 }
 
 #[derive(Debug, Clone)]
 struct VehicleRecord {
-    hw: HwConf,
-    system: SystemSwConf,
+    /// The hardware and system software configuration, shared with every
+    /// vehicle configured the same.
+    conf: Arc<VehicleConf>,
     owner: Option<UserId>,
     /// The declarative *desired manifest*: the applications this vehicle
     /// should converge to, independent of what has been observed so far.
@@ -216,7 +301,7 @@ struct VehicleRecord {
     desired: BTreeSet<AppId>,
     /// The *observed* state: applications whose installation the vehicle
     /// acknowledged (resynced from the ECM's state reports after a reboot).
-    installed: HashMap<AppId, InstalledApp>,
+    installed: HashMap<AppId, Arc<InstalledApp>>,
     pending: HashMap<AppId, PendingOperation>,
     failed: HashMap<AppId, String>,
     /// `false` while the vehicle's endpoint is known to be gone (reboot in
@@ -334,6 +419,8 @@ pub struct TrustedServer {
     users: HashSet<UserId>,
     ctx: OpCtx,
     vehicles: HashMap<VehicleId, VehicleRecord>,
+    /// The vehicles' distinct configurations, each shared by its records.
+    confs: ConfTable,
     /// Vehicles with queued downlink payloads (each listed at most once —
     /// `VehicleRecord::in_dirty` dedups).  Drained by
     /// [`TrustedServer::poll_downlink_dirty`] in sorted VIN order so
@@ -409,11 +496,11 @@ impl TrustedServer {
         if self.vehicles.contains_key(&vehicle) {
             return Err(DynarError::duplicate("vehicle", vehicle));
         }
+        let conf = self.confs.intern(hw, system);
         self.vehicles.insert(
             vehicle,
             VehicleRecord {
-                hw,
-                system,
+                conf,
                 owner: None,
                 desired: BTreeSet::new(),
                 installed: HashMap::new(),
@@ -543,18 +630,17 @@ impl TrustedServer {
             .ok_or_else(|| DynarError::not_found("app", app))?;
 
         // Vehicle model must have a matching SW conf.
-        let conf = definition
-            .sw_conf_for(&record.system.model)
-            .ok_or_else(|| {
-                DynarError::Incompatible(format!(
-                    "no deployment description for vehicle model {}",
-                    record.system.model
-                ))
-            })?;
+        let system = &record.conf.system;
+        let conf = definition.sw_conf_for(&system.model).ok_or_else(|| {
+            DynarError::Incompatible(format!(
+                "no deployment description for vehicle model {}",
+                system.model
+            ))
+        })?;
 
         // Hardware and system software prerequisites.
         for placement in &conf.placements {
-            let hw = record.hw.ecu(placement.ecu).ok_or_else(|| {
+            let hw = record.conf.hw.ecu(placement.ecu).ok_or_else(|| {
                 DynarError::Incompatible(format!(
                     "vehicle has no ECU {} required by plug-in {}",
                     placement.ecu, placement.plugin
@@ -566,7 +652,7 @@ impl TrustedServer {
                     placement.ecu, hw.memory_kb, conf.min_memory_kb
                 )));
             }
-            if record.system.swc_on(placement.ecu).is_none() {
+            if system.swc_on(placement.ecu).is_none() {
                 return Err(DynarError::Incompatible(format!(
                     "ECU {} has no plug-in SW-C",
                     placement.ecu
@@ -647,6 +733,7 @@ impl TrustedServer {
                 .plugin(&placement.plugin)
                 .expect("validated in the first pass");
             let swc = record
+                .conf
                 .system
                 .swc_on(placement.ecu)
                 .expect("checked during the compatibility pass");
@@ -788,13 +875,12 @@ impl TrustedServer {
         ctx: &OpCtx,
         app: &AppId,
     ) -> Result<usize> {
-        // The plan is stored once, as the pending operation's record; each
-        // envelope is encoded from the borrowed package.
-        let packages = Self::plan_for_record(record, &ctx.apps, app)?;
-        let mut plugins = Vec::with_capacity(packages.len());
-        let mut awaiting = HashSet::with_capacity(packages.len());
-        for (ecu, package) in &packages {
-            plugins.push((package.plugin.clone(), *ecu));
+        // The plan is stored once, as the pending operation's record, and
+        // encoded once: each envelope copies its package's install message
+        // out of the plan's bytes.
+        let plan = InstalledApp::new(Self::plan_for_record(record, &ctx.apps, app)?);
+        let mut awaiting = HashSet::with_capacity(plan.packages.len());
+        for (index, (ecu, package)) in plan.packages.iter().enumerate() {
             awaiting.insert(package.plugin.clone());
             // Reserve the port ids this deployment consumed.
             let counter = record.next_port_id.entry(*ecu).or_insert(0);
@@ -816,16 +902,16 @@ impl TrustedServer {
                 package.plugin.clone(),
                 app.clone(),
                 PendingKind::Install,
-                |out| package.encode_install_into(out),
+                |out| out.extend_from_slice(plan.install_message(index)),
             );
         }
-        let count = packages.len();
+        let count = plan.packages.len();
         record.pending.insert(
             app.clone(),
             PendingOperation {
                 kind: PendingKind::Install,
                 awaiting,
-                record: InstalledApp { plugins, packages },
+                record: plan,
                 failure: None,
             },
         );
@@ -895,24 +981,24 @@ impl TrustedServer {
         ledger: &mut Ledger,
         ctx: &OpCtx,
         app: &AppId,
-        installed: InstalledApp,
+        installed: Arc<InstalledApp>,
     ) -> usize {
-        let mut awaiting = HashSet::with_capacity(installed.plugins.len());
-        for (plugin, ecu) in &installed.plugins {
+        let mut awaiting = HashSet::with_capacity(installed.packages.len());
+        for (plugin, ecu) in installed.plugins() {
             awaiting.insert(plugin.clone());
             Self::push_tracked(
                 record,
                 ctx.now,
                 &ctx.policy,
                 ctx.incarnation,
-                *ecu,
+                ecu,
                 plugin.clone(),
                 app.clone(),
                 PendingKind::Uninstall,
                 |out| encode_uninstall_into(plugin, out),
             );
         }
-        let count = installed.plugins.len();
+        let count = installed.packages.len();
         record.pending.insert(
             app.clone(),
             PendingOperation {
@@ -944,12 +1030,12 @@ impl TrustedServer {
         let mut repush = Vec::new();
         // Sorted by app so the push order (and thus sequence-id assignment)
         // is deterministic — journal replay must reproduce it exactly.
-        let mut apps: Vec<&AppId> = record.installed.keys().collect();
-        apps.sort();
-        for app in apps {
-            for (target, package) in &record.installed[app].packages {
+        let mut apps: Vec<(&AppId, &Arc<InstalledApp>)> = record.installed.iter().collect();
+        apps.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (_, installed) in apps {
+            for (index, (target, _)) in installed.packages.iter().enumerate() {
                 if *target == ecu {
-                    repush.push((*target, package.clone()));
+                    repush.push((Arc::clone(installed), index));
                 }
             }
         }
@@ -957,9 +1043,9 @@ impl TrustedServer {
         // them), but they still consume sequence ids so gateway
         // deduplication and ordering stay uniform.
         let pushed = repush.len();
-        for (target, package) in repush {
-            Self::queue_envelope(record, target, self.ctx.incarnation, |out| {
-                package.encode_install_into(out);
+        for (installed, index) in repush {
+            Self::queue_envelope(record, ecu, self.ctx.incarnation, |out| {
+                out.extend_from_slice(installed.install_message(index));
             });
         }
         record.note_dirty(vehicle, &mut self.dirty);
@@ -1289,7 +1375,7 @@ impl TrustedServer {
             .vehicles
             .get_mut(vehicle)
             .ok_or_else(|| DynarError::not_found("vehicle", vehicle))?;
-        let ecm = record.system.ecm_ecu().ok_or_else(|| {
+        let ecm = record.conf.system.ecm_ecu().ok_or_else(|| {
             DynarError::invalid_config(format!("vehicle {vehicle} declares no ECM SW-C"))
         })?;
         Self::queue_report_request(record, ecm, self.ctx.incarnation);
@@ -1343,17 +1429,11 @@ impl TrustedServer {
         let present: HashSet<&PluginId> = plugins.iter().map(|(plugin, _, _)| plugin).collect();
         record
             .installed
-            .retain(|_, installed| installed.plugins.iter().all(|(p, _)| present.contains(p)));
+            .retain(|_, installed| installed.plugins().all(|(p, _)| present.contains(p)));
         for (plugin, app, ecu) in plugins {
             let accounted = record.desired.contains(app)
-                || record
-                    .installed
-                    .values()
-                    .any(|r| r.plugins.iter().any(|(p, _)| p == plugin))
-                || record
-                    .pending
-                    .values()
-                    .any(|p| p.record.plugins.iter().any(|(q, _)| q == plugin))
+                || record.installed.values().any(|r| r.deploys(plugin))
+                || record.pending.values().any(|p| p.record.deploys(plugin))
                 // An orphan uninstall already in flight (reports can repeat
                 // while it travels) must not be pushed again.
                 || record.outstanding.iter().any(|o| &o.plugin == plugin);
@@ -1381,7 +1461,7 @@ impl TrustedServer {
         // arrives flagged as solicited so this cannot ping-pong.  A vehicle
         // without an ECM cannot be asked.
         if !solicited && orphan_pushes == 0 && reconciled == 0 {
-            if let Some(ecm) = record.system.ecm_ecu() {
+            if let Some(ecm) = record.conf.system.ecm_ecu() {
                 Self::queue_report_request(record, ecm, ctx.incarnation);
             }
         }
@@ -1969,8 +2049,41 @@ impl TrustedServer {
         let Some(mut journal) = self.journal.take_if(|j| j.due_for_compaction()) else {
             return;
         };
+        #[cfg(debug_assertions)]
+        self.check_encoded_caches();
         journal.compact(|out| self.write_snapshot(out));
         self.journal = Some(journal);
+    }
+
+    /// Checks, in debug builds before every compaction, that each byte
+    /// cache the snapshot copies — every vehicle configuration and every
+    /// installed or pending plan — equals a fresh encode of its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale cache.
+    #[cfg(debug_assertions)]
+    fn check_encoded_caches(&self) {
+        let (mut fresh, mut installs) = (Vec::new(), Vec::new());
+        for (vin, record) in &self.vehicles {
+            fresh.clear();
+            VehicleConf::encode(&record.conf.hw, &record.conf.system, &mut fresh);
+            assert!(
+                *fresh == *record.conf.bytes,
+                "{vin}: configuration bytes differ from a fresh encode"
+            );
+            let plans = (record.installed.iter())
+                .chain(record.pending.iter().map(|(app, p)| (app, &p.record)));
+            for (app, plan) in plans {
+                fresh.clear();
+                installs.clear();
+                InstalledApp::encode(&plan.packages, &mut fresh, &mut installs);
+                assert!(
+                    *fresh == *plan.bytes && installs == plan.installs,
+                    "{vin}: the plan bytes of {app} differ from a fresh encode"
+                );
+            }
+        }
     }
 
     /// Rebuilds a server from journal bytes: decodes each frame and applies
@@ -1994,20 +2107,23 @@ impl TrustedServer {
     }
 
     /// Crash recovery from a journal *file* image: replays every intact
-    /// frame and treats the first torn or corrupted frame as the end of the
-    /// log — exactly what a crash mid-append leaves behind under the
-    /// checksummed frame format.  Returns the recovered server and the
-    /// length of the clean prefix (the offset a resuming writer should
-    /// truncate the file to).
+    /// frame and treats a torn *last* frame as the end of the log — exactly
+    /// what a crash mid-append leaves behind under the checksummed frame
+    /// format.  A frame is torn when it runs past the end of the bytes, or
+    /// fails its checksum with nothing after it.  Returns the recovered
+    /// server and the length of the clean prefix (the offset a resuming
+    /// writer should truncate the file to).
     ///
-    /// A *decodable frame with malformed contents* is still fatal: the
-    /// checksum proves those bytes were written intact, so the corruption is
-    /// real, not a torn tail.
+    /// Corruption is fatal: a frame that fails its checksum with bytes after
+    /// it cannot be a crash artefact (a crash tears only the last append),
+    /// and a *decodable frame with malformed contents* was written intact,
+    /// as its checksum proves.  Recovery refuses both rather than drop the
+    /// rest of the log.
     ///
     /// # Errors
     ///
-    /// Returns [`DynarError::ProtocolViolation`] when an intact frame holds
-    /// a malformed record.
+    /// Returns [`DynarError::ProtocolViolation`] when a frame before the
+    /// last fails its checksum or an intact frame holds a malformed record.
     pub fn replay_recover(bytes: &[u8]) -> Result<(TrustedServer, usize)> {
         let mut server = TrustedServer::new();
         let mut reader = FrameReader::new(bytes);
@@ -2019,9 +2135,11 @@ impl TrustedServer {
                     clean = reader.offset();
                 }
                 Ok(None) => break,
-                // Torn tail: the remaining bytes never made it to disk as a
-                // whole frame.  The clean prefix is the recovered log.
-                Err(_) => break,
+                // Torn tail: the last frame never made it to disk whole.
+                // The clean prefix is the recovered log.
+                Err(_) if reader.next_frame_reaches_end() => break,
+                // Bytes follow the failing frame: corruption mid-log.
+                Err(error) => return Err(error),
             }
         }
         Ok((server, clean))
@@ -2154,7 +2272,7 @@ impl TrustedServer {
                 entry.payload = Self::restamp(&entry.payload, incarnation);
             }
             // No-ECM vehicles simply get no solicitation.
-            if let Some(ecm) = record.system.ecm_ecu() {
+            if let Some(ecm) = record.conf.system.ecm_ecu() {
                 Self::queue_report_request(record, ecm, incarnation);
             }
             record.note_dirty(vehicle, &mut self.dirty);
@@ -2189,9 +2307,9 @@ impl TrustedServer {
     /// `out`.  Every part is streamed straight into `out` — journal
     /// compaction passes the journal's own buffer — and the hash maps of the
     /// vehicle records are sorted in one reused [`SortScratch`], so the
-    /// number of allocations does not grow with the fleet.  Only the ledger,
-    /// sixteen counters, goes through its value-tree form
-    /// ([`Ledger::to_value`]).
+    /// number of allocations does not grow with the fleet.  The vehicle
+    /// configurations and installed-app plans are immutable and carry their
+    /// encodings, so those parts are copies of bytes encoded once.
     fn write_snapshot(&self, out: &mut Vec<u8>) {
         // Unstable sorts (the keys are unique, so the order is the same):
         // a stable sort takes a heap buffer once the list outgrows its stack
@@ -2224,7 +2342,7 @@ impl TrustedServer {
             codec::encode_text(vin.vin(), out);
             record.encode_into(out, &mut scratch);
         }
-        codec::encode_into(&self.ledger.to_value(), out);
+        self.ledger.encode_into(out);
         codec::encode_list_header(self.campaigns.len(), out);
         for campaign in self.campaigns.values() {
             campaign.encode_into(out);
@@ -2261,7 +2379,7 @@ impl TrustedServer {
         for _ in 0..r.list()? {
             r.list_of(2, "vehicle entry")?;
             let vin = VehicleId::new(r.text()?);
-            let mut record = VehicleRecord::decode(r)?;
+            let mut record = VehicleRecord::decode(r, &mut server.confs)?;
             // The dirty set is a rebuildable view: a vehicle with queued
             // downlinks is pollable (offline queues re-arm via `note_dirty`
             // when the vehicle returns).
@@ -2501,7 +2619,7 @@ impl TrustedServer {
                         continue;
                     }
                     if let VehicleSelector::Model(model) = selector {
-                        if record.system.model != *model {
+                        if record.conf.system.model != *model {
                             continue;
                         }
                     }
@@ -2754,7 +2872,7 @@ impl TrustedServer {
 /// one record to the next instead of being allocated per record.
 #[derive(Default)]
 struct SortScratch<'a> {
-    installed: Vec<(&'a AppId, &'a InstalledApp)>,
+    installed: Vec<(&'a AppId, &'a Arc<InstalledApp>)>,
     pending: Vec<(&'a AppId, &'a PendingOperation)>,
     failed: Vec<(&'a AppId, &'a String)>,
     awaiting: Vec<&'a PluginId>,
@@ -2806,41 +2924,71 @@ impl PendingKind {
     }
 }
 
+impl VehicleConf {
+    /// Appends the two configurations' snapshot encodings to `out`.
+    fn encode(hw: &HwConf, system: &SystemSwConf, out: &mut Vec<u8>) {
+        hw.encode_into(out);
+        system.encode_into(out);
+    }
+}
+
 impl InstalledApp {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Encodes `packages` as a plan's snapshot form, pushing the range of
+    /// each package's install message (relative to where the plan starts
+    /// in `out`) onto `installs`.  [`InstalledApp::new`] runs it once; the
+    /// compaction self-check runs it again to compare.
+    fn encode(
+        packages: &[(EcuId, InstallationPackage)],
+        out: &mut Vec<u8>,
+        installs: &mut Vec<Range<usize>>,
+    ) {
+        let base = out.len();
         codec::encode_list_header(2, out);
-        codec::encode_list_header(self.plugins.len(), out);
-        for (plugin, ecu) in &self.plugins {
+        // The plug-in list repeats the packages' `(plugin, ECU)` pairs; it
+        // is kept in the snapshot form, derived here.
+        codec::encode_list_header(packages.len(), out);
+        for (ecu, package) in packages {
             codec::encode_list_header(2, out);
-            codec::encode_text(plugin.name(), out);
+            codec::encode_text(package.plugin.name(), out);
             codec::encode_i64(i64::from(ecu.index()), out);
         }
-        codec::encode_list_header(self.packages.len(), out);
-        for (ecu, package) in &self.packages {
+        codec::encode_list_header(packages.len(), out);
+        for (ecu, package) in packages {
             codec::encode_list_header(2, out);
             codec::encode_i64(i64::from(ecu.index()), out);
+            let start = out.len() - base;
             package.encode_install_into(out);
+            installs.push(start..out.len() - base);
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.bytes);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Arc<Self>> {
         r.list_of(2, "installed app")?;
-        Ok(InstalledApp {
-            plugins: r.items(|r| {
-                r.list_of(2, "installed plug-in")?;
-                Ok((PluginId::new(r.text()?), EcuId::new(r.int("plug-in ECU")?)))
-            })?,
-            packages: r.items(|r| {
-                r.list_of(2, "installed package")?;
-                let ecu = EcuId::new(r.int("package ECU")?);
-                // A package rides in the snapshot as the very install
-                // message the wire carries: one codec, one truth.
-                match ManagementMessage::decode(r)? {
-                    ManagementMessage::Install(package) => Ok((ecu, package)),
-                    _ => Err(r.malformed("installed package")),
-                }
-            })?,
-        })
+        let plugins: Vec<(PluginId, EcuId)> = r.items(|r| {
+            r.list_of(2, "installed plug-in")?;
+            Ok((PluginId::new(r.text()?), EcuId::new(r.int("plug-in ECU")?)))
+        })?;
+        let packages: Vec<(EcuId, InstallationPackage)> = r.items(|r| {
+            r.list_of(2, "installed package")?;
+            let ecu = EcuId::new(r.int("package ECU")?);
+            // A package rides in the snapshot as the very install
+            // message the wire carries: one codec, one truth.
+            match ManagementMessage::decode(r)? {
+                ManagementMessage::Install(package) => Ok((ecu, package)),
+                _ => Err(r.malformed("installed package")),
+            }
+        })?;
+        let derived = packages
+            .iter()
+            .map(|(ecu, package)| (&package.plugin, *ecu));
+        if !plugins.iter().map(|(p, e)| (p, *e)).eq(derived) {
+            return Err(r.malformed("installed plug-in list (it must match the packages)"));
+        }
+        Ok(InstalledApp::new(packages))
     }
 }
 
@@ -2921,8 +3069,7 @@ impl VehicleRecord {
     /// Streams the record, sorting its hash maps and sets in `scratch`.
     fn encode_into<'a>(&'a self, out: &mut Vec<u8>, scratch: &mut SortScratch<'a>) {
         codec::encode_list_header(16, out);
-        self.hw.encode_into(out);
-        self.system.encode_into(out);
+        out.extend_from_slice(&self.conf.bytes);
         encode_optional_text(self.owner.as_ref().map(UserId::name), out);
         codec::encode_list_header(self.desired.len(), out);
         for app in &self.desired {
@@ -2974,7 +3121,8 @@ impl VehicleRecord {
         self.rtt.encode_into(out);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+    /// Reads a record, sharing its configuration through `confs`.
+    fn decode(r: &mut Reader<'_>, confs: &mut ConfTable) -> Result<Self> {
         /// Reads an app-keyed map, a list of `[app, value]` pairs.
         fn by_app<V>(
             r: &mut Reader<'_>,
@@ -2987,8 +3135,7 @@ impl VehicleRecord {
         }
         r.list_of(16, "vehicle record")?;
         let mut record = VehicleRecord {
-            hw: HwConf::decode(r)?,
-            system: SystemSwConf::decode(r)?,
+            conf: confs.intern(HwConf::decode(r)?, SystemSwConf::decode(r)?),
             owner: r.optional_text()?.map(UserId::new),
             desired: r.items(|r| Ok(AppId::new(r.text()?)))?,
             installed: by_app(r, InstalledApp::decode)?,
@@ -4492,6 +4639,90 @@ mod tests {
         ));
 
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn only_a_failing_last_frame_is_a_torn_tail() {
+        let (mut server, user, vehicle) = server_with_vehicle();
+        server.enable_journal(1024);
+        durability_workout(&mut server, &user, &vehicle);
+        let journal = server.journal_bytes().unwrap().to_vec();
+        let mut offsets = Vec::new();
+        let mut reader = FrameReader::new(&journal);
+        while reader.next_frame().unwrap().is_some() {
+            offsets.push(reader.offset());
+        }
+        assert!(offsets.len() > 10, "{} frames", offsets.len());
+        let header = dynar_foundation::journal::FRAME_HEADER_LEN;
+
+        // A bit flip in the fifth frame's payload, with frames after it, is
+        // corruption: recovery refuses it instead of dropping the rest.
+        let mut corrupted = journal.clone();
+        corrupted[offsets[3] + header] ^= 0x08;
+        assert!(matches!(
+            TrustedServer::replay_recover(&corrupted),
+            Err(DynarError::ProtocolViolation(_))
+        ));
+
+        // The same flip in the last frame, complete but with nothing after
+        // it, is a torn tail: the frames before it are the recovered log.
+        let last = offsets[offsets.len() - 2];
+        let mut torn = journal.clone();
+        torn[last + header] ^= 0x08;
+        let (recovered, clean) = TrustedServer::replay_recover(&torn).unwrap();
+        assert_eq!(clean, last);
+        let prefix = TrustedServer::replay(&journal[..last]).unwrap();
+        assert_eq!(recovered.snapshot_bytes(), prefix.snapshot_bytes());
+
+        // A journal framed with another checksum (FNV-1a) fails its first
+        // frame with frames after it: refused, not replayed as empty.
+        let mut fnv_framed = Vec::new();
+        let mut reader = FrameReader::new(&journal);
+        while let Some(payload) = reader.next_frame().unwrap() {
+            fnv_framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            fnv_framed.extend_from_slice(&dynar_foundation::journal::fnv1a(payload).to_le_bytes());
+            fnv_framed.extend_from_slice(payload);
+        }
+        assert!(matches!(
+            TrustedServer::replay_recover(&fnv_framed),
+            Err(DynarError::ProtocolViolation(_))
+        ));
+    }
+
+    #[test]
+    fn a_fleet_of_one_model_shares_one_configuration() {
+        fn shares_one(server: &TrustedServer) -> bool {
+            let first = &server.vehicles.values().next().expect("a fleet").conf;
+            server.confs.confs.len() == 1
+                && server
+                    .vehicles
+                    .values()
+                    .all(|record| Arc::ptr_eq(&record.conf, first))
+        }
+        // Interval 1024 replays `register_vehicle` records; interval 16
+        // replays snapshots as well.
+        for interval in [1024, 16] {
+            let mut server = TrustedServer::new();
+            let user = UserId::new("alice");
+            server.enable_journal(interval);
+            server.create_user(user.clone()).unwrap();
+            server.upload_app(remote_control_app()).unwrap();
+            for i in 0..50 {
+                let vehicle = VehicleId::new(format!("VIN-{i:02}"));
+                server
+                    .register_vehicle(vehicle.clone(), hw_conf(), system_conf())
+                    .unwrap();
+                server.bind_vehicle(&user, &vehicle).unwrap();
+                server
+                    .deploy(&user, &vehicle, &AppId::new("remote-control"))
+                    .unwrap();
+            }
+            assert_eq!(server.vehicles.len(), 50);
+            assert!(shares_one(&server), "live, interval {interval}");
+            let replayed = TrustedServer::replay(server.journal_bytes().unwrap()).unwrap();
+            assert!(shares_one(&replayed), "replayed, interval {interval}");
+            assert_eq!(replayed.snapshot_bytes(), server.snapshot_bytes());
+        }
     }
 
     #[test]

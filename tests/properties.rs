@@ -14,6 +14,7 @@ use dynar::ecm::protocol::{decode_downlink, decode_uplink, encode_downlink, enco
 use dynar::foundation::codec::{decode_value, decode_with, encode_into, encode_value, Reader};
 use dynar::foundation::error::DynarError;
 use dynar::foundation::ids::{AppId, EcuId, PluginId, PluginPortId, VirtualPortId};
+use dynar::foundation::journal::{append_frame, FrameReader};
 use dynar::foundation::value::Value;
 use dynar::rte::com_mapping::{Reassembler, Segmenter};
 use dynar::server::campaign::{
@@ -1211,5 +1212,54 @@ proptest! {
                 "written values diverged: {:?} vs {:?}", value_i, value_f
             );
         }
+    }
+}
+
+/// Reads every frame of `bytes`, returning how many were read.
+fn read_frames(bytes: &[u8]) -> Result<usize, DynarError> {
+    let mut reader = FrameReader::new(bytes);
+    let mut frames = 0;
+    while reader.next_frame()?.is_some() {
+        frames += 1;
+    }
+    Ok(frames)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The journal frame format turns every single-bit flip of a framed
+    /// payload and every truncation into a typed error, and no input panics
+    /// the reader.  A flip in the payload or the checksum fails the
+    /// checksum; a flip in the length field runs the frame past the end of
+    /// the input or checks a different span against the stored checksum.
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_frame_is_a_typed_error(
+        payload in proptest::collection::vec(any::<u8>(), 0..4096),
+        noise in proptest::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        let mut frame = Vec::new();
+        append_frame(&mut frame, &payload);
+        prop_assert_eq!(read_frames(&frame).ok(), Some(1));
+        for bit in 0..frame.len() * 8 {
+            frame[bit / 8] ^= 1 << (bit % 8);
+            let read = read_frames(&frame);
+            frame[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(
+                matches!(read, Err(DynarError::ProtocolViolation(_))),
+                "bit {} of a {}-byte frame: {:?}", bit, frame.len(), read
+            );
+        }
+        for cut in 1..frame.len() {
+            let read = read_frames(&frame[..cut]);
+            prop_assert!(
+                matches!(read, Err(DynarError::ProtocolViolation(_))),
+                "cut at {} of {}: {:?}", cut, frame.len(), read
+            );
+        }
+        // Arbitrary bytes, alone or after a valid frame, never panic.
+        let _ = read_frames(&noise);
+        frame.extend_from_slice(&noise);
+        let _ = read_frames(&frame);
     }
 }

@@ -31,6 +31,7 @@ use dynar::core::virtual_port::{PortDataDirection, PortKind, VirtualPortSpec};
 use dynar::foundation::codec::encode_value;
 use dynar::foundation::error::Result;
 use dynar::foundation::ids::{AppId, EcuId, PluginId, PluginPortId, PortId, SwcId, VirtualPortId};
+use dynar::foundation::journal::{fnv1a, FrameReader};
 use dynar::foundation::time::Tick;
 use dynar::foundation::value::Value;
 use dynar::rte::component::{ComponentBehavior, RteContext, RunnableSpec, SwcDescriptor, Trigger};
@@ -626,6 +627,12 @@ fn lossy_bus_delivery_sequence_is_byte_identical_to_the_seed() {
 /// of the payload count reads 49 752 at this run length).  The ledger and
 /// transport counts are unchanged: the same packages were pushed, the same
 /// 13 were lost, and each was retransmitted once.
+///
+/// The word-wise frame checksum then re-pinned the journal digest
+/// (0x9105_e7d8_4add_3780 → 0x77a7_5b0c_92fc_7875): the digest covers the
+/// 4 checksum bytes of every frame header.  The length, the payloads and
+/// the snapshot are unchanged, which the test shows by framing the same
+/// payloads with FNV-1a checksums again and matching the old digest.
 #[test]
 fn lossy_fleet_server_bytes_match_the_tree_relay_revision() {
     use dynar::fes::transport::TransportConfig;
@@ -656,7 +663,23 @@ fn lossy_fleet_server_bytes_match_the_tree_relay_revision() {
     let server = &scenario.fleet.server;
     let journal = server.journal_bytes().unwrap();
     assert_eq!(journal.len(), 24_017);
-    assert_eq!(digest(journal), 0x9105_e7d8_4add_3780, "journal");
+    assert_eq!(digest(journal), 0x77a7_5b0c_92fc_7875, "journal");
+    // The word-wise frame checksum changed only the 4 checksum bytes of
+    // each frame header: framed again with FNV-1a checksums, the same
+    // payloads give the digest pinned before it.
+    let mut fnv_framed = Vec::with_capacity(journal.len());
+    let mut frames = FrameReader::new(journal);
+    while let Some(payload) = frames.next_frame().unwrap() {
+        fnv_framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        fnv_framed.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        fnv_framed.extend_from_slice(payload);
+    }
+    assert_eq!(fnv_framed.len(), journal.len());
+    assert_eq!(
+        digest(&fnv_framed),
+        0x9105_e7d8_4add_3780,
+        "journal under FNV-1a frame checksums"
+    );
     assert_eq!(
         digest(&server.snapshot_bytes()),
         0x6e34_b735_bcfc_23ad,
