@@ -402,7 +402,7 @@ fn bench_fleet_tick(c: &mut Criterion) {
     }
     // Lossy hub: the same tick over a transport losing 5 % of all
     // federation messages, so the reliability plane's retransmission
-    // overhead (dedup window, deadline heap, requeues) shows up in the perf
+    // overhead (dedup window, deadline scan, requeues) shows up in the perf
     // trajectory next to the lossless datapoints.
     for vehicles in [50usize, 500] {
         use dynar_fes::transport::TransportConfig;

@@ -165,11 +165,6 @@ impl Bus {
         slot
     }
 
-    /// Returns `true` if the ECU is attached.
-    pub fn is_attached(&self, ecu: EcuId) -> bool {
-        self.ecu_slot(ecu).is_some()
-    }
-
     /// The slot of an attached ECU, predicted from its id and checked
     /// against the dense key table before falling back to the hash lookup.
     fn ecu_slot(&self, ecu: EcuId) -> Option<Slot> {

@@ -297,7 +297,8 @@ impl Pirte {
     }
 
     /// Informs the PIRTE of the current simulated time (used only for log
-    /// timestamps).
+    /// timestamps).  The plug-in SW-C and the ECM call it with the ECU's
+    /// tick at the start of every pass.
     pub fn set_now(&mut self, now: Tick) {
         self.now = now;
     }

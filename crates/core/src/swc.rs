@@ -361,6 +361,7 @@ impl PluginSwc {
 impl ComponentBehavior for PluginSwc {
     fn on_runnable(&mut self, _runnable: &str, ctx: &mut RteContext<'_>) -> Result<()> {
         let mut pirte = self.pirte.lock();
+        pirte.set_now(ctx.now());
         if self.resolved.is_none() {
             self.resolved = Some(ResolvedPorts::resolve(&pirte, &self.input_ports, ctx)?);
         }
@@ -540,5 +541,25 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn pirte_log_records_carry_the_ecu_tick() {
+        let mut ecu = Ecu::new(EcuId::new(1));
+        let (behavior, pirte) = PluginSwc::create(EcuId::new(1), config());
+        let descriptor = config().descriptor().unwrap();
+        let swc = ecu.add_component(descriptor, Box::new(behavior)).unwrap();
+        let frame = dynar_bus::frame::CanId::new(0x20).unwrap();
+        ecu.map_signal_in(frame, swc, "mgmt_in").unwrap();
+        ecu.run(5).unwrap();
+
+        let message = crate::message::ManagementMessage::Install(doubler_package());
+        ecu.deliver_inbound(frame, Value::Bytes(message.to_bytes()));
+        ecu.run(1).unwrap();
+        let pirte = pirte.lock();
+        assert_eq!(pirte.plugin_count(), 1);
+        let installed = pirte.log().iter().last().expect("the install is logged");
+        assert_eq!(installed.at, ecu.now());
+        assert_eq!(installed.at, dynar_foundation::time::Tick::new(6));
     }
 }

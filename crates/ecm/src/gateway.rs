@@ -829,6 +829,8 @@ impl EcmSwc {
 
 impl ComponentBehavior for EcmSwc {
     fn on_runnable(&mut self, _runnable: &str, ctx: &mut RteContext<'_>) -> Result<()> {
+        // The PIRTE stamps its log records with the ECU's tick.
+        self.pirte.lock().set_now(ctx.now());
         // 0. Reboot recovery: a rebooted gateway (epoch > 0) announces its
         //    state report — retried every ANNOUNCE_PERIOD_TICKS over the
         //    lossy uplink — until a downlink of its own epoch proves the

@@ -126,19 +126,6 @@ impl Value {
         })
     }
 
-    /// Converts the value to an `f64`, reporting a typed error on mismatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::TypeMismatch`] when the value has no float
-    /// representation.
-    pub fn expect_f64(&self) -> Result<f64, DynarError> {
-        self.as_f64().ok_or_else(|| DynarError::TypeMismatch {
-            expected: "f64",
-            found: self.kind(),
-        })
-    }
-
     /// An approximate payload size in bytes, used by the bus and bench
     /// workload models to account for transport cost.
     pub fn payload_size(&self) -> usize {

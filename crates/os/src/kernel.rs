@@ -101,15 +101,6 @@ impl Kernel {
         Ok(self.tcb(task)?.state)
     }
 
-    /// The static configuration of a task.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DynarError::NotFound`] for an unknown task.
-    pub fn task_config(&self, task: TaskId) -> Result<&TaskConfig> {
-        Ok(&self.tcb(task)?.config)
-    }
-
     /// Activates a task (OSEK `ActivateTask`).
     ///
     /// A suspended task becomes ready; an already active task queues an extra

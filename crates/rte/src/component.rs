@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use dynar_foundation::error::{DynarError, Result};
 use dynar_foundation::ids::{PortId, SwcId};
+use dynar_foundation::time::Tick;
 use dynar_foundation::value::Value;
 
 use crate::port::PortSpec;
@@ -228,18 +229,24 @@ pub trait ComponentBehavior: Send {
 }
 
 /// The per-invocation view a component behaviour gets of the RTE: access to
-/// the ports of exactly one SW-C instance.
+/// the ports of exactly one SW-C instance, at the ECU's current tick.
 #[derive(Debug)]
 pub struct RteContext<'a> {
     rte: &'a mut Rte,
     swc: SwcId,
+    now: Tick,
 }
 
 impl<'a> RteContext<'a> {
-    /// Creates a context scoped to `swc`.  Normally called by the ECU's
-    /// scheduler, and by the plug-in SW-C when it re-enters the RTE.
-    pub fn new(rte: &'a mut Rte, swc: SwcId) -> Self {
-        RteContext { rte, swc }
+    /// Creates a context scoped to `swc` at tick `now`.  Called by the
+    /// ECU's scheduler.
+    pub fn new(rte: &'a mut Rte, swc: SwcId, now: Tick) -> Self {
+        RteContext { rte, swc, now }
+    }
+
+    /// The hosting ECU's current tick.
+    pub fn now(&self) -> Tick {
+        self.now
     }
 
     /// The SW-C this context is scoped to.
@@ -328,15 +335,6 @@ impl<'a> RteContext<'a> {
     /// As [`RteContext::receive`].
     pub fn receive_by_id(&mut self, port: PortId) -> Result<Option<Value>> {
         self.rte.take_port(port)
-    }
-
-    /// Number of values waiting on a pre-resolved port.
-    ///
-    /// # Errors
-    ///
-    /// As [`RteContext::pending`].
-    pub fn pending_by_id(&mut self, port: PortId) -> Result<usize> {
-        self.rte.pending_on(port)
     }
 }
 

@@ -326,7 +326,7 @@ impl Ecu {
             .position_of(server)
             .ok_or_else(|| DynarError::not_found("software component", server))?;
         let entry = &mut self.components[index];
-        let mut ctx = RteContext::new(&mut self.rte, server);
+        let mut ctx = RteContext::new(&mut self.rte, server, self.clock.now());
         entry
             .behavior
             .on_operation(port, operation, argument, &mut ctx)
@@ -343,7 +343,7 @@ impl Ecu {
             .position_of(swc)
             .ok_or_else(|| DynarError::not_found("software component", swc))?;
         let entry = &mut self.components[index];
-        let mut ctx = RteContext::new(&mut self.rte, swc);
+        let mut ctx = RteContext::new(&mut self.rte, swc, self.clock.now());
         entry.behavior.on_runnable(runnable, &mut ctx)
     }
 
@@ -389,7 +389,7 @@ impl Ecu {
             for index in 0..self.components.len() {
                 let swc = self.components[index].swc;
                 let entry = &mut self.components[index];
-                let mut ctx = RteContext::new(&mut self.rte, swc);
+                let mut ctx = RteContext::new(&mut self.rte, swc, self.clock.now());
                 if let Err(err) = entry.behavior.on_start(&mut ctx) {
                     self.log.record(
                         self.clock.now(),
@@ -448,7 +448,7 @@ impl Ecu {
             for runnable in scratch.drain(..) {
                 let entry = &mut self.components[index];
                 let result = {
-                    let mut ctx = RteContext::new(&mut self.rte, swc);
+                    let mut ctx = RteContext::new(&mut self.rte, swc, now);
                     entry
                         .behavior
                         .on_runnable(&entry.runnables[usize::from(runnable)], &mut ctx)

@@ -73,9 +73,6 @@ enum ServerCommand {
     With(Box<dyn FnOnce(&mut TrustedServer) + Send>),
     /// Route downlinks for `id` to `endpoint` and uplinks back.
     Register { id: VehicleId, endpoint: String },
-    /// Stop routing for `id` (the endpoint stays registered on the
-    /// transport until its ECM goes away).
-    Deregister { id: VehicleId },
     /// Final round, then exit with the server state.
     Shutdown,
 }
@@ -258,20 +255,6 @@ impl ActorFederation {
         answer.recv().expect("server actor answers")
     }
 
-    /// Stops one vehicle actor early (endpoint churn mid-run): its thread
-    /// exits, the server stops routing to it.  Returns the vehicle and its
-    /// first step error, or `None` for an unknown id.
-    pub fn stop_vehicle(&mut self, id: &VehicleId) -> Option<(Vehicle, Option<DynarError>)> {
-        let index = self.vehicles.iter().position(|actor| &actor.id == id)?;
-        let actor = self.vehicles.remove(index);
-        actor.stop.store(true, Ordering::Relaxed);
-        let outcome = actor.thread.join().expect("vehicle actor never panics");
-        let _ = self
-            .commands
-            .send(ServerCommand::Deregister { id: id.clone() });
-        Some(outcome)
-    }
-
     /// Stops every actor — vehicles first (so the wire quiesces), then the
     /// server after a final round — and returns the federation's state.
     pub fn shutdown(mut self) -> FederationOutcome {
@@ -389,9 +372,6 @@ fn server_actor(
                 .table
                 .insert(id, endpoint)
                 .expect("spawn_vehicle admits no duplicate vehicle or endpoint"),
-            Ok(ServerCommand::Deregister { id }) => {
-                route.table.swap_remove(&id);
-            }
             Ok(ServerCommand::Shutdown) | Err(RecvTimeoutError::Disconnected) => stopping = true,
             Err(RecvTimeoutError::Timeout) => {}
         }

@@ -225,11 +225,6 @@ impl RemoteCarScenario {
         self.plant.clone()
     }
 
-    /// Mutable access to the one-vehicle fleet (server, hub, vehicle).
-    pub fn fleet_mut(&mut self) -> &mut Fleet {
-        &mut self.fleet
-    }
-
     /// Mutable access to the car.
     pub fn vehicle_mut(&mut self) -> &mut Vehicle {
         self.fleet

@@ -447,7 +447,7 @@ fn lifecycle_allocations_do_not_grow_with_the_pirte() {
 
 /// The most allocations one vehicle's telemetry `deploy` (three packages)
 /// may make, set from the measured count.
-const DEPLOY_ALLOCATIONS_PER_VEHICLE: u64 = 42;
+const DEPLOY_ALLOCATIONS_PER_VEHICLE: u64 = 41;
 
 /// Allocations per vehicle of a warm fleet-wide `deploy` of telemetry v1
 /// over `vehicles` vehicles: each vehicle installed, acknowledged,
